@@ -41,9 +41,10 @@ use std::sync::Mutex;
 ///
 /// Two reasons not to use `std`'s `DefaultHasher` (SipHash) here:
 ///
-/// * **The lookup is the product.** The cached engine answers a repeat
-///   cell in ~100 ns, and a sharded cache needs the key's hash *twice*
-///   per operation (shard pick + bucket placement, both from one
+/// * **The lookup is the product.** `Engine::rtt_batch` answers a
+///   repeat cell in about 70 ns (1024-cell all-hit batches on a 2-core
+///   Xeon VM), and a sharded cache needs the key's hash *twice* per
+///   operation (shard pick + bucket placement, both from one
 ///   [`finish`]). SipHashing a multi-word `ScenarioKey` twice is a
 ///   measurable fraction of that budget; this mixer is a few cycles per
 ///   word plus a SplitMix64-style finalizer for full avalanche (the top
@@ -294,6 +295,17 @@ impl<K: Eq + Hash, V: Clone> SharedCache<K, V> {
     pub fn first_inserts(&self) -> u64 {
         self.first_inserts.load(Ordering::Relaxed)
     }
+
+    /// Current total occupancy from the accounting invariant,
+    /// `first_inserts − evictions`, without taking a shard lock. Equal to
+    /// [`SharedCache::len`] whenever no insert is in flight. Evictions
+    /// are read first: every eviction is preceded by its insert's count,
+    /// so a racing insert can only make the figure run ahead, never
+    /// underflow.
+    pub(crate) fn occupancy(&self) -> u64 {
+        let evicted = self.evictions();
+        self.first_inserts().saturating_sub(evicted)
+    }
 }
 
 #[cfg(test)]
@@ -374,5 +386,21 @@ mod tests {
         }
         assert!(c.len() <= 12, "occupancy {} over bound", c.len());
         assert_eq!(c.first_inserts() - c.evictions(), c.len() as u64);
+    }
+
+    #[test]
+    fn lock_free_occupancy_tracks_len_under_churn() {
+        let c: SharedCache<u64, u64> = SharedCache::new(4, 32);
+        assert_eq!(c.occupancy(), 0);
+        for round in 0..5u64 {
+            // Overlapping key ranges: some repeats still hit, the rest
+            // re-insert and evict.
+            for k in 0..200u64 {
+                c.get_or_insert(round * 100 + k, k);
+            }
+            assert!(c.evictions() > 0);
+            assert_eq!(c.occupancy(), c.len() as u64, "round {round}");
+        }
+        assert!(c.occupancy() <= c.capacity() as u64);
     }
 }

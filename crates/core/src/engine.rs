@@ -375,12 +375,12 @@ impl SolverCache {
             let f = self.obs_flushed[i].swap(t, Ordering::Relaxed);
             counter.add(t.saturating_sub(f));
         }
-        // Occupancy gauges, moved off the insert path: `len()` sweeps
-        // every shard lock, which is fine once per entry point but not
-        // once per memoized solve.
-        DEK_ENTRIES.set_max(self.dek.len() as u64);
-        POLE_ENTRIES.set_max(self.pole.len() as u64);
-        RTT_ENTRIES.set_max(self.rtt.len() as u64);
+        // Occupancy gauges from the caches' insert/evict counters, so a
+        // served batch takes no shard lock here (`len()` would take all
+        // 16 of each cache).
+        DEK_ENTRIES.set_max(self.dek.occupancy());
+        POLE_ENTRIES.set_max(self.pole.occupancy());
+        RTT_ENTRIES.set_max(self.rtt.occupancy());
     }
 
     /// Current hit/miss/eviction counters.
@@ -706,22 +706,46 @@ impl Engine {
     /// quantile (ms) per input in input order (`None` = infeasible).
     ///
     /// This is the serving entry point: a read burst of independent
-    /// queries coalesces into one engine pass. Internally the batch is
-    /// *sorted* by `(K, T, ρ_d)` so that cells sharing an Erlang order
-    /// run consecutively in load order — the exact shape the sweep
-    /// machinery exploits: quantile brackets warm-start from the
-    /// neighboring cell, and (batch mode) the D/E_K/1 root solves
-    /// continuation-chain along each run ([`DekSolution::solve_warm`]
-    /// falls back cold whenever a chain crosses a K boundary). Results
-    /// are scattered back to input order, so callers never see the
+    /// queries coalesces into one engine pass, in two steps.
+    ///
+    /// 1. **Memo pass.** Every scenario is probed in the whole-cell memo
+    ///    in input order, and a hit is written straight to its output
+    ///    slot (one `rtt_hits` increment per batch). A repeat cell costs
+    ///    one hash lookup: no sort, no continuation run.
+    /// 2. **Misses only.** The remaining indices are *sorted* by
+    ///    `(K, T, ρ_d)` so that cells sharing an Erlang order run
+    ///    consecutively in load order — the exact shape the sweep
+    ///    machinery exploits: quantile brackets warm-start from the
+    ///    neighboring miss, and (batch mode) the D/E_K/1 root solves
+    ///    continuation-chain along each run ([`DekSolution::solve_warm`]
+    ///    falls back cold whenever a chain crosses a K boundary). Each
+    ///    miss probes the memo again, so a cell repeated inside the
+    ///    batch is solved once and then hits.
+    ///
+    /// Results land in input order, so callers never see the
     /// permutation. Values match [`Engine::build_model`] +
     /// `rtt_quantile_ms` bit for bit under a bit-exact config, and stay
     /// within [`BATCH_RTT_TOLERANCE_MS`] under the default batch config.
+    /// With `cache: false` every scenario is a miss.
     pub fn rtt_batch(&self, scenarios: &[Scenario]) -> Vec<Option<f64>> {
         let _span = fpsping_obs::span("engine.rtt_batch");
         let _flush = FlushOnDrop(&self.cache);
-        let mut order: Vec<usize> = (0..scenarios.len()).collect();
-        order.sort_by_key(|&i| {
+        let mut out = vec![None; scenarios.len()];
+        let mut misses: Vec<usize> = if self.config.cache {
+            let mut misses = Vec::new();
+            for (i, s) in scenarios.iter().enumerate() {
+                match self.cache.rtt.get(&ScenarioKey::of(s)) {
+                    Some(v) => out[i] = Some(v),
+                    None => misses.push(i),
+                }
+            }
+            let hits = (scenarios.len() - misses.len()) as u64;
+            self.cache.rtt_hits.fetch_add(hits, Ordering::Relaxed);
+            misses
+        } else {
+            (0..scenarios.len()).collect()
+        };
+        misses.sort_by_key(|&i| {
             let s = &scenarios[i];
             (
                 s.erlang_order,
@@ -729,23 +753,21 @@ impl Engine {
                 s.downlink_load().to_bits(),
             )
         });
-        let runs = self.sweep_runs(order.len(), self.config.jobs);
+        let runs = self.sweep_runs(misses.len(), self.config.jobs);
         let results = par_map(self.config.jobs, &runs, |run| {
             let mut hint = None;
             let mut chain = None;
             run.clone()
-                .map(|oi| {
-                    let s = &scenarios[order[oi]];
-                    let v = self.cell(s, hint, &mut chain);
+                .map(|mi| {
+                    let v = self.cell(&scenarios[misses[mi]], hint, &mut chain);
                     hint = v.or(hint);
                     v
                 })
                 .collect::<Vec<_>>()
         });
-        let mut out = vec![None; scenarios.len()];
         for (run, values) in runs.iter().zip(results) {
-            for (oi, v) in run.clone().zip(values) {
-                out[order[oi]] = v;
+            for (mi, v) in run.clone().zip(values) {
+                out[misses[mi]] = v;
             }
         }
         out

@@ -6,12 +6,14 @@
 //! One TCP read of a pipelined client burst (up to 64 KiB ≈ 1 638 binary
 //! frames) is decoded into a single request batch and answered by **one**
 //! [`Engine::rtt_batch`] pass. That is where the engine's machinery pays
-//! off per network read instead of per request: the batch is sorted so
-//! same-`K` cells run consecutively in load order, quantile brackets
-//! warm-start from their neighbors, and the D/E_K/1 root solves
-//! continuation-chain along each run. The responses for the burst go
-//! back in one `write_all`. Request → response order is preserved within
-//! a connection, so clients may pipeline blindly and count frames.
+//! off per network read instead of per request: every cell the engine
+//! has already answered is served from its memo in one pass, without
+//! sorting; only the misses are sorted, so same-`K` cells run
+//! consecutively in load order, quantile brackets warm-start from their
+//! neighbors, and the D/E_K/1 root solves continuation-chain along each
+//! run. The responses for the burst go back in one `write_all`. Request
+//! → response order is preserved within a connection, so clients may
+//! pipeline blindly and count frames.
 //!
 //! ## Concurrency shape
 //!
@@ -389,7 +391,9 @@ fn handle_batch(
     shared
         .requests
         .fetch_add(requests.len() as u64, Ordering::Relaxed);
-    // One engine pass answers every rtt request of the burst.
+    // One engine pass answers every rtt request of the burst; a burst
+    // of dimension or stats ops alone skips the engine (and its span
+    // and obs flush) entirely.
     let scenarios: Vec<Scenario> = requests
         .iter()
         .filter_map(|req| match req {
@@ -402,7 +406,11 @@ fn handle_batch(
             _ => None,
         })
         .collect();
-    let rtts = shared.engine.rtt_batch(&scenarios);
+    let rtts = if scenarios.is_empty() {
+        Vec::new()
+    } else {
+        shared.engine.rtt_batch(&scenarios)
+    };
     let mut rtt_answers = rtts.into_iter();
     let mut shutdown = false;
     for req in requests {
@@ -582,5 +590,51 @@ mod tests {
         }
         server.request_shutdown();
         server.join();
+    }
+
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn burst_without_rtt_requests_skips_the_engine() {
+        // Each burst runs under an outer span unique to this test, so
+        // batches answered by other tests cannot touch the paths read.
+        use crate::protocol::{Request, STAT_REQUESTS};
+        let shared = Shared {
+            engine: Engine::new(EngineConfig::default()),
+            dim_memo: SharedCache::new(16, 0),
+            requests: AtomicU64::new(0),
+            timeout_ms: ServeConfig::default().request_timeout_ms,
+            shutdown: AtomicBool::new(false),
+            mirrored: Mutex::new(CacheStats::default()),
+        };
+        let batch_spans = |outer: &str| {
+            let path = format!("{outer}/engine.rtt_batch");
+            fpsping_obs::snapshot()
+                .spans
+                .iter()
+                .find(|s| s.path == path)
+                .map_or(0, |s| s.count)
+        };
+        let mut out = Vec::new();
+        {
+            let _outer = fpsping_obs::span("serve.test.no_rtt");
+            let burst = [
+                Ok(Request::stats(1, STAT_REQUESTS)),
+                Ok(Request::dimension(2, 9, 40.0, 50.0)),
+                Err(3),
+            ];
+            handle_batch(&shared, &burst, Mode::Binary, &mut out);
+        }
+        assert_eq!(out.len(), 3 * crate::protocol::RESP_FRAME_LEN);
+        assert_eq!(batch_spans("serve.test.no_rtt"), 0);
+        {
+            let _outer = fpsping_obs::span("serve.test.one_rtt");
+            handle_batch(
+                &shared,
+                &[Ok(Request::rtt(4, 9, 40.0, 0.4))],
+                Mode::Binary,
+                &mut out,
+            );
+        }
+        assert_eq!(batch_spans("serve.test.one_rtt"), 1);
     }
 }

@@ -386,4 +386,35 @@ cargo check -q -p fpsping-bench --features obs-off
 cargo check -q -p fpsping-serve --features obs-off
 echo "tier-1: obs-off builds OK"
 
+# perfbench (its own Cargo workspace): the benchmark's unit tests, then a
+# one-second correctness smoke of both serve workloads. Every run checks
+# its answers against the serial path and its work against an identity
+# record; the smoke requires those checks to pass. No throughput floor:
+# the figures are only comparable between interleaved runs on one host.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for workload in serve_hotspot serve_cold; do
+    PERF_LINE="$(cargo run --release --quiet --offline \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    if command -v python3 >/dev/null 2>&1; then
+        python3 - "$workload" "$PERF_LINE" <<'PY'
+import json, sys
+workload, line = sys.argv[1], json.loads(sys.argv[2])
+assert line["correct"] is True, "perfbench %s: not correct: %r" % (workload, line)
+assert line["failed"] == 0, "perfbench %s: %r failed" % (workload, line["failed"])
+print("tier-1: perfbench %s smoke OK (%d ops)" % (workload, line["attempted"]))
+PY
+    else
+        echo "$PERF_LINE" | grep -q '"correct": *true' || {
+            echo "tier-1: perfbench $workload smoke not correct: $PERF_LINE"
+            exit 1
+        }
+        echo "$PERF_LINE" | grep -q '"failed": *0[,}]' || {
+            echo "tier-1: perfbench $workload smoke failed ops: $PERF_LINE"
+            exit 1
+        }
+        echo "tier-1: perfbench $workload smoke OK (grep fallback)"
+    fi
+done
+
 echo "tier-1: OK"

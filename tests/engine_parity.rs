@@ -11,7 +11,7 @@
 //!   is [`fpsping::engine::BATCH_RTT_TOLERANCE_MS`] on every RTT cell
 //!   (and batch results must still be independent of the worker count).
 
-use fpsping::engine::{Engine, EngineConfig, SolverCache, BATCH_RTT_TOLERANCE_MS};
+use fpsping::engine::{CacheStats, Engine, EngineConfig, SolverCache, BATCH_RTT_TOLERANCE_MS};
 use fpsping::{sweep, RttModel, Scenario};
 use fpsping_dist::Deterministic;
 use fpsping_queue::{DEk1, Mg1};
@@ -259,6 +259,114 @@ fn rtt_batch_answers_in_input_order_and_bit_exactly() {
         );
     }
     assert!(batch[17].is_none());
+}
+
+fn cell(k: u32, load: f64) -> Scenario {
+    Scenario::paper_default()
+        .with_load(load)
+        .with_erlang_order(k)
+}
+
+#[test]
+fn rtt_batch_mixes_memo_hits_and_misses() {
+    // A partly warmed engine answers a shuffled batch of memo hits,
+    // fresh misses, an in-batch duplicate of a fresh cell and one
+    // infeasible cell. The memo pass answers the hits; only the misses
+    // enter the sorted continuation path. jobs = 1 keeps the duplicate
+    // pair in one run: split across two workers, both copies may miss.
+    let ks = [2u32, 9, 20];
+    let warm: Vec<Scenario> = (0..12)
+        .map(|i| cell(ks[i % 3], 0.05 + 0.07 * i as f64))
+        .collect();
+    let fresh: Vec<Scenario> = (0..10)
+        .map(|i| cell(ks[(i + 1) % 3], 0.08 + 0.085 * i as f64))
+        .collect();
+    let mut ordered: Vec<Scenario> = warm.iter().step_by(2).cloned().collect();
+    let hits = ordered.len() as u64;
+    ordered.extend(fresh.iter().cloned());
+    ordered.push(fresh[4].clone());
+    ordered.push(cell(9, 1.5));
+    // 18 cells, stride 5 (coprime): a fixed shuffle.
+    let n = ordered.len();
+    let batch: Vec<Scenario> = (0..n).map(|i| ordered[i * 5 % n].clone()).collect();
+    let serial = Engine::serial().rtt_batch(&batch);
+
+    for config in [EngineConfig::bit_exact(), EngineConfig::default()] {
+        let engine = Engine::new(EngineConfig { jobs: 1, ..config });
+        engine.rtt_batch(&warm);
+        let before = engine.cache_stats();
+        let got = engine.rtt_batch(&batch);
+        let after = engine.cache_stats();
+        let exact = !engine.config().batch;
+        assert_eq!(got.len(), batch.len());
+        for (i, ((g, want), s)) in got.iter().zip(&serial).zip(&batch).enumerate() {
+            if exact {
+                let model = RttModel::build(s).map(|m| m.rtt_quantile_ms()).ok();
+                assert_eq!(g.map(f64::to_bits), model.map(f64::to_bits), "index {i}");
+            } else {
+                match (g, want) {
+                    (Some(g), Some(w)) => assert!(
+                        (g - w).abs() <= BATCH_RTT_TOLERANCE_MS,
+                        "index {i}: {g} vs serial {w}"
+                    ),
+                    (g, w) => assert_eq!(g.is_some(), w.is_some(), "index {i}"),
+                }
+            }
+        }
+        assert_eq!(got.iter().filter(|v| v.is_none()).count(), 1);
+        assert_eq!(
+            after.rtt_misses - before.rtt_misses,
+            fresh.len() as u64,
+            "exact={exact}: the duplicate must cost no second miss"
+        );
+        assert_eq!(
+            after.rtt_hits - before.rtt_hits,
+            hits + 1,
+            "exact={exact}: warmed cells plus the duplicate hit"
+        );
+    }
+}
+
+#[test]
+fn repeated_all_hit_batch_does_no_solver_work() {
+    // Once a batch has been answered, repeating it is pure memo traffic:
+    // the same bits, exactly one rtt hit per cell, and no D/E_K/1, pole
+    // or rtt miss — not even a D/E_K/1 or pole lookup.
+    let batch: Vec<Scenario> = (0..40)
+        .map(|i| {
+            cell(
+                [2u32, 9, 20][i * 7 % 3],
+                0.05 + 0.9 * (i * 13 % 40) as f64 / 40.0,
+            )
+        })
+        .collect();
+    for config in [EngineConfig::bit_exact(), EngineConfig::default()] {
+        let engine = Engine::new(config);
+        let first = engine.rtt_batch(&batch);
+        assert!(first.iter().all(Option::is_some), "batch must be feasible");
+        let before = engine.cache_stats();
+        let second = engine.rtt_batch(&batch);
+        let after = engine.cache_stats();
+        assert_eq!(
+            first
+                .iter()
+                .map(|v| v.map(f64::to_bits))
+                .collect::<Vec<_>>(),
+            second
+                .iter()
+                .map(|v| v.map(f64::to_bits))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(after.rtt_hits - before.rtt_hits, batch.len() as u64);
+        assert_eq!(
+            CacheStats {
+                rtt_hits: before.rtt_hits,
+                ..after
+            },
+            before,
+            "a memo hit must do no solver work"
+        );
+    }
 }
 
 #[test]
