@@ -31,7 +31,7 @@
 //! `first_inserts − evictions == occupancy ≤ capacity` (no lost
 //! updates, bounded memory).
 
-use fpsping_obs::{lock_class, LockClass};
+use fpsping_obs::lock;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,6 +144,8 @@ impl<K, V> Default for Shard<K, V> {
 /// sharding and eviction design.
 #[derive(Debug)]
 pub struct SharedCache<K, V> {
+    /// Leaf locks: each is held only around map surgery, never while
+    /// another guard is taken.
     shards: Box<[Mutex<Shard<K, V>>]>,
     /// `shards.len() - 1`; shard count is a power of two.
     mask: u64,
@@ -157,12 +159,6 @@ pub struct SharedCache<K, V> {
 /// Default shard count: enough that a handful of worker threads rarely
 /// collide, small enough that an empty cache is a few hundred bytes.
 pub const DEFAULT_SHARDS: usize = 16;
-
-/// All shards of every `SharedCache` share one lockdep class: they play
-/// one ordering role (leaf memo locks, never held across another
-/// acquisition), and shard choice is data-dependent so per-instance
-/// classes would never converge to a checkable order.
-static SHARD_CLASS: LockClass = LockClass::new("core::SharedCache::shards");
 
 impl<K: Eq + Hash, V: Clone> SharedCache<K, V> {
     /// A cache with `shards` shards (rounded up to a power of two) and a
@@ -203,7 +199,7 @@ impl<K: Eq + Hash, V: Clone> SharedCache<K, V> {
 
     /// Looks up `key`, marking the entry recently-used on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut shard = lock_class(&SHARD_CLASS, self.shard_of(key));
+        let mut shard = lock(self.shard_of(key));
         let &i = shard.map.get(key)?;
         let slot = &mut shard.slots[i];
         slot.referenced = true;
@@ -219,7 +215,7 @@ impl<K: Eq + Hash, V: Clone> SharedCache<K, V> {
     where
         K: Clone,
     {
-        let mut shard = lock_class(&SHARD_CLASS, self.shard_of(&key));
+        let mut shard = lock(self.shard_of(&key));
         if let Some(&i) = shard.map.get(&key) {
             let slot = &mut shard.slots[i];
             slot.referenced = true;
@@ -265,10 +261,7 @@ impl<K: Eq + Hash, V: Clone> SharedCache<K, V> {
 
     /// Current total occupancy across shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_class(&SHARD_CLASS, s).map.len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// Whether the cache holds no entries.

@@ -22,7 +22,7 @@
 //! Keys are sorted; the document is deterministic for a given registry
 //! state, so tests and the tier-1 smoke can grep it.
 
-use crate::{lock_class, registry};
+use crate::{lock, registry};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -71,35 +71,32 @@ pub struct Snapshot {
 /// Captures the current state of every registered metric.
 pub fn snapshot() -> Snapshot {
     let reg = registry();
-    let mut counters: Vec<(String, u64)> = lock_class(&crate::REG_COUNTERS, &reg.counters)
+    let mut counters: Vec<(String, u64)> = lock(&reg.counters)
         .iter()
         .map(|c| (c.name().to_string(), c.get()))
         .collect();
-    // The lockdep witness counts with plain atomics (its counters must
-    // not re-enter the instrumented registry locks), so its coverage
-    // figures are injected here instead of self-registering. Zeros mean
-    // the witness is compiled out (release or obs-off).
-    let (lockdep_edges, lockdep_checks) = crate::lockdep::stats();
-    counters.push(("lockdep.edges".to_string(), lockdep_edges));
-    counters.push(("lockdep.checks".to_string(), lockdep_checks));
+    // The lockdep witness counts with a plain atomic (a counter must not
+    // re-enter the registry locks from inside the witness), so its
+    // coverage figure is injected here instead of self-registering. Zero
+    // means the witness is compiled out (release or obs-off).
+    counters.push(("lockdep.checks".to_string(), crate::lockdep::checks()));
     counters.sort();
-    let mut gauges: Vec<(String, u64)> = lock_class(&crate::REG_GAUGES, &reg.gauges)
+    let mut gauges: Vec<(String, u64)> = lock(&reg.gauges)
         .iter()
         .map(|g| (g.name().to_string(), g.get()))
         .collect();
     gauges.sort();
-    let mut histograms: Vec<HistogramSnapshot> =
-        lock_class(&crate::REG_HISTOGRAMS, &reg.histograms)
-            .iter()
-            .map(|h| HistogramSnapshot {
-                name: h.name().to_string(),
-                count: h.count(),
-                sum: h.sum(),
-                buckets: h.buckets(),
-            })
-            .collect();
+    let mut histograms: Vec<HistogramSnapshot> = lock(&reg.histograms)
+        .iter()
+        .map(|h| HistogramSnapshot {
+            name: h.name().to_string(),
+            count: h.count(),
+            sum: h.sum(),
+            buckets: h.buckets(),
+        })
+        .collect();
     histograms.sort_by(|a, b| a.name.cmp(&b.name));
-    let spans: Vec<SpanSnapshot> = lock_class(&crate::REG_SPANS, &reg.spans)
+    let spans: Vec<SpanSnapshot> = lock(&reg.spans)
         .iter()
         .map(|(path, s)| SpanSnapshot {
             path: path.clone(),
@@ -108,7 +105,7 @@ pub fn snapshot() -> Snapshot {
             max_ms: s.max_ns as f64 / 1e6,
         })
         .collect(); // BTreeMap iteration is already path-sorted
-    let warnings = lock_class(&crate::REG_WARNINGS, &reg.warnings).clone();
+    let warnings = lock(&reg.warnings).clone();
     Snapshot {
         counters,
         gauges,

@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
 
 pub mod export;
 pub mod lockdep;
@@ -46,7 +46,7 @@ pub mod metrics;
 pub mod span;
 
 pub use export::{snapshot, write_json, HistogramSnapshot, Snapshot, SpanSnapshot};
-pub use lockdep::{lock_class, LockClass, TrackedGuard};
+pub use lockdep::{lock, TrackedGuard};
 pub use metrics::{Counter, Gauge, Histogram, HistogramTimer};
 pub use span::{span, SpanGuard};
 
@@ -62,7 +62,9 @@ pub(crate) struct SpanStat {
 }
 
 /// The process-global metric registry. Metric primitives push themselves
-/// in on first record; spans and warnings aggregate here directly.
+/// in on first record; spans and warnings aggregate here directly. Like
+/// every lock in the workspace, each registry lock is taken with no other
+/// guard held and holds none itself (see [`lockdep`]).
 pub(crate) struct Registry {
     pub counters: Mutex<Vec<&'static metrics::Counter>>,
     pub gauges: Mutex<Vec<&'static metrics::Gauge>>,
@@ -74,17 +76,6 @@ pub(crate) struct Registry {
 
 static REGISTRY: OnceLock<Registry> = OnceLock::new();
 
-/// Lockdep classes for the registry's own locks. These are the innermost
-/// classes in `lockorder.toml`: any instrumented lock in any crate may be
-/// held when a metric's lazy registration or a span drop reaches the
-/// registry, and the registry never calls back out while holding them.
-pub(crate) static REG_COUNTERS: LockClass = LockClass::new("obs::Registry::counters");
-pub(crate) static REG_GAUGES: LockClass = LockClass::new("obs::Registry::gauges");
-pub(crate) static REG_HISTOGRAMS: LockClass = LockClass::new("obs::Registry::histograms");
-pub(crate) static REG_SPANS: LockClass = LockClass::new("obs::Registry::spans");
-pub(crate) static REG_WARN_KEYS: LockClass = LockClass::new("obs::Registry::warn_keys");
-pub(crate) static REG_WARNINGS: LockClass = LockClass::new("obs::Registry::warnings");
-
 pub(crate) fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
         counters: Mutex::new(Vec::new()),
@@ -94,21 +85,6 @@ pub(crate) fn registry() -> &'static Registry {
         warn_keys: Mutex::new(BTreeSet::new()),
         warnings: Mutex::new(Vec::new()),
     })
-}
-
-/// Acquires a mutex, recovering the contents if a panicking thread
-/// poisoned it.
-///
-/// This is the workspace's one audited poison-recovery site (the metric
-/// registry, the engine's solver caches, and the serve layer all route
-/// through it). The recovery is sound **only** for structures that are
-/// never left half-mutated across a panic point: every guarded structure
-/// here only ever holds fully-constructed entries (pushes, single-map
-/// inserts, field stores), so the data stays valid after any panic.
-/// Callers adopting this helper inherit that contract — do not hold the
-/// guard across fallible multi-step mutations.
-pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A monotonic stopwatch for *control flow* (deadlines, timeout budgets)
@@ -148,9 +124,9 @@ impl Stopwatch {
 /// Stays active under `obs-off`: these are operator-facing correctness
 /// warnings (silent-fallback reporting), not measurements.
 pub fn warn_once(key: &'static str, message: &str) {
-    let inserted = lock_class(&REG_WARN_KEYS, &registry().warn_keys).insert(key);
+    let inserted = lock(&registry().warn_keys).insert(key);
     if inserted {
-        lock_class(&REG_WARNINGS, &registry().warnings).push(format!("{key}: {message}"));
+        lock(&registry().warnings).push(format!("{key}: {message}"));
         // lint:allow(println): the whole point of warn_once is a one-shot operator-visible stderr warning; routing through the caller would reintroduce the silent fallback it exists to fix
         eprintln!("warning: {message}");
     }
@@ -158,7 +134,7 @@ pub fn warn_once(key: &'static str, message: &str) {
 
 /// All warnings recorded so far via [`warn_once`], in emission order.
 pub fn warnings() -> Vec<String> {
-    lock_class(&REG_WARNINGS, &registry().warnings).clone()
+    lock(&registry().warnings).clone()
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! and the atomics are never touched.
 
 #[cfg(not(feature = "obs-off"))]
-use crate::{lock_class, registry};
+use crate::{lock, registry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A monotone event counter.
@@ -73,7 +73,7 @@ impl Counter {
     #[cold]
     fn register(&'static self) {
         if !self.registered.swap(true, Ordering::SeqCst) {
-            lock_class(&crate::REG_COUNTERS, &registry().counters).push(self);
+            lock(&registry().counters).push(self);
         }
     }
 }
@@ -139,7 +139,7 @@ impl Gauge {
     #[cold]
     fn register(&'static self) {
         if !self.registered.swap(true, Ordering::SeqCst) {
-            lock_class(&crate::REG_GAUGES, &registry().gauges).push(self);
+            lock(&registry().gauges).push(self);
         }
     }
 }
@@ -244,7 +244,7 @@ impl Histogram {
     #[cold]
     fn register(&'static self) {
         if !self.registered.swap(true, Ordering::SeqCst) {
-            lock_class(&crate::REG_HISTOGRAMS, &registry().histograms).push(self);
+            lock(&registry().histograms).push(self);
         }
     }
 }
@@ -291,7 +291,7 @@ mod tests {
         #[cfg(not(feature = "obs-off"))]
         {
             assert_eq!(C.get(), 5);
-            let names: Vec<&str> = lock_class(&crate::REG_COUNTERS, &registry().counters)
+            let names: Vec<&str> = lock(&registry().counters)
                 .iter()
                 .map(|c| c.name())
                 .collect();

@@ -17,7 +17,7 @@
 
 #[cfg(not(feature = "obs-off"))]
 mod active {
-    use crate::{lock_class, registry};
+    use crate::{lock, registry};
     use std::cell::RefCell;
     use std::time::Instant;
 
@@ -78,7 +78,7 @@ mod active {
                         }
                         buf.push_str(name);
                     }
-                    let mut spans = lock_class(&crate::REG_SPANS, &registry().spans);
+                    let mut spans = lock(&registry().spans);
                     let stat = match spans.get_mut(buf.as_str()) {
                         Some(stat) => stat,
                         None => spans.entry(buf.clone()).or_default(),
@@ -113,14 +113,14 @@ mod tests {
     #[cfg(not(feature = "obs-off"))]
     #[test]
     fn spans_nest_into_slash_paths() {
-        use crate::{lock_class, registry, span};
+        use crate::{lock, registry, span};
         {
             let _outer = span("obs.test.outer");
             {
                 let _inner = span("obs.test.inner");
             }
         }
-        let spans = lock_class(&crate::REG_SPANS, &registry().spans);
+        let spans = lock(&registry().spans);
         let outer = spans.get("obs.test.outer").copied();
         let inner = spans.get("obs.test.outer/obs.test.inner").copied();
         drop(spans);
@@ -134,14 +134,14 @@ mod tests {
     #[cfg(not(feature = "obs-off"))]
     #[test]
     fn sibling_threads_do_not_inherit_parents() {
-        use crate::{lock_class, registry, span};
+        use crate::{lock, registry, span};
         let _outer = span("obs.test.parent_thread");
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _worker = span("obs.test.worker_root");
             });
         });
-        let spans = lock_class(&crate::REG_SPANS, &registry().spans);
+        let spans = lock(&registry().spans);
         assert!(
             spans.contains_key("obs.test.worker_root"),
             "worker span must be a fresh root on its own thread"

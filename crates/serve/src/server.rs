@@ -23,6 +23,8 @@
 //! connection and serves it to completion. The worker count — not the
 //! client count — bounds concurrent engine load, and all workers share
 //! one engine, so every connection warms the same sharded solver caches.
+//! Like every lock in the workspace, the queue's mutex is never held
+//! while another guard is taken.
 //!
 //! ## Timeouts and shutdown
 //!
@@ -39,9 +41,9 @@ use crate::protocol::{
     self, Op, Request, Response, REQ_FRAME_LEN, STATUS_BAD_REQUEST, STATUS_INFEASIBLE,
     STATUS_TIMEOUT, STAT_EVICTIONS, STAT_HIT_RATE, STAT_REQUESTS, STAT_RSS_MIB, STAT_RSS_PEAK_MIB,
 };
-use fpsping::engine::{CacheStats, Engine, EngineConfig};
+use fpsping::engine::{Engine, EngineConfig};
 use fpsping::{Scenario, SharedCache};
-use fpsping_obs::{lock_class, Counter, Histogram, LockClass, Stopwatch};
+use fpsping_obs::{lock, Counter, Histogram, Stopwatch};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -50,22 +52,21 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 static REQUESTS: Counter = Counter::new("serve.requests");
+static BAD_REQUESTS: Counter = Counter::new("serve.requests.bad");
 static BATCHES: Counter = Counter::new("serve.batches");
 static CONNS: Counter = Counter::new("serve.conns.accepted");
 static CONNS_REJECTED: Counter = Counter::new("serve.conns.rejected");
-static CACHE_HITS: Counter = Counter::new("serve.cache.hits");
-static CACHE_MISSES: Counter = Counter::new("serve.cache.misses");
-static CACHE_EVICTIONS: Counter = Counter::new("serve.cache.evictions");
+static CONNS_OVERSIZED: Counter = Counter::new("serve.conns.oversized");
 static LATENCY_US: Histogram = Histogram::new("serve.latency_us");
 static BATCH_SIZE: Histogram = Histogram::new("serve.batch.size");
 static READ_RETRIES: Counter = Counter::new("serve.conns.read_retries");
 
-/// Lockdep classes for the serve layer's two locks. The conn queue is
-/// outermost (held only around queue surgery, but workers block in it);
-/// the stats mirror may nest counter registration (the obs registry
-/// locks) under it — see `lockorder.toml`.
-static CONNQ_CLASS: LockClass = LockClass::new("serve::ConnQueue::q");
-static MIRRORED_CLASS: LockClass = LockClass::new("serve::Shared::mirrored");
+/// Bytes per socket read, and the longest partial NDJSON line a
+/// connection may buffer: a peer that sends more than this without a
+/// newline is cut off (`serve.conns.oversized`) rather than growing the
+/// line buffer without bound. Binary framing never buffers more than one
+/// partial frame.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -124,7 +125,7 @@ impl ConnQueue {
     /// backlog is full — backpressure by refusal, never by unbounded
     /// buffering.
     fn push(&self, stream: TcpStream) -> bool {
-        let mut q = lock_class(&CONNQ_CLASS, &self.q);
+        let mut q = lock(&self.q);
         if q.len() >= self.cap {
             return false;
         }
@@ -136,7 +137,7 @@ impl ConnQueue {
     /// Pops the next connection, waiting until one arrives or shutdown
     /// drains the pool (then `None`).
     fn pop(&self, shutdown: &AtomicBool) -> Option<TcpStream> {
-        let mut q = lock_class(&CONNQ_CLASS, &self.q);
+        let mut q = lock(&self.q);
         loop {
             if let Some(s) = q.pop_front() {
                 return Some(s);
@@ -161,22 +162,6 @@ struct Shared {
     requests: AtomicU64,
     timeout_ms: u64,
     shutdown: AtomicBool,
-    /// Cache totals already mirrored into the `serve.cache.*` counters.
-    mirrored: Mutex<CacheStats>,
-}
-
-impl Shared {
-    /// Mirrors the engine's cache-counter deltas into the `serve.cache.*`
-    /// observability counters (called once per batch, off the per-request
-    /// path).
-    fn mirror_cache_obs(&self) {
-        let now = self.engine.cache_stats();
-        let mut prev = lock_class(&MIRRORED_CLASS, &self.mirrored);
-        CACHE_HITS.add(now.hits().saturating_sub(prev.hits()));
-        CACHE_MISSES.add(now.misses().saturating_sub(prev.misses()));
-        CACHE_EVICTIONS.add(now.evictions().saturating_sub(prev.evictions()));
-        *prev = now;
-    }
 }
 
 /// A running server. Dropping the handle does **not** stop it; call
@@ -209,7 +194,6 @@ impl Server {
             requests: AtomicU64::new(0),
             timeout_ms: cfg.request_timeout_ms,
             shutdown: AtomicBool::new(false),
-            mirrored: Mutex::new(CacheStats::default()),
         });
         let queue = Arc::new(ConnQueue::new(cfg.pending_conns));
         let mut threads = Vec::new();
@@ -308,7 +292,7 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
     // The read timeout doubles as the shutdown poll interval.
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut pending: Vec<u8> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
+    let mut scratch = vec![0u8; READ_CHUNK];
     let mut out: Vec<u8> = Vec::new();
     let mut mode = None;
     loop {
@@ -332,13 +316,16 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
         });
         let (requests, consumed) = decode_burst(&pending, mode);
         pending.drain(..consumed);
-        if requests.is_empty() {
-            continue;
+        if !requests.is_empty() {
+            let stop = handle_batch(shared, &requests, mode, &mut out);
+            stream.write_all(&out)?;
+            out.clear();
+            if stop {
+                return Ok(());
+            }
         }
-        let stop = handle_batch(shared, &requests, mode, &mut out);
-        stream.write_all(&out)?;
-        out.clear();
-        if stop {
+        if pending.len() > READ_CHUNK {
+            CONNS_OVERSIZED.incr();
             return Ok(());
         }
     }
@@ -347,7 +334,8 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
 /// Splits a read burst into complete requests, returning how many bytes
 /// were consumed (partial trailing frames/lines stay buffered). A
 /// malformed request decodes to a `STATUS_BAD_REQUEST` placeholder so
-/// the response stream stays in lockstep with the request stream.
+/// the response stream stays in lockstep with the request stream, and is
+/// counted in `serve.requests.bad`.
 fn decode_burst(buf: &[u8], mode: Mode) -> (Vec<Result<Request, u64>>, usize) {
     let mut requests = Vec::new();
     let mut consumed = 0;
@@ -356,6 +344,7 @@ fn decode_burst(buf: &[u8], mode: Mode) -> (Vec<Result<Request, u64>>, usize) {
             while buf.len() - consumed >= REQ_FRAME_LEN {
                 let frame = &buf[consumed..consumed + REQ_FRAME_LEN];
                 requests.push(protocol::decode_request(frame).map_err(|_| {
+                    BAD_REQUESTS.incr();
                     let mut id = [0u8; 8];
                     id.copy_from_slice(&frame[0..8]);
                     u64::from_le_bytes(id)
@@ -367,7 +356,10 @@ fn decode_burst(buf: &[u8], mode: Mode) -> (Vec<Result<Request, u64>>, usize) {
             while let Some(nl) = buf[consumed..].iter().position(|&b| b == b'\n') {
                 let line = String::from_utf8_lossy(&buf[consumed..consumed + nl]);
                 if !line.trim().is_empty() {
-                    requests.push(protocol::parse_json_request(&line).map_err(|_| 0));
+                    requests.push(protocol::parse_json_request(&line).map_err(|_| {
+                        BAD_REQUESTS.incr();
+                        0
+                    }));
                 }
                 consumed += nl + 1;
             }
@@ -445,7 +437,6 @@ fn handle_batch(
         }
     }
     LATENCY_US.record(clock.elapsed_micros());
-    shared.mirror_cache_obs();
     shutdown
 }
 
@@ -604,7 +595,6 @@ mod tests {
             requests: AtomicU64::new(0),
             timeout_ms: ServeConfig::default().request_timeout_ms,
             shutdown: AtomicBool::new(false),
-            mirrored: Mutex::new(CacheStats::default()),
         };
         let batch_spans = |outer: &str| {
             let path = format!("{outer}/engine.rtt_batch");

@@ -16,14 +16,15 @@
 //! | L07  | `std::process::exit` outside `src/bin` |
 //! | L08  | direct `std::time::Instant` in library crates outside `crates/obs` |
 //! | L09  | `.push(…)` onto a growable buffer in `crates/sim` library code without a documented size bound (pending-event queues exempt) |
-//! | L10  | nested lock acquisition whose class pair is absent from (or inverts) the checked-in `lockorder.toml` total order |
+//! | L10  | a lock acquired, bound or temporary, while a bound guard section is open |
 //! | L11  | a lock guard held across a `fpsping_num`/`fpsping_queue` solver call or blocking I/O (`read`/`write`/`accept`) |
-//! | L12  | raw `.lock()` / ad-hoc poison recovery outside the audited `fpsping_obs::lock` helpers |
+//! | L12  | raw `.lock()` / ad-hoc poison recovery outside the audited `fpsping_obs::lock` helper |
 //!
-//! L10–L12 are **cross-file**: lock classes (`crate::Type::field`) are
-//! indexed over the whole workspace first (see [`locks`]), then each file
-//! is re-walked with a guard-section tracker. The blessed acquisition
-//! order lives in `lockorder.toml` next to `lint.toml`.
+//! L10–L12 are **cross-file**: locks (`crate::Type::field`) are indexed
+//! over the whole workspace first (see [`locks`]), then each file is
+//! re-walked with a guard-section tracker. L10 is the static half of the
+//! workspace's one lock rule — never hold two guards — whose runtime
+//! half is the `fpsping_obs::lockdep` witness.
 //!
 //! Individual findings are silenced inline with
 //! `// lint:allow(<slug>): <non-empty reason>` on the same or preceding
@@ -49,7 +50,7 @@ pub mod rules;
 
 pub use baseline::{Baseline, Waiver};
 pub use classify::FileClass;
-pub use locks::{LockIndex, LockOrder};
+pub use locks::LockIndex;
 
 /// The rule identifiers. `W*` rules police the waiver mechanism itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -72,7 +73,7 @@ pub enum Rule {
     L08,
     /// Undocumented growable-buffer `.push(…)` in `crates/sim` library code.
     L09,
-    /// Nested lock acquisition outside the `lockorder.toml` total order.
+    /// A lock acquired while a bound guard is held.
     L10,
     /// Lock guard held across a solver call or blocking I/O.
     L11,
@@ -165,9 +166,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Baseline entries that matched zero findings (stale — informational).
     pub stale_waivers: Vec<String>,
-    /// `lockorder.toml` entries naming classes the index never saw
-    /// (stale — informational, must shrink like stale waivers).
-    pub stale_lock_order: Vec<String>,
 }
 
 impl Report {
@@ -180,7 +178,7 @@ impl Report {
     /// absent.
     pub fn summary(&self) -> String {
         format!(
-            "xtask lint: {} finding(s) ({} baseline-waived, {} inline-waived) across {} files{}{}",
+            "xtask lint: {} finding(s) ({} baseline-waived, {} inline-waived) across {} files{}",
             self.active.len(),
             self.baseline_waived.len(),
             self.inline_waived,
@@ -189,14 +187,6 @@ impl Report {
                 String::new()
             } else {
                 format!("; {} stale baseline waiver(s)", self.stale_waivers.len())
-            },
-            if self.stale_lock_order.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    "; {} stale lockorder.toml entr(y/ies)",
-                    self.stale_lock_order.len()
-                )
             }
         )
     }
@@ -232,13 +222,6 @@ impl Report {
             }
             out.push_str(&json_str(s));
         }
-        out.push_str("],\n  \"stale_lock_order\": [");
-        for (i, s) in self.stale_lock_order.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(s));
-        }
         out.push_str(&format!("],\n  \"ok\": {}\n}}\n", self.ok()));
         out
     }
@@ -269,8 +252,6 @@ pub enum LintError {
     Io(String),
     /// `lint.toml` could not be parsed.
     Baseline(String),
-    /// `lockorder.toml` could not be parsed.
-    LockOrder(String),
 }
 
 impl fmt::Display for LintError {
@@ -278,7 +259,6 @@ impl fmt::Display for LintError {
         match self {
             LintError::Io(m) => write!(f, "io error: {m}"),
             LintError::Baseline(m) => write!(f, "lint.toml: {m}"),
-            LintError::LockOrder(m) => write!(f, "lockorder.toml: {m}"),
         }
     }
 }
@@ -287,35 +267,21 @@ impl std::error::Error for LintError {}
 
 /// Lints a single source text as if it lived at `rel_path` (workspace
 /// relative, `/`-separated). Inline waivers are honored; the baseline is
-/// not consulted. The cross-file lock index is built from this one file
-/// against an empty lock order. Returns `(findings, inline_waived_count)`.
+/// not consulted. The cross-file lock index is built from this one file.
+/// Returns `(findings, inline_waived_count)`.
 pub fn lint_source(rel_path: &str, source: &str) -> (Vec<Finding>, usize) {
-    lint_source_with(rel_path, source, &LockOrder::default())
-}
-
-/// [`lint_source`] against an explicit lock order (single-file CLI mode
-/// with `--lockorder`).
-pub fn lint_source_with(rel_path: &str, source: &str, order: &LockOrder) -> (Vec<Finding>, usize) {
-    let class = classify::classify(rel_path);
-    let mut index = LockIndex::default();
-    let lines = lexer::lex(source);
-    index.index_file(rel_path, source, &lines);
-    rules::check_file_with(rel_path, source, &class, &index, order)
+    rules::check_file(rel_path, source, &classify::classify(rel_path))
 }
 
 /// Walks `crates/*/src` under `root`, lints every `.rs` file, and applies
 /// the baseline. Two passes: the first builds the workspace-wide lock
-/// index (L10–L12 resolve classes across files), the second runs the
+/// index (L10–L12 resolve locks across files), the second runs the
 /// rules.
-pub fn lint_workspace(
-    root: &Path,
-    baseline: &Baseline,
-    order: &LockOrder,
-) -> Result<Report, LintError> {
+pub fn lint_workspace(root: &Path, baseline: &Baseline) -> Result<Report, LintError> {
     let mut files = collect_sources(root)?;
     files.sort();
     let mut report = Report::default();
-    // Pass 1: read everything and index lock classes.
+    // Pass 1: read everything and index the locks.
     let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     let mut index = LockIndex::default();
     for rel in &files {
@@ -323,16 +289,15 @@ pub fn lint_workspace(
         let source = std::fs::read_to_string(&full)
             .map_err(|e| LintError::Io(format!("{}: {e}", full.display())))?;
         let lines = lexer::lex(&source);
-        index.index_file(rel, &source, &lines);
+        index.index_file(rel, &lines);
         sources.push((rel.clone(), source));
     }
-    report.stale_lock_order = order.stale_entries(&index);
     // Pass 2: run the rules with the full index in hand.
     // (file, rule) -> active findings, for baseline matching.
     let mut by_key: BTreeMap<(String, Rule), Vec<Finding>> = BTreeMap::new();
     for (rel, source) in &sources {
         let class = classify::classify(rel);
-        let (findings, inline) = rules::check_file_with(rel, source, &class, &index, order);
+        let (findings, inline) = rules::check_file_with(rel, source, &class, &index);
         report.inline_waived += inline;
         report.files_scanned += 1;
         for f in findings {

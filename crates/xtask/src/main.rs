@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::{baseline::Baseline, lint_source_with, lint_workspace, LockOrder, Report};
+use xtask::{baseline::Baseline, lint_source, lint_workspace, Report};
 
 const USAGE: &str = "\
 usage: cargo xtask lint [options]
@@ -17,7 +17,6 @@ options:
   --format <human|json|summary>   output format (default: human)
   --root <path>                   workspace root (default: autodetected)
   --baseline <path>               waiver file (default: <root>/lint.toml)
-  --lockorder <path>              lock total order (default: <root>/lockorder.toml)
   --file <path> --as <rel-path>   lint one file as if at <rel-path>,
                                   skipping the walk and the baseline
 ";
@@ -51,7 +50,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut format = Format::Human;
     let mut root: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
-    let mut lockorder_path: Option<PathBuf> = None;
     let mut single_file: Option<PathBuf> = None;
     let mut pretend: Option<String> = None;
     while let Some(arg) = it.next() {
@@ -68,9 +66,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "--baseline" => {
                 baseline_path = Some(PathBuf::from(it.next().ok_or("missing --baseline value")?));
             }
-            "--lockorder" => {
-                lockorder_path = Some(PathBuf::from(it.next().ok_or("missing --lockorder value")?));
-            }
             "--file" => single_file = Some(PathBuf::from(it.next().ok_or("missing --file value")?)),
             "--as" => pretend = Some(it.next().ok_or("missing --as value")?.clone()),
             other => return Err(format!("unknown option `{other}`")),
@@ -81,26 +76,19 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         let rel = pretend.ok_or("--file requires --as <rel-path>")?;
         let source =
             std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-        let order = match &lockorder_path {
-            Some(p) => LockOrder::load(p).map_err(|e| e.to_string())?,
-            None => LockOrder::default(),
-        };
-        let (findings, inline_waived) = lint_source_with(&rel, &source, &order);
+        let (findings, inline_waived) = lint_source(&rel, &source);
         Report {
             active: findings,
             baseline_waived: Vec::new(),
             inline_waived,
             files_scanned: 1,
             stale_waivers: Vec::new(),
-            stale_lock_order: Vec::new(),
         }
     } else {
         let root = root.unwrap_or_else(xtask::default_root);
         let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint.toml"));
         let baseline = Baseline::load(&baseline_path).map_err(|e| e.to_string())?;
-        let lockorder_path = lockorder_path.unwrap_or_else(|| root.join("lockorder.toml"));
-        let order = LockOrder::load(&lockorder_path).map_err(|e| e.to_string())?;
-        lint_workspace(&root, &baseline, &order).map_err(|e| e.to_string())?
+        lint_workspace(&root, &baseline).map_err(|e| e.to_string())?
     };
 
     match format {
@@ -110,9 +98,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             for s in &report.stale_waivers {
                 println!("note: stale lint.toml waiver: {s}");
-            }
-            for s in &report.stale_lock_order {
-                println!("note: stale lockorder.toml entry: {s}");
             }
             println!("{}", report.summary());
         }

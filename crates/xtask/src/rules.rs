@@ -1,19 +1,19 @@
 //! The domain lint rules (L01–L12) and the inline-waiver mechanism.
 //! L10–L12 delegate to [`crate::locks`], which needs the cross-file
-//! class index; the other rules are pure per-line checks.
+//! lock index; the other rules are pure per-line checks.
 
 use crate::classify::FileClass;
 use crate::lexer::{lex, test_regions, LexedLine};
-use crate::locks::{check_locks, LockIndex, LockOrder};
+use crate::locks::{check_locks, LockIndex};
 use crate::{Finding, Rule};
 
 /// Runs every rule against one file, building the lock index from the
-/// file itself against an empty lock order (single-file convenience —
-/// the workspace walk uses [`check_file_with`]).
+/// file itself (single-file convenience — the workspace walk uses
+/// [`check_file_with`]).
 pub fn check_file(rel_path: &str, source: &str, class: &FileClass) -> (Vec<Finding>, usize) {
     let mut index = LockIndex::default();
-    index.index_file(rel_path, source, &lex(source));
-    check_file_with(rel_path, source, class, &index, &LockOrder::default())
+    index.index_file(rel_path, &lex(source));
+    check_file_with(rel_path, source, class, &index)
 }
 
 /// Runs every rule against one file. Returns the surviving findings and
@@ -23,7 +23,6 @@ pub fn check_file_with(
     source: &str,
     class: &FileClass,
     index: &LockIndex,
-    order: &LockOrder,
 ) -> (Vec<Finding>, usize) {
     let lines = lex(source);
     let in_test = test_regions(&lines);
@@ -75,7 +74,7 @@ pub fn check_file_with(
         check_l05(rel_path, &lines, &in_test, &mut raw);
     }
 
-    check_locks(rel_path, &lines, &in_test, class, index, order, &mut raw);
+    check_locks(rel_path, &lines, &in_test, class, index, &mut raw);
 
     if class.is_lib_rs
         && !lines

@@ -133,37 +133,10 @@ fn l09_fixture_flags_buffer_push_in_sim_only() {
 
 #[test]
 fn l10_fixture_flags_unordered_nesting() {
+    // Any second guard under a held one is a finding; there is no order
+    // file that could bless it.
     let out = lint_fixture("l10_lock_order.rs", "crates/serve/src/fixture.rs");
     assert_finding(&out, "L10", "crates/serve/src/fixture.rs", 10);
-}
-
-#[test]
-fn l10_fixture_is_clean_under_blessed_order() {
-    // The same nesting passes once lockorder.toml blesses a-before-b.
-    let out = xtask()
-        .args(["lint", "--file"])
-        .arg(fixture("l10_lock_order.rs"))
-        .args(["--as", "crates/serve/src/fixture.rs", "--lockorder"])
-        .arg(fixture("lockorder_pair.toml"))
-        .output()
-        .expect("spawn xtask");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
-}
-
-#[test]
-fn l10_fixture_flags_inverted_order() {
-    // Same fixture, order file reversed by pretending the crate differs:
-    // feed the blessed file but lint under a path whose class names miss
-    // it entirely — the pair is then "absent", still L10.
-    let out = xtask()
-        .args(["lint", "--file"])
-        .arg(fixture("l10_lock_order.rs"))
-        .args(["--as", "crates/sim/src/fixture.rs", "--lockorder"])
-        .arg(fixture("lockorder_pair.toml"))
-        .output()
-        .expect("spawn xtask");
-    assert_finding(&out, "L10", "crates/sim/src/fixture.rs", 10);
 }
 
 #[test]
@@ -222,10 +195,6 @@ fn workspace_is_clean_with_checked_in_baseline() {
         "workspace lint not clean:\n{stdout}\n{stderr}"
     );
     assert!(stdout.contains("0 finding(s)"), "summary:\n{stdout}");
-    assert!(
-        !stdout.contains("stale lockorder"),
-        "checked-in lockorder.toml has stale entries:\n{stdout}"
-    );
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Seeded L10: nested lock acquisition absent from the lock order.
+//! Seeded L10: a second lock guard acquired while the first is held.
 
 pub struct Pair {
     a: std::sync::Mutex<u32>,

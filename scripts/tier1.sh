@@ -320,21 +320,22 @@ else
     echo "tier-1: BENCH_serve.json OK (grep fallback)"
 fi
 
-# Lockdep smoke: debug builds carry the fpsping_obs lock-order witness
-# (asserted compiled-out in release by the metrics smoke above). Both
-# hot paths must complete under it — the serve accept → batch → respond
-# → stats-mirror cycle and the N=10⁴ scale simulation. A lock-order
-# cycle or reentrant acquisition panics the process, so a clean exit IS
-# the assertion; debug throughput gets no floor.
+# Lockdep smoke: debug builds carry the fpsping_obs witness for the
+# one lock rule — never hold two guards — (asserted compiled-out in
+# release by the metrics smoke above). Both hot paths must complete
+# under it: the serve accept → batch → respond cycle and the N=10⁴
+# scale simulation. Any nested acquisition panics the process, so a
+# clean exit IS the assertion; debug throughput gets no floor.
 cargo build -q -p fpsping -p fpsping-serve -p fpsping-loadgen
 LOCKDEP_LOG="$(mktemp /tmp/fpsping-lockdep-log.XXXXXX)"
 LOCKDEP_SMOKE="$(mktemp /tmp/fpsping-lockdep-smoke.XXXXXX.json)"
+LOCKDEP_SERVE_METRICS="$(mktemp /tmp/fpsping-lockdep-serve-metrics.XXXXXX.json)"
 LOCKDEP_METRICS="$(mktemp /tmp/fpsping-lockdep-metrics.XXXXXX.json)"
 trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
     "$EST_METRICS" "$EST_OUT" "$SERVE_LOG" "$SERVE_SMOKE" "$LOCKDEP_LOG" \
-    "$LOCKDEP_SMOKE" "$LOCKDEP_METRICS"' EXIT
+    "$LOCKDEP_SMOKE" "$LOCKDEP_SERVE_METRICS" "$LOCKDEP_METRICS"' EXIT
 ./target/debug/fpsping-serve --addr 127.0.0.1:0 --workers 2 \
-    --cache-entries 16384 > "$LOCKDEP_LOG" &
+    --cache-entries 16384 --metrics-out "$LOCKDEP_SERVE_METRICS" > "$LOCKDEP_LOG" &
 LOCKDEP_PID=$!
 LOCKDEP_ADDR=""
 for _ in $(seq 1 100); do
@@ -365,17 +366,28 @@ grep -q '"clean_shutdown": true' "$LOCKDEP_SMOKE" || {
 ./target/debug/fpsping-cli sim --scale-n 10000 --shards 2 --sim-seconds 2 \
     --metrics-out "$LOCKDEP_METRICS" > /dev/null
 if command -v python3 >/dev/null 2>&1; then
-    python3 - "$LOCKDEP_METRICS" <<'PY'
+    python3 - "$LOCKDEP_SERVE_METRICS" "$LOCKDEP_METRICS" <<'PY'
 import json, sys
-counters = json.load(open(sys.argv[1]))["counters"]
-checks = counters.get("lockdep.checks", 0)
-edges = counters.get("lockdep.edges", 0)
-assert checks > 0, "debug build recorded no supervised lock acquisitions"
+serve = json.load(open(sys.argv[1]))["counters"]
+sim = json.load(open(sys.argv[2]))["counters"]
+serve_checks = serve.get("lockdep.checks", 0)
+sim_checks = sim.get("lockdep.checks", 0)
+assert serve_checks > 0, "debug serve recorded no supervised lock acquisitions"
+assert sim_checks > 0, "debug sim recorded no supervised lock acquisitions"
+assert serve.get("engine.cache.rtt.hits", 0) > 0, \
+    "debug serve smoke recorded no engine.cache.rtt.hits"
+mirrored = sorted(k for k in serve if k.startswith("serve.cache."))
+assert not mirrored, "serve re-exports engine cache counters: %s" % mirrored
 print("tier-1: lockdep smoke OK (serve + N=1e4 sim clean; "
-      "%d checks, %d edges)" % (checks, edges))
+      "%d serve checks, %d sim checks)" % (serve_checks, sim_checks))
 PY
 else
+    grep -q '"lockdep\.checks"' "$LOCKDEP_SERVE_METRICS"
     grep -q '"lockdep\.checks"' "$LOCKDEP_METRICS"
+    if grep -q '"serve\.cache\.' "$LOCKDEP_SERVE_METRICS"; then
+        echo "tier-1: serve re-exports engine cache counters"
+        exit 1
+    fi
     echo "tier-1: lockdep smoke OK (grep fallback)"
 fi
 
