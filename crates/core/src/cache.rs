@@ -30,6 +30,21 @@
 //! place, or evicts exactly one victim — so at all times
 //! `first_inserts − evictions == occupancy ≤ capacity` (no lost
 //! updates, bounded memory).
+//!
+//! ## The probe is the product
+//!
+//! A served memo hit is answered by this map alone, so its probe is kept
+//! to the minimum a sharded map needs:
+//!
+//! * **One hash per key.** The key is hashed once with [`MixHasher`];
+//!   that word both picks the shard (its high half) and is stored beside
+//!   the key, and the shard maps hash the stored word through unchanged
+//!   ([`PassThrough`]), so no probe, insert or eviction re-hashes a key.
+//! * **One guard per shard per batch.** [`SharedCache::get_many`]
+//!   counting-sorts a batch of keys by shard and probes each touched
+//!   shard's keys under a single acquisition — at most one lock and
+//!   unlock per shard instead of one per key. It holds one guard at a
+//!   time, like every other path here.
 
 use fpsping_obs::lock;
 use std::collections::HashMap;
@@ -41,18 +56,19 @@ use std::sync::Mutex;
 ///
 /// Two reasons not to use `std`'s `DefaultHasher` (SipHash) here:
 ///
-/// * **The lookup is the product.** `Engine::rtt_batch` answers a
-///   repeat cell in about 70 ns (1024-cell all-hit batches on a 2-core
-///   Xeon VM), and a sharded cache needs the key's hash *twice* per
-///   operation (shard pick + bucket placement, both from one
-///   [`finish`]). SipHashing a multi-word `ScenarioKey` twice is a
-///   measurable fraction of that budget; this mixer is a few cycles per
-///   word plus a SplitMix64-style finalizer for full avalanche (the top
-///   bits select the shard, so they must be as good as the bottom ones).
-/// * **Determinism is a feature.** Keys are already bit patterns of
-///   trusted numeric inputs — there is no hash-flooding adversary inside
-///   the process — and a fixed initial state makes cache layout, and
+/// * **Speed.** The engine's memo keys are four words; this mixer costs
+///   a few cycles per word plus a SplitMix64-style finalizer for full
+///   avalanche (the high bits select the shard and the low bits the
+///   bucket, so both must be good), where SipHash costs tens of cycles
+///   per call.
+/// * **Determinism is a feature.** Keys are bit patterns of numeric
+///   inputs, and a fixed initial state makes cache layout, and
 ///   therefore eviction order, reproducible run to run.
+///
+/// The price is that the hash is predictable: served keys come off the
+/// wire, so a client who knows this mixer can aim many keys at one
+/// shard and one hash. A bounded cache's per-shard entry budget bounds
+/// how long such a collision run can grow.
 #[derive(Default)]
 struct MixHasher(u64);
 
@@ -106,14 +122,61 @@ impl Hasher for MixHasher {
     }
 }
 
-/// The deterministic build-hasher used for both shard selection and the
-/// per-shard maps.
+/// The build-hasher that hashes each key once, on entry.
 type FixedState = BuildHasherDefault<MixHasher>;
+
+/// Hasher of the shard maps: the one word it is fed *is* the hash.
+///
+/// The only thing the shard maps hash is a [`Hashed`] key, which writes
+/// its stored [`MixHasher`] word with `write_u64`; `write` is a fallback
+/// that keeps the type a lawful `Hasher`.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A key together with its [`MixHasher`] hash, computed once.
+#[derive(Debug, Clone)]
+struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: Eq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
 
 /// One cache slot: a key/value pair plus its CLOCK reference bit.
 #[derive(Debug)]
 struct Slot<K, V> {
-    key: K,
+    key: Hashed<K>,
     value: V,
     referenced: bool,
 }
@@ -121,7 +184,7 @@ struct Slot<K, V> {
 /// One shard: a key → slot-index map over a circular slot arena.
 #[derive(Debug)]
 struct Shard<K, V> {
-    map: HashMap<K, usize, FixedState>,
+    map: HashMap<Hashed<K>, usize, BuildHasherDefault<PassThrough>>,
     slots: Vec<Slot<K, V>>,
     /// CLOCK hand: index of the next eviction candidate.
     hand: usize,
@@ -134,6 +197,16 @@ impl<K, V> Default for Shard<K, V> {
             slots: Vec::new(),
             hand: 0,
         }
+    }
+}
+
+impl<K: Eq, V: Clone> Shard<K, V> {
+    /// Looks up a hashed key, marking the entry recently-used on a hit.
+    fn probe(&mut self, key: &Hashed<K>) -> Option<V> {
+        let &i = self.map.get(key)?;
+        let slot = &mut self.slots[i];
+        slot.referenced = true;
+        Some(slot.value.clone())
     }
 }
 
@@ -160,7 +233,7 @@ pub struct SharedCache<K, V> {
 /// collide, small enough that an empty cache is a few hundred bytes.
 pub const DEFAULT_SHARDS: usize = 16;
 
-impl<K: Eq + Hash, V: Clone> SharedCache<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> SharedCache<K, V> {
     /// A cache with `shards` shards (rounded up to a power of two) and a
     /// total entry budget of `capacity` (`0` = unbounded). The budget is
     /// split evenly across shards (rounding up), so worst-case occupancy
@@ -188,22 +261,72 @@ impl<K: Eq + Hash, V: Clone> SharedCache<K, V> {
         Self::new(DEFAULT_SHARDS, 0)
     }
 
-    /// The shard holding `key`: the *high* bits of the key's hash, so the
-    /// shard index and the `HashMap`'s internal bucket choice (low bits)
-    /// stay decorrelated.
-    fn shard_of(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let h = self.hasher.hash_one(key);
-        let i = ((h >> 32) ^ h) & self.mask;
-        &self.shards[i as usize]
+    /// `key` with its hash — the only time the key is hashed.
+    fn hashed(&self, key: &K) -> Hashed<K> {
+        Hashed {
+            hash: self.hasher.hash_one(key),
+            key: key.clone(),
+        }
+    }
+
+    /// The shard index of a hash: its *high* half, so the shard and the
+    /// shard map's bucket choice (low bits) stay decorrelated.
+    fn shard_index(&self, hash: u64) -> usize {
+        ((hash >> 32) & self.mask) as usize
     }
 
     /// Looks up `key`, marking the entry recently-used on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut shard = lock(self.shard_of(key));
-        let &i = shard.map.get(key)?;
-        let slot = &mut shard.slots[i];
-        slot.referenced = true;
-        Some(slot.value.clone())
+        let key = self.hashed(key);
+        lock(&self.shards[self.shard_index(key.hash)]).probe(&key)
+    }
+
+    /// Looks up every key of `keys`, writing the result for `keys[i]` to
+    /// `out[i]` (`None` on a miss), and returns the number of hits.
+    ///
+    /// Equivalent to calling [`SharedCache::get`] on each key in turn —
+    /// the same values, misses and reference bits — but the keys are
+    /// counting-sorted by shard first, so each touched shard is locked
+    /// once per call rather than once per key. One guard is held at a
+    /// time.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` and `out` differ in length.
+    pub fn get_many(&self, keys: &[K], out: &mut [Option<V>]) -> usize {
+        assert_eq!(keys.len(), out.len(), "one output slot per key");
+        let hashes: Vec<u64> = keys.iter().map(|k| self.hasher.hash_one(k)).collect();
+        // start[s]..start[s + 1] is shard s's run of `order`.
+        let mut start = vec![0usize; self.shards.len() + 1];
+        for &h in &hashes {
+            start[self.shard_index(h) + 1] += 1;
+        }
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut fill = start.clone();
+        let mut order = vec![0usize; keys.len()];
+        for (i, &h) in hashes.iter().enumerate() {
+            let s = self.shard_index(h);
+            order[fill[s]] = i;
+            fill[s] += 1;
+        }
+        let mut hits = 0;
+        for (s, shard) in self.shards.iter().enumerate() {
+            let run = &order[start[s]..start[s + 1]];
+            if run.is_empty() {
+                continue;
+            }
+            let mut shard = lock(shard);
+            for &i in run {
+                out[i] = shard.probe(&Hashed {
+                    hash: hashes[i],
+                    key: keys[i].clone(),
+                });
+                hits += usize::from(out[i].is_some());
+            }
+        }
+        hits
     }
 
     /// Inserts `value` for `key` unless the key is already present, and
@@ -211,15 +334,11 @@ impl<K: Eq + Hash, V: Clone> SharedCache<K, V> {
     /// solve all observe the first inserter's result, exactly like the
     /// old `entry().or_insert_with()` idiom. May evict one victim (CLOCK
     /// second chance) when the shard is at capacity.
-    pub fn get_or_insert(&self, key: K, value: V) -> V
-    where
-        K: Clone,
-    {
-        let mut shard = lock(self.shard_of(&key));
-        if let Some(&i) = shard.map.get(&key) {
-            let slot = &mut shard.slots[i];
-            slot.referenced = true;
-            return slot.value.clone();
+    pub fn get_or_insert(&self, key: K, value: V) -> V {
+        let key = self.hashed(&key);
+        let mut shard = lock(&self.shards[self.shard_index(key.hash)]);
+        if let Some(v) = shard.probe(&key) {
+            return v;
         }
         self.first_inserts.fetch_add(1, Ordering::Relaxed);
         if shard.slots.len() < self.per_shard_cap {

@@ -39,7 +39,7 @@
 use crate::cache::SharedCache;
 use crate::dimensioning::DimensioningResult;
 use crate::rtt::RttModel;
-use crate::scenario::Scenario;
+use crate::scenario::{Gamers, Scenario};
 use crate::sweep::LoadPoint;
 use fpsping_dist::Deterministic;
 use fpsping_obs::{Counter, Gauge};
@@ -199,44 +199,58 @@ impl CacheStats {
     }
 }
 
-/// Exact-bit identity of a scenario cell: every parameter that enters
-/// the RTT computation, as raw bit patterns. Two scenarios share a key
-/// iff the whole evaluation pipeline is mathematically identical.
+/// The nine scenario parameters a served cell never varies, as raw bit
+/// patterns: P_S, P_C, R_up, R_down, C, the client interval (its bits,
+/// with `None` told apart by a flag), the quantile, `include_upstream`
+/// and `extra_fixed_ms`. Everything else a [`ScenarioKey`] needs — K, T
+/// and the gamer population — is what a grid or a served query moves.
+///
+/// [`SolverCache`] interns each family as a small id, so a memo key is
+/// four words however many parameters the family holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ScenarioKey {
-    gamers: (bool, u64),
-    t_ms: u64,
-    server_packet_bytes: u64,
-    client_packet_bytes: u64,
-    erlang_order: u32,
-    r_up_bps: u64,
-    r_down_bps: u64,
-    c_bps: u64,
-    client_interval_ms: Option<u64>,
-    quantile: u64,
-    include_upstream: bool,
-    extra_fixed_ms: u64,
+struct FamilyKey([u64; 9]);
+
+impl FamilyKey {
+    fn of(s: &Scenario) -> Self {
+        let flags = u64::from(s.include_upstream) | u64::from(s.client_interval_ms.is_some()) << 1;
+        Self([
+            s.server_packet_bytes.to_bits(),
+            s.client_packet_bytes.to_bits(),
+            s.r_up_bps.to_bits(),
+            s.r_down_bps.to_bits(),
+            s.c_bps.to_bits(),
+            s.client_interval_ms.map_or(0, f64::to_bits),
+            s.quantile.to_bits(),
+            flags,
+            s.extra_fixed_ms.to_bits(),
+        ])
+    }
 }
 
+/// Exact-bit identity of a scenario cell, in four words:
+/// `[family id, K | gamer tag << 32, T bits, gamer bits]`, where the
+/// gamer tag tells a gamer count (`1`) from a downlink load (`0`). Two
+/// scenarios share a key iff they share a [`FamilyKey`] and K, T and
+/// the gamer population are bit-identical — iff the whole evaluation
+/// pipeline is mathematically identical. Family ids are never reused
+/// (see [`SolverCache::family_id`]), so a key can never name two
+/// different families.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ScenarioKey([u64; 4]);
+
 impl ScenarioKey {
-    fn of(s: &Scenario) -> Self {
-        Self {
-            gamers: match s.gamers {
-                crate::scenario::Gamers::Count(n) => (true, n as u64),
-                crate::scenario::Gamers::DownlinkLoad(r) => (false, r.to_bits()),
-            },
-            t_ms: s.t_ms.to_bits(),
-            server_packet_bytes: s.server_packet_bytes.to_bits(),
-            client_packet_bytes: s.client_packet_bytes.to_bits(),
-            erlang_order: s.erlang_order,
-            r_up_bps: s.r_up_bps.to_bits(),
-            r_down_bps: s.r_down_bps.to_bits(),
-            c_bps: s.c_bps.to_bits(),
-            client_interval_ms: s.client_interval_ms.map(f64::to_bits),
-            quantile: s.quantile.to_bits(),
-            include_upstream: s.include_upstream,
-            extra_fixed_ms: s.extra_fixed_ms.to_bits(),
-        }
+    /// The key of the cell `(K, T, gamers)` in family `family`.
+    fn cell(family: u64, k: u32, t_ms: f64, gamers: Gamers) -> Self {
+        let (tag, bits) = match gamers {
+            Gamers::Count(n) => (1u64, u64::from(n)),
+            Gamers::DownlinkLoad(r) => (0, r.to_bits()),
+        };
+        Self([family, u64::from(k) | tag << 32, t_ms.to_bits(), bits])
+    }
+
+    /// The key of `s`, whose family interns as `family`.
+    fn of(family: u64, s: &Scenario) -> Self {
+        Self::cell(family, s.erlang_order, s.t_ms, s.gamers)
     }
 }
 
@@ -253,6 +267,10 @@ pub struct SolverCache {
     dek: SharedCache<(u32, u64), Arc<DekSolution>>,
     pole: SharedCache<(u64, u64), f64>,
     rtt: SharedCache<ScenarioKey, f64>,
+    /// Interned scenario families, [`FamilyKey`] → id.
+    families: SharedCache<FamilyKey, u64>,
+    /// The next family id to hand out; ids are never reused.
+    next_family: AtomicU64,
     dek_hits: AtomicU64,
     dek_misses: AtomicU64,
     pole_hits: AtomicU64,
@@ -280,11 +298,15 @@ impl SolverCache {
     /// shared: the three key spaces have very different sizes (poles are
     /// shared across every K at one load; RTT memos are one per grid
     /// cell), so a common pool would let the largest starve the others.
+    /// The scenario-family table behind the RTT memo's keys gets the same
+    /// budget.
     pub fn with_budget(entries: usize) -> Self {
         Self {
             dek: SharedCache::new(crate::cache::DEFAULT_SHARDS, entries),
             pole: SharedCache::new(crate::cache::DEFAULT_SHARDS, entries),
             rtt: SharedCache::new(crate::cache::DEFAULT_SHARDS, entries),
+            families: SharedCache::new(crate::cache::DEFAULT_SHARDS, entries),
+            next_family: AtomicU64::new(0),
             dek_hits: AtomicU64::new(0),
             dek_misses: AtomicU64::new(0),
             pole_hits: AtomicU64::new(0),
@@ -293,6 +315,22 @@ impl SolverCache {
             rtt_misses: AtomicU64::new(0),
             obs_flushed: Default::default(),
         }
+    }
+
+    /// The id of a scenario family, interned on first sight.
+    ///
+    /// Ids come from a counter and are never reused. A family evicted
+    /// from the table gets a fresh id when it returns, and the RTT memo
+    /// entries filed under its old id are never probed again and age out
+    /// under CLOCK — so a memo key can never match a different family,
+    /// and eviction stays invisible in the answers. Racing first sights
+    /// of one family agree on the first inserted id.
+    fn family_id(&self, family: &FamilyKey) -> u64 {
+        if let Some(id) = self.families.get(family) {
+            return id;
+        }
+        let id = self.next_family.fetch_add(1, Ordering::Relaxed);
+        self.families.get_or_insert(*family, id)
     }
 
     /// The dimensionless D/E_K/1 solution for `(k, rho)`, cached by
@@ -600,10 +638,19 @@ impl Engine {
         }
     }
 
+    /// The interned family id of `s`, or `None` when memoization is off
+    /// (every cell is then solved, and no key is needed).
+    fn family(&self, s: &Scenario) -> Option<u64> {
+        self.config
+            .cache
+            .then(|| self.cache.family_id(&FamilyKey::of(s)))
+    }
+
     /// One cell: the RTT quantile (ms), warm-started from `hint` when the
     /// engine is configured for it. `None` for infeasible scenarios.
     ///
-    /// A cell already evaluated by this engine is served from the
+    /// `key` is the cell's memo key (`None` when memoization is off). A
+    /// cell already evaluated by this engine is served from the
     /// whole-cell memo without re-assembling the model or re-inverting
     /// the quantile — the exact stored bits come back, so repeated grids
     /// (the common shape of bisection paths and re-plotted figures) cost
@@ -617,6 +664,7 @@ impl Engine {
     fn cell(
         &self,
         scenario: &Scenario,
+        key: Option<ScenarioKey>,
         hint: Option<f64>,
         chain: &mut Option<Arc<DekSolution>>,
     ) -> Option<f64> {
@@ -624,7 +672,7 @@ impl Engine {
         if !self.config.batch {
             *chain = None;
         }
-        if !self.config.cache {
+        let Some(key) = key else {
             if self.config.batch {
                 return self
                     .assemble(scenario, chain.as_ref())
@@ -638,8 +686,7 @@ impl Engine {
                 .build_model(scenario)
                 .ok()
                 .map(|m| self.quantile_ms(&m, hint));
-        }
-        let key = ScenarioKey::of(scenario);
+        };
         if let Some(v) = self.cache.rtt.get(&key) {
             self.cache.rtt_hits.fetch_add(1, Ordering::Relaxed);
             return Some(v);
@@ -680,6 +727,7 @@ impl Engine {
     pub fn rtt_vs_load(&self, base: &Scenario, loads: &[f64]) -> Vec<LoadPoint> {
         let _span = fpsping_obs::span("engine.rtt_vs_load");
         let _flush = FlushOnDrop(&self.cache);
+        let family = self.family(base);
         let runs = self.sweep_runs(loads.len(), self.config.jobs);
         par_map(self.config.jobs, &runs, |run| {
             let mut hint = None;
@@ -688,7 +736,8 @@ impl Engine {
                 .map(|i| {
                     let rho = loads[i];
                     let s = base.clone().with_load(rho);
-                    let rtt_ms = self.cell(&s, hint, &mut chain);
+                    let key = family.map(|f| ScenarioKey::of(f, &s));
+                    let rtt_ms = self.cell(&s, key, hint, &mut chain);
                     hint = rtt_ms.or(hint);
                     LoadPoint {
                         rho_d: rho,
@@ -705,13 +754,16 @@ impl Engine {
     /// Evaluates an arbitrary batch of scenarios, returning one RTT
     /// quantile (ms) per input in input order (`None` = infeasible).
     ///
-    /// This is the serving entry point: a read burst of independent
-    /// queries coalesces into one engine pass, in two steps.
+    /// A read burst of independent queries coalesces into one engine
+    /// pass, in two steps.
     ///
-    /// 1. **Memo pass.** Every scenario is probed in the whole-cell memo
-    ///    in input order, and a hit is written straight to its output
-    ///    slot (one `rtt_hits` increment per batch). A repeat cell costs
-    ///    one hash lookup: no sort, no continuation run.
+    /// 1. **Memo pass.** Every scenario's four-word key is probed in the
+    ///    whole-cell memo with one [`SharedCache::get_many`] — one hash
+    ///    per key, one lock per touched shard — and a hit is written
+    ///    straight to its output slot (one `rtt_hits` increment per
+    ///    batch). A scenario's family is interned only when it differs
+    ///    from the previous scenario's, so a batch of one family (the
+    ///    common shape) interns once. No sort, no continuation run.
     /// 2. **Misses only.** The remaining indices are *sorted* by
     ///    `(K, T, ρ_d)` so that cells sharing an Erlang order run
     ///    consecutively in load order — the exact shape the sweep
@@ -726,27 +778,95 @@ impl Engine {
     /// permutation. Values match [`Engine::build_model`] +
     /// `rtt_quantile_ms` bit for bit under a bit-exact config, and stay
     /// within [`BATCH_RTT_TOLERANCE_MS`] under the default batch config.
-    /// With `cache: false` every scenario is a miss.
+    /// With `cache: false` every scenario is a miss. Callers whose cells
+    /// share one family and differ only in `(K, T, ρ_d)` use
+    /// [`Engine::rtt_batch_at`], which builds no `Scenario` for a hit.
     pub fn rtt_batch(&self, scenarios: &[Scenario]) -> Vec<Option<f64>> {
         let _span = fpsping_obs::span("engine.rtt_batch");
         let _flush = FlushOnDrop(&self.cache);
-        let mut out = vec![None; scenarios.len()];
-        let mut misses: Vec<usize> = if self.config.cache {
-            let mut misses = Vec::new();
-            for (i, s) in scenarios.iter().enumerate() {
-                match self.cache.rtt.get(&ScenarioKey::of(s)) {
-                    Some(v) => out[i] = Some(v),
-                    None => misses.push(i),
+        let keys = self.config.cache.then(|| {
+            let mut last: Option<(FamilyKey, u64)> = None;
+            scenarios
+                .iter()
+                .map(|s| {
+                    let family = FamilyKey::of(s);
+                    let id = match last {
+                        Some((prev, id)) if prev == family => id,
+                        _ => {
+                            let id = self.cache.family_id(&family);
+                            last = Some((family, id));
+                            id
+                        }
+                    };
+                    ScenarioKey::of(id, s)
+                })
+                .collect::<Vec<_>>()
+        });
+        self.batch(keys.as_deref(), scenarios.len(), |i| scenarios[i].clone())
+    }
+
+    /// [`Engine::rtt_batch`] over the cells `(K, T ms, ρ_d)` of one
+    /// scenario family: cell `i` is `base` with Erlang order `cells[i].0`,
+    /// tick `cells[i].1` and downlink load `cells[i].2`. Returns one RTT
+    /// quantile (ms) per cell in input order (`None` = infeasible).
+    ///
+    /// This is the serving entry point. `base`'s family is interned once
+    /// per call and each cell's memo key is built from the three numbers
+    /// alone, so a memo hit costs a key, one hash and a share of one
+    /// shard lock — no `Scenario` is built except for a miss. The two
+    /// entry points share the memo pass and the miss path, so on the
+    /// same cells built as `Scenario`s this makes the same memo hits and
+    /// misses as [`Engine::rtt_batch`], answers bit for bit alike under a
+    /// bit-exact config, and within [`BATCH_RTT_TOLERANCE_MS`] of it
+    /// otherwise.
+    pub fn rtt_batch_at(&self, base: &Scenario, cells: &[(u32, f64, f64)]) -> Vec<Option<f64>> {
+        let _span = fpsping_obs::span("engine.rtt_batch");
+        let _flush = FlushOnDrop(&self.cache);
+        let keys = self.family(base).map(|family| {
+            cells
+                .iter()
+                .map(|&(k, t_ms, rho)| {
+                    ScenarioKey::cell(family, k, t_ms, Gamers::DownlinkLoad(rho))
+                })
+                .collect::<Vec<_>>()
+        });
+        self.batch(keys.as_deref(), cells.len(), |i| {
+            let (k, t_ms, rho) = cells[i];
+            base.clone()
+                .with_erlang_order(k)
+                .with_tick_ms(t_ms)
+                .with_load(rho)
+        })
+    }
+
+    /// The memo pass and miss path shared by [`Engine::rtt_batch`] and
+    /// [`Engine::rtt_batch_at`]. `keys[i]` is cell `i`'s memo key (`None`
+    /// when memoization is off) and `scenario(i)` builds cell `i`, which
+    /// is called for misses only.
+    fn batch(
+        &self,
+        keys: Option<&[ScenarioKey]>,
+        n: usize,
+        scenario: impl Fn(usize) -> Scenario,
+    ) -> Vec<Option<f64>> {
+        let mut out = vec![None; n];
+        let mut misses: Vec<(usize, Scenario)> = match keys {
+            Some(keys) => {
+                let hits = self.cache.rtt.get_many(keys, &mut out);
+                self.cache
+                    .rtt_hits
+                    .fetch_add(hits as u64, Ordering::Relaxed);
+                if hits == n {
+                    return out;
                 }
+                (0..n)
+                    .filter(|&i| out[i].is_none())
+                    .map(|i| (i, scenario(i)))
+                    .collect()
             }
-            let hits = (scenarios.len() - misses.len()) as u64;
-            self.cache.rtt_hits.fetch_add(hits, Ordering::Relaxed);
-            misses
-        } else {
-            (0..scenarios.len()).collect()
+            None => (0..n).map(|i| (i, scenario(i))).collect(),
         };
-        misses.sort_by_key(|&i| {
-            let s = &scenarios[i];
+        misses.sort_by_key(|(_, s)| {
             (
                 s.erlang_order,
                 s.t_ms.to_bits(),
@@ -757,9 +877,10 @@ impl Engine {
         let results = par_map(self.config.jobs, &runs, |run| {
             let mut hint = None;
             let mut chain = None;
-            run.clone()
-                .map(|mi| {
-                    let v = self.cell(&scenarios[misses[mi]], hint, &mut chain);
+            misses[run.clone()]
+                .iter()
+                .map(|(i, s)| {
+                    let v = self.cell(s, keys.map(|k| k[*i]), hint, &mut chain);
                     hint = v.or(hint);
                     v
                 })
@@ -767,7 +888,7 @@ impl Engine {
         });
         for (run, values) in runs.iter().zip(results) {
             for (mi, v) in run.clone().zip(values) {
-                out[misses[mi]] = v;
+                out[misses[mi].0] = v;
             }
         }
         out
@@ -791,6 +912,7 @@ impl Engine {
         let tasks: Vec<(usize, Range<usize>)> = (0..ks.len())
             .flat_map(|ki| load_runs.iter().map(move |r| (ki, r.clone())))
             .collect();
+        let family = self.family(base);
         let results = par_map(self.config.jobs, &tasks, |(ki, run)| {
             let k = ks[*ki];
             let mut hint = None;
@@ -798,7 +920,8 @@ impl Engine {
             run.clone()
                 .map(|li| {
                     let s = base.clone().with_load(loads[li]).with_erlang_order(k);
-                    let v = self.cell(&s, hint, &mut chain);
+                    let key = family.map(|f| ScenarioKey::of(f, &s));
+                    let v = self.cell(&s, key, hint, &mut chain);
                     hint = v.or(hint);
                     v
                 })
@@ -835,12 +958,13 @@ impl Engine {
         }
         let _span = fpsping_obs::span("engine.max_load");
         let _flush = FlushOnDrop(&self.cache);
+        let family = self.family(base);
         let mut last_rtt = None;
         let mut rtt_at = |rho: f64| -> Result<Option<f64>, QueueError> {
             let s = base.clone().with_load(rho);
-            if self.config.cache {
-                let key = ScenarioKey::of(&s);
-                if let Some(v) = self.cache.rtt.get(&key) {
+            let key = family.map(|f| ScenarioKey::of(f, &s));
+            if let Some(key) = &key {
+                if let Some(v) = self.cache.rtt.get(key) {
                     self.cache.rtt_hits.fetch_add(1, Ordering::Relaxed);
                     last_rtt = Some(v);
                     return Ok(Some(v));
@@ -855,9 +979,9 @@ impl Engine {
                     };
                     let v = m.rtt_quantile_ms_with_hint(hint);
                     last_rtt = Some(v);
-                    if self.config.cache {
+                    if let Some(key) = key {
                         self.cache.rtt_misses.fetch_add(1, Ordering::Relaxed);
-                        self.cache.rtt.get_or_insert(ScenarioKey::of(&s), v);
+                        self.cache.rtt.get_or_insert(key, v);
                     }
                     Ok(Some(v))
                 }

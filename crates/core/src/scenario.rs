@@ -2,6 +2,18 @@
 
 use fpsping_queue::QueueError;
 
+/// The largest Erlang order `K` a scenario may carry.
+///
+/// Solving the D/E_K/1 branch roots costs O(K²), so an unbounded K lets
+/// one query stall a worker for as long as it likes (K = `u32::MAX`
+/// would never finish). Past K ≈ 150 the double-precision root solve also
+/// stops being trustworthy: the RTT quantile, which must fall as K grows
+/// (burst sizes concentrate), starts rising again, first at ρ_d = 0.2
+/// from K = 149 and at K = 236–260 at the other loads tested. 128 keeps
+/// every order the paper and its measured games use (2–20) with a wide
+/// margin below both failure modes.
+pub const MAX_ERLANG_ORDER: u32 = 128;
+
 /// How the gamer population is specified: directly, or through the
 /// downlink load it induces (the paper sweeps load and converts to `N`
 /// via eq. 37).
@@ -170,7 +182,7 @@ impl Scenario {
                 return Err(QueueError::InvalidParameter { name, value: v });
             }
         }
-        if self.erlang_order < 1 {
+        if !(1..=MAX_ERLANG_ORDER).contains(&self.erlang_order) {
             return Err(QueueError::InvalidParameter {
                 name: "erlang_order",
                 value: self.erlang_order as f64,
@@ -273,6 +285,16 @@ mod tests {
         let mut s = Scenario::paper_default();
         s.erlang_order = 0;
         assert!(s.validate().is_err());
+        s.erlang_order = MAX_ERLANG_ORDER;
+        assert!(s.validate().is_ok());
+        s.erlang_order = MAX_ERLANG_ORDER + 1;
+        assert!(matches!(
+            s.validate(),
+            Err(QueueError::InvalidParameter {
+                name: "erlang_order",
+                ..
+            })
+        ));
         let mut s = Scenario::paper_default();
         s.quantile = 1.0;
         assert!(s.validate().is_err());

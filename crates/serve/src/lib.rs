@@ -246,6 +246,119 @@ mod tests {
     }
 
     #[test]
+    fn mixed_binary_burst_is_answered_in_lockstep() {
+        // One burst of rtt memo hits, misses, an infeasible cell, bad
+        // frames, a stats and a dimension request through the in-place
+        // encoder: one frame per request, in order, with the right id,
+        // status and value, and NaN wherever there is no answer.
+        use fpsping::engine::{Engine, EngineConfig};
+        use fpsping::Scenario;
+        let server = start_test_server(true, 0);
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .write_all(&encode_request(&Request::rtt(0, 9, 40.0, 0.4)))
+            .expect("write warm-up");
+        let mut frame = [0u8; RESP_FRAME_LEN];
+        stream.read_exact(&mut frame).expect("read warm-up");
+        let mut unknown_op = encode_request(&Request::rtt(13, 9, 40.0, 0.4));
+        unknown_op[36] = 250;
+        let frames = [
+            encode_request(&Request::rtt(10, 9, 40.0, 0.4)),
+            encode_request(&Request::rtt(11, 2, 60.0, 0.3)),
+            encode_request(&Request::rtt(12, 9, 40.0, 1.5)),
+            unknown_op,
+            encode_request(&Request::stats(14, STAT_REQUESTS)),
+            encode_request(&Request::dimension(15, 9, 40.0, 50.0)),
+            encode_request(&Request::rtt(16, 1_000_000, 40.0, 0.4)),
+            encode_request(&Request::rtt(17, 2, 60.0, 0.3)),
+        ];
+        stream.write_all(&frames.concat()).expect("write burst");
+        let mut buf = vec![0u8; frames.len() * RESP_FRAME_LEN];
+        stream.read_exact(&mut buf).expect("read burst");
+        let got: Vec<Response> = buf
+            .chunks(RESP_FRAME_LEN)
+            .map(|f| decode_response(f).expect("frame"))
+            .collect();
+        let ids: Vec<u64> = got.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [10, 11, 12, 13, 14, 15, 16, 17]);
+        let statuses: Vec<u8> = got.iter().map(|r| r.status).collect();
+        assert_eq!(
+            statuses,
+            [
+                STATUS_OK,
+                STATUS_OK,
+                STATUS_INFEASIBLE,
+                STATUS_BAD_REQUEST,
+                STATUS_OK,
+                STATUS_OK,
+                STATUS_BAD_REQUEST,
+                STATUS_OK
+            ]
+        );
+        for i in [2, 3, 6] {
+            assert!(got[i].value.is_nan(), "request {}: {:?}", got[i].id, got[i]);
+        }
+        let serial = Engine::new(EngineConfig::serial());
+        let rtt = |k: u32, t: f64, rho: f64| {
+            let s = Scenario::paper_default()
+                .with_erlang_order(k)
+                .with_tick_ms(t)
+                .with_load(rho);
+            serial
+                .build_model(&s)
+                .expect("feasible")
+                .rtt_quantile_ms()
+                .to_bits()
+        };
+        assert_eq!(got[0].value.to_bits(), rtt(9, 40.0, 0.4));
+        assert_eq!(got[1].value.to_bits(), rtt(2, 60.0, 0.3));
+        assert_eq!(got[7].value.to_bits(), got[1].value.to_bits());
+        assert!(got[4].value >= 9.0, "requests served: {}", got[4].value);
+        assert!((60..=110).contains(&got[5].n_max), "n_max {}", got[5].n_max);
+        shutdown_and_join(server);
+    }
+
+    #[test]
+    fn oversized_erlang_order_is_refused_fast_and_counted() {
+        // K = 10⁶ would cost a worker hours of O(K²) root solving; both
+        // query kinds are refused at decode, well inside the service
+        // deadline, and the connection keeps serving.
+        let bad_before = counter("serve.requests.bad");
+        let server = start_test_server(false, 1024);
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let burst = [
+            encode_request(&Request::rtt(1, 1_000_000, 40.0, 0.4)),
+            encode_request(&Request::dimension(2, 1_000_000, 40.0, 50.0)),
+        ]
+        .concat();
+        let clock = std::time::Instant::now();
+        stream.write_all(&burst).expect("write");
+        let mut buf = vec![0u8; 2 * RESP_FRAME_LEN];
+        stream.read_exact(&mut buf).expect("read");
+        let elapsed = clock.elapsed();
+        for (i, chunk) in buf.chunks(RESP_FRAME_LEN).enumerate() {
+            let resp = decode_response(chunk).expect("frame");
+            assert_eq!((resp.id, resp.status), (i as u64 + 1, STATUS_BAD_REQUEST));
+        }
+        let deadline = ServeConfig::default().request_timeout_ms;
+        assert!(
+            elapsed.as_millis() < u128::from(deadline),
+            "refusal took {elapsed:?}, deadline {deadline} ms"
+        );
+        if cfg!(not(feature = "obs-off")) {
+            assert!(counter("serve.requests.bad") >= bad_before + 2);
+        }
+        stream
+            .write_all(&encode_request(&Request::rtt(3, 9, 40.0, 0.4)))
+            .expect("write");
+        let mut frame = [0u8; RESP_FRAME_LEN];
+        stream.read_exact(&mut frame).expect("read");
+        let resp = decode_response(&frame).expect("frame");
+        assert_eq!((resp.id, resp.status), (3, STATUS_OK));
+        shutdown_and_join(server);
+    }
+
+    #[test]
     fn oversized_ndjson_line_closes_only_that_connection() {
         let oversized_before = counter("serve.conns.oversized");
         let server = start_test_server(false, 1024);

@@ -42,6 +42,12 @@
 //!                  k:u32  op:u8  stat:u8  _pad:u16
 //! response (24 B): id:u64  value:f64  n_max:u32  status:u8  _pad:[u8;3]
 //! ```
+//!
+//! In both framings an `rtt` or `dimension` request whose `k` exceeds
+//! [`MAX_ERLANG_ORDER`] is malformed: it is rejected at decode, before it
+//! can reach a solver whose cost grows as K².
+
+use fpsping::MAX_ERLANG_ORDER;
 
 /// Binary request frame length in bytes.
 pub const REQ_FRAME_LEN: usize = 40;
@@ -256,7 +262,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, &'static str> {
         OP_SHUTDOWN => Op::Shutdown,
         _ => return Err("unknown op"),
     };
-    Ok(Request {
+    check_order(Request {
         id: u64_at(buf, 0),
         op,
         tick_ms: f64_at(buf, 8),
@@ -267,14 +273,36 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, &'static str> {
     })
 }
 
-/// Encodes a response as one binary frame.
-pub fn encode_response(r: &Response) -> [u8; RESP_FRAME_LEN] {
-    let mut f = [0u8; RESP_FRAME_LEN];
+/// Rejects an `rtt` or `dimension` request whose Erlang order exceeds
+/// [`MAX_ERLANG_ORDER`].
+fn check_order(r: Request) -> Result<Request, &'static str> {
+    if matches!(r.op, Op::Rtt | Op::Dimension) && r.k > MAX_ERLANG_ORDER {
+        return Err("erlang order above MAX_ERLANG_ORDER");
+    }
+    Ok(r)
+}
+
+/// Writes `r` as one binary frame into the zeroed frame `f`.
+fn write_response(r: &Response, f: &mut [u8]) {
     f[0..8].copy_from_slice(&r.id.to_le_bytes());
     f[8..16].copy_from_slice(&r.value.to_le_bytes());
     f[16..20].copy_from_slice(&r.n_max.to_le_bytes());
     f[20] = r.status;
+}
+
+/// Encodes a response as one binary frame.
+pub fn encode_response(r: &Response) -> [u8; RESP_FRAME_LEN] {
+    let mut f = [0u8; RESP_FRAME_LEN];
+    write_response(r, &mut f);
     f
+}
+
+/// Appends a response's binary frame to `out` in place, without a
+/// temporary frame — the server's write path.
+pub fn encode_response_into(r: &Response, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + RESP_FRAME_LEN, 0);
+    write_response(r, &mut out[start..]);
 }
 
 /// Decodes one binary response frame.
@@ -333,7 +361,7 @@ pub fn parse_json_request(line: &str) -> Result<Request, String> {
         }
     }
     req.op = op.ok_or_else(|| "missing \"op\"".to_string())?;
-    Ok(req)
+    check_order(req).map_err(str::to_string)
 }
 
 /// Renders a response as one NDJSON line (newline included). Error
@@ -380,6 +408,19 @@ mod tests {
             .expect("frame length is fixed");
         assert_eq!((e.id, e.status), (3, STATUS_TIMEOUT));
         assert!(e.value.is_nan());
+        // The in-place encoder appends the same frames to a dirty buffer.
+        let mut out = vec![0xff; 5];
+        for r in [r, Response::err(3, STATUS_INFEASIBLE)] {
+            encode_response_into(&r, &mut out);
+            let frame = &out[out.len() - RESP_FRAME_LEN..];
+            assert_eq!(frame, encode_response(&r));
+            let back = decode_response(frame).expect("frame length is fixed");
+            assert_eq!(
+                (back.id, back.value.to_bits(), back.n_max, back.status),
+                (r.id, r.value.to_bits(), r.n_max, r.status)
+            );
+        }
+        assert_eq!(out.len(), 5 + 2 * RESP_FRAME_LEN);
     }
 
     #[test]
@@ -388,6 +429,30 @@ mod tests {
         let mut f = encode_request(&Request::rtt(1, 9, 40.0, 0.4));
         f[36] = 200;
         assert!(decode_request(&f).is_err());
+    }
+
+    #[test]
+    fn erlang_order_above_the_cap_is_malformed() {
+        let top = MAX_ERLANG_ORDER;
+        for k in [top + 1, 1_000_000, u32::MAX] {
+            for r in [
+                Request::rtt(1, k, 40.0, 0.4),
+                Request::dimension(2, k, 40.0, 50.0),
+            ] {
+                assert!(decode_request(&encode_request(&r)).is_err(), "K={k}");
+            }
+            for op in ["rtt", "dimension"] {
+                let line = format!("{{\"op\":\"{op}\",\"k\":{k}}}");
+                assert!(parse_json_request(&line).is_err(), "{line}");
+            }
+        }
+        let r = Request::rtt(1, top, 40.0, 0.4);
+        assert_eq!(decode_request(&encode_request(&r)), Ok(r));
+        assert!(parse_json_request(&format!("{{\"op\":\"rtt\",\"k\":{top}}}")).is_ok());
+        // Ops that carry no K ignore the field.
+        let mut stats = Request::stats(3, STAT_HITS);
+        stats.k = u32::MAX;
+        assert_eq!(decode_request(&encode_request(&stats)), Ok(stats));
     }
 
     #[test]

@@ -5,15 +5,23 @@
 //!
 //! One TCP read of a pipelined client burst (up to 64 KiB ≈ 1 638 binary
 //! frames) is decoded into a single request batch and answered by **one**
-//! [`Engine::rtt_batch`] pass. That is where the engine's machinery pays
-//! off per network read instead of per request: every cell the engine
-//! has already answered is served from its memo in one pass, without
-//! sorting; only the misses are sorted, so same-`K` cells run
-//! consecutively in load order, quantile brackets warm-start from their
-//! neighbors, and the D/E_K/1 root solves continuation-chain along each
-//! run. The responses for the burst go back in one `write_all`. Request
-//! → response order is preserved within a connection, so clients may
-//! pipeline blindly and count frames.
+//! [`Engine::rtt_batch_at`] pass. That is where the engine's machinery
+//! pays off per network read instead of per request:
+//!
+//! * every cell the engine has already answered is served from its memo
+//!   in one pass, without sorting. Each rtt request hands the engine its
+//!   decoded `(K, T, ρ_d)` and nothing else: the memo key is built from
+//!   those three numbers, hashed once, and the burst's keys are probed
+//!   shard by shard under one lock each. A `Scenario` is built only for
+//!   a miss;
+//! * only the misses are sorted, so same-`K` cells run consecutively in
+//!   load order, quantile brackets warm-start from their neighbors, and
+//!   the D/E_K/1 root solves continuation-chain along each run;
+//! * binary responses are encoded in place into the connection's write
+//!   buffer, and go back for the whole burst in one `write_all`.
+//!
+//! Request → response order is preserved within a connection, so
+//! clients may pipeline blindly and count frames.
 //!
 //! ## Concurrency shape
 //!
@@ -386,22 +394,19 @@ fn handle_batch(
     // One engine pass answers every rtt request of the burst; a burst
     // of dimension or stats ops alone skips the engine (and its span
     // and obs flush) entirely.
-    let scenarios: Vec<Scenario> = requests
+    let cells: Vec<(u32, f64, f64)> = requests
         .iter()
         .filter_map(|req| match req {
-            Ok(r) if r.op == Op::Rtt => Some(
-                Scenario::paper_default()
-                    .with_erlang_order(r.k.max(1))
-                    .with_tick_ms(r.tick_ms)
-                    .with_load(r.load),
-            ),
+            Ok(r) if r.op == Op::Rtt => Some((r.k.max(1), r.tick_ms, r.load)),
             _ => None,
         })
         .collect();
-    let rtts = if scenarios.is_empty() {
+    let rtts = if cells.is_empty() {
         Vec::new()
     } else {
-        shared.engine.rtt_batch(&scenarios)
+        shared
+            .engine
+            .rtt_batch_at(&Scenario::paper_default(), &cells)
     };
     let mut rtt_answers = rtts.into_iter();
     let mut shutdown = false;
@@ -429,7 +434,7 @@ fn handle_batch(
         // (they carry more fields than the fixed frame); skip the marker.
         if !(mode == Mode::Json && matches!(req, Ok(r) if r.op == Op::Stats)) {
             match mode {
-                Mode::Binary => out.extend_from_slice(&protocol::encode_response(&resp)),
+                Mode::Binary => protocol::encode_response_into(&resp, out),
                 Mode::Json => {
                     out.extend_from_slice(protocol::render_json_response(&resp).as_bytes())
                 }

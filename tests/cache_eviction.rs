@@ -14,7 +14,9 @@
 //!   unbounded surface bit-for-bit across randomized grids and budgets;
 //! * a multi-thread hammer: racing writers over overlapping key ranges
 //!   never publish a wrong value (no lost updates) and never exceed the
-//!   occupancy bound.
+//!   occupancy bound;
+//! * a proptest of the batched probe: `get_many` is per-key `get` —
+//!   the same values, misses and CLOCK reference bits.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -102,6 +104,46 @@ proptest! {
             }
         }
         prop_assert_eq!(resident, cache.len());
+    }
+
+    /// `get_many` on a 1-shard or 16-shard bounded cache is per-key
+    /// `get`: the same values and misses, and the same CLOCK reference
+    /// bits — checked by requiring that an insert burst after the probe
+    /// evicts the same victims from both caches.
+    #[test]
+    fn get_many_matches_per_key_get(
+        sixteen_shards in 0u8..2,
+        capacity in 1usize..64,
+        warm in proptest::collection::vec((0u8..3, 0u64..96), 0..300),
+        batch in proptest::collection::vec(0u64..96, 0..64),
+        burst in 1u64..48,
+    ) {
+        let shards = if sixteen_shards == 1 { 16 } else { 1 };
+        let many: SharedCache<u64, u64> = SharedCache::new(shards, capacity);
+        let each: SharedCache<u64, u64> = SharedCache::new(shards, capacity);
+        for (kind, key) in warm {
+            for cache in [&many, &each] {
+                if kind == 0 {
+                    cache.get(&key);
+                } else {
+                    cache.get_or_insert(key, value_of(key));
+                }
+            }
+        }
+        let mut got = vec![Some(0); batch.len()];
+        let hits = many.get_many(&batch, &mut got);
+        let want: Vec<Option<u64>> = batch.iter().map(|k| each.get(k)).collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(hits, want.iter().filter(|v| v.is_some()).count());
+        for key in 1_000..1_000 + burst {
+            for cache in [&many, &each] {
+                cache.get_or_insert(key, value_of(key));
+            }
+        }
+        prop_assert_eq!(many.evictions(), each.evictions());
+        for key in 0..96u64 {
+            prop_assert_eq!(many.get(&key), each.get(&key), "key {}", key);
+        }
     }
 
     /// The full engine claim behind the serving bench's parity gate: for

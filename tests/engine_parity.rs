@@ -385,6 +385,183 @@ fn engine_dimensioning_matches_serial_reference() {
     );
 }
 
+/// `cells` as the `Scenario`s [`Engine::rtt_batch_at`] stands for.
+fn cells_at(base: &Scenario, cells: &[(u32, f64, f64)]) -> Vec<Scenario> {
+    cells
+        .iter()
+        .map(|&(k, t_ms, rho)| {
+            base.clone()
+                .with_erlang_order(k)
+                .with_tick_ms(t_ms)
+                .with_load(rho)
+        })
+        .collect()
+}
+
+#[test]
+fn rtt_batch_at_equals_rtt_batch_on_the_same_cells() {
+    // The wire path against the Scenario path, on one shuffled batch of
+    // memo hits, fresh misses at two ticks, an in-batch duplicate of a
+    // fresh cell and one infeasible cell: the same answers and the same
+    // rtt hit and miss counts.
+    let ks = [2u32, 9, 20];
+    let warm: Vec<(u32, f64, f64)> = (0..12)
+        .map(|i| (ks[i % 3], 40.0, 0.05 + 0.07 * i as f64))
+        .collect();
+    let fresh: Vec<(u32, f64, f64)> = (0..10)
+        .map(|i| {
+            (
+                ks[(i + 1) % 3],
+                [40.0, 60.0][i % 2],
+                0.08 + 0.085 * i as f64,
+            )
+        })
+        .collect();
+    let mut ordered: Vec<(u32, f64, f64)> = warm.iter().step_by(2).copied().collect();
+    let hits = ordered.len() as u64;
+    ordered.extend(&fresh);
+    ordered.push(fresh[4]);
+    ordered.push((9, 40.0, 1.5));
+    let n = ordered.len();
+    let cells: Vec<(u32, f64, f64)> = (0..n).map(|i| ordered[i * 5 % n]).collect();
+    let base = Scenario::paper_default();
+    let serial = Engine::serial().rtt_batch(&cells_at(&base, &cells));
+    for config in [EngineConfig::bit_exact(), EngineConfig::default()] {
+        let exact = !config.batch;
+        let by_scenario = Engine::new(EngineConfig {
+            jobs: 1,
+            ..config.clone()
+        });
+        let at = Engine::new(EngineConfig { jobs: 1, ..config });
+        by_scenario.rtt_batch(&cells_at(&base, &warm));
+        at.rtt_batch_at(&base, &warm);
+        let (before_s, before_a) = (by_scenario.cache_stats(), at.cache_stats());
+        let want = by_scenario.rtt_batch(&cells_at(&base, &cells));
+        let got = at.rtt_batch_at(&base, &cells);
+        let (after_s, after_a) = (by_scenario.cache_stats(), at.cache_stats());
+        assert_eq!(got.len(), cells.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            if exact {
+                assert_eq!(g.map(f64::to_bits), w.map(f64::to_bits), "index {i}");
+                assert_eq!(
+                    g.map(f64::to_bits),
+                    serial[i].map(f64::to_bits),
+                    "index {i} vs serial"
+                );
+            } else {
+                match (g, w) {
+                    (Some(g), Some(w)) => assert!(
+                        (g - w).abs() <= BATCH_RTT_TOLERANCE_MS,
+                        "index {i}: {g} vs {w}"
+                    ),
+                    (g, w) => assert_eq!(g.is_some(), w.is_some(), "index {i}"),
+                }
+            }
+        }
+        assert_eq!(got.iter().filter(|v| v.is_none()).count(), 1);
+        for (before, after) in [(before_s, after_s), (before_a, after_a)] {
+            assert_eq!(after.rtt_hits - before.rtt_hits, hits + 1, "exact={exact}");
+            assert_eq!(
+                after.rtt_misses - before.rtt_misses,
+                fresh.len() as u64,
+                "exact={exact}"
+            );
+        }
+    }
+}
+
+#[test]
+fn memo_keeps_scenario_families_apart() {
+    // Scenarios equal in (K, T, ρ_d) but different in one family
+    // parameter each: every one is its own memo entry with its own
+    // serial bits — interleaved in one batch, through the Scenario path
+    // and the wire path alike.
+    let base = Scenario::paper_default();
+    let variants = [
+        base.clone(),
+        base.clone().with_server_packet(100.0),
+        Scenario {
+            quantile: 0.9999,
+            ..base.clone()
+        },
+        base.clone().with_client_interval_ms(30.0),
+        Scenario {
+            include_upstream: false,
+            ..base.clone()
+        },
+    ];
+    let cell = (9u32, 40.0, 0.45);
+    let scenarios: Vec<Scenario> = variants
+        .iter()
+        .chain(variants.iter().rev())
+        .map(|v| cells_at(v, &[cell]).remove(0))
+        .collect();
+    let serial = Engine::serial().rtt_batch(&scenarios);
+    let mut distinct: Vec<u64> = serial
+        .iter()
+        .map(|v| v.expect("feasible").to_bits())
+        .collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        variants.len(),
+        "each variant moves the answer"
+    );
+    // jobs = 1 keeps each in-batch repeat in the run of its first copy,
+    // so it hits instead of racing it to a second miss.
+    let engine = Engine::new(EngineConfig {
+        jobs: 1,
+        ..EngineConfig::bit_exact()
+    });
+    let got = engine.rtt_batch(&scenarios);
+    let stats = engine.cache_stats();
+    for (i, (g, s)) in got.iter().zip(&serial).enumerate() {
+        assert_eq!(g.map(f64::to_bits), s.map(f64::to_bits), "index {i}");
+    }
+    assert_eq!(stats.rtt_misses, variants.len() as u64, "{stats:?}");
+    assert_eq!(stats.rtt_hits, variants.len() as u64, "{stats:?}");
+    for (v, s) in variants.iter().zip(&serial) {
+        let at = engine.rtt_batch_at(v, &[cell]);
+        assert_eq!(at[0].map(f64::to_bits), s.map(f64::to_bits));
+    }
+    let after = engine.cache_stats();
+    assert_eq!(after.rtt_hits - stats.rtt_hits, variants.len() as u64);
+    assert_eq!(after.rtt_misses, stats.rtt_misses);
+}
+
+#[test]
+fn evicted_families_never_change_an_answer() {
+    // An 8-entry budget over 12 families and 3 cells each, cycled: the
+    // family table and the memo both evict throughout, and every answer
+    // still has the serial bits.
+    let engine = Engine::new(EngineConfig {
+        cache_entries: 8,
+        ..EngineConfig::bit_exact()
+    });
+    let serial = Engine::serial();
+    let cells = [(2u32, 40.0, 0.3), (9, 40.0, 0.5), (9, 60.0, 0.5)];
+    for round in 0..3 {
+        for f in 0..12 {
+            let base = Scenario::paper_default().with_server_packet(90.0 + 5.0 * f as f64);
+            let scenarios = cells_at(&base, &cells);
+            let want = serial.rtt_batch(&scenarios);
+            let by_scenario = engine.rtt_batch(&scenarios);
+            let at = engine.rtt_batch_at(&base, &cells);
+            for (i, w) in want.iter().enumerate() {
+                let w = w.map(f64::to_bits);
+                assert_eq!(
+                    by_scenario[i].map(f64::to_bits),
+                    w,
+                    "round {round} family {f}"
+                );
+                assert_eq!(at[i].map(f64::to_bits), w, "round {round} family {f}");
+            }
+        }
+    }
+    assert!(engine.cache_stats().rtt_evictions > 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -1,7 +1,7 @@
 //! Integration: the paper's headline quantitative results, asserted as
 //! reproduction bands.
 
-use fpsping::{max_load, rtt_vs_load, RttModel, Scenario};
+use fpsping::{max_load, rtt_vs_load, RttModel, Scenario, MAX_ERLANG_ORDER};
 
 /// §4 dimensioning table: ρ_max ≈ 20 %/40 %/60 % and N_max ≈ 40/80/120
 /// for K = 2/9/20 at a 50 ms budget (P_S = 125 B, T = 40 ms, C = 5 Mbps).
@@ -167,4 +167,31 @@ fn quantile_far_below_worst_case_bound() {
         q < 0.6 * worst_ms,
         "quantile {q} ms should sit far below the worst-case bound {worst_ms} ms"
     );
+}
+
+/// §4: a larger Erlang order means less variable bursts, so the RTT
+/// quantile never rises with K — over every order a scenario may carry.
+/// Past the cap the double-precision root solve breaks this (at
+/// ρ_d = 0.2 the quantile first rises at K = 149), which is why
+/// [`MAX_ERLANG_ORDER`] stops there.
+#[test]
+fn rtt_never_rises_with_erlang_order_up_to_the_cap() {
+    for rho in [0.05, 0.2, 0.4, 0.6, 0.8, 0.95] {
+        let mut prev = f64::INFINITY;
+        for k in 1..=MAX_ERLANG_ORDER {
+            let s = Scenario::paper_default()
+                .with_load(rho)
+                .with_erlang_order(k);
+            let q = RttModel::build(&s)
+                .unwrap_or_else(|e| panic!("rho={rho} K={k}: {e}"))
+                .rtt_quantile_ms();
+            assert!(
+                q <= prev,
+                "rho={rho}: RTT rose from {prev} to {q} ms at K={k}"
+            );
+            prev = q;
+        }
+    }
+    let over = Scenario::paper_default().with_erlang_order(MAX_ERLANG_ORDER + 1);
+    assert!(RttModel::build(&over).is_err());
 }
