@@ -1,10 +1,10 @@
 //! Sweep-engine benchmark: the 18-load × K ∈ {2, 9, 20} RTT surface,
-//! serial seed path vs the parallel cached engine (cold and cached),
-//! plus the §4 dimensioning bisection. Emits `BENCH_sweep.json` at the
-//! repository root with cells/sec for each variant and the cold-path
-//! batch-solver counters (`queue.dek1.zeta.*` deltas captured around the
-//! serial and batch runs), and verifies the engine against the serial
-//! path cell for cell before timing anything:
+//! serial reference (`Engine::serial()`) vs the parallel cached engine
+//! (cold and cached), plus the §4 dimensioning bisection. Emits
+//! `BENCH_sweep.json` at the repository root with cells/sec for each
+//! variant and the cold-path batch-solver counters (`queue.dek1.zeta.*`
+//! deltas captured around the serial and batch runs), and verifies the
+//! engine against the serial path cell for cell before timing anything:
 //!
 //! * `bit_exact` config — must match the serial reference bit for bit;
 //! * default (batch) config — must match within the engine's documented
@@ -36,7 +36,7 @@ fn loads() -> Vec<f64> {
 fn verify_parity(config: EngineConfig, tol: f64, label: &str) -> f64 {
     let base = Scenario::paper_default();
     let (ks, loads) = (ks(), loads());
-    let serial = sweep::rtt_surface(&base, &ks, &loads);
+    let serial = Engine::serial().rtt_surface(&base, &ks, &loads);
     let engine = Engine::new(config);
     let mut max_delta = 0.0f64;
     // Cold pass and cached pass must both agree.
@@ -127,7 +127,7 @@ fn emit_bench_json(samples: usize) {
     // single-job batch surface, so the per-cell Newton-polish ratio is a
     // like-for-like cold-sweep comparison.
     let serial_zeta = zeta_window(|| {
-        std::hint::black_box(sweep::rtt_surface(&base, &ks, &loads));
+        std::hint::black_box(Engine::serial().rtt_surface(&base, &ks, &loads));
     });
     let batch_zeta = zeta_window(|| {
         let engine = Engine::new(EngineConfig::with_jobs(1));
@@ -135,7 +135,7 @@ fn emit_bench_json(samples: usize) {
     });
 
     let serial = median_time(samples, || {
-        std::hint::black_box(sweep::rtt_surface(&base, &ks, &loads));
+        std::hint::black_box(Engine::serial().rtt_surface(&base, &ks, &loads));
     });
     let engine_cold = median_time(samples, || {
         let engine = Engine::new(EngineConfig::with_jobs(jobs));
@@ -220,7 +220,7 @@ fn bench_surface(c: &mut Criterion) {
     let mut group = c.benchmark_group("surface_18x3");
     group.sample_size(10);
     group.bench_function("serial_cold", |b| {
-        b.iter(|| std::hint::black_box(sweep::rtt_surface(&base, &ks, &loads)));
+        b.iter(|| std::hint::black_box(Engine::serial().rtt_surface(&base, &ks, &loads)));
     });
     group.bench_function("engine_cold", |b| {
         b.iter(|| {

@@ -1,7 +1,7 @@
 //! Jitter and the §2.2 measurement caveat.
 //!
 //! The paper's UT2003 trace came from the jitter-injection experiments of
-//! reference [23], and §2.2 warns: *"Because jitter was artificially
+//! reference \[23\], and §2.2 warns: *"Because jitter was artificially
 //! introduced in this experiment we have to be careful in interpreting
 //! the inter-arrival time measurements."* This experiment quantifies the
 //! caution: the same simulated gaming session is captured under

@@ -36,10 +36,10 @@
 //! A served memo hit is answered by this map alone, so its probe is kept
 //! to the minimum a sharded map needs:
 //!
-//! * **One hash per key.** The key is hashed once with [`MixHasher`];
+//! * **One hash per key.** The key is hashed once with `MixHasher`;
 //!   that word both picks the shard (its high half) and is stored beside
 //!   the key, and the shard maps hash the stored word through unchanged
-//!   ([`PassThrough`]), so no probe, insert or eviction re-hashes a key.
+//!   (`PassThrough`), so no probe, insert or eviction re-hashes a key.
 //! * **One guard per shard per batch.** [`SharedCache::get_many`]
 //!   counting-sorts a batch of keys by shard and probes each touched
 //!   shard's keys under a single acquisition — at most one lock and

@@ -132,7 +132,7 @@ fn parse_f64(flag: &str, value: Option<&String>) -> Result<f64, ParseError> {
         .map_err(|_| ParseError(format!("flag {flag}: `{v}` is not a number")))
 }
 
-/// Parses the argument vector (without argv[0]) including the
+/// Parses the argument vector (without `argv[0]`) including the
 /// observability flags `--metrics-out <path>` and `--trace`, which may
 /// appear anywhere and apply to any command. The remaining arguments go
 /// through [`parse`] unchanged.
@@ -179,7 +179,7 @@ pub fn run_with_obs(cmd: &Command, obs: &ObsOptions) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parses the argument vector (without argv[0]).
+/// Parses the argument vector (without `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);

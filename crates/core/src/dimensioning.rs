@@ -7,9 +7,11 @@
 //! via eq. (37): `N_max = ρ_max·T·C/(8·P_S)`.
 //!
 //! The bisection itself lives in [`crate::engine::Engine::max_load`];
-//! the free functions here are thin wrappers over a default engine so
-//! every probe shares the solver cache and warm-starts its quantile
-//! bracket from the previous probe.
+//! the free functions here are thin wrappers over a single-threaded
+//! cached engine, so every probe shares the solver cache and
+//! warm-starts its quantile bracket from the previous probe. Neither
+//! changes a bit: the answer equals
+//! [`crate::engine::Engine::serial`]'s, the uncached reference.
 
 use crate::engine::{Engine, EngineConfig};
 use crate::scenario::Scenario;

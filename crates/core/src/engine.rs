@@ -12,13 +12,16 @@
 //! 3. the quantile bracket search, whose answer moves smoothly along any
 //!    monotone axis of the grid.
 //!
-//! The [`Engine`] exploits all three: a [`SolverCache`] memoizes (1) and
-//! (2) across cells, a scoped-thread [`par_map`] fans independent cells
-//! across cores with deterministic result order, and each contiguous run
-//! of cells warm-starts its quantile bracket from its neighbor. Cached
-//! component rebuilds use bit-identical floating-point operations, and
-//! bracket warm starts only accelerate finding the same canonical bracket
-//! the cold search would use — neither changes a single output bit.
+//! [`Engine::serial`] is the reference: one thread, each cell solved cold
+//! by [`RttModel::build`], no memo and no hints. Every other engine is
+//! built from an [`EngineConfig`] and exploits all three: a
+//! [`SolverCache`] memoizes (1) and (2) across cells, a scoped-thread
+//! [`par_map`] fans independent cells across cores with deterministic
+//! result order, and each contiguous run of cells warm-starts its
+//! quantile bracket from its neighbor. Cached component rebuilds use
+//! bit-identical floating-point operations, and bracket warm starts only
+//! accelerate finding the same canonical bracket the cold search would
+//! use — neither changes a single output bit.
 //!
 //! On top of that, [`EngineConfig::batch`] (default on) adds *continuation
 //! warm-starting of the root solves themselves*: along each contiguous
@@ -34,7 +37,8 @@
 //! the paper surface; see `engine_parity`).
 //! Continuation runs are fixed-size blocks of the load axis — independent
 //! of `jobs` — so results never depend on the worker count, and setting
-//! `batch: false` restores exact bit-parity with the serial seed path.
+//! `batch: false` ([`EngineConfig::bit_exact`]) restores exact bit-parity
+//! with [`Engine::serial`].
 
 use crate::cache::SharedCache;
 use crate::dimensioning::DimensioningResult;
@@ -62,7 +66,7 @@ static RTT_ENTRIES: Gauge = Gauge::new("engine.cache.rtt.entries");
 static RTT_EVICTIONS: Counter = Counter::new("engine.cache.rtt.evictions");
 
 /// Documented accuracy bound for batch (continuation-warm-started) sweeps
-/// versus the serial seed path, in milliseconds of RTT quantile.
+/// versus [`Engine::serial`], in milliseconds of RTT quantile.
 ///
 /// Warm-started ζ roots agree with cold ones to ~1e-15 relative; the
 /// partial-fraction re-expansion of eq. (35) (condition number allowed up
@@ -73,16 +77,13 @@ static RTT_EVICTIONS: Counter = Counter::new("engine.cache.rtt.evictions");
 /// reporting precision.
 pub const BATCH_RTT_TOLERANCE_MS: f64 = 1e-4;
 
-/// Tuning knobs for an [`Engine`].
+/// Tuning knobs for an [`Engine`]. Every engine built from a config
+/// memoizes solver state and warm-starts quantile brackets; the serial
+/// reference ([`Engine::serial`]) is the one engine that does neither.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads for grid fan-out (1 = run on the caller's thread).
     pub jobs: usize,
-    /// Memoize D/E_K/1 solutions and M/D/1 dominant poles across cells.
-    pub cache: bool,
-    /// Seed each cell's quantile bracket from its neighbor along the
-    /// grid's monotone axis.
-    pub warm_start: bool,
     /// Continuation warm-starting of the D/E_K/1 root solves: along each
     /// contiguous run of loads, seed a cell's K roots from the previous
     /// cell's converged roots and polish with Newton only. ~1e-15
@@ -101,22 +102,9 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Everything off: single-threaded, solve every cell from scratch.
-    /// This is exactly the seed code path, kept as the reference for
-    /// parity tests and benchmarks.
-    pub fn serial() -> Self {
-        Self {
-            jobs: 1,
-            cache: false,
-            warm_start: false,
-            batch: false,
-            cache_entries: 0,
-        }
-    }
-
     /// The default configuration with continuation warm-starts disabled:
-    /// parallel, cached, bracket-warm-started — and bit-identical to the
-    /// serial seed path, cell for cell.
+    /// parallel, cached, bracket-warm-started — and bit-identical to
+    /// [`Engine::serial`], cell for cell.
     pub fn bit_exact() -> Self {
         Self {
             batch: false,
@@ -138,8 +126,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             jobs: default_jobs(),
-            cache: true,
-            warm_start: true,
             batch: true,
             cache_entries: 0,
         }
@@ -523,6 +509,9 @@ fn continuation_runs(len: usize) -> Vec<Range<usize>> {
 pub struct Engine {
     config: EngineConfig,
     cache: SolverCache,
+    /// Set only by [`Engine::serial`]: no memo, no bracket hints — every
+    /// cell is `RttModel::build(&s)?.rtt_quantile_ms()`.
+    reference: bool,
 }
 
 impl Engine {
@@ -530,13 +519,27 @@ impl Engine {
     /// [`EngineConfig::cache_entries`]).
     pub fn new(config: EngineConfig) -> Self {
         let cache = SolverCache::with_budget(config.cache_entries);
-        Self { config, cache }
+        Self {
+            config,
+            cache,
+            reference: false,
+        }
     }
 
-    /// The reference engine: single-threaded, uncached, cold-bracketed —
-    /// byte-for-byte the seed evaluation path.
+    /// The serial reference: one thread, no memo, no bracket hints, no
+    /// continuation — each cell is solved cold by [`RttModel::build`]
+    /// and inverted by [`RttModel::rtt_quantile_ms`]. Every other engine
+    /// is checked against this one; its cache counters stay at zero.
     pub fn serial() -> Self {
-        Self::new(EngineConfig::serial())
+        Self {
+            config: EngineConfig {
+                jobs: 1,
+                batch: false,
+                cache_entries: 0,
+            },
+            cache: SolverCache::default(),
+            reference: true,
+        }
     }
 
     /// This engine's configuration.
@@ -550,12 +553,13 @@ impl Engine {
     }
 
     /// Builds the RTT model for one scenario, sourcing the D/E_K/1
-    /// solution and the upstream pole from the cache when enabled. The
-    /// result is bit-identical to [`RttModel::build`] — this entry point
-    /// never continuation-warm-starts the root solve (that happens only
-    /// inside sweep runs, where a neighboring solution exists).
+    /// solution and the upstream pole from the cache (the serial
+    /// reference has none and calls [`RttModel::build`]). The result is
+    /// bit-identical to [`RttModel::build`] — this entry point never
+    /// continuation-warm-starts the root solve (that happens only inside
+    /// sweep runs, where a neighboring solution exists).
     pub fn build_model(&self, scenario: &Scenario) -> Result<RttModel, QueueError> {
-        if !self.config.cache {
+        if self.reference {
             return RttModel::build(scenario);
         }
         // Cold path (a model assembly dwarfs the flush), and the only
@@ -587,17 +591,9 @@ impl Engine {
         }
         let rho = mean_service / t_s;
         let k = scenario.erlang_order;
-        let seed = if self.config.batch { seed } else { None };
-        let solution = if self.config.cache {
-            match seed {
-                Some(_) => self.cache.dek_solution_warm(k, rho, seed)?,
-                None => self.cache.dek_solution(k, rho)?,
-            }
-        } else {
-            Arc::new(match seed {
-                Some(s) => DekSolution::solve_warm(k, rho, Some(s.as_ref()))?,
-                None => DekSolution::solve(k, rho)?,
-            })
+        let solution = match seed {
+            Some(_) if self.config.batch => self.cache.dek_solution_warm(k, rho, seed)?,
+            _ => self.cache.dek_solution(k, rho)?,
         };
         let downstream = DEk1::from_solution(&solution, mean_service, t_s)?;
         let beta = scenario.erlang_order as f64 / mean_service;
@@ -605,12 +601,7 @@ impl Engine {
         let upstream = if scenario.include_upstream {
             let lambda = scenario.gamer_count() / (scenario.effective_client_interval_ms() / 1e3);
             let tau = 8.0 * scenario.client_packet_bytes / scenario.c_bps;
-            let gamma = if self.config.cache {
-                self.cache.mdd1_pole(lambda, tau)?
-            } else {
-                let q = Mg1::new(lambda, Box::new(Deterministic::new(tau)))?;
-                q.dominant_pole()?
-            };
+            let gamma = self.cache.mdd1_pole(lambda, tau)?;
             Some(Mg1::with_dominant_pole(
                 lambda,
                 Box::new(Deterministic::new(tau)),
@@ -638,23 +629,22 @@ impl Engine {
         }
     }
 
-    /// The interned family id of `s`, or `None` when memoization is off
-    /// (every cell is then solved, and no key is needed).
+    /// The interned family id of `s`, or `None` for the serial
+    /// reference (every cell is then solved, and no key is needed).
     fn family(&self, s: &Scenario) -> Option<u64> {
-        self.config
-            .cache
-            .then(|| self.cache.family_id(&FamilyKey::of(s)))
+        (!self.reference).then(|| self.cache.family_id(&FamilyKey::of(s)))
     }
 
-    /// One cell: the RTT quantile (ms), warm-started from `hint` when the
-    /// engine is configured for it. `None` for infeasible scenarios.
+    /// One cell: the RTT quantile (ms), warm-started from `hint`. `None`
+    /// for infeasible scenarios.
     ///
-    /// `key` is the cell's memo key (`None` when memoization is off). A
-    /// cell already evaluated by this engine is served from the
-    /// whole-cell memo without re-assembling the model or re-inverting
-    /// the quantile — the exact stored bits come back, so repeated grids
-    /// (the common shape of bisection paths and re-plotted figures) cost
-    /// a hash lookup per cell.
+    /// `key` is the cell's memo key; `None` only on the serial
+    /// reference, which solves the cell cold and ignores `hint` and
+    /// `chain`. A cell already evaluated by this engine is served from
+    /// the whole-cell memo without re-assembling the model or
+    /// re-inverting the quantile — the exact stored bits come back, so
+    /// repeated grids (the common shape of bisection paths and
+    /// re-plotted figures) cost a hash lookup per cell.
     /// `chain` is the continuation state of the enclosing sweep run: the
     /// D/E_K/1 solution of the nearest previously solved cell, used to
     /// warm-start this cell's roots (batch mode only) and replaced by
@@ -668,43 +658,21 @@ impl Engine {
         hint: Option<f64>,
         chain: &mut Option<Arc<DekSolution>>,
     ) -> Option<f64> {
-        let hint = if self.config.warm_start { hint } else { None };
-        if !self.config.batch {
-            *chain = None;
-        }
         let Some(key) = key else {
-            if self.config.batch {
-                return self
-                    .assemble(scenario, chain.as_ref())
-                    .ok()
-                    .map(|(m, sol)| {
-                        *chain = Some(sol);
-                        self.quantile_ms(&m, hint)
-                    });
-            }
-            return self
-                .build_model(scenario)
-                .ok()
-                .map(|m| self.quantile_ms(&m, hint));
+            return RttModel::build(scenario).ok().map(|m| m.rtt_quantile_ms());
         };
         if let Some(v) = self.cache.rtt.get(&key) {
             self.cache.rtt_hits.fetch_add(1, Ordering::Relaxed);
             return Some(v);
         }
-        let v = match self.assemble(scenario, chain.as_ref()) {
-            Ok((m, sol)) => {
-                if self.config.batch {
-                    *chain = Some(sol);
-                }
-                Some(self.quantile_ms(&m, hint))
-            }
-            Err(_) => None,
-        };
-        if let Some(v) = v {
-            self.cache.rtt_misses.fetch_add(1, Ordering::Relaxed);
-            self.cache.rtt.get_or_insert(key, v);
+        let (m, sol) = self.assemble(scenario, chain.as_ref()).ok()?;
+        if self.config.batch {
+            *chain = Some(sol);
         }
-        v
+        let v = self.quantile_ms(&m, hint);
+        self.cache.rtt_misses.fetch_add(1, Ordering::Relaxed);
+        self.cache.rtt.get_or_insert(key, v);
+        Some(v)
     }
 
     /// How a sweep's load axis is cut into contiguous runs. Batch mode
@@ -719,11 +687,13 @@ impl Engine {
         }
     }
 
-    /// Engine-powered [`crate::sweep::rtt_vs_load`]: the load axis is cut
-    /// into contiguous runs; each run warm-starts its quantile brackets
-    /// *and* (batch mode) its D/E_K/1 root solves along its cells. Equal
-    /// to the serial function cell for cell with `batch: false`; within
-    /// the documented [`BATCH_RTT_TOLERANCE_MS`] tolerance otherwise.
+    /// The scenario's RTT quantile across the given downlink loads — the
+    /// series of Figures 3 and 4 — with the load (ρ_u) and gamer count
+    /// (eq. 37) of each point. The load axis is cut into contiguous runs;
+    /// each run warm-starts its quantile brackets *and* (batch mode) its
+    /// D/E_K/1 root solves along its cells. Equal to [`Engine::serial`]
+    /// cell for cell with `batch: false`; within the documented
+    /// [`BATCH_RTT_TOLERANCE_MS`] tolerance otherwise.
     pub fn rtt_vs_load(&self, base: &Scenario, loads: &[f64]) -> Vec<LoadPoint> {
         let _span = fpsping_obs::span("engine.rtt_vs_load");
         let _flush = FlushOnDrop(&self.cache);
@@ -778,13 +748,13 @@ impl Engine {
     /// permutation. Values match [`Engine::build_model`] +
     /// `rtt_quantile_ms` bit for bit under a bit-exact config, and stay
     /// within [`BATCH_RTT_TOLERANCE_MS`] under the default batch config.
-    /// With `cache: false` every scenario is a miss. Callers whose cells
+    /// On [`Engine::serial`] every scenario is a miss. Callers whose cells
     /// share one family and differ only in `(K, T, ρ_d)` use
     /// [`Engine::rtt_batch_at`], which builds no `Scenario` for a hit.
     pub fn rtt_batch(&self, scenarios: &[Scenario]) -> Vec<Option<f64>> {
         let _span = fpsping_obs::span("engine.rtt_batch");
         let _flush = FlushOnDrop(&self.cache);
-        let keys = self.config.cache.then(|| {
+        let keys = (!self.reference).then(|| {
             let mut last: Option<(FamilyKey, u64)> = None;
             scenarios
                 .iter()
@@ -894,14 +864,15 @@ impl Engine {
         out
     }
 
-    /// Engine-powered [`crate::sweep::rtt_surface`]: rows are loads,
-    /// columns are Erlang orders. Work is fanned out as (K column ×
-    /// load run) tasks; each task walks its loads in order, warm-starting
-    /// the quantile bracket and (batch mode) the root solves from the
-    /// previous cell — continuation never crosses K columns, since roots
-    /// continue only within a fixed Erlang order. Equal to the serial
-    /// function cell for cell with `batch: false`; within the documented
-    /// documented [`BATCH_RTT_TOLERANCE_MS`] tolerance otherwise.
+    /// The full (K × load) RTT surface: rows are loads, columns are
+    /// Erlang orders, infeasible cells are `None`. Work is fanned out as
+    /// (K column × load run) tasks; each task walks its loads in order,
+    /// warm-starting the quantile bracket and (batch mode) the root
+    /// solves from the previous cell — continuation never crosses K
+    /// columns, since roots continue only within a fixed Erlang order.
+    /// Equal to [`Engine::serial`] cell for cell with `batch: false`;
+    /// within the documented [`BATCH_RTT_TOLERANCE_MS`] tolerance
+    /// otherwise.
     pub fn rtt_surface(&self, base: &Scenario, ks: &[u32], loads: &[f64]) -> Vec<Vec<Option<f64>>> {
         let _span = fpsping_obs::span("engine.rtt_surface");
         let _flush = FlushOnDrop(&self.cache);
@@ -938,10 +909,10 @@ impl Engine {
 
     /// Engine-powered [`crate::dimensioning::max_load`]: the bisection
     /// probes share this engine's cache and warm-start each probe's
-    /// quantile bracket from the previous one. Values equal the serial
-    /// path exactly.
+    /// quantile bracket from the previous one. Values equal
+    /// [`Engine::serial`] exactly.
     ///
-    /// Unlike the seed implementation, pathological terminations are
+    /// Pathological terminations are
     /// explicit errors instead of silent NaNs: exhausting the stability
     /// search or converging onto an infeasible load both report
     /// [`QueueError::SolveFailure`].
@@ -972,11 +943,7 @@ impl Engine {
             }
             match self.build_model(&s) {
                 Ok(m) => {
-                    let hint = if self.config.warm_start {
-                        last_rtt
-                    } else {
-                        None
-                    };
+                    let hint = if self.reference { None } else { last_rtt };
                     let v = m.rtt_quantile_ms_with_hint(hint);
                     last_rtt = Some(v);
                     if let Some(key) = key {
@@ -1055,7 +1022,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep;
+    use crate::sweep::paper_load_grid;
 
     #[test]
     fn par_map_preserves_order_and_covers_all_items() {
@@ -1112,8 +1079,8 @@ mod tests {
         // `bit_exact()` turns continuation off; everything else (cache,
         // bracket warm starts, threads) must still be bit-transparent.
         let base = Scenario::paper_default();
-        let loads = sweep::paper_load_grid();
-        let serial = sweep::rtt_vs_load(&base, &loads);
+        let loads = paper_load_grid();
+        let serial = Engine::serial().rtt_vs_load(&base, &loads);
         for jobs in [1usize, 4] {
             let engine = Engine::new(EngineConfig {
                 jobs,
@@ -1139,8 +1106,8 @@ mod tests {
         // (more dek solves than continuation blocks would be a regression
         // the counters catch in the bench; here we check values only).
         let base = Scenario::paper_default();
-        let loads = sweep::paper_load_grid();
-        let serial = sweep::rtt_vs_load(&base, &loads);
+        let loads = paper_load_grid();
+        let serial = Engine::serial().rtt_vs_load(&base, &loads);
         for jobs in [1usize, 4] {
             let engine = Engine::new(EngineConfig::with_jobs(jobs));
             let fast = engine.rtt_vs_load(&base, &loads);
@@ -1160,7 +1127,7 @@ mod tests {
         // Continuation runs are fixed blocks of the load axis, so the
         // exact bits of a batch sweep must not depend on `jobs`.
         let base = Scenario::paper_default();
-        let loads = sweep::paper_load_grid();
+        let loads = paper_load_grid();
         let reference = Engine::new(EngineConfig::with_jobs(1)).rtt_vs_load(&base, &loads);
         for jobs in [2usize, 3, 8] {
             let other = Engine::new(EngineConfig::with_jobs(jobs)).rtt_vs_load(&base, &loads);
@@ -1181,7 +1148,7 @@ mod tests {
         let base = Scenario::paper_default().with_server_packet(75.0);
         let ks = [2u32, 9];
         let loads = [0.5, 0.9, 0.95];
-        let serial = sweep::rtt_surface(&base, &ks, &loads);
+        let serial = Engine::serial().rtt_surface(&base, &ks, &loads);
         // Bit-exact config: cell-for-cell identity, including None cells.
         let engine = Engine::new(EngineConfig {
             jobs: 3,

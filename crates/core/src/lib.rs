@@ -57,7 +57,7 @@ pub use dimensioning::{max_gamers, max_load, DimensioningResult};
 pub use engine::{CacheStats, Engine, EngineConfig, SolverCache};
 pub use rtt::{RttBreakdown, RttModel};
 pub use scenario::{Gamers, Scenario, MAX_ERLANG_ORDER};
-pub use sweep::{rtt_vs_load, LoadPoint};
+pub use sweep::LoadPoint;
 
 /// Errors from model construction.
 pub use fpsping_queue::QueueError;

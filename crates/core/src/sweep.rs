@@ -1,13 +1,9 @@
 //! Load sweeps — the x-axes of Figures 3 and 4.
 //!
-//! The free functions here are the *serial reference path*: one cold
-//! solve per cell, no threads, no cache. They define the ground truth
-//! that [`crate::engine::Engine::rtt_vs_load`] and
-//! [`crate::engine::Engine::rtt_surface`] must (and do) reproduce bit
-//! for bit; production callers should prefer the engine.
-
-use crate::rtt::RttModel;
-use crate::scenario::Scenario;
+//! This module holds the sweep's point type and the paper's load grid.
+//! The sweeps themselves are [`crate::engine::Engine::rtt_vs_load`] and
+//! [`crate::engine::Engine::rtt_surface`]; [`crate::engine::Engine::serial`]
+//! is the reference every faster engine is checked against.
 
 /// One point of an RTT-vs-load sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,52 +19,22 @@ pub struct LoadPoint {
     pub rtt_ms: Option<f64>,
 }
 
-/// Evaluates the scenario's RTT quantile across the given downlink loads
-/// — the series of Figures 3 and 4.
-pub fn rtt_vs_load(base: &Scenario, loads: &[f64]) -> Vec<LoadPoint> {
-    loads
-        .iter()
-        .map(|&rho| {
-            let s = base.clone().with_load(rho);
-            let rtt_ms = RttModel::build(&s).ok().map(|m| m.rtt_quantile_ms());
-            LoadPoint {
-                rho_d: rho,
-                rho_u: s.uplink_load(),
-                n_gamers: s.gamer_count(),
-                rtt_ms,
-            }
-        })
-        .collect()
-}
-
 /// The paper's sweep grid: 5 % to 90 % in 5 % steps.
 pub fn paper_load_grid() -> Vec<f64> {
     (1..=18).map(|i| i as f64 * 0.05).collect()
 }
 
-/// The full (K × load) RTT surface: one row per load, one entry per
-/// Erlang order. Infeasible cells are `None`.
-pub fn rtt_surface(base: &Scenario, ks: &[u32], loads: &[f64]) -> Vec<Vec<Option<f64>>> {
-    loads
-        .iter()
-        .map(|&rho| {
-            ks.iter()
-                .map(|&k| {
-                    let s = base.clone().with_load(rho).with_erlang_order(k);
-                    RttModel::build(&s).ok().map(|m| m.rtt_quantile_ms())
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
+    // The serial reference's own contract: the shape of Figures 3 and 4
+    // across the sweep grid.
     use super::*;
+    use crate::engine::Engine;
+    use crate::scenario::Scenario;
 
     #[test]
     fn sweep_is_monotone_and_complete() {
-        let pts = rtt_vs_load(&Scenario::paper_default(), &paper_load_grid());
+        let pts = Engine::serial().rtt_vs_load(&Scenario::paper_default(), &paper_load_grid());
         assert_eq!(pts.len(), 18);
         let mut prev = 0.0;
         for p in &pts {
@@ -82,7 +48,7 @@ mod tests {
     fn sweep_reports_infeasible_points_as_none() {
         // P_S = 75 < P_C = 80: uplink saturates at ρ_d = 75/80 = 0.9375.
         let s = Scenario::paper_default().with_server_packet(75.0);
-        let pts = rtt_vs_load(&s, &[0.5, 0.95]);
+        let pts = Engine::serial().rtt_vs_load(&s, &[0.5, 0.95]);
         assert!(pts[0].rtt_ms.is_some());
         assert!(pts[1].rtt_ms.is_none());
         assert!(pts[1].rho_u > 1.0);
@@ -95,7 +61,7 @@ mod tests {
         // with burst size = ρ·T).
         let s = Scenario::paper_default().with_tick_ms(60.0);
         let det_ms = s.deterministic_delay_s() * 1e3;
-        let pts = rtt_vs_load(&s, &[0.05, 0.10, 0.20]);
+        let pts = Engine::serial().rtt_vs_load(&s, &[0.05, 0.10, 0.20]);
         let q: Vec<f64> = pts.iter().map(|p| p.rtt_ms.unwrap() - det_ms).collect();
         let r1 = q[1] / q[0];
         let r2 = q[2] / q[1];
@@ -107,7 +73,7 @@ mod tests {
     fn surface_is_monotone_in_both_axes() {
         let ks = [2u32, 9, 20];
         let loads = [0.2, 0.5, 0.8];
-        let surf = rtt_surface(&Scenario::paper_default(), &ks, &loads);
+        let surf = Engine::serial().rtt_surface(&Scenario::paper_default(), &ks, &loads);
         assert_eq!(surf.len(), 3);
         for row in &surf {
             // Decreasing in K.
@@ -125,7 +91,7 @@ mod tests {
 
     #[test]
     fn gamer_counts_follow_eq37() {
-        let pts = rtt_vs_load(&Scenario::paper_default(), &[0.2, 0.4, 0.6]);
+        let pts = Engine::serial().rtt_vs_load(&Scenario::paper_default(), &[0.2, 0.4, 0.6]);
         assert!((pts[0].n_gamers - 40.0).abs() < 1e-9);
         assert!((pts[1].n_gamers - 80.0).abs() < 1e-9);
         assert!((pts[2].n_gamers - 120.0).abs() < 1e-9);

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod deterministic;
-pub mod empirical;
 pub mod erlang;
 pub mod exponential;
 pub mod extreme;
@@ -45,7 +44,6 @@ pub mod uniform;
 pub mod weibull;
 
 pub use deterministic::Deterministic;
-pub use empirical::Empirical;
 pub use erlang::Erlang;
 pub use exponential::Exponential;
 pub use extreme::Extreme;

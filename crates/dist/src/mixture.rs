@@ -1,6 +1,6 @@
 //! Finite mixtures of distributions.
 //!
-//! Two uses in the reproduction: (1) the Halo client traffic of [17] is a
+//! Two uses in the reproduction: (1) the Halo client traffic of \[17\] is a
 //! two-component mixture (33 % fixed 72-byte packets at 201 ms, 67 %
 //! hardware-dependent); (2) §3.2 notes that traffic from several servers
 //! multiplexed on one pipe has burst sizes distributed as a weighted mix of

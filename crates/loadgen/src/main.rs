@@ -21,15 +21,16 @@
 //! engine reproduces the unbounded engine's surface to the last bit
 //! under forced eviction (`max_abs_delta` must be exactly 0).
 //!
-//! `--smoke` runs a seconds-scale version and prints a one-line JSON
+//! `--smoke` runs a seconds-scale version, then sends one malformed frame
+//! of each kind the server must refuse, and prints a one-line JSON
 //! summary (tier1's serve smoke parses it); `--bench --emit-json FILE`
 //! writes the committed `BENCH_serve.json`.
 
 use fpsping::engine::{Engine, EngineConfig};
-use fpsping::Scenario;
+use fpsping::{Scenario, MAX_ERLANG_ORDER};
 use fpsping_serve::protocol::{
-    decode_response, encode_request, Request, RESP_FRAME_LEN, STATUS_OK, STAT_EVICTIONS, STAT_HITS,
-    STAT_MISSES, STAT_REQUESTS, STAT_RSS_MIB, STAT_RSS_PEAK_MIB,
+    decode_response, encode_request, Request, RESP_FRAME_LEN, STATUS_BAD_REQUEST, STATUS_OK,
+    STAT_EVICTIONS, STAT_HITS, STAT_MISSES, STAT_REQUESTS, STAT_RSS_MIB, STAT_RSS_PEAK_MIB,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -389,6 +390,30 @@ fn run_bench(
     Ok(())
 }
 
+/// Sends one binary frame of each malformed kind — unknown op, K = 0,
+/// K above the cap, NaN tick — with ids 1 to 4, and returns how many
+/// came back `bad request` with their own id. A correct server refuses
+/// all four, and counts each in `serve.requests.bad`.
+fn refused_malformed_frames(client: &mut Client) -> std::io::Result<usize> {
+    let mut unknown_op = encode_request(&Request::rtt(1, 9, 40.0, 0.4));
+    unknown_op[36] = 0xff;
+    let frames = [
+        unknown_op,
+        encode_request(&Request::rtt(2, 0, 40.0, 0.4)),
+        encode_request(&Request::rtt(3, MAX_ERLANG_ORDER + 1, 40.0, 0.4)),
+        encode_request(&Request::rtt(4, 9, f64::NAN, 0.4)),
+    ];
+    let mut responses = Vec::new();
+    client.pipeline(&frames.concat(), &mut responses)?;
+    Ok(responses
+        .chunks_exact(RESP_FRAME_LEN)
+        .zip(1u64..)
+        .filter(|&(frame, id)| {
+            decode_response(frame).is_ok_and(|r| r.id == id && r.status == STATUS_BAD_REQUEST)
+        })
+        .count())
+}
+
 fn run_smoke(addr: &str, seed: u64, shutdown: bool) -> std::io::Result<()> {
     let parity_delta = eviction_parity_max_delta();
     assert!(
@@ -403,10 +428,11 @@ fn run_smoke(addr: &str, seed: u64, shutdown: bool) -> std::io::Result<()> {
     // block, so even the smoke run demonstrates serving throughput.
     let r = run_workload(&mut client, "smoke", 200_000, || grid[rng.below(64)])?;
     let rss = client.stat(STAT_RSS_MIB)?;
+    let refused = refused_malformed_frames(&mut client)?;
     println!(
         "{{\"workload\": \"smoke\", \"requests\": {}, \"qps\": {:.0}, \"p99_us\": {:.1}, \
          \"cache_hit_rate\": {:.4}, \"rss_mib\": {:.1}, \"parity_max_abs_delta\": {:e}, \
-         \"clean_shutdown\": {}}}",
+         \"bad_requests_refused\": {refused}, \"clean_shutdown\": {}}}",
         r.requests, r.qps, r.p99_us, r.hit_rate, rss, parity_delta, shutdown
     );
     if shutdown {

@@ -7,7 +7,7 @@
 //!   global `OnceLock`-initialized registry, so instrumentation sites are
 //!   one `static` declaration plus one relaxed atomic operation — no
 //!   locks, no allocation on the hot path.
-//! * [`span`] opens a scoped wall-clock span; spans nest through a
+//! * [`span()`] opens a scoped wall-clock span; spans nest through a
 //!   thread-local stack (`"engine.sweep/cell"`-style paths) and aggregate
 //!   `{count, total, max}` per path rather than storing every event, so
 //!   memory stays bounded no matter how hot the span site is.

@@ -525,7 +525,7 @@ impl TotalDelay {
     /// well-conditioned cells run the same secant on the cheap expansion
     /// tail.
     ///
-    /// The secant terminates at step width [`QUANTILE_FAST_ATOL`]
+    /// The secant terminates at step width `QUANTILE_FAST_ATOL`
     /// (2e-8 s = 2e-5 ms), several times under the engine's documented
     /// batch tolerance; any breakdown (non-finite tail, eval budget
     /// exhausted) falls back to the exact

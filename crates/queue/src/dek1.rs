@@ -26,7 +26,7 @@
 //! ```
 //!
 //! For K = 1 this collapses to the classical D/M/1 solution
-//! `P(W > x) = σ·e^{-μ(1-σ)x}` (Kleinrock [15]), which the tests verify.
+//! `P(W > x) = σ·e^{-μ(1-σ)x}` (Kleinrock \[15\]), which the tests verify.
 
 use crate::erlang_mix::{ErlangMix, PoleBlock};
 use crate::QueueError;

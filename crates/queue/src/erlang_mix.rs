@@ -96,7 +96,7 @@ impl PoleBlock {
     /// The partial exponential sums `P(m) = Σ_{t<m} (λx)^t/t!` for
     /// `m = 1..M` share their prefixes, so one incremental pass computes
     /// all of them in O(M) — the term and sum recurrences are exactly
-    /// those of [`partial_exp_complex`], so every `P(m)` (and therefore
+    /// those of [`fpsping_num::poly::partial_exp_complex`], so every `P(m)` (and therefore
     /// the block tail) is bit-identical to the scratch evaluation the
     /// quantile solvers relied on before.
     pub fn tail(&self, x: f64) -> Complex64 {

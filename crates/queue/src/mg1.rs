@@ -141,7 +141,7 @@ impl Mg1 {
         self.lambda
     }
 
-    /// Load ρ = λ·E[S]; finite in `(0, 1)` by construction (stability is
+    /// Load ρ = λ·E\[S\]; finite in `(0, 1)` by construction (stability is
     /// checked in `new`).
     pub fn load(&self) -> f64 {
         self.rho

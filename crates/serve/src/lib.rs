@@ -251,7 +251,7 @@ mod tests {
         // frames, a stats and a dimension request through the in-place
         // encoder: one frame per request, in order, with the right id,
         // status and value, and NaN wherever there is no answer.
-        use fpsping::engine::{Engine, EngineConfig};
+        use fpsping::engine::Engine;
         use fpsping::Scenario;
         let server = start_test_server(true, 0);
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
@@ -298,7 +298,7 @@ mod tests {
         for i in [2, 3, 6] {
             assert!(got[i].value.is_nan(), "request {}: {:?}", got[i].id, got[i]);
         }
-        let serial = Engine::new(EngineConfig::serial());
+        let serial = Engine::serial();
         let rtt = |k: u32, t: f64, rho: f64| {
             let s = Scenario::paper_default()
                 .with_erlang_order(k)
@@ -356,6 +356,152 @@ mod tests {
         let resp = decode_response(&frame).expect("frame");
         assert_eq!((resp.id, resp.status), (3, STATUS_OK));
         shutdown_and_join(server);
+    }
+
+    /// Sends the `bad` binary frames and then one valid rtt request down
+    /// one connection. Every bad frame must answer `bad request` with
+    /// its own id and count in `serve.requests.bad`, and the connection
+    /// must still answer the valid request.
+    fn assert_binary_refusals(bad: &[Request]) {
+        let bad_before = counter("serve.requests.bad");
+        let server = start_test_server(false, 1024);
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let valid = Request::rtt(u64::MAX, 9, 40.0, 0.4);
+        let burst: Vec<u8> = bad
+            .iter()
+            .chain([&valid])
+            .flat_map(encode_request)
+            .collect();
+        stream.write_all(&burst).expect("write");
+        let mut buf = vec![0u8; (bad.len() + 1) * RESP_FRAME_LEN];
+        stream.read_exact(&mut buf).expect("read");
+        let got: Vec<Response> = buf
+            .chunks(RESP_FRAME_LEN)
+            .map(|f| decode_response(f).expect("frame"))
+            .collect();
+        for (r, g) in bad.iter().zip(&got) {
+            assert_eq!((g.id, g.status), (r.id, STATUS_BAD_REQUEST), "{r:?}");
+        }
+        assert_eq!(
+            (got[bad.len()].id, got[bad.len()].status),
+            (u64::MAX, STATUS_OK)
+        );
+        shutdown_and_join(server);
+        if cfg!(not(feature = "obs-off")) {
+            assert!(counter("serve.requests.bad") >= bad_before + bad.len() as u64);
+        }
+    }
+
+    /// [`assert_binary_refusals`] for NDJSON lines, each paired with the
+    /// id its refusal must echo.
+    fn assert_ndjson_refusals(bad: &[(&str, u64)]) {
+        let bad_before = counter("serve.requests.bad");
+        let server = start_test_server(false, 1024);
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut stream = stream;
+        let mut burst: String = bad.iter().map(|(line, _)| format!("{line}\n")).collect();
+        burst.push_str("{\"id\":18446744073709551615,\"op\":\"rtt\",\"k\":9,\"load\":0.4}\n");
+        stream.write_all(burst.as_bytes()).expect("write");
+        for (line, id) in bad {
+            let mut got = String::new();
+            reader.read_line(&mut got).expect("read");
+            assert_eq!(
+                got,
+                format!("{{\"id\":{id},\"ok\":false,\"error\":\"bad request\"}}\n"),
+                "{line}"
+            );
+        }
+        let mut got = String::new();
+        reader.read_line(&mut got).expect("read");
+        assert!(
+            got.starts_with("{\"id\":18446744073709551615,\"ok\":true,"),
+            "{got}"
+        );
+        shutdown_and_join(server);
+        if cfg!(not(feature = "obs-off")) {
+            assert!(counter("serve.requests.bad") >= bad_before + bad.len() as u64);
+        }
+    }
+
+    #[test]
+    fn erlang_order_outside_one_to_the_cap_is_refused_and_counted() {
+        // K = 0 used to be answered as K = 1.
+        let over = fpsping::MAX_ERLANG_ORDER + 1;
+        assert_binary_refusals(&[
+            Request::rtt(1, 0, 40.0, 0.4),
+            Request::dimension(2, 0, 40.0, 50.0),
+            Request::rtt(3, over, 40.0, 0.4),
+            Request::dimension(4, over, 40.0, 50.0),
+        ]);
+        let rtt_over = format!("{{\"id\":3,\"op\":\"rtt\",\"k\":{over}}}");
+        assert_ndjson_refusals(&[
+            ("{\"id\":1,\"op\":\"rtt\",\"k\":0,\"load\":0.4}", 1),
+            (
+                "{\"id\":2,\"op\":\"dimension\",\"k\":0,\"budget_ms\":50}",
+                2,
+            ),
+            (&rtt_over, 3),
+        ]);
+    }
+
+    #[test]
+    fn bad_tick_is_refused_and_counted() {
+        // A NaN tick used to answer `infeasible` on rtt and an uncounted
+        // `bad request` on dimension.
+        let mut bad = Vec::new();
+        for (i, t) in [f64::NAN, f64::INFINITY, 0.0, -40.0]
+            .into_iter()
+            .enumerate()
+        {
+            bad.push(Request::rtt(2 * i as u64, 9, t, 0.4));
+            bad.push(Request::dimension(2 * i as u64 + 1, 9, t, 50.0));
+        }
+        assert_binary_refusals(&bad);
+        assert_ndjson_refusals(&[
+            ("{\"id\":1,\"op\":\"rtt\",\"tick_ms\":NaN}", 1),
+            ("{\"id\":2,\"op\":\"dimension\",\"tick_ms\":NaN}", 2),
+            ("{\"id\":3,\"op\":\"rtt\",\"tick_ms\":0}", 3),
+            ("{\"id\":4,\"op\":\"dimension\",\"tick_ms\":-40}", 4),
+        ]);
+    }
+
+    #[test]
+    fn non_finite_load_is_refused_and_counted() {
+        assert_binary_refusals(&[
+            Request::rtt(1, 9, 40.0, f64::NAN),
+            Request::rtt(2, 9, 40.0, f64::INFINITY),
+            Request::rtt(3, 9, 40.0, f64::NEG_INFINITY),
+        ]);
+        assert_ndjson_refusals(&[
+            ("{\"id\":1,\"op\":\"rtt\",\"load\":NaN}", 1),
+            ("{\"id\":2,\"op\":\"rtt\",\"load\":inf}", 2),
+        ]);
+    }
+
+    #[test]
+    fn bad_budget_is_refused_and_counted() {
+        assert_binary_refusals(&[
+            Request::dimension(1, 9, 40.0, f64::NAN),
+            Request::dimension(2, 9, 40.0, f64::INFINITY),
+            Request::dimension(3, 9, 40.0, 0.0),
+            Request::dimension(4, 9, 40.0, -5.0),
+        ]);
+        assert_ndjson_refusals(&[
+            ("{\"id\":1,\"op\":\"dimension\",\"budget_ms\":NaN}", 1),
+            ("{\"id\":2,\"op\":\"dimension\",\"budget_ms\":0}", 2),
+            ("{\"id\":3,\"op\":\"dimension\",\"budget_ms\":-5}", 3),
+        ]);
+    }
+
+    #[test]
+    fn ndjson_non_integers_are_refused_and_counted() {
+        // These used to be truncated or saturated through `f64 as u32`.
+        assert_ndjson_refusals(&[
+            ("{\"id\":1,\"op\":\"rtt\",\"k\":9.5}", 1),
+            ("{\"id\":2,\"op\":\"rtt\",\"k\":-3}", 2),
+            ("{\"id\":-1,\"op\":\"rtt\"}", 0),
+        ]);
     }
 
     #[test]

@@ -194,7 +194,6 @@ impl Server {
             jobs: 1,
             batch: !cfg.bit_exact,
             cache_entries: cfg.cache_entries,
-            ..EngineConfig::default()
         });
         let shared = Arc::new(Shared {
             engine,
@@ -364,9 +363,9 @@ fn decode_burst(buf: &[u8], mode: Mode) -> (Vec<Result<Request, u64>>, usize) {
             while let Some(nl) = buf[consumed..].iter().position(|&b| b == b'\n') {
                 let line = String::from_utf8_lossy(&buf[consumed..consumed + nl]);
                 if !line.trim().is_empty() {
-                    requests.push(protocol::parse_json_request(&line).map_err(|_| {
+                    requests.push(protocol::parse_json_request(&line).map_err(|e| {
                         BAD_REQUESTS.incr();
-                        0
+                        e.id
                     }));
                 }
                 consumed += nl + 1;
@@ -397,7 +396,7 @@ fn handle_batch(
     let cells: Vec<(u32, f64, f64)> = requests
         .iter()
         .filter_map(|req| match req {
-            Ok(r) if r.op == Op::Rtt => Some((r.k.max(1), r.tick_ms, r.load)),
+            Ok(r) if r.op == Op::Rtt => Some((r.k, r.tick_ms, r.load)),
             _ => None,
         })
         .collect();
@@ -455,7 +454,7 @@ fn dimension(shared: &Shared, r: &Request, clock: &Stopwatch) -> Response {
         return Response::err(r.id, STATUS_TIMEOUT);
     }
     let base = Scenario::paper_default()
-        .with_erlang_order(r.k.max(1))
+        .with_erlang_order(r.k)
         .with_tick_ms(r.tick_ms);
     match shared.engine.max_load(&base, r.budget_ms) {
         Ok(d) => {

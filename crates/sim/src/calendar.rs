@@ -237,7 +237,7 @@ pub struct BucketCalendar<T> {
 }
 
 impl<T> BucketCalendar<T> {
-    /// A ring of [`INIT_BUCKETS`] buckets spanning roughly `horizon`
+    /// A ring of `INIT_BUCKETS` buckets spanning roughly `horizon`
     /// (the width rounds up to a power of two, so the covered window is
     /// at least `horizon`).
     pub fn new(horizon: SimTime) -> Self {

@@ -71,7 +71,7 @@ pub struct BackgroundConfig {
 pub enum BurstSizing {
     /// Per-packet sizes drawn i.i.d. from `server_packet_bytes`.
     IidPerPacket,
-    /// Burst total drawn from Erlang(K, mean = N·E[P_S]) and split evenly
+    /// Burst total drawn from Erlang(K, mean = N·E\[P_S\]) and split evenly
     /// across the N packets — the exact D/E_K/1 service law of §3.2.
     ErlangBurst {
         /// Burst-level Erlang order K.
@@ -163,7 +163,7 @@ pub struct NetworkConfig {
     /// analysis pipeline. Costs memory proportional to the packet count.
     pub capture_trace: bool,
     /// Random extra delay (ms) added to each packet on the access
-    /// downlinks — the artificial jitter of the paper's reference [23].
+    /// downlinks — the artificial jitter of the paper's reference \[23\].
     pub downlink_jitter_ms: Option<Box<dyn Distribution>>,
     /// Event-calendar backend. Both pop events in the identical
     /// `(time, seq)` order (pinned by the golden-parity tests), so this

@@ -7,7 +7,7 @@
 use crate::model::{ClientModel, GameModel, ServerModel};
 use fpsping_dist::{Deterministic, Distribution, Extreme, LogNormal, Mixture, Normal};
 
-/// Counter-Strike, after Färber [11] (Table 1):
+/// Counter-Strike, after Färber \[11\] (Table 1):
 ///
 /// | direction | quantity | measured (mean/CoV) | fitted |
 /// |---|---|---|---|
@@ -51,7 +51,7 @@ pub mod counter_strike_measured {
     pub const CLIENT_IAT: (f64, f64) = (42.0, 0.24);
 }
 
-/// Half-Life, after Lang et al. [16] (Table 2): deterministic clocks
+/// Half-Life, after Lang et al. \[16\] (Table 2): deterministic clocks
 /// (`Det(60)` downstream bursts, `Det(41)` upstream), lognormal
 /// (map-dependent) server packet sizes, (log-)normal client sizes in
 /// 60–90 B.
@@ -75,7 +75,7 @@ pub fn half_life() -> GameModel {
     }
 }
 
-/// Halo (Xbox System Link), after Lang & Armitage [17] (§2.1):
+/// Halo (Xbox System Link), after Lang & Armitage \[17\] (§2.1):
 /// deterministic 40 ms server bursts with player-count-dependent fixed
 /// sizes; client traffic a two-class mixture — 33 % fixed 72-byte packets
 /// every 201 ms, 67 % player-dependent sizes at a hardware-dependent
@@ -115,7 +115,7 @@ pub fn halo(players_per_xbox: u32) -> GameModel {
     }
 }
 
-/// Quake3, after Lang et al. [18] (§2.1): one update per client roughly
+/// Quake3, after Lang et al. \[18\] (§2.1): one update per client roughly
 /// every 50 ms; server packet lengths 50–400 B depending on player count
 /// and map; client packets 50–70 B with map/graphics-card-dependent IAT
 /// 10–30 ms.

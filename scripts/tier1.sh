@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate (see ROADMAP.md): the whole workspace must build in release
-# (benches included), every test must pass, formatting must be clean, the
-# in-tree domain lint (`cargo xtask lint`) must be clean, and — when a
-# clippy toolchain is installed offline — the clippy set must be
+# (benches included), every test must pass, formatting and rustdoc must be
+# clean, the in-tree domain lint (`cargo xtask lint`) must be clean, and —
+# when a clippy toolchain is installed offline — the clippy set must be
 # warning-free. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace --benches
 cargo test -q --workspace
 cargo fmt --all --check
+# Rustdoc must be warning-free, so a doc link to a deleted or private
+# item (or an unescaped citation like [23]) fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 # The domain lint needs no network and no extra toolchain components, so
 # it runs unconditionally — clean or the gate fails.
 cargo xtask lint
@@ -273,12 +276,19 @@ assert s["qps"] >= 10_000, "live smoke QPS %.0f below the 10k floor" % s["qps"]
 assert s["cache_hit_rate"] >= 0.5, \
     "64-hot-cell smoke should be cache-dominated: hit rate %.3f" % s["cache_hit_rate"]
 assert s["p99_us"] > 0, s
-print("tier-1: serve smoke OK (%.0f qps live, p99 %.1f us, hit rate %.3f)"
+# The smoke ends with one malformed frame of each kind (unknown op, K = 0,
+# K above the cap, NaN tick); each must come back `bad request` with its
+# own id. An exact count: host noise cannot move it.
+assert s["bad_requests_refused"] == 4, \
+    "malformed frames refused with their id: %r of 4" % s["bad_requests_refused"]
+print("tier-1: serve smoke OK (%.0f qps live, p99 %.1f us, hit rate %.3f, "
+      "4/4 malformed frames refused)"
       % (s["qps"], s["p99_us"], s["cache_hit_rate"]))
 PY
 else
     grep -q '"workload": "smoke"' "$SERVE_SMOKE"
     grep -q '"clean_shutdown": true' "$SERVE_SMOKE"
+    grep -q '"bad_requests_refused": 4,' "$SERVE_SMOKE"
     echo "tier-1: serve smoke OK (grep fallback)"
 fi
 
@@ -388,6 +398,10 @@ per_request = serve_checks / serve_requests
 assert per_request < 0.25, \
     "serve hot path not batched: %.3f lockdep checks per request (ceiling 0.25)" \
     % per_request
+# The smoke's four malformed frames are its only bad requests, and each
+# must be counted once.
+bad = serve.get("serve.requests.bad", 0)
+assert bad == 4, "serve.requests.bad = %r after the smoke's 4 malformed frames" % bad
 mirrored = sorted(k for k in serve if k.startswith("serve.cache."))
 assert not mirrored, "serve re-exports engine cache counters: %s" % mirrored
 print("tier-1: lockdep smoke OK (serve + N=1e4 sim clean; "
@@ -397,6 +411,7 @@ PY
 else
     grep -q '"lockdep\.checks"' "$LOCKDEP_SERVE_METRICS"
     grep -q '"lockdep\.checks"' "$LOCKDEP_METRICS"
+    grep -Eq '"serve\.requests\.bad": 4,?$' "$LOCKDEP_SERVE_METRICS"
     if grep -q '"serve\.cache\.' "$LOCKDEP_SERVE_METRICS"; then
         echo "tier-1: serve re-exports engine cache counters"
         exit 1

@@ -2,9 +2,9 @@
 //!
 //! * **Bit-exact** (`EngineConfig::bit_exact()`, and every config with
 //!   `batch: false`): parallel + cached + bracket-warm-started evaluation
-//!   is *bit-identical* to the serial seed path — not merely close.
-//!   Caching reuses exact solved objects and the bracket warm start only
-//!   accelerates finding the same canonical bracket.
+//!   is *bit-identical* to the serial reference `Engine::serial()` — not
+//!   merely close. Caching reuses exact solved objects and the bracket
+//!   warm start only accelerates finding the same canonical bracket.
 //! * **Batch** (the default): continuation warm-starts the D/E_K/1 roots
 //!   from the neighboring cell, which lands within ~1e-15 relative of the
 //!   cold roots but not on the same bits; the documented end-to-end bound
@@ -12,18 +12,103 @@
 //!   (and batch results must still be independent of the worker count).
 
 use fpsping::engine::{CacheStats, Engine, EngineConfig, SolverCache, BATCH_RTT_TOLERANCE_MS};
-use fpsping::{sweep, RttModel, Scenario};
+use fpsping::sweep::paper_load_grid;
+use fpsping::{RttModel, Scenario};
 use fpsping_dist::Deterministic;
 use fpsping_queue::{DEk1, Mg1};
 use proptest::prelude::*;
+
+/// The model's own answer for one cell: cold solve, cold quantile.
+fn model_rtt(s: &Scenario) -> Option<u64> {
+    RttModel::build(s)
+        .ok()
+        .map(|m| m.rtt_quantile_ms().to_bits())
+}
+
+#[test]
+fn serial_reference_is_the_model_cell_by_cell() {
+    // Every parity test compares against Engine::serial(); this anchors
+    // that reference to RttModel itself, bit for bit, on each entry
+    // point — so a bug shared by the reference and the fast engines
+    // cannot hide behind their agreement.
+    let serial = Engine::serial();
+    let base = Scenario::paper_default();
+    let loads = paper_load_grid();
+    let sweep = serial.rtt_vs_load(&base, &loads);
+    assert_eq!(sweep.len(), loads.len());
+    for (p, &rho) in sweep.iter().zip(&loads) {
+        let s = base.clone().with_load(rho);
+        assert_eq!(p.rho_d, rho);
+        assert_eq!(p.rtt_ms.map(f64::to_bits), model_rtt(&s), "sweep rho={rho}");
+    }
+
+    // P_S = 75 < P_C: the uplink saturates at ρ_d = 0.9375, so the top
+    // rows are infeasible.
+    let ps75 = base.clone().with_server_packet(75.0);
+    let ks = [2u32, 9, 20];
+    let loads = [0.1, 0.5, 0.9, 0.95, 0.99];
+    let surface = serial.rtt_surface(&ps75, &ks, &loads);
+    let mut infeasible = 0;
+    for (row, &rho) in surface.iter().zip(&loads) {
+        for (v, &k) in row.iter().zip(&ks) {
+            let s = ps75.clone().with_load(rho).with_erlang_order(k);
+            assert_eq!(
+                v.map(f64::to_bits),
+                model_rtt(&s),
+                "surface K={k} rho={rho}"
+            );
+            infeasible += usize::from(v.is_none());
+        }
+    }
+    assert_eq!(infeasible, 2 * ks.len(), "rows 0.95 and 0.99 saturate");
+
+    // A shuffled batch (stride 7 over 20 cells) with a duplicate and an
+    // infeasible cell.
+    let mut ordered: Vec<Scenario> = (0..18)
+        .map(|i| cell([2u32, 9, 20][i % 3], 0.05 + 0.05 * i as f64))
+        .collect();
+    ordered.push(ordered[4].clone());
+    ordered.push(cell(9, 1.5));
+    let n = ordered.len();
+    let batch: Vec<Scenario> = (0..n).map(|i| ordered[i * 7 % n].clone()).collect();
+    let got = serial.rtt_batch(&batch);
+    assert_eq!(got.len(), n);
+    for (i, (v, s)) in got.iter().zip(&batch).enumerate() {
+        assert_eq!(v.map(f64::to_bits), model_rtt(s), "batch index {i}");
+    }
+    assert_eq!(got.iter().filter(|v| v.is_none()).count(), 1);
+}
+
+#[test]
+fn serial_reference_never_touches_the_cache() {
+    let serial = Engine::serial();
+    let base = Scenario::paper_default();
+    serial.rtt_surface(&base, &[2, 9, 20], &paper_load_grid());
+    assert_eq!(
+        serial.cache_stats(),
+        CacheStats::default(),
+        "after a surface"
+    );
+    let batch: Vec<Scenario> = (0..6).map(|i| cell(9, 0.1 + 0.1 * i as f64)).collect();
+    serial.rtt_batch(&[batch.clone(), batch].concat());
+    assert_eq!(serial.cache_stats(), CacheStats::default(), "after a batch");
+    serial
+        .max_load(&base, 50.0)
+        .expect("paper example is solvable");
+    assert_eq!(
+        serial.cache_stats(),
+        CacheStats::default(),
+        "after max_load"
+    );
+}
 
 #[test]
 fn parallel_surface_matches_serial_cell_for_cell() {
     // The full paper surface: 18 loads × K ∈ {2, 9, 20}.
     let base = Scenario::paper_default();
     let ks = [2u32, 9, 20];
-    let loads = sweep::paper_load_grid();
-    let serial = sweep::rtt_surface(&base, &ks, &loads);
+    let loads = paper_load_grid();
+    let serial = Engine::serial().rtt_surface(&base, &ks, &loads);
     for jobs in [1usize, 2, 5] {
         let engine = Engine::new(EngineConfig {
             jobs,
@@ -65,8 +150,8 @@ fn batch_surface_matches_serial_within_documented_tolerance() {
     // pattern, and the second pass still served entirely from the memo.
     let base = Scenario::paper_default();
     let ks = [2u32, 9, 20];
-    let loads = sweep::paper_load_grid();
-    let serial = sweep::rtt_surface(&base, &ks, &loads);
+    let loads = paper_load_grid();
+    let serial = Engine::serial().rtt_surface(&base, &ks, &loads);
     for jobs in [1usize, 2, 5] {
         let engine = Engine::new(EngineConfig::with_jobs(jobs));
         for pass in 0..2 {
@@ -98,8 +183,8 @@ fn batch_surface_matches_serial_within_documented_tolerance() {
 #[test]
 fn parallel_sweep_matches_serial_for_every_job_count() {
     let base = Scenario::paper_default();
-    let loads = sweep::paper_load_grid();
-    let serial = sweep::rtt_vs_load(&base, &loads);
+    let loads = paper_load_grid();
+    let serial = Engine::serial().rtt_vs_load(&base, &loads);
     for jobs in [1usize, 3, 7, 32] {
         let engine = Engine::new(EngineConfig {
             jobs,
@@ -125,7 +210,7 @@ fn batch_sweep_bits_do_not_depend_on_job_count() {
     // function of the grid: continuation runs are fixed blocks of the
     // load axis, never per-worker chunks.
     let base = Scenario::paper_default();
-    let loads = sweep::paper_load_grid();
+    let loads = paper_load_grid();
     let reference = Engine::new(EngineConfig::with_jobs(1)).rtt_vs_load(&base, &loads);
     for jobs in [3usize, 7, 32] {
         let engine = Engine::new(EngineConfig::with_jobs(jobs));
@@ -198,8 +283,8 @@ fn bounded_batch_surface_stays_within_documented_tolerance() {
     // feasibility pattern is untouchable.
     let base = Scenario::paper_default();
     let ks = [2u32, 9, 20];
-    let loads = sweep::paper_load_grid();
-    let serial = sweep::rtt_surface(&base, &ks, &loads);
+    let loads = paper_load_grid();
+    let serial = Engine::serial().rtt_surface(&base, &ks, &loads);
     let bounded = Engine::new(EngineConfig {
         jobs: 2,
         cache_entries: 16,

@@ -1,7 +1,7 @@
 //! Integration: the paper's headline quantitative results, asserted as
 //! reproduction bands.
 
-use fpsping::{max_load, rtt_vs_load, RttModel, Scenario, MAX_ERLANG_ORDER};
+use fpsping::{max_load, Engine, RttModel, Scenario, MAX_ERLANG_ORDER};
 
 /// §4 dimensioning table: ρ_max ≈ 20 %/40 %/60 % and N_max ≈ 40/80/120
 /// for K = 2/9/20 at a 50 ms budget (P_S = 125 B, T = 40 ms, C = 5 Mbps).
@@ -36,7 +36,7 @@ fn dimensioning_bands() {
 fn figure3_shape() {
     let loads: Vec<f64> = (1..=18).map(|i| i as f64 * 0.05).collect();
     let sweep = |k: u32| {
-        rtt_vs_load(
+        Engine::serial().rtt_vs_load(
             &Scenario::paper_default()
                 .with_tick_ms(60.0)
                 .with_erlang_order(k),
