@@ -528,8 +528,11 @@ impl Engine {
 
     /// The serial reference: one thread, no memo, no bracket hints, no
     /// continuation — each cell is solved cold by [`RttModel::build`]
-    /// and inverted by [`RttModel::rtt_quantile_ms`]. Every other engine
-    /// is checked against this one; its cache counters stay at zero.
+    /// and inverted by [`RttModel::rtt_quantile_ms`]. Its
+    /// [`Engine::max_load`] runs the same tail-decided bisection as every
+    /// engine, on models from [`RttModel::build`], and solves the
+    /// quantile at the answer cold. Every other engine is checked against
+    /// this one; its cache counters stay at zero.
     pub fn serial() -> Self {
         Self {
             config: EngineConfig {
@@ -907,15 +910,28 @@ impl Engine {
         surface
     }
 
-    /// Engine-powered [`crate::dimensioning::max_load`]: the bisection
-    /// probes share this engine's cache and warm-start each probe's
-    /// quantile bracket from the previous one. Values equal
-    /// [`Engine::serial`] exactly.
+    /// Engine-powered [`crate::dimensioning::max_load`]: the largest
+    /// downlink load whose RTT quantile meets `rtt_budget_ms`, by
+    /// bisection on the load.
     ///
-    /// Pathological terminations are
-    /// explicit errors instead of silent NaNs: exhausting the stability
-    /// search or converging onto an infeasible load both report
-    /// [`QueueError::SolveFailure`].
+    /// Each probe builds the model at its load (through this engine's
+    /// solver cache) and is decided by [`RttModel::meets_budget`]: one
+    /// tail at the budget, not a quantile solve. A quantile is solved
+    /// only for the reported `rtt_at_max_ms`, through the whole-cell memo.
+    /// The bisection stops once its interval can no longer be halved.
+    /// [`Engine::serial`] runs this same code with no memo, so every
+    /// engine returns its `rho_max` and `n_max` bit for bit.
+    ///
+    /// A tail at the budget and a quantile solved to its tolerance can
+    /// disagree at loads within that tolerance of the boundary, so the
+    /// reported `rtt_at_max_ms` may exceed the budget by the quantile
+    /// solve's noise: up to ~6e-5 ms on budgets of 20–130 ms (inside
+    /// [`BATCH_RTT_TOLERANCE_MS`]), and a few 1e-6 of the budget at RTTs
+    /// near 100 s.
+    ///
+    /// Pathological terminations are explicit errors instead of silent
+    /// NaNs: exhausting the stability search or converging onto an
+    /// infeasible load both report [`QueueError::SolveFailure`].
     pub fn max_load(
         &self,
         base: &Scenario,
@@ -929,90 +945,95 @@ impl Engine {
         }
         let _span = fpsping_obs::span("engine.max_load");
         let _flush = FlushOnDrop(&self.cache);
-        let family = self.family(base);
-        let mut last_rtt = None;
-        let mut rtt_at = |rho: f64| -> Result<Option<f64>, QueueError> {
-            let s = base.clone().with_load(rho);
-            let key = family.map(|f| ScenarioKey::of(f, &s));
-            if let Some(key) = &key {
-                if let Some(v) = self.cache.rtt.get(key) {
-                    self.cache.rtt_hits.fetch_add(1, Ordering::Relaxed);
-                    last_rtt = Some(v);
-                    return Ok(Some(v));
-                }
-            }
-            match self.build_model(&s) {
-                Ok(m) => {
-                    let hint = if self.reference { None } else { last_rtt };
-                    let v = m.rtt_quantile_ms_with_hint(hint);
-                    last_rtt = Some(v);
-                    if let Some(key) = key {
-                        self.cache.rtt_misses.fetch_add(1, Ordering::Relaxed);
-                        self.cache.rtt.get_or_insert(key, v);
-                    }
-                    Ok(Some(v))
-                }
+        // `Some(meets budget)` at a stable load, `None` at an unstable one.
+        let probe = |rho: f64| -> Result<Option<bool>, QueueError> {
+            match self.build_model(&base.clone().with_load(rho)) {
+                Ok(m) => Ok(Some(m.meets_budget(rtt_budget_ms))),
                 Err(QueueError::UnstableLoad { .. }) => Ok(None),
                 Err(e) => Err(e),
             }
         };
         let lo_probe = 1e-4;
-        match rtt_at(lo_probe)? {
-            Some(r) if r <= rtt_budget_ms => {}
-            _ => {
-                // Even a vanishing load breaks the budget (e.g. a budget
-                // below the deterministic floor): the zero result, with
-                // no realized RTT to report.
-                return Ok(DimensioningResult {
-                    rho_max: 0.0,
-                    n_max: 0,
-                    rtt_at_max_ms: None,
-                });
-            }
+        if probe(lo_probe)? != Some(true) {
+            // Even a vanishing load breaks the budget (e.g. a budget
+            // below the deterministic floor): the zero result, with no
+            // realized RTT to report.
+            return Ok(DimensioningResult {
+                rho_max: 0.0,
+                n_max: 0,
+                rtt_at_max_ms: None,
+            });
         }
         // Find the largest feasible probe (the uplink may saturate before
         // the downlink for P_S < P_C).
         let mut lo = lo_probe;
         let mut hi = 0.999;
-        let mut hi_val = rtt_at(hi)?;
+        let mut hi_meets = probe(hi)?;
         let mut guard = 0;
-        while hi_val.is_none() && guard < 200 {
+        while hi_meets.is_none() && guard < 200 {
             hi = lo + 0.95 * (hi - lo);
-            hi_val = rtt_at(hi)?;
+            hi_meets = probe(hi)?;
             guard += 1;
         }
-        let Some(hi_rtt) = hi_val else {
+        match hi_meets {
+            // Budget never binds below saturation.
+            Some(true) => return self.dimensioned(base, hi),
+            Some(false) => {}
             // 200 shrinks of the probe never produced a stable scenario
             // even though lo_probe is feasible — numerically impossible
             // for a monotone feasibility region; report it rather than
             // bisecting against an unusable bracket.
-            return Err(QueueError::SolveFailure {
-                what: "dimensioning: stability search exhausted without a feasible upper probe",
-            });
-        };
-        if hi_rtt <= rtt_budget_ms {
-            // Budget never binds below saturation.
-            let s = base.clone().with_load(hi);
-            return Ok(DimensioningResult {
-                rho_max: hi,
-                n_max: s.gamer_count().floor() as u32,
-                rtt_at_max_ms: Some(hi_rtt),
-            });
+            None => {
+                return Err(QueueError::SolveFailure {
+                    what: "dimensioning: stability search exhausted without a feasible upper probe",
+                })
+            }
         }
-        // Bisect on feasibility of the budget.
+        // Bisect on feasibility of the budget; `lo` always meets it and
+        // `hi` never does, until the midpoint rounds onto an endpoint.
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
-            match rtt_at(mid)? {
-                Some(r) if r <= rtt_budget_ms => lo = mid,
+            if mid <= lo || mid >= hi {
+                break;
+            }
+            match probe(mid)? {
+                Some(true) => lo = mid,
                 _ => hi = mid,
             }
         }
-        let s = base.clone().with_load(lo);
-        let rtt = rtt_at(lo)?.ok_or(QueueError::SolveFailure {
-            what: "dimensioning: bisection converged onto an infeasible load",
-        })?;
+        self.dimensioned(base, lo)
+    }
+
+    /// The dimensioning answer at the load `rho_max`, with its RTT
+    /// quantile from the whole-cell memo or an exact solve.
+    fn dimensioned(&self, base: &Scenario, rho_max: f64) -> Result<DimensioningResult, QueueError> {
+        let s = base.clone().with_load(rho_max);
+        let key = self.family(base).map(|f| ScenarioKey::of(f, &s));
+        let cached = key.as_ref().and_then(|key| self.cache.rtt.get(key));
+        let rtt = match cached {
+            Some(v) => {
+                self.cache.rtt_hits.fetch_add(1, Ordering::Relaxed);
+                v
+            }
+            None => {
+                let v = match self.build_model(&s) {
+                    Ok(m) => m.rtt_quantile_ms(),
+                    Err(QueueError::UnstableLoad { .. }) => {
+                        return Err(QueueError::SolveFailure {
+                            what: "dimensioning: bisection converged onto an infeasible load",
+                        })
+                    }
+                    Err(e) => return Err(e),
+                };
+                if let Some(key) = key {
+                    self.cache.rtt_misses.fetch_add(1, Ordering::Relaxed);
+                    self.cache.rtt.get_or_insert(key, v);
+                }
+                v
+            }
+        };
         Ok(DimensioningResult {
-            rho_max: lo,
+            rho_max,
             n_max: s.gamer_count().floor() as u32,
             rtt_at_max_ms: Some(rtt),
         })

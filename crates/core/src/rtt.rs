@@ -172,6 +172,21 @@ impl RttModel {
         }
     }
 
+    /// Whether the RTT quantile stays within `budget_ms`, decided with one
+    /// tail instead of a quantile solve.
+    ///
+    /// The tail is monotone, so `rtt_quantile_ms() ≤ budget_ms` exactly
+    /// when `P(RTT > budget_ms) ≤ 1 − p`: one tail evaluation (one
+    /// numerical inversion on that regime) against the ~17 of a quantile
+    /// solve. The two decisions differ only inside the solve's own
+    /// tolerance band around the budget. A level the tail cannot resolve
+    /// (below the numerical inversion's noise floor) is `false`, as the
+    /// quantile there is a failed solve.
+    pub fn meets_budget(&self, budget_ms: f64) -> bool {
+        let target = 1.0 - self.scenario.quantile;
+        self.total.resolves_tail(target) && self.rtt_tail(budget_ms) <= target
+    }
+
     /// Per-component quantile breakdown.
     ///
     /// An ill-conditioned upstream mix (eq.-14 re-expansion failure) is a

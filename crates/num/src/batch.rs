@@ -279,6 +279,49 @@ impl SimplePoleBank {
         }
         Complex64::new(acc_re, acc_im)
     }
+
+    /// Evaluates the bank at every point: `out[k] = self.eval(zs[k])`,
+    /// bit for bit.
+    ///
+    /// The pass is pole-major: each pole updates a lane block of points
+    /// before the next pole is read, so the per-pole division runs
+    /// across points in vector registers. Every point still sees
+    /// [`SimplePoleBank::eval`]'s operations in its order. Panics if the
+    /// slices disagree in length.
+    pub fn eval_many(&self, zs: &[Complex64], out: &mut [Complex64]) {
+        assert_eq!(
+            zs.len(),
+            out.len(),
+            "SimplePoleBank::eval_many: one output per point"
+        );
+        const LANES: usize = 64;
+        for (zc, oc) in zs.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            let n = zc.len();
+            let (mut s_re, mut s_im) = ([0.0; LANES], [0.0; LANES]);
+            let (mut acc_re, mut acc_im) = ([self.constant; LANES], [0.0; LANES]);
+            // Runtime-length lane slices: the shape the loop vectorizer takes.
+            let (s_re, s_im) = (&mut s_re[..n], &mut s_im[..n]);
+            let (acc_re, acc_im) = (&mut acc_re[..n], &mut acc_im[..n]);
+            for ((re, im), z) in s_re.iter_mut().zip(s_im.iter_mut()).zip(zc) {
+                (*re, *im) = (z.re, z.im);
+            }
+            for j in 0..self.p_re.len() {
+                let (p_re, p_im) = (self.p_re[j], self.p_im[j]);
+                let (wp_re, wp_im) = (self.wp_re[j], self.wp_im[j]);
+                let lanes = acc_re.iter_mut().zip(acc_im.iter_mut());
+                for ((a_re, a_im), (&z_re, &z_im)) in lanes.zip(s_re.iter().zip(s_im.iter())) {
+                    let dre = p_re - z_re;
+                    let dim = p_im - z_im;
+                    let r = 1.0 / (dre * dre + dim * dim);
+                    *a_re += (wp_re * dre + wp_im * dim) * r;
+                    *a_im += (wp_im * dre - wp_re * dim) * r;
+                }
+            }
+            for ((o, &re), &im) in oc.iter_mut().zip(acc_re.iter()).zip(acc_im.iter()) {
+                *o = Complex64::new(re, im);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -429,6 +472,38 @@ mod tests {
                 (got - direct).abs() <= 1e-14 * direct.abs().max(1.0),
                 "s={s}: {got} vs {direct}"
             );
+        }
+    }
+
+    #[test]
+    fn pole_bank_eval_many_is_bit_identical_to_eval() {
+        // A D/E_K/1-shaped bank (conjugate pairs around a real pole) at
+        // Euler-contour-shaped points; lengths cover an empty call, one
+        // point, the default 37-point contour and more than one lane
+        // block.
+        for k in [1usize, 4, 9, 30] {
+            let poles: Vec<Complex64> = (0..k)
+                .map(|j| Complex64::from_polar(900.0 + 40.0 * j as f64, 0.3 * j as f64 - 1.0))
+                .collect();
+            let weights: Vec<Complex64> = (0..k)
+                .map(|j| Complex64::new(0.07 / (j + 1) as f64, 0.01 * j as f64 - 0.02))
+                .collect();
+            let bank = SimplePoleBank::new(0.4, &poles, &weights);
+            for n in [0usize, 1, 37, 150] {
+                let zs: Vec<Complex64> = (0..n)
+                    .map(|i| -Complex64::new(13.8, std::f64::consts::PI * i as f64) * 50.0)
+                    .collect();
+                let mut out = vec![Complex64::new(f64::NAN, f64::NAN); n];
+                bank.eval_many(&zs, &mut out);
+                for (i, (&z, &got)) in zs.iter().zip(&out).enumerate() {
+                    let want = bank.eval(z);
+                    assert_eq!(
+                        (got.re.to_bits(), got.im.to_bits()),
+                        (want.re.to_bits(), want.im.to_bits()),
+                        "K={k} n={n} point {i}"
+                    );
+                }
+            }
         }
     }
 

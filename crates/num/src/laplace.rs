@@ -32,6 +32,21 @@ pub const DEFAULT_EULER_M: usize = 18;
 /// transform is finite at the 2m+1 contour points (debug builds assert
 /// this per term).
 pub fn euler_inversion(transform: impl Fn(Complex64) -> Complex64, t: f64, m: usize) -> f64 {
+    invert_on_contour(|points, values| pointwise(&transform, points, values), t, m)
+}
+
+/// The Euler algorithm's one contour and weighted sum, shared by every
+/// entry point: `transform_many(points, values)` sets `values[k] =
+/// f̂(points[k])` for each of the 2m+1 contour points at once, so a
+/// transform built from poles can run pole-major. A `transform_many`
+/// that computes each value with the operations of a pointwise
+/// transform returns that transform's bits. Same panics and accuracy as
+/// [`euler_inversion`].
+fn invert_on_contour(
+    transform_many: impl FnOnce(&[Complex64], &mut [Complex64]),
+    t: f64,
+    m: usize,
+) -> f64 {
     assert!(t > 0.0, "euler_inversion: t must be positive, got {t}");
     assert!(m >= 1, "euler_inversion: order must be >= 1");
     let n = 2 * m;
@@ -52,13 +67,17 @@ pub fn euler_inversion(transform: impl Fn(Complex64) -> Complex64, t: f64, m: us
     let a = (m as f64) * ln10 / 3.0;
     let scale = 10f64.powf(m as f64 / 3.0);
     let recip_t = 1.0 / t;
-    let mut sum = 0.0;
-    for (k, &xik) in xi.iter().enumerate() {
+    let mut stack = [Complex64::ZERO; 2 * CONTOUR_ON_STACK];
+    let mut heap = Vec::new();
+    let (points, values) = scratch(&mut stack, &mut heap, 2 * (n + 1)).split_at_mut(n + 1);
+    for (k, s) in points.iter_mut().enumerate() {
         let beta = Complex64::new(a, std::f64::consts::PI * k as f64);
-        let val = not_nan(
-            "euler_inversion: transform value",
-            transform(beta * recip_t).re,
-        );
+        *s = beta * recip_t;
+    }
+    transform_many(points, values);
+    let mut sum = 0.0;
+    for (k, (&xik, value)) in xi.iter().zip(values.iter()).enumerate() {
+        let val = not_nan("euler_inversion: transform value", value.re);
         let eta = if k % 2 == 0 {
             scale * xik
         } else {
@@ -67,6 +86,31 @@ pub fn euler_inversion(transform: impl Fn(Complex64) -> Complex64, t: f64, m: us
         sum += eta * val;
     }
     finite("euler_inversion: result", sum / t)
+}
+
+/// Contour points held on the stack: the 2m+1 of the default order.
+const CONTOUR_ON_STACK: usize = 2 * DEFAULT_EULER_M + 1;
+
+/// The first `len` slots of `stack`, or of `heap` grown to `len` when
+/// `stack` is too short (orders above the default).
+fn scratch<'a>(
+    stack: &'a mut [Complex64],
+    heap: &'a mut Vec<Complex64>,
+    len: usize,
+) -> &'a mut [Complex64] {
+    if len <= stack.len() {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, Complex64::ZERO);
+        heap
+    }
+}
+
+/// `values[k] = f(points[k])` for every point.
+fn pointwise(f: impl Fn(Complex64) -> Complex64, points: &[Complex64], values: &mut [Complex64]) {
+    for (v, &s) in values.iter_mut().zip(points) {
+        *v = f(s);
+    }
 }
 
 static XI_DEFAULT: std::sync::OnceLock<Vec<f64>> = std::sync::OnceLock::new();
@@ -94,9 +138,42 @@ fn xi_weights(m: usize) -> Vec<f64> {
 /// Panics unless `t > 0` and `m ≥ 1`; finite whenever the MGF is finite
 /// along the inversion contour (debug builds assert this per term).
 pub fn tail_from_mgf(mgf: impl Fn(Complex64) -> Complex64, t: f64, m: usize) -> f64 {
-    // `s` is a Bromwich contour point (|s| between ~1/t and ~m²/t), far
-    // inside `inv_fast`'s safe magnitude range.
-    euler_inversion(|s| (Complex64::ONE - mgf(-s)) * s.inv_fast(), t, m)
+    tail_from_mgf_many(|args, values| pointwise(&mgf, args, values), t, m)
+}
+
+/// [`tail_from_mgf`] with the MGF evaluated over the whole contour in one
+/// call: `mgf_many(args, values)` must set `values[k] = E[e^{args[k]·X}]`
+/// for each of the 2m+1 arguments `args[k] = −s_k`.
+///
+/// This lets an MGF built from poles run pole-major, updating every
+/// contour point per pole instead of re-walking its poles per point.
+/// The contour and the weighted sum are [`tail_from_mgf`]'s, so an
+/// `mgf_many` that computes each value with the operations of the
+/// pointwise MGF returns the same bits. Same panics and accuracy as
+/// [`tail_from_mgf`].
+pub fn tail_from_mgf_many(
+    mgf_many: impl FnOnce(&[Complex64], &mut [Complex64]),
+    t: f64,
+    m: usize,
+) -> f64 {
+    invert_on_contour(
+        |points, values| {
+            let mut stack = [Complex64::ZERO; CONTOUR_ON_STACK];
+            let mut heap = Vec::new();
+            let args = scratch(&mut stack, &mut heap, points.len());
+            for (z, &s) in args.iter_mut().zip(points) {
+                *z = -s;
+            }
+            mgf_many(args, values);
+            // `s` is a Bromwich contour point (|s| between ~1/t and
+            // ~m²/t), far inside `inv_fast`'s safe magnitude range.
+            for (v, &s) in values.iter_mut().zip(points) {
+                *v = (Complex64::ONE - *v) * s.inv_fast();
+            }
+        },
+        t,
+        m,
+    )
 }
 
 #[cfg(test)]

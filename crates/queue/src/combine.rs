@@ -36,6 +36,7 @@ use crate::position::{Position, PositionDelay};
 use crate::QueueError;
 use fpsping_num::batch::SimplePoleBank;
 use fpsping_num::cmp::{exact_eq, exact_zero};
+use fpsping_num::laplace::{tail_from_mgf_many, DEFAULT_EULER_M};
 use fpsping_num::Complex64;
 use fpsping_obs::Counter;
 
@@ -73,6 +74,20 @@ impl PositionFactor {
                     Complex64::ONE + z / 2.0 + z * z / 3.0 + z * z * z / 4.0
                 } else {
                     -(Complex64::ONE / z) * (Complex64::ONE - z).ln()
+                }
+            }
+        }
+    }
+
+    /// Evaluates the factor's MGF at every point, `out[k] = self.eval(zs[k])`
+    /// bit for bit; `ladders` is the mix's [`ErlangMix::ladder_flags`]
+    /// (ignored for the logarithmic case).
+    fn eval_many(&self, ladders: &[bool], zs: &[Complex64], out: &mut [Complex64]) {
+        match self {
+            PositionFactor::Mix(m) => m.eval_many(ladders, zs, out),
+            PositionFactor::LogK1 { .. } => {
+                for (o, &z) in out.iter_mut().zip(zs) {
+                    *o = self.eval(z);
                 }
             }
         }
@@ -157,24 +172,52 @@ pub struct TotalDelay {
     position: PositionFactor,
     product: Option<ErlangMix>,
     well_conditioned: bool,
-    /// Flat SoA view of `burst_wait` when all its poles are simple — the
-    /// hot operand of the numerical tail inversion (K reciprocals per
-    /// contour point). `None` when a pole has multiplicity > 1 or the
-    /// bank would be too small to pay for itself.
-    burst_bank: Option<SimplePoleBank>,
+    layout: FactorLayout,
 }
 
-/// Builds the flat evaluation bank for a burst-wait mix of ≥ 4 simple
-/// poles (the D/E_K/1 shape); smaller or multiplicity-carrying mixes stay
-/// on the blockwise path.
-fn burst_bank_of(burst: &ErlangMix) -> Option<SimplePoleBank> {
-    if burst.blocks.len() < 4 || burst.blocks.iter().any(|b| b.coeffs.len() != 1) {
-        return None;
-    }
-    let poles: Vec<Complex64> = burst.blocks.iter().map(|b| b.pole).collect();
-    let weights: Vec<Complex64> = burst.blocks.iter().map(|b| b.coeffs[0]).collect();
-    Some(SimplePoleBank::new(burst.constant, &poles, &weights))
+/// The unexpanded factors laid out once per model for evaluation over a
+/// whole inversion contour.
+#[derive(Debug, Clone)]
+struct FactorLayout {
+    /// Flat SoA view of the burst wait when all its poles are simple —
+    /// the hot operand of the numerical tail inversion (K reciprocals
+    /// per contour point). `None` when a pole has multiplicity > 1 or
+    /// the bank would be too small to pay for itself.
+    burst_bank: Option<SimplePoleBank>,
+    /// [`ErlangMix::ladder_flags`] of the upstream, burst-wait and
+    /// position mixes, in that order (empty for the logarithmic
+    /// position).
+    ladders: [Vec<bool>; 3],
 }
+
+impl FactorLayout {
+    fn of(upstream: &ErlangMix, burst: &ErlangMix, position: &PositionFactor) -> Self {
+        // A burst wait of ≥ 4 simple poles (the D/E_K/1 shape) runs on
+        // the bank; smaller or multiplicity-carrying mixes stay blockwise.
+        let burst_bank = (burst.blocks.len() >= 4
+            && burst.blocks.iter().all(|b| b.coeffs.len() == 1))
+        .then(|| {
+            let poles: Vec<Complex64> = burst.blocks.iter().map(|b| b.pole).collect();
+            let weights: Vec<Complex64> = burst.blocks.iter().map(|b| b.coeffs[0]).collect();
+            SimplePoleBank::new(burst.constant, &poles, &weights)
+        });
+        let position_ladders = match position {
+            PositionFactor::Mix(m) => m.ladder_flags(),
+            PositionFactor::LogK1 { .. } => Vec::new(),
+        };
+        Self {
+            burst_bank,
+            ladders: [
+                upstream.ladder_flags(),
+                burst.ladder_flags(),
+                position_ladders,
+            ],
+        }
+    }
+}
+
+/// Points on the Euler contour of [`TotalDelay::tail_numeric`]'s order.
+const CONTOUR_POINTS: usize = 2 * DEFAULT_EULER_M + 1;
 
 /// Expansion coefficients above this L1 norm lose too many of f64's ~16
 /// digits to cancellation for a trustworthy 1e-5 tail.
@@ -194,6 +237,16 @@ const NUMERIC_TAIL_FLOOR: f64 = 1e-9;
 /// engine's documented 1e-4 ms tolerance while saving roughly one tail
 /// evaluation per cell over a tighter setting.
 const QUANTILE_FAST_ATOL: f64 = 2e-8;
+
+/// The K = 1 uniform position as the logarithmic factor of eq. (33);
+/// `None` for every law with an Erlang mix.
+fn log_position(position: &PositionDelay) -> Option<PositionFactor> {
+    (position.order() == 1 && matches!(position.position(), Position::Uniform)).then(|| {
+        PositionFactor::LogK1 {
+            beta: position.beta(),
+        }
+    })
+}
 
 /// Exact lower bound on the coefficient L1 norm of the re-expanded
 /// product `D_u·W·P`, from the simple (multiplicity-1) burst-wait poles
@@ -224,15 +277,38 @@ impl TotalDelay {
         let product = upstream.product(&burst_wait).product(&position);
         let well_conditioned =
             product.coeff_l1() < CONDITION_LIMIT && (product.total_mass() - 1.0).abs() < 1e-6;
-        let burst_bank = burst_bank_of(&burst_wait);
+        Self::assemble(
+            upstream,
+            burst_wait,
+            PositionFactor::Mix(position),
+            Some(product),
+            well_conditioned,
+        )
+    }
+
+    /// The one constructor every path ends in: lays the factors out for
+    /// the contour pass.
+    fn assemble(
+        upstream: ErlangMix,
+        burst_wait: ErlangMix,
+        position: PositionFactor,
+        product: Option<ErlangMix>,
+        well_conditioned: bool,
+    ) -> Self {
+        let layout = FactorLayout::of(&upstream, &burst_wait, &position);
         Self {
             upstream,
             burst_wait,
-            position: PositionFactor::Mix(position),
-            product: Some(product),
+            position,
+            product,
             well_conditioned,
-            burst_bank,
+            layout,
         }
+    }
+
+    /// The model without an expansion, on numerical inversion throughout.
+    fn unexpanded(upstream: ErlangMix, burst_wait: ErlangMix, position: PositionFactor) -> Self {
+        Self::assemble(upstream, burst_wait, position, None, false)
     }
 
     /// Assembles the paper's model from the upstream M/G/1 (eq. 14
@@ -251,20 +327,8 @@ impl TotalDelay {
             Some(q) => q.paper_mix()?,
             None => ErlangMix::unit(),
         };
-        if position.order() == 1 && matches!(position.position(), Position::Uniform) {
-            let pos = PositionFactor::LogK1 {
-                beta: position.beta(),
-            };
-            let burst_wait = downstream.to_mix();
-            let burst_bank = burst_bank_of(&burst_wait);
-            return Ok(Self {
-                upstream: up,
-                burst_wait,
-                position: pos,
-                product: None,
-                well_conditioned: false,
-                burst_bank,
-            });
+        if let Some(log) = log_position(position) {
+            return Ok(Self::unexpanded(up, downstream.to_mix(), log));
         }
         Ok(Self::from_mixes(
             up,
@@ -299,33 +363,14 @@ impl TotalDelay {
             Some(q) => q.paper_mix()?,
             None => ErlangMix::unit(),
         };
-        if position.order() == 1 && matches!(position.position(), Position::Uniform) {
-            let burst_wait = downstream.to_mix();
-            let burst_bank = burst_bank_of(&burst_wait);
-            return Ok(Self {
-                upstream: up,
-                burst_wait,
-                position: PositionFactor::LogK1 {
-                    beta: position.beta(),
-                },
-                product: None,
-                well_conditioned: false,
-                burst_bank,
-            });
+        if let Some(log) = log_position(position) {
+            return Ok(Self::unexpanded(up, downstream.to_mix(), log));
         }
         let burst = downstream.to_mix();
         let pos = position.to_mix()?;
         if expansion_l1_lower_bound(&up, &burst, &pos) >= CONDITION_LIMIT {
             EXPANSIONS_SKIPPED.incr();
-            let burst_bank = burst_bank_of(&burst);
-            return Ok(Self {
-                upstream: up,
-                burst_wait: burst,
-                position: PositionFactor::Mix(pos),
-                product: None,
-                well_conditioned: false,
-                burst_bank,
-            });
+            return Ok(Self::unexpanded(up, burst, PositionFactor::Mix(pos)));
         }
         Ok(Self::from_mixes(up, burst, pos))
     }
@@ -369,11 +414,33 @@ impl TotalDelay {
 
     /// The unexpanded product MGF.
     fn eval_factors(&self, s: Complex64) -> Complex64 {
-        let burst = match &self.burst_bank {
+        let burst = match &self.layout.burst_bank {
             Some(bank) => bank.eval(s),
             None => self.burst_wait.eval(s),
         };
         self.upstream.eval(s) * burst * self.position.eval(s)
+    }
+
+    /// [`TotalDelay::eval_factors`] at every point, `out[k] =
+    /// eval_factors(zs[k])` bit for bit: each factor runs pole-major over
+    /// all points, then the three are multiplied point by point in
+    /// `eval_factors`' order.
+    fn eval_factors_many(&self, zs: &[Complex64], out: &mut [Complex64]) {
+        let [up_ladders, burst_ladders, pos_ladders] = &self.layout.ladders;
+        self.upstream.eval_many(up_ladders, zs, out);
+        let mut factor = [Complex64::ZERO; CONTOUR_POINTS];
+        let factor = &mut factor[..zs.len()];
+        match &self.layout.burst_bank {
+            Some(bank) => bank.eval_many(zs, factor),
+            None => self.burst_wait.eval_many(burst_ladders, zs, factor),
+        }
+        for (o, &w) in out.iter_mut().zip(factor.iter()) {
+            *o *= w;
+        }
+        self.position.eval_many(pos_ladders, zs, factor);
+        for (o, &p) in out.iter_mut().zip(factor.iter()) {
+            *o *= p;
+        }
     }
 
     /// Tail `P(total > x)`: closed-form expansion when well-conditioned,
@@ -400,6 +467,16 @@ impl TotalDelay {
         }
     }
 
+    /// Whether [`TotalDelay::tail`] has digits at the level `target`: the
+    /// expansion always does, the numerical inversion only down to its
+    /// ~1e-9 noise floor. Where it does not, the quantile methods report
+    /// a [`QueueError::SolveFailure`] (or NaN) rather than a crossing of
+    /// noise, and a caller comparing the tail with `target` must treat
+    /// the comparison as failed the same way.
+    pub fn resolves_tail(&self, target: f64) -> bool {
+        self.well_conditioned || target >= NUMERIC_TAIL_FLOOR
+    }
+
     /// Tail from the eq.-(35) expansion regardless of conditioning —
     /// exposed for studying exactly where the closed form degrades.
     /// Panics for the K = 1 case, which has no expansion.
@@ -416,12 +493,17 @@ impl TotalDelay {
     /// path for K = 1). Panics unless `x > 0`; accuracy is ~1e-10
     /// absolute, so values below that are noise (can dip slightly
     /// negative before the caller clamps).
+    ///
+    /// One lockstep pass over the 2m+1 contour points: each factor runs
+    /// pole-major across all of them, and every point sees the
+    /// operations of a pointwise `tail_from_mgf` on the product MGF in
+    /// the same order, so the result has the same bits.
     pub fn tail_numeric(&self, x: f64) -> f64 {
         assert!(x > 0.0, "tail_numeric: x must be positive");
-        fpsping_num::laplace::tail_from_mgf(
-            |s| self.eval_factors(s),
+        tail_from_mgf_many(
+            |zs, out| self.eval_factors_many(zs, out),
             x,
-            fpsping_num::laplace::DEFAULT_EULER_M,
+            DEFAULT_EULER_M,
         )
     }
 
@@ -476,7 +558,7 @@ impl TotalDelay {
             };
         }
         let target = 1.0 - p;
-        if target < NUMERIC_TAIL_FLOOR {
+        if !self.resolves_tail(target) {
             // The clamped numeric tail has no digits at this depth; any
             // bracket the search found would be a zero-crossing of
             // inversion noise, not of the distribution.
@@ -518,10 +600,11 @@ impl TotalDelay {
     /// `ln tail(x)`, which is near-linear once the dominant exponential
     /// takes over: seeded from `hint` (a neighboring sweep cell, seconds)
     /// or the exponential-with-matched-mean guess, with the second point
-    /// one asymptotic-decay-rate step away, it typically converges in 3-5
-    /// tail evaluations against Brent's ~30. On the numerical-inversion
-    /// regime every evaluation is a 2m+1-point Laplace inversion, so this
-    /// is the difference between ~300 µs and ~25 µs per sweep cell;
+    /// one asymptotic-decay-rate step away, it typically converges in
+    /// about four tail evaluations against the exact path's ~17. On the
+    /// numerical-inversion regime every evaluation is a 2m+1-point
+    /// Laplace inversion ([`TotalDelay::tail_numeric`]), so the secant
+    /// saves about three quarters of such a cell's inversions;
     /// well-conditioned cells run the same secant on the cheap expansion
     /// tail.
     ///
@@ -552,7 +635,7 @@ impl TotalDelay {
             (true, Some(prod)) => self.quantile_log_secant(|x| prod.tail(x), target, seed),
             // Below the inversion noise floor the secant would chase
             // sign-noise; route straight to the (also-rejecting) fallback.
-            _ if target < NUMERIC_TAIL_FLOOR => None,
+            _ if !self.resolves_tail(target) => None,
             _ => self.quantile_log_secant(|x| self.tail_numeric(x.max(1e-15)), target, seed),
         };
         if let Some(x) = solved {
@@ -760,7 +843,7 @@ impl TotalDelay {
 mod tests {
     use super::*;
     use crate::mg1::mdd1;
-    use crate::position::PositionDelay;
+    use crate::position::{Position, PositionDelay};
 
     /// A representative paper scenario: T = 60 ms, K = 9, ρ_d = 0.5,
     /// upstream M/D/1 at ρ_u = 0.32 (P_S = 125 B, P_C = 80 B).
@@ -942,6 +1025,54 @@ mod tests {
             (q_total - q_pos).abs() < 0.05 * q_pos,
             "total {q_total} vs position {q_pos}"
         );
+    }
+
+    #[test]
+    fn lockstep_tail_numeric_is_bit_identical_to_pointwise_inversion() {
+        // The contour pass against the pointwise reference it replaced,
+        // over K = 1…30: the K = 1 log branch, K = 2–3 without a bank,
+        // the ladder from K = 7, and a spot position, each with the
+        // upstream on and off, on both constructors.
+        let mut checked = 0;
+        for k in 1..=30u32 {
+            for (i, &rho) in [0.05, 0.35, 0.65, 0.95].iter().enumerate() {
+                let t = [0.04, 0.06][(k as usize + i) % 2];
+                let dek1 = DEk1::new(k, rho * t, t).unwrap();
+                let beta = k as f64 / (rho * t);
+                let tau = 80.0 * 8.0 / 5_000_000.0;
+                let up = mdd1(rho * 80.0 / 125.0 / tau, tau).unwrap();
+                for position in [Position::Uniform, Position::Spot(0.6)] {
+                    let pos = PositionDelay::new(k, beta, position).unwrap();
+                    for upstream in [None, Some(&up)] {
+                        let models = [
+                            TotalDelay::new(upstream, &dek1, &pos).unwrap(),
+                            TotalDelay::new_deferring_ill_conditioned(upstream, &dek1, &pos)
+                                .unwrap(),
+                        ];
+                        for m in &models {
+                            let q = m.quantile(0.99999);
+                            let q = if q > 0.0 { q } else { m.mean() };
+                            for f in [0.3, 1.0, 3.0] {
+                                let x = f * q;
+                                let want = fpsping_num::laplace::tail_from_mgf(
+                                    |s| m.eval_factors(s),
+                                    x,
+                                    DEFAULT_EULER_M,
+                                );
+                                assert_eq!(
+                                    m.tail_numeric(x).to_bits(),
+                                    want.to_bits(),
+                                    "K={k} rho={rho} T={t} {position:?} upstream={} x={x}",
+                                    upstream.is_some()
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 30 * 4 * 2 * 2 * 2 * 3);
     }
 
     // ---- K = 1 (eq. 33, logarithmic position transform) ----

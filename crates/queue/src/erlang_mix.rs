@@ -46,26 +46,54 @@ impl PoleBlock {
 
     /// Evaluates this block's contribution to the MGF at `s`.
     pub fn eval(&self, s: Complex64) -> Complex64 {
+        let base = self.base(s);
+        if self.closes(base, self.is_ladder()) {
+            self.geometric_sum(base, base.powi(self.coeffs.len() as i32))
+        } else {
+            self.term_sum(base)
+        }
+    }
+
+    /// Whether this block is an equal-coefficient ladder of at least six
+    /// multiplicities (the uniform K-stage position factor), which
+    /// [`PoleBlock::eval`] sums in closed form wherever that is accurate.
+    /// A property of the coefficients alone, so a caller evaluating at
+    /// many points tests it once.
+    pub(crate) fn is_ladder(&self) -> bool {
+        self.coeffs.len() >= 6 && self.coeffs.iter().all(|&c| c == self.coeffs[0])
+    }
+
+    /// `λ/(λ − s)`, the base every multiplicity is a power of.
+    #[inline]
+    fn base(&self, s: Complex64) -> Complex64 {
         // Branchless reciprocal: poles and evaluation points are queueing
         // rates / contour points (magnitudes ~1e0–1e6), safely inside
         // `inv_fast`'s range; this sits in the innermost loop of every
         // numerical tail inversion.
-        let base = self.pole * (self.pole - s).inv_fast();
-        let n = self.coeffs.len();
-        if n >= 6 {
-            // Equal-coefficient ladder (the uniform K-stage position
-            // factor): Σ_m c·base^m is a geometric sum, O(log K) instead
-            // of O(K). Guarded to |1 - base| > 0.2 so the cancellation in
-            // the closed form stays at the ~1 ulp level of the ladder sum
-            // (numerical tails amplify transform noise by ~10^6; a sloppier
-            // guard here would show up in the quantile tolerance).
-            let c0 = self.coeffs[0];
-            let one_minus = Complex64::ONE - base;
-            if one_minus.norm_sqr() > 0.04 && self.coeffs.iter().all(|&c| c == c0) {
-                let bn = base.powi(n as i32);
-                return c0 * base * (Complex64::ONE - bn) * one_minus.inv_fast();
-            }
-        }
+        self.pole * (self.pole - s).inv_fast()
+    }
+
+    /// Whether a ladder (`ladder`, see [`PoleBlock::is_ladder`]) is
+    /// summed in closed form at `base`: only where `|1 − base| > 0.2`,
+    /// which keeps the cancellation in the closed form at the ~1 ulp
+    /// level of the term-by-term sum (numerical tails amplify transform
+    /// noise by ~10^6; a sloppier guard here would show up in the
+    /// quantile tolerance).
+    #[inline]
+    fn closes(&self, base: Complex64, ladder: bool) -> bool {
+        ladder && (Complex64::ONE - base).norm_sqr() > 0.04
+    }
+
+    /// The ladder `Σ_m c·base^m` as a geometric sum, O(log K) instead of
+    /// O(K), given `bn = base^K`.
+    #[inline]
+    fn geometric_sum(&self, base: Complex64, bn: Complex64) -> Complex64 {
+        let one_minus = Complex64::ONE - base;
+        self.coeffs[0] * base * (Complex64::ONE - bn) * one_minus.inv_fast()
+    }
+
+    /// `Σ_m coeffs[m-1]·base^m`, term by term.
+    fn term_sum(&self, base: Complex64) -> Complex64 {
         let mut acc = Complex64::ZERO;
         let mut pw = Complex64::ONE;
         for &c in &self.coeffs {
@@ -73,6 +101,52 @@ impl PoleBlock {
             acc += c * pw;
         }
         acc
+    }
+
+    /// Adds this block's value at every point to `acc`: `acc[k] +=
+    /// self.eval(zs[k])`, bit for bit. `ladder` must equal
+    /// [`PoleBlock::is_ladder`].
+    ///
+    /// The points are first split by how [`PoleBlock::eval`] sums them;
+    /// each group then runs one step across all its points at a time
+    /// (the powers of the closed form, each coefficient of the
+    /// term-by-term sum), so the dependent multiply chains of different
+    /// points overlap instead of running back to back.
+    fn add_eval_many(&self, ladder: bool, zs: &[Complex64], acc: &mut [Complex64]) {
+        const LANES: usize = 64;
+        for (zc, ac) in zs.chunks(LANES).zip(acc.chunks_mut(LANES)) {
+            // Each group's bases, and the lanes they came from.
+            let (mut closed, mut closed_lane, mut nc) = ([Complex64::ZERO; LANES], [0; LANES], 0);
+            let (mut open, mut open_lane, mut no) = ([Complex64::ZERO; LANES], [0; LANES], 0);
+            for (l, &z) in zc.iter().enumerate() {
+                let base = self.base(z);
+                if self.closes(base, ladder) {
+                    (closed[nc], closed_lane[nc]) = (base, l);
+                    nc += 1;
+                } else {
+                    (open[no], open_lane[no]) = (base, l);
+                    no += 1;
+                }
+            }
+            let mut pow = [Complex64::ZERO; LANES];
+            for (p, &b) in pow[..nc].iter_mut().zip(&closed[..nc]) {
+                *p = b.powi(self.coeffs.len() as i32);
+            }
+            for ((&l, &b), &bn) in closed_lane[..nc].iter().zip(&closed[..nc]).zip(&pow[..nc]) {
+                ac[l] += self.geometric_sum(b, bn);
+            }
+            let mut sum = [Complex64::ZERO; LANES];
+            let mut pw = [Complex64::ONE; LANES];
+            for &c in &self.coeffs {
+                for ((s, p), &b) in sum[..no].iter_mut().zip(&mut pw[..no]).zip(&open[..no]) {
+                    *p *= b;
+                    *s += c * *p;
+                }
+            }
+            for (&l, &v) in open_lane[..no].iter().zip(&sum[..no]) {
+                ac[l] += v;
+            }
+        }
     }
 
     /// The l-th derivative (w.r.t. `s`) of this block at `s`.
@@ -222,6 +296,30 @@ impl ErlangMix {
             acc += b.eval(s);
         }
         acc
+    }
+
+    /// Per-block [`PoleBlock::is_ladder`] flags, for
+    /// [`ErlangMix::eval_many`].
+    pub(crate) fn ladder_flags(&self) -> Vec<bool> {
+        self.blocks.iter().map(PoleBlock::is_ladder).collect()
+    }
+
+    /// Evaluates the MGF at every point: `out[k] = self.eval(zs[k])`, bit
+    /// for bit, pole-major (each block updates every point before the
+    /// next block). `ladders` is [`ErlangMix::ladder_flags`], computed
+    /// once per mix rather than once per point. Panics if `zs` and `out`
+    /// disagree in length.
+    pub(crate) fn eval_many(&self, ladders: &[bool], zs: &[Complex64], out: &mut [Complex64]) {
+        assert_eq!(zs.len(), out.len(), "eval_many: one output per point");
+        assert_eq!(
+            ladders.len(),
+            self.blocks.len(),
+            "eval_many: one flag per block"
+        );
+        out.fill(Complex64::from_real(self.constant));
+        for (b, &ladder) in self.blocks.iter().zip(ladders) {
+            b.add_eval_many(ladder, zs, out);
+        }
     }
 
     /// The l-th derivative of the MGF at `s` (constant contributes only at
@@ -793,6 +891,42 @@ mod tests {
                 "l={l}: fd={fd}, analytic={an}"
             );
         }
+    }
+
+    #[test]
+    fn eval_many_is_bit_identical_to_eval() {
+        // A uniform-position ladder (closed form far from the pole, term
+        // by term near it), an Erlang spot, and a two-block mix with an
+        // atom; 150 points run past one lane block, and the small ones
+        // come close enough to the pole for |1 − base| ≤ 0.2.
+        let ladder = ErlangMix::single_real_pole(0.0, 4000.0, vec![1.0 / 19.0; 19]);
+        let spot = erl(12, 2500.0);
+        let mut two = expo(0.3, 700.0);
+        two.blocks.push(PoleBlock {
+            pole: Complex64::new(900.0, 300.0),
+            coeffs: vec![Complex64::new(0.01, 0.02); 7],
+        });
+        let zs: Vec<Complex64> = (0..150)
+            .map(|i| {
+                -Complex64::new(13.8, std::f64::consts::PI * i as f64) * (2.0 + 3.0 * i as f64)
+            })
+            .collect();
+        for (name, mix) in [("ladder", &ladder), ("spot", &spot), ("two", &two)] {
+            let ladders = mix.ladder_flags();
+            let mut out = vec![Complex64::new(f64::NAN, f64::NAN); zs.len()];
+            mix.eval_many(&ladders, &zs, &mut out);
+            for (i, (&z, &got)) in zs.iter().zip(&out).enumerate() {
+                let want = mix.eval(z);
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "{name} point {i}"
+                );
+            }
+        }
+        assert_eq!(ladder.ladder_flags(), vec![true]);
+        assert_eq!(spot.ladder_flags(), vec![false]);
+        assert_eq!(two.ladder_flags(), vec![false, true]);
     }
 
     #[test]

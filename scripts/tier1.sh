@@ -419,6 +419,42 @@ else
     echo "tier-1: lockdep smoke OK (grep fallback)"
 fi
 
+# Dimensioning work gate: the paper example (K = 9, T = 40 ms, 50 ms
+# budget) must answer N_max = 82, and its bisection must decide each
+# load probe with one tail, not a quantile solve. The gate is an exact
+# count of numerical inversions, so host noise cannot move it: 96 with
+# tail-decided probes, 1 551 when every probe solved a quantile.
+DIM_OUT="$(mktemp /tmp/fpsping-dim-out.XXXXXX)"
+DIM_METRICS="$(mktemp /tmp/fpsping-dim-metrics.XXXXXX.json)"
+trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
+    "$EST_METRICS" "$EST_OUT" "$SERVE_LOG" "$SERVE_SMOKE" "$LOCKDEP_LOG" \
+    "$LOCKDEP_SMOKE" "$LOCKDEP_SERVE_METRICS" "$LOCKDEP_METRICS" \
+    "$DIM_OUT" "$DIM_METRICS"' EXIT
+./target/release/fpsping-cli dimension --budget-ms 50 \
+    --metrics-out "$DIM_METRICS" > "$DIM_OUT"
+grep -q 'N_max = 82,' "$DIM_OUT" || {
+    echo "tier-1: dimension --budget-ms 50 did not answer N_max = 82:"
+    cat "$DIM_OUT"
+    exit 1
+}
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$DIM_METRICS" <<'PY'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+inversions = counters.get("num.laplace.euler.inversions", 0)
+assert 0 < inversions < 200, \
+    "dimension --budget-ms 50 ran %d numerical inversions (gate: 1..199)" % inversions
+print("tier-1: dimensioning gate OK (N_max = 82, %d inversions)" % inversions)
+PY
+else
+    DIM_INVERSIONS="$(sed -n 's/.*"num\.laplace\.euler\.inversions": *\([0-9]*\).*/\1/p' "$DIM_METRICS")"
+    if [ -z "$DIM_INVERSIONS" ] || [ "$DIM_INVERSIONS" -eq 0 ] || [ "$DIM_INVERSIONS" -ge 200 ]; then
+        echo "tier-1: dimension --budget-ms 50 ran '$DIM_INVERSIONS' numerical inversions (gate: 1..199)"
+        exit 1
+    fi
+    echo "tier-1: dimensioning gate OK (grep fallback; $DIM_INVERSIONS inversions)"
+fi
+
 # The obs-off escape hatch must keep building everywhere it is wired:
 # fpsping-bench and fpsping-serve sit at the top of the two dependency
 # stacks, so these two checks cover every crate forwarding the feature.
