@@ -1,11 +1,13 @@
-//! Reproduces and dissects the non-monotone `poisson_mdd1_wait_ratio`
-//! dip at N = 100 000 in `BENCH_scale.json` (0.67 between 0.88 at
-//! N = 10⁴ and 0.91 at N = 10⁶).
+//! `ScaleEngine` studies: the events/s and peak-RSS curve over
+//! N = 10³…10⁶, the end-to-end bucket-vs-heap calendar wall time at
+//! N = 10⁵, and a dissection of the non-monotone
+//! `poisson_mdd1_wait_ratio` dip at N = 100 000 on that curve (0.67
+//! between 0.88 at N = 10⁴ and 0.91 at N = 10⁶).
 //!
 //! The paper's §3.1 Poisson-limit claim is asymptotic in the number of
 //! superposed streams: as the DSLAM count D grows, the core link's
 //! arrival process approaches Poisson and the measured mean wait
-//! approaches the exact M/D/1 value. The bench curve samples D = 1, 3,
+//! approaches the exact M/D/1 value. The curve samples D = 1, 3,
 //! 25, 245 — and the D = 25 point dips. Two candidate explanations:
 //!
 //! 1. **Measurement artifact** — the warmup discard is too short or the
@@ -20,36 +22,57 @@
 //!    tracks where τ crosses that spacing, and the ratio is a function
 //!    of D alone: robust to seed, warmup and duration.
 //!
-//! Output: four CSV sweeps (warmup, duration, seed, DSLAM count) to
-//! stdout. The verdict — documented in `EXPERIMENTS.md` — comes from
-//! which knobs move the ratio and which don't.
+//! Output: six sweeps (curve, calendar, warmup, duration, seed, DSLAM
+//! count), one CSV row per run, echoed to stdout and written to
+//! `results/scale_warmup.csv`. The verdict — documented in
+//! `EXPERIMENTS.md` — comes from which knobs move the ratio and which
+//! don't. Wall times are single runs on the host at hand.
 //!
 //! Run: `cargo run --release -p fpsping-bench --bin scale_warmup`
-//! (add `--test` for a single-point smoke).
+//! (add `--test` for a single-point smoke that writes no file).
 
-use fpsping_sim::{ScaleConfig, ScaleEngine, SimTime};
+use fpsping_bench::write_csv;
+use fpsping_sim::{Calendar, ScaleConfig, ScaleEngine, SimTime};
+use std::fmt::Display;
+use std::time::Instant;
 
-/// The bench's master seed — sweep baselines match `BENCH_scale.json`.
+/// Master seed of every sweep baseline.
 const MASTER_SEED: u64 = 0x5CA1E;
 
 /// The dipping curve point.
 const N_DIP: usize = 100_000;
 
-/// One measured point: the Poisson ratio plus its ingredients.
+const HEADER: &str = "sweep,knob,value,dslams,packets,events,poisson_mdd1_wait_ratio,\
+                      mean_wait_us,mdd1_wait_us,wall_ms,events_per_sec,peak_rss_mib";
+
+/// One measured run: the Poisson ratio plus its ingredients, and what
+/// the run cost.
 struct Point {
     ratio: f64,
     mean_wait_us: f64,
     mdd1_wait_us: f64,
     packets: u64,
+    events: u64,
     dslams: usize,
+    wall_ms: f64,
+    peak_rss_mib: f64,
 }
 
-fn measure(n: usize, dur_s: f64, warmup_s: f64, seed: u64) -> Point {
+/// The default operating point (DSLAM load 0.5, core load 0.8, 4 096
+/// players/DSLAM, one shard, bucket calendar) at the master seed.
+fn config(n: usize, dur_s: f64, warmup_s: f64) -> ScaleConfig {
     let mut cfg = ScaleConfig::new(n);
     cfg.duration = SimTime::from_secs(dur_s);
     cfg.warmup = SimTime::from_secs(warmup_s);
-    cfg.seed = seed;
+    cfg.seed = MASTER_SEED;
+    cfg.shards = 1;
+    cfg
+}
+
+fn measure(cfg: ScaleConfig) -> Point {
+    let t0 = Instant::now();
     let rep = ScaleEngine::new(cfg).run();
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let q = fpsping_queue::mg1::mdd1(rep.core_arrival_rate_hz, rep.core_service_s)
         .expect("stable M/D/1 operating point");
     Point {
@@ -57,57 +80,136 @@ fn measure(n: usize, dur_s: f64, warmup_s: f64, seed: u64) -> Point {
         mean_wait_us: rep.core_wait.mean_s * 1e6,
         mdd1_wait_us: q.mean_wait() * 1e6,
         packets: rep.packets,
+        events: rep.events,
         dslams: rep.dslams,
+        wall_ms,
+        peak_rss_mib: peak_rss_mib(),
     }
 }
 
-fn emit(sweep: &str, knob: &str, value: f64, p: &Point) {
-    println!(
-        "{sweep},{knob},{value},{},{},{:.4},{:.3},{:.3}",
-        p.dslams, p.packets, p.ratio, p.mean_wait_us, p.mdd1_wait_us
+/// Cumulative peak RSS (MiB) from `/proc/self/status` `VmHWM`, or 0.0
+/// where procfs is unavailable.
+fn peak_rss_mib() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|kb| kb.parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+fn emit(rows: &mut Vec<String>, sweep: &str, knob: &str, value: impl Display, p: &Point) {
+    let row = format!(
+        "{sweep},{knob},{value},{},{},{},{:.4},{:.3},{:.3},{:.1},{:.0},{:.1}",
+        p.dslams,
+        p.packets,
+        p.events,
+        p.ratio,
+        p.mean_wait_us,
+        p.mdd1_wait_us,
+        p.wall_ms,
+        p.events as f64 / (p.wall_ms / 1e3),
+        p.peak_rss_mib
     );
+    println!("{row}");
+    rows.push(row);
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--test");
-    println!("sweep,knob,value,dslams,packets,poisson_mdd1_wait_ratio,mean_wait_us,mdd1_wait_us");
+    println!("{HEADER}");
+    let mut rows = Vec::new();
 
     if quick {
         // Smoke: one cheap point, schema only.
-        let p = measure(10_000, 0.5, 0.25, MASTER_SEED);
-        emit("smoke", "duration_s", 0.5, &p);
+        emit(
+            &mut rows,
+            "smoke",
+            "duration_s",
+            0.5,
+            &measure(config(10_000, 0.5, 0.25)),
+        );
         return;
     }
 
-    // Sweep 1 — warmup at the dipping point (duration fixed at the
-    // bench's 2 s). If the dip is transient leakage, longer warmups
+    // Sweep 1 — the scale curve, first and in ascending N: `VmHWM` is a
+    // cumulative high-water mark, so each row's peak RSS is "peak so
+    // far" and the N = 10⁶ row is the whole curve's peak. Simulated
+    // durations shrink with N to bound wall time while event totals
+    // still grow (N·duration increases).
+    for (n, dur_s) in [(1_000, 8.0), (10_000, 4.0), (N_DIP, 2.0), (1_000_000, 1.0)] {
+        emit(&mut rows, "curve", "n", n, &measure(config(n, dur_s, 0.5)));
+    }
+
+    // Sweep 2 — the pending-event set at the dipping point, end to end:
+    // the same run through each calendar backend, alternated three
+    // times. Both must see the same events; only the wall time differs.
+    for _ in 0..3 {
+        let mut events = Vec::new();
+        for calendar in [Calendar::Bucket, Calendar::Heap] {
+            let mut cfg = config(N_DIP, 2.0, 0.25);
+            cfg.calendar = calendar;
+            let p = measure(cfg);
+            events.push((p.events, p.ratio.to_bits()));
+            emit(
+                &mut rows,
+                "calendar",
+                "calendar",
+                format!("{calendar:?}").to_lowercase(),
+                &p,
+            );
+        }
+        assert_eq!(events[0], events[1], "calendar backends diverged");
+    }
+
+    // Sweep 3 — warmup at the dipping point (duration fixed at the
+    // curve's 2 s). If the dip is transient leakage, longer warmups
     // must pull the ratio up toward the large-D values.
     for warmup_s in [0.1, 0.25, 0.5, 1.0, 1.5] {
-        let p = measure(N_DIP, 2.0, warmup_s, MASTER_SEED);
-        emit("warmup", "warmup_s", warmup_s, &p);
+        emit(
+            &mut rows,
+            "warmup",
+            "warmup_s",
+            warmup_s,
+            &measure(config(N_DIP, 2.0, warmup_s)),
+        );
     }
 
-    // Sweep 2 — measured span (warmup fixed at the bench's 0.5 s). A
+    // Sweep 4 — measured span (warmup fixed at the curve's 0.5 s). A
     // transient's weight shrinks as 1/span; a structural ratio holds.
     for dur_s in [1.0, 2.0, 4.0, 6.0] {
-        let p = measure(N_DIP, dur_s, 0.5, MASTER_SEED);
-        emit("duration", "duration_s", dur_s, &p);
+        emit(
+            &mut rows,
+            "duration",
+            "duration_s",
+            dur_s,
+            &measure(config(N_DIP, dur_s, 0.5)),
+        );
     }
 
-    // Sweep 3 — seed (the bench's operating point exactly). Spread here
-    // bounds the statistical error bar on the committed 0.67.
+    // Sweep 5 — seed (the curve's operating point exactly). Spread here
+    // bounds the statistical error bar on the curve's 0.67.
     for (i, seed) in [MASTER_SEED, 1, 2, 3, 4].into_iter().enumerate() {
-        let p = measure(N_DIP, 2.0, 0.5, seed);
-        emit("seed", "seed_index", i as f64, &p);
+        let mut cfg = config(N_DIP, 2.0, 0.5);
+        cfg.seed = seed;
+        emit(&mut rows, "seed", "seed_index", i, &measure(cfg));
     }
 
-    // Sweep 4 — DSLAM count D at fixed per-DSLAM population: the
-    // Poisson-limit abscissa itself, on a finer grid than the bench's
-    // decade curve (sim time scaled so each point costs about the same).
+    // Sweep 6 — DSLAM count D at fixed per-DSLAM population: the
+    // Poisson-limit abscissa itself, on a finer grid than the decade
+    // curve (sim time scaled so each point costs about the same).
     for d in [1usize, 3, 6, 12, 25, 50, 98] {
         let n = d * 4_096;
         let dur_s = (2.0 * N_DIP as f64 / n as f64).clamp(0.75, 8.0);
-        let p = measure(n, dur_s, 0.5, MASTER_SEED);
-        emit("dslams", "dslams", d as f64, &p);
+        emit(
+            &mut rows,
+            "dslams",
+            "dslams",
+            d,
+            &measure(config(n, dur_s, 0.5)),
+        );
     }
+
+    write_csv("scale_warmup.csv", HEADER, &rows);
 }

@@ -4,9 +4,8 @@
 //! analytic [`fpsping::RttModel`] quantile, and answer the operational
 //! question "how many pings before a client's estimate is trustworthy?"
 //!
-//! Used by both the `estimator_convergence` reproduction binary (CSV +
-//! table output) and the `estimator` bench (JSON acceptance figures), so
-//! the two always describe the same computation.
+//! Used by the `estimator_convergence` reproduction binary (CSV + table
+//! output).
 
 use fpsping::{RttModel, Scenario};
 use fpsping_sim::{BurstSizing, NetworkConfig, SimEngine, SimEngineConfig, SimTime};
@@ -34,16 +33,6 @@ impl StudyConfig {
         Self {
             players: 100,
             sim_seconds: 220.0,
-            seed: 0xE57,
-        }
-    }
-
-    /// A fast variant for `--test` smoke runs: fewer players, enough
-    /// simulated time to cross the first two checkpoints only.
-    pub fn quick() -> Self {
-        Self {
-            players: 20,
-            sim_seconds: 10.0,
             seed: 0xE57,
         }
     }
@@ -201,7 +190,12 @@ mod tests {
 
     #[test]
     fn quick_study_converges_toward_analytic() {
-        let study = run_study(&StudyConfig::quick());
+        // 20 players for 10 s: enough to cross the first two checkpoints.
+        let study = run_study(&StudyConfig {
+            players: 20,
+            sim_seconds: 10.0,
+            seed: 0xE57,
+        });
         assert!(study.analytic_p99_ms > 0.0);
         assert!(study.summary.players_with_samples > 0);
         assert!(!study.errors.is_empty(), "no checkpoint reached");

@@ -1,36 +1,22 @@
-//! `fpsping-loadgen` — synthetic query streams against a live
-//! `fpsping-serve`, measuring what the serving stack actually delivers.
+//! `fpsping-loadgen` — a bounded smoke of a live `fpsping-serve`.
 //!
-//! Three workloads, chosen to exercise the three regimes of the sharded,
-//! capacity-bounded solver caches:
+//! Before any traffic, an in-process parity check asserts that a
+//! capacity-bounded bit-exact engine reproduces the unbounded engine's
+//! surface to the last bit under forced eviction (`max_abs_delta` must be
+//! exactly 0). Then one connection replays a hot-spot burst over 64 cells
+//! in pipelined blocks of 1024 binary frames, measures single-request
+//! ping-pong latency, sends one malformed frame of each kind the server
+//! must refuse, and prints a one-line JSON summary (tier1's serve smoke
+//! parses it). The final frame is a `shutdown` op unless `--no-shutdown`.
 //!
-//! * **uniform** — independent draws over a ~10k-cell (K, T, ρ) grid:
-//!   steady-state mixing of hits and (early) misses.
-//! * **hotspot** — Zipf(1.1) over 4096 cells: the ISP-facing case where
-//!   a handful of deployed configurations dominate; after warmup nearly
-//!   every request is a whole-cell memo hit — the headline QPS number.
-//! * **adversarial** — a golden-ratio low-discrepancy load sequence that
-//!   never repeats a cell: every request is a cold solve, the cache
-//!   budget forces continuous eviction, and resident set size must stay
-//!   flat (the bound at work).
-//!
-//! Each workload reports pipelined throughput (blocks of 1024 binary
-//! frames per write) and single-request ping-pong latency percentiles —
-//! the two ends of the batching spectrum. Before any timing, an
-//! in-process parity check asserts that a capacity-bounded bit-exact
-//! engine reproduces the unbounded engine's surface to the last bit
-//! under forced eviction (`max_abs_delta` must be exactly 0).
-//!
-//! `--smoke` runs a seconds-scale version, then sends one malformed frame
-//! of each kind the server must refuse, and prints a one-line JSON
-//! summary (tier1's serve smoke parses it); `--bench --emit-json FILE`
-//! writes the committed `BENCH_serve.json`.
+//! Serving throughput is measured by perfbench's `serve_hotspot` and
+//! `serve_cold` workloads, not here.
 
 use fpsping::engine::{Engine, EngineConfig};
 use fpsping::{Scenario, MAX_ERLANG_ORDER};
 use fpsping_serve::protocol::{
     decode_response, encode_request, Request, RESP_FRAME_LEN, STATUS_BAD_REQUEST, STATUS_OK,
-    STAT_EVICTIONS, STAT_HITS, STAT_MISSES, STAT_REQUESTS, STAT_RSS_MIB, STAT_RSS_PEAK_MIB,
+    STAT_HITS, STAT_MISSES, STAT_RSS_MIB,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -47,12 +33,11 @@ fpsping-loadgen — load generator for fpsping-serve
 USAGE:
     fpsping-loadgen --addr <HOST:PORT> [OPTIONS]
 
+Runs a bounded burst, reads the server's stats, and prints one JSON line.
+
 OPTIONS:
     --addr <HOST:PORT>   server address (required)
-    --smoke              bounded burst + stats + shutdown, one JSON line to stdout
-    --bench              full three-workload benchmark
-    --emit-json <FILE>   write the benchmark report to FILE
-    --seed <N>           RNG seed (default 0x5ca1e)
+    --seed <N>           RNG seed, decimal (default 379422)
     --no-shutdown        leave the server running afterwards
     -h, --help           print this help
 ";
@@ -69,32 +54,17 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
 }
 
-/// One measured workload, as it lands in the JSON report.
+/// One measured workload, as it lands in the JSON summary.
 struct WorkloadReport {
-    name: &'static str,
     requests: u64,
-    wall_s: f64,
     qps: f64,
-    p50_us: f64,
     p99_us: f64,
     hit_rate: f64,
-    evictions_delta: u64,
-    rss_start_mib: f64,
-    /// Sampled halfway through the throughput phase — by then a bounded
-    /// cache has filled to its budget, so `rss_end ≈ rss_mid` is the
-    /// flatness evidence under the adversarial stream.
-    rss_mid_mib: f64,
-    rss_end_mib: f64,
 }
 
 /// The precomputed request frames of one workload's key population.
@@ -114,20 +84,6 @@ fn grid_frames(rng: &mut Rng) -> Vec<[u8; 40]> {
         frames.swap(i, rng.below(i + 1));
     }
     frames
-}
-
-/// Zipf(s) CDF over `n` ranks, as cumulative weights for binary search.
-fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
-    let mut cdf = Vec::with_capacity(n);
-    let mut total = 0.0;
-    for rank in 1..=n {
-        total += 1.0 / (rank as f64).powf(s);
-        cdf.push(total);
-    }
-    for c in &mut cdf {
-        *c /= total;
-    }
-    cdf
 }
 
 struct Client {
@@ -180,12 +136,9 @@ impl Client {
 /// by `pick`, then ping-pong latency over the same distribution.
 fn run_workload(
     client: &mut Client,
-    name: &'static str,
     total: u64,
     mut pick: impl FnMut() -> [u8; 40],
 ) -> std::io::Result<WorkloadReport> {
-    let rss_start_mib = client.stat(STAT_RSS_MIB)?;
-    let evictions_before = client.stat(STAT_EVICTIONS)? as u64;
     let hits_before = client.stat(STAT_HITS)?;
     let misses_before = client.stat(STAT_MISSES)?;
     // Throughput phase: pipelined blocks.
@@ -193,7 +146,6 @@ fn run_workload(
     let mut responses = Vec::new();
     let mut sent = 0u64;
     let mut ok = 0u64;
-    let mut rss_mid_mib = f64::NAN;
     let clock = Instant::now();
     while sent < total {
         let n = (total - sent).min(BLOCK as u64) as usize;
@@ -202,14 +154,11 @@ fn run_workload(
         }
         ok += client.pipeline(&block[..n * 40], &mut responses)?;
         sent += n as u64;
-        if rss_mid_mib.is_nan() && sent >= total / 2 {
-            rss_mid_mib = client.stat(STAT_RSS_MIB)?;
-        }
     }
     let wall_s = clock.elapsed().as_secs_f64();
     if ok < sent / 2 {
         return Err(std::io::Error::other(format!(
-            "{name}: only {ok}/{sent} requests answered OK"
+            "only {ok}/{sent} requests answered OK"
         )));
     }
     // Latency phase: unpipelined ping-pong on the same distribution.
@@ -230,24 +179,17 @@ fn run_workload(
     let misses = client.stat(STAT_MISSES)? - misses_before;
     let lookups = hits + misses;
     Ok(WorkloadReport {
-        name,
         requests: sent,
-        wall_s,
         qps: sent as f64 / wall_s,
-        p50_us: pct(0.50),
         p99_us: pct(0.99),
         hit_rate: if lookups > 0.0 { hits / lookups } else { 0.0 },
-        evictions_delta: (client.stat(STAT_EVICTIONS)? as u64).saturating_sub(evictions_before),
-        rss_start_mib,
-        rss_mid_mib,
-        rss_end_mib: client.stat(STAT_RSS_MIB)?,
     })
 }
 
 /// The pre-timing parity gate: a capacity-bounded, bit-exact engine must
 /// reproduce the unbounded engine's surface to the last bit even when
 /// the bound forces eviction and re-solving. Returns the max absolute
-/// delta (the report records it; anything nonzero aborts the run).
+/// delta (the summary records it; anything nonzero aborts the run).
 fn eviction_parity_max_delta() -> f64 {
     let bounded = Engine::new(EngineConfig {
         jobs: 1,
@@ -282,112 +224,6 @@ fn eviction_parity_max_delta() -> f64 {
         "parity gate must actually exercise eviction (cache_entries=64 vs 180-cell grid)"
     );
     max_delta
-}
-
-fn render_report(
-    parity_delta: f64,
-    workloads: &[WorkloadReport],
-    rss_peak_mib: f64,
-    server_requests: u64,
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"workloads\": \"uniform random grid / hot-spot Zipf(1.1) / adversarial never-repeating loads, binary frames, 1024-request pipelined blocks + 2000 ping-pong latency samples\",\n");
-    s.push_str("  \"host_cores\": 1,\n");
-    s.push_str(&format!(
-        "  \"eviction_parity_max_abs_delta\": {parity_delta:e},\n"
-    ));
-    s.push_str("  \"parity_note\": \"capacity-bounded bit-exact engine vs unbounded, 3x60 grid swept twice under forced eviction; must be exactly 0 (also asserted in tests/engine_parity.rs)\",\n");
-    s.push_str("  \"runs\": [\n");
-    for (i, w) in workloads.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"requests\": {}, \"wall_s\": {:.3}, \"qps\": {:.0}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"cache_hit_rate\": {:.4}, \
-             \"evictions\": {}, \"rss_start_mib\": {:.1}, \"rss_mid_mib\": {:.1}, \
-             \"rss_end_mib\": {:.1}}}{}\n",
-            w.name,
-            w.requests,
-            w.wall_s,
-            w.qps,
-            w.p50_us,
-            w.p99_us,
-            w.hit_rate,
-            w.evictions_delta,
-            w.rss_start_mib,
-            w.rss_mid_mib,
-            w.rss_end_mib,
-            if i + 1 < workloads.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"server_requests\": {server_requests},\n"));
-    s.push_str(&format!("  \"server_peak_rss_mib\": {rss_peak_mib:.1},\n"));
-    s.push_str("  \"rss_note\": \"rss_mid is sampled halfway through each throughput phase, after a bounded cache has filled to its budget; rss_end == rss_mid on the adversarial never-repeating stream is the CLOCK eviction bound at work\"\n");
-    s.push_str("}\n");
-    s
-}
-
-fn run_bench(
-    addr: &str,
-    seed: u64,
-    emit_json: Option<&str>,
-    shutdown: bool,
-) -> std::io::Result<()> {
-    eprintln!("parity gate: bounded vs unbounded bit-exact engine under eviction...");
-    let parity_delta = eviction_parity_max_delta();
-    assert!(
-        // lint:allow(float_eq): the gate demands bit-identity, not approximation
-        parity_delta == 0.0,
-        "eviction parity violated: max_abs_delta = {parity_delta:e}"
-    );
-    eprintln!("parity gate: max_abs_delta = 0 (exact)");
-
-    let mut client = Client::connect(addr)?;
-    let mut rng = Rng(seed);
-    let mut reports = Vec::new();
-
-    // Uniform: independent draws over the full grid.
-    let grid = grid_frames(&mut rng);
-    let r = run_workload(&mut client, "uniform", 2_000_000, || {
-        grid[rng.below(grid.len())]
-    })?;
-    eprintln!("uniform:     {:>9.0} qps, p99 {:.0} µs", r.qps, r.p99_us);
-    reports.push(r);
-
-    // Hot-spot: Zipf(1.1) over the first 4096 grid cells.
-    let cdf = zipf_cdf(4096, 1.1);
-    let r = run_workload(&mut client, "hotspot", 4_000_000, || {
-        let u = rng.next_f64();
-        let rank = cdf.partition_point(|&c| c < u);
-        grid[rank.min(grid.len() - 1)]
-    })?;
-    eprintln!("hotspot:     {:>9.0} qps, p99 {:.0} µs", r.qps, r.p99_us);
-    reports.push(r);
-
-    // Adversarial: never repeat a load — every request is a fresh cell.
-    // Golden-ratio rotation fills (0.05, 0.95) with low discrepancy, so
-    // the stream stays feasible while defeating every cache level.
-    let mut x = rng.next_f64();
-    let mut k_cycle = 0u32;
-    let r = run_workload(&mut client, "adversarial", 100_000, || {
-        x = (x + 0.618_033_988_749_894_9).fract();
-        k_cycle += 1;
-        let k = 2 + (k_cycle % 19);
-        encode_request(&Request::rtt(0, k, 40.0, 0.05 + 0.9 * x))
-    })?;
-    eprintln!("adversarial: {:>9.0} qps, p99 {:.0} µs", r.qps, r.p99_us);
-    reports.push(r);
-
-    let rss_peak = client.stat(STAT_RSS_PEAK_MIB)?;
-    let server_requests = client.stat(STAT_REQUESTS)? as u64;
-    let report = render_report(parity_delta, &reports, rss_peak, server_requests);
-    match emit_json {
-        Some(path) => std::fs::write(path, &report)?,
-        None => print!("{report}"),
-    }
-    if shutdown {
-        let _ = client.roundtrip(&Request::shutdown(u64::MAX));
-    }
-    Ok(())
 }
 
 /// Sends one binary frame of each malformed kind — unknown op, K = 0,
@@ -426,7 +262,7 @@ fn run_smoke(addr: &str, seed: u64, shutdown: bool) -> std::io::Result<()> {
     let grid = grid_frames(&mut rng);
     // A hot-spot burst over 64 cells: mostly cache hits after the first
     // block, so even the smoke run demonstrates serving throughput.
-    let r = run_workload(&mut client, "smoke", 200_000, || grid[rng.below(64)])?;
+    let r = run_workload(&mut client, 200_000, || grid[rng.below(64)])?;
     let rss = client.stat(STAT_RSS_MIB)?;
     let refused = refused_malformed_frames(&mut client)?;
     println!(
@@ -441,46 +277,61 @@ fn run_smoke(addr: &str, seed: u64, shutdown: bool) -> std::io::Result<()> {
     Ok(())
 }
 
-fn main() -> std::process::ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+struct Args {
+    addr: String,
+    seed: u64,
+    shutdown: bool,
+}
+
+/// Parses the arguments after `argv[0]`. `Err("")` asks for the usage
+/// text; any other `Err` is a message for a malformed command line.
+fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut addr = None;
-    let mut smoke = false;
-    let mut bench = false;
-    let mut emit_json = None;
-    let mut seed = 0x5ca1eu64;
+    let mut seed = 0x5ca1e;
     let mut shutdown = true;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = |name: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{name} requires a value"))
+        };
         match arg.as_str() {
-            "--addr" => addr = it.next().cloned(),
-            "--smoke" => smoke = true,
-            "--bench" => bench = true,
-            "--emit-json" => emit_json = it.next().cloned(),
-            "--seed" => seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(seed),
+            "--addr" => addr = Some(value("--addr")?),
+            "--seed" => {
+                seed = value("--seed")?
+                    .parse()
+                    .map_err(|e| format!("--seed: {e}"))?
+            }
             "--no-shutdown" => shutdown = false,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return std::process::ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}\n\n{USAGE}");
-                return std::process::ExitCode::from(2);
-            }
+            "-h" | "--help" => return Err(String::new()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let Some(addr) = addr else {
-        eprintln!("error: --addr is required\n\n{USAGE}");
-        return std::process::ExitCode::from(2);
+    let addr = addr.ok_or("--addr is required")?;
+    Ok(Args {
+        addr,
+        seed,
+        shutdown,
+    })
+}
+
+fn main() -> std::process::ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) if msg.is_empty() => {
+            print!("{USAGE}");
+            return std::process::ExitCode::SUCCESS;
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}\n\n{USAGE}");
+            return std::process::ExitCode::from(2);
+        }
     };
-    let result = if smoke {
-        run_smoke(&addr, seed, shutdown)
-    } else if bench {
-        run_bench(&addr, seed, emit_json.as_deref(), shutdown)
-    } else {
-        eprintln!("error: pick --smoke or --bench\n\n{USAGE}");
-        return std::process::ExitCode::from(2);
-    };
-    match result {
+    match run_smoke(&args.addr, args.seed, args.shutdown) {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -498,22 +349,10 @@ mod tests {
         let mut a = Rng(42);
         let mut b = Rng(42);
         for _ in 0..1000 {
-            let x = a.next_f64();
-            assert_eq!(x, b.next_f64());
-            assert!((0.0..1.0).contains(&x));
+            assert_eq!(a.next_u64(), b.next_u64());
             assert!(a.below(7) < 7);
             b.below(7);
         }
-    }
-
-    #[test]
-    fn zipf_cdf_is_monotone_and_normalized() {
-        let cdf = zipf_cdf(100, 1.1);
-        assert_eq!(cdf.len(), 100);
-        assert!(cdf.windows(2).all(|w| w[0] < w[1]));
-        assert!((cdf[99] - 1.0).abs() < 1e-12);
-        // Rank 1 dominates under Zipf.
-        assert!(cdf[0] > 0.15);
     }
 
     #[test]
@@ -530,5 +369,56 @@ mod tests {
     #[test]
     fn eviction_parity_holds_bit_exactly() {
         assert_eq!(eviction_parity_max_delta(), 0.0);
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parses_all_flags() {
+        let args = parse_args(&strings(&[
+            "--addr",
+            "127.0.0.1:4207",
+            "--seed",
+            "7",
+            "--no-shutdown",
+        ]))
+        .expect("valid args");
+        assert_eq!(
+            args,
+            Args {
+                addr: "127.0.0.1:4207".into(),
+                seed: 7,
+                shutdown: false,
+            }
+        );
+        let defaults = parse_args(&strings(&["--addr", "h:1"])).expect("valid args");
+        assert_eq!((defaults.seed, defaults.shutdown), (0x5ca1e, true));
+    }
+
+    #[test]
+    fn malformed_seed_is_an_error() {
+        let err = parse_args(&strings(&["--addr", "h:1", "--seed", "abc"])).unwrap_err();
+        assert!(err.starts_with("--seed:"), "{err}");
+        assert!(parse_args(&strings(&["--addr", "h:1", "--seed", "-1"])).is_err());
+    }
+
+    #[test]
+    fn flag_without_its_value_is_an_error() {
+        let err = parse_args(&strings(&["--addr"])).unwrap_err();
+        assert_eq!(err, "--addr requires a value");
+        let err = parse_args(&strings(&["--addr", "h:1", "--seed"])).unwrap_err();
+        assert_eq!(err, "--seed requires a value");
+        assert_eq!(parse_args(&[]).unwrap_err(), "--addr is required");
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        for removed in ["--smoke", "--bench", "--emit-json", "--frobnicate"] {
+            let err = parse_args(&strings(&["--addr", "h:1", removed])).unwrap_err();
+            assert_eq!(err, format!("unknown argument {removed:?}"));
+        }
+        assert_eq!(parse_args(&strings(&["--help"])).unwrap_err(), "");
     }
 }

@@ -33,7 +33,8 @@
 //! always in DSLAM order `0..D`), and the `(time, dslam)` tie-break of
 //! the core merge are all functions of the *configuration only* — the
 //! merged [`ScaleReport`] is bit-identical for any `--shards` value.
-//! Tests pin this, and `benches/scale.rs` re-asserts it before timing.
+//! `shard_count_never_changes_the_report` pins this, and tier-1's scale
+//! smoke diffs the CLI report across `--shards 1` and `--shards 2`.
 
 use crate::calendar::{Calendar, CalendarKind, CalendarStats, Scheduled};
 use crate::engine::{par_map, replication_seed};
