@@ -4,8 +4,7 @@
 //! analytic [`fpsping::RttModel`] quantile, and answer the operational
 //! question "how many pings before a client's estimate is trustworthy?"
 //!
-//! Used by the `estimator_convergence` reproduction binary (CSV + table
-//! output).
+//! Used by the `estimator_convergence` study of the `repro` program.
 
 use fpsping::{RttModel, Scenario};
 use fpsping_sim::{BurstSizing, NetworkConfig, SimEngine, SimEngineConfig, SimTime};
@@ -61,8 +60,6 @@ pub struct CheckpointErr {
 /// Everything a study run produces.
 #[derive(Debug)]
 pub struct Study {
-    /// The scenario simulated.
-    pub scenario: Scenario,
     /// Analytic 99% quantile of the network RTT (upstream + downstream,
     /// no tick-alignment wait) in ms — what the estimator converges to.
     pub analytic_p99_ms: f64,
@@ -80,7 +77,7 @@ pub fn analytic_rtt_ms(scenario: &Scenario, p: f64) -> f64 {
     let mut s = scenario.clone();
     s.quantile = p;
     RttModel::build(&s)
-        // lint:allow(unwrap): the paper-default study scenario has a feasible load — `build` cannot fail on it, and a study bin should abort loudly if that ever breaks
+        // lint:allow(unwrap): the paper-default study scenario has a feasible load — `build` cannot fail on it, and the study should abort loudly if that ever breaks
         .expect("stable study scenario")
         .rtt_quantile_ms()
 }
@@ -88,16 +85,15 @@ pub fn analytic_rtt_ms(scenario: &Scenario, p: f64) -> f64 {
 /// Runs the study: one simulation replication with the estimator on,
 /// then the per-checkpoint error reduction against the analytic p99.
 pub fn run_study(cfg: &StudyConfig) -> Study {
-    let scenario = cfg.scenario();
-    let analytic_p99_ms = analytic_rtt_ms(&scenario, 0.99);
-    let analytic_p999_ms = analytic_rtt_ms(&scenario, 0.999);
+    let s = cfg.scenario();
+    let analytic_p99_ms = analytic_rtt_ms(&s, 0.99);
+    let analytic_p999_ms = analytic_rtt_ms(&s, 0.999);
     let engine = SimEngine::new(SimEngineConfig {
         reps: 1,
         jobs: 1,
         master_seed: cfg.seed,
         stream_quantiles: false,
     });
-    let s = scenario.clone();
     let rep = engine.run(move |_| {
         let mut net = NetworkConfig::paper_scenario(
             s.gamer_count().round() as usize,
@@ -121,7 +117,6 @@ pub fn run_study(cfg: &StudyConfig) -> Study {
     let summary = rep.estimator.expect("study ran with the estimator enabled");
     let errors = checkpoint_errors(&summary, analytic_p99_ms);
     Study {
-        scenario,
         analytic_p99_ms,
         analytic_p999_ms,
         summary,

@@ -1,171 +1,222 @@
-//! Shared plumbing for the reproduction binaries: locating the `results/`
-//! directory and writing CSV series.
+//! The reproduction harness behind the `repro` program. A study returns
+//! its output as [`Table`]s; one writer puts them in `results/`, one
+//! printer shows them on stdout, and one checker compares them byte for
+//! byte with the committed files and with the excerpts EXPERIMENTS.md
+//! quotes from them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod estimator_study;
 
-use fpsping_sim::SimEngineConfig;
+use std::collections::BTreeSet;
 use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
-/// Replication flags shared by every simulation-backed reproduction
-/// binary: `--reps R --jobs J --stream-quantiles`, plus the
-/// observability flags `--metrics-out PATH` and `--trace`.
-///
-/// Defaults (`reps = 1`, `jobs = 0` = all cores, exact quantiles, no
-/// metrics export) keep the binaries' single-run behaviour; raising
-/// `--reps` switches them to the replicated engine with 95% confidence
-/// half-widths.
+/// One CSV file of a study: its name under `results/`, its header line
+/// and its rows, each a preformatted CSV line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimArgs {
-    /// Independent replications R.
-    pub reps: usize,
-    /// Worker threads (0 = all cores).
-    pub jobs: usize,
-    /// O(1)-memory streaming (P²) quantiles instead of raw samples.
-    pub stream_quantiles: bool,
-    /// Write the solver/sim metrics registry as JSON here on
-    /// [`SimArgs::finish`].
-    pub metrics_out: Option<PathBuf>,
-    /// Print the recorded span tree on [`SimArgs::finish`].
-    pub trace: bool,
+pub struct Table {
+    /// File name under `results/`.
+    pub name: String,
+    /// The header line.
+    pub header: String,
+    /// The data lines.
+    pub rows: Vec<String>,
 }
 
-impl Default for SimArgs {
-    fn default() -> Self {
+impl Table {
+    /// A table named `name` (a file name under `results/`).
+    pub fn new(name: impl Into<String>, header: impl Into<String>, rows: Vec<String>) -> Self {
         Self {
-            reps: 1,
-            jobs: 0,
-            stream_quantiles: false,
-            metrics_out: None,
-            trace: false,
+            name: name.into(),
+            header: header.into(),
+            rows,
         }
+    }
+
+    /// The file's bytes: the header and every row, each ended by `\n`.
+    pub fn csv(&self) -> String {
+        let mut out = String::new();
+        for line in std::iter::once(&self.header).chain(&self.rows) {
+            out.push_str(line);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Prints the table as aligned columns under its file name. A column
+    /// whose cells all parse as numbers is right-aligned.
+    pub fn print(&self) {
+        let lines: Vec<Vec<&str>> = std::iter::once(&self.header)
+            .chain(&self.rows)
+            .map(|l| fields(l))
+            .collect();
+        let columns = lines.iter().map(Vec::len).max().unwrap_or(0);
+        let mut width = vec![0; columns];
+        let mut numeric = vec![true; columns];
+        for (r, cells) in lines.iter().enumerate() {
+            for (c, cell) in cells.iter().enumerate() {
+                width[c] = width[c].max(cell.chars().count());
+                numeric[c] &= r == 0 || cell.is_empty() || cell.parse::<f64>().is_ok();
+            }
+        }
+        println!("results/{}", self.name);
+        for cells in &lines {
+            let padded: Vec<String> = cells
+                .iter()
+                .enumerate()
+                .map(|(c, cell)| match numeric[c] {
+                    true => format!("{cell:>w$}", w = width[c]),
+                    false => format!("{cell:<w$}", w = width[c]),
+                })
+                .collect();
+            println!("  {}", padded.join("  ").trim_end());
+        }
+        println!();
     }
 }
 
-impl SimArgs {
-    /// Parses the flags from an argument list; unknown flags error.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let args: Vec<String> = args.into_iter().collect();
-        let mut out = Self::default();
-        let mut i = 0usize;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--reps" | "--jobs" => {
-                    let flag = args[i].clone();
-                    let v = args
-                        .get(i + 1)
-                        .ok_or_else(|| format!("flag {flag} needs a value"))?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("flag {flag}: `{v}` is not a non-negative integer"))?;
-                    if flag == "--reps" {
-                        if n == 0 {
-                            return Err("--reps must be at least 1".into());
-                        }
-                        out.reps = n;
-                    } else {
-                        out.jobs = n;
-                    }
-                    i += 2;
-                }
-                "--stream-quantiles" => {
-                    out.stream_quantiles = true;
-                    i += 1;
-                }
-                "--metrics-out" => {
-                    let v = args
-                        .get(i + 1)
-                        .ok_or_else(|| "flag --metrics-out needs a path".to_string())?;
-                    out.metrics_out = Some(PathBuf::from(v));
-                    i += 2;
-                }
-                "--trace" => {
-                    out.trace = true;
-                    i += 1;
-                }
-                other => return Err(format!("unknown flag `{other}`")),
+/// Splits a CSV line into its fields. A comma inside parentheses, as in
+/// `Ext(120, 36)`, belongs to its field.
+fn fields(line: &str) -> Vec<&str> {
+    let (mut out, mut depth, mut start) = (Vec::new(), 0i32, 0);
+    for (i, b) in line.bytes().enumerate() {
+        match b {
+            b'(' => depth += 1,
+            b')' => depth -= 1,
+            b',' if depth == 0 => {
+                out.push(&line[start..i]);
+                start = i + 1;
             }
-        }
-        Ok(out)
-    }
-
-    /// Parses the process arguments, exiting with a usage message on
-    /// error — the standard front door for the reproduction binaries.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{e}");
-                eprintln!(
-                    "usage: [--reps R] [--jobs J] [--stream-quantiles] [--metrics-out PATH] [--trace]"
-                );
-                std::process::exit(2);
-            }
+            _ => {}
         }
     }
-
-    /// Honors the observability flags at the end of a binary's run:
-    /// prints the span tree when `--trace` was given and writes the
-    /// metrics registry as JSON to `--metrics-out`. Call last, after all
-    /// model/simulation work. Exits with an error when the metrics path
-    /// is unwritable — a reproduction run that silently loses its
-    /// requested metrics would defeat the flag's purpose.
-    pub fn finish(&self) {
-        if self.trace {
-            print!("{}", fpsping_obs::snapshot().render_trace());
-        }
-        if let Some(path) = &self.metrics_out {
-            if let Err(e) = fpsping_obs::write_json(path) {
-                eprintln!("--metrics-out {}: {e}", path.display());
-                // lint:allow(process_exit): finish() runs as the last statement of a bin's main
-                std::process::exit(1);
-            }
-            println!("→ wrote {}", path.display());
-        }
-    }
-
-    /// The replicated-engine configuration these flags describe, under
-    /// the given master seed.
-    pub fn engine_config(&self, master_seed: u64) -> SimEngineConfig {
-        SimEngineConfig {
-            reps: self.reps,
-            jobs: self.jobs,
-            master_seed,
-            stream_quantiles: self.stream_quantiles,
-        }
-    }
+    out.push(&line[start..]);
+    out
 }
 
-/// Formats `value ± half-width` in milliseconds, omitting the half-width
-/// when no confidence interval exists (single replication).
-pub fn ms_with_ci(value_s: f64, ci_s: Option<f64>) -> String {
-    match ci_s {
-        Some(hw) => format!("{:.3} ± {:.3} ms", value_s * 1e3, hw * 1e3),
-        None => format!("{:.3} ms", value_s * 1e3),
-    }
+/// The repository root.
+pub fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// The repository-level `results/` directory (created on demand).
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = repo_root().join("results");
+    // lint:allow(unwrap): the harness cannot run without its results/ directory, and the message names the step
     fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
 
-/// Writes a CSV file into `results/` and echoes its path.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
-    let path = results_dir().join(name);
-    let mut f = fs::File::create(&path).expect("create csv");
-    writeln!(f, "{header}").expect("write header");
-    for r in rows {
-        writeln!(f, "{r}").expect("write row");
+/// Writes each table into `dir` as `dir/<name>`.
+pub fn write_tables(dir: &Path, tables: &[Table]) -> io::Result<()> {
+    for t in tables {
+        fs::write(dir.join(&t.name), t.csv())?;
     }
-    println!("→ wrote {}", path.display());
-    path
+    Ok(())
+}
+
+/// Compares each table with its committed file in `dir`, byte for byte.
+/// Returns one message per file that is missing or differs; a message
+/// names the file, the first differing line and both versions of it.
+pub fn check_tables(dir: &Path, tables: &[Table]) -> Vec<String> {
+    tables
+        .iter()
+        .filter_map(|t| {
+            let committed = match fs::read_to_string(dir.join(&t.name)) {
+                Ok(c) => c,
+                Err(e) => return Some(format!("results/{}: cannot read it: {e}", t.name)),
+            };
+            first_difference(&committed, &t.csv()).map(|(n, old, new)| {
+                format!(
+                    "results/{}: line {n} differs\n  committed: {old}\n  generated: {new}",
+                    t.name
+                )
+            })
+        })
+        .collect()
+}
+
+/// The 1-based number of the first line where `committed` and
+/// `generated` differ, with both lines (`<end of file>` past the end),
+/// or `None` when the two are the same bytes.
+fn first_difference(committed: &str, generated: &str) -> Option<(usize, String, String)> {
+    let shown = |l: Option<&str>| l.map_or("<end of file>".into(), |l| format!("{l:?}"));
+    let (mut a, mut b) = (
+        committed.split_inclusive('\n'),
+        generated.split_inclusive('\n'),
+    );
+    let mut n = 1;
+    loop {
+        match (a.next(), b.next()) {
+            (None, None) => return None,
+            (x, y) if x != y => return Some((n, shown(x), shown(y))),
+            _ => n += 1,
+        }
+    }
+}
+
+/// Names every `*.csv` in `dir` that is not in `known`: a file no study
+/// writes, such as the leftover of a renamed study.
+pub fn orphans(dir: &Path, known: &BTreeSet<&str>) -> Vec<String> {
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) => return vec![format!("{}: cannot list it: {e}", dir.display())],
+    };
+    let mut names: Vec<String> = entries
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".csv") && !known.contains(n.as_str()))
+        .collect();
+    names.sort();
+    names
+        .into_iter()
+        .map(|n| format!("results/{n}: no study writes this file"))
+        .collect()
+}
+
+/// Checks the CSV excerpts of a document against `dir`. An excerpt is a
+/// fenced block opened by ```` ```csv results/<name> ````; every line in
+/// it, without its indentation, must be a line of that file. Returns one
+/// message per line that is not, and per excerpt whose file cannot be
+/// read or whose fence is never closed.
+pub fn check_excerpts(doc_name: &str, doc: &str, dir: &Path) -> Vec<String> {
+    let mut problems = Vec::new();
+    let mut lines = doc.lines().enumerate();
+    while let Some((i, line)) = lines.next() {
+        let Some(name) = line.trim_start().strip_prefix("```csv results/") else {
+            continue;
+        };
+        let committed = fs::read_to_string(dir.join(name))
+            .map_err(|e| problems.push(format!("{doc_name}:{}: results/{name}: {e}", i + 1)))
+            .ok();
+        let mut closed = false;
+        for (j, quoted) in lines.by_ref() {
+            let quoted = quoted.trim_start();
+            if quoted == "```" {
+                closed = true;
+                break;
+            }
+            if committed
+                .as_ref()
+                .is_some_and(|c| !c.lines().any(|l| l == quoted))
+            {
+                problems.push(format!(
+                    "{doc_name}:{}: not a line of results/{name}: {quoted:?}",
+                    j + 1
+                ));
+            }
+        }
+        if !closed {
+            problems.push(format!(
+                "{doc_name}:{}: excerpt of results/{name} is never closed",
+                i + 1
+            ));
+        }
+    }
+    problems
 }
 
 /// Formats an `(x, y)` series as CSV rows with fixed precision.
@@ -180,6 +231,19 @@ pub fn series_rows(series: &[(f64, f64)]) -> Vec<String> {
 mod tests {
     use super::*;
 
+    /// A fresh directory under the system temp dir, unique to this
+    /// process and `tag`.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("fpsping-bench-{}-{tag}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn table() -> Table {
+        Table::new("t.csv", "a,b", vec!["1,2".into(), "3,4".into()])
+    }
+
     #[test]
     fn results_dir_exists_after_call() {
         assert!(results_dir().is_dir());
@@ -187,10 +251,12 @@ mod tests {
 
     #[test]
     fn csv_round_trip() {
-        let p = write_csv("unit_test_tmp.csv", "a,b", &["1,2".into(), "3,4".into()]);
-        let content = std::fs::read_to_string(&p).unwrap();
-        assert_eq!(content.lines().count(), 3);
-        std::fs::remove_file(p).unwrap();
+        let dir = scratch_dir("round-trip");
+        write_tables(&dir, &[table()]).unwrap();
+        let content = fs::read_to_string(dir.join("t.csv")).unwrap();
+        assert_eq!(content, "a,b\n1,2\n3,4\n");
+        assert!(check_tables(&dir, &[table()]).is_empty());
+        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -200,53 +266,61 @@ mod tests {
         assert!(rows[0].starts_with("0.500000,"));
     }
 
-    fn argv(s: &str) -> Vec<String> {
-        s.split_whitespace().map(String::from).collect()
+    #[test]
+    fn fields_keep_parenthesised_commas() {
+        assert_eq!(fields("U(0, 2 ms),5950.0,"), ["U(0, 2 ms)", "5950.0", ""]);
+        assert_eq!(fields("x,Ext(120, 36)"), ["x", "Ext(120, 36)"]);
     }
 
     #[test]
-    fn sim_args_defaults_and_flags() {
-        assert_eq!(SimArgs::parse(argv("")).unwrap(), SimArgs::default());
-        let a = SimArgs::parse(argv("--reps 8 --jobs 2 --stream-quantiles")).unwrap();
+    fn a_difference_names_the_file_the_line_and_both_versions() {
+        let dir = scratch_dir("difference");
+        fs::write(dir.join("t.csv"), "a,b\n1,2\n3,5\n").unwrap();
+        let problems = check_tables(&dir, &[table()]);
         assert_eq!(
-            a,
-            SimArgs {
-                reps: 8,
-                jobs: 2,
-                stream_quantiles: true,
-                ..SimArgs::default()
-            }
+            problems,
+            ["results/t.csv: line 3 differs\n  committed: \"3,5\\n\"\n  generated: \"3,4\\n\""]
         );
-        let ec = a.engine_config(42);
-        assert_eq!(ec.reps, 8);
-        assert_eq!(ec.jobs, 2);
-        assert_eq!(ec.master_seed, 42);
-        assert!(ec.stream_quantiles);
+        fs::write(dir.join("t.csv"), "a,b\n1,2\n").unwrap();
+        assert!(check_tables(&dir, &[table()])[0].contains("committed: <end of file>"));
+        fs::write(dir.join("t.csv"), "a,b\n1,2\n3,4").unwrap();
+        assert!(check_tables(&dir, &[table()])[0].contains("line 3 differs"));
+        fs::remove_file(dir.join("t.csv")).unwrap();
+        assert!(check_tables(&dir, &[table()])[0].starts_with("results/t.csv: cannot read it"));
+        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
-    fn sim_args_rejects_bad_input() {
-        assert!(SimArgs::parse(argv("--reps")).is_err());
-        assert!(SimArgs::parse(argv("--reps 0")).is_err());
-        assert!(SimArgs::parse(argv("--reps x")).is_err());
-        assert!(SimArgs::parse(argv("--frobnicate")).is_err());
-        assert!(SimArgs::parse(argv("--metrics-out")).is_err());
-    }
-
-    #[test]
-    fn sim_args_parses_obs_flags() {
-        let a = SimArgs::parse(argv("--trace --metrics-out out/m.json")).unwrap();
-        assert!(a.trace);
+    fn a_csv_no_study_writes_is_an_orphan() {
+        let dir = scratch_dir("orphans");
+        for name in ["t.csv", "x.csv", "notes.json"] {
+            fs::write(dir.join(name), "").unwrap();
+        }
+        let known = BTreeSet::from(["t.csv"]);
         assert_eq!(
-            a.metrics_out.as_deref(),
-            Some(std::path::Path::new("out/m.json"))
+            orphans(&dir, &known),
+            ["results/x.csv: no study writes this file"]
         );
-        assert_eq!(a.reps, 1, "obs flags leave the replication defaults alone");
+        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
-    fn ci_formatting() {
-        assert_eq!(ms_with_ci(0.0125, None), "12.500 ms");
-        assert_eq!(ms_with_ci(0.0125, Some(0.0005)), "12.500 ± 0.500 ms");
+    fn every_excerpt_line_must_be_a_line_of_its_file() {
+        let dir = scratch_dir("excerpts");
+        write_tables(&dir, &[table()]).unwrap();
+        let good = "text\n```csv results/t.csv\na,b\n3,4\n```\n1,9\n";
+        let indented = "* item\n\n  ```csv results/t.csv\n  3,4\n  ```\n";
+        assert!(check_excerpts("D.md", indented, &dir).is_empty());
+        assert!(check_excerpts("D.md", good, &dir).is_empty());
+        let stale = "```csv results/t.csv\na,b\n3,5\n```\n";
+        assert_eq!(
+            check_excerpts("D.md", stale, &dir),
+            ["D.md:3: not a line of results/t.csv: \"3,5\""]
+        );
+        let missing = "```csv results/u.csv\n1\n```\n";
+        assert!(check_excerpts("D.md", missing, &dir)[0].starts_with("D.md:1: results/u.csv"));
+        let open = "```csv results/t.csv\na,b\n";
+        assert!(check_excerpts("D.md", open, &dir)[0].contains("never closed"));
+        fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -28,6 +28,12 @@ else
     cargo xtask lint --format summary
 fi
 
+# Artifact check: every deterministic study regenerates its committed
+# results/*.csv byte for byte, every results/*.csv belongs to a study,
+# and every line of an EXPERIMENTS.md CSV excerpt is a line of its file.
+# A failure names the file and its first differing line.
+./target/release/repro --check
+
 # Metrics smoke: the observability layer must produce parseable JSON with
 # live solver counters from a real (tiny) sweep run. The CLI sweep runs
 # the batch engine config, so the continuation ζ solver must show up:
