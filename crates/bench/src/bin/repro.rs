@@ -31,8 +31,8 @@ use fpsping_queue::{DEk1, ErlangMix, Mg1, Position, PositionDelay, TotalDelay};
 use fpsping_sim::network::BackgroundConfig;
 use fpsping_sim::scheduler::Discipline;
 use fpsping_sim::{
-    BurstSizing, Calendar, NetworkConfig, ScaleConfig, ScaleEngine, SimEngine, SimEngineConfig,
-    SimReport, SimTime,
+    BurstSizing, NetworkConfig, ScaleConfig, ScaleEngine, SimEngine, SimEngineConfig, SimReport,
+    SimTime,
 };
 use fpsping_traffic::games::{counter_strike, counter_strike_measured as meas, half_life};
 use fpsping_traffic::{GameModel, LanPartyConfig, TraceStats};
@@ -246,7 +246,6 @@ fn one_replication(master_seed: u64) -> SimEngine {
         reps: 1,
         jobs: 0,
         master_seed,
-        stream_quantiles: false,
     })
 }
 
@@ -1041,7 +1040,7 @@ const MASTER_SEED: u64 = 0x5CA1E;
 const N_DIP: usize = 100_000;
 
 /// The default operating point (DSLAM load 0.5, core load 0.8, 4 096
-/// players/DSLAM, one shard, bucket calendar) at the master seed.
+/// players/DSLAM, one shard) at the master seed.
 fn scale_config(n: usize, dur_s: f64, warmup_s: f64) -> ScaleConfig {
     let mut cfg = ScaleConfig::new(n);
     cfg.duration = SimTime::from_secs(dur_s);
@@ -1052,9 +1051,8 @@ fn scale_config(n: usize, dur_s: f64, warmup_s: f64) -> ScaleConfig {
 }
 
 /// Runs one `ScaleEngine` configuration. Returns its CSV columns from
-/// `dslams` on, and its event count and Poisson ratio bits (the run's
-/// identity for the calendar sweep).
-fn measure(cfg: ScaleConfig) -> (String, (u64, u64)) {
+/// `dslams` on.
+fn measure(cfg: ScaleConfig) -> String {
     let t0 = Instant::now();
     let rep = ScaleEngine::new(cfg).run();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -1062,7 +1060,7 @@ fn measure(cfg: ScaleConfig) -> (String, (u64, u64)) {
         .expect("stable M/D/1 operating point")
         .mean_wait();
     let ratio = rep.core_wait.mean_s / mdd1_wait;
-    let columns = format!(
+    format!(
         "{},{},{},{ratio:.4},{:.3},{:.3},{wall_ms:.1},{:.0},{:.1}",
         rep.dslams,
         rep.packets,
@@ -1071,8 +1069,7 @@ fn measure(cfg: ScaleConfig) -> (String, (u64, u64)) {
         mdd1_wait * 1e6,
         rep.events as f64 / (wall_ms / 1e3),
         peak_rss_mib()
-    );
-    (columns, (rep.events, ratio.to_bits()))
+    )
 }
 
 /// Cumulative peak RSS (MiB) from `/proc/self/status` `VmHWM`, or 0.0
@@ -1088,8 +1085,7 @@ fn peak_rss_mib() -> f64 {
 }
 
 /// `ScaleEngine` studies: the events/s and peak-RSS curve over
-/// N = 10³…10⁶, the end-to-end bucket-vs-heap calendar wall time at
-/// N = 10⁵, and a dissection of the `poisson_mdd1_wait_ratio` dip at
+/// N = 10³…10⁶ and a dissection of the `poisson_mdd1_wait_ratio` dip at
 /// N = 10⁵ on that curve. The §3.1 Poisson-limit claim says the ratio
 /// tends to 1 as the DSLAM count D grows. A measurement artifact (a
 /// short warmup or span) would move with warmup, duration and seed; a
@@ -1100,26 +1096,13 @@ fn peak_rss_mib() -> f64 {
 fn scale_warmup() -> Vec<Table> {
     let mut rows = Vec::new();
     let mut emit = |sweep: &str, value: &dyn Display, cfg: ScaleConfig| {
-        let (columns, identity) = measure(cfg);
-        rows.push(format!("{sweep},{value},{columns}"));
-        identity
+        rows.push(format!("{sweep},{value},{}", measure(cfg)));
     };
     // The scale curve, first and in ascending N: `VmHWM` is a cumulative
     // high-water mark, so each row's peak RSS is "peak so far". Simulated
     // durations shrink with N to bound wall time while events still grow.
     for (n, dur_s) in [(1_000, 8.0), (10_000, 4.0), (N_DIP, 2.0), (1_000_000, 1.0)] {
         emit("curve,n", &n, scale_config(n, dur_s, 0.5));
-    }
-    // The dipping point through each calendar backend, alternated three
-    // times: the same events, only the wall time differs.
-    for _ in 0..3 {
-        let [bucket, heap] = [Calendar::Bucket, Calendar::Heap].map(|calendar| {
-            let mut cfg = scale_config(N_DIP, 2.0, 0.25);
-            cfg.calendar = calendar;
-            let name = format!("{calendar:?}").to_lowercase();
-            emit("calendar,calendar", &name, cfg)
-        });
-        assert_eq!(bucket, heap, "calendar backends diverged");
     }
     // Warmup at the dipping point: transient leakage would pull the
     // ratio up as the warmup grows.

@@ -92,7 +92,6 @@ pub fn run_study(cfg: &StudyConfig) -> Study {
         reps: 1,
         jobs: 1,
         master_seed: cfg.seed,
-        stream_quantiles: false,
     });
     let rep = engine.run(move |_| {
         let mut net = NetworkConfig::paper_scenario(

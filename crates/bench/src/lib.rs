@@ -219,14 +219,6 @@ pub fn check_excerpts(doc_name: &str, doc: &str, dir: &Path) -> Vec<String> {
     problems
 }
 
-/// Formats an `(x, y)` series as CSV rows with fixed precision.
-pub fn series_rows(series: &[(f64, f64)]) -> Vec<String> {
-    series
-        .iter()
-        .map(|(x, y)| format!("{x:.6},{y:.6e}"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,13 +249,6 @@ mod tests {
         assert_eq!(content, "a,b\n1,2\n3,4\n");
         assert!(check_tables(&dir, &[table()]).is_empty());
         fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn series_formatting() {
-        let rows = series_rows(&[(0.5, 1e-5)]);
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].starts_with("0.500000,"));
     }
 
     #[test]

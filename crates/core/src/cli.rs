@@ -52,8 +52,6 @@ pub enum Command {
         /// Scale-engine worker shards (0 = all cores). Parallelism only:
         /// the report is bit-identical for every value.
         shards: usize,
-        /// Event-calendar backend.
-        calendar: fpsping_sim::Calendar,
     },
     /// `help` — usage text.
     Help,
@@ -116,10 +114,11 @@ FLAGS (all optional; defaults are the paper's §4 scenario):
                              (EWMA + P² tails, compared to the analytic model)
     --sim-seconds <S>        sim: simulated seconds per replication [default 60]
     --seed <S>               sim: master seed                   [default 24301]
-    --scale-n <N>            sim: sharded DSLAM-tree scale run with N players
+    --scale-n <N>            sim: sharded DSLAM-tree scale run with N players;
+                             of these flags it takes only --shards,
+                             --sim-seconds and --seed
     --shards <S>             sim: scale worker shards; 0 = all cores [default 0]
                              (parallelism only — the report never depends on it)
-    --calendar <heap|bucket> sim: event-calendar backend     [default bucket]
 
 OBSERVABILITY (any command):
     --metrics-out <PATH>     write solver/sim metrics as JSON after the run
@@ -197,12 +196,16 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut seed = 0x5EEDu64;
     let mut scale_n = 0usize;
     let mut shards = 0usize;
-    let mut calendar = fpsping_sim::Calendar::Bucket;
+    // The first flag that a `--scale-n` run would ignore.
+    let mut ignored_by_scale = None;
     let mut i = 1usize;
     while i < args.len() {
         let flag = args[i].as_str();
         let value = args.get(i + 1);
         let mut consumed = 2;
+        if !matches!(flag, "--scale-n" | "--shards" | "--sim-seconds" | "--seed") {
+            ignored_by_scale.get_or_insert(flag);
+        }
         match flag {
             "--load" => scenario = scenario.with_load(parse_f64(flag, value)?),
             "--gamers" => {
@@ -297,18 +300,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 }
                 shards = n as usize;
             }
-            "--calendar" => {
-                let v = value.ok_or_else(|| ParseError("flag --calendar needs a value".into()))?;
-                calendar = match v.as_str() {
-                    "heap" => fpsping_sim::Calendar::Heap,
-                    "bucket" => fpsping_sim::Calendar::Bucket,
-                    other => {
-                        return Err(ParseError(format!(
-                            "flag --calendar: `{other}` is not `heap` or `bucket`"
-                        )))
-                    }
-                };
-            }
             other => return Err(ParseError(format!("unknown flag `{other}` (try `help`)"))),
         }
         i += consumed;
@@ -324,18 +315,22 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "sweep" => Ok(Command::Sweep { scenario, jobs }),
-        "sim" => Ok(Command::Sim {
-            scenario,
-            reps,
-            jobs,
-            stream_quantiles,
-            estimate,
-            sim_seconds,
-            seed,
-            scale_n,
-            shards,
-            calendar,
-        }),
+        "sim" => match ignored_by_scale {
+            Some(flag) if scale_n > 0 => Err(ParseError(format!(
+                "--scale-n runs its own DSLAM tree and would ignore {flag}"
+            ))),
+            _ => Ok(Command::Sim {
+                scenario,
+                reps,
+                jobs,
+                stream_quantiles,
+                estimate,
+                sim_seconds,
+                seed,
+                scale_n,
+                shards,
+            }),
+        },
         other => Err(ParseError(format!(
             "unknown command `{other}` (try `help`)"
         ))),
@@ -346,17 +341,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 /// engine. The output is a function of the scenario only — it never
 /// mentions the shard count, so outputs can be `diff`ed across
 /// `--shards` values to check the bit-identical-merge guarantee.
-fn run_scale(
-    n: usize,
-    shards: usize,
-    calendar: fpsping_sim::Calendar,
-    sim_seconds: f64,
-    seed: u64,
-) -> Result<String, String> {
+fn run_scale(n: usize, shards: usize, sim_seconds: f64, seed: u64) -> Result<String, String> {
     use fpsping_sim::{ScaleConfig, ScaleEngine, SimTime};
     let mut cfg = ScaleConfig::new(n);
     cfg.shards = shards;
-    cfg.calendar = calendar;
     cfg.duration = SimTime::from_secs(sim_seconds);
     cfg.warmup = SimTime::from_secs((sim_seconds * 0.1).min(1.0));
     cfg.seed = seed;
@@ -364,13 +352,9 @@ fn run_scale(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "scale: N={} dslams={} calendar={} — {sim_seconds} s ({} s warmup)",
+        "scale: N={} dslams={} — {sim_seconds} s ({} s warmup)",
         rep.n_players,
         rep.dslams,
-        match calendar {
-            fpsping_sim::Calendar::Heap => "heap",
-            fpsping_sim::Calendar::Bucket => "bucket",
-        },
         cfg.warmup.as_secs(),
     );
     let _ = writeln!(
@@ -463,11 +447,10 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             seed,
             scale_n,
             shards,
-            calendar,
         } => {
             use fpsping_sim::{BurstSizing, NetworkConfig, SimEngine, SimEngineConfig, SimTime};
             if *scale_n > 0 {
-                return run_scale(*scale_n, *shards, *calendar, *sim_seconds, *seed);
+                return run_scale(*scale_n, *shards, *sim_seconds, *seed);
             }
             s.validate().map_err(|e| e.to_string())?;
             let n = s.gamer_count().round().max(1.0) as usize;
@@ -475,7 +458,6 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 reps: *reps,
                 jobs: *jobs,
                 master_seed: *seed,
-                stream_quantiles: *stream_quantiles,
             });
             let rep = engine.run(|_| {
                 let mut cfg = NetworkConfig::paper_scenario(
@@ -494,7 +476,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 cfg.c_bps = s.c_bps;
                 cfg.burst_sizing = BurstSizing::ErlangBurst { k: s.erlang_order };
                 cfg.duration = SimTime::from_secs(*sim_seconds);
-                cfg.calendar = *calendar;
+                cfg.stream_quantiles = *stream_quantiles;
                 cfg.estimate = *estimate;
                 cfg
             });
@@ -595,9 +577,16 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             }
         }
         Command::Sweep { scenario: s, jobs } => {
+            let grid = crate::sweep::paper_load_grid();
+            // The sweep sets the load itself. At the grid's lightest load
+            // a scenario is invalid only if every row would be.
+            s.clone()
+                .with_load(grid[0])
+                .validate()
+                .map_err(|e| e.to_string())?;
             let engine = Engine::new(EngineConfig::with_jobs(*jobs));
             let _ = writeln!(out, "{:>6} {:>8} {:>12}", "load", "gamers", "RTT [ms]");
-            for p in engine.rtt_vs_load(s, &crate::sweep::paper_load_grid()) {
+            for p in engine.rtt_vs_load(s, &grid) {
                 match p.rtt_ms {
                     Some(v) => {
                         let _ = writeln!(
@@ -742,32 +731,69 @@ mod tests {
 
     #[test]
     fn sim_takes_scale_flags() {
-        match parse(&argv("sim --scale-n 5000 --shards 2 --calendar heap")).unwrap() {
+        match parse(&argv(
+            "sim --scale-n 5000 --shards 2 --sim-seconds 3 --seed 4",
+        ))
+        .unwrap()
+        {
             Command::Sim {
                 scale_n,
                 shards,
-                calendar,
+                sim_seconds,
+                seed,
                 ..
             } => {
                 assert_eq!(scale_n, 5000);
                 assert_eq!(shards, 2);
-                assert_eq!(calendar, fpsping_sim::Calendar::Heap);
+                assert_eq!(sim_seconds, 3.0);
+                assert_eq!(seed, 4);
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("sim")).unwrap() {
-            Command::Sim {
-                scale_n, calendar, ..
-            } => {
-                assert_eq!(scale_n, 0, "scale off by default");
-                assert_eq!(calendar, fpsping_sim::Calendar::Bucket);
-            }
+            Command::Sim { scale_n, .. } => assert_eq!(scale_n, 0, "scale off by default"),
             other => panic!("{other:?}"),
         }
         assert!(parse(&argv("sim --scale-n 0")).is_err());
         assert!(parse(&argv("sim --scale-n 1.5")).is_err());
         assert!(parse(&argv("sim --shards -1")).is_err());
-        assert!(parse(&argv("sim --calendar fibonacci")).is_err());
+        assert!(parse(&argv("sim --calendar heap")).is_err());
+    }
+
+    #[test]
+    fn scale_n_refuses_flags_it_would_ignore() {
+        for extra in [
+            "--reps 4",
+            "--estimate",
+            "--k 2",
+            "--c-kbps nan",
+            "--jobs 2",
+            "--stream-quantiles",
+            "--no-upstream",
+        ] {
+            for args in [
+                format!("sim --scale-n 10 {extra}"),
+                format!("sim {extra} --scale-n 10"),
+            ] {
+                let err = parse(&argv(&args)).unwrap_err();
+                let flag = extra.split_whitespace().next().unwrap();
+                assert!(err.0.contains(flag), "{args}: {err}");
+            }
+        }
+        // Without --scale-n the same flags are the replicated sim's.
+        assert!(parse(&argv("sim --reps 4 --estimate --k 2")).is_ok());
+    }
+
+    #[test]
+    fn sweep_refuses_an_invalid_scenario() {
+        for (args, name) in [
+            ("sweep --c-kbps nan", "c_bps"),
+            ("sweep --k 300", "erlang_order"),
+            ("sweep --quantile 2", "quantile"),
+        ] {
+            let err = run(&parse(&argv(args)).unwrap()).unwrap_err();
+            assert!(err.contains(name), "{args}: {err}");
+        }
     }
 
     #[test]

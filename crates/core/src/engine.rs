@@ -48,6 +48,7 @@ use crate::sweep::LoadPoint;
 use fpsping_dist::Deterministic;
 use fpsping_obs::{Counter, Gauge};
 use fpsping_queue::{DEk1, DekSolution, Mg1, PositionDelay, QueueError};
+use fpsping_sim::engine::par_map;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -433,40 +434,6 @@ impl Drop for FlushOnDrop<'_> {
     }
 }
 
-/// Maps `f` over `items` on up to `jobs` scoped threads, preserving input
-/// order in the result. Items are split into contiguous chunks (one per
-/// worker), so ordering is deterministic by construction — no work
-/// stealing, no result reshuffling. `jobs <= 1` (or a single item) runs
-/// inline on the caller's thread.
-pub fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(items.len());
-    if jobs <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(jobs);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (item, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        // lint:allow(unwrap): scope() joins every worker before we get here, and each worker writes its whole chunk
-        .map(|r| r.expect("every chunk slot is written by its worker"))
-        .collect()
-}
-
 /// Splits `0..len` into at most `parts` contiguous ranges of near-equal
 /// size (used to hand warm-start runs to workers).
 fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
@@ -702,10 +669,11 @@ impl Engine {
         let _flush = FlushOnDrop(&self.cache);
         let family = self.family(base);
         let runs = self.sweep_runs(loads.len(), self.config.jobs);
-        par_map(self.config.jobs, &runs, |run| {
+        par_map(runs.len(), self.config.jobs, |r| {
             let mut hint = None;
             let mut chain = None;
-            run.clone()
+            runs[r]
+                .clone()
                 .map(|i| {
                     let rho = loads[i];
                     let s = base.clone().with_load(rho);
@@ -847,10 +815,10 @@ impl Engine {
             )
         });
         let runs = self.sweep_runs(misses.len(), self.config.jobs);
-        let results = par_map(self.config.jobs, &runs, |run| {
+        let results = par_map(runs.len(), self.config.jobs, |r| {
             let mut hint = None;
             let mut chain = None;
-            misses[run.clone()]
+            misses[runs[r].clone()]
                 .iter()
                 .map(|(i, s)| {
                     let v = self.cell(s, keys.map(|k| k[*i]), hint, &mut chain);
@@ -887,7 +855,8 @@ impl Engine {
             .flat_map(|ki| load_runs.iter().map(move |r| (ki, r.clone())))
             .collect();
         let family = self.family(base);
-        let results = par_map(self.config.jobs, &tasks, |(ki, run)| {
+        let results = par_map(tasks.len(), self.config.jobs, |t| {
+            let (ki, run) = &tasks[t];
             let k = ks[*ki];
             let mut hint = None;
             let mut chain = None;
@@ -1044,19 +1013,6 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::sweep::paper_load_grid;
-
-    #[test]
-    fn par_map_preserves_order_and_covers_all_items() {
-        let items: Vec<u64> = (0..103).collect();
-        for jobs in [1usize, 2, 3, 7, 200] {
-            let out = par_map(jobs, &items, |&x| x * x);
-            assert_eq!(out.len(), items.len(), "jobs={jobs}");
-            for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, (i as u64) * (i as u64), "jobs={jobs} index {i}");
-            }
-        }
-        assert!(par_map(4, &Vec::<u64>::new(), |&x| x).is_empty());
-    }
 
     #[test]
     fn chunk_ranges_partition_exactly() {

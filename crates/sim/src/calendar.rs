@@ -1,30 +1,26 @@
 //! The event calendar: pending-event set of the discrete-event loop.
 //!
-//! Two backends behind one enum — the same dispatch pattern as
-//! [`crate::scheduler::SchedulerKind`]:
+//! [`CalendarKind`] is a bucketed calendar queue (Brown 1988): a ring of
+//! time-width buckets covering a sliding horizon, O(1) amortized
+//! enqueue/dequeue. Events beyond the horizon *spill* into a small
+//! overflow heap and migrate back as the window advances; when average
+//! bucket occupancy grows past a threshold the ring doubles (a
+//! *resize*). Both are counted and exported via `fpsping_obs`.
 //!
-//! * [`Calendar::Heap`] — the classic `BinaryHeap<Reverse<Scheduled>>`:
-//!   O(log n) per operation, no tuning, the reference implementation.
-//! * [`Calendar::Bucket`] — a bucketed calendar queue (Brown 1988): a
-//!   ring of time-width buckets covering a sliding horizon, O(1)
-//!   amortized enqueue/dequeue. Events beyond the horizon *spill* into a
-//!   small overflow heap and migrate back as the window advances; when
-//!   average bucket occupancy grows past a threshold the ring doubles
-//!   (a *resize*). Both are counted and exported via `fpsping_obs`.
+//! **Pop-order contract.** Every event carries a unique sequence number,
+//! and the calendar pops in strictly increasing `(time, seq)` order — a
+//! total order, so a run's event sequence, tie-breaking included, is a
+//! function of its pushes alone. The tests pin it against a plain
+//! `BinaryHeap<Reverse<Scheduled>>` reference: a lockstep unit test here
+//! and a lockstep proptest (`calendar_props`) over ties, spills and
+//! interleaved pushes and pops.
 //!
-//! **Exact-parity contract.** Every event carries a unique sequence
-//! number, and both backends pop in strictly increasing `(time, seq)`
-//! order — a total order, so the two backends produce *identical* event
-//! sequences, tie-breaking included. The contract is pinned by the
-//! `golden_parity` integration tests (run against both backends) and a
-//! lockstep proptest (`calendar_props`).
-//!
-//! Why the bucket ring wins at scale: the heap's sift-down touches
-//! O(log n) cache lines scattered across a potentially multi-megabyte
-//! array, while the ring touches one short, hot `Vec` per operation.
-//! Near-term completions land in the *current* bucket, which is kept
-//! sorted by binary-search insertion; future buckets take an O(1)
-//! append and sort lazily when the window reaches them.
+//! Why the bucket ring beats a binary heap at scale: the heap's
+//! sift-down touches O(log n) cache lines scattered across a potentially
+//! multi-megabyte array, while the ring touches one short, hot `Vec` per
+//! operation. Near-term completions land in the *current* bucket, which
+//! is kept sorted by binary-search insertion; future buckets take an
+//! O(1) append and sort lazily when the window reaches them.
 
 use crate::time::SimTime;
 use fpsping_obs::Counter;
@@ -42,29 +38,23 @@ const GROW_OCCUPANCY: usize = 8;
 /// Never grow past this many buckets (backstop, not a tuning knob).
 const MAX_BUCKETS: usize = 1 << 20;
 
-/// Which calendar backend the event loop uses (a config choice, like
-/// [`crate::scheduler::Discipline`]).
+/// The calendar choice of [`crate::NetworkConfig::calendar`] and
+/// [`crate::ScaleConfig::calendar`]. It has one variant: it, its
+/// [`Calendar::build`] and those two fields stay only because the
+/// benchmark program sets them and may not change outside a benchmark
+/// change. ROADMAP item 7's benchmark change deletes all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Calendar {
-    /// Binary min-heap: O(log n) per op, the reference backend.
-    Heap,
-    /// Bucketed calendar queue: O(1) amortized, the scale backend.
+    /// The bucketed calendar queue, [`CalendarKind`].
     Bucket,
 }
 
 impl Calendar {
-    /// Builds the chosen backend. `capacity` pre-sizes the heap (or the
-    /// overflow heap); `horizon` is the expected maximum scheduling
-    /// look-ahead — the bucket ring sizes its window from it (spills
-    /// keep correctness if it is underestimated).
-    pub fn build<T>(self, capacity: usize, horizon: SimTime) -> CalendarKind<T> {
-        match self {
-            Calendar::Heap => CalendarKind::Heap(HeapCalendar {
-                heap: BinaryHeap::with_capacity(capacity),
-                stats: CalendarStats::default(),
-            }),
-            Calendar::Bucket => CalendarKind::Bucket(BucketCalendar::new(horizon)),
-        }
+    /// Builds the calendar. `capacity` is unused. `horizon` is the
+    /// expected maximum scheduling look-ahead: the bucket ring sizes its
+    /// window from it (spills keep correctness if it is underestimated).
+    pub fn build<T>(self, _capacity: usize, horizon: SimTime) -> CalendarKind<T> {
+        CalendarKind::new(horizon)
     }
 }
 
@@ -101,11 +91,11 @@ impl<T> Ord for Scheduled<T> {
 /// flushed to the `sim.calendar.*` obs counters once per run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CalendarStats {
-    /// Events pushed (both backends).
+    /// Events pushed.
     pub enqueues: u64,
-    /// Events that landed beyond the bucket horizon (bucket backend).
+    /// Events that landed beyond the bucket horizon.
     pub spills: u64,
-    /// Ring doublings (bucket backend).
+    /// Ring doublings.
     pub resizes: u64,
 }
 
@@ -127,76 +117,6 @@ impl CalendarStats {
     }
 }
 
-/// The pending-event set, dispatching to the configured backend.
-#[derive(Debug)]
-pub enum CalendarKind<T> {
-    /// Binary min-heap backend.
-    Heap(HeapCalendar<T>),
-    /// Bucketed calendar-queue backend.
-    Bucket(BucketCalendar<T>),
-}
-
-impl<T> CalendarKind<T> {
-    /// Inserts an event.
-    #[inline]
-    pub fn push(&mut self, s: Scheduled<T>) {
-        match self {
-            CalendarKind::Heap(heap) => heap.push(s),
-            CalendarKind::Bucket(bucket) => bucket.push(s),
-        }
-    }
-
-    /// Removes and returns the earliest event in `(time, seq)` order.
-    #[inline]
-    pub fn pop(&mut self) -> Option<Scheduled<T>> {
-        match self {
-            CalendarKind::Heap(h) => h.pop(),
-            CalendarKind::Bucket(b) => b.pop(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            CalendarKind::Heap(h) => h.heap.len(),
-            CalendarKind::Bucket(b) => b.ring_len + b.overflow.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The run's operation counts so far.
-    pub fn stats(&self) -> CalendarStats {
-        match self {
-            CalendarKind::Heap(h) => h.stats,
-            CalendarKind::Bucket(b) => b.stats,
-        }
-    }
-}
-
-/// The reference backend: a binary min-heap over `(time, seq)`.
-#[derive(Debug)]
-pub struct HeapCalendar<T> {
-    heap: BinaryHeap<Reverse<Scheduled<T>>>,
-    stats: CalendarStats,
-}
-
-impl<T> HeapCalendar<T> {
-    #[inline]
-    fn push(&mut self, s: Scheduled<T>) {
-        self.stats.enqueues += 1;
-        self.heap.push(Reverse(s));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Scheduled<T>> {
-        self.heap.pop().map(|Reverse(s)| s)
-    }
-}
-
 #[derive(Debug)]
 struct Bucket<T> {
     /// Events of one absolute bucket window. When `sorted`, descending
@@ -205,7 +125,7 @@ struct Bucket<T> {
     sorted: bool,
 }
 
-/// The bucketed calendar queue.
+/// The pending-event set: a bucketed calendar queue.
 ///
 /// Invariants:
 /// * every ring event's absolute bucket index lies in
@@ -215,7 +135,7 @@ struct Bucket<T> {
 /// * `floor` (the last popped time) lower-bounds every pending event,
 ///   so pushes never land before the current window.
 #[derive(Debug)]
-pub struct BucketCalendar<T> {
+pub struct CalendarKind<T> {
     buckets: Vec<Bucket<T>>,
     /// `nbuckets - 1`; ring size is a power of two.
     mask: u64,
@@ -236,7 +156,7 @@ pub struct BucketCalendar<T> {
     stats: CalendarStats,
 }
 
-impl<T> BucketCalendar<T> {
+impl<T> CalendarKind<T> {
     /// A ring of `INIT_BUCKETS` buckets spanning roughly `horizon`
     /// (the width rounds up to a power of two, so the covered window is
     /// at least `horizon`).
@@ -265,8 +185,24 @@ impl<T> BucketCalendar<T> {
         self.mask + 1
     }
 
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.ring_len + self.overflow.len()
+    }
+
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The run's operation counts so far.
+    pub fn stats(&self) -> CalendarStats {
+        self.stats
+    }
+
+    /// Inserts an event.
     #[inline]
-    fn push(&mut self, s: Scheduled<T>) {
+    pub fn push(&mut self, s: Scheduled<T>) {
         self.stats.enqueues += 1;
         self.place(s);
         if self.ring_len > self.grow_at {
@@ -300,8 +236,9 @@ impl<T> BucketCalendar<T> {
         self.ring_len += 1;
     }
 
+    /// Removes and returns the earliest event in `(time, seq)` order.
     #[inline]
-    fn pop(&mut self) -> Option<Scheduled<T>> {
+    pub fn pop(&mut self) -> Option<Scheduled<T>> {
         // Fast path — the common steady-state shape: nothing spilled,
         // and the current bucket is sorted with events left, so the
         // minimum is simply its back element. (With spills pending the
@@ -406,6 +343,9 @@ mod tests {
     use super::*;
     use crate::rng::BatchRng;
 
+    /// The reference calendar: a binary min-heap over `(time, seq)`.
+    type Reference = BinaryHeap<Reverse<Scheduled<u32>>>;
+
     fn ev(t: u64, seq: u64) -> Scheduled<u32> {
         Scheduled {
             time: SimTime(t),
@@ -415,27 +355,29 @@ mod tests {
     }
 
     fn drain(c: &mut CalendarKind<u32>) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        while let Some(s) = c.pop() {
-            out.push((s.time.as_nanos(), s.seq));
-        }
-        out
+        std::iter::from_fn(|| c.pop())
+            .map(|s| (s.time.as_nanos(), s.seq))
+            .collect()
+    }
+
+    fn drain_reference(r: &mut Reference) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| r.pop())
+            .map(|Reverse(s)| (s.time.as_nanos(), s.seq))
+            .collect()
     }
 
     #[test]
     fn both_backends_pop_in_time_then_seq_order() {
-        for kind in [Calendar::Heap, Calendar::Bucket] {
-            let mut c = kind.build(16, SimTime::from_millis(1.0));
-            // Ties at t=500 break by seq; interleaved pushes.
-            for (t, seq) in [(500, 2), (100, 1), (500, 3), (900, 4), (0, 5)] {
-                c.push(ev(t, seq));
-            }
-            assert_eq!(
-                drain(&mut c),
-                vec![(0, 5), (100, 1), (500, 2), (500, 3), (900, 4)],
-                "backend {kind:?}"
-            );
+        let mut c = Calendar::Bucket.build(16, SimTime::from_millis(1.0));
+        let mut r = Reference::new();
+        // Ties at t=500 break by seq; interleaved pushes.
+        for (t, seq) in [(500, 2), (100, 1), (500, 3), (900, 4), (0, 5)] {
+            c.push(ev(t, seq));
+            r.push(Reverse(ev(t, seq)));
         }
+        let want = vec![(0, 5), (100, 1), (500, 2), (500, 3), (900, 4)];
+        assert_eq!(drain(&mut c), want, "bucket calendar");
+        assert_eq!(drain_reference(&mut r), want, "heap reference");
     }
 
     #[test]
@@ -451,21 +393,15 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_keeps_order() {
-        for kind in [Calendar::Heap, Calendar::Bucket] {
-            let mut c = kind.build(16, SimTime(1_000));
-            c.push(ev(10, 1));
-            c.push(ev(20, 2));
-            let first = c.pop().unwrap();
-            assert_eq!(first.time.as_nanos(), 10);
-            // Push at the popped time (same bucket, already sorted).
-            c.push(ev(10, 3));
-            c.push(ev(15, 4));
-            assert_eq!(
-                drain(&mut c),
-                vec![(10, 3), (15, 4), (20, 2)],
-                "backend {kind:?}"
-            );
-        }
+        let mut c = Calendar::Bucket.build(16, SimTime(1_000));
+        c.push(ev(10, 1));
+        c.push(ev(20, 2));
+        let first = c.pop().unwrap();
+        assert_eq!(first.time.as_nanos(), 10);
+        // Push at the popped time (same bucket, already sorted).
+        c.push(ev(10, 3));
+        c.push(ev(15, 4));
+        assert_eq!(drain(&mut c), vec![(10, 3), (15, 4), (20, 2)]);
     }
 
     #[test]
@@ -488,7 +424,7 @@ mod tests {
     #[test]
     fn random_workload_matches_heap_exactly() {
         let mut rng = BatchRng::seed_from_u64(42);
-        let mut heap: CalendarKind<u32> = Calendar::Heap.build(16, SimTime(1_000_000));
+        let mut heap = Reference::new();
         let mut bucket: CalendarKind<u32> = Calendar::Bucket.build(16, SimTime(1_000_000));
         let mut now = 0u64;
         let mut seq = 0u64;
@@ -501,23 +437,16 @@ mod tests {
                     1..=7 => rng.next_bounded(50_000),
                     _ => 5_000_000 + rng.next_bounded(1 << 24),
                 };
-                heap.push(ev(now + dt, seq));
+                heap.push(Reverse(ev(now + dt, seq)));
                 bucket.push(ev(now + dt, seq));
             } else {
-                let a = heap.pop().unwrap();
+                let Reverse(a) = heap.pop().unwrap();
                 let b = bucket.pop().unwrap();
                 assert_eq!((a.time, a.seq, a.ev), (b.time, b.seq, b.ev));
                 now = a.time.as_nanos();
             }
+            assert_eq!(heap.len(), bucket.len());
         }
-        loop {
-            match (heap.pop(), bucket.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!((a.time, a.seq, a.ev), (b.time, b.seq, b.ev))
-                }
-                (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
-            }
-        }
+        assert_eq!(drain(&mut bucket), drain_reference(&mut heap));
     }
 }

@@ -41,9 +41,6 @@ pub struct SimEngineConfig {
     /// Master seed; replication `i` derives its own seed from this via
     /// [`replication_seed`].
     pub master_seed: u64,
-    /// Run every replication's probes in streaming (P²) mode: O(1)
-    /// memory per quantile level instead of a raw sample store.
-    pub stream_quantiles: bool,
 }
 
 impl Default for SimEngineConfig {
@@ -52,7 +49,6 @@ impl Default for SimEngineConfig {
             reps: 1,
             jobs: 1,
             master_seed: 0,
-            stream_quantiles: false,
         }
     }
 }
@@ -75,12 +71,6 @@ impl SimEngineConfig {
     /// Sets the master seed.
     pub fn master_seed(mut self, seed: u64) -> Self {
         self.master_seed = seed;
-        self
-    }
-
-    /// Enables or disables streaming quantiles.
-    pub fn stream_quantiles(mut self, on: bool) -> Self {
-        self.stream_quantiles = on;
         self
     }
 }
@@ -215,10 +205,10 @@ impl SimEngine {
     }
 
     /// Runs the batch. `make_cfg(rep)` builds replication `rep`'s
-    /// scenario; the engine overrides its `seed` with
-    /// [`replication_seed`]`(master_seed, rep)` and its
-    /// `stream_quantiles` flag with the engine's own, so every
-    /// replication differs *only* in its random stream.
+    /// scenario, streaming quantiles included; the engine overrides only
+    /// its `seed`, with [`replication_seed`]`(master_seed, rep)`, so a
+    /// `make_cfg` that ignores `rep` gives replications that differ
+    /// *only* in their random stream.
     ///
     /// The merged report is a deterministic function of
     /// `(config, make_cfg)` — bit-identical across `jobs` settings.
@@ -232,7 +222,6 @@ impl SimEngine {
         let run_one = |rep: usize| -> Measurements {
             let mut cfg = make_cfg(rep);
             cfg.seed = replication_seed(self.cfg.master_seed, rep as u64);
-            cfg.stream_quantiles = self.cfg.stream_quantiles;
             Network::new(cfg).run_measurements()
         };
         let results = par_map(reps, jobs, run_one);
@@ -361,9 +350,11 @@ where
 
 /// Maps `f` over `0..n` on `jobs` scoped threads, contiguous chunks,
 /// results in index order. `f` runs exactly once per index; which thread
-/// runs it never affects the output vector's order. Shared with the
-/// scale engine, whose shards are jobs over DSLAM indices.
-pub(crate) fn par_map<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
+/// runs it never affects the output vector's order. `jobs <= 1` (or
+/// `n <= 1`) runs inline on the caller's thread. Shared with the scale
+/// engine, whose shards are jobs over DSLAM indices, and with the
+/// analytic engine's sweeps.
+pub fn par_map<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -485,16 +476,17 @@ mod tests {
         );
     }
 
+    fn streaming_cfg(rep: usize) -> NetworkConfig {
+        let mut cfg = tiny_cfg(rep);
+        cfg.stream_quantiles = true;
+        cfg
+    }
+
     #[test]
     fn streaming_mode_merges_and_bounds_memory() {
-        let engine = SimEngine::new(
-            SimEngineConfig::with_reps(3)
-                .master_seed(11)
-                .stream_quantiles(true),
-        );
-        let exact = SimEngine::new(SimEngineConfig::with_reps(3).master_seed(11));
-        let s = engine.run(tiny_cfg);
-        let e = exact.run(tiny_cfg);
+        let engine = SimEngine::new(SimEngineConfig::with_reps(3).master_seed(11));
+        let s = engine.run(streaming_cfg);
+        let e = engine.run(tiny_cfg);
         assert_eq!(s.ping_rtt.count, e.ping_rtt.count);
         // Streaming medians track the exact ones. The per-replication
         // sample counts here are small (a few hundred), so this is a
@@ -508,6 +500,24 @@ mod tests {
                 "streaming median {got} vs exact {want}"
             );
         }
+    }
+
+    #[test]
+    fn make_cfg_chooses_streaming_quantiles() {
+        let direct = |stream_quantiles: bool| {
+            let mut cfg = tiny_cfg(0);
+            cfg.seed = replication_seed(99, 0);
+            cfg.stream_quantiles = stream_quantiles;
+            cfg.run().ping_rtt.quantiles
+        };
+        let (streamed, exact) = (direct(true), direct(false));
+        assert_ne!(streamed, exact, "the two modes must be distinguishable");
+        let engine = SimEngine::new(SimEngineConfig::with_reps(1).master_seed(99));
+        assert_eq!(
+            engine.run(streaming_cfg).per_rep[0].ping_rtt.quantiles,
+            streamed
+        );
+        assert_eq!(engine.run(tiny_cfg).per_rep[0].ping_rtt.quantiles, exact);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!
 //! * [`time`] — integer-nanosecond virtual time (no float drift in the
 //!   event clock),
-//! * [`calendar`] — the pending-event set: binary-heap and O(1)
-//!   bucket-ring backends behind one enum, bit-identical event order,
+//! * [`calendar`] — the pending-event set: an O(1)-amortized bucket
+//!   ring that pops in `(time, seq)` order, ties included,
 //! * [`packet`] — packets and traffic classes,
 //! * [`scheduler`] — FIFO, non-preemptive HoL priority, and WFQ service
 //!   disciplines (the Section-1 discussion),

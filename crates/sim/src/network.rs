@@ -3,8 +3,7 @@
 //! downstream path.
 //!
 //! The event loop is a classic calendar DES: `(time, seq)`-ordered events
-//! in a [`CalendarKind`] backend (binary heap or O(1)-amortized bucket
-//! ring — both pop in the identical total order), links as
+//! in a [`CalendarKind`] (an O(1)-amortized bucket ring), links as
 //! store-and-forward servers, and probes recording the delays the
 //! paper's model predicts —
 //!
@@ -165,10 +164,10 @@ pub struct NetworkConfig {
     /// Random extra delay (ms) added to each packet on the access
     /// downlinks — the artificial jitter of the paper's reference \[23\].
     pub downlink_jitter_ms: Option<Box<dyn Distribution>>,
-    /// Event-calendar backend. Both pop events in the identical
-    /// `(time, seq)` order (pinned by the golden-parity tests), so this
-    /// is purely a performance choice; [`Calendar::Bucket`] is O(1)
-    /// amortized and the default.
+    /// The event calendar; [`Calendar::Bucket`] is its only value. Kept
+    /// only because the benchmark program sets it and may not change
+    /// outside a benchmark change; ROADMAP item 7's benchmark change
+    /// deletes it.
     pub calendar: Calendar,
 }
 
@@ -308,9 +307,9 @@ enum Ev {
 ///
 /// The event loop is allocation-free in steady state: packets are `Copy`
 /// and live inline in the calendar's `Scheduled` entries (the calendar
-/// itself is the event pool — preallocated, and `pop`/`push` recycle its
-/// storage), link queues sit inline in their links behind enum dispatch,
-/// and the per-tick burst scratch (`tick_order`/`tick_sizes`) is reused
+/// itself is the event pool: its bucket vectors keep their capacity, so
+/// `pop`/`push` recycle its storage), link queues sit inline in their
+/// links behind enum dispatch, and the per-tick burst scratch (`tick_order`/`tick_sizes`) is reused
 /// across ticks. The only growth left is amortized: probe sample vectors
 /// (absent in streaming mode) and the optional capture trace.
 pub struct Network {
@@ -406,7 +405,7 @@ impl Network {
         };
         // The longest routine look-ahead any handler schedules: the next
         // emit one interval (or tick) out. Background exponential gaps
-        // occasionally exceed it — the bucket backend spills those.
+        // occasionally exceed it — the calendar spills those.
         let mut lookahead_ms = cfg.tick_ms.max(cfg.client_interval_ms.mean());
         if let Some(ov) = &cfg.client_overrides {
             for &(interval, _) in ov {
@@ -417,10 +416,7 @@ impl Network {
         let mut net = Self {
             rng: BatchRng::seed_from_u64(cfg.seed),
             links,
-            // Steady state holds at most a handful of events per link
-            // (one completion or delivery in flight) plus one emit per
-            // source; preallocate so the calendar never grows mid-run.
-            calendar: cfg.calendar.build(4 * n + 64, horizon),
+            calendar: CalendarKind::new(horizon),
             seq: 0,
             now: SimTime::ZERO,
             upstream_delay: probe(),
@@ -789,39 +785,6 @@ mod tests {
         );
         assert!(rep.packets_upstream > 0);
         assert!(rep.events > rep.packets_downstream);
-    }
-
-    #[test]
-    fn calendar_backends_are_bit_identical() {
-        // The exact-parity contract: heap and bucket calendars pop the
-        // same (time, seq) total order, so whole-run results match bit
-        // for bit — including under background traffic, whose
-        // exponential gaps exercise the bucket backend's spill path.
-        let mk = |calendar| {
-            let mut cfg = small_cfg(12, 125.0, 40.0, 9);
-            cfg.calendar = calendar;
-            cfg.background = Some(BackgroundConfig {
-                load: 0.3,
-                packet_bytes: 1500.0,
-            });
-            cfg.run()
-        };
-        let heap = mk(Calendar::Heap);
-        let bucket = mk(Calendar::Bucket);
-        assert_eq!(heap.events, bucket.events);
-        assert_eq!(heap.packets_downstream, bucket.packets_downstream);
-        assert_eq!(
-            heap.downstream_delay.mean_s.to_bits(),
-            bucket.downstream_delay.mean_s.to_bits()
-        );
-        assert_eq!(
-            heap.ping_rtt.mean_s.to_bits(),
-            bucket.ping_rtt.mean_s.to_bits()
-        );
-        assert_eq!(
-            heap.downstream_delay.quantiles,
-            bucket.downstream_delay.quantiles
-        );
     }
 
     #[test]

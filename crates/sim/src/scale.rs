@@ -67,7 +67,10 @@ pub struct ScaleConfig {
     /// Worker threads over DSLAM indices; `0` = all available cores.
     /// Purely a parallelism knob — never affects the merged report.
     pub shards: usize,
-    /// Event-calendar backend for the per-DSLAM event loops.
+    /// The per-DSLAM event calendar; [`Calendar::Bucket`] is its only
+    /// value. Kept only because the benchmark program sets it and may
+    /// not change outside a benchmark change; ROADMAP item 7's benchmark
+    /// change deletes it.
     pub calendar: Calendar,
     /// Client packet size (bytes), deterministic — the Poisson limit at
     /// the aggregation points comes from phase superposition, not size
@@ -322,7 +325,7 @@ impl ScaleEngine {
         let mut dslam = Link::new(dslam_bps, SimTime::ZERO, Discipline::Fifo);
         // Look-ahead is one send interval; completions land nearer.
         let horizon = SimTime::from_millis(4.0 * cfg.interval_ms);
-        let mut calendar: CalendarKind<Ev> = cfg.calendar.build(2 * n_d + 16, horizon);
+        let mut calendar: CalendarKind<Ev> = CalendarKind::new(horizon);
         let mut seq: u64 = 0;
         for i in 0..n_d {
             let phase = uniform01(&mut rng) * cfg.interval_ms;
@@ -460,19 +463,6 @@ mod tests {
             // shard-count invariant too.
             assert_eq!(one.calendar, other.calendar);
         }
-    }
-
-    #[test]
-    fn calendar_backends_give_identical_scale_reports() {
-        let mk = |calendar| {
-            let mut cfg = small(1_500, 512, 1.0);
-            cfg.calendar = calendar;
-            ScaleEngine::new(cfg).run()
-        };
-        let heap = mk(Calendar::Heap);
-        let bucket = mk(Calendar::Bucket);
-        assert_reports_identical(&heap, &bucket);
-        assert_eq!(heap.calendar.enqueues, bucket.calendar.enqueues);
     }
 
     #[test]

@@ -212,11 +212,7 @@ pub enum Discipline {
 /// scheduler lives inline in its [`crate::link::Link`] (no separate heap
 /// allocation), and the compiler can inline the per-variant bodies into
 /// the hot loop. [`SchedulerKind`] implements [`Scheduler`], so code
-/// written against the trait — including everything that called the old
-/// boxed builder — compiles unchanged.
-///
-/// The event calendar uses the same closed-set enum-dispatch pattern:
-/// see [`crate::calendar::CalendarKind`].
+/// written against the trait compiles unchanged.
 #[derive(Debug)]
 pub enum SchedulerKind {
     /// First-in first-out.
@@ -272,16 +268,6 @@ impl Discipline {
             Discipline::Fifo => SchedulerKind::Fifo(Fifo::new()),
             Discipline::Priority => SchedulerKind::Priority(HolPriority::new()),
             Discipline::Wfq { game_weight } => SchedulerKind::Wfq(Wfq::new(game_weight)),
-        }
-    }
-
-    /// Instantiates the scheduler behind a trait object, for callers that
-    /// genuinely need dynamic dispatch (none of the in-tree ones do).
-    pub fn build_boxed(self) -> Box<dyn Scheduler> {
-        match self {
-            Discipline::Fifo => Box::new(Fifo::new()),
-            Discipline::Priority => Box::new(HolPriority::new()),
-            Discipline::Wfq { game_weight } => Box::new(Wfq::new(game_weight)),
         }
     }
 }
@@ -392,35 +378,5 @@ mod tests {
         assert_eq!(Discipline::Fifo.build().len(), 0);
         assert_eq!(Discipline::Priority.build().len(), 0);
         assert_eq!(Discipline::Wfq { game_weight: 0.6 }.build().len(), 0);
-    }
-
-    #[test]
-    fn enum_and_boxed_builders_serve_identically() {
-        for disc in [
-            Discipline::Fifo,
-            Discipline::Priority,
-            Discipline::Wfq { game_weight: 0.6 },
-        ] {
-            let mut by_enum = disc.build();
-            let mut by_box = disc.build_boxed();
-            for i in 0..6 {
-                let p = if i % 2 == 0 {
-                    Packet::game(100.0 + i as f64, i, SimTime::ZERO)
-                } else {
-                    Packet::elastic(1500.0, SimTime::ZERO)
-                };
-                by_enum.enqueue(p);
-                by_box.enqueue(p);
-            }
-            assert_eq!(by_enum.len(), by_box.len());
-            assert_eq!(by_enum.backlog_bytes(), by_box.backlog_bytes());
-            loop {
-                let (a, b) = (by_enum.dequeue(), by_box.dequeue());
-                assert_eq!(a, b, "{disc:?}");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
     }
 }

@@ -1,13 +1,15 @@
-//! Property tests of the calendar-queue parity contract: arbitrary
+//! Property tests of the calendar's pop-order contract: arbitrary
 //! schedules — same-timestamp ties, far-future events beyond the bucket
 //! ring's horizon (forcing overflow spills and migrations), interleaved
-//! pushes and pops — run through the binary-heap and bucket backends in
-//! lockstep must produce the identical pop sequence, `(time, seq)` by
-//! `(time, seq)`.
+//! pushes and pops — run through the bucket calendar and a binary-heap
+//! reference in lockstep must produce the identical pop sequence,
+//! `(time, seq)` by `(time, seq)`.
 
 use fpsping_sim::calendar::{Calendar, CalendarKind, Scheduled};
 use fpsping_sim::SimTime;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One step of a schedule: push an event at a (possibly tied, possibly
 /// far-future) offset from the current virtual time, or pop one.
@@ -33,11 +35,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Drives the same schedule through both backends, asserting lockstep
-/// equality of every pop (and of emptiness). Returns the total pops.
+/// Drives the same schedule through the bucket calendar and a binary
+/// min-heap over `(time, seq)`, asserting lockstep equality of every pop
+/// (and of emptiness). Returns the total pops.
 fn run_lockstep(horizon_ms: f64, ops: &[Op]) -> Result<u64, TestCaseError> {
     let horizon = SimTime::from_millis(horizon_ms);
-    let mut heap: CalendarKind<u64> = Calendar::Heap.build(16, horizon);
+    let mut heap: BinaryHeap<Reverse<Scheduled<u64>>> = BinaryHeap::new();
     let mut bucket: CalendarKind<u64> = Calendar::Bucket.build(16, horizon);
     let mut seq: u64 = 0;
     let mut now = SimTime::ZERO;
@@ -47,11 +50,11 @@ fn run_lockstep(horizon_ms: f64, ops: &[Op]) -> Result<u64, TestCaseError> {
             Op::Push { offset_ns } => {
                 seq += 1;
                 let time = now + SimTime::from_nanos(*offset_ns);
-                heap.push(Scheduled { time, seq, ev: seq });
+                heap.push(Reverse(Scheduled { time, seq, ev: seq }));
                 bucket.push(Scheduled { time, seq, ev: seq });
             }
             Op::Pop => {
-                let h = heap.pop();
+                let h = heap.pop().map(|Reverse(s)| s);
                 let b = bucket.pop();
                 match (h, b) {
                     (None, None) => {}
@@ -64,8 +67,8 @@ fn run_lockstep(horizon_ms: f64, ops: &[Op]) -> Result<u64, TestCaseError> {
                     }
                     (h, b) => {
                         return Err(TestCaseError::fail(format!(
-                            "backends disagree on emptiness: heap {h:?} vs bucket {b:?}"
-                        )))
+                        "calendar and reference disagree on emptiness: heap {h:?} vs bucket {b:?}"
+                    )))
                     }
                 }
             }
@@ -74,7 +77,7 @@ fn run_lockstep(horizon_ms: f64, ops: &[Op]) -> Result<u64, TestCaseError> {
     }
     // Drain whatever is left — the tail must stay in lockstep too.
     loop {
-        match (heap.pop(), bucket.pop()) {
+        match (heap.pop().map(|Reverse(s)| s), bucket.pop()) {
             (None, None) => break,
             (Some(h), Some(b)) => {
                 prop_assert_eq!((h.time, h.seq), (b.time, b.seq), "drain pop");
@@ -82,7 +85,7 @@ fn run_lockstep(horizon_ms: f64, ops: &[Op]) -> Result<u64, TestCaseError> {
             }
             (h, b) => {
                 return Err(TestCaseError::fail(format!(
-                    "backends disagree while draining: heap {h:?} vs bucket {b:?}"
+                    "calendar and reference disagree while draining: heap {h:?} vs bucket {b:?}"
                 )))
             }
         }
@@ -93,8 +96,9 @@ fn run_lockstep(horizon_ms: f64, ops: &[Op]) -> Result<u64, TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random interleaved schedules: identical pop order on both
-    /// backends, for narrow rings (many spills) and wide ones alike.
+    /// Random interleaved schedules: identical pop order on the calendar
+    /// and the reference, for narrow rings (many spills) and wide ones
+    /// alike.
     #[test]
     fn random_schedules_pop_identically(
         horizon_ms in prop_oneof![Just(0.1), Just(1.0), Just(160.0)],
@@ -108,12 +112,15 @@ proptest! {
         prop_assert_eq!(popped, pushed, "every push is popped exactly once");
     }
 
-    /// All-ties schedule: every event at the same instant. Order must be
-    /// pure insertion (seq) order on both backends.
+    /// All-ties schedule: `n` events at one instant in the current
+    /// bucket (kept sorted on insert), then `n` at one instant a few
+    /// buckets out (appended, sorted when the window reaches them).
+    /// Order must be pure insertion (seq) order in both.
     #[test]
     fn exact_ties_resolve_by_insertion_order(n in 1usize..200) {
-        let ops: Vec<Op> = std::iter::repeat_with(|| Op::Push { offset_ns: 0 })
-            .take(n)
+        let ops: Vec<Op> = [0, 100_000]
+            .into_iter()
+            .flat_map(|offset_ns| std::iter::repeat_with(move || Op::Push { offset_ns }).take(n))
             .collect();
         run_lockstep(1.0, &ops)?;
     }

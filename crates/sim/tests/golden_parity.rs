@@ -14,15 +14,13 @@
 //! burst-position-dependent statistics by ~1 ulp-scale amounts. See
 //! EXPERIMENTS.md for the sequence-change note.
 //!
-//! Since the calendar-queue change, every scenario runs under BOTH
-//! calendar backends against the SAME constants: the bucket calendar's
-//! exact-parity contract (identical `(time, seq)` pop order, ties
-//! included) means the backend choice must never move a bit.
+//! The constants predate the bucket calendar and still hold on it: it
+//! pops in the same `(time, seq)` order as the binary heap it replaced,
+//! ties included (pinned against a heap reference by `calendar_props`),
+//! so the calendar never moves a bit.
 
 use fpsping_dist::Deterministic;
-use fpsping_sim::{Calendar, NetworkConfig, SimReport, SimTime};
-
-const BACKENDS: [Calendar; 2] = [Calendar::Heap, Calendar::Bucket];
+use fpsping_sim::{NetworkConfig, SimReport, SimTime};
 
 fn golden_cfg() -> NetworkConfig {
     let mut cfg = NetworkConfig::paper_scenario(8, Box::new(Deterministic::new(125.0)), 40.0, 33);
@@ -90,56 +88,48 @@ fn check(rep: &SimReport, g: &Golden) {
 
 #[test]
 fn report_is_bit_identical_to_pre_overhaul_simulator() {
-    for cal in BACKENDS {
-        let mut cfg = golden_cfg();
-        cfg.calendar = cal;
-        let rep = cfg.run();
-        check(
-            &rep,
-            &Golden {
-                events: 30746,
-                up: 5998,
-                down: 6000,
-                mean_down: 4566296942248740095,
-                mean_up: 4572562203629306855,
-                mean_ping: 4584380791812910868,
-                q999: 4568087572307661111,
-                agg_mean: 0,
-                burst_mean: 0,
-            },
-        );
-    }
+    let rep = golden_cfg().run();
+    check(
+        &rep,
+        &Golden {
+            events: 30746,
+            up: 5998,
+            down: 6000,
+            mean_down: 4566296942248740095,
+            mean_up: 4572562203629306855,
+            mean_ping: 4584380791812910868,
+            q999: 4568087572307661111,
+            agg_mean: 0,
+            burst_mean: 0,
+        },
+    );
 }
 
 #[test]
 fn loaded_report_is_bit_identical_to_pre_overhaul_simulator() {
-    for cal in BACKENDS {
-        let mut cfg = loaded_cfg();
-        cfg.calendar = cal;
-        let rep = cfg.run();
-        check(
-            &rep,
-            &Golden {
-                events: 190599,
-                up: 29988,
-                down: 29988,
-                mean_down: 4576918268356224851,
-                mean_up: 4573096955702700381,
-                mean_ping: 4584983869540191238,
-                q999: 4585742385845164320,
-                agg_mean: 4557191656818497175,
-                burst_mean: 4554820032460052005,
-            },
-        );
-        assert_eq!(
-            rep.downstream_delay.std_dev_s.to_bits(),
-            4574007217661303129,
-            "downstream std dev"
-        );
-        assert_eq!(
-            rep.downstream_delay.max_s.to_bits(),
-            4586521689152706644,
-            "downstream max"
-        );
-    }
+    let rep = loaded_cfg().run();
+    check(
+        &rep,
+        &Golden {
+            events: 190599,
+            up: 29988,
+            down: 29988,
+            mean_down: 4576918268356224851,
+            mean_up: 4573096955702700381,
+            mean_ping: 4584983869540191238,
+            q999: 4585742385845164320,
+            agg_mean: 4557191656818497175,
+            burst_mean: 4554820032460052005,
+        },
+    );
+    assert_eq!(
+        rep.downstream_delay.std_dev_s.to_bits(),
+        4574007217661303129,
+        "downstream std dev"
+    );
+    assert_eq!(
+        rep.downstream_delay.max_s.to_bits(),
+        4586521689152706644,
+        "downstream max"
+    );
 }

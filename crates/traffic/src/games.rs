@@ -1,7 +1,7 @@
 //! Published per-game traffic parameterizations (§2.1 and §2.2).
 //!
 //! Each constructor returns a [`GameModel`] with the distributions the
-//! cited study fitted; the bench binaries `table1`/`table2` sample these
+//! cited study fitted; the `repro table1`/`table2` studies sample these
 //! models and re-estimate the statistics the paper tabulates.
 
 use crate::model::{ClientModel, GameModel, ServerModel};
@@ -38,8 +38,8 @@ pub fn counter_strike() -> GameModel {
 }
 
 /// The measured (not fitted) Counter-Strike statistics of Table 1, as
-/// `(mean, cov)` pairs — used by the `table1` harness for side-by-side
-/// printing.
+/// `(mean, cov)` pairs — used by the `repro table1` study for
+/// side-by-side printing.
 pub mod counter_strike_measured {
     /// Server→client packet size (bytes).
     pub const SERVER_PACKET: (f64, f64) = (127.0, 0.74);

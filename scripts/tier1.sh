@@ -100,6 +100,31 @@ else
     echo "tier-1: scale smoke OK (grep fallback)"
 fi
 
+# CLI refusal smoke: hostile input fails loudly. An invalid sweep
+# scenario is a run error (exit 1); a flag that `--scale-n` would ignore
+# and the removed `--calendar` flag are parse errors (exit 2). Each must
+# print `error:` on stderr and nothing on stdout.
+REFUSE_OUT="$(mktemp /tmp/fpsping-refuse-out.XXXXXX)"
+REFUSE_ERR="$(mktemp /tmp/fpsping-refuse-err.XXXXXX)"
+trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
+    "$REFUSE_OUT" "$REFUSE_ERR"' EXIT
+refuse() {
+    local want="$1"
+    shift
+    local got=0
+    ./target/release/fpsping-cli "$@" > "$REFUSE_OUT" 2> "$REFUSE_ERR" || got=$?
+    if [ "$got" -ne "$want" ] || [ -s "$REFUSE_OUT" ] || ! grep -q '^error:' "$REFUSE_ERR"; then
+        echo "tier-1: fpsping-cli $* exited $got (want $want), or printed to stdout, or no error: on stderr"
+        cat "$REFUSE_OUT" "$REFUSE_ERR"
+        exit 1
+    fi
+}
+refuse 1 sweep --c-kbps nan
+refuse 2 sim --scale-n 10 --k 2
+refuse 2 sim --calendar heap
+rm -f "$REFUSE_OUT" "$REFUSE_ERR"
+echo "tier-1: CLI refusal smoke OK (3 hostile invocations refused)"
+
 # Estimator smoke: a 1 000-player run with the per-player RTT estimator
 # on must show live traffic.estimator.* counters in the metrics JSON and
 # a pooled p99 within the documented short-run tolerance of the analytic
