@@ -93,7 +93,7 @@ COMMANDS:
     sim          replicated packet-level simulation (95% CIs with --reps > 1)
     help         this text
 
-FLAGS (all optional; defaults are the paper's §4 scenario):
+SCENARIO FLAGS (any command; defaults are the paper's §4 scenario):
     --load <0..1>            downlink load ρ_d              [default 0.4]
     --gamers <N>             gamer count (overrides --load)
     --k <K>                  Erlang order of burst sizes    [default 9]
@@ -105,9 +105,11 @@ FLAGS (all optional; defaults are the paper's §4 scenario):
     --rup-kbps <R>           access uplink rate in kbit/s    [default 128]
     --rdown-kbps <R>         access downlink rate in kbit/s  [default 1024]
     --quantile <p>           quantile level                  [default 0.99999]
-    --budget-ms <B>          RTT budget (dimension only)
-    --jobs <N>               sweep/sim worker threads; 0 = all cores [default 0]
     --no-upstream            drop the upstream M/G/1 term
+
+COMMAND FLAGS (a command refuses a flag it would ignore):
+    --budget-ms <B>          dimension: RTT budget
+    --jobs <N>               sweep/sim: worker threads; 0 = all cores [default 0]
     --reps <R>               sim: independent replications      [default 1]
     --stream-quantiles       sim: O(1)-memory P-squared quantiles
     --estimate               sim: per-player streaming RTT estimator
@@ -115,15 +117,32 @@ FLAGS (all optional; defaults are the paper's §4 scenario):
     --sim-seconds <S>        sim: simulated seconds per replication [default 60]
     --seed <S>               sim: master seed                   [default 24301]
     --scale-n <N>            sim: sharded DSLAM-tree scale run with N players;
-                             of these flags it takes only --shards,
+                             of all flags it takes only --shards,
                              --sim-seconds and --seed
-    --shards <S>             sim: scale worker shards; 0 = all cores [default 0]
+    --shards <S>             sim --scale-n: worker shards; 0 = all cores [default 0]
                              (parallelism only — the report never depends on it)
 
 OBSERVABILITY (any command):
     --metrics-out <PATH>     write solver/sim metrics as JSON after the run
     --trace                  append the recorded span tree to the output
 ";
+
+/// The flags that describe the scenario; every command reads them, except
+/// a `sim --scale-n` run, which builds its own DSLAM tree.
+const SCENARIO_FLAGS: &[&str] = &[
+    "--load",
+    "--gamers",
+    "--k",
+    "--tick-ms",
+    "--server-packet",
+    "--client-packet",
+    "--client-interval-ms",
+    "--c-kbps",
+    "--rup-kbps",
+    "--rdown-kbps",
+    "--quantile",
+    "--no-upstream",
+];
 
 fn parse_f64(flag: &str, value: Option<&String>) -> Result<f64, ParseError> {
     let v = value.ok_or_else(|| ParseError(format!("flag {flag} needs a value")))?;
@@ -196,16 +215,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut seed = 0x5EEDu64;
     let mut scale_n = 0usize;
     let mut shards = 0usize;
-    // The first flag that a `--scale-n` run would ignore.
-    let mut ignored_by_scale = None;
+    let mut given: Vec<&str> = Vec::new();
     let mut i = 1usize;
     while i < args.len() {
         let flag = args[i].as_str();
         let value = args.get(i + 1);
         let mut consumed = 2;
-        if !matches!(flag, "--scale-n" | "--shards" | "--sim-seconds" | "--seed") {
-            ignored_by_scale.get_or_insert(flag);
-        }
+        given.push(flag);
         match flag {
             "--load" => scenario = scenario.with_load(parse_f64(flag, value)?),
             "--gamers" => {
@@ -304,6 +320,37 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         i += consumed;
     }
+    // The command-level flags each command reads: a flag it would ignore
+    // is refused rather than silently dropped.
+    let reads: &[&str] = match cmd.as_str() {
+        "quantile" => &[],
+        "dimension" => &["--budget-ms"],
+        "sweep" => &["--jobs"],
+        "sim" if scale_n > 0 => &["--scale-n", "--shards", "--sim-seconds", "--seed"],
+        "sim" => &[
+            "--jobs",
+            "--reps",
+            "--stream-quantiles",
+            "--estimate",
+            "--sim-seconds",
+            "--seed",
+        ],
+        other => {
+            return Err(ParseError(format!(
+                "unknown command `{other}` (try `help`)"
+            )))
+        }
+    };
+    if let Some(flag) = given
+        .iter()
+        .find(|f| !reads.contains(f) && (scale_n > 0 || !SCENARIO_FLAGS.contains(f)))
+    {
+        return Err(ParseError(if scale_n > 0 {
+            format!("--scale-n runs its own DSLAM tree and would ignore {flag}")
+        } else {
+            format!("{cmd} would ignore {flag}")
+        }));
+    }
     match cmd.as_str() {
         "quantile" => Ok(Command::Quantile(scenario)),
         "dimension" => {
@@ -315,25 +362,18 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "sweep" => Ok(Command::Sweep { scenario, jobs }),
-        "sim" => match ignored_by_scale {
-            Some(flag) if scale_n > 0 => Err(ParseError(format!(
-                "--scale-n runs its own DSLAM tree and would ignore {flag}"
-            ))),
-            _ => Ok(Command::Sim {
-                scenario,
-                reps,
-                jobs,
-                stream_quantiles,
-                estimate,
-                sim_seconds,
-                seed,
-                scale_n,
-                shards,
-            }),
-        },
-        other => Err(ParseError(format!(
-            "unknown command `{other}` (try `help`)"
-        ))),
+        // `sim`: `reads` above refused every other command.
+        _ => Ok(Command::Sim {
+            scenario,
+            reps,
+            jobs,
+            stream_quantiles,
+            estimate,
+            sim_seconds,
+            seed,
+            scale_n,
+            shards,
+        }),
     }
 }
 
@@ -782,6 +822,36 @@ mod tests {
         }
         // Without --scale-n the same flags are the replicated sim's.
         assert!(parse(&argv("sim --reps 4 --estimate --k 2")).is_ok());
+    }
+
+    /// Asserts that `args` is a parse error naming `flag`.
+    fn refuses(args: &str, flag: &str) {
+        let err = parse(&argv(args)).unwrap_err();
+        assert!(err.0.contains(flag), "{args}: {err}");
+    }
+
+    #[test]
+    fn quantile_refuses_reps() {
+        refuses("quantile --reps 3", "--reps");
+        assert!(parse(&argv("quantile --k 2 --no-upstream")).is_ok());
+    }
+
+    #[test]
+    fn dimension_refuses_jobs() {
+        refuses("dimension --budget-ms 50 --jobs 2", "--jobs");
+        refuses("dimension --jobs 2 --budget-ms 50", "--jobs");
+    }
+
+    #[test]
+    fn sweep_refuses_budget() {
+        refuses("sweep --budget-ms 50", "--budget-ms");
+        assert!(parse(&argv("sweep --jobs 2 --load 0.5")).is_ok());
+    }
+
+    #[test]
+    fn sim_refuses_shards_without_scale_n() {
+        refuses("sim --shards 2", "--shards");
+        assert!(parse(&argv("sim --shards 2 --scale-n 10")).is_ok());
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub struct RttBreakdown {
 pub struct RttModel {
     scenario: Scenario,
     downstream: DEk1,
-    position: PositionDelay,
     upstream: Option<Mg1>,
     total: TotalDelay,
 }
@@ -71,7 +70,6 @@ impl RttModel {
         Ok(Self {
             scenario,
             downstream,
-            position,
             upstream,
             total,
         })
@@ -94,7 +92,6 @@ impl RttModel {
         Ok(Self {
             scenario,
             downstream,
-            position,
             upstream,
             total,
         })
@@ -113,11 +110,6 @@ impl RttModel {
     /// The upstream M/G/1 component (None when excluded).
     pub fn upstream(&self) -> Option<&Mg1> {
         self.upstream.as_ref()
-    }
-
-    /// The within-burst position-delay component.
-    pub fn position_delay(&self) -> &PositionDelay {
-        &self.position
     }
 
     /// The combined stochastic delay model (eq. 35).

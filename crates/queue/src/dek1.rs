@@ -273,12 +273,6 @@ impl DEk1 {
         self.beta
     }
 
-    /// Burst inter-arrival time T (seconds); finite and positive by
-    /// construction.
-    pub fn inter_arrival(&self) -> f64 {
-        self.t
-    }
-
     /// Load ρ_d = b̄/T; finite in `(0, 1)` by construction.
     pub fn load(&self) -> f64 {
         self.rho

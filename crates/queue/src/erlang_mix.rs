@@ -39,11 +39,6 @@ pub struct PoleBlock {
 }
 
 impl PoleBlock {
-    /// Highest multiplicity present.
-    pub fn max_multiplicity(&self) -> u32 {
-        self.coeffs.len() as u32
-    }
-
     /// Evaluates this block's contribution to the MGF at `s`.
     pub fn eval(&self, s: Complex64) -> Complex64 {
         let base = self.base(s);

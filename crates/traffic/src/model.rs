@@ -99,11 +99,6 @@ impl GameModel {
     pub fn downstream_load(&self, n_clients: usize, link_rate_bps: f64) -> f64 {
         self.server.mean_bitrate_bps(n_clients) / link_rate_bps
     }
-
-    /// Offered upstream load on a link of `link_rate_bps`.
-    pub fn upstream_load(&self, n_clients: usize, link_rate_bps: f64) -> f64 {
-        n_clients as f64 * self.client.mean_bitrate_bps() / link_rate_bps
-    }
 }
 
 #[cfg(test)]

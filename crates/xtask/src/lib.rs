@@ -18,19 +18,17 @@
 //! | L09  | `.push(…)` onto a growable buffer in `crates/sim` library code without a documented size bound (pending-event queues exempt) |
 //! | L10  | a lock acquired, bound or temporary, while a bound guard section is open |
 //! | L11  | a lock guard held across a `fpsping_num`/`fpsping_queue` solver call or blocking I/O (`read`/`write`/`accept`) |
-//! | L12  | raw `.lock()` / ad-hoc poison recovery outside the audited `fpsping_obs::lock` helper |
+//! | L12  | raw `.lock()`, ad-hoc poison recovery or any `RwLock` outside the audited `fpsping_obs::lock` helper |
 //!
-//! L10–L12 are **cross-file**: locks (`crate::Type::field`) are indexed
-//! over the whole workspace first (see [`locks`]), then each file is
-//! re-walked with a guard-section tracker. L10 is the static half of the
-//! workspace's one lock rule — never hold two guards — whose runtime
-//! half is the `fpsping_obs::lockdep` witness.
+//! Every rule is a pure function of one file, so the workspace run is one
+//! pass of [`rules::check_file`] over each file. L10–L12 walk the file
+//! with a guard-section tracker (see [`locks`]); L10 is the static half
+//! of the workspace's one lock rule — never hold two guards — whose
+//! runtime half is the `fpsping_obs::lockdep` witness.
 //!
-//! Individual findings are silenced inline with
+//! A finding is silenced only inline, with
 //! `// lint:allow(<slug>): <non-empty reason>` on the same or preceding
-//! line; pre-existing debt is carried by the checked-in `lint.toml`
-//! baseline (per file+rule allowances with mandatory justifications), so
-//! the gate fails only on *new* findings.
+//! line; an empty reason is itself a finding (W01).
 //!
 //! Everything here is pure `std` — the registry is unreachable in the
 //! build environment and the lint gate must run fully offline.
@@ -38,19 +36,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod classify;
 pub mod lexer;
 pub mod locks;
 pub mod rules;
 
-pub use baseline::{Baseline, Waiver};
 pub use classify::FileClass;
-pub use locks::LockIndex;
 
 /// The rule identifiers. `W*` rules police the waiver mechanism itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,9 +71,9 @@ pub enum Rule {
     L10,
     /// Lock guard held across a solver call or blocking I/O.
     L11,
-    /// Raw `.lock()` / ad-hoc poison recovery outside `fpsping_obs::lock`.
+    /// Raw `.lock()`, ad-hoc poison recovery or an `RwLock` outside `fpsping_obs::lock`.
     L12,
-    /// A waiver (inline or baseline) with an empty justification.
+    /// An inline waiver with an empty justification.
     W01,
 }
 
@@ -153,19 +147,15 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Outcome of a lint run, split into gate-failing and waived findings.
+/// Outcome of a lint run: the gate-failing findings and the waived count.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Findings that fail the gate.
     pub active: Vec<Finding>,
-    /// Findings absorbed by the `lint.toml` baseline.
-    pub baseline_waived: Vec<Finding>,
     /// Count of findings silenced by inline `lint:allow` comments.
     pub inline_waived: usize,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Baseline entries that matched zero findings (stale — informational).
-    pub stale_waivers: Vec<String>,
 }
 
 impl Report {
@@ -178,16 +168,10 @@ impl Report {
     /// absent.
     pub fn summary(&self) -> String {
         format!(
-            "xtask lint: {} finding(s) ({} baseline-waived, {} inline-waived) across {} files{}",
+            "xtask lint: {} finding(s) ({} inline-waived) across {} files",
             self.active.len(),
-            self.baseline_waived.len(),
             self.inline_waived,
-            self.files_scanned,
-            if self.stale_waivers.is_empty() {
-                String::new()
-            } else {
-                format!("; {} stale baseline waiver(s)", self.stale_waivers.len())
-            }
+            self.files_scanned
         )
     }
 
@@ -211,18 +195,11 @@ impl Report {
         }
         out.push_str("],\n");
         out.push_str(&format!(
-            "  \"baseline_waived\": {},\n  \"inline_waived\": {},\n  \"files_scanned\": {},\n  \"stale_waivers\": [",
-            self.baseline_waived.len(),
+            "  \"inline_waived\": {},\n  \"files_scanned\": {},\n  \"ok\": {}\n}}\n",
             self.inline_waived,
-            self.files_scanned
+            self.files_scanned,
+            self.ok()
         ));
-        for (i, s) in self.stale_waivers.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(s));
-        }
-        out.push_str(&format!("],\n  \"ok\": {}\n}}\n", self.ok()));
         out
     }
 }
@@ -245,20 +222,17 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Errors from driving a lint run (I/O, malformed baseline, bad usage).
+/// Errors from driving a lint run.
 #[derive(Debug)]
 pub enum LintError {
     /// Filesystem error while walking or reading sources.
     Io(String),
-    /// `lint.toml` could not be parsed.
-    Baseline(String),
 }
 
 impl fmt::Display for LintError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LintError::Io(m) => write!(f, "io error: {m}"),
-            LintError::Baseline(m) => write!(f, "lint.toml: {m}"),
         }
     }
 }
@@ -266,97 +240,27 @@ impl fmt::Display for LintError {
 impl std::error::Error for LintError {}
 
 /// Lints a single source text as if it lived at `rel_path` (workspace
-/// relative, `/`-separated). Inline waivers are honored; the baseline is
-/// not consulted. The cross-file lock index is built from this one file.
-/// Returns `(findings, inline_waived_count)`.
+/// relative, `/`-separated). Returns `(findings, inline_waived_count)`.
 pub fn lint_source(rel_path: &str, source: &str) -> (Vec<Finding>, usize) {
     rules::check_file(rel_path, source, &classify::classify(rel_path))
 }
 
-/// Walks `crates/*/src` under `root`, lints every `.rs` file, and applies
-/// the baseline. Two passes: the first builds the workspace-wide lock
-/// index (L10–L12 resolve locks across files), the second runs the
-/// rules.
-pub fn lint_workspace(root: &Path, baseline: &Baseline) -> Result<Report, LintError> {
+/// Walks `crates/*/src` under `root` and lints every `.rs` file, one
+/// file at a time. Findings come out sorted by file and line.
+pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
     let mut files = collect_sources(root)?;
     files.sort();
     let mut report = Report::default();
-    // Pass 1: read everything and index the locks.
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
-    let mut index = LockIndex::default();
     for rel in &files {
         let full = root.join(rel);
         let source = std::fs::read_to_string(&full)
             .map_err(|e| LintError::Io(format!("{}: {e}", full.display())))?;
-        let lines = lexer::lex(&source);
-        index.index_file(rel, &lines);
-        sources.push((rel.clone(), source));
-    }
-    // Pass 2: run the rules with the full index in hand.
-    // (file, rule) -> active findings, for baseline matching.
-    let mut by_key: BTreeMap<(String, Rule), Vec<Finding>> = BTreeMap::new();
-    for (rel, source) in &sources {
-        let class = classify::classify(rel);
-        let (findings, inline) = rules::check_file_with(rel, source, &class, &index);
+        let (mut findings, inline) = lint_source(rel, &source);
+        findings.sort_by_key(|f| (f.line, f.rule));
+        report.active.extend(findings);
         report.inline_waived += inline;
         report.files_scanned += 1;
-        for f in findings {
-            by_key.entry((f.file.clone(), f.rule)).or_default().push(f);
-        }
     }
-    // Baseline waivers with empty justifications are themselves findings.
-    for w in &baseline.waivers {
-        if w.justification.trim().is_empty() {
-            report.active.push(Finding {
-                file: "lint.toml".into(),
-                line: w.line,
-                rule: Rule::W01,
-                message: format!(
-                    "baseline waiver for {} / {} has an empty justification",
-                    w.file, w.rule
-                ),
-            });
-        }
-    }
-    let mut used = vec![false; baseline.waivers.len()];
-    for ((file, rule), findings) in by_key {
-        let allowance: usize = baseline
-            .waivers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.file == file && w.rule == rule && !w.justification.trim().is_empty())
-            .map(|(i, w)| {
-                used[i] = true;
-                w.max
-            })
-            .sum();
-        if findings.len() <= allowance {
-            report.baseline_waived.extend(findings);
-        } else if allowance > 0 {
-            let n = findings.len();
-            for mut f in findings {
-                f.message = format!(
-                    "{} [{} finding(s) exceed the lint.toml allowance of {}]",
-                    f.message, n, allowance
-                );
-                report.active.push(f);
-            }
-        } else {
-            report.active.extend(findings);
-        }
-    }
-    for (i, w) in baseline.waivers.iter().enumerate() {
-        if !used[i] {
-            report
-                .stale_waivers
-                .push(format!("{} / {} (max {})", w.file, w.rule, w.max));
-        }
-    }
-    report.active.sort_by(|a, b| {
-        (&a.file, a.line, a.rule)
-            .partial_cmp(&(&b.file, b.line, b.rule))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
     Ok(report)
 }
 

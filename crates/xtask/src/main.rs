@@ -3,12 +3,12 @@
 //! Subcommands:
 //!
 //! * `lint` — run the domain lint pass (see the library docs for the rule
-//!   table). Exits 0 when clean (modulo `lint.toml`), 1 on findings, 2 on
-//!   usage or I/O errors.
+//!   table). Exits 0 when clean (inline `lint:allow` waivers aside), 1 on
+//!   findings, 2 on usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::{baseline::Baseline, lint_source, lint_workspace, Report};
+use xtask::{lint_source, lint_workspace, Report};
 
 const USAGE: &str = "\
 usage: cargo xtask lint [options]
@@ -16,9 +16,8 @@ usage: cargo xtask lint [options]
 options:
   --format <human|json|summary>   output format (default: human)
   --root <path>                   workspace root (default: autodetected)
-  --baseline <path>               waiver file (default: <root>/lint.toml)
-  --file <path> --as <rel-path>   lint one file as if at <rel-path>,
-                                  skipping the walk and the baseline
+  --file <path> --as <rel-path>   lint one file as if at <rel-path>
+                                  instead of walking the workspace
 ";
 
 fn main() -> ExitCode {
@@ -49,7 +48,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     let mut format = Format::Human;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut single_file: Option<PathBuf> = None;
     let mut pretend: Option<String> = None;
     while let Some(arg) = it.next() {
@@ -63,9 +61,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 };
             }
             "--root" => root = Some(PathBuf::from(it.next().ok_or("missing --root value")?)),
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(it.next().ok_or("missing --baseline value")?));
-            }
             "--file" => single_file = Some(PathBuf::from(it.next().ok_or("missing --file value")?)),
             "--as" => pretend = Some(it.next().ok_or("missing --as value")?.clone()),
             other => return Err(format!("unknown option `{other}`")),
@@ -79,25 +74,18 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         let (findings, inline_waived) = lint_source(&rel, &source);
         Report {
             active: findings,
-            baseline_waived: Vec::new(),
             inline_waived,
             files_scanned: 1,
-            stale_waivers: Vec::new(),
         }
     } else {
         let root = root.unwrap_or_else(xtask::default_root);
-        let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint.toml"));
-        let baseline = Baseline::load(&baseline_path).map_err(|e| e.to_string())?;
-        lint_workspace(&root, &baseline).map_err(|e| e.to_string())?
+        lint_workspace(&root).map_err(|e| e.to_string())?
     };
 
     match format {
         Format::Human => {
             for f in &report.active {
                 println!("{f}");
-            }
-            for s in &report.stale_waivers {
-                println!("note: stale lint.toml waiver: {s}");
             }
             println!("{}", report.summary());
         }

@@ -1,29 +1,15 @@
 //! The domain lint rules (L01–L12) and the inline-waiver mechanism.
-//! L10–L12 delegate to [`crate::locks`], which needs the cross-file
-//! lock index; the other rules are pure per-line checks.
+//! Every rule is a pure function of one file; L10–L12 live in
+//! [`crate::locks`].
 
 use crate::classify::FileClass;
 use crate::lexer::{lex, test_regions, LexedLine};
-use crate::locks::{check_locks, LockIndex};
+use crate::locks::check_locks;
 use crate::{Finding, Rule};
-
-/// Runs every rule against one file, building the lock index from the
-/// file itself (single-file convenience — the workspace walk uses
-/// [`check_file_with`]).
-pub fn check_file(rel_path: &str, source: &str, class: &FileClass) -> (Vec<Finding>, usize) {
-    let mut index = LockIndex::default();
-    index.index_file(rel_path, &lex(source));
-    check_file_with(rel_path, source, class, &index)
-}
 
 /// Runs every rule against one file. Returns the surviving findings and
 /// the number of findings silenced by valid inline waivers.
-pub fn check_file_with(
-    rel_path: &str,
-    source: &str,
-    class: &FileClass,
-    index: &LockIndex,
-) -> (Vec<Finding>, usize) {
+pub fn check_file(rel_path: &str, source: &str, class: &FileClass) -> (Vec<Finding>, usize) {
     let lines = lex(source);
     let in_test = test_regions(&lines);
     let mut raw: Vec<Finding> = Vec::new();
@@ -74,7 +60,7 @@ pub fn check_file_with(
         check_l05(rel_path, &lines, &in_test, &mut raw);
     }
 
-    check_locks(rel_path, &lines, &in_test, class, index, &mut raw);
+    check_locks(rel_path, &lines, &in_test, class, &mut raw);
 
     if class.is_lib_rs
         && !lines

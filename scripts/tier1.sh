@@ -101,9 +101,10 @@ else
 fi
 
 # CLI refusal smoke: hostile input fails loudly. An invalid sweep
-# scenario is a run error (exit 1); a flag that `--scale-n` would ignore
-# and the removed `--calendar` flag are parse errors (exit 2). Each must
-# print `error:` on stderr and nothing on stdout.
+# scenario is a run error (exit 1); a flag that `--scale-n` would ignore,
+# the removed `--calendar` flag and a command-level flag that its command
+# does not read are parse errors (exit 2). Each must print `error:` on
+# stderr and nothing on stdout.
 REFUSE_OUT="$(mktemp /tmp/fpsping-refuse-out.XXXXXX)"
 REFUSE_ERR="$(mktemp /tmp/fpsping-refuse-err.XXXXXX)"
 trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
@@ -122,8 +123,10 @@ refuse() {
 refuse 1 sweep --c-kbps nan
 refuse 2 sim --scale-n 10 --k 2
 refuse 2 sim --calendar heap
+refuse 2 quantile --reps 3
+refuse 2 sim --shards 2
 rm -f "$REFUSE_OUT" "$REFUSE_ERR"
-echo "tier-1: CLI refusal smoke OK (3 hostile invocations refused)"
+echo "tier-1: CLI refusal smoke OK (5 hostile invocations refused)"
 
 # Estimator smoke: a 1 000-player run with the per-player RTT estimator
 # on must show live traffic.estimator.* counters in the metrics JSON and
