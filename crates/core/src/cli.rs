@@ -37,7 +37,8 @@ pub enum Command {
         reps: usize,
         /// Worker threads (0 = all cores).
         jobs: usize,
-        /// O(1)-memory streaming quantiles instead of raw samples.
+        /// Streaming histogram quantiles (2⁻⁸ relative, merge exactly)
+        /// instead of raw samples.
         stream_quantiles: bool,
         /// Run the per-player streaming RTT estimator and report its
         /// pooled tails against the analytic quantiles.
@@ -111,7 +112,8 @@ COMMAND FLAGS (a command refuses a flag it would ignore):
     --budget-ms <B>          dimension: RTT budget
     --jobs <N>               sweep/sim: worker threads; 0 = all cores [default 0]
     --reps <R>               sim: independent replications      [default 1]
-    --stream-quantiles       sim: O(1)-memory P-squared quantiles
+    --stream-quantiles       sim: streaming histogram quantiles
+                             (2⁻⁸ relative, merge exactly; no raw samples)
     --estimate               sim: per-player streaming RTT estimator
                              (EWMA + P² tails, compared to the analytic model)
     --sim-seconds <S>        sim: simulated seconds per replication [default 60]

@@ -25,8 +25,8 @@
 //! * [`stats`] — descriptive statistics (mean / variance / CoV, quantiles,
 //!   ECDF and tail distribution functions, histograms, online estimators)
 //!   that back the traffic-trace analysis of §2.2 and the simulator probes,
-//! * [`p2`] — the P² streaming quantile estimator for O(1)-memory probes
-//!   on very long simulations,
+//! * [`p2`] — the P² streaming quantile estimator behind the per-player
+//!   online RTT estimator (O(1) words per player),
 //! * [`cmp`] — named float comparisons (tolerance vs. deliberately exact),
 //!   the only place plain `==` on floats is allowed by the workspace lint,
 //! * [`finite_guard`] — debug-build finiteness assertions for kernel

@@ -1,10 +1,12 @@
 //! The P² (piecewise-parabolic) streaming quantile estimator of Jain &
 //! Chlamtac (1985).
 //!
-//! The simulator's delay probes store a bounded raw sample for exact
-//! quantiles; for very long runs the P² estimator provides an O(1)-memory
-//! alternative whose error vanishes as the stream grows. Included with
-//! cross-checks against exact order statistics.
+//! It serves the per-player online RTT estimator
+//! (`fpsping_traffic::estimator`), whose memory must stay O(1) words per
+//! player; its error vanishes as the stream grows. The simulator's delay
+//! probes do not use it: their streaming mode is a log-linear histogram
+//! that merges exactly. Included with cross-checks against exact order
+//! statistics.
 
 /// Streaming estimator of a single p-quantile with five markers.
 #[derive(Debug, Clone)]

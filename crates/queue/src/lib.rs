@@ -44,7 +44,6 @@ pub mod combine;
 pub mod dek1;
 pub mod erlang_mix;
 pub mod mg1;
-pub mod multi_server;
 pub mod nddd1;
 pub mod position;
 
@@ -52,7 +51,6 @@ pub use combine::{PositionFactor, TotalDelay};
 pub use dek1::{DEk1, DekSolution};
 pub use erlang_mix::ErlangMix;
 pub use mg1::Mg1;
-pub use multi_server::{MultiServerDownstream, ServerClass};
 pub use position::{Position, PositionDelay};
 
 /// Errors surfaced by the queueing constructors.

@@ -22,8 +22,8 @@
 //!   replication-indexed vector, so downstream merging sees them in the
 //!   fixed order `0..R` regardless of which thread finished first.
 //! * **Merging.** Per-metric, the engine pools every replication's
-//!   probe (exact count-weighted moments; pooled samples or merged P²
-//!   markers for quantiles) *and* computes the across-replication mean
+//!   probe (exact count-weighted moments; pooled samples, or merged
+//!   histograms within 2⁻⁸ relative, for quantiles) *and* computes the across-replication mean
 //!   and 95% confidence half-width of each statistic from the R
 //!   per-replication estimates.
 
@@ -98,8 +98,8 @@ pub struct QuantileEstimate {
     pub value_s: f64,
     /// 95% confidence half-width across replications (`None` when R < 2).
     pub ci95_s: Option<f64>,
-    /// The quantile of the pooled probe (all replications' samples or
-    /// merged P² markers together).
+    /// The quantile of the pooled probe: all replications' samples, or
+    /// their streaming histograms, which merge exactly (2⁻⁸ relative).
     pub pooled_s: f64,
 }
 
@@ -490,8 +490,8 @@ mod tests {
         assert_eq!(s.ping_rtt.count, e.ping_rtt.count);
         // Streaming medians track the exact ones. The per-replication
         // sample counts here are small (a few hundred), so this is a
-        // sanity band; the tight P² error bound is asserted on 10⁶-sample
-        // runs in the probe tests.
+        // sanity band; the histogram's 2⁻⁸ bound is asserted in the probe
+        // tests.
         let sq = s.ping_rtt.quantiles.iter().find(|q| q.p == 0.5).unwrap();
         let eq = e.ping_rtt.quantiles.iter().find(|q| q.p == 0.5).unwrap();
         for (got, want) in [(sq.pooled_s, eq.pooled_s), (sq.value_s, eq.value_s)] {

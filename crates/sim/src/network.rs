@@ -40,8 +40,9 @@ static REPLICATION_WALL_US: Histogram = Histogram::new("sim.replication.wall_us"
 /// streaming-mode probe tracks).
 pub const QUANTILE_LEVELS: [f64; 6] = [0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999];
 
-/// Above this many clients, probes switch to streaming (P²) quantiles
-/// automatically even when `stream_quantiles` is off: the eager
+/// Above this many clients, probes switch to streaming quantiles
+/// (histogram, 2⁻⁸ relative, merges exactly) automatically even when
+/// `stream_quantiles` is off: the eager
 /// per-packet sample vectors are the dominant allocation at scale
 /// (~48 B/packet across the probes — gigabytes at N = 10⁵–10⁶ over a
 /// realistic duration), and truncating at `max_samples` would silently
@@ -135,8 +136,9 @@ pub struct NetworkConfig {
     pub warmup: SimTime,
     /// RNG seed.
     pub seed: u64,
-    /// Track quantiles with O(1)-memory streaming P² estimators instead
-    /// of raw sample vectors — for runs long enough that even
+    /// Track quantiles with a streaming log-linear histogram (2⁻⁸
+    /// relative, merges exactly; memory grows with the octaves the delays
+    /// span, not their number) instead of raw sample vectors — for runs long enough that even
     /// `max_samples` truncates (the [`QUANTILE_LEVELS`] are tracked;
     /// moments and exceedance counters stay exact either way).
     pub stream_quantiles: bool,
@@ -362,7 +364,8 @@ impl Network {
                 "sim.probe.auto_stream",
                 &format!(
                     "n_clients = {} exceeds AUTO_STREAM_CLIENTS = {AUTO_STREAM_CLIENTS}; \
-                     switching probes to streaming (P²) quantiles to bound memory",
+                     switching probes to streaming quantiles (histogram, 2⁻⁸ relative, \
+                     merges exactly) to bound memory",
                     cfg.n_clients
                 ),
             );
@@ -790,7 +793,7 @@ mod tests {
     #[test]
     fn auto_stream_switch_above_threshold() {
         // A config just above the threshold must not allocate raw sample
-        // vectors; the report still carries quantiles (from P² markers).
+        // vectors; the report still carries quantiles (from the histogram).
         let mut cfg = small_cfg(AUTO_STREAM_CLIENTS + 1, 125.0, 40.0, 10);
         cfg.c_bps = 600_000_000.0; // keep the bottleneck uncongested
         cfg.duration = SimTime::from_secs(1.2);

@@ -1,14 +1,127 @@
 //! Delay probes: streaming moments plus either bounded raw-sample storage
-//! (exact quantiles) or O(1)-memory P² streaming quantiles, and threshold
-//! exceedance counters for deep-tail estimation.
+//! (exact quantiles) or a log-linear histogram (quantiles within 2⁻⁸
+//! relative that merge exactly), and threshold exceedance counters for
+//! deep-tail estimation.
 
-use fpsping_num::p2::P2Quantile;
+use fpsping_num::cmp::{exact_eq, exact_zero};
 use fpsping_num::stats::OnlineStats;
 use fpsping_obs::Counter;
 
 /// Summaries built from a truncated sample set (`skipped > 0`): the
 /// quantiles are estimates over the stored prefix, not the full stream.
 static TRUNCATED_REPORTS: Counter = Counter::new("sim.probe.truncated_reports");
+
+/// Linear sub-buckets per binary octave, as a power of two: 2⁷ = 128.
+const SUB_BITS: u32 = 7;
+/// Buckets per octave.
+const OCTAVE: u64 = 1 << SUB_BITS;
+/// Right shift from an `f64` bit pattern to its bucket key: the key keeps
+/// the exponent and the top [`SUB_BITS`] mantissa bits. For non-negative
+/// floats the bit pattern is monotone in the value, so keys are too.
+const SHIFT: u32 = 52 - SUB_BITS;
+/// The lowest key: the bucket just below 2⁻⁴⁰ s (1023 is the `f64`
+/// exponent bias). Every smaller positive delay is counted there, so it is
+/// off by at most 2⁻⁴⁰ s.
+const FLOOR_KEY: u64 = ((1023 - 40) << SUB_BITS) - 1;
+
+/// A log-linear histogram of non-negative delays: 2⁷ linear buckets per
+/// binary octave, so a bucket's midpoint is within 2⁻⁸ relative of every
+/// value in it. Exact zeros have their own count. The bucket vector spans
+/// only the octaves between the smallest and largest delay seen, and
+/// grows when a delay falls outside it.
+#[derive(Debug, Clone, Default)]
+struct LogHistogram {
+    zeros: u64,
+    /// Key of `counts[0]`, octave-aligned.
+    base: u64,
+    counts: Vec<u64>,
+}
+
+impl LogHistogram {
+    #[inline]
+    fn record(&mut self, x: f64) {
+        if exact_zero(x) {
+            self.zeros += 1;
+            return;
+        }
+        let key = (x.to_bits() >> SHIFT).max(FLOOR_KEY);
+        // A key below `base` wraps to a huge index and misses too.
+        match self.counts.get_mut(key.wrapping_sub(self.base) as usize) {
+            Some(c) => *c += 1,
+            None => {
+                self.cover(key, key);
+                self.counts[(key - self.base) as usize] += 1;
+            }
+        }
+    }
+
+    /// Grows the bucket vector, by whole octaves, until it spans the keys
+    /// `lo..=hi`.
+    #[cold]
+    fn cover(&mut self, lo: u64, hi: u64) {
+        let (lo, end) = (lo & !(OCTAVE - 1), (hi | (OCTAVE - 1)) + 1);
+        if self.counts.is_empty() {
+            self.base = lo;
+            self.counts = vec![0; (end - lo) as usize];
+            return;
+        }
+        if end > self.base + self.counts.len() as u64 {
+            self.counts.resize((end - self.base) as usize, 0);
+        }
+        if lo < self.base {
+            let mut grown = vec![0; (self.base - lo) as usize];
+            grown.extend_from_slice(&self.counts);
+            self.counts = grown;
+            self.base = lo;
+        }
+    }
+
+    /// Adds `other`'s counts: the result is the histogram of both streams.
+    fn merge(&mut self, other: &LogHistogram) {
+        self.zeros += other.zeros;
+        if other.counts.is_empty() {
+            return;
+        }
+        let top = other.base + other.counts.len() as u64;
+        self.cover(other.base, top - 1);
+        let from = (other.base - self.base) as usize;
+        for (c, o) in self.counts[from..].iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+    }
+
+    /// The value standing for the 0-based ascending rank `rank`: zero for
+    /// an exact zero, else the midpoint of the bucket holding the rank.
+    fn value_at(&self, rank: u64) -> f64 {
+        let Some(mut left) = rank.checked_sub(self.zeros) else {
+            return 0.0;
+        };
+        let mut key = self.base;
+        for &c in &self.counts {
+            if left < c {
+                break;
+            }
+            left -= c;
+            key += 1;
+        }
+        f64::from_bits((key << SHIFT) | (1 << (SHIFT - 1)))
+    }
+
+    /// The p-quantile of the `n` recorded delays under the raw mode's
+    /// rank rule ([`fpsping_num::stats::quantile`]), each rank standing
+    /// at [`value_at`](Self::value_at) clamped to the exact `[min, max]`.
+    fn quantile(&self, p: f64, n: u64, min: f64, max: f64) -> f64 {
+        let at = |rank: u64| self.value_at(rank).clamp(min, max);
+        let h = p * (n - 1) as f64;
+        let (lo, hi) = (h.floor() as u64, h.ceil() as u64);
+        let x_lo = at(lo);
+        if lo == hi {
+            x_lo
+        } else {
+            x_lo + (h - lo as f64) * (at(hi) - x_lo)
+        }
+    }
+}
 
 /// How a probe answers quantile queries.
 #[derive(Debug, Clone)]
@@ -24,13 +137,16 @@ enum SampleStore {
         max_samples: usize,
         sorted: bool,
     },
-    /// One P² estimator per tracked level; memory is O(levels),
-    /// independent of the sample count.
-    Streaming { estimators: Vec<P2Quantile> },
+    /// A [`LogHistogram`] answering the tracked levels; memory grows with
+    /// the octaves the delays span, not with the sample count.
+    Streaming {
+        levels: Vec<f64>,
+        hist: LogHistogram,
+    },
 }
 
 /// Collects a delay population: exact streaming moments, a quantile store
-/// (raw samples or streaming P² markers), and exact exceedance counts at
+/// (raw samples or a log-linear histogram), and exact exceedance counts at
 /// preset thresholds (for tail probabilities deeper than the quantile
 /// store can resolve).
 #[derive(Debug, Clone)]
@@ -58,22 +174,27 @@ impl DelayProbe {
         }
     }
 
-    /// A streaming probe tracking the given quantile levels with P²
-    /// estimators — memory stays O(levels) no matter how many delays are
-    /// recorded. Exceedance counters behave exactly as in raw mode.
+    /// A streaming probe answering the given quantile levels from a
+    /// log-linear histogram: each is within 2⁻⁸ relative of the raw-mode
+    /// quantile of the same stream (delays below 2⁻⁴⁰ s add at most
+    /// 2⁻⁴⁰ s; zeros are exact), and merged probes give exactly the
+    /// quantiles of one probe fed every delay. Memory grows with the
+    /// octaves the delays span (1 KiB each), not with their number.
+    /// Exceedance counters behave exactly as in raw mode.
     pub fn streaming(levels: &[f64], thresholds: &[f64]) -> Self {
         assert!(!levels.is_empty(), "streaming probe needs quantile levels");
         Self {
             stats: OnlineStats::new(),
             store: SampleStore::Streaming {
-                estimators: levels.iter().map(|&p| P2Quantile::new(p)).collect(),
+                levels: levels.to_vec(),
+                hist: LogHistogram::default(),
             },
             thresholds: thresholds.iter().map(|&t| (t, 0)).collect(),
             skipped: 0,
         }
     }
 
-    /// Whether this probe runs in streaming (P²) mode.
+    /// Whether this probe runs in streaming (histogram) mode.
     pub fn is_streaming(&self) -> bool {
         matches!(self.store, SampleStore::Streaming { .. })
     }
@@ -87,10 +208,14 @@ impl DelayProbe {
         }
     }
 
-    /// Records one delay (seconds).
+    /// Records one delay (seconds). Panics, in every build, on a delay
+    /// that is negative, infinite or NaN.
     #[inline]
     pub fn record(&mut self, delay_s: f64) {
-        debug_assert!(delay_s >= 0.0, "negative delay {delay_s}");
+        assert!(
+            (0.0..=f64::MAX).contains(&delay_s),
+            "delay must be finite and non-negative, got {delay_s}"
+        );
         self.stats.record(delay_s);
         match &mut self.store {
             SampleStore::Raw {
@@ -110,11 +235,7 @@ impl DelayProbe {
                     self.skipped += 1;
                 }
             }
-            SampleStore::Streaming { estimators } => {
-                for e in estimators {
-                    e.record(delay_s);
-                }
-            }
+            SampleStore::Streaming { hist, .. } => hist.record(delay_s),
         }
         for (t, c) in &mut self.thresholds {
             if delay_s > *t {
@@ -151,8 +272,9 @@ impl DelayProbe {
     /// the order is cached, so repeated queries don't re-sort (and always
     /// return identical values).
     ///
-    /// Streaming mode: the P² estimate; `p` must be one of the levels the
-    /// probe was built with.
+    /// Streaming mode: the histogram estimate, within 2⁻⁸ relative of the
+    /// raw-mode value; `p` must be one of the levels the probe was built
+    /// with.
     pub fn quantile(&mut self, p: f64) -> f64 {
         match &mut self.store {
             SampleStore::Raw {
@@ -169,12 +291,15 @@ impl DelayProbe {
                 }
                 fpsping_num::stats::quantile(samples, p)
             }
-            SampleStore::Streaming { estimators } => estimators
-                .iter()
-                .find(|e| e.level() == p)
-                // lint:allow(panic): asking for an unconfigured level is the documented contract violation
-                .unwrap_or_else(|| panic!("streaming probe does not track level {p}"))
-                .estimate(),
+            SampleStore::Streaming { levels, hist } => {
+                if !levels.iter().any(|&l| exact_eq(l, p)) {
+                    // lint:allow(panic): asking for an unconfigured level is the documented contract violation
+                    panic!("streaming probe does not track level {p}");
+                }
+                let n = self.stats.count();
+                assert!(n > 0, "quantile on empty probe");
+                hist.quantile(p, n, self.stats.min(), self.stats.max())
+            }
         }
     }
 
@@ -198,8 +323,8 @@ impl DelayProbe {
     ///
     /// Moments and exceedance counters merge exactly. Quantile state
     /// merges by mode: raw samples are concatenated up to this probe's
-    /// bound (overflow counts as skipped), streaming estimators merge via
-    /// [`P2Quantile::merge`]. Both probes must be in the same mode with
+    /// bound (overflow counts as skipped), streaming histograms add their
+    /// counts, which is exact. Both probes must be in the same mode with
     /// the same thresholds (and, when streaming, the same levels).
     pub fn merge(&mut self, other: &DelayProbe) {
         assert_eq!(
@@ -232,19 +357,17 @@ impl DelayProbe {
                 *sorted = samples.is_empty();
             }
             (
-                SampleStore::Streaming { estimators },
+                SampleStore::Streaming { levels, hist },
                 SampleStore::Streaming {
-                    estimators: other_estimators,
+                    levels: other_levels,
+                    hist: other_hist,
                 },
             ) => {
                 assert_eq!(
-                    estimators.len(),
-                    other_estimators.len(),
+                    levels, other_levels,
                     "merging streaming probes with different level sets"
                 );
-                for (e, oe) in estimators.iter_mut().zip(other_estimators) {
-                    e.merge(oe);
-                }
+                hist.merge(other_hist);
             }
             // lint:allow(panic): mixing store kinds is a harness bug — there is no meaningful merge
             _ => panic!("cannot merge a raw probe with a streaming probe"),
@@ -314,6 +437,191 @@ impl DelayProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::QUANTILE_LEVELS;
+    use proptest::prelude::*;
+
+    /// The streaming probe's relative error bound, plus a few ulps for
+    /// the interpolation's rounding.
+    fn within_bound(got: f64, want: f64) -> bool {
+        (got - want).abs() <= want * (1.0 / 256.0 + 4.0 * f64::EPSILON)
+    }
+
+    /// A delay: exact zeros, ties on a bucket's lower edge (the midpoint's
+    /// worst case) and elsewhere, and log-uniform values over 1 ns…10³ s.
+    fn delay() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            1 => Just(0.0),
+            1 => Just(0.25),
+            1 => Just(3e-3),
+            6 => (-9.0f64..3.0).prop_map(|e| 10f64.powf(e)),
+        ]
+    }
+
+    /// Mixed streams, and constant ones (where the min/max clamp makes
+    /// every quantile exact).
+    fn stream() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            4 => prop::collection::vec(delay(), 1..3_000),
+            1 => (delay(), 1usize..50).prop_map(|(x, n)| vec![x; n]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every streaming quantile is within 2⁻⁸ relative of the raw-mode
+        /// quantile of the same stream and inside the observed range.
+        #[test]
+        fn streaming_quantiles_stay_within_the_histogram_bound(xs in stream()) {
+            let mut raw = DelayProbe::new(xs.len(), &[]);
+            let mut hist = DelayProbe::streaming(&QUANTILE_LEVELS, &[]);
+            for &x in &xs {
+                raw.record(x);
+                hist.record(x);
+            }
+            let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = xs.iter().copied().fold(0.0, f64::max);
+            for &p in &QUANTILE_LEVELS {
+                let (got, want) = (hist.quantile(p), raw.quantile(p));
+                prop_assert!(within_bound(got, want), "p={}: histogram {} vs raw {}", p, got, want);
+                prop_assert!(min <= got && got <= max, "p={}: {} outside [{}, {}]", p, got, min, max);
+            }
+        }
+
+        /// Merging streaming probes, split anywhere and merged in any
+        /// order, gives the quantile bits of one probe fed every delay.
+        #[test]
+        fn streaming_merge_is_exact_for_any_split_and_order(
+            xs in prop::collection::vec(delay(), 1..3_000),
+            cuts in prop::collection::vec(0.0f64..1.0, 0..8),
+            rotate in 0usize..8,
+            reverse in 0u32..2,
+        ) {
+            let thresholds = [1e-3, 1.0];
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| (c * xs.len() as f64) as usize).collect();
+            bounds.extend([0, xs.len()]);
+            bounds.sort_unstable();
+            let mut parts: Vec<DelayProbe> = bounds
+                .windows(2)
+                .map(|w| {
+                    let mut part = DelayProbe::streaming(&QUANTILE_LEVELS, &thresholds);
+                    xs[w[0]..w[1]].iter().for_each(|&x| part.record(x));
+                    part
+                })
+                .collect();
+            let len = parts.len();
+            parts.rotate_left(rotate % len);
+            if reverse == 1 {
+                parts.reverse();
+            }
+            let mut merged = parts[0].clone();
+            for part in &parts[1..] {
+                merged.merge(part);
+            }
+            let mut whole = DelayProbe::streaming(&QUANTILE_LEVELS, &thresholds);
+            xs.iter().for_each(|&x| whole.record(x));
+            prop_assert_eq!(merged.count(), whole.count());
+            prop_assert_eq!(merged.tail_probabilities(), whole.tail_probabilities());
+            for &p in &QUANTILE_LEVELS {
+                prop_assert_eq!(merged.quantile(p).to_bits(), whole.quantile(p).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn merged_parts_of_different_scales_keep_the_deep_tail_bound() {
+        // Like a scale run's 25 DSLAM probes merged into one, but each
+        // part at its own scale (10 µs … 170 ms means) with 30 % zeros,
+        // so the parts' tails differ by orders of magnitude.
+        let mut all = DelayProbe::new(usize::MAX, &[]);
+        let mut merged: Option<DelayProbe> = None;
+        let mut state = 25u64;
+        for part in 0..25 {
+            let scale = 1e-5 * 1.5f64.powi(part);
+            let mut probe = DelayProbe::streaming(&QUANTILE_LEVELS, &[]);
+            for _ in 0..40_000 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                let x = if u < 0.3 {
+                    0.0
+                } else {
+                    -scale * ((1.0 - u) / 0.7).ln()
+                };
+                probe.record(x);
+                all.record(x);
+            }
+            match &mut merged {
+                None => merged = Some(probe),
+                Some(m) => m.merge(&probe),
+            }
+        }
+        let mut merged = merged.unwrap();
+        for p in [0.9999, 0.99999] {
+            let (got, want) = (merged.quantile(p), all.quantile(p));
+            assert!(
+                within_bound(got, want),
+                "p={p}: merged {got} vs exact {want} (rel err {:.4})",
+                (got - want).abs() / want
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_probe_floors_tiny_delays_within_2_pow_minus_40() {
+        let xs = [5e-324, 1e-300, 1e-15, 3e-13, 1e-12, 2e-12, 1e-3, 1.0];
+        let mut raw = DelayProbe::new(800, &[]);
+        let mut hist = DelayProbe::streaming(&QUANTILE_LEVELS, &[]);
+        for x in xs.into_iter().cycle().take(800) {
+            raw.record(x);
+            hist.record(x);
+        }
+        for &p in &[0.5, 0.9] {
+            let (got, want) = (hist.quantile(p), raw.quantile(p));
+            assert!(
+                (got - want).abs() <= want / 256.0 + 2f64.powi(-40),
+                "p={p}: histogram {got} vs raw {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn histogram_spans_only_the_octaves_between_its_extremes() {
+        let mut h = LogHistogram::default();
+        h.record(0.0);
+        assert!(h.counts.is_empty(), "zeros need no buckets");
+        h.record(1.0);
+        assert_eq!(h.counts.len(), 128);
+        h.record(1.5e-3); // 2⁻¹⁰ ≤ 1.5e-3 < 2⁻⁹: ten octaves below 1.0
+        assert_eq!(h.counts.len(), 11 * 128);
+        h.record(0.9);
+        assert_eq!(h.counts.len(), 11 * 128);
+        assert_eq!(h.counts.iter().sum::<u64>() + h.zeros, 4);
+    }
+
+    /// `record` refuses each of NaN, −1 and +∞ with a panic naming it, and
+    /// counts nothing.
+    fn assert_refuses_bad_delays(make: impl Fn() -> DelayProbe) {
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut p = make();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.record(bad)))
+                .expect_err("a bad delay must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("got {bad}")), "{msg}");
+            assert_eq!(p.count(), 0);
+        }
+    }
+
+    #[test]
+    fn raw_probe_refuses_non_finite_and_negative_delays() {
+        assert_refuses_bad_delays(|| DelayProbe::new(10, &[1.0]));
+    }
+
+    #[test]
+    fn streaming_probe_refuses_non_finite_and_negative_delays() {
+        assert_refuses_bad_delays(|| DelayProbe::streaming(&QUANTILE_LEVELS, &[1.0]));
+    }
 
     #[test]
     fn moments_and_quantiles() {

@@ -29,8 +29,9 @@
 //! **Shard-count invariance.** `shards` is pure worker-thread
 //! parallelism over DSLAM indices (via the engine's `par_map`): the
 //! topology, the per-DSLAM seeds, the merge order of the per-DSLAM
-//! streaming probes (count-weighted [`fpsping_num::p2::P2Quantile::merge`],
-//! always in DSLAM order `0..D`), and the `(time, dslam)` tie-break of
+//! streaming probes (always DSLAM order `0..D`; their histograms —
+//! 2⁻⁸ relative — merge exactly, so only the moments depend on the
+//! order), and the `(time, dslam)` tie-break of
 //! the core merge are all functions of the *configuration only* — the
 //! merged [`ScaleReport`] is bit-identical for any `--shards` value.
 //! `shard_count_never_changes_the_report` pins this, and tier-1's scale

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The probe's delay checks must hold where `debug_assert!` is compiled
+# out, so its tests also run in release.
+cargo test --release -q -p fpsping-sim --lib probe::
 cargo fmt --all --check
 # Rustdoc must be warning-free, so a doc link to a deleted or private
 # item (or an unescaped citation like [23]) fails the gate.
