@@ -3,17 +3,15 @@
 //!
 //! ```text
 //! repro <study>...             run the studies, write results/, print what they wrote
-//! repro all                    every deterministic study
+//! repro all                    every study
 //! repro --check [<study>...]   regenerate in memory, compare with results/ byte for byte
 //! ```
 //!
-//! Each study is a plain function that returns its tables. `--check`
-//! (every deterministic study when none is named) also fails on a
+//! Each study is a plain, deterministic function that returns its
+//! tables. `--check` (every study when none is named) also fails on a
 //! `results/*.csv` that no study writes, and on a line of an
-//! EXPERIMENTS.md excerpt that is not a line of its file. `scale_warmup`
-//! times the host, so `all` and `--check` skip it; it runs only by name
-//! and alone, because its `peak_rss_mib` column reads the process-wide
-//! `VmHWM`.
+//! EXPERIMENTS.md excerpt that is not a line of its file. Host timings
+//! and peak RSS are perfbench's to measure, not a study's.
 
 use fpsping::{Engine, EngineConfig, LoadPoint, RttModel, Scenario};
 use fpsping_bench::estimator_study::{pings_to_trustworthy, run_study, StudyConfig};
@@ -38,9 +36,7 @@ use fpsping_traffic::games::{counter_strike, counter_strike_measured as meas, ha
 use fpsping_traffic::{GameModel, LanPartyConfig, TraceStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Display;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// One entry of the study table.
 #[derive(Debug)]
@@ -48,8 +44,6 @@ struct Study {
     name: &'static str,
     /// The files the study writes under `results/`, in order.
     files: &'static [&'static str],
-    /// False for a study whose output depends on the host.
-    deterministic: bool,
     run: fn() -> Vec<Table>,
 }
 
@@ -58,12 +52,7 @@ const fn study(
     run: fn() -> Vec<Table>,
     files: &'static [&'static str],
 ) -> Study {
-    Study {
-        name,
-        files,
-        deterministic: true,
-        run,
-    }
+    Study { name, files, run }
 }
 
 /// Every study, in the order `all` runs them: the paper's tables and
@@ -83,7 +72,11 @@ const STUDIES: &[Study] = &[
     study("figure4", figure4, &["figure4_rtt_vs_load_iat.csv"]),
     study("dimensioning", dimensioning, &["dimensioning_50ms.csv"]),
     study("model_vs_sim", model_vs_sim, &["model_vs_sim_downstream.csv"]),
-    study("poisson_limit", poisson_limit, &["poisson_limit.csv", "poisson_limit_sim.csv"]),
+    study("poisson_limit", poisson_limit, &[
+        "poisson_limit.csv",
+        "poisson_limit_sim.csv",
+        "poisson_limit_scale.csv",
+    ]),
     study("quantile_methods", quantile_methods, &["quantile_methods_ablation.csv"]),
     study("wfq_isolation", wfq_isolation, &["wfq_isolation.csv"]),
     study("burst_model_sensitivity", burst_model_sensitivity, &["burst_model_sensitivity.csv"]),
@@ -95,7 +88,6 @@ const STUDIES: &[Study] = &[
         "estimator_convergence.csv",
         "estimator_convergence_summary.csv",
     ]),
-    Study { name: "scale_warmup", files: &["scale_warmup.csv"], deterministic: false, run: scale_warmup },
 ];
 
 /// What the command line asks for.
@@ -111,10 +103,9 @@ fn usage() -> String {
     let names: Vec<&str> = STUDIES.iter().map(|s| s.name).collect();
     format!(
         "usage: repro <study>...             write the studies' tables to results/ and print them\n\
-         \x20      repro all                    every deterministic study\n\
+         \x20      repro all                    every study\n\
          \x20      repro --check [<study>...]   compare with results/ byte for byte (default: all)\n\n\
-         studies: {}\n\
-         scale_warmup times the host: all and --check skip it, and it runs alone.\n",
+         studies: {}\n",
         names.join(" ")
     )
 }
@@ -122,14 +113,13 @@ fn usage() -> String {
 /// Parses the arguments. `Err("")` asks for the usage text; any other
 /// error is a usage error.
 fn parse_args(args: &[String]) -> Result<Command, String> {
-    let deterministic = || STUDIES.iter().filter(|s| s.deterministic);
     let mut check = false;
     let mut studies: Vec<&'static Study> = Vec::new();
     for arg in args {
         match arg.as_str() {
             "-h" | "--help" => return Err(String::new()),
             "--check" => check = true,
-            "all" => studies.extend(deterministic()),
+            "all" => studies.extend(STUDIES),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
             name => studies.push(
                 STUDIES
@@ -139,22 +129,8 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             ),
         }
     }
-    if let Some(s) = studies.iter().find(|s| !s.deterministic) {
-        if check {
-            return Err(format!(
-                "{} is not deterministic, so --check cannot verify it",
-                s.name
-            ));
-        }
-        if studies.len() > 1 {
-            return Err(format!(
-                "{} must run alone: its peak_rss_mib column reads the process-wide VmHWM",
-                s.name
-            ));
-        }
-    }
     match (check, studies.is_empty()) {
-        (true, true) => Ok(Command::Check(deterministic().collect())),
+        (true, true) => Ok(Command::Check(STUDIES.iter().collect())),
         (true, false) => Ok(Command::Check(studies)),
         (false, true) => Err("name a study, or `all`".into()),
         (false, false) => Ok(Command::Write(studies)),
@@ -603,7 +579,9 @@ fn model_vs_sim() -> Vec<Table> {
 /// Eq. (11), the Poisson limit of superposed periodic streams: at fixed
 /// load ρ = 0.5 the N·D/D/1 estimates of P(W > 1 ms) approach the M/D/1
 /// value as N grows. The simulated aggregation wait of N = 100 gamers
-/// sits below its Poisson limit, which eq. 11 approaches from below.
+/// sits below its Poisson limit, which eq. 11 approaches from below. At
+/// scale, [`poisson_limit_scale`] follows the core link's mean wait
+/// towards the M/D/1 mean as the DSLAM count grows.
 fn poisson_limit() -> Vec<Table> {
     let tau = 0.000_128; // 80 B on 5 Mb/s
     let rho = 0.5;
@@ -641,7 +619,52 @@ fn poisson_limit() -> Vec<Table> {
             rows,
         ),
         Table::new("poisson_limit_sim.csv", "quantity,n,sim,mdd1", sim),
+        poisson_limit_scale(),
     ]
+}
+
+/// `ScaleEngine` at its default operating point (DSLAM load 0.5, core
+/// load 0.8, 4 096 players per DSLAM, 0.5 s warm-up): the core link's
+/// mean wait over the M/D/1 mean at the measured arrival rate. The §3.1
+/// claim says the ratio tends to 1 as the DSLAM count D, the number of
+/// superposed streams, grows. `seed` sweeps the phase draws at N = 10⁵
+/// (D = 25, 2 s), bounding the ratio's statistical error; `dslams` sweeps
+/// D at a fixed per-DSLAM population, with the simulated time scaled so
+/// each point costs about the same.
+fn poisson_limit_scale() -> Table {
+    let run = |sweep: &str, value: u64, n: usize, dur_s: f64, seed: u64| {
+        let mut cfg = ScaleConfig::new(n);
+        cfg.duration = SimTime::from_secs(dur_s);
+        cfg.warmup = SimTime::from_secs(0.5);
+        cfg.seed = seed;
+        let rep = ScaleEngine::new(cfg).run();
+        let mdd1_wait = mdd1(rep.core_arrival_rate_hz, rep.core_service_s)
+            .expect("stable M/D/1 operating point")
+            .mean_wait();
+        format!(
+            "{sweep},{value},{},{},{},{:.4},{:.3},{:.3}",
+            rep.dslams,
+            rep.packets,
+            rep.events,
+            rep.core_wait.mean_s / mdd1_wait,
+            rep.core_wait.mean_s * 1e6,
+            mdd1_wait * 1e6
+        )
+    };
+    const SEED: u64 = 0x5CA1E;
+    let mut rows: Vec<String> = [SEED, 1, 2, 3, 4]
+        .map(|seed| run("seed", seed, 100_000, 2.0, seed))
+        .into();
+    for d in [1usize, 3, 6, 12, 25, 50, 98] {
+        let n = d * 4_096;
+        let dur_s = (2e5 / n as f64).clamp(0.75, 8.0);
+        rows.push(run("dslams", d as u64, n, dur_s, SEED));
+    }
+    Table::new(
+        "poisson_limit_scale.csv",
+        "sweep,value,dslams,packets,events,poisson_mdd1_wait_ratio,mean_wait_us,mdd1_wait_us",
+        rows,
+    )
 }
 
 /// Ablation of the §3.3 quantile methods: the full Erlang expansion (the
@@ -991,8 +1014,7 @@ fn estimator_convergence() -> Vec<Table> {
         .collect();
     let est = &study.summary;
     let (a99, a999) = (study.analytic_p99_ms, study.analytic_p999_ms);
-    let p99 = est.pooled_p99.as_ref().map(|q| q.estimate());
-    let p999 = est.pooled_p999.as_ref().map(|q| q.estimate());
+    let (p99, p999) = (est.pooled_ms(0.99), est.pooled_ms(0.999));
     let ms = |v: Option<f64>| v.map(|v| format!("{v:.4}")).unwrap_or_default();
     let err = |v: Option<f64>, a: f64| {
         v.map(|v| format!("{:+.3}", 100.0 * (v - a) / a))
@@ -1033,115 +1055,6 @@ fn estimator_convergence() -> Vec<Table> {
     ]
 }
 
-/// Master seed of every `scale_warmup` sweep baseline.
-const MASTER_SEED: u64 = 0x5CA1E;
-
-/// The `scale_warmup` curve point whose Poisson ratio dips.
-const N_DIP: usize = 100_000;
-
-/// The default operating point (DSLAM load 0.5, core load 0.8, 4 096
-/// players/DSLAM, one shard) at the master seed.
-fn scale_config(n: usize, dur_s: f64, warmup_s: f64) -> ScaleConfig {
-    let mut cfg = ScaleConfig::new(n);
-    cfg.duration = SimTime::from_secs(dur_s);
-    cfg.warmup = SimTime::from_secs(warmup_s);
-    cfg.seed = MASTER_SEED;
-    cfg.shards = 1;
-    cfg
-}
-
-/// Runs one `ScaleEngine` configuration. Returns its CSV columns from
-/// `dslams` on.
-fn measure(cfg: ScaleConfig) -> String {
-    let t0 = Instant::now();
-    let rep = ScaleEngine::new(cfg).run();
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mdd1_wait = mdd1(rep.core_arrival_rate_hz, rep.core_service_s)
-        .expect("stable M/D/1 operating point")
-        .mean_wait();
-    let ratio = rep.core_wait.mean_s / mdd1_wait;
-    format!(
-        "{},{},{},{ratio:.4},{:.3},{:.3},{wall_ms:.1},{:.0},{:.1}",
-        rep.dslams,
-        rep.packets,
-        rep.events,
-        rep.core_wait.mean_s * 1e6,
-        mdd1_wait * 1e6,
-        rep.events as f64 / (wall_ms / 1e3),
-        peak_rss_mib()
-    )
-}
-
-/// Cumulative peak RSS (MiB) from `/proc/self/status` `VmHWM`, or 0.0
-/// where procfs is unavailable.
-fn peak_rss_mib() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|line| line.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|kb| kb.parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
-}
-
-/// `ScaleEngine` studies: the events/s and peak-RSS curve over
-/// N = 10³…10⁶ and a dissection of the `poisson_mdd1_wait_ratio` dip at
-/// N = 10⁵ on that curve. The §3.1 Poisson-limit claim says the ratio
-/// tends to 1 as the DSLAM count D grows. A measurement artifact (a
-/// short warmup or span) would move with warmup, duration and seed; a
-/// structural effect (each DSLAM's link paces its output, so a small
-/// superposition is smoother than Poisson) moves with D alone.
-/// EXPERIMENTS.md gives the verdict. Wall times and RSS are single runs
-/// on the host at hand.
-fn scale_warmup() -> Vec<Table> {
-    let mut rows = Vec::new();
-    let mut emit = |sweep: &str, value: &dyn Display, cfg: ScaleConfig| {
-        rows.push(format!("{sweep},{value},{}", measure(cfg)));
-    };
-    // The scale curve, first and in ascending N: `VmHWM` is a cumulative
-    // high-water mark, so each row's peak RSS is "peak so far". Simulated
-    // durations shrink with N to bound wall time while events still grow.
-    for (n, dur_s) in [(1_000, 8.0), (10_000, 4.0), (N_DIP, 2.0), (1_000_000, 1.0)] {
-        emit("curve,n", &n, scale_config(n, dur_s, 0.5));
-    }
-    // Warmup at the dipping point: transient leakage would pull the
-    // ratio up as the warmup grows.
-    for warmup_s in [0.1, 0.25, 0.5, 1.0, 1.5] {
-        emit(
-            "warmup,warmup_s",
-            &warmup_s,
-            scale_config(N_DIP, 2.0, warmup_s),
-        );
-    }
-    // Measured span: a transient's weight shrinks as 1/span.
-    for dur_s in [1.0, 2.0, 4.0, 6.0] {
-        emit(
-            "duration,duration_s",
-            &dur_s,
-            scale_config(N_DIP, dur_s, 0.5),
-        );
-    }
-    // Seed: the spread bounds the statistical error of the curve's ratio.
-    for (i, seed) in [MASTER_SEED, 1, 2, 3, 4].into_iter().enumerate() {
-        let mut cfg = scale_config(N_DIP, 2.0, 0.5);
-        cfg.seed = seed;
-        emit("seed,seed_index", &i, cfg);
-    }
-    // DSLAM count D at fixed per-DSLAM population, the Poisson-limit
-    // abscissa itself (sim time scaled so each point costs about the same).
-    for d in [1usize, 3, 6, 12, 25, 50, 98] {
-        let n = d * 4_096;
-        let dur_s = (2.0 * N_DIP as f64 / n as f64).clamp(0.75, 8.0);
-        emit("dslams,dslams", &d, scale_config(n, dur_s, 0.5));
-    }
-    vec![Table::new(
-        "scale_warmup.csv",
-        "sweep,knob,value,dslams,packets,events,poisson_mdd1_wait_ratio,\
-         mean_wait_us,mdd1_wait_us,wall_ms,events_per_sec,peak_rss_mib",
-        rows,
-    )]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1149,10 +1062,6 @@ mod tests {
     fn parse(args: &str) -> Result<Command, String> {
         let args: Vec<String> = args.split_whitespace().map(String::from).collect();
         parse_args(&args)
-    }
-
-    fn names(studies: &[&Study]) -> Vec<&'static str> {
-        studies.iter().map(|s| s.name).collect()
     }
 
     /// The analytic and trace studies regenerate `results/` byte for
@@ -1182,11 +1091,11 @@ mod tests {
             "unknown flag \"--reps\""
         );
         assert_eq!(
-            parse("scale_warmup --test").unwrap_err(),
+            parse("poisson_limit --test").unwrap_err(),
             "unknown flag \"--test\""
         );
         // `--help` asks for the usage text and runs nothing.
-        assert_eq!(parse("scale_warmup --help").unwrap_err(), "");
+        assert_eq!(parse("poisson_limit --help").unwrap_err(), "");
     }
 
     #[test]
@@ -1195,30 +1104,6 @@ mod tests {
             parse("--check table1 figure9").unwrap_err(),
             "unknown study \"figure9\""
         );
-    }
-
-    #[test]
-    fn all_and_check_skip_scale_warmup_which_runs_alone() {
-        let deterministic: Vec<&str> = STUDIES
-            .iter()
-            .filter(|s| s.name != "scale_warmup")
-            .map(|s| s.name)
-            .collect();
-        let Ok(Command::Write(all)) = parse("all") else {
-            panic!("`all` parses");
-        };
-        assert_eq!(names(&all), deterministic);
-        let Ok(Command::Check(checked)) = parse("--check") else {
-            panic!("`--check` parses");
-        };
-        assert_eq!(names(&checked), deterministic);
-        let Ok(Command::Write(alone)) = parse("scale_warmup") else {
-            panic!("`scale_warmup` parses");
-        };
-        assert_eq!(names(&alone), ["scale_warmup"]);
-        assert!(parse("scale_warmup table1").is_err());
-        assert!(parse("--check scale_warmup").is_err());
-        assert!(parse("").is_err());
     }
 
     #[test]

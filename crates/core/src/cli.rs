@@ -115,7 +115,7 @@ COMMAND FLAGS (a command refuses a flag it would ignore):
     --stream-quantiles       sim: streaming histogram quantiles
                              (2⁻⁸ relative, merge exactly; no raw samples)
     --estimate               sim: per-player streaming RTT estimator
-                             (EWMA + P² tails, compared to the analytic model)
+                             (EWMA, P² p99, pooled histogram tails vs the model)
     --sim-seconds <S>        sim: simulated seconds per replication [default 60]
     --seed <S>               sim: master seed                   [default 24301]
     --scale-n <N>            sim: sharded DSLAM-tree scale run with N players;
@@ -583,18 +583,13 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 // The estimator observes hold-corrected RTTs — exactly the
                 // upstream + downstream network delay the analytic model's
                 // quantile describes — so the two are directly comparable.
-                let measured_p99 = est.pooled_p99.as_ref().map(|q| q.estimate());
-                let measured_p999 = est.pooled_p999.as_ref().map(|q| q.estimate());
-                for (label, level, measured) in [
-                    ("p99  ", 0.99, measured_p99),
-                    ("p99.9", 0.999, measured_p999),
-                ] {
+                for (label, level) in [("p99  ", 0.99), ("p99.9", 0.999)] {
                     let mut at = s.clone();
                     at.quantile = level;
                     let analytic = RttModel::build(&at)
                         .map_err(|e| e.to_string())?
                         .rtt_quantile_ms();
-                    match measured {
+                    match est.pooled_ms(level) {
                         Some(m) => {
                             let err = 100.0 * (m - analytic) / analytic;
                             let _ = writeln!(

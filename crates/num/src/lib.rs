@@ -25,8 +25,11 @@
 //! * [`stats`] — descriptive statistics (mean / variance / CoV, quantiles,
 //!   ECDF and tail distribution functions, histograms, online estimators)
 //!   that back the traffic-trace analysis of §2.2 and the simulator probes,
-//! * [`p2`] — the P² streaming quantile estimator behind the per-player
-//!   online RTT estimator (O(1) words per player),
+//! * [`log_histogram`] — the log-linear histogram behind every mergeable
+//!   quantile: the simulator's streaming delay probes and the estimator's
+//!   pooled RTT tail (within 2⁻⁸ relative, exact merge),
+//! * [`p2`] — the P² streaming quantile estimator behind each player's p99
+//!   in the online RTT estimator (O(1) words per player),
 //! * [`cmp`] — named float comparisons (tolerance vs. deliberately exact),
 //!   the only place plain `==` on floats is allowed by the workspace lint,
 //! * [`finite_guard`] — debug-build finiteness assertions for kernel
@@ -43,6 +46,7 @@ pub mod cmp;
 pub mod complex;
 pub mod finite_guard;
 pub mod laplace;
+pub mod log_histogram;
 pub mod p2;
 pub mod poly;
 pub mod quad;

@@ -146,7 +146,8 @@ pub struct NetworkConfig {
     /// ([`fpsping_traffic::estimator`]): every warm client packet is
     /// registered as a ping, the answering tick packet echoes its
     /// sequence number plus the server's hold time, and each client
-    /// tracks the hold-corrected RTT (EWMA + P² tails) — the quantity
+    /// tracks the hold-corrected RTT (EWMA, P² p99, and one pooled
+    /// histogram per bank for the tail) — the quantity
     /// the analytic model predicts. Off by default: it adds per-packet
     /// work and the golden-parity tests pin the plain path.
     pub estimate: bool,

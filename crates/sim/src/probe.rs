@@ -1,127 +1,16 @@
 //! Delay probes: streaming moments plus either bounded raw-sample storage
-//! (exact quantiles) or a log-linear histogram (quantiles within 2⁻⁸
-//! relative that merge exactly), and threshold exceedance counters for
-//! deep-tail estimation.
+//! (exact quantiles) or a [`LogHistogram`] from `fpsping_num` (quantiles
+//! within 2⁻⁸ relative that merge exactly), and threshold exceedance
+//! counters for deep-tail estimation.
 
-use fpsping_num::cmp::{exact_eq, exact_zero};
+use fpsping_num::cmp::exact_eq;
+use fpsping_num::log_histogram::LogHistogram;
 use fpsping_num::stats::OnlineStats;
 use fpsping_obs::Counter;
 
 /// Summaries built from a truncated sample set (`skipped > 0`): the
 /// quantiles are estimates over the stored prefix, not the full stream.
 static TRUNCATED_REPORTS: Counter = Counter::new("sim.probe.truncated_reports");
-
-/// Linear sub-buckets per binary octave, as a power of two: 2⁷ = 128.
-const SUB_BITS: u32 = 7;
-/// Buckets per octave.
-const OCTAVE: u64 = 1 << SUB_BITS;
-/// Right shift from an `f64` bit pattern to its bucket key: the key keeps
-/// the exponent and the top [`SUB_BITS`] mantissa bits. For non-negative
-/// floats the bit pattern is monotone in the value, so keys are too.
-const SHIFT: u32 = 52 - SUB_BITS;
-/// The lowest key: the bucket just below 2⁻⁴⁰ s (1023 is the `f64`
-/// exponent bias). Every smaller positive delay is counted there, so it is
-/// off by at most 2⁻⁴⁰ s.
-const FLOOR_KEY: u64 = ((1023 - 40) << SUB_BITS) - 1;
-
-/// A log-linear histogram of non-negative delays: 2⁷ linear buckets per
-/// binary octave, so a bucket's midpoint is within 2⁻⁸ relative of every
-/// value in it. Exact zeros have their own count. The bucket vector spans
-/// only the octaves between the smallest and largest delay seen, and
-/// grows when a delay falls outside it.
-#[derive(Debug, Clone, Default)]
-struct LogHistogram {
-    zeros: u64,
-    /// Key of `counts[0]`, octave-aligned.
-    base: u64,
-    counts: Vec<u64>,
-}
-
-impl LogHistogram {
-    #[inline]
-    fn record(&mut self, x: f64) {
-        if exact_zero(x) {
-            self.zeros += 1;
-            return;
-        }
-        let key = (x.to_bits() >> SHIFT).max(FLOOR_KEY);
-        // A key below `base` wraps to a huge index and misses too.
-        match self.counts.get_mut(key.wrapping_sub(self.base) as usize) {
-            Some(c) => *c += 1,
-            None => {
-                self.cover(key, key);
-                self.counts[(key - self.base) as usize] += 1;
-            }
-        }
-    }
-
-    /// Grows the bucket vector, by whole octaves, until it spans the keys
-    /// `lo..=hi`.
-    #[cold]
-    fn cover(&mut self, lo: u64, hi: u64) {
-        let (lo, end) = (lo & !(OCTAVE - 1), (hi | (OCTAVE - 1)) + 1);
-        if self.counts.is_empty() {
-            self.base = lo;
-            self.counts = vec![0; (end - lo) as usize];
-            return;
-        }
-        if end > self.base + self.counts.len() as u64 {
-            self.counts.resize((end - self.base) as usize, 0);
-        }
-        if lo < self.base {
-            let mut grown = vec![0; (self.base - lo) as usize];
-            grown.extend_from_slice(&self.counts);
-            self.counts = grown;
-            self.base = lo;
-        }
-    }
-
-    /// Adds `other`'s counts: the result is the histogram of both streams.
-    fn merge(&mut self, other: &LogHistogram) {
-        self.zeros += other.zeros;
-        if other.counts.is_empty() {
-            return;
-        }
-        let top = other.base + other.counts.len() as u64;
-        self.cover(other.base, top - 1);
-        let from = (other.base - self.base) as usize;
-        for (c, o) in self.counts[from..].iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-    }
-
-    /// The value standing for the 0-based ascending rank `rank`: zero for
-    /// an exact zero, else the midpoint of the bucket holding the rank.
-    fn value_at(&self, rank: u64) -> f64 {
-        let Some(mut left) = rank.checked_sub(self.zeros) else {
-            return 0.0;
-        };
-        let mut key = self.base;
-        for &c in &self.counts {
-            if left < c {
-                break;
-            }
-            left -= c;
-            key += 1;
-        }
-        f64::from_bits((key << SHIFT) | (1 << (SHIFT - 1)))
-    }
-
-    /// The p-quantile of the `n` recorded delays under the raw mode's
-    /// rank rule ([`fpsping_num::stats::quantile`]), each rank standing
-    /// at [`value_at`](Self::value_at) clamped to the exact `[min, max]`.
-    fn quantile(&self, p: f64, n: u64, min: f64, max: f64) -> f64 {
-        let at = |rank: u64| self.value_at(rank).clamp(min, max);
-        let h = p * (n - 1) as f64;
-        let (lo, hi) = (h.floor() as u64, h.ceil() as u64);
-        let x_lo = at(lo);
-        if lo == hi {
-            x_lo
-        } else {
-            x_lo + (h - lo as f64) * (at(hi) - x_lo)
-        }
-    }
-}
 
 /// How a probe answers quantile queries.
 #[derive(Debug, Clone)]
@@ -296,9 +185,8 @@ impl DelayProbe {
                     // lint:allow(panic): asking for an unconfigured level is the documented contract violation
                     panic!("streaming probe does not track level {p}");
                 }
-                let n = self.stats.count();
-                assert!(n > 0, "quantile on empty probe");
-                hist.quantile(p, n, self.stats.min(), self.stats.max())
+                // lint:allow(unwrap): an empty probe has no quantile, as in raw mode
+                hist.quantile(p).expect("quantile on empty probe")
             }
         }
     }
@@ -584,20 +472,6 @@ mod tests {
                 "p={p}: histogram {got} vs raw {want}"
             );
         }
-    }
-
-    #[test]
-    fn histogram_spans_only_the_octaves_between_its_extremes() {
-        let mut h = LogHistogram::default();
-        h.record(0.0);
-        assert!(h.counts.is_empty(), "zeros need no buckets");
-        h.record(1.0);
-        assert_eq!(h.counts.len(), 128);
-        h.record(1.5e-3); // 2⁻¹⁰ ≤ 1.5e-3 < 2⁻⁹: ten octaves below 1.0
-        assert_eq!(h.counts.len(), 11 * 128);
-        h.record(0.9);
-        assert_eq!(h.counts.len(), 11 * 128);
-        assert_eq!(h.counts.iter().sum::<u64>() + h.zeros, 4);
     }
 
     /// `record` refuses each of NaN, −1 and +∞ with a panic naming it, and

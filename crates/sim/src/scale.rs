@@ -312,12 +312,34 @@ impl ScaleEngine {
         }
     }
 
+    /// The most post-warm-up packets a DSLAM of `n_d` clients hands the
+    /// core stage: the one reserve of its `departures` buffer.
+    ///
+    /// While a client's uplink serializes a packet within one send
+    /// interval `I` (5 ms of 40 ms by default), each client's packets
+    /// reach the DSLAM exactly `I` apart. Any window shorter than `I`
+    /// then holds at most one packet per client, so the work ahead of a
+    /// packet plus its own service stays below `n_d` services,
+    /// `dslam_load`·`I` < `I`. A packet leaving in [warmup, duration]
+    /// thus arrived in (warmup − `I`, duration], which holds at most
+    /// ⌈(duration − warmup)/`I`⌉ + 1 packets of each client. (Were the
+    /// uplink slower than its send rate, the buffer would grow as needed.)
+    fn departure_reserve(&self, n_d: usize) -> usize {
+        let span = (self.cfg.duration - self.cfg.warmup).as_nanos();
+        let interval = SimTime::from_millis(self.cfg.interval_ms).as_nanos();
+        n_d * (span.div_ceil(interval) as usize + 1)
+    }
+
     /// One DSLAM subtree: `n_d` periodic clients behind access uplinks
     /// into a FIFO bottleneck sized for `dslam_load`.
     fn run_dslam(&self, d: usize) -> DslamResult {
         let cfg = &self.cfg;
         let lo = d * cfg.players_per_dslam;
         let n_d = cfg.players_per_dslam.min(cfg.n_players - lo);
+        // Reserved before the calendar and the links, so the buffers every
+        // DSLAM keeps for the core stage are not interleaved on the heap
+        // with the ones it frees when it returns.
+        let mut departures: Vec<(u64, u64)> = Vec::with_capacity(self.departure_reserve(n_d));
         let mut rng = BatchRng::seed_from_u64(replication_seed(cfg.seed, d as u64));
         let dslam_bps = n_d as f64 * cfg.per_client_bps() / cfg.dslam_load;
         let mut uplinks: Vec<Link> = (0..n_d)
@@ -339,7 +361,6 @@ impl ScaleEngine {
         }
         let interval = SimTime::from_millis(cfg.interval_ms);
         let mut dslam_wait = DelayProbe::streaming(&QUANTILE_LEVELS, &cfg.tail_thresholds_s);
-        let mut departures: Vec<(u64, u64)> = Vec::new();
         let mut events: u64 = 0;
         while let Some(s) = calendar.pop() {
             if s.time > cfg.duration {
@@ -399,7 +420,7 @@ impl ScaleEngine {
                         let ser = dslam.serialization(p.size_bytes);
                         let wait = (now.saturating_sub(ser)).saturating_sub(p.enqueued);
                         dslam_wait.record(wait.as_secs());
-                        // lint:allow(unbounded_push): the core-stage hand-off buffer — 16 B/packet, sized by duration; see EXPERIMENTS.md "Scale"
+                        // lint:allow(unbounded_push): the core-stage hand-off buffer — 16 B/packet, reserved once by `departure_reserve`
                         departures.push((now.as_nanos(), p.created.as_nanos()));
                     }
                 }
@@ -517,6 +538,31 @@ mod tests {
         assert!(rep.end_to_end.mean_s > rep.dslam_wait.mean_s + rep.core_wait.mean_s);
         assert!(rep.calendar.enqueues > 0);
         assert!(rep.events > rep.packets);
+    }
+
+    #[test]
+    fn departure_buffer_never_grows_past_its_reserve() {
+        let mut paper = ScaleConfig::new(4_096);
+        paper.duration = SimTime::from_secs(1.5);
+        paper.warmup = SimTime::from_secs(0.5);
+        for cfg in [paper, small(1_300, 512, 2.0), small(2_000, 256, 0.3)] {
+            let engine = ScaleEngine::new(cfg.clone());
+            for d in 0..cfg.dslams() {
+                let n_d = cfg
+                    .players_per_dslam
+                    .min(cfg.n_players - d * cfg.players_per_dslam);
+                let reserve = engine.departure_reserve(n_d);
+                let departures = engine.run_dslam(d).departures;
+                assert_eq!(
+                    departures.capacity(),
+                    reserve,
+                    "DSLAM {d} regrew its buffer"
+                );
+                // The bound is tight: at most one interval's packets and
+                // the rounding of the span spare.
+                assert!(departures.len() + 2 * n_d >= reserve, "DSLAM {d}");
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //!   the ring horizon), and a matched reply older than the newest match
 //!   so far counts a **reorder**. None of these corrupt the EWMA — only
 //!   matched, validated samples feed it.
-//! * **P² tail quantiles** (p99 / p99.9) per player, O(1) memory.
+//! * **A P² p99** per player, O(1) memory, which the convergence study
+//!   snapshots at ping-count checkpoints.
+//! * **One histogram per bank** for the pooled tail: every accepted sample
+//!   of every player goes into one [`LogHistogram`], 2⁻⁸ relative, and
+//!   banks and summaries merge it exactly, so the pooled p99 and p99.9 are
+//!   the same for any sharding or replication split.
 //! * **Hold-time correction**: real ping protocols have the server echo
 //!   how long it held the ping before answering (the tick-alignment wait
 //!   in this simulator's case), and the client subtracts it. The
@@ -28,14 +33,16 @@
 //!
 //! Everything is O(1) memory per player and allocation-free in steady
 //! state (the L09 discipline): the ring is a fixed inline array, the P²
-//! estimators keep five markers each, and the per-player checkpoint table
-//! is sized at construction.
+//! estimator keeps five markers, and the per-player checkpoint table is
+//! sized at construction. The bank's histogram grows only by the octaves
+//! the RTTs span (1 KiB each), not with the player or sample count.
 //!
 //! Invalid observations (NaN or negative RTT) never reach the EWMA or the
 //! quantile markers: they are counted in `invalid_samples` and skipped,
 //! in debug and release builds alike — a poisoned EWMA never recovers, so
 //! the boundary rejects rather than asserts.
 
+use fpsping_num::log_histogram::LogHistogram;
 use fpsping_num::p2::P2Quantile;
 use fpsping_obs::Counter;
 
@@ -107,7 +114,7 @@ impl EstimatorCounters {
 }
 
 /// One player's online RTT tracker: EWMA mean/deviation, outstanding-ping
-/// ring, P² tail quantiles, and the p99 checkpoint table used by the
+/// ring, a P² p99, and the p99 checkpoint table used by the
 /// convergence study ("how many pings until the estimate is
 /// trustworthy").
 #[derive(Debug, Clone)]
@@ -119,7 +126,6 @@ pub struct RttEstimator {
     srtt_ms: f64,
     rttvar_ms: f64,
     p99: P2Quantile,
-    p999: P2Quantile,
     counters: EstimatorCounters,
     /// Ping-count thresholds at which `p99_snapshots` is filled, strictly
     /// increasing; shared verbatim across a bank's players.
@@ -154,7 +160,6 @@ impl RttEstimator {
             srtt_ms: 0.0,
             rttvar_ms: 0.0,
             p99: P2Quantile::new(0.99),
-            p999: P2Quantile::new(0.999),
             counters: EstimatorCounters::default(),
             checkpoints: checkpoints.into(),
             p99_snapshots: vec![0.0; checkpoints.len()].into_boxed_slice(),
@@ -183,14 +188,15 @@ impl RttEstimator {
 
     /// Handles a ping reply carrying echo `seq`, received at `now_ms`
     /// after the server held it for `hold_ms`. A matched reply feeds
-    /// `observe` with the hold-corrected RTT; an unmatched one (duplicate
-    /// or beyond the ring horizon) only counts as a late reply.
+    /// `observe` with the hold-corrected RTT, and returns what `observe`
+    /// returns; an unmatched one (duplicate or beyond the ring horizon)
+    /// only counts as a late reply and returns `None`.
     #[inline]
-    pub fn on_pong(&mut self, seq: u16, now_ms: f64, hold_ms: f64) {
+    pub fn on_pong(&mut self, seq: u16, now_ms: f64, hold_ms: f64) -> Option<f64> {
         let slot = &mut self.ring[seq as usize & (RING_SLOTS - 1)];
         if !slot.outstanding || slot.seq != seq {
             self.counters.late_replies += 1;
-            return;
+            return None;
         }
         slot.outstanding = false;
         let rtt_ms = now_ms - slot.sent_ms - hold_ms;
@@ -199,19 +205,20 @@ impl RttEstimator {
         } else {
             self.counters.reorders += 1;
         }
-        self.observe(rtt_ms);
+        self.observe(rtt_ms)
     }
 
     /// Feeds one validated RTT observation (milliseconds) into the EWMA
-    /// and the tail quantiles. This is the estimator boundary: NaN and
+    /// and the p99. This is the estimator boundary: NaN, infinite and
     /// negative observations are counted in `invalid_samples` and
     /// skipped — in release *and* debug builds — because a single NaN
-    /// would poison every subsequent EWMA and marker update.
+    /// would poison every subsequent EWMA and marker update. Returns the
+    /// accepted sample, or `None` when it was refused.
     #[inline]
-    pub fn observe(&mut self, rtt_ms: f64) {
+    pub fn observe(&mut self, rtt_ms: f64) -> Option<f64> {
         if !rtt_ms.is_finite() || rtt_ms < 0.0 {
             self.counters.invalid_samples += 1;
-            return;
+            return None;
         }
         if self.counters.matches == 0 {
             // RFC 6298 §2.2: seed from the first measurement.
@@ -224,7 +231,6 @@ impl RttEstimator {
             self.srtt_ms = (1.0 - EWMA_ALPHA) * self.srtt_ms + EWMA_ALPHA * rtt_ms;
         }
         self.p99.record(rtt_ms);
-        self.p999.record(rtt_ms);
         self.counters.matches += 1;
         if self.snapshots_filled < self.checkpoints.len()
             && self.counters.matches == self.checkpoints[self.snapshots_filled]
@@ -232,6 +238,7 @@ impl RttEstimator {
             self.p99_snapshots[self.snapshots_filled] = self.p99.estimate();
             self.snapshots_filled += 1;
         }
+        Some(rtt_ms)
     }
 
     /// Smoothed RTT (ms); 0 before the first match.
@@ -259,11 +266,6 @@ impl RttEstimator {
         self.p99.estimate()
     }
 
-    /// Current p99.9 estimate (ms). Panics before the first sample.
-    pub fn p999_ms(&self) -> f64 {
-        self.p999.estimate()
-    }
-
     /// The `(ping_count, p99_ms)` checkpoints reached so far.
     pub fn p99_checkpoints(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.checkpoints
@@ -286,14 +288,18 @@ impl RttEstimator {
 /// simulator feeds at line rate. Players are dense indices `0..n`;
 /// lookups are direct indexing, and no steady-state path allocates.
 ///
+/// The bank also keeps the pooled tail: one [`LogHistogram`] of every
+/// sample any player accepted.
+///
 /// Banks shard by *partitioning players*: each shard owns a disjoint
 /// subset and [`EstimatorBank::merge`] adopts, per player, whichever
-/// side saw that player's traffic. The merged result is bit-identical
-/// for every shard count; two shards both touching the same player is a
-/// contract violation and panics.
+/// side saw that player's traffic, and adds the histograms. The merged
+/// result is bit-identical for every shard count; two shards both
+/// touching the same player is a contract violation and panics.
 #[derive(Debug, Clone)]
 pub struct EstimatorBank {
     players: Vec<RttEstimator>,
+    pooled: LogHistogram,
 }
 
 /// The default p99-checkpoint ladder for the convergence study.
@@ -306,6 +312,7 @@ impl EstimatorBank {
             players: (0..n_players)
                 .map(|_| RttEstimator::new(checkpoints))
                 .collect(),
+            pooled: LogHistogram::new(),
         }
     }
 
@@ -333,7 +340,9 @@ impl EstimatorBank {
     /// Handles player `i`'s ping reply (see [`RttEstimator::on_pong`]).
     #[inline]
     pub fn on_pong(&mut self, i: usize, seq: u16, now_ms: f64, hold_ms: f64) {
-        self.players[i].on_pong(seq, now_ms, hold_ms);
+        if let Some(rtt_ms) = self.players[i].on_pong(seq, now_ms, hold_ms) {
+            self.pooled.record(rtt_ms);
+        }
     }
 
     /// Feeds player `i` a validated RTT directly (bypassing the ping
@@ -341,14 +350,16 @@ impl EstimatorBank {
     /// applies.
     #[inline]
     pub fn observe(&mut self, i: usize, rtt_ms: f64) {
-        self.players[i].observe(rtt_ms);
+        if let Some(rtt_ms) = self.players[i].observe(rtt_ms) {
+            self.pooled.record(rtt_ms);
+        }
     }
 
     /// Absorbs a shard covering a disjoint player subset: for each
-    /// player, the non-empty side wins. Both banks must have the same
-    /// player count; a player touched by both shards panics (shards must
-    /// partition the population, or the merge would have to discard
-    /// ring state).
+    /// player, the non-empty side wins, and the pooled histograms add.
+    /// Both banks must have the same player count; a player touched by
+    /// both shards panics (shards must partition the population, or the
+    /// merge would have to discard ring state).
     pub fn merge(&mut self, other: &EstimatorBank) {
         assert_eq!(
             self.players.len(),
@@ -365,6 +376,7 @@ impl EstimatorBank {
             );
             *mine = theirs.clone();
         }
+        self.pooled.merge(&other.pooled);
     }
 
     /// Collapses the bank into its exported summary and flushes the
@@ -372,8 +384,6 @@ impl EstimatorBank {
     /// counters (once — call at end of run, like the calendar stats).
     pub fn into_summary(self) -> EstimatorSummary {
         let mut counters = EstimatorCounters::default();
-        let mut pooled_p99: Option<P2Quantile> = None;
-        let mut pooled_p999: Option<P2Quantile> = None;
         let mut srtt_sum = 0.0;
         let mut rttvar_sum = 0.0;
         let mut players_with_samples = 0u64;
@@ -386,14 +396,6 @@ impl EstimatorBank {
             players_with_samples += 1;
             srtt_sum += est.srtt_ms;
             rttvar_sum += est.rttvar_ms;
-            match &mut pooled_p99 {
-                None => pooled_p99 = Some(est.p99.clone()),
-                Some(p) => p.merge(&est.p99),
-            }
-            match &mut pooled_p999 {
-                None => pooled_p999 = Some(est.p999.clone()),
-                Some(p) => p.merge(&est.p999),
-            }
             for (at, p99) in est.p99_checkpoints() {
                 match checkpoints.iter_mut().find(|(t, _)| *t == at) {
                     // lint:allow(unbounded_push): one entry per player per checkpoint threshold — bounded by the construction-time ladder
@@ -423,17 +425,16 @@ impl EstimatorBank {
             } else {
                 rttvar_sum / players_with_samples as f64
             },
-            pooled_p99,
-            pooled_p999,
+            pooled: self.pooled,
             checkpoints,
         }
     }
 }
 
 /// The exported result of a bank: aggregate counters, the mean of the
-/// per-player EWMAs, pooled tail quantiles (count-weighted P² merge
-/// across players), and the per-player p99 checkpoint snapshots the
-/// convergence study reads.
+/// per-player EWMAs, the pooled tail (one histogram per bank, 2⁻⁸
+/// relative, exact merge), and the per-player p99 checkpoint snapshots
+/// the convergence study reads.
 #[derive(Debug, Clone)]
 pub struct EstimatorSummary {
     /// Players the bank tracked.
@@ -448,38 +449,41 @@ pub struct EstimatorSummary {
     /// Mean of the per-player RTT deviations (ms), over players with
     /// samples.
     pub rttvar_mean_ms: f64,
-    /// Pooled p99 across players (`None` when no player sampled).
-    pub pooled_p99: Option<P2Quantile>,
-    /// Pooled p99.9 across players (`None` when no player sampled).
-    pub pooled_p999: Option<P2Quantile>,
+    /// Every accepted sample of every player (ms), read through
+    /// [`EstimatorSummary::pooled_ms`].
+    pooled: LogHistogram,
     /// For each checkpoint threshold, the per-player p99 snapshots of
     /// every player that reached it (threshold-ascending).
     pub checkpoints: Vec<(u64, Vec<f64>)>,
 }
 
 impl EstimatorSummary {
+    /// The pooled p-quantile (ms) of every sample every player accepted,
+    /// within 2⁻⁸ relative of the exact order statistic; `None` when no
+    /// player recorded samples. Domain: `p ∈ [0, 1]` (panics otherwise).
+    pub fn pooled_ms(&self, p: f64) -> Option<f64> {
+        self.pooled.quantile(p)
+    }
+
     /// Pooled p99 estimate (ms). Panics when no player recorded samples.
     pub fn p99_ms(&self) -> f64 {
-        self.pooled_p99
-            .as_ref()
-            // lint:allow(unwrap): documented panic contract — callers that may see an empty summary read `pooled_p99` directly
+        self.pooled_ms(0.99)
+            // lint:allow(unwrap): documented panic contract — callers that may see an empty summary call `pooled_ms`
             .expect("EstimatorSummary::p99_ms: no samples")
-            .estimate()
     }
 
     /// Pooled p99.9 estimate (ms). Panics when no player recorded
     /// samples.
     pub fn p999_ms(&self) -> f64 {
-        self.pooled_p999
-            .as_ref()
+        self.pooled_ms(0.999)
             // lint:allow(unwrap): documented panic contract, as for `p99_ms`
             .expect("EstimatorSummary::p999_ms: no samples")
-            .estimate()
     }
 
     /// Absorbs another summary (disjoint player populations — other
     /// shards or other replications): counters add, means combine
-    /// weighted by sampled-player counts, pooled quantiles merge, and
+    /// weighted by sampled-player counts, the pooled histograms add (so
+    /// the pooled quantiles are exact over the union), and
     /// checkpoint snapshot lists concatenate per threshold.
     pub fn merge(&mut self, other: &EstimatorSummary) {
         let (w1, w2) = (
@@ -494,8 +498,7 @@ impl EstimatorSummary {
         self.players += other.players;
         self.players_with_samples += other.players_with_samples;
         self.counters.add(&other.counters);
-        merge_p2_opt(&mut self.pooled_p99, &other.pooled_p99);
-        merge_p2_opt(&mut self.pooled_p999, &other.pooled_p999);
+        self.pooled.merge(&other.pooled);
         for (at, vals) in &other.checkpoints {
             match self.checkpoints.iter_mut().find(|(t, _)| t == at) {
                 Some((_, mine)) => mine.extend_from_slice(vals),
@@ -504,14 +507,6 @@ impl EstimatorSummary {
             }
         }
         self.checkpoints.sort_by_key(|(t, _)| *t);
-    }
-}
-
-fn merge_p2_opt(mine: &mut Option<P2Quantile>, theirs: &Option<P2Quantile>) {
-    match (mine.as_mut(), theirs) {
-        (Some(a), Some(b)) => a.merge(b),
-        (None, Some(b)) => *mine = Some(b.clone()),
-        _ => {}
     }
 }
 
@@ -705,6 +700,56 @@ mod tests {
         assert_eq!(sa.srtt_mean_ms, 20.0);
         assert_eq!(sa.checkpoints.len(), 1);
         assert_eq!(sa.checkpoints[0].1.len(), 2);
+        // The merged pooled tail is the one a single bank of both players
+        // reports, bit for bit.
+        let mut both = EstimatorBank::new(2, &[50]);
+        for k in 0..100u32 {
+            let t = k as f64 * 40.0;
+            for (i, rtt) in [(0, 10.0), (1, 30.0)] {
+                let s = both.on_ping_sent(i, t);
+                both.on_pong(i, s, t + rtt, 0.0);
+            }
+        }
+        let both = both.into_summary();
+        for p in [0.5, 0.99, 0.999] {
+            assert_eq!(
+                sa.pooled_ms(p).map(f64::to_bits),
+                both.pooled_ms(p).map(f64::to_bits),
+                "p={p}"
+            );
+        }
+    }
+
+    #[test]
+    fn pooled_tail_of_players_at_different_scales_is_within_the_histogram_bound() {
+        // Half the players near 10 ms, half near 100 ms, each with an
+        // exponential tail: the pooled tail is the slow half's, which
+        // averaging per-player quantiles cannot see.
+        let mut bank = EstimatorBank::new(20, &[]);
+        let mut all = Vec::new();
+        let mut state = 3u64;
+        for i in 0..20 {
+            let scale = if i % 2 == 0 { 10.0 } else { 100.0 };
+            for _ in 0..5_000 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                let rtt = scale * (1.0 - 0.2 * (1.0 - u).ln());
+                bank.observe(i, rtt);
+                all.push(rtt);
+            }
+        }
+        all.sort_by(f64::total_cmp);
+        let summary = bank.into_summary();
+        for (p, got) in [(0.99, summary.p99_ms()), (0.999, summary.p999_ms())] {
+            let want = fpsping_num::stats::quantile(&all, p);
+            assert!(
+                (got - want).abs() <= want / 256.0,
+                "p={p}: pooled {got} vs exact {want} (rel err {:+.4})",
+                (got - want) / want
+            );
+        }
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //!   authors ran on the real capture.
 //! * [`estimator`] — the client's-eye view: online per-player RTT
 //!   tracking (RFC-6298 EWMA, sequence-matched pings over a fixed ring,
-//!   P² tail quantiles) that the simulator feeds at line rate, converging
-//!   to the analytic quantile.
+//!   a P² p99 per player, one pooled tail histogram per bank) that the
+//!   simulator feeds at line rate, converging to the analytic quantile.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

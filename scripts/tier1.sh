@@ -8,9 +8,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
-# The probe's delay checks must hold where `debug_assert!` is compiled
-# out, so its tests also run in release.
+# The probe's delay checks and the histogram's input check must hold
+# where `debug_assert!` is compiled out, so their tests also run in release.
 cargo test --release -q -p fpsping-sim --lib probe::
+cargo test --release -q -p fpsping-num --lib log_histogram::
 cargo fmt --all --check
 # Rustdoc must be warning-free, so a doc link to a deleted or private
 # item (or an unescaped citation like [23]) fails the gate.
@@ -31,7 +32,7 @@ else
     cargo xtask lint --format summary
 fi
 
-# Artifact check: every deterministic study regenerates its committed
+# Artifact check: every study regenerates its committed
 # results/*.csv byte for byte, every results/*.csv belongs to a study,
 # and every line of an EXPERIMENTS.md CSV excerpt is a line of its file.
 # A failure names the file and its first differing line.
