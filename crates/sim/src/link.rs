@@ -67,21 +67,6 @@ impl Link {
         SimTime::serialization(bytes, self.rate_bps)
     }
 
-    /// Queue length excluding the packet in service.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Queued bytes excluding the packet in service.
-    pub fn backlog_bytes(&self) -> f64 {
-        self.queue.backlog_bytes()
-    }
-
-    /// Whether a packet is currently being transmitted.
-    pub fn is_busy(&self) -> bool {
-        self.in_service.is_some()
-    }
-
     /// Offers a packet at time `now`. If the line is idle the packet goes
     /// straight into service and a completion must be scheduled; otherwise
     /// it queues.
@@ -135,8 +120,8 @@ mod tests {
             LinkAction::ScheduleCompletion(t) => assert_eq!(t, SimTime::from_millis(1.0)),
             other => panic!("expected completion, got {other:?}"),
         }
-        assert!(l.is_busy());
-        assert_eq!(l.queue_len(), 0);
+        assert!(l.in_service.is_some());
+        assert_eq!(l.queue.len(), 0);
     }
 
     #[test]
@@ -147,7 +132,7 @@ mod tests {
             l.offer(Packet::game(125.0, 1, SimTime::ZERO), SimTime::ZERO),
             LinkAction::None
         );
-        assert_eq!(l.queue_len(), 1);
+        assert_eq!(l.queue.len(), 1);
         // Completion pulls the queued packet into service.
         let (done, action) = l.complete(SimTime::from_millis(1.0));
         assert_eq!(done.flow, 0);
@@ -158,7 +143,7 @@ mod tests {
         let (done2, action2) = l.complete(SimTime::from_millis(2.0));
         assert_eq!(done2.flow, 1);
         assert_eq!(action2, LinkAction::None);
-        assert!(!l.is_busy());
+        assert!(l.in_service.is_none());
         assert_eq!(l.packets_sent, 2);
         assert_eq!(l.bytes_sent, 250.0);
     }

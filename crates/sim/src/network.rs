@@ -297,24 +297,31 @@ impl Measurements {
     }
 }
 
+/// An event: client and link ids, plus a slab slot for a delayed
+/// delivery. `Network::new` checks that every link id fits a `u32`.
 #[derive(Debug)]
 enum Ev {
     ClientEmit(u32),
     ServerTick,
-    LinkComplete(usize),
-    Deliver(usize, Packet),
-    BgEmit(usize),
+    LinkComplete(u32),
+    /// Link id and the `delayed` slot of the packet it delivers.
+    Deliver(u32, u32),
+    BgEmit(u32),
 }
 
 /// The running simulation.
 ///
-/// The event loop is allocation-free in steady state: packets are `Copy`
-/// and live inline in the calendar's `Scheduled` entries (the calendar
-/// itself is the event pool: its bucket vectors keep their capacity, so
-/// `pop`/`push` recycle its storage), link queues sit inline in their
-/// links behind enum dispatch, and the per-tick burst scratch (`tick_order`/`tick_sizes`) is reused
-/// across ticks. The only growth left is amortized: probe sample vectors
-/// (absent in streaming mode) and the optional capture trace.
+/// The event loop is allocation-free in steady state. A calendar entry
+/// is 32 bytes: time, sequence number and an `Ev` of integer ids. The
+/// calendar is the event pool: its bucket vectors keep their capacity,
+/// so `pop`/`push` recycle its storage. Packets are `Copy` and wait in
+/// their links' queues, which sit inline behind enum dispatch. A packet
+/// whose delivery a downlink delays by jitter waits in the `delayed`
+/// slab until its `Deliver` event; freed slots are reused first, so the
+/// slab stays at the high-water mark of pending deliveries. The per-tick
+/// burst scratch (`tick_order`/`tick_sizes`) is reused across ticks. The
+/// only growth left is amortized: probe sample vectors (absent in
+/// streaming mode) and the optional capture trace.
 pub struct Network {
     cfg: NetworkConfig,
     links: Vec<Link>,
@@ -340,6 +347,9 @@ pub struct Network {
     // Reused per-tick scratch: burst emission order and per-packet sizes.
     tick_order: Vec<usize>,
     tick_sizes: Vec<f64>,
+    // Jittered packets awaiting their `Deliver` event, and the free slots.
+    delayed: Vec<Packet>,
+    free_slots: Vec<u32>,
 }
 
 impl Network {
@@ -359,6 +369,13 @@ impl Network {
     /// Builds the network and seeds the initial events.
     pub fn new(mut cfg: NetworkConfig) -> Self {
         assert!(cfg.n_clients >= 1, "need at least one client");
+        // The 2N + 2 link ids travel in `u32` event payloads, and a
+        // captured record names its client in a `u16`.
+        assert!(cfg.n_clients < 1 << 31, "2N + 2 link ids beyond u32");
+        assert!(
+            !cfg.capture_trace || cfg.n_clients <= 1 << 16,
+            "capture_trace names clients in a u16: n_clients exceeds 65536"
+        );
         assert!(cfg.tick_ms > 0.0, "tick must be positive");
         if !cfg.stream_quantiles && cfg.n_clients > AUTO_STREAM_CLIENTS {
             fpsping_obs::warn_once(
@@ -440,6 +457,8 @@ impl Network {
             captured: Vec::new(),
             tick_order: (0..n).collect(),
             tick_sizes: Vec::with_capacity(n),
+            delayed: Vec::new(),
+            free_slots: Vec::new(),
             cfg,
         };
         // Clients start with random phases within one interval.
@@ -454,8 +473,8 @@ impl Network {
         if net.cfg.background.is_some() {
             let up = net.up_agg();
             let down = net.down_srv();
-            net.schedule(SimTime::ZERO, Ev::BgEmit(up));
-            net.schedule(SimTime::ZERO, Ev::BgEmit(down));
+            net.schedule(SimTime::ZERO, Ev::BgEmit(up as u32));
+            net.schedule(SimTime::ZERO, Ev::BgEmit(down as u32));
         }
         net
     }
@@ -473,8 +492,21 @@ impl Network {
     fn offer(&mut self, link: usize, p: Packet) {
         let action = self.links[link].offer(p, self.now);
         if let LinkAction::ScheduleCompletion(t) = action {
-            self.schedule(t, Ev::LinkComplete(link));
+            self.schedule(t, Ev::LinkComplete(link as u32));
         }
+    }
+
+    /// Parks a packet until its `Deliver` event and returns its slot.
+    fn park(&mut self, p: Packet) -> u32 {
+        if let Some(slot) = self.free_slots.pop() {
+            self.delayed[slot as usize] = p;
+            return slot;
+        }
+        let slot = self.delayed.len();
+        assert!(slot < u32::MAX as usize, "2³² deliveries pending");
+        // lint:allow(unbounded_push): grows only when no slot is free, so the slab stays at the most deliveries ever pending at once
+        self.delayed.push(p);
+        slot as u32
     }
 
     fn warm(&self) -> bool {
@@ -492,21 +524,7 @@ impl Network {
     pub fn run_measurements(mut self) -> Measurements {
         let _wall = REPLICATION_WALL_US.start_timer();
         let _span = fpsping_obs::span("sim.replication");
-        let end = self.cfg.duration;
-        while let Some(s) = self.calendar.pop() {
-            if s.time > end {
-                break;
-            }
-            self.now = s.time;
-            self.events += 1;
-            match s.ev {
-                Ev::ClientEmit(i) => self.on_client_emit(i),
-                Ev::ServerTick => self.on_server_tick(),
-                Ev::LinkComplete(l) => self.on_link_complete(l),
-                Ev::Deliver(l, p) => self.on_deliver(l, p),
-                Ev::BgEmit(l) => self.on_bg_emit(l),
-            }
-        }
+        self.run_events();
         self.calendar.stats().flush_obs();
         EVENTS.add(self.events);
         PACKETS_UP.add(self.packets_up);
@@ -532,6 +550,29 @@ impl Network {
             // to the `traffic.estimator.*` obs counters (once per run,
             // like the calendar stats above).
             estimator: self.estimator.map(EstimatorBank::into_summary),
+        }
+    }
+
+    /// Processes every event due by the configured duration.
+    fn run_events(&mut self) {
+        let end = self.cfg.duration;
+        while let Some(s) = self.calendar.pop() {
+            if s.time > end {
+                break;
+            }
+            self.now = s.time;
+            self.events += 1;
+            match s.ev {
+                Ev::ClientEmit(i) => self.on_client_emit(i),
+                Ev::ServerTick => self.on_server_tick(),
+                Ev::LinkComplete(l) => self.on_link_complete(l as usize),
+                Ev::Deliver(l, slot) => {
+                    // lint:allow(unbounded_push): a slot is freed once per parking, so the list never outgrows the slab
+                    self.free_slots.push(slot);
+                    self.on_deliver(l as usize, self.delayed[slot as usize]);
+                }
+                Ev::BgEmit(l) => self.on_bg_emit(l as usize),
+            }
         }
     }
 
@@ -634,13 +675,13 @@ impl Network {
         let rate = bg.load * self.cfg.c_bps / (8.0 * bg.packet_bytes);
         let dt = -uniform01(&mut self.rng).ln() / rate;
         let t = self.now + SimTime::from_secs(dt);
-        self.schedule(t, Ev::BgEmit(link));
+        self.schedule(t, Ev::BgEmit(link as u32));
     }
 
     fn on_link_complete(&mut self, link: usize) {
         let (p, action) = self.links[link].complete(self.now);
         if let LinkAction::ScheduleCompletion(t) = action {
-            self.schedule(t, Ev::LinkComplete(link));
+            self.schedule(t, Ev::LinkComplete(link as u32));
         }
         let mut extra = self.links[link].propagation();
         // Artificial jitter on the access downlinks (reference [23]).
@@ -653,7 +694,8 @@ impl Network {
         if extra == SimTime::ZERO {
             self.on_deliver(link, p);
         } else {
-            self.schedule(self.now + extra, Ev::Deliver(link, p));
+            let slot = self.park(p);
+            self.schedule(self.now + extra, Ev::Deliver(link as u32, slot));
         }
     }
 
@@ -754,6 +796,46 @@ mod tests {
         cfg.duration = SimTime::from_secs(30.0);
         cfg.warmup = SimTime::from_secs(1.0);
         cfg
+    }
+
+    #[test]
+    fn calendar_entry_is_32_bytes() {
+        // A payload that inlines a `Packet` again makes every calendar
+        // operation move 88 bytes per entry.
+        let size = std::mem::size_of::<Scheduled<Ev>>();
+        assert!(size <= 32, "a calendar entry is {size} bytes");
+    }
+
+    #[test]
+    fn delay_slab_tracks_pending_deliveries_not_duration() {
+        // A client's downlink packets come one tick (40 ms) apart and
+        // wait at most 3 ms, so at most one per client is ever parked.
+        let high_water = |secs: f64| {
+            let mut cfg = small_cfg(12, 150.0, 40.0, 43);
+            cfg.downlink_jitter_ms = Some(Box::new(fpsping_dist::Uniform::new(0.0, 3.0)));
+            cfg.duration = SimTime::from_secs(secs);
+            let mut net = Network::new(cfg);
+            net.run_events();
+            assert!(net.packets_down > 0);
+            net.delayed.len()
+        };
+        let short = high_water(10.0);
+        assert!((1..=12).contains(&short), "slab high-water {short}");
+        assert_eq!(high_water(40.0), short);
+    }
+
+    #[test]
+    #[should_panic(expected = "link ids beyond u32")]
+    fn link_ids_beyond_u32_are_refused() {
+        let _ = Network::new(small_cfg(1 << 31, 125.0, 40.0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 65536")]
+    fn captured_client_ids_beyond_u16_are_refused() {
+        let mut cfg = small_cfg((1 << 16) + 1, 125.0, 40.0, 1);
+        cfg.capture_trace = true;
+        let _ = Network::new(cfg);
     }
 
     #[test]

@@ -23,15 +23,12 @@ pub trait Scheduler: std::fmt::Debug + Send {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Queued bytes.
-    fn backlog_bytes(&self) -> f64;
 }
 
 /// Plain first-in-first-out across both classes.
 #[derive(Debug, Default)]
 pub struct Fifo {
     q: VecDeque<Packet>,
-    bytes: f64,
 }
 
 impl Fifo {
@@ -43,24 +40,15 @@ impl Fifo {
 
 impl Scheduler for Fifo {
     fn enqueue(&mut self, p: Packet) {
-        self.bytes += p.size_bytes;
         self.q.push_back(p);
     }
 
     fn dequeue(&mut self) -> Option<Packet> {
-        let p = self.q.pop_front();
-        if let Some(p) = &p {
-            self.bytes -= p.size_bytes;
-        }
-        p
+        self.q.pop_front()
     }
 
     fn len(&self) -> usize {
         self.q.len()
-    }
-
-    fn backlog_bytes(&self) -> f64 {
-        self.bytes
     }
 }
 
@@ -70,7 +58,6 @@ impl Scheduler for Fifo {
 pub struct HolPriority {
     game: VecDeque<Packet>,
     elastic: VecDeque<Packet>,
-    bytes: f64,
 }
 
 impl HolPriority {
@@ -82,7 +69,6 @@ impl HolPriority {
 
 impl Scheduler for HolPriority {
     fn enqueue(&mut self, p: Packet) {
-        self.bytes += p.size_bytes;
         match p.class {
             TrafficClass::Game => self.game.push_back(p),
             TrafficClass::Elastic => self.elastic.push_back(p),
@@ -90,19 +76,11 @@ impl Scheduler for HolPriority {
     }
 
     fn dequeue(&mut self) -> Option<Packet> {
-        let p = self.game.pop_front().or_else(|| self.elastic.pop_front());
-        if let Some(p) = &p {
-            self.bytes -= p.size_bytes;
-        }
-        p
+        self.game.pop_front().or_else(|| self.elastic.pop_front())
     }
 
     fn len(&self) -> usize {
         self.game.len() + self.elastic.len()
-    }
-
-    fn backlog_bytes(&self) -> f64 {
-        self.bytes
     }
 }
 
@@ -118,7 +96,6 @@ pub struct Wfq {
     virtual_time: f64,
     last_finish_game: f64,
     last_finish_elastic: f64,
-    bytes: f64,
 }
 
 impl Wfq {
@@ -135,14 +112,12 @@ impl Wfq {
             virtual_time: 0.0,
             last_finish_game: 0.0,
             last_finish_elastic: 0.0,
-            bytes: 0.0,
         }
     }
 }
 
 impl Scheduler for Wfq {
     fn enqueue(&mut self, p: Packet) {
-        self.bytes += p.size_bytes;
         // Start-time fair queuing bookkeeping: finish = max(V, last) +
         // size/weight.
         match p.class {
@@ -176,16 +151,11 @@ impl Scheduler for Wfq {
             self.elastic.pop_front().unwrap()
         };
         self.virtual_time = self.virtual_time.max(finish);
-        self.bytes -= p.size_bytes;
         Some(p)
     }
 
     fn len(&self) -> usize {
         self.game.len() + self.elastic.len()
-    }
-
-    fn backlog_bytes(&self) -> f64 {
-        self.bytes
     }
 }
 
@@ -250,15 +220,6 @@ impl Scheduler for SchedulerKind {
             SchedulerKind::Wfq(q) => q.len(),
         }
     }
-
-    #[inline]
-    fn backlog_bytes(&self) -> f64 {
-        match self {
-            SchedulerKind::Fifo(q) => q.backlog_bytes(),
-            SchedulerKind::Priority(q) => q.backlog_bytes(),
-            SchedulerKind::Wfq(q) => q.backlog_bytes(),
-        }
-    }
 }
 
 impl Discipline {
@@ -292,12 +253,12 @@ mod tests {
         q.enqueue(game(1));
         q.enqueue(game(2));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.backlog_bytes(), 1700.0);
         assert_eq!(q.dequeue().unwrap().class, TrafficClass::Elastic);
+        assert_eq!(q.len(), 2);
         assert_eq!(q.dequeue().unwrap().flow, 1);
         assert_eq!(q.dequeue().unwrap().flow, 2);
         assert!(q.dequeue().is_none());
-        assert_eq!(q.backlog_bytes(), 0.0);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
