@@ -37,9 +37,6 @@ pub enum Command {
         reps: usize,
         /// Worker threads (0 = all cores).
         jobs: usize,
-        /// Streaming histogram quantiles (2⁻⁸ relative, merge exactly)
-        /// instead of raw samples.
-        stream_quantiles: bool,
         /// Run the per-player streaming RTT estimator and report its
         /// pooled tails against the analytic quantiles.
         estimate: bool,
@@ -91,7 +88,10 @@ COMMANDS:
     quantile     RTT quantile + per-component breakdown for one scenario
     dimension    maximum load / gamers under a ping budget (needs --budget-ms)
     sweep        RTT quantile across the 5%..90% load grid
-    sim          replicated packet-level simulation (95% CIs with --reps > 1)
+    sim          replicated packet-level simulation (95% CIs with --reps > 1);
+                 its quantiles are exact while each delay probe, pooled over
+                 the replications, holds at most 2·10⁶ delays, and come from
+                 a histogram (within 2⁻⁸ relative) past that
     help         this text
 
 SCENARIO FLAGS (any command; defaults are the paper's §4 scenario):
@@ -112,8 +112,6 @@ COMMAND FLAGS (a command refuses a flag it would ignore):
     --budget-ms <B>          dimension: RTT budget
     --jobs <N>               sweep/sim: worker threads; 0 = all cores [default 0]
     --reps <R>               sim: independent replications      [default 1]
-    --stream-quantiles       sim: streaming histogram quantiles
-                             (2⁻⁸ relative, merge exactly; no raw samples)
     --estimate               sim: per-player streaming RTT estimator
                              (EWMA, P² p99, pooled histogram tails vs the model)
     --sim-seconds <S>        sim: simulated seconds per replication [default 60]
@@ -211,7 +209,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut budget_ms: Option<f64> = None;
     let mut jobs = 0usize;
     let mut reps = 1usize;
-    let mut stream_quantiles = false;
     let mut estimate = false;
     let mut sim_seconds = 60.0f64;
     let mut seed = 0x5EEDu64;
@@ -277,10 +274,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 }
                 reps = n as usize;
             }
-            "--stream-quantiles" => {
-                stream_quantiles = true;
-                consumed = 1;
-            }
             "--estimate" => {
                 estimate = true;
                 consumed = 1;
@@ -329,14 +322,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "dimension" => &["--budget-ms"],
         "sweep" => &["--jobs"],
         "sim" if scale_n > 0 => &["--scale-n", "--shards", "--sim-seconds", "--seed"],
-        "sim" => &[
-            "--jobs",
-            "--reps",
-            "--stream-quantiles",
-            "--estimate",
-            "--sim-seconds",
-            "--seed",
-        ],
+        "sim" => &["--jobs", "--reps", "--estimate", "--sim-seconds", "--seed"],
         other => {
             return Err(ParseError(format!(
                 "unknown command `{other}` (try `help`)"
@@ -369,7 +355,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             scenario,
             reps,
             jobs,
-            stream_quantiles,
             estimate,
             sim_seconds,
             seed,
@@ -483,7 +468,6 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             scenario: s,
             reps,
             jobs,
-            stream_quantiles,
             estimate,
             sim_seconds,
             seed,
@@ -518,19 +502,17 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 cfg.c_bps = s.c_bps;
                 cfg.burst_sizing = BurstSizing::ErlangBurst { k: s.erlang_order };
                 cfg.duration = SimTime::from_secs(*sim_seconds);
-                cfg.stream_quantiles = *stream_quantiles;
                 cfg.estimate = *estimate;
                 cfg
             });
             let _ = writeln!(
                 out,
-                "simulated: N={n} K={} T={} ms P_S={} B — {} × {sim_seconds} s (jobs={}, {} quantiles)",
+                "simulated: N={n} K={} T={} ms P_S={} B — {} × {sim_seconds} s (jobs={})",
                 s.erlang_order,
                 s.t_ms,
                 s.server_packet_bytes,
                 rep.reps,
                 engine.effective_jobs(),
-                if *stream_quantiles { "streaming" } else { "exact" }
             );
             let _ = writeln!(
                 out,
@@ -720,22 +702,16 @@ mod tests {
 
     #[test]
     fn sim_takes_replication_flags() {
-        match parse(&argv(
-            "sim --reps 8 --jobs 2 --stream-quantiles --sim-seconds 10 --seed 7",
-        ))
-        .unwrap()
-        {
+        match parse(&argv("sim --reps 8 --jobs 2 --sim-seconds 10 --seed 7")).unwrap() {
             Command::Sim {
                 reps,
                 jobs,
-                stream_quantiles,
                 sim_seconds,
                 seed,
                 ..
             } => {
                 assert_eq!(reps, 8);
                 assert_eq!(jobs, 2);
-                assert!(stream_quantiles);
                 assert_eq!(sim_seconds, 10.0);
                 assert_eq!(seed, 7);
             }
@@ -745,13 +721,11 @@ mod tests {
             Command::Sim {
                 reps,
                 jobs,
-                stream_quantiles,
                 estimate,
                 ..
             } => {
                 assert_eq!(reps, 1, "default single replication");
                 assert_eq!(jobs, 0, "default all cores");
-                assert!(!stream_quantiles);
                 assert!(!estimate, "estimator off by default");
             }
             other => panic!("{other:?}"),
@@ -805,7 +779,6 @@ mod tests {
             "--k 2",
             "--c-kbps nan",
             "--jobs 2",
-            "--stream-quantiles",
             "--no-upstream",
         ] {
             for args in [

@@ -14,7 +14,7 @@
 //! * **Erlang(K, λ)** — the paper's own tail-faithful burst-size model
 //!   (§2.3.2, Figure 1),
 //! * **(log-)normal** — the Lang et al. Half-Life packet-size models,
-//! * **Weibull / shifted variants** — alternatives Färber mentions.
+//! * **Weibull** — an alternative Färber mentions.
 //!
 //! Every family implements the common [`Distribution`] trait (moments,
 //! pdf/cdf/tdf, quantile, sampling, MGF where finite) so the traffic layer,
@@ -39,7 +39,6 @@ pub mod lognormal;
 pub mod mixture;
 pub mod normal;
 pub mod pareto;
-pub mod shifted;
 pub mod uniform;
 pub mod weibull;
 
@@ -52,7 +51,6 @@ pub use lognormal::LogNormal;
 pub use mixture::Mixture;
 pub use normal::Normal;
 pub use pareto::Pareto;
-pub use shifted::Shifted;
 pub use uniform::Uniform;
 pub use weibull::Weibull;
 

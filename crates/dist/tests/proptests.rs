@@ -2,7 +2,7 @@
 
 use fpsping_dist::{
     Deterministic, Distribution, Erlang, Exponential, Extreme, Gamma, LogNormal, Mixture, Normal,
-    Pareto, Shifted, Uniform, Weibull,
+    Pareto, Uniform, Weibull,
 };
 use fpsping_num::Complex64;
 use proptest::prelude::*;
@@ -78,14 +78,6 @@ proptest! {
         let x = scale * 2.0;
         let ratio = d.tdf(x * m) / d.tdf(x);
         prop_assert!((ratio - m.powf(-alpha)).abs() < 1e-9 * ratio.max(1e-12));
-    }
-
-    #[test]
-    fn shifted_translates_quantiles(mean in 0.1f64..100.0, shift in -50.0f64..50.0, p in 0.01f64..0.99) {
-        let base = Exponential::with_mean(mean);
-        let d = Shifted::new(base, shift);
-        let q_base = Exponential::with_mean(mean).quantile(p);
-        prop_assert!((d.quantile(p) - (q_base + shift)).abs() < 1e-9);
     }
 
     #[test]

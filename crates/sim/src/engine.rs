@@ -22,8 +22,9 @@
 //!   replication-indexed vector, so downstream merging sees them in the
 //!   fixed order `0..R` regardless of which thread finished first.
 //! * **Merging.** Per-metric, the engine pools every replication's
-//!   probe (exact count-weighted moments; pooled samples, or merged
-//!   histograms within 2⁻⁸ relative, for quantiles) *and* computes the across-replication mean
+//!   probe (exact count-weighted moments; pooled samples while they fit
+//!   under the probe's cap, merged histograms within 2⁻⁸ relative past
+//!   it, for quantiles) *and* computes the across-replication mean
 //!   and 95% confidence half-width of each statistic from the R
 //!   per-replication estimates.
 
@@ -98,8 +99,9 @@ pub struct QuantileEstimate {
     pub value_s: f64,
     /// 95% confidence half-width across replications (`None` when R < 2).
     pub ci95_s: Option<f64>,
-    /// The quantile of the pooled probe: all replications' samples, or
-    /// their streaming histograms, which merge exactly (2⁻⁸ relative).
+    /// The quantile of the pooled probe: all replications' samples while
+    /// they fit under the probe's cap, their histograms past it, which
+    /// merge exactly (2⁻⁸ relative).
     pub pooled_s: f64,
 }
 

@@ -16,10 +16,6 @@ pub struct Link {
     propagation: SimTime,
     queue: SchedulerKind,
     in_service: Option<Packet>,
-    /// Running counters.
-    pub packets_sent: u64,
-    /// Total bytes that completed service.
-    pub bytes_sent: f64,
     /// Total busy time (for utilization accounting).
     pub busy_time: SimTime,
 }
@@ -46,8 +42,6 @@ impl Link {
             propagation,
             queue: discipline.build(),
             in_service: None,
-            packets_sent: 0,
-            bytes_sent: 0.0,
             busy_time: SimTime::ZERO,
         }
     }
@@ -91,8 +85,6 @@ impl Link {
             .take()
             // lint:allow(unwrap): the event loop only schedules a completion while a packet is in service
             .expect("complete called on idle link");
-        self.packets_sent += 1;
-        self.bytes_sent += done.size_bytes;
         let action = match self.queue.dequeue() {
             Some(next) => {
                 let finish = now + self.serialization(next.size_bytes);
@@ -144,8 +136,6 @@ mod tests {
         assert_eq!(done2.flow, 1);
         assert_eq!(action2, LinkAction::None);
         assert!(l.in_service.is_none());
-        assert_eq!(l.packets_sent, 2);
-        assert_eq!(l.bytes_sent, 250.0);
     }
 
     #[test]

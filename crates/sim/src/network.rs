@@ -40,15 +40,6 @@ static REPLICATION_WALL_US: Histogram = Histogram::new("sim.replication.wall_us"
 /// streaming-mode probe tracks).
 pub const QUANTILE_LEVELS: [f64; 6] = [0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999];
 
-/// Above this many clients, probes switch to streaming quantiles
-/// (histogram, 2⁻⁸ relative, merges exactly) automatically even when
-/// `stream_quantiles` is off: the eager
-/// per-packet sample vectors are the dominant allocation at scale
-/// (~48 B/packet across the probes — gigabytes at N = 10⁵–10⁶ over a
-/// realistic duration), and truncating at `max_samples` would silently
-/// bias the quantiles instead. The switch is announced via `warn_once`.
-pub const AUTO_STREAM_CLIENTS: usize = 10_000;
-
 /// Background elastic traffic on the bottleneck links (Section 1's
 /// competing TCP-like class), modeled as Poisson arrivals of fixed-size
 /// packets.
@@ -136,11 +127,12 @@ pub struct NetworkConfig {
     pub warmup: SimTime,
     /// RNG seed.
     pub seed: u64,
-    /// Track quantiles with a streaming log-linear histogram (2⁻⁸
-    /// relative, merges exactly; memory grows with the octaves the delays
-    /// span, not their number) instead of raw sample vectors — for runs long enough that even
-    /// `max_samples` truncates (the [`QUANTILE_LEVELS`] are tracked;
-    /// moments and exceedance counters stay exact either way).
+    /// Build every probe with [`DelayProbe::streaming`]: quantiles from
+    /// the histogram alone (2⁻⁸ relative, merges exactly; the
+    /// [`QUANTILE_LEVELS`] are tracked), with no raw samples kept even
+    /// while they would fit. Off, a probe keeps its raw samples, for exact
+    /// quantiles, until it passes 2·10⁶ delays. Moments and exceedance
+    /// counters are exact either way.
     pub stream_quantiles: bool,
     /// Run the client-side online RTT estimator
     /// ([`fpsping_traffic::estimator`]): every warm client packet is
@@ -151,8 +143,6 @@ pub struct NetworkConfig {
     /// the analytic model predicts. Off by default: it adds per-packet
     /// work and the golden-parity tests pin the plain path.
     pub estimate: bool,
-    /// Max raw samples per probe (exceedance counters stay exact).
-    pub max_samples: usize,
     /// Tail thresholds (seconds) for exact exceedance counting.
     pub tail_thresholds_s: Vec<f64>,
     /// Per-client overrides of `(interval_ms, packet_bytes)` — heterogeneous
@@ -202,7 +192,6 @@ impl NetworkConfig {
             seed,
             stream_quantiles: false,
             estimate: false,
-            max_samples: 2_000_000,
             tail_thresholds_s: vec![0.010, 0.025, 0.050, 0.100, 0.200],
             client_overrides: None,
             capture_trace: false,
@@ -321,7 +310,8 @@ enum Ev {
 /// slab stays at the high-water mark of pending deliveries. The per-tick
 /// burst scratch (`tick_order`/`tick_sizes`) is reused across ticks. The
 /// only growth left is amortized: probe sample vectors (absent in
-/// streaming mode) and the optional capture trace.
+/// streaming probes, dropped past 2·10⁶ delays), probe histograms (by
+/// whole octaves) and the optional capture trace.
 pub struct Network {
     cfg: NetworkConfig,
     links: Vec<Link>,
@@ -367,7 +357,7 @@ impl Network {
     }
 
     /// Builds the network and seeds the initial events.
-    pub fn new(mut cfg: NetworkConfig) -> Self {
+    pub fn new(cfg: NetworkConfig) -> Self {
         assert!(cfg.n_clients >= 1, "need at least one client");
         // The 2N + 2 link ids travel in `u32` event payloads, and a
         // captured record names its client in a `u16`.
@@ -377,18 +367,6 @@ impl Network {
             "capture_trace names clients in a u16: n_clients exceeds 65536"
         );
         assert!(cfg.tick_ms > 0.0, "tick must be positive");
-        if !cfg.stream_quantiles && cfg.n_clients > AUTO_STREAM_CLIENTS {
-            fpsping_obs::warn_once(
-                "sim.probe.auto_stream",
-                &format!(
-                    "n_clients = {} exceeds AUTO_STREAM_CLIENTS = {AUTO_STREAM_CLIENTS}; \
-                     switching probes to streaming quantiles (histogram, 2⁻⁸ relative, \
-                     merges exactly) to bound memory",
-                    cfg.n_clients
-                ),
-            );
-            cfg.stream_quantiles = true;
-        }
         if let Some(ov) = &cfg.client_overrides {
             assert_eq!(
                 ov.len(),
@@ -414,14 +392,13 @@ impl Network {
             // lint:allow(unbounded_push): one downlink per client, fixed at construction
             links.push(Link::new(cfg.r_down_bps, SimTime::ZERO, Discipline::Fifo));
         }
-        let max_samples = cfg.max_samples;
         let thr = cfg.tail_thresholds_s.clone();
         let n = cfg.n_clients;
         let probe = || {
             if cfg.stream_quantiles {
                 DelayProbe::streaming(&QUANTILE_LEVELS, &thr)
             } else {
-                DelayProbe::new(max_samples, &thr)
+                DelayProbe::new(&thr)
             }
         };
         // The longest routine look-ahead any handler schedules: the next
@@ -871,20 +848,6 @@ mod tests {
         );
         assert!(rep.packets_upstream > 0);
         assert!(rep.events > rep.packets_downstream);
-    }
-
-    #[test]
-    fn auto_stream_switch_above_threshold() {
-        // A config just above the threshold must not allocate raw sample
-        // vectors; the report still carries quantiles (from the histogram).
-        let mut cfg = small_cfg(AUTO_STREAM_CLIENTS + 1, 125.0, 40.0, 10);
-        cfg.c_bps = 600_000_000.0; // keep the bottleneck uncongested
-        cfg.duration = SimTime::from_secs(1.2);
-        cfg.warmup = SimTime::from_secs(0.2);
-        assert!(!cfg.stream_quantiles);
-        let rep = cfg.run();
-        assert!(rep.packets_upstream > 0);
-        assert!(rep.upstream_delay.quantiles[0].1 > 0.0);
     }
 
     #[test]

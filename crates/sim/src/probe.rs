@@ -1,100 +1,74 @@
-//! Delay probes: streaming moments plus either bounded raw-sample storage
-//! (exact quantiles) or a [`LogHistogram`] from `fpsping_num` (quantiles
-//! within 2⁻⁸ relative that merge exactly), and threshold exceedance
-//! counters for deep-tail estimation.
+//! Delay probes: exact streaming moments, exceedance counters at preset
+//! thresholds for deep-tail estimation, and quantiles from a
+//! [`LogHistogram`] (`fpsping_num`; within 2⁻⁸ relative, merges exactly)
+//! fed every delay. A probe built by [`DelayProbe::new`] also keeps its
+//! raw samples while it holds all of them, up to 2·10⁶ (16 MB), and
+//! answers exact order statistics until then; at the first delay past
+//! the cap it drops them and answers from the histogram.
 
 use fpsping_num::cmp::exact_eq;
 use fpsping_num::log_histogram::LogHistogram;
 use fpsping_num::stats::OnlineStats;
-use fpsping_obs::Counter;
 
-/// Summaries built from a truncated sample set (`skipped > 0`): the
-/// quantiles are estimates over the stored prefix, not the full stream.
-static TRUNCATED_REPORTS: Counter = Counter::new("sim.probe.truncated_reports");
+/// The most raw samples a probe keeps; past it, quantiles come from the
+/// histogram.
+const RAW_CAP: usize = 2_000_000;
 
-/// How a probe answers quantile queries.
-#[derive(Debug, Clone)]
-enum SampleStore {
-    /// Raw samples up to a bound; quantiles are exact order statistics.
-    ///
-    /// The vector is sorted *lazily*: `sorted` marks whether it is
-    /// currently in ascending order, so repeated quantile queries cost
-    /// one sort total instead of one sort per query, and a summary of
-    /// many levels sorts exactly once.
-    Raw {
-        samples: Vec<f64>,
-        max_samples: usize,
-        sorted: bool,
-    },
-    /// A [`LogHistogram`] answering the tracked levels; memory grows with
-    /// the octaves the delays span, not with the sample count.
-    Streaming {
-        levels: Vec<f64>,
-        hist: LogHistogram,
-    },
-}
-
-/// Collects a delay population: exact streaming moments, a quantile store
-/// (raw samples or a log-linear histogram), and exact exceedance counts at
-/// preset thresholds (for tail probabilities deeper than the quantile
-/// store can resolve).
+/// Collects a delay population: exact streaming moments, a log-linear
+/// histogram of every delay, the raw samples while they are complete, and
+/// exact exceedance counts at preset thresholds (for tail probabilities
+/// deeper than the quantiles can resolve).
 #[derive(Debug, Clone)]
 pub struct DelayProbe {
     stats: OnlineStats,
-    store: SampleStore,
+    hist: LogHistogram,
+    /// Every recorded delay, while there are at most [`RAW_CAP`]; `None`
+    /// for a streaming probe and once the cap is passed.
+    raw: Option<Vec<f64>>,
+    /// Whether `raw` is in ascending order. It is sorted lazily, so
+    /// repeated quantile queries cost one sort, not one per query.
+    sorted: bool,
+    /// The levels a streaming probe answers; empty for a probe built by
+    /// [`DelayProbe::new`], which answers any level.
+    levels: Vec<f64>,
     /// `(threshold_seconds, exceed_count)` pairs.
     thresholds: Vec<(f64, u64)>,
-    skipped: u64,
 }
 
 impl DelayProbe {
-    /// A probe storing up to `max_samples` raw samples and counting
-    /// exceedances of the given thresholds (seconds).
-    pub fn new(max_samples: usize, thresholds: &[f64]) -> Self {
+    /// A probe with exact quantiles while it holds at most 2·10⁶ delays
+    /// and histogram quantiles (2⁻⁸ relative) after, counting exceedances
+    /// of the given thresholds (seconds).
+    pub fn new(thresholds: &[f64]) -> Self {
         Self {
             stats: OnlineStats::new(),
-            store: SampleStore::Raw {
-                samples: Vec::new(),
-                max_samples,
-                sorted: true,
-            },
+            hist: LogHistogram::new(),
+            raw: Some(Vec::new()),
+            sorted: true,
+            levels: Vec::new(),
             thresholds: thresholds.iter().map(|&t| (t, 0)).collect(),
-            skipped: 0,
         }
     }
 
-    /// A streaming probe answering the given quantile levels from a
-    /// log-linear histogram: each is within 2⁻⁸ relative of the raw-mode
+    /// A streaming probe answering the given quantile levels from its
+    /// histogram alone: each is within 2⁻⁸ relative of the exact
     /// quantile of the same stream (delays below 2⁻⁴⁰ s add at most
-    /// 2⁻⁴⁰ s; zeros are exact), and merged probes give exactly the
-    /// quantiles of one probe fed every delay. Memory grows with the
-    /// octaves the delays span (1 KiB each), not with their number.
-    /// Exceedance counters behave exactly as in raw mode.
+    /// 2⁻⁴⁰ s; zeros are exact). It keeps no raw samples, so its memory
+    /// grows with the octaves the delays span (1 KiB each), not with
+    /// their number.
     pub fn streaming(levels: &[f64], thresholds: &[f64]) -> Self {
         assert!(!levels.is_empty(), "streaming probe needs quantile levels");
         Self {
-            stats: OnlineStats::new(),
-            store: SampleStore::Streaming {
-                levels: levels.to_vec(),
-                hist: LogHistogram::default(),
-            },
-            thresholds: thresholds.iter().map(|&t| (t, 0)).collect(),
-            skipped: 0,
+            raw: None,
+            levels: levels.to_vec(),
+            ..Self::new(thresholds)
         }
     }
 
-    /// Whether this probe runs in streaming (histogram) mode.
-    pub fn is_streaming(&self) -> bool {
-        matches!(self.store, SampleStore::Streaming { .. })
-    }
-
-    /// Number of raw samples currently stored (always 0 in streaming
-    /// mode — the memory-boundedness the mode exists for).
+    /// Number of raw samples currently stored: 0 for a streaming probe
+    /// and once the cap is passed.
     pub fn stored_samples(&self) -> usize {
-        match &self.store {
-            SampleStore::Raw { samples, .. } => samples.len(),
-            SampleStore::Streaming { .. } => 0,
-        }
+        self.raw.as_ref().map_or(0, Vec::len)
     }
 
     /// Records one delay (seconds). Panics, in every build, on a delay
@@ -106,25 +80,19 @@ impl DelayProbe {
             "delay must be finite and non-negative, got {delay_s}"
         );
         self.stats.record(delay_s);
-        match &mut self.store {
-            SampleStore::Raw {
-                samples,
-                max_samples,
-                sorted,
-            } => {
-                if samples.len() < *max_samples {
-                    // Appending keeps the vector sorted only while the
-                    // stream happens to arrive in ascending order.
-                    if *sorted {
-                        *sorted = samples.last().is_none_or(|&l| l <= delay_s);
-                    }
-                    // lint:allow(unbounded_push): the eager-probe path — capped at max_samples, overflow counted in `skipped`
-                    samples.push(delay_s);
-                } else {
-                    self.skipped += 1;
+        self.hist.record(delay_s);
+        if let Some(samples) = &mut self.raw {
+            if samples.len() < RAW_CAP {
+                // Appending keeps the vector sorted only while the stream
+                // happens to arrive in ascending order.
+                if self.sorted {
+                    self.sorted = samples.last().is_none_or(|&l| l <= delay_s);
                 }
+                // lint:allow(unbounded_push): capped at RAW_CAP, after which the vector is dropped
+                samples.push(delay_s);
+            } else {
+                self.raw = None;
             }
-            SampleStore::Streaming { hist, .. } => hist.record(delay_s),
         }
         for (t, c) in &mut self.thresholds {
             if delay_s > *t {
@@ -153,41 +121,32 @@ impl DelayProbe {
         self.stats.max()
     }
 
-    /// The p-quantile estimate.
+    /// The p-quantile.
     ///
-    /// Raw mode: the empirical quantile of the stored samples — exact
-    /// when nothing was skipped, a truncated-sample estimate otherwise.
-    /// The sample vector is sorted on the first query after new data and
-    /// the order is cached, so repeated queries don't re-sort (and always
-    /// return identical values).
+    /// While the probe holds every raw sample: the exact empirical
+    /// quantile. The samples are sorted on the first query after new data
+    /// and the order is cached, so repeated queries don't re-sort (and
+    /// always return identical values).
     ///
-    /// Streaming mode: the histogram estimate, within 2⁻⁸ relative of the
-    /// raw-mode value; `p` must be one of the levels the probe was built
-    /// with.
+    /// Otherwise: the histogram estimate, within 2⁻⁸ relative of the
+    /// exact value. A streaming probe answers only the levels it was
+    /// built with.
     pub fn quantile(&mut self, p: f64) -> f64 {
-        match &mut self.store {
-            SampleStore::Raw {
-                samples, sorted, ..
-            } => {
+        if !self.levels.is_empty() && !self.levels.iter().any(|&l| exact_eq(l, p)) {
+            // lint:allow(panic): asking for an unconfigured level is the documented contract violation
+            panic!("streaming probe does not track level {p}");
+        }
+        match &mut self.raw {
+            Some(samples) => {
                 assert!(!samples.is_empty(), "quantile on empty probe");
-                if !*sorted {
-                    assert!(
-                        samples.iter().all(|s| !s.is_nan()),
-                        "quantile: NaN delay sample"
-                    );
+                if !self.sorted {
                     samples.sort_by(f64::total_cmp);
-                    *sorted = true;
+                    self.sorted = true;
                 }
                 fpsping_num::stats::quantile(samples, p)
             }
-            SampleStore::Streaming { levels, hist } => {
-                if !levels.iter().any(|&l| exact_eq(l, p)) {
-                    // lint:allow(panic): asking for an unconfigured level is the documented contract violation
-                    panic!("streaming probe does not track level {p}");
-                }
-                // lint:allow(unwrap): an empty probe has no quantile, as in raw mode
-                hist.quantile(p).expect("quantile on empty probe")
-            }
+            // lint:allow(unwrap): an empty probe has no quantile
+            None => self.hist.quantile(p).expect("quantile on empty probe"),
         }
     }
 
@@ -201,19 +160,14 @@ impl DelayProbe {
             .collect()
     }
 
-    /// How many samples were not stored (counters still saw them).
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
     /// Absorbs another probe's population, as if every delay the other
     /// probe recorded had been recorded here too.
     ///
-    /// Moments and exceedance counters merge exactly. Quantile state
-    /// merges by mode: raw samples are concatenated up to this probe's
-    /// bound (overflow counts as skipped), streaming histograms add their
-    /// counts, which is exact. Both probes must be in the same mode with
-    /// the same thresholds (and, when streaming, the same levels).
+    /// Moments, exceedance counters and histograms merge exactly. The raw
+    /// samples are concatenated only if both probes hold all of theirs and
+    /// the result fits under the cap; otherwise they are dropped and the
+    /// merged quantiles come from the histogram. Both probes must have
+    /// the same thresholds; a streaming probe keeps its levels.
     pub fn merge(&mut self, other: &DelayProbe) {
         assert_eq!(
             self.thresholds.len(),
@@ -225,41 +179,15 @@ impl DelayProbe {
             assert_eq!(*t, *ot, "merging probes with different thresholds");
             *c += *oc;
         }
-        self.skipped += other.skipped;
-        match (&mut self.store, &other.store) {
-            (
-                SampleStore::Raw {
-                    samples,
-                    max_samples,
-                    sorted,
-                },
-                SampleStore::Raw {
-                    samples: other_samples,
-                    ..
-                },
-            ) => {
-                let room = max_samples.saturating_sub(samples.len());
-                let take = room.min(other_samples.len());
-                samples.extend_from_slice(&other_samples[..take]);
-                self.skipped += (other_samples.len() - take) as u64;
-                *sorted = samples.is_empty();
+        self.hist.merge(&other.hist);
+        self.raw = match (self.raw.take(), &other.raw) {
+            (Some(mut samples), Some(more)) if samples.len() + more.len() <= RAW_CAP => {
+                samples.extend_from_slice(more);
+                self.sorted = samples.is_empty();
+                Some(samples)
             }
-            (
-                SampleStore::Streaming { levels, hist },
-                SampleStore::Streaming {
-                    levels: other_levels,
-                    hist: other_hist,
-                },
-            ) => {
-                assert_eq!(
-                    levels, other_levels,
-                    "merging streaming probes with different level sets"
-                );
-                hist.merge(other_hist);
-            }
-            // lint:allow(panic): mixing store kinds is a harness bug — there is no meaningful merge
-            _ => panic!("cannot merge a raw probe with a streaming probe"),
-        }
+            _ => None,
+        };
     }
 }
 
@@ -282,27 +210,8 @@ pub struct ProbeSummary {
 
 impl DelayProbe {
     /// Produces the exportable summary with the given quantile levels
-    /// (sorting the raw sample at most once for all of them).
-    ///
-    /// A summary built from a truncated sample set (`skipped > 0`: the
-    /// raw store overflowed `max_samples`) is announced via `warn_once`
-    /// and the `sim.probe.truncated_reports` counter — the quantiles are
-    /// then estimates over the stored prefix, while moments and tail
-    /// counters remain exact. Silence here previously let biased
-    /// quantiles masquerade as exact ones.
+    /// (sorting the raw samples at most once for all of them).
     pub fn summarize(&mut self, quantile_levels: &[f64]) -> ProbeSummary {
-        if self.skipped > 0 {
-            TRUNCATED_REPORTS.incr();
-            fpsping_obs::warn_once(
-                "sim.probe.truncated_report",
-                &format!(
-                    "probe summary built from a truncated sample set ({} overflow samples \
-                     skipped): quantiles are stored-prefix estimates; moments and tail \
-                     counters remain exact. Raise max_samples or use streaming quantiles.",
-                    self.skipped
-                ),
-            );
-        }
         let quantiles = if self.count() == 0 {
             Vec::new()
         } else {
@@ -361,7 +270,7 @@ mod tests {
         /// quantile of the same stream and inside the observed range.
         #[test]
         fn streaming_quantiles_stay_within_the_histogram_bound(xs in stream()) {
-            let mut raw = DelayProbe::new(xs.len(), &[]);
+            let mut raw = DelayProbe::new(&[]);
             let mut hist = DelayProbe::streaming(&QUANTILE_LEVELS, &[]);
             for &x in &xs {
                 raw.record(x);
@@ -421,7 +330,7 @@ mod tests {
         // Like a scale run's 25 DSLAM probes merged into one, but each
         // part at its own scale (10 µs … 170 ms means) with 30 % zeros,
         // so the parts' tails differ by orders of magnitude.
-        let mut all = DelayProbe::new(usize::MAX, &[]);
+        let mut all = DelayProbe::new(&[]);
         let mut merged: Option<DelayProbe> = None;
         let mut state = 25u64;
         for part in 0..25 {
@@ -459,7 +368,7 @@ mod tests {
     #[test]
     fn streaming_probe_floors_tiny_delays_within_2_pow_minus_40() {
         let xs = [5e-324, 1e-300, 1e-15, 3e-13, 1e-12, 2e-12, 1e-3, 1.0];
-        let mut raw = DelayProbe::new(800, &[]);
+        let mut raw = DelayProbe::new(&[]);
         let mut hist = DelayProbe::streaming(&QUANTILE_LEVELS, &[]);
         for x in xs.into_iter().cycle().take(800) {
             raw.record(x);
@@ -489,7 +398,7 @@ mod tests {
 
     #[test]
     fn raw_probe_refuses_non_finite_and_negative_delays() {
-        assert_refuses_bad_delays(|| DelayProbe::new(10, &[1.0]));
+        assert_refuses_bad_delays(|| DelayProbe::new(&[1.0]));
     }
 
     #[test]
@@ -499,7 +408,7 @@ mod tests {
 
     #[test]
     fn moments_and_quantiles() {
-        let mut p = DelayProbe::new(1000, &[0.5]);
+        let mut p = DelayProbe::new(&[0.5]);
         for i in 0..100 {
             p.record(i as f64 / 100.0);
         }
@@ -513,19 +422,36 @@ mod tests {
 
     #[test]
     fn bounded_storage_keeps_exact_counters() {
-        let mut p = DelayProbe::new(10, &[5.0]);
-        for i in 0..100 {
-            p.record(i as f64);
+        // Past the cap the raw samples are dropped, and the probe answers
+        // exactly as a streaming probe fed the same delays.
+        let mut p = DelayProbe::new(&[0.05]);
+        let mut streaming = DelayProbe::streaming(&QUANTILE_LEVELS, &[0.05]);
+        let n = RAW_CAP + 100;
+        for i in 0..n {
+            let x = (i % 1000) as f64 * 1e-4;
+            p.record(x);
+            streaming.record(x);
         }
-        assert_eq!(p.skipped(), 90);
-        assert_eq!(p.count(), 100);
-        // Counter is exact despite truncation: 94 values exceed 5.
-        assert!((p.tail_probabilities()[0].1 - 0.94).abs() < 1e-12);
+        assert_eq!(p.stored_samples(), 0);
+        assert_eq!(p.count(), n as u64);
+        // Counter is exact despite the dropped samples: 499 of every
+        // 1 000 values exceed 50 ms, and the last 100 do not.
+        let want = (RAW_CAP / 1000 * 499) as f64 / n as f64;
+        assert!((p.tail_probabilities()[0].1 - want).abs() < 1e-12);
+        for &level in &QUANTILE_LEVELS {
+            assert_eq!(
+                p.quantile(level).to_bits(),
+                streaming.quantile(level).to_bits(),
+                "level {level}"
+            );
+        }
+        assert_eq!(p.mean().to_bits(), streaming.mean().to_bits());
+        assert_eq!(p.max().to_bits(), streaming.max().to_bits());
     }
 
     #[test]
     fn summary_exports_requested_quantiles() {
-        let mut p = DelayProbe::new(1000, &[0.1, 0.2]);
+        let mut p = DelayProbe::new(&[0.1, 0.2]);
         for i in 1..=100 {
             p.record(i as f64 / 100.0);
         }
@@ -541,7 +467,7 @@ mod tests {
         // Regression for the per-query re-sort: interleave queries and
         // records; every query must return exactly what a fresh sorted
         // copy would, and back-to-back queries must be bit-identical.
-        let mut p = DelayProbe::new(10_000, &[]);
+        let mut p = DelayProbe::new(&[]);
         let mut reference = Vec::new();
         let mut state = 0xDEADBEEFu64;
         for round in 0..5 {
@@ -566,7 +492,6 @@ mod tests {
     #[test]
     fn streaming_probe_tracks_quantiles_without_storing_samples() {
         let mut p = DelayProbe::streaming(&[0.5, 0.99], &[0.9]);
-        assert!(p.is_streaming());
         let mut state = 7u64;
         for _ in 0..100_000 {
             state = state
@@ -593,13 +518,13 @@ mod tests {
 
     #[test]
     fn merge_pools_raw_probes() {
-        let mut a = DelayProbe::new(1000, &[0.5]);
-        let mut b = DelayProbe::new(1000, &[0.5]);
+        let mut a = DelayProbe::new(&[0.5]);
+        let mut b = DelayProbe::new(&[0.5]);
         for i in 0..50 {
             a.record(i as f64 / 100.0);
             b.record((i + 50) as f64 / 100.0);
         }
-        let mut pooled = DelayProbe::new(1000, &[0.5]);
+        let mut pooled = DelayProbe::new(&[0.5]);
         for i in 0..100 {
             pooled.record(i as f64 / 100.0);
         }
@@ -613,16 +538,41 @@ mod tests {
 
     #[test]
     fn merge_respects_sample_bound() {
-        let mut a = DelayProbe::new(10, &[]);
-        let mut b = DelayProbe::new(10, &[]);
-        for i in 0..10 {
-            a.record(i as f64);
-            b.record(i as f64);
+        // Two replications of 1.5·10⁶ delays each, at different scales:
+        // together they pass the cap, so the merge drops the raw samples
+        // and its quantiles come from the histograms, which must see the
+        // second part's tail.
+        let half = 1_500_000;
+        let (mut a, mut b) = (DelayProbe::new(&[]), DelayProbe::new(&[]));
+        let mut all = Vec::with_capacity(2 * half);
+        let mut state = 3u64;
+        for _ in 0..half {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let x = 0.010 * (1.0 + 0.01 * ((state >> 11) as f64 / (1u64 << 53) as f64));
+            a.record(x);
+            all.push(x);
+        }
+        for i in 0..half {
+            let x = 0.090 + 0.010 * i as f64 / half as f64;
+            b.record(x);
+            all.push(x);
         }
         a.merge(&b);
-        assert_eq!(a.count(), 20);
-        assert_eq!(a.stored_samples(), 10);
-        assert_eq!(a.skipped(), 10);
+        assert_eq!(a.count(), 2 * half as u64);
+        for p in [0.99, 0.999] {
+            let (got, want) = (
+                a.quantile(p),
+                fpsping_num::stats::quantile_unsorted(&all, p),
+            );
+            assert!(
+                within_bound(got, want),
+                "p={p}: merged {got} vs exact {want} (rel err {:.4})",
+                (got - want).abs() / want
+            );
+        }
+        assert_eq!(a.stored_samples(), 0);
     }
 
     #[test]
@@ -654,45 +604,44 @@ mod tests {
     }
 
     #[test]
-    fn truncated_summary_warns_and_counts() {
-        // Regression: a report built from a truncated sample set used to
-        // be silent — `skipped` was tracked but nothing surfaced it.
-        let clean_before = TRUNCATED_REPORTS.get();
-        let mut clean = DelayProbe::new(100, &[]);
-        for i in 0..50 {
-            clean.record(i as f64);
+    fn merging_a_raw_probe_with_a_streaming_one_is_a_streaming_merge() {
+        let thresholds = [0.5];
+        let mut raw = DelayProbe::new(&thresholds);
+        let mut streaming = DelayProbe::streaming(&QUANTILE_LEVELS, &thresholds);
+        let mut pair = [
+            DelayProbe::streaming(&QUANTILE_LEVELS, &thresholds),
+            DelayProbe::streaming(&QUANTILE_LEVELS, &thresholds),
+        ];
+        let mut state = 5u64;
+        for i in 0..20_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let x = (state >> 11) as f64 / (1u64 << 53) as f64;
+            if i % 3 == 0 {
+                raw.record(x);
+                pair[0].record(x);
+            } else {
+                streaming.record(x);
+                pair[1].record(x);
+            }
         }
-        let _ = clean.summarize(&[0.5]);
-        assert_eq!(
-            TRUNCATED_REPORTS.get(),
-            clean_before,
-            "untruncated summaries must not count"
-        );
-
-        let before = TRUNCATED_REPORTS.get();
-        let mut p = DelayProbe::new(10, &[]);
-        for i in 0..30 {
-            p.record(i as f64);
+        let mut want = pair[0].clone();
+        want.merge(&pair[1]);
+        let mut raw_first = raw.clone();
+        raw_first.merge(&streaming);
+        streaming.merge(&raw);
+        for got in [&mut raw_first, &mut streaming] {
+            assert_eq!(got.stored_samples(), 0);
+            assert_eq!(got.count(), want.count());
+            assert_eq!(got.tail_probabilities(), want.tail_probabilities());
+            for &p in &QUANTILE_LEVELS {
+                assert_eq!(
+                    got.quantile(p).to_bits(),
+                    want.quantile(p).to_bits(),
+                    "p={p}"
+                );
+            }
         }
-        assert_eq!(p.skipped(), 20);
-        let _ = p.summarize(&[0.5]);
-        if cfg!(not(feature = "obs-off")) {
-            assert_eq!(TRUNCATED_REPORTS.get(), before + 1);
-        }
-        // warn_once stays active even under obs-off.
-        assert!(
-            fpsping_obs::warnings()
-                .iter()
-                .any(|w| w.contains("truncated sample set")),
-            "summarize must warn about truncation"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge")]
-    fn merge_rejects_mode_mismatch() {
-        let mut a = DelayProbe::new(10, &[]);
-        let b = DelayProbe::streaming(&[0.5], &[]);
-        a.merge(&b);
     }
 }

@@ -40,11 +40,6 @@ impl SimTime {
         Self::from_secs(ms / 1e3)
     }
 
-    /// From microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us / 1e6)
-    }
-
     /// As seconds.
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1e9
@@ -104,7 +99,6 @@ mod tests {
         assert_eq!(t.0, 47_000_000);
         assert!((t.as_millis() - 47.0).abs() < 1e-12);
         assert!((t.as_secs() - 0.047).abs() < 1e-15);
-        assert_eq!(SimTime::from_micros(1.5).0, 1_500);
         assert_eq!(SimTime::from_nanos(250).as_nanos(), 250);
         assert_eq!(SimTime::from_nanos(47_000_000), t);
     }

@@ -108,7 +108,7 @@ fn streaming_quantiles_meet_p2_bound_at_1e6_samples() {
     const N: usize = 1_000_000;
     let levels = [0.5, 0.9, 0.99, 0.999];
     let mut streaming = DelayProbe::streaming(&levels, &[]);
-    let mut exact = DelayProbe::new(N, &[]);
+    let mut exact = DelayProbe::new(&[]);
     let mut rng = StdRng::seed_from_u64(2006);
     // Lognormal-ish heavy-tailed delays: exp of a symmetric triangular
     // variate — a shape with enough tail to stress the deep quantiles.

@@ -37,8 +37,19 @@ fi
 # Artifact check: every study regenerates its committed
 # results/*.csv byte for byte, every results/*.csv belongs to a study,
 # and every line of an EXPERIMENTS.md CSV excerpt is a line of its file.
-# A failure names the file and its first differing line.
-./target/release/repro --check
+# A failure names the file and its first differing line. The check must
+# also leave stderr empty: a `warn_once` fallback that fires in a
+# committed study fails the gate.
+REPRO_ERR="$(mktemp /tmp/fpsping-repro-err.XXXXXX)"
+trap 'rm -f "$REPRO_ERR"' EXIT
+REPRO_STATUS=0
+./target/release/repro --check 2> "$REPRO_ERR" || REPRO_STATUS=$?
+if [ "$REPRO_STATUS" -ne 0 ] || [ -s "$REPRO_ERR" ]; then
+    echo "tier-1: repro --check exited $REPRO_STATUS or wrote to stderr:"
+    cat "$REPRO_ERR"
+    exit 1
+fi
+rm -f "$REPRO_ERR"
 
 # Metrics smoke: the observability layer must produce parseable JSON with
 # live solver counters from a real (tiny) sweep run. The CLI sweep runs
