@@ -34,7 +34,6 @@ pub mod erlang;
 pub mod exponential;
 pub mod extreme;
 pub mod fit;
-pub mod gamma;
 pub mod lognormal;
 pub mod mixture;
 pub mod normal;
@@ -46,7 +45,6 @@ pub use deterministic::Deterministic;
 pub use erlang::Erlang;
 pub use exponential::Exponential;
 pub use extreme::Extreme;
-pub use gamma::Gamma;
 pub use lognormal::LogNormal;
 pub use mixture::Mixture;
 pub use normal::Normal;

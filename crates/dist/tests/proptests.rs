@@ -1,8 +1,8 @@
 //! Property-based tests across the distribution families.
 
 use fpsping_dist::{
-    Deterministic, Distribution, Erlang, Exponential, Extreme, Gamma, LogNormal, Mixture, Normal,
-    Pareto, Uniform, Weibull,
+    Deterministic, Distribution, Erlang, Exponential, Extreme, LogNormal, Mixture, Normal, Pareto,
+    Uniform, Weibull,
 };
 use fpsping_num::Complex64;
 use proptest::prelude::*;
@@ -34,15 +34,6 @@ proptest! {
         prop_assert!((d.cdf(q) - p).abs() < 1e-6);
         let grid: Vec<f64> = (0..20).map(|i| mean * i as f64 / 5.0).collect();
         check_cdf_properties(&d, &grid)?;
-    }
-
-    #[test]
-    fn gamma_matches_erlang_at_integer_shape(k in 1u32..30, rate in 0.001f64..100.0, x_rel in 0.01f64..5.0) {
-        let e = Erlang::new(k, rate);
-        let g = Gamma::new(k as f64, rate);
-        let x = x_rel * e.mean();
-        prop_assert!((e.cdf(x) - g.cdf(x)).abs() < 1e-10);
-        prop_assert!((e.pdf(x) - g.pdf(x)).abs() < 1e-8 * e.pdf(x).max(1e-12));
     }
 
     #[test]

@@ -26,13 +26,21 @@ impl SimTime {
         self.0
     }
 
-    /// From seconds (rounds to the nearest nanosecond).
+    /// From seconds (rounds to the nearest nanosecond). Refuses NaN,
+    /// negative seconds and any whose nanoseconds do not fit a `u64`
+    /// (about 584 years), rather than saturating.
     pub fn from_secs(s: f64) -> Self {
         assert!(
-            s >= 0.0 && s.is_finite(),
-            "SimTime: seconds must be non-negative, got {s}"
+            Self::fits_secs(s),
+            "SimTime: seconds must be non-negative and fit u64 nanoseconds, got {s}"
         );
         SimTime((s * 1e9).round() as u64)
+    }
+
+    /// Whether [`SimTime::from_secs`] accepts `s`: not NaN, not negative,
+    /// and rounding to fewer than 2⁶⁴ nanoseconds.
+    pub fn fits_secs(s: f64) -> bool {
+        s >= 0.0 && (s * 1e9).round() < 18_446_744_073_709_551_616.0
     }
 
     /// From milliseconds.
@@ -120,6 +128,21 @@ mod tests {
         assert_eq!((a + b).as_millis(), 14.0);
         assert_eq!((a - b).as_millis(), 6.0);
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
+    }
+
+    #[test]
+    fn seconds_past_u64_nanoseconds_are_refused() {
+        assert!(SimTime::fits_secs(0.0));
+        assert!(SimTime::fits_secs(1.8e10));
+        for s in [1.85e10, 1e30, f64::INFINITY, f64::NAN, -1e-9] {
+            assert!(!SimTime::fits_secs(s), "{s}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fit u64 nanoseconds")]
+    fn from_secs_refuses_rather_than_saturates() {
+        let _ = SimTime::from_secs(1e30);
     }
 
     #[test]

@@ -88,8 +88,9 @@ fi
 
 # Scale smoke: a fast N=10⁴ run (3 DSLAMs) must produce byte-identical
 # CLI output across --shards 1 and --shards 2 — the sharding knob is
-# worker parallelism only — and its metrics snapshot must show the
-# bucket calendar doing real work.
+# worker parallelism only — and its metrics snapshot must show the scale
+# engine's events and core packets. (The scale engine runs no calendar;
+# the estimator smoke below checks `Network`'s.)
 SCALE_METRICS="$(mktemp /tmp/fpsping-scale-metrics.XXXXXX.json)"
 SCALE_OUT1="$(mktemp /tmp/fpsping-scale-out1.XXXXXX)"
 SCALE_OUT2="$(mktemp /tmp/fpsping-scale-out2.XXXXXX)"
@@ -107,21 +108,23 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 snap = json.load(open(sys.argv[1]))
 counters = snap["counters"]
-enq = counters.get("sim.calendar.enqueues", 0)
-assert enq > 0, "scale smoke recorded no sim.calendar.enqueues"
 assert counters.get("sim.scale.events", 0) > 0, "no sim.scale.events counter"
-print("tier-1: scale smoke OK (shard-invariant report; %d calendar enqueues)" % enq)
+packets = counters.get("sim.scale.packets", 0)
+assert packets > 0, "scale smoke recorded no sim.scale.packets"
+print("tier-1: scale smoke OK (shard-invariant report; %d core packets)" % packets)
 PY
 else
-    grep -q '"sim\.calendar\.enqueues"' "$SCALE_METRICS"
+    grep -q '"sim\.scale\.events"' "$SCALE_METRICS"
+    grep -q '"sim\.scale\.packets"' "$SCALE_METRICS"
     echo "tier-1: scale smoke OK (grep fallback)"
 fi
 
 # CLI refusal smoke: hostile input fails loudly. An invalid sweep
 # scenario is a run error (exit 1); a flag that `--scale-n` would ignore,
-# the removed `--calendar` flag and a command-level flag that its command
-# does not read are parse errors (exit 2). Each must print `error:` on
-# stderr and nothing on stdout.
+# the removed `--calendar` flag, a command-level flag that its command
+# does not read and a `--sim-seconds` past u64 nanoseconds are parse
+# errors (exit 2). Each must print `error:` on stderr and nothing on
+# stdout.
 REFUSE_OUT="$(mktemp /tmp/fpsping-refuse-out.XXXXXX)"
 REFUSE_ERR="$(mktemp /tmp/fpsping-refuse-err.XXXXXX)"
 trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
@@ -142,14 +145,16 @@ refuse 2 sim --scale-n 10 --k 2
 refuse 2 sim --calendar heap
 refuse 2 quantile --reps 3
 refuse 2 sim --shards 2
+refuse 2 sim --scale-n 10 --sim-seconds 1e30
 rm -f "$REFUSE_OUT" "$REFUSE_ERR"
-echo "tier-1: CLI refusal smoke OK (5 hostile invocations refused)"
+echo "tier-1: CLI refusal smoke OK (6 hostile invocations refused)"
 
 # Estimator smoke: a 1 000-player run with the per-player RTT estimator
-# on must show live traffic.estimator.* counters in the metrics JSON and
-# a pooled p99 within the documented short-run tolerance of the analytic
-# quantile (±20% at ~150 pings/player — the estimator_convergence study
-# shows the error collapsing with more pings).
+# on must show live traffic.estimator.* counters and the `Network`
+# calendar's sim.calendar.enqueues in the metrics JSON, and a pooled p99
+# within the documented short-run tolerance of the analytic quantile
+# (±20% at ~150 pings/player — the estimator_convergence study shows the
+# error collapsing with more pings).
 EST_METRICS="$(mktemp /tmp/fpsping-est-metrics.XXXXXX.json)"
 EST_OUT="$(mktemp /tmp/fpsping-est-out.XXXXXX)"
 trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
@@ -162,6 +167,8 @@ import json, re, sys
 counters = json.load(open(sys.argv[1]))["counters"]
 matches = counters.get("traffic.estimator.matches", 0)
 assert matches > 0, "estimator run recorded no traffic.estimator.matches"
+assert counters.get("sim.calendar.enqueues", 0) > 0, \
+    "estimator run recorded no sim.calendar.enqueues"
 assert counters.get("traffic.estimator.invalid_samples", 1) == 0, \
     "estimator rejected samples in a clean run: %r" % counters
 out = open(sys.argv[2]).read()
@@ -174,6 +181,7 @@ print("tier-1: estimator smoke OK (%d matches, p99 err %+.2f%%)" % (matches, err
 PY
 else
     grep -q '"traffic\.estimator\.matches"' "$EST_METRICS"
+    grep -q '"sim\.calendar\.enqueues"' "$EST_METRICS"
     grep -q 'est p99' "$EST_OUT"
     echo "tier-1: estimator smoke OK (grep fallback)"
 fi
