@@ -266,6 +266,21 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
+    /// Records the observation `x` `m` times, as one merge of an
+    /// accumulator holding `m` copies of `x` (mean `x`, no spread). The
+    /// count, minimum and maximum equal those of `m` calls to
+    /// [`Self::record`]; the mean and variance agree with them up to
+    /// rounding. `m = 0` records nothing.
+    pub fn record_n(&mut self, x: f64, m: u64) {
+        self.merge(&OnlineStats {
+            n: m,
+            mean: x,
+            m2: 0.0,
+            min: x,
+            max: x,
+        });
+    }
+
     /// Merges another accumulator (parallel Welford).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
@@ -473,6 +488,21 @@ mod tests {
         assert!((o.mean() - mean(&v)).abs() < 1e-10);
         assert!((o.variance() - variance(&v)).abs() < 1e-8);
         assert_eq!(o.count(), 1000);
+    }
+
+    #[test]
+    fn online_stats_record_n_matches_repeated_records() {
+        let mut once = OnlineStats::new();
+        let mut many = OnlineStats::new();
+        for (i, m) in [3u64, 0, 7, 1, 12].into_iter().enumerate() {
+            let x = 1.0 + (i as f64).cos();
+            once.record_n(x, m);
+            (0..m).for_each(|_| many.record(x));
+        }
+        assert_eq!(once.count(), many.count());
+        assert_eq!((once.min(), once.max()), (many.min(), many.max()));
+        assert!((once.mean() - many.mean()).abs() <= 4.0 * f64::EPSILON * many.mean());
+        assert!((once.variance() - many.variance()).abs() <= 1e-12 * many.variance());
     }
 
     #[test]

@@ -39,8 +39,10 @@
 //! Each batch gets a service deadline of `request_timeout_ms`
 //! (checked between solves with [`fpsping_obs::Stopwatch`] — cheap
 //! enough per-dimension-query, and rtt batches are bounded by the read
-//! size). Requests past the deadline answer `STATUS_TIMEOUT` rather
-//! than stalling the connection. A `shutdown` request (or
+//! size). The batch's first dimension solve always runs, however late,
+//! so every batch makes progress on a loaded host; a later dimension
+//! solve past the deadline answers `STATUS_TIMEOUT` rather than
+//! stalling the connection. A `shutdown` request (or
 //! [`Server::request_shutdown`]) flips a process-wide flag: in-flight
 //! batches finish and are answered, the accept loop stops, workers
 //! drain, and [`Server::join`] returns.
@@ -409,6 +411,7 @@ fn handle_batch(
     };
     let mut rtt_answers = rtts.into_iter();
     let mut shutdown = false;
+    let mut solved = false;
     for req in requests {
         let resp = match req {
             Err(id) => Response::err(*id, STATUS_BAD_REQUEST),
@@ -420,7 +423,7 @@ fn handle_batch(
                         None => Response::err(r.id, STATUS_INFEASIBLE),
                     }
                 }
-                Op::Dimension => dimension(shared, r, &clock),
+                Op::Dimension => dimension(shared, r, &clock, &mut solved),
                 Op::Stats => stats_response(shared, r, mode, out),
                 Op::Shutdown => {
                     shared.shutdown.store(true, Ordering::Relaxed);
@@ -445,14 +448,18 @@ fn handle_batch(
 }
 
 /// Answers one dimensioning request, against the serve-level memo first.
-fn dimension(shared: &Shared, r: &Request, clock: &Stopwatch) -> Response {
+/// The batch's first solve always runs (`solved` is still false), so a
+/// batch that a client re-sends after a timeout makes progress; only
+/// later solves are refused once the batch is past its deadline.
+fn dimension(shared: &Shared, r: &Request, clock: &Stopwatch, solved: &mut bool) -> Response {
     let key = (r.k, r.tick_ms.to_bits(), r.budget_ms.to_bits());
     if let Some((rho, n, _)) = shared.dim_memo.get(&key) {
         return Response::ok(r.id, rho, n);
     }
-    if clock.elapsed_micros() > shared.timeout_ms.saturating_mul(1000) {
+    if *solved && clock.elapsed_micros() > shared.timeout_ms.saturating_mul(1000) {
         return Response::err(r.id, STATUS_TIMEOUT);
     }
+    *solved = true;
     let base = Scenario::paper_default()
         .with_erlang_order(r.k)
         .with_tick_ms(r.tick_ms);
@@ -585,6 +592,33 @@ mod tests {
         }
         server.request_shutdown();
         server.join();
+    }
+
+    #[test]
+    fn first_dimension_solve_of_a_batch_runs_past_the_deadline() {
+        // A zero deadline has passed before any solve: the first
+        // dimension query still answers, and only the second, a distinct
+        // cell that would need its own solve, times out.
+        use crate::protocol::{decode_response, Request, RESP_FRAME_LEN, STATUS_OK};
+        let shared = Shared {
+            engine: Engine::new(EngineConfig::default()),
+            dim_memo: SharedCache::new(16, 0),
+            requests: AtomicU64::new(0),
+            timeout_ms: 0,
+            shutdown: AtomicBool::new(false),
+        };
+        let burst = [
+            Ok(Request::dimension(1, 9, 40.0, 50.0)),
+            Ok(Request::dimension(2, 9, 40.0, 60.0)),
+        ];
+        let mut out = Vec::new();
+        handle_batch(&shared, &burst, Mode::Binary, &mut out);
+        let answers: Vec<_> = out
+            .chunks(RESP_FRAME_LEN)
+            .map(|f| decode_response(f).expect("frame"))
+            .map(|r| (r.id, r.status))
+            .collect();
+        assert_eq!(answers, [(1, STATUS_OK), (2, STATUS_TIMEOUT)]);
     }
 
     #[cfg(not(feature = "obs-off"))]

@@ -17,10 +17,12 @@
 //!   runs on 1 thread or 16, and seeds never collide (the SplitMix64
 //!   finalizer is a bijection, so distinct `i` give distinct seeds for
 //!   any fixed master).
-//! * **Parallel execution.** Replications are distributed over scoped
-//!   worker threads in contiguous chunks; results land in a
-//!   replication-indexed vector, so downstream merging sees them in the
-//!   fixed order `0..R` regardless of which thread finished first.
+//! * **Parallel execution.** Replications are dealt round-robin to
+//!   scoped worker threads, and each finished replication is folded
+//!   into the pool in the fixed order `0..R` regardless of which thread
+//!   finished first, then dropped. A worker hands its result over only
+//!   when the pool is ready for it, so at most `jobs` finished
+//!   replications wait their turn: memory does not grow with R.
 //! * **Merging.** Per-metric, the engine pools every replication's
 //!   probe (exact count-weighted moments; pooled samples while they fit
 //!   under the probe's cap, merged histograms within 2⁻⁸ relative past
@@ -29,7 +31,7 @@
 //!   per-replication estimates.
 
 use crate::network::{Measurements, Network, NetworkConfig, SimReport, QUANTILE_LEVELS};
-use crate::probe::DelayProbe;
+use crate::probe::{DelayProbe, ProbeSummary};
 use fpsping_num::stats::t_critical_95;
 
 /// How a batch of replications is run.
@@ -226,32 +228,41 @@ impl SimEngine {
             cfg.seed = replication_seed(self.cfg.master_seed, rep as u64);
             Network::new(cfg).run_measurements()
         };
-        let results = par_map(reps, jobs, run_one);
-        self.merge(results)
-    }
-
-    /// Merges per-replication measurements, in replication order.
-    fn merge(&self, mut reps: Vec<Measurements>) -> ReplicatedReport {
-        let r = reps.len();
-        let upstream_delay = merge_metric(&mut reps, |m| &mut m.upstream_delay);
-        let downstream_delay = merge_metric(&mut reps, |m| &mut m.downstream_delay);
-        let agg_wait = merge_metric(&mut reps, |m| &mut m.agg_wait);
-        let burst_wait = merge_metric(&mut reps, |m| &mut m.burst_wait);
-        let ping_rtt = merge_metric(&mut reps, |m| &mut m.ping_rtt);
-        let up_utilization = reps.iter().map(|m| m.up_utilization).sum::<f64>() / r as f64;
-        let down_utilization = reps.iter().map(|m| m.down_utilization).sum::<f64>() / r as f64;
-        let events = reps.iter().map(|m| m.events).sum();
-        let packets_upstream = reps.iter().map(|m| m.packets_upstream).sum();
-        let packets_downstream = reps.iter().map(|m| m.packets_downstream).sum();
+        // Each finished replication is folded into the pool in index
+        // order and then dropped, so at most `jobs` of them are held.
+        let mut pooled: Option<[DelayProbe; 5]> = None;
         let mut estimator: Option<fpsping_traffic::EstimatorSummary> = None;
-        for m in &reps {
-            if let Some(s) = &m.estimator {
+        let mut per_rep: Vec<SimReport> = Vec::with_capacity(reps);
+        par_fold(reps, jobs, run_one, |m| {
+            let (report, probes) = m.into_parts();
+            match &mut pooled {
+                None => pooled = Some(probes),
+                Some(pool) => pool.iter_mut().zip(&probes).for_each(|(p, q)| p.merge(q)),
+            }
+            if let Some(s) = &report.estimator {
                 match &mut estimator {
                     None => estimator = Some(s.clone()),
                     Some(acc) => acc.merge(s),
                 }
             }
-        }
+            // lint:allow(unbounded_push): one summary per replication, reserved above
+            per_rep.push(report);
+        });
+        // lint:allow(unwrap): `reps` is at least 1, and every replication is folded
+        let pooled = pooled.expect("a folded replication");
+        let [mut up, mut down, mut agg, mut burst, mut ping] = pooled;
+        let reps = &per_rep;
+        let r = reps.len();
+        let upstream_delay = merge_metric(&mut up, reps, |m| &m.upstream_delay);
+        let downstream_delay = merge_metric(&mut down, reps, |m| &m.downstream_delay);
+        let agg_wait = merge_metric(&mut agg, reps, |m| &m.agg_wait);
+        let burst_wait = merge_metric(&mut burst, reps, |m| &m.burst_wait);
+        let ping_rtt = merge_metric(&mut ping, reps, |m| &m.ping_rtt);
+        let up_utilization = reps.iter().map(|m| m.up_utilization).sum::<f64>() / r as f64;
+        let down_utilization = reps.iter().map(|m| m.down_utilization).sum::<f64>() / r as f64;
+        let events = reps.iter().map(|m| m.events).sum();
+        let packets_upstream = reps.iter().map(|m| m.packets_upstream).sum();
+        let packets_downstream = reps.iter().map(|m| m.packets_downstream).sum();
         ReplicatedReport {
             reps: r,
             master_seed: self.cfg.master_seed,
@@ -266,7 +277,7 @@ impl SimEngine {
             packets_upstream,
             packets_downstream,
             estimator,
-            per_rep: reps.into_iter().map(Measurements::into_report).collect(),
+            per_rep,
         }
     }
 }
@@ -286,31 +297,17 @@ fn mean_ci95(xs: &[f64]) -> (f64, Option<f64>) {
     (mean, Some(hw))
 }
 
-/// Merges one metric's probe across replications: pooled probe for
-/// count-weighted moments/tails, per-replication estimates for the
-/// confidence intervals.
-fn merge_metric<G>(reps: &mut [Measurements], get: G) -> MergedProbe
+/// Merges one metric across replications: the pooled probe for
+/// count-weighted moments and tails, each replication's summary (in
+/// replication order) for the confidence intervals.
+fn merge_metric<G>(pooled: &mut DelayProbe, reps: &[SimReport], get: G) -> MergedProbe
 where
-    G: Fn(&mut Measurements) -> &mut DelayProbe,
+    G: Fn(&SimReport) -> &ProbeSummary,
 {
-    let mut pooled: Option<DelayProbe> = None;
-    for m in reps.iter_mut() {
-        match &mut pooled {
-            None => pooled = Some(get(m).clone()),
-            Some(p) => p.merge(get(m)),
-        }
-    }
-    // lint:allow(unwrap): callers hand over the non-empty replication set built by `run_replications`
-    let mut pooled = pooled.expect("merge_metric on empty replication set");
     // Replications with observations; ones without contribute nothing to
     // quantile/mean spreads (their probe has no estimate to offer).
-    let rep_means: Vec<f64> = reps
-        .iter_mut()
-        .filter_map(|m| {
-            let probe = get(m);
-            (probe.count() > 0).then(|| probe.mean())
-        })
-        .collect();
+    let observed = || reps.iter().map(&get).filter(|s| s.count > 0);
+    let rep_means: Vec<f64> = observed().map(|s| s.mean_s).collect();
     let mean_ci = if rep_means.is_empty() {
         None
     } else {
@@ -321,14 +318,10 @@ where
     } else {
         QUANTILE_LEVELS
             .iter()
-            .map(|&p| {
-                let estimates: Vec<f64> = reps
-                    .iter_mut()
-                    .filter_map(|m| {
-                        let probe = get(m);
-                        (probe.count() > 0).then(|| probe.quantile(p))
-                    })
-                    .collect();
+            .enumerate()
+            .map(|(k, &p)| {
+                // A summary lists its quantiles at `QUANTILE_LEVELS`, in order.
+                let estimates: Vec<f64> = observed().map(|s| s.quantiles[k].1).collect();
                 let (value_s, ci95_s) = mean_ci95(&estimates);
                 QuantileEstimate {
                     p,
@@ -381,6 +374,52 @@ where
         // lint:allow(unwrap): scope() joins every worker before we get here, and each worker writes its whole chunk
         .map(|s| s.expect("par_map worker left a hole"))
         .collect()
+}
+
+/// Runs `f(i)` for every `i` in `0..n` on up to `jobs` scoped worker
+/// threads and hands the results to `fold` on the caller's thread, in
+/// index order. Worker `w` runs indices `w`, `w + jobs`, … and hands a
+/// result over only when `fold` is ready for it, so at most `jobs`
+/// finished results wait their turn. `jobs <= 1` (or `n <= 1`) runs
+/// inline. A panic in `f` or `fold` propagates to the caller.
+fn par_fold<T, F, G>(n: usize, jobs: usize, f: F, mut fold: G)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    G: FnMut(T),
+{
+    let jobs = jobs.clamp(1, n.max(1));
+    if jobs <= 1 {
+        (0..n).for_each(|i| fold(f(i)));
+        return;
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let results: Vec<std::sync::mpsc::Receiver<T>> = (0..jobs)
+            .map(|w| {
+                // A rendezvous channel: the send completes only when the
+                // caller takes the result.
+                let (tx, rx) = std::sync::mpsc::sync_channel(0);
+                scope.spawn(move || {
+                    for i in (w..n).step_by(jobs) {
+                        if tx.send(f(i)).is_err() {
+                            break;
+                        }
+                    }
+                });
+                rx
+            })
+            .collect();
+        for i in 0..n {
+            match results[i % jobs].recv() {
+                Ok(t) => fold(t),
+                // Worker `i % jobs` panicked; the scope re-raises it once
+                // the dropped receivers have released the other workers.
+                Err(_) => break,
+            }
+        }
+        drop(results);
+    });
 }
 
 #[cfg(test)]
@@ -520,6 +559,47 @@ mod tests {
             streamed
         );
         assert_eq!(engine.run(tiny_cfg).per_rep[0].ping_rtt.quantiles, exact);
+    }
+
+    #[test]
+    fn par_fold_folds_in_index_order_and_bounds_the_waiting_results() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for jobs in [1, 2, 3, 7] {
+            let finished = AtomicUsize::new(0);
+            let mut folded = Vec::new();
+            par_fold(
+                20,
+                jobs,
+                |i| {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    i
+                },
+                |i| {
+                    // Results finished but not yet folded, this one excluded.
+                    let waiting = finished.load(Ordering::SeqCst) - folded.len() - 1;
+                    assert!(
+                        waiting <= jobs,
+                        "{waiting} results waiting with {jobs} jobs"
+                    );
+                    folded.push(i);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                },
+            );
+            assert_eq!(folded, (0..20).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn par_fold_propagates_a_worker_panic() {
+        // Workers blocked on results the caller will never fold are
+        // released, so the panic surfaces instead of a hang.
+        par_fold(
+            12,
+            3,
+            |i| assert!(i != 5, "replication {i} failed"),
+            |()| {},
+        );
     }
 
     #[test]

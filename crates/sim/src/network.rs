@@ -119,8 +119,6 @@ pub struct NetworkConfig {
     pub discipline: Discipline,
     /// Optional background elastic traffic on the bottleneck.
     pub background: Option<BackgroundConfig>,
-    /// Shuffle the per-burst emission order (§2.2 observed this).
-    pub shuffle_burst_order: bool,
     /// Simulated duration.
     pub duration: SimTime,
     /// Warm-up period excluded from probes.
@@ -186,7 +184,6 @@ impl NetworkConfig {
             tick_ms: t_ms,
             discipline: Discipline::Fifo,
             background: None,
-            shuffle_burst_order: true,
             duration: SimTime::from_secs(60.0),
             warmup: SimTime::from_secs(2.0),
             seed,
@@ -267,9 +264,15 @@ pub struct Measurements {
 
 impl Measurements {
     /// Summarizes every probe at the standard [`QUANTILE_LEVELS`].
-    pub fn into_report(mut self) -> SimReport {
+    pub fn into_report(self) -> SimReport {
+        self.into_parts().0
+    }
+
+    /// The report, and the live probes it summarizes in its order:
+    /// upstream, downstream, aggregation wait, burst wait, ping RTT.
+    pub(crate) fn into_parts(mut self) -> (SimReport, [DelayProbe; 5]) {
         let q = QUANTILE_LEVELS;
-        SimReport {
+        let report = SimReport {
             upstream_delay: self.upstream_delay.summarize(&q),
             downstream_delay: self.downstream_delay.summarize(&q),
             agg_wait: self.agg_wait.summarize(&q),
@@ -282,7 +285,15 @@ impl Measurements {
             packets_upstream: self.packets_upstream,
             trace: self.trace,
             estimator: self.estimator,
-        }
+        };
+        let probes = [
+            self.upstream_delay,
+            self.downstream_delay,
+            self.agg_wait,
+            self.burst_wait,
+            self.ping_rtt,
+        ];
+        (report, probes)
     }
 }
 
@@ -592,20 +603,18 @@ impl Network {
     }
 
     fn on_server_tick(&mut self) {
-        // One packet per client, optionally shuffled emission order. The
-        // order and size buffers are reused across ticks — no per-burst
-        // heap traffic. The Fisher–Yates index is drawn by rejection
+        // One packet per client, in an emission order shuffled afresh each
+        // tick (§2.2 observed it). The order and size buffers are reused
+        // across ticks — no per-burst heap traffic. The Fisher–Yates index is drawn by rejection
         // sampling (`next_bounded`), not `next_u64() % (k+1)`: the modulo
         // draw over-weights low indices by up to 2⁻³² relatively, which
         // biases which client lands late in the burst.
         let n = self.cfg.n_clients;
         self.tick_order.clear();
         self.tick_order.extend(0..n);
-        if self.cfg.shuffle_burst_order {
-            for k in (1..n).rev() {
-                let j = self.rng.next_bounded(k as u64 + 1) as usize;
-                self.tick_order.swap(k, j);
-            }
+        for k in (1..n).rev() {
+            let j = self.rng.next_bounded(k as u64 + 1) as usize;
+            self.tick_order.swap(k, j);
         }
         // Per-packet sizes according to the configured burst law.
         self.tick_sizes.clear();

@@ -101,6 +101,38 @@ impl DelayProbe {
         }
     }
 
+    /// Records the delay `delay_s` `m` times: the counts, extremes,
+    /// histogram, exceedances and raw samples of `m` calls to
+    /// [`Self::record`], and their moments up to rounding (one weighted
+    /// merge, not `m` updates). Same domain; `m = 0` records nothing.
+    pub fn record_n(&mut self, delay_s: f64, m: u64) {
+        assert!(
+            (0.0..=f64::MAX).contains(&delay_s),
+            "delay must be finite and non-negative, got {delay_s}"
+        );
+        if m == 0 {
+            return;
+        }
+        self.stats.record_n(delay_s, m);
+        self.hist.record_n(delay_s, m);
+        if let Some(samples) = &mut self.raw {
+            match usize::try_from(m) {
+                Ok(m) if samples.len() + m <= RAW_CAP => {
+                    if self.sorted {
+                        self.sorted = samples.last().is_none_or(|&l| l <= delay_s);
+                    }
+                    samples.resize(samples.len() + m, delay_s);
+                }
+                _ => self.raw = None,
+            }
+        }
+        for (t, c) in &mut self.thresholds {
+            if delay_s > *t {
+                *c += m;
+            }
+        }
+    }
+
     /// Number of recorded delays.
     pub fn count(&self) -> u64 {
         self.stats.count()
@@ -404,6 +436,36 @@ mod tests {
     #[test]
     fn streaming_probe_refuses_non_finite_and_negative_delays() {
         assert_refuses_bad_delays(|| DelayProbe::streaming(&QUANTILE_LEVELS, &[1.0]));
+    }
+
+    #[test]
+    fn record_n_matches_repeated_records() {
+        let stream = [(0.0, 2u64), (3e-3, 5), (0.2, 0), (1e-3, 4), (0.2, 1)];
+        let makers: [fn() -> DelayProbe; 2] = [
+            || DelayProbe::new(&[2e-3]),
+            || DelayProbe::streaming(&QUANTILE_LEVELS, &[2e-3]),
+        ];
+        for mk in makers {
+            let (mut once, mut many) = (mk(), mk());
+            for (x, m) in stream {
+                once.record_n(x, m);
+                (0..m).for_each(|_| many.record(x));
+            }
+            assert_eq!(once.count(), 12);
+            assert_eq!(once.stored_samples(), many.stored_samples());
+            assert_eq!(once.tail_probabilities(), many.tail_probabilities());
+            assert_eq!(once.max(), many.max());
+            assert!((once.mean() - many.mean()).abs() <= 4.0 * f64::EPSILON * many.mean());
+            for p in QUANTILE_LEVELS {
+                assert_eq!(once.quantile(p).to_bits(), many.quantile(p).to_bits());
+            }
+        }
+        // Past the raw cap the samples are dropped, as `record` drops them.
+        let mut p = DelayProbe::new(&[]);
+        p.record_n(1.0, RAW_CAP as u64);
+        assert_eq!(p.stored_samples(), RAW_CAP);
+        p.record_n(1.0, 1);
+        assert_eq!(p.stored_samples(), 0);
     }
 
     #[test]

@@ -24,10 +24,33 @@
 //! instant) into the core-link stage. Both stages are exact Lindley
 //! passes (`start = max(arrival, busy_until)`), not event loops: every
 //! link is FIFO with deterministic service, and a client's packets reach
-//! its DSLAM exactly one period apart, so a DSLAM's arrivals are one
-//! sorted period of offsets, repeated, and the core's are the merge of
-//! the DSLAMs' departures. `tests::lindley_stage_matches_the_event_loop`
-//! pins the DSLAM stage, bit for bit, to the event loop it replaced.
+//! its DSLAM exactly one period `P = max(I, s_up)` apart (`I` the send
+//! interval, `s_up` the uplink serialization), so a DSLAM's arrivals are
+//! one sorted period of offsets, repeated, and the core's are the merge
+//! of the DSLAMs' departures.
+//!
+//! **One steady-state period.** Every client's phase is the run's only
+//! random draw, so once a queue has idled its waits repeat every `P`, in
+//! integer nanoseconds. Lindley's recursion is monotone: an arrival that
+//! finds a queue idle while the arrival one period earlier saw the same
+//! arrival pattern waits no longer than that one, so from it on every
+//! period repeats. Each stage therefore walks its transient explicitly
+//! up to such an arrival, then one period, and lets each packet of that
+//! period stand for its copies every `P`, counted in closed form against
+//! the window rules (a start by `duration` for busy time, a completion by
+//! `duration` for an event, a departure in [warmup, duration] for a wait
+//! and a hand-off). A DSLAM hands the core its transient departures and
+//! one period; the core idles past the point where every hand-off
+//! repeats and counts its own period the same way. Copy `m` of a packet
+//! leaves `m·P` after it but was created `m·I` after it, so on an
+//! overloaded uplink (`P > I`) its end-to-end delay grows by `P − I` a
+//! period and is recorded once per copy. The report is the full-window
+//! pass's, counts, exceedances and quantiles bit for bit and moments up
+//! to rounding (`tests::steady_state_run_matches_the_full_window_oracle`,
+//! against that pass kept in the tests);
+//! `tests::lindley_stage_matches_the_event_loop` pins the DSLAM stage to
+//! the per-packet event loop it replaced. A run costs the transient plus
+//! one period, whatever its duration.
 //!
 //! **Shard-count invariance.** `shards` is pure worker-thread
 //! parallelism over DSLAM indices (via the engine's `par_map`): the
@@ -140,10 +163,13 @@ pub struct ScaleReport {
     pub n_players: usize,
     /// Number of DSLAM subtrees.
     pub dslams: usize,
-    /// Events, counted as the per-packet event loop would dispatch them:
-    /// per DSLAM, the client emits, access-uplink completions and DSLAM
-    /// completions at or before `duration`, plus one per core packet.
-    /// Both stages are exact Lindley passes; no calendar runs.
+    /// Events covered, counted as the per-packet event loop would
+    /// dispatch them: per DSLAM, the client emits, access-uplink
+    /// completions and DSLAM completions at or before `duration`, plus one
+    /// per core packet. The engine computes only the transient and one
+    /// steady-state period and counts the rest in closed form, so this is
+    /// the work the run stands for, not the steps it took; no calendar
+    /// runs.
     pub events: u64,
     /// Packets through the core link (post-warmup).
     pub packets: u64,
@@ -174,12 +200,91 @@ pub struct ScaleReport {
 /// What one DSLAM subtree hands the core stage.
 struct DslamResult {
     dslam_wait: DelayProbe,
-    /// Post-warmup `(departure_ns, created_ns)` per packet, in
-    /// departure order — 16 B/packet, the only per-packet state that
-    /// outlives a shard.
+    /// `(departure_ns, created_ns)` of each packet that left in
+    /// [warmup, duration] before the DSLAM turned periodic, in departure
+    /// order.
     departures: Vec<(u64, u64)>,
+    /// One steady-state period: `(departure_ns, created_ns)` of `n_d`
+    /// consecutive packets in departure order, each standing for itself
+    /// and the packets `(departure + m·P, created + m·I)`, m ≥ 1, that
+    /// follow it. Empty when the DSLAM is not periodic by `duration`.
+    period: Vec<(u64, u64)>,
     events: u64,
     busy: SimTime,
+}
+
+/// The packets one DSLAM hands the core stage, in departure order: its
+/// explicit departures, then the copies of its period that leave in
+/// [warmup, duration].
+struct Handoff<'a> {
+    dslam: &'a DslamResult,
+    /// Index of the next packet: the explicit departures, then copy
+    /// `c / n_d` of period element `c % n_d` at index `departures.len() + c`.
+    next: usize,
+    /// `(P, I)`: how far one copy departs and was created after the last.
+    step: (u64, u64),
+    duration: u64,
+}
+
+impl<'a> Handoff<'a> {
+    fn new(dslam: &'a DslamResult, step: (u64, u64), warmup: u64, duration: u64) -> Self {
+        let mut handoff = Self {
+            dslam,
+            next: 0,
+            step,
+            duration,
+        };
+        // Explicit departures all precede the periodic ones, so with
+        // none in the window the first handed packet is a copy. Skip the
+        // whole periods that end at least one period before the warm-up
+        // (a period spans up to `P`, ends included), then single copies.
+        if let (true, Some(&(first, _))) = (dslam.departures.is_empty(), dslam.period.first()) {
+            let whole = (warmup.saturating_sub(first) / step.0).saturating_sub(1);
+            handoff.next = whole as usize * dslam.period.len();
+            while handoff.at(handoff.next).is_some_and(|(t, _)| t < warmup) {
+                handoff.next += 1;
+            }
+        }
+        handoff
+    }
+
+    /// Packet `j`, whatever its departure time; `None` past the explicit
+    /// departures of a DSLAM with no period.
+    fn at(&self, j: usize) -> Option<(u64, u64)> {
+        let d = self.dslam;
+        match j.checked_sub(d.departures.len()) {
+            None => Some(d.departures[j]),
+            Some(_) if d.period.is_empty() => None,
+            Some(c) => {
+                let (departure, created) = d.period[c % d.period.len()];
+                let m = (c / d.period.len()) as u64;
+                Some((departure + m * self.step.0, created + m * self.step.1))
+            }
+        }
+    }
+}
+
+impl Iterator for Handoff<'_> {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        let packet = self.at(self.next).filter(|&(t, _)| t <= self.duration)?;
+        self.next += 1;
+        Some(packet)
+    }
+}
+
+/// A step no copy can take: `copies(x, ONCE, lo, hi)` counts `x` alone.
+const ONCE: u64 = u64::MAX;
+
+/// How many of `x`, `x + step`, `x + 2·step`, … lie in `[lo, hi]`
+/// (`hi` < `u64::MAX`).
+fn copies(x: u64, step: u64, lo: u64, hi: u64) -> u64 {
+    if x > hi {
+        return 0;
+    }
+    let first = lo.saturating_sub(x).div_ceil(step);
+    ((hi - x) / step + 1).saturating_sub(first)
 }
 
 /// Runs a [`ScaleConfig`]: DSLAM subtrees on scoped worker threads,
@@ -263,37 +368,70 @@ impl ScaleEngine {
             / d as f64;
 
         // Core stage: k-way merge of the (already time-ordered)
-        // per-DSLAM departure streams, tie-broken by DSLAM index, into
-        // an analytic FIFO queue with deterministic service.
+        // per-DSLAM hand-offs, tie-broken by DSLAM index, into an
+        // analytic FIFO queue with deterministic service.
         let core_bps = cfg.core_bps();
-        let tau = SimTime::serialization(cfg.client_packet_bytes, core_bps);
+        let tau = SimTime::serialization(cfg.client_packet_bytes, core_bps).as_nanos();
+        let (period, interval) = (self.period().as_nanos(), self.interval());
+        let (warmup, duration) = (cfg.warmup.as_nanos(), cfg.duration.as_nanos());
         let mut core_wait = DelayProbe::streaming(&QUANTILE_LEVELS, &cfg.tail_thresholds_s);
         let mut end_to_end = DelayProbe::streaming(&QUANTILE_LEVELS, &cfg.tail_thresholds_s);
-        let mut heads: BinaryHeap<Reverse<(u64, usize)>> = results
+        let mut handoffs: Vec<Handoff> = results
             .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.departures.is_empty())
-            .map(|(i, r)| Reverse((r.departures[0].0, i)))
+            .map(|r| Handoff::new(r, (period, interval), warmup, duration))
             .collect();
-        let mut cursors = vec![0usize; results.len()];
-        let mut busy_until = SimTime::ZERO;
+        let mut heads: BinaryHeap<Reverse<(u64, usize, u64)>> = handoffs
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, h)| h.next().map(|(t, created)| Reverse((t, i, created))))
+            .collect();
+        // Past `repeats_after` every hand-off is its period's copies, so
+        // the core's arrivals, taken `per_period` at a time, repeat every
+        // `P`. An arrival after `repeats_after + P` that finds the core
+        // idle waits no longer than the arrival one period earlier
+        // (Lindley's recursion is monotone), so the waits from it on
+        // repeat too: that arrival and the `per_period − 1` after it
+        // stand for their copies every `P` up to `duration`.
+        let repeats_after = results
+            .iter()
+            .map(|r| r.period.first().map_or(u64::MAX, |&(t, _)| t.max(warmup)))
+            .max()
+            .unwrap_or(u64::MAX);
+        let per_period: usize = results.iter().map(|r| r.period.len()).sum();
+        // Copy m of a packet left m·P after it but was created m·I after.
+        let drift = period - interval;
+        let mut steady_left: Option<usize> = None;
+        let mut busy_until: u64 = 0;
         let mut packets: u64 = 0;
-        while let Some(Reverse((t, i))) = heads.pop() {
-            let (_, created) = results[i].departures[cursors[i]];
-            cursors[i] += 1;
-            if let Some(&(next, _)) = results[i].departures.get(cursors[i]) {
-                heads.push(Reverse((next, i)));
+        while let Some(Reverse((t, i, created))) = heads.pop() {
+            if let Some((next, c)) = handoffs[i].next() {
+                heads.push(Reverse((next, i, c)));
             }
-            let arrival = SimTime::from_nanos(t);
-            let start = arrival.max(busy_until);
+            let start = t.max(busy_until);
+            if steady_left.is_none() && start == t && t > repeats_after.saturating_add(period) {
+                steady_left = Some(per_period);
+            }
             busy_until = start + tau;
-            core_wait.record((start - arrival).as_secs());
-            end_to_end.record((busy_until - SimTime::from_nanos(created)).as_secs());
-            packets += 1;
+            let step = if steady_left.is_some() { period } else { ONCE };
+            let n = copies(t, step, 0, duration);
+            core_wait.record_n(SimTime::from_nanos(start - t).as_secs(), n);
+            let (runs, each) = if drift == 0 { (1, n) } else { (n, 1) };
+            for m in 0..runs {
+                let e2e = busy_until - created + m * drift;
+                end_to_end.record_n(SimTime::from_nanos(e2e).as_secs(), each);
+            }
+            packets += n;
+            if let Some(left) = &mut steady_left {
+                *left -= 1;
+                if *left == 0 {
+                    break;
+                }
+            }
         }
         events += packets;
 
         let span_s = (cfg.duration - cfg.warmup).as_secs();
+        let tau = SimTime::from_nanos(tau);
         let core_arrival_rate_hz = packets as f64 / span_s;
         let core_utilization = packets as f64 * tau.as_secs() / span_s;
 
@@ -317,6 +455,11 @@ impl ScaleEngine {
         }
     }
 
+    /// The client send interval `I` in nanoseconds.
+    fn interval(&self) -> u64 {
+        SimTime::from_millis(self.cfg.interval_ms).as_nanos()
+    }
+
     /// The spacing of one client's packets at its DSLAM: the send
     /// interval, or the uplink's serialization time when that is longer
     /// (an overloaded uplink sends back to back).
@@ -328,24 +471,10 @@ impl ScaleEngine {
         ))
     }
 
-    /// The most post-warm-up packets a DSLAM of `n_d` clients hands the
-    /// core stage: the one reserve of its `departures` buffer.
-    ///
-    /// Each client's packets reach the DSLAM exactly one [`Self::period`]
-    /// `P` apart (at least the send interval `I`, 40 ms by default). Any
-    /// window shorter than `P` then holds at most one packet per client,
-    /// so the work ahead of a packet plus its own service stays below
-    /// `n_d` services, `dslam_load`·`I` < `P`. A packet leaving in
-    /// [warmup, duration] thus arrived in (warmup − `P`, duration], which
-    /// holds at most ⌈(duration − warmup)/`P`⌉ + 1 packets of each client.
-    fn departure_reserve(&self, n_d: usize) -> usize {
-        let span = (self.cfg.duration - self.cfg.warmup).as_nanos();
-        n_d * (span.div_ceil(self.period().as_nanos()) as usize + 1)
-    }
-
     /// One DSLAM subtree: `n_d` periodic clients behind access uplinks
     /// into a FIFO bottleneck sized for `dslam_load`, computed as one
-    /// Lindley pass over its arrivals.
+    /// Lindley pass over its arrivals up to its steady state, then one
+    /// period.
     ///
     /// Client `j` emits at `phase_j + k·I` and its uplink, FIFO with
     /// service `s_up`, delivers that packet to the DSLAM at
@@ -353,19 +482,25 @@ impl ScaleEngine {
     /// so walking the periods `k` in order over the sorted phases visits
     /// every arrival in time order. Packets arriving at the same instant
     /// share their creation instant too, so the order among them changes
-    /// neither the waits recorded (in departure order) nor `departures`.
+    /// neither the waits recorded nor the hand-off.
+    ///
+    /// The arrivals repeat every `n_d` with period `P`. The first arrival
+    /// past the first period that finds the DSLAM idle therefore waits no
+    /// longer than the one `n_d` before it (Lindley's recursion is
+    /// monotone), so every wait from it on repeats every `n_d` arrivals:
+    /// it and the `n_d − 1` after it stand for their copies every `P`,
+    /// each counted in closed form against the window rules.
     fn run_dslam(&self, d: usize) -> DslamResult {
         let cfg = &self.cfg;
         let n_d = cfg
             .players_per_dslam
             .min(cfg.n_players - d * cfg.players_per_dslam);
-        let mut departures: Vec<(u64, u64)> = Vec::with_capacity(self.departure_reserve(n_d));
         let mut rng = BatchRng::seed_from_u64(replication_seed(cfg.seed, d as u64));
         let mut phases: Vec<u64> = (0..n_d)
             .map(|_| SimTime::from_millis(uniform01(&mut rng) * cfg.interval_ms).as_nanos())
             .collect();
         phases.sort_unstable();
-        let interval = SimTime::from_millis(cfg.interval_ms).as_nanos();
+        let interval = self.interval();
         let s_up = SimTime::serialization(cfg.client_packet_bytes, cfg.r_up_bps).as_nanos();
         let period = self.period().as_nanos();
         let dslam_bps = n_d as f64 * cfg.per_client_bps() / cfg.dslam_load;
@@ -376,39 +511,48 @@ impl ScaleEngine {
         // Client emits at or before `duration`.
         let mut events: u64 = phases
             .iter()
-            .filter(|&&phase| phase <= duration)
-            .map(|&phase| (duration - phase) / interval + 1)
+            .map(|&phase| copies(phase, interval, 0, duration))
             .sum();
+        let (mut departures, mut steady) = (Vec::new(), Vec::new());
+        let mut steady_from: Option<usize> = None;
         let mut starts: u64 = 0;
         let mut busy_until: u64 = 0;
+        let mut j: usize = 0;
         'periods: for k in 0.. {
             let (sent, reached) = (k * interval, s_up + k * period);
             for &phase in &phases {
                 let arrival = phase + reached;
-                if arrival > duration {
-                    break 'periods;
-                }
-                // The uplink completion that delivers the packet.
-                events += 1;
                 let start = arrival.max(busy_until);
-                busy_until = start + tau;
-                if start > duration {
-                    continue;
+                match steady_from {
+                    None if arrival > duration => break 'periods,
+                    None if j >= n_d && start == arrival => steady_from = Some(j),
+                    Some(from) if j == from + n_d => break 'periods,
+                    _ => {}
                 }
-                starts += 1;
-                if busy_until <= duration {
-                    events += 1;
-                    if busy_until >= warmup {
-                        dslam_wait.record(SimTime::from_nanos(start - arrival).as_secs());
-                        // lint:allow(unbounded_push): the core-stage hand-off buffer — 16 B/packet, reserved once by `departure_reserve`
-                        departures.push((busy_until, phase + sent));
-                    }
+                j += 1;
+                busy_until = start + tau;
+                let step = if steady_from.is_some() { period } else { ONCE };
+                // The uplink completion that delivers the packet, and the
+                // DSLAM completion that sends it on.
+                events +=
+                    copies(arrival, step, 0, duration) + copies(busy_until, step, 0, duration);
+                starts += copies(start, step, 0, duration);
+                let handed = copies(busy_until, step, warmup, duration);
+                dslam_wait.record_n(SimTime::from_nanos(start - arrival).as_secs(), handed);
+                let packet = (busy_until, phase + sent);
+                if steady_from.is_some() {
+                    // lint:allow(unbounded_push): one period, `n_d` packets
+                    steady.push(packet);
+                } else if handed > 0 {
+                    // lint:allow(unbounded_push): the transient's hand-off, before the DSLAM first idles after one period (within the window)
+                    departures.push(packet);
                 }
             }
         }
         DslamResult {
             dslam_wait,
             departures,
+            period: steady,
             events,
             busy: SimTime::from_nanos(starts * tau),
         }
@@ -441,10 +585,7 @@ mod tests {
         let cfg = &engine.cfg;
         let lo = d * cfg.players_per_dslam;
         let n_d = cfg.players_per_dslam.min(cfg.n_players - lo);
-        // Reserved before the calendar and the links, so the buffers every
-        // DSLAM keeps for the core stage are not interleaved on the heap
-        // with the ones it frees when it returns.
-        let mut departures: Vec<(u64, u64)> = Vec::with_capacity(engine.departure_reserve(n_d));
+        let mut departures: Vec<(u64, u64)> = Vec::new();
         let mut rng = BatchRng::seed_from_u64(replication_seed(cfg.seed, d as u64));
         let dslam_bps = n_d as f64 * cfg.per_client_bps() / cfg.dslam_load;
         let mut uplinks: Vec<Link> = (0..n_d)
@@ -525,7 +666,7 @@ mod tests {
                         let ser = dslam.serialization(p.size_bytes);
                         let wait = (now.saturating_sub(ser)).saturating_sub(p.enqueued);
                         dslam_wait.record(wait.as_secs());
-                        // lint:allow(unbounded_push): the core-stage hand-off buffer — 16 B/packet, reserved once by `departure_reserve`
+                        // lint:allow(unbounded_push): the oracle's full-window hand-off, one entry per packet
                         departures.push((now.as_nanos(), p.created.as_nanos()));
                     }
                 }
@@ -534,22 +675,184 @@ mod tests {
         DslamResult {
             dslam_wait,
             departures,
+            period: Vec::new(),
             events,
             busy: dslam.busy_time,
         }
     }
 
-    /// Asserts that two runs of one DSLAM agree bit for bit.
+    /// The full-window Lindley pass `run_dslam` ran before it stopped at
+    /// one steady-state period: every arrival up to `duration`, each
+    /// hand-off explicit.
+    fn full_window_dslam(engine: &ScaleEngine, d: usize) -> DslamResult {
+        let cfg = &engine.cfg;
+        let n_d = cfg
+            .players_per_dslam
+            .min(cfg.n_players - d * cfg.players_per_dslam);
+        let mut departures: Vec<(u64, u64)> = Vec::new();
+        let mut rng = BatchRng::seed_from_u64(replication_seed(cfg.seed, d as u64));
+        let mut phases: Vec<u64> = (0..n_d)
+            .map(|_| SimTime::from_millis(uniform01(&mut rng) * cfg.interval_ms).as_nanos())
+            .collect();
+        phases.sort_unstable();
+        let interval = SimTime::from_millis(cfg.interval_ms).as_nanos();
+        let s_up = SimTime::serialization(cfg.client_packet_bytes, cfg.r_up_bps).as_nanos();
+        let period = engine.period().as_nanos();
+        let dslam_bps = n_d as f64 * cfg.per_client_bps() / cfg.dslam_load;
+        let tau = SimTime::serialization(cfg.client_packet_bytes, dslam_bps).as_nanos();
+        let (warmup, duration) = (cfg.warmup.as_nanos(), cfg.duration.as_nanos());
+
+        let mut dslam_wait = DelayProbe::streaming(&QUANTILE_LEVELS, &cfg.tail_thresholds_s);
+        // Client emits at or before `duration`.
+        let mut events: u64 = phases
+            .iter()
+            .filter(|&&phase| phase <= duration)
+            .map(|&phase| (duration - phase) / interval + 1)
+            .sum();
+        let mut starts: u64 = 0;
+        let mut busy_until: u64 = 0;
+        'periods: for k in 0.. {
+            let (sent, reached) = (k * interval, s_up + k * period);
+            for &phase in &phases {
+                let arrival = phase + reached;
+                if arrival > duration {
+                    break 'periods;
+                }
+                // The uplink completion that delivers the packet.
+                events += 1;
+                let start = arrival.max(busy_until);
+                busy_until = start + tau;
+                if start > duration {
+                    continue;
+                }
+                starts += 1;
+                if busy_until <= duration {
+                    events += 1;
+                    if busy_until >= warmup {
+                        dslam_wait.record(SimTime::from_nanos(start - arrival).as_secs());
+                        departures.push((busy_until, phase + sent));
+                    }
+                }
+            }
+        }
+        DslamResult {
+            dslam_wait,
+            departures,
+            period: Vec::new(),
+            events,
+            busy: SimTime::from_nanos(starts * tau),
+        }
+    }
+
+    /// The oracle: the full-window pass `ScaleEngine::run` made before it
+    /// stopped at one steady-state period — every DSLAM's full window,
+    /// then every core arrival in `(time, dslam)` order.
+    fn full_window_run(engine: &ScaleEngine) -> ScaleReport {
+        let cfg = &engine.cfg;
+        let d = cfg.dslams();
+        let results: Vec<DslamResult> = (0..d).map(|i| full_window_dslam(engine, i)).collect();
+        let mut dslam_wait = results[0].dslam_wait.clone();
+        for r in &results[1..] {
+            dslam_wait.merge(&r.dslam_wait);
+        }
+        let mut events: u64 = results.iter().map(|r| r.events).sum();
+        let dslam_utilization = results
+            .iter()
+            .map(|r| r.busy.as_secs() / cfg.duration.as_secs())
+            .sum::<f64>()
+            / d as f64;
+        let core_bps = cfg.core_bps();
+        let tau = SimTime::serialization(cfg.client_packet_bytes, core_bps);
+        let mut core_wait = DelayProbe::streaming(&QUANTILE_LEVELS, &cfg.tail_thresholds_s);
+        let mut end_to_end = DelayProbe::streaming(&QUANTILE_LEVELS, &cfg.tail_thresholds_s);
+        let mut heads: BinaryHeap<Reverse<(u64, usize)>> = results
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.departures.is_empty())
+            .map(|(i, r)| Reverse((r.departures[0].0, i)))
+            .collect();
+        let mut cursors = vec![0usize; results.len()];
+        let mut busy_until = SimTime::ZERO;
+        let mut packets: u64 = 0;
+        while let Some(Reverse((t, i))) = heads.pop() {
+            let (_, created) = results[i].departures[cursors[i]];
+            cursors[i] += 1;
+            if let Some(&(next, _)) = results[i].departures.get(cursors[i]) {
+                heads.push(Reverse((next, i)));
+            }
+            let arrival = SimTime::from_nanos(t);
+            let start = arrival.max(busy_until);
+            busy_until = start + tau;
+            core_wait.record((start - arrival).as_secs());
+            end_to_end.record((busy_until - SimTime::from_nanos(created)).as_secs());
+            packets += 1;
+        }
+        events += packets;
+        let span_s = (cfg.duration - cfg.warmup).as_secs();
+        ScaleReport {
+            n_players: cfg.n_players,
+            dslams: d,
+            events,
+            packets,
+            dslam_wait: dslam_wait.summarize(&QUANTILE_LEVELS),
+            core_wait: core_wait.summarize(&QUANTILE_LEVELS),
+            end_to_end: end_to_end.summarize(&QUANTILE_LEVELS),
+            dslam_utilization,
+            core_utilization: packets as f64 * tau.as_secs() / span_s,
+            core_rate_bps: core_bps,
+            core_service_s: tau.as_secs(),
+            core_arrival_rate_hz: packets as f64 / span_s,
+            calendar: CalendarStats::default(),
+        }
+    }
+
+    /// Rounding allowed between moments of one population taken in two
+    /// orders (per packet, and per period with multiplicities), in units
+    /// of `f64::EPSILON` relative. Welford's per-packet mean drifts by
+    /// about √n ulps: over 3 000 scenarios of up to 16 000 delays the
+    /// two means differed by up to 64 ulps (32 failed one).
+    const ULPS: f64 = 256.0;
+
+    /// Whether two means of one population agree up to rounding.
+    fn close(a: f64, b: f64) -> bool {
+        (a.is_nan() && b.is_nan()) || (a - b).abs() <= ULPS * f64::EPSILON * a.abs().max(b.abs())
+    }
+
+    /// Whether two standard deviations of one population with mean `mean`
+    /// agree up to rounding. The variance is a difference of second
+    /// moments, so its rounding scales with `mean² + σ²`, not with `σ²`:
+    /// a spread far below the mean keeps fewer correct digits.
+    fn close_std(a: f64, b: f64, mean: f64) -> bool {
+        let scale = mean * mean + a.max(b) * a.max(b);
+        (a.is_nan() && b.is_nan()) || (a * a - b * b).abs() <= ULPS * f64::EPSILON * scale
+    }
+
+    /// Asserts that `got`, a DSLAM's steady-state result, covers the same
+    /// packets as `want`, its full window: events, busy time, hand-off
+    /// (periods expanded) and wait counts and quantiles bit for bit, the
+    /// mean up to rounding.
     fn assert_dslams_identical(
+        engine: &ScaleEngine,
         got: &mut DslamResult,
         want: &mut DslamResult,
     ) -> Result<(), TestCaseError> {
+        let cfg = &engine.cfg;
         prop_assert_eq!(got.events, want.events);
         prop_assert_eq!(got.busy, want.busy);
-        prop_assert!(got.departures == want.departures, "departures differ");
+        let step = (engine.period().as_nanos(), engine.interval());
+        let handed: Vec<(u64, u64)> =
+            Handoff::new(got, step, cfg.warmup.as_nanos(), cfg.duration.as_nanos()).collect();
+        prop_assert!(handed == want.departures, "departures differ");
         let (g, w) = (&mut got.dslam_wait, &mut want.dslam_wait);
         prop_assert_eq!(g.count(), w.count());
-        prop_assert_eq!(g.mean().to_bits(), w.mean().to_bits());
+        prop_assert!(
+            close(g.mean(), w.mean()),
+            "mean {} vs {}",
+            g.mean(),
+            w.mean()
+        );
+        prop_assert_eq!(g.max().to_bits(), w.max().to_bits());
+        prop_assert_eq!(g.tail_probabilities(), w.tail_probabilities());
         if w.count() > 0 {
             for &p in &QUANTILE_LEVELS {
                 prop_assert_eq!(g.quantile(p).to_bits(), w.quantile(p).to_bits());
@@ -589,47 +892,116 @@ mod tests {
         prop_oneof![1 => Just(1usize), 3 => 1usize..200]
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// The Lindley stage reproduces the event loop bit for bit on
-        /// every DSLAM: departures, event count, busy time and every
-        /// reported statistic of the wait probe.
-        #[test]
-        fn lindley_stage_matches_the_event_loop(
-            population in (1usize..400, players_per_dslam(), 40.0f64..1500.0),
-            link in (interval_ns(), uplink(), 0.05f64..0.95),
-            span in (2u64..40, 0u64..1_000, 0.0f64..0.9),
-            seed in 0u64..u64::MAX,
-        ) {
+    /// A scale scenario over the proptest domain, with the uplink regime
+    /// it was drawn for: players, players per DSLAM, packet size, send
+    /// interval, DSLAM and core loads, a window of up to 40 periods (so
+    /// also shorter than the transient), a warm-up of zero or up to 90 %
+    /// of the window, and the seed.
+    fn scenario() -> impl Strategy<Value = (ScaleConfig, Uplink)> {
+        let population = (1usize..400, players_per_dslam(), 40.0f64..1500.0);
+        let link = (interval_ns(), uplink(), 0.05f64..0.95, 0.05f64..0.95);
+        let warmup_frac = prop_oneof![1 => Just(0.0), 3 => 0.0f64..0.9];
+        let span = (0u64..40, 0u64..1_000, warmup_frac);
+        (population, link, span, 0u64..u64::MAX).prop_map(|(population, link, span, seed)| {
             let (n_players, ppd, bytes) = population;
-            let (interval, up, dslam_load) = link;
+            let (interval, up, dslam_load, core_load) = link;
             let (periods, extra_permille, warmup_frac) = span;
             let mut cfg = ScaleConfig::new(n_players);
             cfg.players_per_dslam = ppd;
             cfg.client_packet_bytes = bytes;
             cfg.interval_ms = interval as f64 / 1e6;
             cfg.dslam_load = dslam_load;
+            cfg.core_load = core_load;
             cfg.seed = seed;
             cfg.r_up_bps = match up {
                 Uplink::Fast(f) => cfg.per_client_bps() * f,
                 Uplink::Exact => bytes * 8.0 * 1e9 / interval as f64,
                 Uplink::Overloaded(f) => cfg.per_client_bps() / f,
             };
-            let interval = SimTime::from_millis(cfg.interval_ms).as_nanos();
             let s_up = SimTime::serialization(bytes, cfg.r_up_bps).as_nanos();
-            match up {
-                Uplink::Fast(_) => prop_assert!(s_up <= interval),
-                Uplink::Exact => prop_assert_eq!(s_up, interval),
-                Uplink::Overloaded(_) => prop_assert!(s_up > interval),
-            }
-            let duration = periods * s_up.max(interval) + extra_permille * interval / 1_000;
+            let duration =
+                (periods * s_up.max(interval) + extra_permille * interval / 1_000).max(1);
             cfg.duration = SimTime::from_nanos(duration);
             cfg.warmup = SimTime::from_nanos((duration as f64 * warmup_frac) as u64);
+            (cfg, up)
+        })
+    }
+
+    /// Asserts that a scenario's uplink is in the regime it was drawn for.
+    fn assert_uplink_regime(cfg: &ScaleConfig, up: Uplink) -> Result<(), TestCaseError> {
+        let interval = SimTime::from_millis(cfg.interval_ms).as_nanos();
+        let s_up = SimTime::serialization(cfg.client_packet_bytes, cfg.r_up_bps).as_nanos();
+        match up {
+            Uplink::Fast(_) => prop_assert!(s_up <= interval),
+            Uplink::Exact => prop_assert_eq!(s_up, interval),
+            Uplink::Overloaded(_) => prop_assert!(s_up > interval),
+        }
+        Ok(())
+    }
+
+    /// Asserts that two reports cover the same packets: counts, events,
+    /// utilizations, maxima, exceedances and quantiles bit for bit,
+    /// means and standard deviations up to rounding.
+    fn assert_reports_match(got: &ScaleReport, want: &ScaleReport) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.events, want.events);
+        prop_assert_eq!(got.packets, want.packets);
+        for (g, w) in [
+            (got.dslam_utilization, want.dslam_utilization),
+            (got.core_utilization, want.core_utilization),
+            (got.core_arrival_rate_hz, want.core_arrival_rate_hz),
+        ] {
+            prop_assert_eq!(g.to_bits(), w.to_bits());
+        }
+        for (g, w) in [
+            (&got.dslam_wait, &want.dslam_wait),
+            (&got.core_wait, &want.core_wait),
+            (&got.end_to_end, &want.end_to_end),
+        ] {
+            prop_assert_eq!(g.count, w.count);
+            prop_assert_eq!(g.max_s.to_bits(), w.max_s.to_bits());
+            prop_assert_eq!(&g.tails, &w.tails);
+            prop_assert_eq!(&g.quantiles, &w.quantiles);
+            prop_assert!(
+                close(g.mean_s, w.mean_s),
+                "mean {} vs {}",
+                g.mean_s,
+                w.mean_s
+            );
+            prop_assert!(
+                close_std(g.std_dev_s, w.std_dev_s, w.mean_s),
+                "std {} vs {}",
+                g.std_dev_s,
+                w.std_dev_s
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The Lindley stage reproduces the event loop on every DSLAM:
+        /// departures, event count, busy time and every count, maximum
+        /// and quantile of the wait probe bit for bit, its mean up to
+        /// rounding.
+        #[test]
+        fn lindley_stage_matches_the_event_loop(case in scenario()) {
+            let (cfg, up) = case;
+            assert_uplink_regime(&cfg, up)?;
             let engine = ScaleEngine::new(cfg.clone());
             for d in 0..cfg.dslams() {
-                assert_dslams_identical(&mut engine.run_dslam(d), &mut event_loop_dslam(&engine, d))?;
+                assert_dslams_identical(&engine, &mut engine.run_dslam(d), &mut event_loop_dslam(&engine, d))?;
             }
+        }
+
+        /// Computing the transient and one steady-state period gives the
+        /// report of the full-window pass.
+        #[test]
+        fn steady_state_run_matches_the_full_window_oracle(case in scenario()) {
+            let (cfg, up) = case;
+            assert_uplink_regime(&cfg, up)?;
+            let engine = ScaleEngine::new(cfg);
+            assert_reports_match(&engine.run(), &full_window_run(&engine))?;
         }
     }
 
@@ -729,27 +1101,65 @@ mod tests {
     }
 
     #[test]
-    fn departure_buffer_never_grows_past_its_reserve() {
+    fn handoff_length_does_not_depend_on_duration() {
+        // Past the transient a DSLAM hands the core one period, `n_d`
+        // packets, whatever the window: 1.5 s and 60 s hand off the same.
         let mut paper = ScaleConfig::new(4_096);
-        paper.duration = SimTime::from_secs(1.5);
         paper.warmup = SimTime::from_secs(0.5);
-        for cfg in [paper, small(1_300, 512, 2.0), small(2_000, 256, 0.3)] {
-            let engine = ScaleEngine::new(cfg.clone());
-            for d in 0..cfg.dslams() {
-                let n_d = cfg
+        for base in [paper, small(1_300, 512, 1.0), small(2_000, 256, 1.0)] {
+            let lengths = |duration_s: f64| -> Vec<(usize, usize)> {
+                let mut cfg = base.clone();
+                cfg.duration = SimTime::from_secs(duration_s);
+                let engine = ScaleEngine::new(cfg.clone());
+                (0..cfg.dslams())
+                    .map(|d| {
+                        let r = engine.run_dslam(d);
+                        (r.departures.len(), r.period.len())
+                    })
+                    .collect()
+            };
+            let short = lengths(1.5);
+            assert_eq!(short, lengths(60.0));
+            for (d, &(_, period)) in short.iter().enumerate() {
+                let n_d = base
                     .players_per_dslam
-                    .min(cfg.n_players - d * cfg.players_per_dslam);
-                let reserve = engine.departure_reserve(n_d);
-                let departures = engine.run_dslam(d).departures;
+                    .min(base.n_players - d * base.players_per_dslam);
                 assert_eq!(
-                    departures.capacity(),
-                    reserve,
-                    "DSLAM {d} regrew its buffer"
+                    period, n_d,
+                    "DSLAM {d} is periodic with one packet per client"
                 );
-                // The bound is tight: at most one interval's packets and
-                // the rounding of the span spare.
-                assert!(departures.len() + 2 * n_d >= reserve, "DSLAM {d}");
             }
+        }
+    }
+
+    #[test]
+    fn window_of_whole_periods_scales_exactly() {
+        // Past the transient every period repeats: doubling the number
+        // of whole periods after a fixed warm-up doubles every count and
+        // exceedance and leaves every quantile bit where it was.
+        let report = |periods: u64| {
+            let mut cfg = small(2_000, 512, 1.0);
+            cfg.warmup = SimTime::from_secs(0.5);
+            cfg.duration = cfg.warmup + SimTime::from_nanos(periods * 40_000_000);
+            ScaleEngine::new(cfg).run()
+        };
+        let (three, six) = (report(3), report(6));
+        assert_eq!(three.packets, 3 * 2_000);
+        assert_eq!(six.packets, 2 * three.packets);
+        // Events count from time zero, warm-up included, so they grow by
+        // three periods' worth: an emit, an uplink and a DSLAM completion
+        // and a core packet per client and period.
+        assert_eq!(six.events - three.events, 3 * 4 * 2_000);
+        for (a, b) in [
+            (&three.dslam_wait, &six.dslam_wait),
+            (&three.core_wait, &six.core_wait),
+            (&three.end_to_end, &six.end_to_end),
+        ] {
+            assert_eq!(b.count, 2 * a.count);
+            // Twice the exceedances over twice the count: the same ratio.
+            assert_eq!(a.tails, b.tails);
+            assert_eq!(a.quantiles, b.quantiles);
+            assert_eq!(a.max_s.to_bits(), b.max_s.to_bits());
         }
     }
 

@@ -119,6 +119,32 @@ else
     echo "tier-1: scale smoke OK (grep fallback)"
 fi
 
+# Long-window scale step: N = 10⁵ players over 600 simulated seconds.
+# Past its transient each queue repeats every period P (40 ms), so the
+# scale engine computes one period and counts the rest; a full-window
+# pass would buffer about 24 GB of core hand-offs here. Every client
+# sends one packet per period after the 1 s warm-up, so the core count
+# must be N·(600 − 1)/P within ±N. No timing floor.
+SCALE_LONG_METRICS="$(mktemp /tmp/fpsping-scale-long.XXXXXX.json)"
+trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
+    "$SCALE_LONG_METRICS"' EXIT
+./target/release/fpsping-cli sim --scale-n 100000 --shards 1 --sim-seconds 600 \
+    --metrics-out "$SCALE_LONG_METRICS" > /dev/null
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$SCALE_LONG_METRICS" <<'PY'
+import json, sys
+packets = json.load(open(sys.argv[1]))["counters"].get("sim.scale.packets", 0)
+n, expect = 100_000, 100_000 * (600 - 1) / 0.040
+assert abs(packets - expect) <= n, \
+    "600 s scale run: %d core packets, want %d within +-%d" % (packets, expect, n)
+print("tier-1: long-window scale step OK (%d core packets)" % packets)
+PY
+else
+    grep -q '"sim\.scale\.packets": 149[0-9]\{7\}' "$SCALE_LONG_METRICS"
+    echo "tier-1: long-window scale step OK (grep fallback)"
+fi
+rm -f "$SCALE_LONG_METRICS"
+
 # CLI refusal smoke: hostile input fails loudly. An invalid sweep
 # scenario is a run error (exit 1); a flag that `--scale-n` would ignore,
 # the removed `--calendar` flag, a command-level flag that its command
