@@ -270,8 +270,16 @@ impl OnlineStats {
     /// accumulator holding `m` copies of `x` (mean `x`, no spread). The
     /// count, minimum and maximum equal those of `m` calls to
     /// [`Self::record`]; the mean and variance agree with them up to
-    /// rounding. `m = 0` records nothing.
+    /// rounding, and exactly for `m = 1`. `m = 0` records nothing.
+    ///
+    /// `#[inline]` because the simulator's per-delay `record` calls it
+    /// with `m = 1` from another crate, and the workspace builds without
+    /// LTO.
+    #[inline]
     pub fn record_n(&mut self, x: f64, m: u64) {
+        if m == 1 {
+            return self.record(x);
+        }
         self.merge(&OnlineStats {
             n: m,
             mean: x,

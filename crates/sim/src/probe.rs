@@ -75,36 +75,14 @@ impl DelayProbe {
     /// that is negative, infinite or NaN.
     #[inline]
     pub fn record(&mut self, delay_s: f64) {
-        assert!(
-            (0.0..=f64::MAX).contains(&delay_s),
-            "delay must be finite and non-negative, got {delay_s}"
-        );
-        self.stats.record(delay_s);
-        self.hist.record(delay_s);
-        if let Some(samples) = &mut self.raw {
-            if samples.len() < RAW_CAP {
-                // Appending keeps the vector sorted only while the stream
-                // happens to arrive in ascending order.
-                if self.sorted {
-                    self.sorted = samples.last().is_none_or(|&l| l <= delay_s);
-                }
-                // lint:allow(unbounded_push): capped at RAW_CAP, after which the vector is dropped
-                samples.push(delay_s);
-            } else {
-                self.raw = None;
-            }
-        }
-        for (t, c) in &mut self.thresholds {
-            if delay_s > *t {
-                *c += 1;
-            }
-        }
+        self.record_n(delay_s, 1);
     }
 
     /// Records the delay `delay_s` `m` times: the counts, extremes,
     /// histogram, exceedances and raw samples of `m` calls to
     /// [`Self::record`], and their moments up to rounding (one weighted
     /// merge, not `m` updates). Same domain; `m = 0` records nothing.
+    #[inline]
     pub fn record_n(&mut self, delay_s: f64, m: u64) {
         assert!(
             (0.0..=f64::MAX).contains(&delay_s),
@@ -118,10 +96,13 @@ impl DelayProbe {
         if let Some(samples) = &mut self.raw {
             match usize::try_from(m) {
                 Ok(m) if samples.len() + m <= RAW_CAP => {
+                    // Appending keeps the vector sorted only while the
+                    // stream happens to arrive in ascending order.
                     if self.sorted {
                         self.sorted = samples.last().is_none_or(|&l| l <= delay_s);
                     }
-                    samples.resize(samples.len() + m, delay_s);
+                    // lint:allow(unbounded_push): capped at RAW_CAP, after which the vector is dropped
+                    samples.extend(std::iter::repeat_n(delay_s, m));
                 }
                 _ => self.raw = None,
             }
