@@ -1,42 +1,68 @@
 //! The event calendar: pending-event set of the discrete-event loop.
 //!
-//! [`CalendarKind`] is a bucketed calendar queue (Brown 1988): a ring of
-//! time-width buckets covering a sliding horizon, O(1) amortized
-//! enqueue/dequeue. Events beyond the horizon *spill* into a small
-//! overflow heap and migrate back as the window advances; when average
-//! bucket occupancy grows past a threshold the ring doubles (a
-//! *resize*). Both are counted and exported via `fpsping_obs`.
+//! [`CalendarKind`] is a calendar queue (Brown 1988): a ring of
+//! time-width buckets, O(1) amortized enqueue/dequeue. An event goes to
+//! the bucket of its time modulo the ring's span, so one further in the
+//! future than the span (a *spill*, counted) waits in its bucket while
+//! the drain cursor laps the ring. Every sizing decision re-files the
+//! pending events into a new ring (a *resize*, counted). Both counts are
+//! exported via `fpsping_obs`.
+//!
+//! **Sizing rule (Brown's).** The bucket width follows the events the
+//! calendar drains: it is three times their mean separation. The
+//! separation is measured over each window of as many pops as there are
+//! buckets, as the width times the buckets the drain opened over the
+//! pops it made, so idle stretches between bursts do not count (Brown's
+//! sample drops long gaps for the same reason). The width is a power of
+//! two, re-chosen when three separations leave the band from half to
+//! twice the current width. The bucket count follows the pending events
+//! with Brown's factor-4 band of doubling and halving, placed at 2 to 8
+//! buckets per pending event (never fewer than 16 buckets): the ring
+//! doubles when the pending events pass half its buckets and halves when
+//! they fall below an eighth. The span follows from the two and is not
+//! a setting: with the separation at its mean, it is 6 to 24 mean event
+//! lifetimes (Little's law), so the events a periodic source schedules
+//! one period out usually land inside it.
+//!
+//! **Storage bound.** An empty bucket holds no storage: the pop that
+//! drains a bucket hands its vector to a list of spares, which the next
+//! bucket to fill takes, so storage circulates rather than being
+//! reallocated. A pop trims a bucket to at most twice its events plus 8
+//! entries of capacity (a spare to at most 8), and the spares never
+//! outnumber the pending events. So the retained entry capacity
+//! ([`CalendarKind::retained_entries`]) is at most
+//! `2·len + 8·(nonempty buckets + spares) ≤ 18·len` for `len` pending
+//! events, whatever the run's history, and the ring itself has at most
+//! `max(16, 8·len)` buckets of 24 bytes. `calendar_props` asserts both.
 //!
 //! **Pop-order contract.** Every event carries a unique sequence number,
 //! and the calendar pops in strictly increasing `(time, seq)` order — a
 //! total order, so a run's event sequence, tie-breaking included, is a
 //! function of its pushes alone. The tests pin it against a plain
 //! `BinaryHeap<Reverse<Scheduled>>` reference: a lockstep unit test here
-//! and a lockstep proptest (`calendar_props`) over ties, spills and
-//! interleaved pushes and pops.
+//! and lockstep proptests and schedules (`calendar_props`) over ties,
+//! spills, bursts, long gaps and interleaved pushes and pops.
 //!
 //! Why the bucket ring beats a binary heap at scale: the heap's
 //! sift-down touches O(log n) cache lines scattered across a potentially
 //! multi-megabyte array, while the ring touches one short, hot `Vec` per
 //! operation. Near-term completions land in the *current* bucket, which
-//! is kept sorted by binary-search insertion; future buckets take an
-//! O(1) append and sort lazily when the window reaches them.
+//! is kept sorted by binary-search insertion; other buckets take an
+//! O(1) append and sort lazily when the drain reaches them.
 
 use crate::time::SimTime;
 use fpsping_obs::Counter;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 static ENQUEUES: Counter = Counter::new("sim.calendar.enqueues");
 static SPILLS: Counter = Counter::new("sim.calendar.spills");
 static RESIZES: Counter = Counter::new("sim.calendar.resizes");
 
-/// Initial ring size (power of two).
-const INIT_BUCKETS: usize = 64;
-/// Grow the ring when events-per-bucket exceeds this on average.
-const GROW_OCCUPANCY: usize = 8;
-/// Never grow past this many buckets (backstop, not a tuning knob).
-const MAX_BUCKETS: usize = 1 << 20;
+/// The fewest buckets the ring holds (power of two).
+const MIN_BUCKETS: usize = 16;
+/// Entries of capacity a bucket keeps beyond twice its pending events,
+/// and a spare keeps, so storage that circulates between buckets is not
+/// reallocated at every fill.
+const KEEP: usize = 8;
 
 /// The calendar choice of [`crate::NetworkConfig::calendar`] and
 /// [`crate::ScaleConfig::calendar`]. It has one variant: it, its
@@ -51,8 +77,8 @@ pub enum Calendar {
 
 impl Calendar {
     /// Builds the calendar. `capacity` is unused. `horizon` is the
-    /// expected maximum scheduling look-ahead: the bucket ring sizes its
-    /// window from it (spills keep correctness if it is underestimated).
+    /// expected maximum scheduling look-ahead: the first ring spans it,
+    /// and the drained events set the width from then on.
     pub fn build<T>(self, _capacity: usize, horizon: SimTime) -> CalendarKind<T> {
         CalendarKind::new(horizon)
     }
@@ -93,22 +119,15 @@ impl<T> Ord for Scheduled<T> {
 pub struct CalendarStats {
     /// Events pushed.
     pub enqueues: u64,
-    /// Events that landed beyond the bucket horizon.
+    /// Events pushed a ring span or more ahead of the drain, which wait
+    /// in their bucket for the drain's next lap.
     pub spills: u64,
-    /// Ring doublings.
+    /// Re-filings of the ring: a bucket count doubled or halved, or a
+    /// new bucket width.
     pub resizes: u64,
 }
 
 impl CalendarStats {
-    /// Component-wise sum (for aggregating per-shard calendars).
-    pub fn merged(self, other: CalendarStats) -> CalendarStats {
-        CalendarStats {
-            enqueues: self.enqueues + other.enqueues,
-            spills: self.spills + other.spills,
-            resizes: self.resizes + other.resizes,
-        }
-    }
-
     /// Adds these counts to the global `sim.calendar.*` obs counters.
     pub fn flush_obs(self) {
         ENQUEUES.add(self.enqueues);
@@ -117,82 +136,101 @@ impl CalendarStats {
     }
 }
 
-#[derive(Debug)]
-struct Bucket<T> {
-    /// Events of one absolute bucket window. When `sorted`, descending
-    /// by `(time, seq)` so the minimum pops from the back in O(1).
-    items: Vec<Scheduled<T>>,
-    sorted: bool,
-}
+/// One bucket's events: those whose absolute bucket index is its slot
+/// modulo the ring size. The bucket the drain is in is kept sorted,
+/// descending by `(time, seq)`, so the minimum pops from the back.
+type Bucket<T> = Vec<Scheduled<T>>;
 
-/// The pending-event set: a bucketed calendar queue.
+/// The pending-event set: a calendar queue.
 ///
 /// Invariants:
-/// * every ring event's absolute bucket index lies in
-///   `[cur, cur + nbuckets)` — anything later sits in `overflow`;
-/// * ring slot `b & mask` holds only events of absolute bucket `b`
-///   (one window per slot at a time);
-/// * `floor` (the last popped time) lower-bounds every pending event,
-///   so pushes never land before the current window.
+/// * ring slot `b & mask` holds exactly the events of the absolute
+///   buckets `b ≡ slot (mod nbuckets)`;
+/// * every pending event's absolute bucket is at least `cur`, and after
+///   a pop `cur` is the popped event's bucket, so pushes (never earlier
+///   than the last pop) never land before the drain;
+/// * an empty bucket holds no storage, a non-empty one at most twice
+///   its events plus `KEEP` entries, a spare at most `KEEP`; there are
+///   at most `len` spares and `max(MIN_BUCKETS, 8·len)` buckets.
 #[derive(Debug)]
 pub struct CalendarKind<T> {
     buckets: Vec<Bucket<T>>,
+    /// Storage of drained buckets, handed to the next bucket that fills.
+    spare: Vec<Bucket<T>>,
     /// `nbuckets - 1`; ring size is a power of two.
     mask: u64,
     /// Bucket width is `1 << shift` nanoseconds — a power of two so the
     /// per-event bucket index is a shift, not a 64-bit division (the
     /// single most frequent arithmetic op in the calendar hot path).
     shift: u32,
-    /// Absolute index of the current bucket window.
+    /// Absolute index of the bucket the drain is in.
     cur: u64,
-    /// Events held in the ring (excludes `overflow`).
-    ring_len: usize,
-    /// `GROW_OCCUPANCY * nbuckets`, precomputed so the per-push grow
-    /// check is one compare; `usize::MAX` once [`MAX_BUCKETS`] is hit.
+    /// Whether that bucket is sorted (the others are sorted when the
+    /// drain reaches them).
+    cur_sorted: bool,
+    /// Pending events.
+    len: usize,
+    /// `nbuckets / 2`: a push past it doubles the ring.
     grow_at: usize,
+    /// `nbuckets / 8` (0 at `MIN_BUCKETS`): a pop below it halves the ring.
+    shrink_at: usize,
     /// Time of the last popped event — the causality floor.
     floor: SimTime,
-    overflow: BinaryHeap<Reverse<Scheduled<T>>>,
+    /// Buckets the drain has opened (popped a first event of).
+    opened: u64,
+    /// Pops and `opened` when the current width-measuring window began.
+    window: (u64, u64),
     stats: CalendarStats,
 }
 
 impl<T> CalendarKind<T> {
-    /// A ring of `INIT_BUCKETS` buckets spanning roughly `horizon`
-    /// (the width rounds up to a power of two, so the covered window is
-    /// at least `horizon`).
+    /// A ring of 16 buckets spanning roughly `horizon` (the width rounds
+    /// up to a power of two, so the first span is at least `horizon`).
     pub fn new(horizon: SimTime) -> Self {
-        let width = (horizon.as_nanos() / INIT_BUCKETS as u64).max(1);
-        let shift = width.next_power_of_two().trailing_zeros();
-        Self {
-            buckets: (0..INIT_BUCKETS)
-                .map(|_| Bucket {
-                    items: Vec::new(),
-                    sorted: true,
-                })
-                .collect(),
-            mask: INIT_BUCKETS as u64 - 1,
-            shift,
+        let width = (horizon.as_nanos() / MIN_BUCKETS as u64).max(1);
+        let mut c = Self {
+            buckets: Vec::new(),
+            spare: Vec::new(),
+            mask: 0,
+            shift: 0,
             cur: 0,
-            ring_len: 0,
-            grow_at: GROW_OCCUPANCY * INIT_BUCKETS,
+            cur_sorted: false,
+            len: 0,
+            grow_at: 0,
+            shrink_at: 0,
             floor: SimTime::ZERO,
-            overflow: BinaryHeap::new(),
+            opened: 0,
+            window: (0, 0),
             stats: CalendarStats::default(),
-        }
+        };
+        c.refile(MIN_BUCKETS, width.next_power_of_two().trailing_zeros());
+        c.stats.resizes = 0;
+        c
     }
 
-    fn nbuckets(&self) -> u64 {
-        self.mask + 1
+    /// Buckets in the ring.
+    pub fn nbuckets(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Entries of capacity the buckets and the spares hold, pending
+    /// events included: at most `18·len` (see the module doc).
+    pub fn retained_entries(&self) -> usize {
+        self.buckets
+            .iter()
+            .chain(&self.spare)
+            .map(Vec::capacity)
+            .sum()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// The run's operation counts so far.
@@ -204,137 +242,163 @@ impl<T> CalendarKind<T> {
     #[inline]
     pub fn push(&mut self, s: Scheduled<T>) {
         self.stats.enqueues += 1;
-        self.place(s);
-        if self.ring_len > self.grow_at {
-            self.grow();
-        }
-    }
-
-    /// Files an event into its ring bucket or the overflow heap.
-    #[inline]
-    fn place(&mut self, s: Scheduled<T>) {
         let b = s.time.as_nanos() >> self.shift;
         debug_assert!(b >= self.cur, "event scheduled before the current window");
-        if b >= self.cur + self.nbuckets() {
+        if b - self.cur > self.mask {
             self.stats.spills += 1;
-            self.overflow.push(Reverse(s));
-            return;
         }
         let bucket = &mut self.buckets[(b & self.mask) as usize];
-        if b == self.cur && bucket.sorted {
+        if bucket.capacity() == 0 {
+            if let Some(v) = self.spare.pop() {
+                *bucket = v;
+            }
+        }
+        if (b ^ self.cur) & self.mask == 0 && self.cur_sorted {
             // The draining bucket stays sorted (descending), so the
             // in-order pop survives inserts of near-term completions.
             let key = (s.time, s.seq);
-            let pos = bucket.items.partition_point(|e| (e.time, e.seq) > key);
-            // lint:allow(unbounded_push): Vec::insert into the current bucket — occupancy is bounded by the grow threshold
-            bucket.items.insert(pos, s);
+            let pos = bucket.partition_point(|e| (e.time, e.seq) > key);
+            // lint:allow(unbounded_push): Vec::insert into the current bucket — it holds pending events only; `take` bounds its spare capacity
+            bucket.insert(pos, s);
         } else {
-            // lint:allow(unbounded_push): ring bucket storage is recycled each window; total held events are the pending-event set
-            bucket.items.push(s);
-            bucket.sorted = false;
+            // lint:allow(unbounded_push): a bucket holds pending events only; `take` bounds its spare capacity
+            bucket.push(s);
         }
-        self.ring_len += 1;
+        self.len += 1;
+        if self.len > self.grow_at {
+            self.refile(2 * self.buckets.len(), self.shift);
+        }
     }
 
     /// Removes and returns the earliest event in `(time, seq)` order.
     #[inline]
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
-        // Fast path — the common steady-state shape: nothing spilled,
-        // and the current bucket is sorted with events left, so the
-        // minimum is simply its back element. (With spills pending the
-        // window may owe the current bucket a migrated event, so the
-        // slow path must run first.)
-        if self.overflow.is_empty() {
-            let bucket = &mut self.buckets[(self.cur & self.mask) as usize];
-            if bucket.sorted {
-                if let Some(s) = bucket.items.pop() {
-                    self.ring_len -= 1;
-                    self.floor = s.time;
-                    return Some(s);
-                }
-            }
+        // Fast path — the common steady-state shape: the current bucket
+        // is sorted and its minimum belongs to the current window.
+        let slot = (self.cur & self.mask) as usize;
+        if self.cur_sorted
+            && self.buckets[slot]
+                .last()
+                .is_some_and(|e| e.time.as_nanos() >> self.shift == self.cur)
+        {
+            return Some(self.take(slot));
         }
         self.pop_slow()
     }
 
     fn pop_slow(&mut self) -> Option<Scheduled<T>> {
-        if self.ring_len == 0 && self.overflow.is_empty() {
+        if self.len == 0 {
             return None;
         }
+        self.retune();
+        let mut idle = 0;
         loop {
-            // Re-admit overflow events the advancing window now covers.
-            while let Some(Reverse(top)) = self.overflow.peek() {
-                if top.time.as_nanos() >> self.shift < self.cur + self.nbuckets() {
-                    // lint:allow(unwrap): peek above proved the heap is non-empty
-                    let Reverse(s) = self.overflow.pop().expect("peeked overflow");
-                    self.place(s);
-                } else {
-                    break;
-                }
+            let slot = (self.cur & self.mask) as usize;
+            let bucket = &mut self.buckets[slot];
+            if !self.cur_sorted {
+                bucket.sort_unstable_by_key(|s| std::cmp::Reverse((s.time, s.seq)));
+                self.cur_sorted = true;
             }
-            if self.ring_len == 0 {
-                // Ring drained: jump the window to the earliest spilled
-                // event and migrate it on the next pass.
-                let Reverse(top) = self.overflow.peek()?;
-                self.cur = top.time.as_nanos() >> self.shift;
-                continue;
-            }
-            while self.buckets[(self.cur & self.mask) as usize]
-                .items
-                .is_empty()
+            if bucket
+                .last()
+                .is_some_and(|e| e.time.as_nanos() >> self.shift == self.cur)
             {
-                self.cur += 1;
+                self.opened += 1;
+                return Some(self.take(slot));
             }
-            let bucket = &mut self.buckets[(self.cur & self.mask) as usize];
-            if !bucket.sorted {
-                bucket
-                    .items
-                    .sort_unstable_by_key(|s| std::cmp::Reverse((s.time, s.seq)));
-                bucket.sorted = true;
+            self.cur += 1;
+            self.cur_sorted = false;
+            idle += 1;
+            if idle == self.buckets.len() {
+                // A whole lap without an event of its window: jump to
+                // the earliest pending event's bucket (Brown's direct
+                // search).
+                let earliest = self.buckets.iter().flatten().map(|e| e.time);
+                // lint:allow(unwrap): `len > 0`, so some bucket holds an event
+                self.cur = earliest.min().expect("a pending event").as_nanos() >> self.shift;
+                idle = 0;
             }
-            // lint:allow(unwrap): the advance loop stopped on a non-empty bucket
-            let s = bucket.items.pop().expect("non-empty bucket");
-            if bucket.items.is_empty() {
-                bucket.sorted = true;
-            }
-            self.ring_len -= 1;
-            self.floor = s.time;
-            return Some(s);
         }
     }
 
-    /// Doubles the ring (halving the bucket width, to a 1 ns floor) and
-    /// re-files every ring event. Events that no longer fit the window
-    /// re-spill; `place` keeps the invariants.
-    fn grow(&mut self) {
+    /// Pops the back (minimum) event of the sorted bucket `slot`, and
+    /// keeps the storage bound: a bucket gives back capacity past twice
+    /// its events plus `KEEP`, and a drained one hands its storage to
+    /// the spares (while there are fewer spares than pending events).
+    #[inline]
+    fn take(&mut self, slot: usize) -> Scheduled<T> {
+        let bucket = &mut self.buckets[slot];
+        // lint:allow(unwrap): both callers checked the bucket's last event
+        let s = bucket.pop().expect("non-empty bucket");
+        if bucket.capacity() > 2 * bucket.len() + KEEP {
+            bucket.shrink_to(KEEP.max(bucket.len()));
+        }
+        self.len -= 1;
+        if bucket.is_empty() {
+            let storage = std::mem::take(bucket);
+            if self.spare.len() < self.len {
+                // lint:allow(unbounded_push): fewer spares than pending events, checked above
+                self.spare.push(storage);
+            }
+        }
+        if self.spare.len() > self.len {
+            self.spare.pop();
+        }
+        self.floor = s.time;
+        if self.len < self.shrink_at {
+            self.refile(self.buckets.len() / 2, self.shift);
+        }
+        s
+    }
+
+    /// Brown's width rule, once a window of `nbuckets` pops has drained:
+    /// three times the mean separation of the drained events, measured
+    /// as the width times the buckets opened over the pops made.
+    fn retune(&mut self) {
+        let pops = self.stats.enqueues - self.len as u64;
+        let drained = pops - self.window.0;
+        if drained < self.buckets.len() as u64 {
+            return;
+        }
+        let opened = (self.opened - self.window.1).max(1);
+        self.window = (pops, self.opened);
+        // Ideal width over the current one.
+        let ratio = 3.0 * opened as f64 / drained as f64;
+        if ratio > 0.5 && ratio < 2.0 {
+            return;
+        }
+        let shift = (f64::from(self.shift) + ratio.log2())
+            .round()
+            .clamp(0.0, 63.0) as u32;
+        if shift != self.shift {
+            self.refile(self.buckets.len(), shift);
+        }
+    }
+
+    /// Re-files every pending event into a fresh ring of `nbuckets`
+    /// buckets `1 << shift` ns wide, anchored at the causality floor
+    /// (every pending event is at or after the last popped time).
+    #[cold]
+    fn refile(&mut self, nbuckets: usize, shift: u32) {
         self.stats.resizes += 1;
-        let mut held: Vec<Scheduled<T>> = Vec::with_capacity(self.ring_len);
-        for bucket in &mut self.buckets {
-            held.append(&mut bucket.items);
-            bucket.sorted = true;
-        }
-        let new_n = self.buckets.len() * 2;
-        self.buckets.resize_with(new_n, || Bucket {
-            items: Vec::new(),
-            sorted: true,
-        });
-        self.mask = new_n as u64 - 1;
-        self.shift = self.shift.saturating_sub(1);
-        self.grow_at = if new_n < MAX_BUCKETS {
-            GROW_OCCUPANCY * new_n
+        let fresh = (0..nbuckets).map(|_| Vec::new()).collect();
+        let old = std::mem::replace(&mut self.buckets, fresh);
+        self.spare = Vec::new();
+        self.mask = nbuckets as u64 - 1;
+        self.shift = shift;
+        self.grow_at = nbuckets / 2;
+        self.shrink_at = if nbuckets > MIN_BUCKETS {
+            nbuckets / 8
         } else {
-            usize::MAX
+            0
         };
-        // Anchor the window at the causality floor: every pending event
-        // is at or after the last popped time.
-        self.cur = self.floor.as_nanos() >> self.shift;
-        self.ring_len = 0;
-        let spills_before = self.stats.spills;
-        for s in held {
-            self.place(s);
+        self.cur = self.floor.as_nanos() >> shift;
+        self.cur_sorted = false;
+        for s in old.into_iter().flatten() {
+            // lint:allow(unbounded_push): re-files pending events only
+            self.buckets[((s.time.as_nanos() >> shift) & self.mask) as usize].push(s);
         }
-        // Re-spills during the re-file are bookkeeping, not workload.
-        self.stats.spills = spills_before;
+        self.window = (self.stats.enqueues - self.len as u64, self.opened);
     }
 }
 
@@ -342,6 +406,8 @@ impl<T> CalendarKind<T> {
 mod tests {
     use super::*;
     use crate::rng::BatchRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// The reference calendar: a binary min-heap over `(time, seq)`.
     type Reference = BinaryHeap<Reverse<Scheduled<u32>>>;

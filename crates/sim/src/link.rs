@@ -7,15 +7,17 @@ use crate::time::SimTime;
 
 /// A transmission link with rate, propagation delay and an output queue.
 ///
-/// The queue is a [`SchedulerKind`] enum stored inline — discipline
-/// dispatch in the per-packet hot path is a match, not a virtual call,
-/// and building a link performs no queue allocation.
+/// The queue is a [`SchedulerKind`] enum — discipline dispatch in the
+/// per-packet hot path is a match, not a virtual call, and a FIFO link
+/// holds its queue inline. A packet's serialization time is computed
+/// once, when it enters service, and kept beside it until it departs.
 #[derive(Debug)]
 pub struct Link {
     rate_bps: f64,
     propagation: SimTime,
     queue: SchedulerKind,
-    in_service: Option<Packet>,
+    /// The packet on the line and its service time.
+    in_service: Option<(Packet, SimTime)>,
     /// Total busy time (for utilization accounting).
     pub busy_time: SimTime,
 }
@@ -66,35 +68,43 @@ impl Link {
     /// it queues.
     pub fn offer(&mut self, p: Packet, now: SimTime) -> LinkAction {
         if self.in_service.is_none() {
-            let done = now + self.serialization(p.size_bytes);
-            self.busy_time += self.serialization(p.size_bytes);
-            self.in_service = Some(p);
-            LinkAction::ScheduleCompletion(done)
+            self.start(p, now)
         } else {
             self.queue.enqueue(p);
             LinkAction::None
         }
     }
 
+    /// Puts `p` on the line at `now`.
+    fn start(&mut self, p: Packet, now: SimTime) -> LinkAction {
+        let service = self.serialization(p.size_bytes);
+        self.busy_time += service;
+        self.in_service = Some((p, service));
+        LinkAction::ScheduleCompletion(now + service)
+    }
+
     /// Completes the in-service packet at time `now`; returns the
     /// delivered packet (after propagation, i.e. the caller should treat
     /// `now + propagation` as the arrival instant) and the next action.
     pub fn complete(&mut self, now: SimTime) -> (Packet, LinkAction) {
-        let done = self
+        let (p, _, action) = self.depart(now);
+        (p, action)
+    }
+
+    /// [`Link::complete`], also handing back the delivered packet's
+    /// service time on this link, so `now` minus it is when its service
+    /// began.
+    pub fn depart(&mut self, now: SimTime) -> (Packet, SimTime, LinkAction) {
+        let (done, service) = self
             .in_service
             .take()
             // lint:allow(unwrap): the event loop only schedules a completion while a packet is in service
             .expect("complete called on idle link");
         let action = match self.queue.dequeue() {
-            Some(next) => {
-                let finish = now + self.serialization(next.size_bytes);
-                self.busy_time += self.serialization(next.size_bytes);
-                self.in_service = Some(next);
-                LinkAction::ScheduleCompletion(finish)
-            }
+            Some(next) => self.start(next, now),
             None => LinkAction::None,
         };
-        (done, action)
+        (done, service, action)
     }
 }
 
@@ -150,6 +160,25 @@ mod tests {
         // ...but the game packet jumps the remaining elastic one.
         let (second, _) = l.complete(SimTime::from_millis(12.8));
         assert_eq!(second.flow, 9);
+    }
+
+    #[test]
+    fn depart_hands_back_the_service_time() {
+        let mut l = Link::new(1_000_000.0, SimTime::ZERO, Discipline::Fifo);
+        let _ = l.offer(Packet::game(125.0, 0, SimTime::ZERO), SimTime::ZERO);
+        let _ = l.offer(Packet::game(250.0, 1, SimTime::ZERO), SimTime::ZERO);
+        let (first, service, _) = l.depart(SimTime::from_millis(1.0));
+        assert_eq!((first.flow, service), (0, SimTime::from_millis(1.0)));
+        let (second, service, _) = l.depart(SimTime::from_millis(3.0));
+        assert_eq!((second.flow, service), (1, l.serialization(250.0)));
+    }
+
+    #[test]
+    fn boxed_disciplines_keep_a_fifo_link_small() {
+        // Priority and WFQ state sits behind a `Box`, so the FIFO links
+        // the topology is mostly made of stay two cache lines wide.
+        let size = std::mem::size_of::<Link>();
+        assert!(size <= 128, "a link is {size} bytes");
     }
 
     #[test]

@@ -304,18 +304,22 @@ enum Ev {
     ClientEmit(u32),
     ServerTick,
     LinkComplete(u32),
-    /// Link id and the `delayed` slot of the packet it delivers.
-    Deliver(u32, u32),
+    /// The `delayed` slot of the packet a jittered access downlink
+    /// delivers to its client.
+    Deliver(u32),
     BgEmit(u32),
 }
 
 /// The running simulation.
 ///
-/// The event loop is allocation-free in steady state. A calendar entry
-/// is 32 bytes: time, sequence number and an `Ev` of integer ids. The
-/// calendar is the event pool: its bucket vectors keep their capacity,
-/// so `pop`/`push` recycle its storage. Packets are `Copy` and wait in
-/// their links' queues, which sit inline behind enum dispatch. A packet
+/// The event loop allocates next to nothing in steady state. A calendar
+/// entry is 24 bytes: time, sequence number and an `Ev` of integer ids.
+/// The calendar is the event pool: a drained bucket's vector goes to the
+/// calendar's spares and the next bucket to fill takes it, so
+/// `pop`/`push` recycle its storage (it reallocates only when a bucket
+/// outgrows the storage it took). Packets are `Copy` and wait in their
+/// links' queues behind enum dispatch; a link computes a packet's
+/// service time once, as it enters service. A packet
 /// whose delivery a downlink delays by jitter waits in the `delayed`
 /// slab until its `Deliver` event; freed slots are reused first, so the
 /// slab stays at the high-water mark of pending deliveries. The per-tick
@@ -554,10 +558,10 @@ impl Network {
                 Ev::ClientEmit(i) => self.on_client_emit(i),
                 Ev::ServerTick => self.on_server_tick(),
                 Ev::LinkComplete(l) => self.on_link_complete(l as usize),
-                Ev::Deliver(l, slot) => {
+                Ev::Deliver(slot) => {
                     // lint:allow(unbounded_push): a slot is freed once per parking, so the list never outgrows the slab
                     self.free_slots.push(slot);
-                    self.on_deliver(l as usize, self.delayed[slot as usize]);
+                    self.on_client_arrival(self.delayed[slot as usize]);
                 }
                 Ev::BgEmit(l) => self.on_bg_emit(l as usize),
             }
@@ -665,27 +669,18 @@ impl Network {
     }
 
     fn on_link_complete(&mut self, link: usize) {
-        let (p, action) = self.links[link].complete(self.now);
+        let (p, service, action) = self.links[link].depart(self.now);
         if let LinkAction::ScheduleCompletion(t) = action {
             self.schedule(t, Ev::LinkComplete(link as u32));
         }
-        let mut extra = self.links[link].propagation();
-        // Artificial jitter on the access downlinks (reference [23]).
-        if link >= self.cfg.n_clients + 2 {
-            if let Some(jitter) = &self.cfg.downlink_jitter_ms {
-                let j = jitter.sample(&mut self.rng).max(0.0);
-                extra += SimTime::from_millis(j);
-            }
-        }
-        if extra == SimTime::ZERO {
-            self.on_deliver(link, p);
-        } else {
-            let slot = self.park(p);
-            self.schedule(self.now + extra, Ev::Deliver(link as u32, slot));
-        }
+        self.on_deliver(link, p, service);
     }
 
-    fn on_deliver(&mut self, link: usize, p: Packet) {
+    /// Hands on a packet that `link` finished serving now, `service`
+    /// after its service began. Every link `Network::new` builds has zero
+    /// propagation, so the packet reaches the next hop at once, unless an
+    /// access downlink delays it by jitter.
+    fn on_deliver(&mut self, link: usize, p: Packet, service: SimTime) {
         let n = self.cfg.n_clients;
         if link < n {
             // Access uplink → aggregation node.
@@ -707,8 +702,7 @@ impl Network {
                     self.upstream_delay.record(d);
                     // Aggregation queueing wait: service start minus
                     // enqueue at the aggregation node.
-                    let ser = self.links[link].serialization(p.size_bytes);
-                    let wait = (self.now.saturating_sub(ser)).saturating_sub(p.enqueued);
+                    let wait = (self.now.saturating_sub(service)).saturating_sub(p.enqueued);
                     self.agg_wait.record(wait.as_secs());
                 }
                 self.last_arrival[p.flow as usize] = Some(AckInfo {
@@ -721,8 +715,7 @@ impl Network {
             // Bottleneck downstream → fan-out to the access downlink.
             if p.class == TrafficClass::Game {
                 if p.burst_position == 0 && self.warm() {
-                    let ser = self.links[link].serialization(p.size_bytes);
-                    let wait = (self.now.saturating_sub(ser)).saturating_sub(p.created);
+                    let wait = (self.now.saturating_sub(service)).saturating_sub(p.created);
                     self.burst_wait.record(wait.as_secs());
                 }
                 let dest = self.downlink(p.flow as usize);
@@ -733,30 +726,44 @@ impl Network {
             // Elastic packets terminate at the fan-out (they model cross
             // traffic on the bottleneck only).
         } else {
-            // Access downlink → the client.
-            debug_assert_eq!(p.class, TrafficClass::Game);
-            self.packets_down += 1;
-            self.capture(fpsping_traffic::Direction::ServerToClient, &p);
-            if self.warm() {
-                self.downstream_delay
-                    .record((self.now - p.created).as_secs());
-                if let Some(ack) = p.ack_of {
-                    self.ping_rtt.record((self.now - ack.sent).as_secs());
-                    if let Some(seq) = ack.seq {
-                        // Hold time: the tick-alignment wait the server
-                        // echoes so the client can subtract it — its
-                        // corrected RTT is pure network delay, the
-                        // model's quantity. `finite_guard` pins the tap
-                        // in debug; the estimator boundary additionally
-                        // counts-and-skips invalid values in release.
-                        let hold_ms = finite(
-                            "sim.estimator.hold_ms",
-                            (p.created - ack.arrival).as_millis(),
-                        );
-                        let now_ms = finite("sim.estimator.now_ms", self.now.as_millis());
-                        if let Some(bank) = &mut self.estimator {
-                            bank.on_pong(p.flow as usize, seq, now_ms, hold_ms);
-                        }
+            // Access downlink → the client, after the artificial jitter
+            // of reference [23], if any.
+            if let Some(jitter) = &self.cfg.downlink_jitter_ms {
+                let extra = SimTime::from_millis(jitter.sample(&mut self.rng).max(0.0));
+                if extra != SimTime::ZERO {
+                    let slot = self.park(p);
+                    self.schedule(self.now + extra, Ev::Deliver(slot));
+                    return;
+                }
+            }
+            self.on_client_arrival(p);
+        }
+    }
+
+    /// A downstream packet reaches its client.
+    fn on_client_arrival(&mut self, p: Packet) {
+        debug_assert_eq!(p.class, TrafficClass::Game);
+        self.packets_down += 1;
+        self.capture(fpsping_traffic::Direction::ServerToClient, &p);
+        if self.warm() {
+            self.downstream_delay
+                .record((self.now - p.created).as_secs());
+            if let Some(ack) = p.ack_of {
+                self.ping_rtt.record((self.now - ack.sent).as_secs());
+                if let Some(seq) = ack.seq {
+                    // Hold time: the tick-alignment wait the server
+                    // echoes so the client can subtract it — its
+                    // corrected RTT is pure network delay, the
+                    // model's quantity. `finite_guard` pins the tap
+                    // in debug; the estimator boundary additionally
+                    // counts-and-skips invalid values in release.
+                    let hold_ms = finite(
+                        "sim.estimator.hold_ms",
+                        (p.created - ack.arrival).as_millis(),
+                    );
+                    let now_ms = finite("sim.estimator.now_ms", self.now.as_millis());
+                    if let Some(bank) = &mut self.estimator {
+                        bank.on_pong(p.flow as usize, seq, now_ms, hold_ms);
                     }
                 }
             }
@@ -808,6 +815,27 @@ mod tests {
         let short = high_water(10.0);
         assert!((1..=12).contains(&short), "slab high-water {short}");
         assert_eq!(high_water(40.0), short);
+    }
+
+    #[test]
+    fn calendar_storage_stays_bounded_in_the_sim_estimate_scenario() {
+        // perfbench's `sim_estimate` shape: 1 000 players, ρ_d = 0.5 on a
+        // 50 Mbit/s aggregation link, Erlang-9 bursts. Wherever the run
+        // stops, the calendar keeps its stated bound: at most 18 retained
+        // entries and at most 8 buckets per pending event.
+        for secs in [0.3, 2.0] {
+            let mut cfg = small_cfg(1_000, 125.0, 40.0, 5);
+            cfg.c_bps = 50e6;
+            cfg.burst_sizing = BurstSizing::ErlangBurst { k: 9 };
+            cfg.duration = SimTime::from_secs(secs);
+            let mut net = Network::new(cfg);
+            net.run_events();
+            let cal = &net.calendar;
+            let len = cal.len();
+            assert!(len > 1_000, "{len} pending events");
+            assert!(cal.retained_entries() <= 18 * len, "{secs} s");
+            assert!(cal.nbuckets() <= 8 * len, "{secs} s");
+        }
     }
 
     #[test]

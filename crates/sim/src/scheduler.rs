@@ -178,19 +178,20 @@ pub enum Discipline {
 /// The event loop calls `enqueue`/`dequeue` once per packet per hop; with
 /// a `Box<dyn Scheduler>` those were virtual calls through a fat pointer.
 /// The closed set of disciplines makes an enum the natural representation:
-/// the match compiles to a jump the branch predictor resolves, the
-/// scheduler lives inline in its [`crate::link::Link`] (no separate heap
-/// allocation), and the compiler can inline the per-variant bodies into
-/// the hot loop. [`SchedulerKind`] implements [`Scheduler`], so code
-/// written against the trait compiles unchanged.
+/// the match compiles to a jump the branch predictor resolves, and the
+/// compiler can inline the per-variant bodies into the hot loop. The FIFO
+/// queue, which every access link uses, lives inline in its
+/// [`crate::link::Link`]; the larger priority and WFQ states sit behind a
+/// `Box`, so they do not widen every link. [`SchedulerKind`] implements
+/// [`Scheduler`], so code written against the trait compiles unchanged.
 #[derive(Debug)]
 pub enum SchedulerKind {
     /// First-in first-out.
     Fifo(Fifo),
     /// Head-of-line priority.
-    Priority(HolPriority),
+    Priority(Box<HolPriority>),
     /// Weighted fair queuing.
-    Wfq(Wfq),
+    Wfq(Box<Wfq>),
 }
 
 impl Scheduler for SchedulerKind {
@@ -227,8 +228,8 @@ impl Discipline {
     pub fn build(self) -> SchedulerKind {
         match self {
             Discipline::Fifo => SchedulerKind::Fifo(Fifo::new()),
-            Discipline::Priority => SchedulerKind::Priority(HolPriority::new()),
-            Discipline::Wfq { game_weight } => SchedulerKind::Wfq(Wfq::new(game_weight)),
+            Discipline::Priority => SchedulerKind::Priority(Box::new(HolPriority::new())),
+            Discipline::Wfq { game_weight } => SchedulerKind::Wfq(Box::new(Wfq::new(game_weight))),
         }
     }
 }

@@ -8,12 +8,15 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
-# The probe's delay checks, the histogram's input check and the bit-pinned
-# simulator reports (jittered deliveries too) must hold in the release build
-# the benchmark measures, where `debug_assert!` is compiled out.
+# The probe's delay checks, the histogram's input check, the bit-pinned
+# simulator reports (jittered deliveries too), the calendar's pop order and
+# storage bound, and `SimTime`'s integer rounding must hold in the release
+# build the benchmark measures, where `debug_assert!` is compiled out.
 cargo test --release -q -p fpsping-sim --lib probe::
 cargo test --release -q -p fpsping-num --lib log_histogram::
 cargo test --release -q -p fpsping-sim --test golden_parity
+cargo test --release -q -p fpsping-sim --test calendar_props
+cargo test --release -q -p fpsping-sim --lib time::
 cargo fmt --all --check
 # Rustdoc must be warning-free, so a doc link to a deleted or private
 # item (or an unescaped citation like [23]) fails the gate.
