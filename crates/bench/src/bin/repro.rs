@@ -525,29 +525,16 @@ fn model_vs_sim() -> Vec<Table> {
                 .with_load(rho)
                 .with_erlang_order(k)
                 .with_tick_ms(t_ms);
-            let n = scenario.gamer_count().round() as usize;
             let model = RttModel::build(&scenario).expect("stable");
-            let det_down = 8.0
-                * scenario.server_packet_bytes
-                * (1.0 / scenario.c_bps + 1.0 / scenario.r_down_bps);
-            let beta = k as f64 / scenario.mean_burst_service_s();
-            let pos = PositionDelay::uniform(k, beta).unwrap();
-            // TotalDelay inverts numerically where the eq.-35 expansion
-            // is ill-conditioned (low load, high K).
-            let down = TotalDelay::new(None, model.downstream(), &pos).unwrap();
+            let (down, det_down) = model.downstream_delay().expect("stable");
             let a_mean = (down.mean() + det_down) * 1e3;
             let a_p99 = (down.quantile(0.99) + det_down) * 1e3;
             let a_p999 = (down.quantile(0.999) + det_down) * 1e3;
 
+            let n = scenario.network_config().expect("simulable").n_clients;
             let master = 0x5EED ^ ((k as u64) << 8) ^ (rho * 100.0) as u64;
             let rep = one_replication(master).run(|_| {
-                let mut cfg = NetworkConfig::paper_scenario(
-                    n,
-                    Box::new(Deterministic::new(scenario.server_packet_bytes)),
-                    t_ms,
-                    0,
-                );
-                cfg.burst_sizing = BurstSizing::ErlangBurst { k };
+                let mut cfg = scenario.network_config().expect("simulable");
                 cfg.duration = SimTime::from_secs(240.0);
                 cfg.warmup = SimTime::from_secs(5.0);
                 cfg

@@ -7,7 +7,7 @@
 //! Used by the `estimator_convergence` study of the `repro` program.
 
 use fpsping::{RttModel, Scenario};
-use fpsping_sim::{BurstSizing, NetworkConfig, SimEngine, SimEngineConfig, SimTime};
+use fpsping_sim::{SimEngine, SimEngineConfig, SimTime};
 use fpsping_traffic::EstimatorSummary;
 
 /// Parameters of one convergence study run.
@@ -71,43 +71,24 @@ pub struct Study {
     pub errors: Vec<CheckpointErr>,
 }
 
-/// The analytic quantile the estimator's hold-corrected samples estimate:
-/// upstream + downstream delay at level `p`, in ms.
-pub fn analytic_rtt_ms(scenario: &Scenario, p: f64) -> f64 {
-    let mut s = scenario.clone();
-    s.quantile = p;
-    RttModel::build(&s)
-        // lint:allow(unwrap): the paper-default study scenario has a feasible load — `build` cannot fail on it, and the study should abort loudly if that ever breaks
-        .expect("stable study scenario")
-        .rtt_quantile_ms()
-}
-
 /// Runs the study: one simulation replication with the estimator on,
-/// then the per-checkpoint error reduction against the analytic p99.
+/// then the per-checkpoint error reduction against the analytic p99 (the
+/// quantile of the upstream + downstream delay the estimator's
+/// hold-corrected samples estimate).
 pub fn run_study(cfg: &StudyConfig) -> Study {
     let s = cfg.scenario();
-    let analytic_p99_ms = analytic_rtt_ms(&s, 0.99);
-    let analytic_p999_ms = analytic_rtt_ms(&s, 0.999);
+    // lint:allow(unwrap): the study scenario must be feasible — the study should abort loudly if it is not
+    let model = RttModel::build(&s).expect("stable study scenario");
+    let analytic_p99_ms = model.rtt_quantile_ms_at(0.99);
+    let analytic_p999_ms = model.rtt_quantile_ms_at(0.999);
     let engine = SimEngine::new(SimEngineConfig {
         reps: 1,
         jobs: 1,
         master_seed: cfg.seed,
     });
-    let rep = engine.run(move |_| {
-        let mut net = NetworkConfig::paper_scenario(
-            s.gamer_count().round() as usize,
-            Box::new(fpsping_dist::Deterministic::new(s.server_packet_bytes)),
-            s.t_ms,
-            0,
-        );
-        net.client_packet_bytes = Box::new(fpsping_dist::Deterministic::new(s.client_packet_bytes));
-        net.client_interval_ms = Box::new(fpsping_dist::Deterministic::new(
-            s.effective_client_interval_ms(),
-        ));
-        net.r_up_bps = s.r_up_bps;
-        net.r_down_bps = s.r_down_bps;
-        net.c_bps = s.c_bps;
-        net.burst_sizing = BurstSizing::ErlangBurst { k: s.erlang_order };
+    let rep = engine.run(|_| {
+        // lint:allow(unwrap): a gamer count that rounds to an invalid network should abort the study loudly
+        let mut net = s.network_config().expect("simulable study scenario");
         net.duration = SimTime::from_secs(cfg.sim_seconds);
         net.estimate = true;
         net

@@ -470,33 +470,19 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             scale_n,
             shards,
         } => {
-            use fpsping_sim::{BurstSizing, NetworkConfig, SimEngine, SimEngineConfig, SimTime};
+            use fpsping_sim::{SimEngine, SimEngineConfig, SimTime};
             if *scale_n > 0 {
                 return run_scale(*scale_n, *shards, *sim_seconds, *seed);
             }
-            s.validate().map_err(|e| e.to_string())?;
-            let n = s.gamer_count().round().max(1.0) as usize;
+            let n = s.network_config().map_err(|e| e.to_string())?.n_clients;
             let engine = SimEngine::new(SimEngineConfig {
                 reps: *reps,
                 jobs: *jobs,
                 master_seed: *seed,
             });
             let rep = engine.run(|_| {
-                let mut cfg = NetworkConfig::paper_scenario(
-                    n,
-                    Box::new(fpsping_dist::Deterministic::new(s.server_packet_bytes)),
-                    s.t_ms,
-                    0,
-                );
-                cfg.client_packet_bytes =
-                    Box::new(fpsping_dist::Deterministic::new(s.client_packet_bytes));
-                cfg.client_interval_ms = Box::new(fpsping_dist::Deterministic::new(
-                    s.effective_client_interval_ms(),
-                ));
-                cfg.r_up_bps = s.r_up_bps;
-                cfg.r_down_bps = s.r_down_bps;
-                cfg.c_bps = s.c_bps;
-                cfg.burst_sizing = BurstSizing::ErlangBurst { k: s.erlang_order };
+                // lint:allow(unwrap): `network_config` succeeded on this scenario above
+                let mut cfg = s.network_config().expect("validated scenario");
                 cfg.duration = SimTime::from_secs(*sim_seconds);
                 cfg.estimate = *estimate;
                 cfg
@@ -561,12 +547,9 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 // The estimator observes hold-corrected RTTs — exactly the
                 // upstream + downstream network delay the analytic model's
                 // quantile describes — so the two are directly comparable.
+                let model = RttModel::build(s).map_err(|e| e.to_string())?;
                 for (label, level) in [("p99  ", 0.99), ("p99.9", 0.999)] {
-                    let mut at = s.clone();
-                    at.quantile = level;
-                    let analytic = RttModel::build(&at)
-                        .map_err(|e| e.to_string())?
-                        .rtt_quantile_ms();
+                    let analytic = model.rtt_quantile_ms_at(level);
                     match est.pooled_ms(level) {
                         Some(m) => {
                             let err = 100.0 * (m - analytic) / analytic;

@@ -128,6 +128,14 @@ impl RttModel {
         self.rtt_quantile_ms_with_hint(None)
     }
 
+    /// The RTT quantile at level `p` instead of the scenario's own, in
+    /// milliseconds. No component depends on the level, so this equals
+    /// [`RttModel::rtt_quantile_ms`] of the scenario rebuilt with
+    /// `quantile = p`, bit for bit. Panics unless `p ∈ (0, 1)`.
+    pub fn rtt_quantile_ms_at(&self, p: f64) -> f64 {
+        (self.total.quantile(p) + self.scenario.deterministic_delay_s()) * 1e3
+    }
+
     /// [`RttModel::rtt_quantile_ms`] with a warm-start hint: a nearby
     /// cell's RTT (ms), typically the neighbor along a sweep's monotone
     /// axis. The hint only seeds the canonical bracket search, so the
@@ -152,6 +160,21 @@ impl RttModel {
         let det = self.scenario.deterministic_delay_s();
         let hint_s = hint_ms.map(|h| h / 1e3 - det).filter(|h| *h > 0.0);
         (self.total.quantile_fast(self.scenario.quantile, hint_s) + det) * 1e3
+    }
+
+    /// The analytic downstream delay, server tick to client arrival, as
+    /// the simulator's `downstream_delay` probe measures it: the burst
+    /// wait ⊗ the uniform position in the burst (eq. 35 without the
+    /// upstream term, inverted numerically where its expansion is
+    /// ill-conditioned), and the fixed P_S serialization on C and on
+    /// R_down in seconds.
+    pub fn downstream_delay(&self) -> Result<(TotalDelay, f64), QueueError> {
+        let s = &self.scenario;
+        let beta = s.erlang_order as f64 / s.mean_burst_service_s();
+        let position = PositionDelay::uniform(s.erlang_order, beta)?;
+        let law = TotalDelay::new(None, &self.downstream, &position)?;
+        let fixed_s = 8.0 * s.server_packet_bytes * (1.0 / s.c_bps + 1.0 / s.r_down_bps);
+        Ok((law, fixed_s))
     }
 
     /// Tail of the full RTT: `P(RTT > rtt_ms)`.

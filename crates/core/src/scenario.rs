@@ -1,6 +1,8 @@
 //! Scenario description: the network and traffic parameters of §4.
 
+use fpsping_dist::Deterministic;
 use fpsping_queue::QueueError;
+use fpsping_sim::{BurstSizing, NetworkConfig};
 
 /// The largest Erlang order `K` a scenario may carry.
 ///
@@ -223,6 +225,39 @@ impl Scenario {
         }
         Ok(())
     }
+
+    /// The packet-level network that simulates this scenario: N = the
+    /// rounded gamer count, this scenario's P_C, client interval, P_S,
+    /// R_up, R_down, C and T, burst sizes Erlang of order K
+    /// ([`BurstSizing::ErlangBurst`]), and
+    /// [`NetworkConfig::paper_scenario`]'s defaults for everything else.
+    /// The caller sets `duration`, `warmup`, `seed` and `estimate`.
+    ///
+    /// A network holds a whole number of gamers, so the scenario it
+    /// simulates is `self.clone().with_gamers(round(N))`. Both this
+    /// scenario and that one must [`Scenario::validate`]: a gamer count
+    /// that rounds to 0 is refused (ρ_d = 0), and so is a rounding that
+    /// pushes either direction to load 1 or more.
+    pub fn network_config(&self) -> Result<NetworkConfig, QueueError> {
+        self.validate()?;
+        let n = self.gamer_count().round() as u32;
+        self.clone().with_gamers(n).validate()?;
+        let mut cfg = NetworkConfig::paper_scenario(
+            n as usize,
+            Box::new(Deterministic::new(self.server_packet_bytes)),
+            self.t_ms,
+            0,
+        );
+        cfg.client_packet_bytes = Box::new(Deterministic::new(self.client_packet_bytes));
+        cfg.client_interval_ms = Box::new(Deterministic::new(self.effective_client_interval_ms()));
+        cfg.r_up_bps = self.r_up_bps;
+        cfg.r_down_bps = self.r_down_bps;
+        cfg.c_bps = self.c_bps;
+        cfg.burst_sizing = BurstSizing::ErlangBurst {
+            k: self.erlang_order,
+        };
+        Ok(cfg)
+    }
 }
 
 #[cfg(test)]
@@ -322,6 +357,110 @@ mod tests {
         let mut bad = s.clone();
         bad.client_interval_ms = Some(-3.0);
         assert!(bad.validate().is_err());
+    }
+
+    /// A scenario that differs from the paper's in every field the
+    /// bridge maps: P_C, client interval, R_up, C, K and a gamer count.
+    fn non_default() -> Scenario {
+        let mut s = Scenario::paper_default()
+            .with_gamers(40)
+            .with_erlang_order(5)
+            .with_client_interval_ms(50.0);
+        s.client_packet_bytes = 60.0;
+        s.r_up_bps = 256_000.0;
+        s.c_bps = 10_000_000.0;
+        s
+    }
+
+    #[test]
+    fn network_config_maps_every_field() {
+        use fpsping_sim::scheduler::Discipline;
+        use fpsping_sim::{Calendar, SimTime};
+        let cfg = non_default().network_config().unwrap();
+        assert_eq!(cfg.n_clients, 40);
+        assert_eq!(cfg.client_packet_bytes.mean(), 60.0);
+        assert_eq!(cfg.client_interval_ms.mean(), 50.0);
+        assert_eq!(cfg.server_packet_bytes.mean(), 125.0);
+        assert_eq!(cfg.r_up_bps, 256_000.0);
+        assert_eq!(cfg.r_down_bps, 1_024_000.0);
+        assert_eq!(cfg.c_bps, 10_000_000.0);
+        assert_eq!(cfg.tick_ms, 40.0);
+        assert!(matches!(
+            cfg.burst_sizing,
+            BurstSizing::ErlangBurst { k: 5 }
+        ));
+        // Everything else is `paper_scenario`'s default.
+        assert_eq!(cfg.discipline, Discipline::Fifo);
+        assert!(cfg.background.is_none());
+        assert_eq!(cfg.duration, SimTime::from_secs(60.0));
+        assert_eq!(cfg.warmup, SimTime::from_secs(2.0));
+        assert_eq!(cfg.seed, 0);
+        assert!(!cfg.stream_quantiles && !cfg.estimate && !cfg.capture_trace);
+        assert_eq!(cfg.tail_thresholds_s, [0.010, 0.025, 0.050, 0.100, 0.200]);
+        assert!(cfg.client_overrides.is_none());
+        assert!(cfg.downlink_jitter_ms.is_none());
+        assert_eq!(cfg.calendar, Calendar::Bucket);
+    }
+
+    #[test]
+    fn network_config_simulates_what_the_hand_mapping_did() {
+        use fpsping_sim::SimTime;
+        // The mapping the CLI wrote out by hand before the bridge existed.
+        let oracle = |s: &Scenario| {
+            let mut cfg = NetworkConfig::paper_scenario(
+                s.gamer_count().round().max(1.0) as usize,
+                Box::new(Deterministic::new(s.server_packet_bytes)),
+                s.t_ms,
+                0,
+            );
+            cfg.client_packet_bytes = Box::new(Deterministic::new(s.client_packet_bytes));
+            cfg.client_interval_ms = Box::new(Deterministic::new(s.effective_client_interval_ms()));
+            cfg.r_up_bps = s.r_up_bps;
+            cfg.r_down_bps = s.r_down_bps;
+            cfg.c_bps = s.c_bps;
+            cfg.burst_sizing = BurstSizing::ErlangBurst { k: s.erlang_order };
+            cfg
+        };
+        for s in [non_default(), Scenario::paper_default().with_load(0.5)] {
+            let run = |mut cfg: NetworkConfig| {
+                cfg.duration = SimTime::from_secs(3.0);
+                cfg.warmup = SimTime::from_secs(0.5);
+                cfg.seed = 0xB21D;
+                format!("{:?}", cfg.run())
+            };
+            assert_eq!(run(s.network_config().unwrap()), run(oracle(&s)));
+        }
+    }
+
+    #[test]
+    fn network_config_refuses_what_it_cannot_simulate() {
+        let nan_load = Scenario::paper_default().with_load(f64::NAN);
+        assert!(matches!(
+            nan_load.network_config(),
+            Err(QueueError::UnstableLoad { rho }) if rho.is_nan()
+        ));
+        let mut nan_c = Scenario::paper_default();
+        nan_c.c_bps = f64::NAN;
+        assert!(matches!(
+            nan_c.network_config(),
+            Err(QueueError::InvalidParameter { name: "c_bps", value }) if value.is_nan()
+        ));
+        // 10 kb/s at ρ_d = 0.4 is 0.16 gamers: it validates, but the
+        // network it rounds to has none.
+        let mut none = Scenario::paper_default().with_load(0.4);
+        none.c_bps = 10_000.0;
+        assert!(none.validate().is_ok());
+        assert_eq!(
+            none.network_config().unwrap_err(),
+            QueueError::UnstableLoad { rho: 0.0 }
+        );
+        // ρ_d = 0.998 is 199.6 gamers, and 200 load the downlink fully.
+        let full = Scenario::paper_default().with_load(0.998);
+        assert!(full.validate().is_ok());
+        assert_eq!(
+            full.network_config().unwrap_err(),
+            QueueError::UnstableLoad { rho: 1.0 }
+        );
     }
 
     #[test]

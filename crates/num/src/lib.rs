@@ -18,7 +18,8 @@
 //!   family of complex roots (all K branches of eq. (26)) through one
 //!   fixed-point/Newton sweep loop, bit-identical per root to the scalar
 //!   solvers,
-//! * [`poly`] — Horner evaluation used throughout the Erlang-mix algebra,
+//! * [`poly`] — rising factorials and truncated exponential series for the
+//!   Erlang-mix algebra,
 //! * [`quad`] — adaptive Simpson and Gauss–Legendre quadrature,
 //! * [`laplace`] — Abate–Whitt Euler numerical Laplace inversion, used as an
 //!   independent cross-check of the closed-form tail inversion of eq. (35),

@@ -1,27 +1,11 @@
-//! Polynomial evaluation (Horner's rule) over the reals and the complex
-//! plane, plus falling/rising factorials.
+//! Rising factorials and truncated exponential series over the reals and
+//! the complex plane.
 //!
-//! Appendix D of the paper explicitly invokes Horner's rule to telescope
-//! the weight equations (eq. (61)), and eq. (34) rewrites the uniform
-//! packet-position MGF with it; the Erlang-mix algebra (Appendix A) needs
-//! rising factorials `(m)_l` for derivatives of `(λ/(λ-s))^m`.
+//! The Erlang-mix algebra (Appendix A) needs rising factorials `(m)_l` for
+//! derivatives of `(λ/(λ-s))^m`, and every Erlang tail of eq. (35) is a
+//! truncated exponential series.
 
 use crate::complex::Complex64;
-
-/// Evaluates `Σ coeffs[i] · x^i` by Horner's rule (coefficients in
-/// ascending-degree order). NaN only if a coefficient or `x` is NaN (or
-/// an intermediate `∞ · 0` arises); may overflow to ±∞ for large `x`.
-pub fn horner(coeffs: &[f64], x: f64) -> f64 {
-    coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-}
-
-/// Complex Horner evaluation, ascending-degree coefficients.
-pub fn horner_complex(coeffs: &[Complex64], x: Complex64) -> Complex64 {
-    coeffs
-        .iter()
-        .rev()
-        .fold(Complex64::ZERO, |acc, &c| acc * x + c)
-}
 
 /// Rising factorial (Pochhammer symbol) `(m)_l = m·(m+1)···(m+l-1)`,
 /// with `(m)_0 = 1`. Always finite for representable results (may
@@ -31,15 +15,6 @@ pub fn horner_complex(coeffs: &[Complex64], x: Complex64) -> Complex64 {
 /// `(λ/(λ-s))^m` used in the Appendix-A convolution (eq. (43)).
 pub fn rising_factorial(m: u32, l: u32) -> f64 {
     (0..l).fold(1.0, |acc, i| acc * (m + i) as f64)
-}
-
-/// Falling factorial `m·(m-1)···(m-l+1)`, with value 0 once it crosses
-/// 0. Always finite for representable results.
-pub fn falling_factorial(m: u32, l: u32) -> f64 {
-    if l > m {
-        return 0.0;
-    }
-    (0..l).fold(1.0, |acc, i| acc * (m - i) as f64)
 }
 
 /// Evaluates the truncated exponential series `Σ_{i=0}^{n-1} x^i / i!`.
@@ -79,46 +54,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn horner_matches_naive() {
-        let coeffs = [1.0, -3.0, 0.5, 2.0]; // 1 - 3x + 0.5x² + 2x³
-        for &x in &[-2.0f64, -0.5, 0.0, 0.3, 1.7] {
-            let naive: f64 = coeffs
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| c * x.powi(i as i32))
-                .sum();
-            assert!((horner(&coeffs, x) - naive).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn horner_empty_is_zero() {
-        assert_eq!(horner(&[], 3.0), 0.0);
-    }
-
-    #[test]
-    fn horner_complex_matches_real_on_real_axis() {
-        let rc = [1.0, 2.0, 3.0];
-        let cc: Vec<Complex64> = rc.iter().map(|&c| Complex64::from_real(c)).collect();
-        let x = 1.5;
-        let hv = horner(&rc, x);
-        let hc = horner_complex(&cc, Complex64::from_real(x));
-        assert!((hc.re - hv).abs() < 1e-12 && hc.im.abs() < 1e-15);
-    }
-
-    #[test]
     fn rising_factorial_values() {
         assert_eq!(rising_factorial(3, 0), 1.0);
         assert_eq!(rising_factorial(3, 1), 3.0);
         assert_eq!(rising_factorial(3, 2), 12.0); // 3·4
         assert_eq!(rising_factorial(1, 4), 24.0); // 1·2·3·4
-    }
-
-    #[test]
-    fn falling_factorial_values() {
-        assert_eq!(falling_factorial(5, 2), 20.0);
-        assert_eq!(falling_factorial(5, 5), 120.0);
-        assert_eq!(falling_factorial(3, 4), 0.0);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 # warning-free. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Every temporary file of the gate lives in one scratch directory,
+# removed on exit.
+TIER1_TMP="$(mktemp -d /tmp/fpsping-tier1.XXXXXX)"
+trap 'rm -rf "$TIER1_TMP"' EXIT
 
 cargo build --release --workspace
 cargo test -q --workspace
@@ -43,8 +47,7 @@ fi
 # A failure names the file and its first differing line. The check must
 # also leave stderr empty: a `warn_once` fallback that fires in a
 # committed study fails the gate.
-REPRO_ERR="$(mktemp /tmp/fpsping-repro-err.XXXXXX)"
-trap 'rm -f "$REPRO_ERR"' EXIT
+REPRO_ERR="$TIER1_TMP/repro-err"
 REPRO_STATUS=0
 ./target/release/repro --check 2> "$REPRO_ERR" || REPRO_STATUS=$?
 if [ "$REPRO_STATUS" -ne 0 ] || [ -s "$REPRO_ERR" ]; then
@@ -52,15 +55,13 @@ if [ "$REPRO_STATUS" -ne 0 ] || [ -s "$REPRO_ERR" ]; then
     cat "$REPRO_ERR"
     exit 1
 fi
-rm -f "$REPRO_ERR"
 
 # Metrics smoke: the observability layer must produce parseable JSON with
 # live solver counters from a real (tiny) sweep run. The CLI sweep runs
 # the batch engine config, so the continuation ζ solver must show up:
 # warm solves outnumbering cold solves is the live form of the reduced
 # per-cell Newton-polish ratio the batch path exists to deliver.
-METRICS_TMP="$(mktemp /tmp/fpsping-metrics.XXXXXX.json)"
-trap 'rm -f "$METRICS_TMP"' EXIT
+METRICS_TMP="$TIER1_TMP/metrics.json"
 ./target/release/fpsping-cli sweep --metrics-out "$METRICS_TMP" >/dev/null
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$METRICS_TMP" <<'PY'
@@ -94,10 +95,9 @@ fi
 # worker parallelism only — and its metrics snapshot must show the scale
 # engine's events and core packets. (The scale engine runs no calendar;
 # the estimator smoke below checks `Network`'s.)
-SCALE_METRICS="$(mktemp /tmp/fpsping-scale-metrics.XXXXXX.json)"
-SCALE_OUT1="$(mktemp /tmp/fpsping-scale-out1.XXXXXX)"
-SCALE_OUT2="$(mktemp /tmp/fpsping-scale-out2.XXXXXX)"
-trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2"' EXIT
+SCALE_METRICS="$TIER1_TMP/scale-metrics.json"
+SCALE_OUT1="$TIER1_TMP/scale-out1"
+SCALE_OUT2="$TIER1_TMP/scale-out2"
 ./target/release/fpsping-cli sim --scale-n 10000 --shards 1 --sim-seconds 2 \
     > "$SCALE_OUT1"
 ./target/release/fpsping-cli sim --scale-n 10000 --shards 2 --sim-seconds 2 \
@@ -128,9 +128,7 @@ fi
 # pass would buffer about 24 GB of core hand-offs here. Every client
 # sends one packet per period after the 1 s warm-up, so the core count
 # must be N·(600 − 1)/P within ±N. No timing floor.
-SCALE_LONG_METRICS="$(mktemp /tmp/fpsping-scale-long.XXXXXX.json)"
-trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
-    "$SCALE_LONG_METRICS"' EXIT
+SCALE_LONG_METRICS="$TIER1_TMP/scale-long.json"
 ./target/release/fpsping-cli sim --scale-n 100000 --shards 1 --sim-seconds 600 \
     --metrics-out "$SCALE_LONG_METRICS" > /dev/null
 if command -v python3 >/dev/null 2>&1; then
@@ -146,18 +144,16 @@ else
     grep -q '"sim\.scale\.packets": 149[0-9]\{7\}' "$SCALE_LONG_METRICS"
     echo "tier-1: long-window scale step OK (grep fallback)"
 fi
-rm -f "$SCALE_LONG_METRICS"
 
 # CLI refusal smoke: hostile input fails loudly. An invalid sweep
-# scenario is a run error (exit 1); a flag that `--scale-n` would ignore,
+# scenario and a sim scenario whose gamer count rounds to 0 are run
+# errors (exit 1); a flag that `--scale-n` would ignore,
 # the removed `--calendar` flag, a command-level flag that its command
 # does not read and a `--sim-seconds` past u64 nanoseconds are parse
 # errors (exit 2). Each must print `error:` on stderr and nothing on
 # stdout.
-REFUSE_OUT="$(mktemp /tmp/fpsping-refuse-out.XXXXXX)"
-REFUSE_ERR="$(mktemp /tmp/fpsping-refuse-err.XXXXXX)"
-trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
-    "$REFUSE_OUT" "$REFUSE_ERR"' EXIT
+REFUSE_OUT="$TIER1_TMP/refuse-out"
+REFUSE_ERR="$TIER1_TMP/refuse-err"
 refuse() {
     local want="$1"
     shift
@@ -175,8 +171,8 @@ refuse 2 sim --calendar heap
 refuse 2 quantile --reps 3
 refuse 2 sim --shards 2
 refuse 2 sim --scale-n 10 --sim-seconds 1e30
-rm -f "$REFUSE_OUT" "$REFUSE_ERR"
-echo "tier-1: CLI refusal smoke OK (6 hostile invocations refused)"
+refuse 1 sim --c-kbps 10 --load 0.4
+echo "tier-1: CLI refusal smoke OK (7 hostile invocations refused)"
 
 # Estimator smoke: a 1 000-player run with the per-player RTT estimator
 # on must show live traffic.estimator.* counters and the `Network`
@@ -184,10 +180,8 @@ echo "tier-1: CLI refusal smoke OK (6 hostile invocations refused)"
 # within the documented short-run tolerance of the analytic quantile
 # (±20% at ~150 pings/player — the estimator_convergence study shows the
 # error collapsing with more pings).
-EST_METRICS="$(mktemp /tmp/fpsping-est-metrics.XXXXXX.json)"
-EST_OUT="$(mktemp /tmp/fpsping-est-out.XXXXXX)"
-trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
-    "$EST_METRICS" "$EST_OUT"' EXIT
+EST_METRICS="$TIER1_TMP/est-metrics.json"
+EST_OUT="$TIER1_TMP/est-out"
 ./target/release/fpsping-cli sim --estimate --gamers 1000 --c-kbps 50000 \
     --sim-seconds 8 --seed 42 --metrics-out "$EST_METRICS" > "$EST_OUT"
 if command -v python3 >/dev/null 2>&1; then
@@ -220,10 +214,8 @@ fi
 # warm cache, the eviction-parity gate at exactly zero, and a clean
 # shutdown (the smoke's final frame is the shutdown op; the server
 # process must exit on its own).
-SERVE_LOG="$(mktemp /tmp/fpsping-serve-log.XXXXXX)"
-SERVE_SMOKE="$(mktemp /tmp/fpsping-serve-smoke.XXXXXX.json)"
-trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
-    "$EST_METRICS" "$EST_OUT" "$SERVE_LOG" "$SERVE_SMOKE"' EXIT
+SERVE_LOG="$TIER1_TMP/serve-log"
+SERVE_SMOKE="$TIER1_TMP/serve-smoke.json"
 ./target/release/fpsping-serve --addr 127.0.0.1:0 --workers 2 \
     --cache-entries 16384 > "$SERVE_LOG" &
 SERVE_PID=$!
@@ -285,13 +277,10 @@ fi
 # scale simulation. Any nested acquisition panics the process, so a
 # clean exit IS the assertion; debug throughput gets no floor.
 cargo build -q -p fpsping -p fpsping-serve -p fpsping-loadgen
-LOCKDEP_LOG="$(mktemp /tmp/fpsping-lockdep-log.XXXXXX)"
-LOCKDEP_SMOKE="$(mktemp /tmp/fpsping-lockdep-smoke.XXXXXX.json)"
-LOCKDEP_SERVE_METRICS="$(mktemp /tmp/fpsping-lockdep-serve-metrics.XXXXXX.json)"
-LOCKDEP_METRICS="$(mktemp /tmp/fpsping-lockdep-metrics.XXXXXX.json)"
-trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
-    "$EST_METRICS" "$EST_OUT" "$SERVE_LOG" "$SERVE_SMOKE" "$LOCKDEP_LOG" \
-    "$LOCKDEP_SMOKE" "$LOCKDEP_SERVE_METRICS" "$LOCKDEP_METRICS"' EXIT
+LOCKDEP_LOG="$TIER1_TMP/lockdep-log"
+LOCKDEP_SMOKE="$TIER1_TMP/lockdep-smoke.json"
+LOCKDEP_SERVE_METRICS="$TIER1_TMP/lockdep-serve-metrics.json"
+LOCKDEP_METRICS="$TIER1_TMP/lockdep-metrics.json"
 ./target/debug/fpsping-serve --addr 127.0.0.1:0 --workers 2 \
     --cache-entries 16384 --metrics-out "$LOCKDEP_SERVE_METRICS" > "$LOCKDEP_LOG" &
 LOCKDEP_PID=$!
@@ -372,12 +361,8 @@ fi
 # load probe with one tail, not a quantile solve. The gate is an exact
 # count of numerical inversions, so host noise cannot move it: 96 with
 # tail-decided probes, 1 551 when every probe solved a quantile.
-DIM_OUT="$(mktemp /tmp/fpsping-dim-out.XXXXXX)"
-DIM_METRICS="$(mktemp /tmp/fpsping-dim-metrics.XXXXXX.json)"
-trap 'rm -f "$METRICS_TMP" "$SCALE_METRICS" "$SCALE_OUT1" "$SCALE_OUT2" \
-    "$EST_METRICS" "$EST_OUT" "$SERVE_LOG" "$SERVE_SMOKE" "$LOCKDEP_LOG" \
-    "$LOCKDEP_SMOKE" "$LOCKDEP_SERVE_METRICS" "$LOCKDEP_METRICS" \
-    "$DIM_OUT" "$DIM_METRICS"' EXIT
+DIM_OUT="$TIER1_TMP/dim-out"
+DIM_METRICS="$TIER1_TMP/dim-metrics.json"
 ./target/release/fpsping-cli dimension --budget-ms 50 \
     --metrics-out "$DIM_METRICS" > "$DIM_OUT"
 grep -q 'N_max = 82,' "$DIM_OUT" || {

@@ -6,34 +6,21 @@
 //! on means and quantiles.
 
 use fpsping::{RttModel, Scenario};
-use fpsping_dist::Deterministic;
-use fpsping_queue::PositionDelay;
-use fpsping_sim::{BurstSizing, NetworkConfig, SimTime};
+use fpsping_sim::SimTime;
 
-fn simulate(scenario: &Scenario, k: u32, seconds: f64, seed: u64) -> fpsping_sim::SimReport {
-    let n = scenario.gamer_count().round() as usize;
-    let mut cfg = NetworkConfig::paper_scenario(
-        n,
-        Box::new(Deterministic::new(scenario.server_packet_bytes)),
-        scenario.t_ms,
-        seed,
-    );
-    cfg.burst_sizing = BurstSizing::ErlangBurst { k };
+fn simulate(scenario: &Scenario, seconds: f64, seed: u64) -> fpsping_sim::SimReport {
+    let mut cfg = scenario.network_config().expect("simulable scenario");
     cfg.duration = SimTime::from_secs(seconds);
     cfg.warmup = SimTime::from_secs(3.0);
+    cfg.seed = seed;
     cfg.run()
 }
 
 /// Analytic downstream-delay model (burst wait ⊗ position, with the
 /// conditioning-aware fallback) plus the fixed downstream serializations.
-fn analytic_downstream(scenario: &Scenario, k: u32) -> (fpsping_queue::TotalDelay, f64) {
+fn analytic_downstream(scenario: &Scenario) -> (fpsping_queue::TotalDelay, f64) {
     let model = RttModel::build(scenario).expect("stable scenario");
-    let beta = k as f64 / scenario.mean_burst_service_s();
-    let pos = PositionDelay::uniform(k, beta).unwrap();
-    let td = fpsping_queue::TotalDelay::new(None, model.downstream(), &pos).unwrap();
-    let det =
-        8.0 * scenario.server_packet_bytes * (1.0 / scenario.c_bps + 1.0 / scenario.r_down_bps);
-    (td, det)
+    model.downstream_delay().expect("stable scenario")
 }
 
 #[test]
@@ -42,9 +29,9 @@ fn downstream_mean_matches_simulation_k9() {
     let scenario = Scenario::paper_default()
         .with_load(0.5)
         .with_erlang_order(k);
-    let (mix, det) = analytic_downstream(&scenario, k);
+    let (mix, det) = analytic_downstream(&scenario);
     let analytic = mix.mean() + det;
-    let rep = simulate(&scenario, k, 120.0, 0xAB01);
+    let rep = simulate(&scenario, 120.0, 0xAB01);
     let sim = rep.downstream_delay.mean_s;
     assert!(
         (analytic - sim).abs() < 0.05 * sim,
@@ -58,9 +45,9 @@ fn downstream_p999_matches_simulation_k9() {
     let scenario = Scenario::paper_default()
         .with_load(0.6)
         .with_erlang_order(k);
-    let (mix, det) = analytic_downstream(&scenario, k);
+    let (mix, det) = analytic_downstream(&scenario);
     let analytic = mix.quantile(0.999) + det;
-    let rep = simulate(&scenario, k, 240.0, 0xAB02);
+    let rep = simulate(&scenario, 240.0, 0xAB02);
     let sim = rep
         .downstream_delay
         .quantiles
@@ -80,9 +67,9 @@ fn downstream_mean_matches_simulation_k2_bursty() {
     let scenario = Scenario::paper_default()
         .with_load(0.5)
         .with_erlang_order(k);
-    let (mix, det) = analytic_downstream(&scenario, k);
+    let (mix, det) = analytic_downstream(&scenario);
     let analytic = mix.mean() + det;
-    let rep = simulate(&scenario, k, 180.0, 0xAB03);
+    let rep = simulate(&scenario, 180.0, 0xAB03);
     let sim = rep.downstream_delay.mean_s;
     assert!(
         (analytic - sim).abs() < 0.07 * sim,
@@ -99,7 +86,7 @@ fn burst_wait_tail_matches_dek1() {
         .with_load(0.8)
         .with_erlang_order(k);
     let model = RttModel::build(&scenario).unwrap();
-    let rep = simulate(&scenario, k, 240.0, 0xAB04);
+    let rep = simulate(&scenario, 240.0, 0xAB04);
     for &(thr, sim_p) in &rep.burst_wait.tails {
         if thr > 0.03 {
             continue; // too few exceedances at this run length
@@ -124,7 +111,7 @@ fn upstream_wait_approaches_mdd1_on_average() {
     let mut acc = 0.0;
     let seeds = [0xA1u64, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6];
     for &seed in &seeds {
-        acc += simulate(&scenario, 9, 60.0, seed).agg_wait.mean_s;
+        acc += simulate(&scenario, 60.0, seed).agg_wait.mean_s;
     }
     let sim_mean = acc / seeds.len() as f64;
     assert!(
@@ -136,7 +123,7 @@ fn upstream_wait_approaches_mdd1_on_average() {
 #[test]
 fn utilizations_match_eq37_loads() {
     let scenario = Scenario::paper_default().with_load(0.6);
-    let rep = simulate(&scenario, 9, 60.0, 0xAB06);
+    let rep = simulate(&scenario, 60.0, 0xAB06);
     assert!(
         (rep.down_utilization - 0.6).abs() < 0.03,
         "down util {}",
@@ -157,7 +144,7 @@ fn application_ping_exceeds_model_rtt_by_alignment_wait() {
     // client's own sending phase ≈ T/2).
     let scenario = Scenario::paper_default().with_load(0.4);
     let model = RttModel::build(&scenario).unwrap();
-    let rep = simulate(&scenario, 9, 120.0, 0xAB07);
+    let rep = simulate(&scenario, 120.0, 0xAB07);
     let model_mean = model.total().mean() + scenario.deterministic_delay_s();
     let sim_ping = rep.ping_rtt.mean_s;
     let t = scenario.t_ms / 1e3;
