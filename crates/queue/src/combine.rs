@@ -140,7 +140,7 @@ impl PositionFactor {
     pub fn quantile(&self, p: f64) -> f64 {
         match self {
             PositionFactor::Mix(m) => {
-                if m.blocks.is_empty() {
+                if m.poles().is_empty() {
                     0.0
                 } else {
                     m.quantile(p)
@@ -194,13 +194,8 @@ impl FactorLayout {
     fn of(upstream: &ErlangMix, burst: &ErlangMix, position: &PositionFactor) -> Self {
         // A burst wait of ≥ 4 simple poles (the D/E_K/1 shape) runs on
         // the bank; smaller or multiplicity-carrying mixes stay blockwise.
-        let burst_bank = (burst.blocks.len() >= 4
-            && burst.blocks.iter().all(|b| b.coeffs.len() == 1))
-        .then(|| {
-            let poles: Vec<Complex64> = burst.blocks.iter().map(|b| b.pole).collect();
-            let weights: Vec<Complex64> = burst.blocks.iter().map(|b| b.coeffs[0]).collect();
-            SimplePoleBank::new(burst.constant, &poles, &weights)
-        });
+        let burst_bank = (burst.poles().len() >= 4 && burst.all_simple())
+            .then(|| SimplePoleBank::new(burst.constant, burst.poles(), burst.coeffs()));
         let position_ladders = match position {
             PositionFactor::Mix(m) => m.ladder_flags(),
             PositionFactor::LogK1 { .. } => Vec::new(),
@@ -257,7 +252,7 @@ fn log_position(position: &PositionDelay) -> Option<PositionFactor> {
 /// worst conditioning of all.
 fn expansion_l1_lower_bound(up: &ErlangMix, burst: &ErlangMix, pos: &ErlangMix) -> f64 {
     let mut bound = 0.0f64;
-    for b in &burst.blocks {
+    for b in burst.blocks() {
         if b.coeffs.len() != 1 {
             continue;
         }
@@ -829,7 +824,7 @@ impl TotalDelay {
     /// [`TotalDelay::quantile`].
     pub fn quantile_sum_of_quantiles(&self, p: f64) -> f64 {
         let q_mix = |m: &ErlangMix| {
-            if m.blocks.is_empty() {
+            if m.poles().is_empty() {
                 0.0
             } else {
                 m.quantile(p)

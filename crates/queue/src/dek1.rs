@@ -28,7 +28,7 @@
 //! For K = 1 this collapses to the classical D/M/1 solution
 //! `P(W > x) = σ·e^{-μ(1-σ)x}` (Kleinrock \[15\]), which the tests verify.
 
-use crate::erlang_mix::{ErlangMix, PoleBlock};
+use crate::erlang_mix::ErlangMix;
 use crate::QueueError;
 use fpsping_num::batch::{complex_fixed_point_lockstep, complex_newton_lockstep};
 use fpsping_num::cmp::exact_zero;
@@ -339,19 +339,7 @@ impl DEk1 {
     /// The waiting-time law as an [`ErlangMix`] (constant `1 - Σaⱼ` plus K
     /// simple poles) — the form consumed by the eq. (35) product.
     pub fn to_mix(&self) -> ErlangMix {
-        let blocks = self
-            .weights
-            .iter()
-            .zip(&self.alphas)
-            .map(|(&a, &alpha)| PoleBlock {
-                pole: alpha,
-                coeffs: vec![a],
-            })
-            .collect();
-        ErlangMix {
-            constant: 1.0 - self.prob_wait(),
-            blocks,
-        }
+        ErlangMix::simple_poles(1.0 - self.prob_wait(), &self.alphas, &self.weights)
     }
 
     /// Residual of the pole-defining equation (54),

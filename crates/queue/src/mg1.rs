@@ -470,7 +470,7 @@ mod tests {
         assert!((mix.total_mass() - 1.0).abs() < 1e-12);
         assert!((mix.constant - 0.6).abs() < 1e-12);
         assert!((mix.prob_positive() - 0.4).abs() < 1e-12);
-        assert_eq!(mix.blocks.len(), 1);
+        assert_eq!(mix.blocks().len(), 1);
     }
 
     #[test]

@@ -210,9 +210,10 @@ mod tests {
         let k = 9u32;
         let p = PositionDelay::uniform(k, 100.0).unwrap();
         let mix = p.to_mix().unwrap();
-        assert_eq!(mix.blocks.len(), 1);
-        assert_eq!(mix.blocks[0].coeffs.len(), (k - 1) as usize);
-        for &c in &mix.blocks[0].coeffs {
+        let blocks: Vec<_> = mix.blocks().collect();
+        assert_eq!(blocks.len(), 1);
+        assert_eq!(blocks[0].coeffs.len(), (k - 1) as usize);
+        for &c in blocks[0].coeffs {
             assert!((c.re - 1.0 / 8.0).abs() < 1e-14);
             assert!(c.im.abs() < 1e-300);
         }

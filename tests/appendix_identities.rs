@@ -64,7 +64,7 @@ fn boundary_conditions_at_beta() {
             } else {
                 0.0
             };
-            for b in &mix.blocks {
+            for b in mix.blocks() {
                 scale += b.derivative(beta, deriv_order).abs();
             }
             assert!(
