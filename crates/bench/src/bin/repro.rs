@@ -22,7 +22,10 @@ use fpsping_dist::fit::{erlang_order_from_cov, fit_erlang_tail};
 use fpsping_dist::{
     Deterministic, Distribution, Erlang, Exponential, LogNormal, Pareto, Uniform, Weibull,
 };
+use fpsping_num::laplace::euler_inversion;
+use fpsping_num::roots::brent;
 use fpsping_num::stats::{cov, mean, Ecdf};
+use fpsping_num::Complex64;
 use fpsping_queue::mg1::mdd1;
 use fpsping_queue::nddd1::NDdd1;
 use fpsping_queue::{DEk1, ErlangMix, Mg1, Position, PositionDelay, TotalDelay};
@@ -78,6 +81,7 @@ const STUDIES: &[Study] = &[
         "poisson_limit_scale.csv",
     ]),
     study("quantile_methods", quantile_methods, &["quantile_methods_ablation.csv"]),
+    study("accuracy_map", accuracy_map, &["accuracy_map.csv", "accuracy_map_summary.csv"]),
     study("wfq_isolation", wfq_isolation, &["wfq_isolation.csv"]),
     study("burst_model_sensitivity", burst_model_sensitivity, &["burst_model_sensitivity.csv"]),
     study("multi_class_upstream", multi_class_upstream, &["multi_class_upstream.csv"]),
@@ -656,9 +660,10 @@ fn poisson_limit_scale() -> Table {
 
 /// Ablation of the §3.3 quantile methods: the full Erlang expansion (the
 /// paper's choice), the dominant pole, the Chernoff bound (eq. 36) and
-/// the sum of quantiles, on the 99.999 % stochastic quantile. Rows with
-/// `expansion_well_conditioned = false` are inverted numerically, and
-/// their dominant-pole column is not meaningful.
+/// the sum of quantiles, on the 99.999 % stochastic quantile.
+/// `expansion_well_conditioned` is the tail rule's decision at the
+/// quantile: rows with `false` are inverted numerically there, and their
+/// dominant-pole column is not meaningful.
 fn quantile_methods() -> Vec<Table> {
     let mut rows = Vec::new();
     for k in [2u32, 9, 20] {
@@ -669,11 +674,12 @@ fn quantile_methods() -> Vec<Table> {
             let m = RttModel::build(&s).expect("stable");
             let p = 0.99999;
             let t = m.total();
-            let full = t.quantile(p) * 1e3;
+            let q = t.quantile(p);
+            let full = q * 1e3;
             let dom = t.quantile_dominant_pole(p) * 1e3;
             let chern = t.quantile_chernoff(p) * 1e3;
             let soq = t.quantile_sum_of_quantiles(p) * 1e3;
-            let cond = t.expansion_well_conditioned();
+            let cond = t.expands_at(q);
             rows.push(format!(
                 "{k},{rho},{full:.4},{dom:.4},{chern:.4},{soq:.4},{cond}"
             ));
@@ -684,6 +690,205 @@ fn quantile_methods() -> Vec<Table> {
         "k,rho,full_ms,dominant_pole_ms,chernoff_ms,sum_of_quantiles_ms,expansion_well_conditioned",
         rows,
     )]
+}
+
+/// The `(m, θ/r)` settings of [`oracle_tail`]: Euler orders at and
+/// above the default 18 of the inversion it checks (higher orders lose
+/// more to round-off, which grows as 10^{m/3}, than they gain in
+/// discretization error), each tilted by θ, a fraction of the slowest
+/// factor's decay rate r.
+const ORACLE_SETTINGS: [(usize, f64); 3] = [(18, 0.9), (20, 0.95), (22, 0.95)];
+
+/// The total delay's tail by exponentially tilted Euler inversion: each
+/// setting of [`ORACLE_SETTINGS`] inverts the transform of
+/// `h(x) = e^{θx}·P(X > x)`, `ĥ(s) = (1 − M(θ − s))/(s − θ)`, and returns
+/// `e^{−θx}·h(x)`; the oracle is the median of the three. The
+/// inversion's absolute round-off (~1e-10 on values of order 1) then
+/// lands on `h`, which is of order 1e-5·e^{θx} at a 99.999 % quantile,
+/// so each tail comes out with a relative error near 1e-10/e^{θx}
+/// instead of the untilted 1e-10/1e-5; the median drops a setting that
+/// misses by more. It agrees with the expansion of well-conditioned
+/// cells to about 1e-16 absolute.
+fn oracle_tail(t: &TotalDelay, x: f64) -> f64 {
+    let decay = [
+        t.upstream().dominant_decay(),
+        t.burst_wait().dominant_decay(),
+        t.position().decay_bound(),
+    ]
+    .into_iter()
+    .flatten()
+    .fold(f64::INFINITY, f64::min);
+    let mgf = |s: Complex64| t.upstream().eval(s) * t.burst_wait().eval(s) * t.position().eval(s);
+    let mut tails = ORACLE_SETTINGS.map(|(m, fraction)| {
+        let theta = fraction * decay;
+        let h = euler_inversion(
+            |s| {
+                let u = s - theta;
+                (Complex64::ONE - mgf(-u)) / u
+            },
+            x,
+            m,
+        );
+        (-theta * x).exp() * h
+    });
+    tails.sort_by(f64::total_cmp);
+    tails[1]
+}
+
+/// The root of a decreasing `tail(x) = target`, bracketed by halving
+/// and doubling from `guess` and solved by Brent to 1e-13 relative. NaN
+/// if no bracket is found.
+fn tail_root(tail: impl Fn(f64) -> f64, target: f64, guess: f64) -> f64 {
+    let (mut lo, mut hi) = (guess, guess);
+    for _ in 0..60 {
+        if tail(lo) > target {
+            break;
+        }
+        lo *= 0.5;
+    }
+    for _ in 0..60 {
+        if tail(hi) <= target {
+            break;
+        }
+        hi *= 2.0;
+    }
+    brent(|x| tail(x) - target, lo, hi, 1e-13 * hi, 300)
+        .map(|r| r.root)
+        .unwrap_or(f64::NAN)
+}
+
+/// The quantile the L1 rule this study replaced served: the expansion's
+/// when its coefficient L1 norm was under 1e6 and its mass within 1e-6
+/// of 1, the numerical inversion's otherwise — the same bracket and
+/// Brent solve as the inversion path of `TotalDelay::quantile`, so equal
+/// to it bit for bit.
+fn l1_rule_quantile(t: &TotalDelay, p: f64) -> f64 {
+    if let Some(prod) = t.product() {
+        if prod.coeff_l1() < 1e6 && (prod.total_mass() - 1.0).abs() < 1e-6 {
+            return prod.quantile(p);
+        }
+    }
+    inverted_quantile(t, p)
+}
+
+/// `TotalDelay::quantile`'s numerical-inversion solve: the canonical
+/// doubling bracket from the mean and Brent to 1e-10 of it on the
+/// clamped default-order inversion.
+fn inverted_quantile(t: &TotalDelay, p: f64) -> f64 {
+    let target = 1.0 - p;
+    let scale = t.mean().abs().max(1e-9);
+    let tail = |x: f64| t.tail_numeric(x).clamp(0.0, 1.0);
+    let mut hi = scale;
+    for _ in 0..200 {
+        if tail(hi) <= target {
+            break;
+        }
+        hi *= 2.0;
+    }
+    brent(|x| tail(x.max(1e-15)) - target, 0.0, hi, 1e-10 * scale, 300)
+        .map(|r| r.root)
+        .unwrap_or(f64::NAN)
+}
+
+/// Where the eq.-(35) expansion is accurate, measured: every cell of the
+/// grid K = 1…30 × ρ_d = 0.05…0.95 × T ∈ {40, 60} ms × P_S ∈ {75, 100,
+/// 125} B with a stable uplink, plus ρ_u ∈ {0.98, 0.99, 0.995} at
+/// P_S = 75 B (near uplink saturation). Per cell: the expansion's
+/// coefficient L1 norm, its running error bound at the served 99.999 %
+/// quantile, the method the tail rule picks there (`E` expansion, `I`
+/// inversion), the oracle quantile ([`oracle_tail`]) and the relative
+/// errors against it of the served, expanded (the expanded tail's root
+/// next to the oracle's), inverted and L1-rule quantiles. The summary gives, per K, the expansion's share and the
+/// largest error of each.
+fn accuracy_map() -> Vec<Table> {
+    let p = 0.99999;
+    let mut cells = Vec::new();
+    for k in 1..=30u32 {
+        for t_ms in [40.0, 60.0] {
+            for ps in [75.0, 100.0, 125.0] {
+                for i in 1..=19 {
+                    cells.push((k, t_ms, ps, i as f64 * 0.05));
+                }
+            }
+            for rho_u in [0.98, 0.99, 0.995] {
+                cells.push((k, t_ms, 75.0, rho_u * 75.0 / 80.0));
+            }
+        }
+    }
+    let mut rows = Vec::new();
+    let mut per_k: Vec<[f64; 7]> = vec![[0.0; 7]; 31];
+    for (k, t_ms, ps, rho) in cells {
+        let s = Scenario::paper_default()
+            .with_erlang_order(k)
+            .with_tick_ms(t_ms)
+            .with_server_packet(ps)
+            .with_load(rho);
+        let Ok(m) = RttModel::build(&s) else {
+            continue;
+        };
+        let t = m.total();
+        let served = t.quantile(p);
+        let expands = t.expands_at(served);
+        let inverted = inverted_quantile(t, p);
+        let oracle = tail_root(|x| oracle_tail(t, x), 1.0 - p, inverted);
+        let err = |q: f64| (q - oracle) / oracle;
+        let (l1, bound, expanded) = match t.product() {
+            Some(prod) => (
+                format!("{:.1e}", prod.coeff_l1()),
+                format!("{:.1e}", prod.tail_with_bound(served).1),
+                format!("{:.1e}", err(tail_root(|x| prod.tail(x), 1.0 - p, oracle))),
+            ),
+            None => (String::new(), String::new(), String::new()),
+        };
+        let l1_rule = l1_rule_quantile(t, p);
+        rows.push(format!(
+            "{k},{t_ms},{ps},{rho:.4},{l1},{bound},{},{:.9},{:.1e},{expanded},{:.1e},{:.1e}",
+            if expands { "E" } else { "I" },
+            oracle * 1e3,
+            err(served),
+            err(inverted),
+            err(l1_rule),
+        ));
+        let row = &mut per_k[k as usize];
+        row[0] += 1.0;
+        row[1] += f64::from(u8::from(expands));
+        row[2] += f64::from(u8::from(l1_rule.to_bits() != inverted.to_bits()));
+        row[3] = row[3].max(err(served).abs());
+        row[4] = row[4].max(err(l1_rule).abs());
+        row[5] = row[5].max(err(inverted).abs());
+        if err(served).abs() > err(l1_rule).abs() {
+            row[6] += 1.0;
+        }
+    }
+    let summary = per_k
+        .iter()
+        .enumerate()
+        .skip(1)
+        .map(|(k, r)| {
+            format!(
+                "{k},{},{:.3},{:.3},{:.1e},{:.1e},{:.1e},{}",
+                r[0],
+                r[1] / r[0],
+                r[2] / r[0],
+                r[3],
+                r[4],
+                r[5],
+                r[6]
+            )
+        })
+        .collect();
+    vec![
+        Table::new(
+            "accuracy_map.csv",
+            "k,t_ms,ps_bytes,rho_d,coeff_l1,bound_at_q,method,oracle_ms,served_rel_err,expanded_rel_err,inverted_rel_err,l1_rule_rel_err",
+            rows,
+        ),
+        Table::new(
+            "accuracy_map_summary.csv",
+            "k,cells,expanded_share,l1_rule_expanded_share,max_served_rel_err,max_l1_rule_rel_err,max_inverted_rel_err,cells_served_worse",
+            summary,
+        ),
+    ]
 }
 
 /// The paper's Section 1 asks whether the gaming queue can be studied in

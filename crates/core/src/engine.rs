@@ -580,11 +580,7 @@ impl Engine {
         } else {
             None
         };
-        let model = if self.config.batch {
-            RttModel::from_parts_batch(scenario.clone(), downstream, position, upstream)?
-        } else {
-            RttModel::from_parts(scenario.clone(), downstream, position, upstream)?
-        };
+        let model = RttModel::from_parts(scenario.clone(), downstream, position, upstream)?;
         Ok((model, solution))
     }
 

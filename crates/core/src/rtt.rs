@@ -75,26 +75,16 @@ impl RttModel {
         })
     }
 
-    /// [`RttModel::from_parts`] for the batch engine's sweep path: the
-    /// eq.-35 product skips its re-expansion on cells a cheap bound
-    /// already proves ill-conditioned (see
-    /// [`TotalDelay::new_deferring_ill_conditioned`]). Every RTT-facing
-    /// method behaves identically; only the diagnostic expansion
-    /// accessors differ on skipped cells.
+    /// The batch engine's name for [`RttModel::from_parts`]: the same
+    /// model, so the batch and serial paths choose the same tail method
+    /// at every `x`.
     pub fn from_parts_batch(
         scenario: Scenario,
         downstream: DEk1,
         position: PositionDelay,
         upstream: Option<Mg1>,
     ) -> Result<Self, QueueError> {
-        let total =
-            TotalDelay::new_deferring_ill_conditioned(upstream.as_ref(), &downstream, &position)?;
-        Ok(Self {
-            scenario,
-            downstream,
-            upstream,
-            total,
-        })
+        Self::from_parts(scenario, downstream, position, upstream)
     }
 
     /// The scenario this model was built from.
@@ -152,10 +142,9 @@ impl RttModel {
 
     /// [`RttModel::rtt_quantile_ms_with_hint`] through the batch engine's
     /// tolerance-relaxed root-finder ([`TotalDelay::quantile_fast`]):
-    /// identical on well-conditioned cells, within the engine's documented
-    /// batch tolerance (and several times cheaper) on the
-    /// numerical-inversion regime. NaN only if even the exact fallback
-    /// fails to converge.
+    /// within the engine's documented batch tolerance, and several times
+    /// cheaper on the numerical-inversion regime. NaN only if even the
+    /// exact fallback fails to converge.
     pub fn rtt_quantile_ms_fast(&self, hint_ms: Option<f64>) -> f64 {
         let det = self.scenario.deterministic_delay_s();
         let hint_s = hint_ms.map(|h| h / 1e3 - det).filter(|h| *h > 0.0);
@@ -195,11 +184,13 @@ impl RttModel {
     /// numerical inversion on that regime) against the ~17 of a quantile
     /// solve. The two decisions differ only inside the solve's own
     /// tolerance band around the budget. A level the tail cannot resolve
-    /// (below the numerical inversion's noise floor) is `false`, as the
+    /// at the budget (below the numerical inversion's noise floor, where
+    /// the expansion's error bound rules it out) is `false`, as the
     /// quantile there is a failed solve.
     pub fn meets_budget(&self, budget_ms: f64) -> bool {
         let target = 1.0 - self.scenario.quantile;
-        self.total.resolves_tail(target) && self.rtt_tail(budget_ms) <= target
+        let x = budget_ms / 1e3 - self.scenario.deterministic_delay_s();
+        x > 0.0 && self.total.resolves_tail(x, target) && self.total.tail(x) <= target
     }
 
     /// Per-component quantile breakdown.

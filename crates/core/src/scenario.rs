@@ -235,12 +235,20 @@ impl Scenario {
     ///
     /// A network holds a whole number of gamers, so the scenario it
     /// simulates is `self.clone().with_gamers(round(N))`. Both this
-    /// scenario and that one must [`Scenario::validate`]: a gamer count
-    /// that rounds to 0 is refused (ρ_d = 0), and so is a rounding that
-    /// pushes either direction to load 1 or more.
+    /// scenario and that one must [`Scenario::validate`]. A gamer count
+    /// that rounds to 0 is refused as an invalid `gamers` parameter
+    /// carrying the unrounded count, and a rounding that pushes either
+    /// direction to load 1 or more as an unstable load.
     pub fn network_config(&self) -> Result<NetworkConfig, QueueError> {
         self.validate()?;
-        let n = self.gamer_count().round() as u32;
+        let gamers = self.gamer_count();
+        let n = gamers.round() as u32;
+        if n == 0 {
+            return Err(QueueError::InvalidParameter {
+                name: "gamers",
+                value: gamers,
+            });
+        }
         self.clone().with_gamers(n).validate()?;
         let mut cfg = NetworkConfig::paper_scenario(
             n as usize,
@@ -446,14 +454,14 @@ mod tests {
             Err(QueueError::InvalidParameter { name: "c_bps", value }) if value.is_nan()
         ));
         // 10 kb/s at ρ_d = 0.4 is 0.16 gamers: it validates, but the
-        // network it rounds to has none.
+        // network it rounds to has none, and the refusal names the count.
         let mut none = Scenario::paper_default().with_load(0.4);
         none.c_bps = 10_000.0;
         assert!(none.validate().is_ok());
-        assert_eq!(
+        assert!(matches!(
             none.network_config().unwrap_err(),
-            QueueError::UnstableLoad { rho: 0.0 }
-        );
+            QueueError::InvalidParameter { name: "gamers", value } if (value - 0.16).abs() < 1e-12
+        ));
         // ρ_d = 0.998 is 199.6 gamers, and 200 load the downlink fully.
         let full = Scenario::paper_default().with_load(0.998);
         assert!(full.validate().is_ok());

@@ -20,10 +20,12 @@
 //! Two regimes have no (usable) closed-form expansion and run on
 //! numerical inversion of the unexpanded factor product instead:
 //!
-//! * **ill-conditioned expansions** — at low downstream load (or high K)
+//! * **ill-conditioned evaluations** — at low downstream load (or high K)
 //!   the D/E_K/1 poles collapse onto the position pole β and the eq.-(35)
-//!   coefficients explode while cancelling (detected via the coefficient
-//!   L1 norm),
+//!   coefficients explode while cancelling. Each tail evaluation (and
+//!   each quantile, at its root) reads the expansion's running error
+//!   bound at its `x` and inverts where that bound exceeds
+//!   [`EXPANSION_TOLERANCE`],
 //! * **K = 1 with uniform position** — the position transform is the
 //!   *logarithmic* eq. (33), `P(s) = -(β/s)·ln(1-s/β)`, a branch point
 //!   rather than a pole; the paper stops at "we only consider K > 1", we
@@ -39,15 +41,17 @@ use fpsping_num::cmp::{exact_eq, exact_zero};
 use fpsping_num::laplace::{tail_from_mgf_many, DEFAULT_EULER_M};
 use fpsping_num::Complex64;
 use fpsping_obs::Counter;
+use std::cell::Cell;
+use std::sync::OnceLock;
 
 static CHERNOFF_EXPANSIONS: Counter = Counter::new("queue.combine.chernoff.bracket_expansions");
 static POSITION_EXPANSIONS: Counter = Counter::new("queue.combine.position.bracket_expansions");
-static EXPANSIONS_SKIPPED: Counter =
-    Counter::new("queue.combine.expansion.skipped_ill_conditioned");
 static FAST_QUANTILES: Counter = Counter::new("queue.combine.quantile_fast.calls");
 static FAST_TAIL_EVALS: Counter = Counter::new("queue.combine.quantile_fast.tail_evals");
 static FAST_FALLBACKS: Counter = Counter::new("queue.combine.quantile_fast.fallbacks");
 static QUANTILE_BRACKET_FAILURES: Counter = Counter::new("queue.combine.quantile.bracket_failures");
+static QUANTILES_EXPANDED: Counter = Counter::new("queue.combine.quantile.expanded");
+static QUANTILES_INVERTED: Counter = Counter::new("queue.combine.quantile.inverted");
 
 /// The position-delay factor: either a proper Erlang mix (K > 1 uniform,
 /// or any fixed spot) or the K = 1 logarithmic transform of eq. (33).
@@ -80,11 +84,10 @@ impl PositionFactor {
     }
 
     /// Evaluates the factor's MGF at every point, `out[k] = self.eval(zs[k])`
-    /// bit for bit; `ladders` is the mix's [`ErlangMix::ladder_flags`]
-    /// (ignored for the logarithmic case).
-    fn eval_many(&self, ladders: &[bool], zs: &[Complex64], out: &mut [Complex64]) {
+    /// bit for bit.
+    fn eval_many(&self, zs: &[Complex64], out: &mut [Complex64]) {
         match self {
-            PositionFactor::Mix(m) => m.eval_many(ladders, zs, out),
+            PositionFactor::Mix(m) => m.eval_many(zs, out),
             PositionFactor::LogK1 { .. } => {
                 for (o, &z) in out.iter_mut().zip(zs) {
                     *o = self.eval(z);
@@ -164,49 +167,51 @@ impl PositionFactor {
 }
 
 /// The total stochastic delay model `D_u·W·P` with all three factors and
-/// (where it exists and is trustworthy) their expanded product.
+/// (where it exists) their expanded product.
 #[derive(Debug, Clone)]
 pub struct TotalDelay {
     upstream: ErlangMix,
     burst_wait: ErlangMix,
     position: PositionFactor,
-    product: Option<ErlangMix>,
-    well_conditioned: bool,
-    layout: FactorLayout,
-}
-
-/// The unexpanded factors laid out once per model for evaluation over a
-/// whole inversion contour.
-#[derive(Debug, Clone)]
-struct FactorLayout {
+    /// The eq.-(35) expansion, built at its first use: a cell whose
+    /// [`TotalDelay::bound_floor`] already rules it out never builds it.
+    expansion: OnceLock<Expansion>,
+    /// `(Re b, ε·|c|)` of the burst-wait pole `b` nearest the position
+    /// pole and its coefficient `c` in the product; see
+    /// [`TotalDelay::bound_floor`].
+    floor: (f64, f64),
     /// Flat SoA view of the burst wait when all its poles are simple —
     /// the hot operand of the numerical tail inversion (K reciprocals
     /// per contour point). `None` when a pole has multiplicity > 1 or
-    /// the bank would be too small to pay for itself.
-    burst_bank: Option<SimplePoleBank>,
-    /// [`ErlangMix::ladder_flags`] of the upstream, burst-wait and
-    /// position mixes, in that order (empty for the logarithmic
-    /// position).
-    ladders: [Vec<bool>; 3],
+    /// the bank would be too small to pay for itself. Laid out at the
+    /// first inversion, so a model the expansion serves never builds it.
+    burst_bank: OnceLock<Option<SimplePoleBank>>,
 }
 
-impl FactorLayout {
-    fn of(upstream: &ErlangMix, burst: &ErlangMix, position: &PositionFactor) -> Self {
-        // A burst wait of ≥ 4 simple poles (the D/E_K/1 shape) runs on
-        // the bank; smaller or multiplicity-carrying mixes stay blockwise.
-        let burst_bank = (burst.poles().len() >= 4 && burst.all_simple())
-            .then(|| SimplePoleBank::new(burst.constant, burst.poles(), burst.coeffs()));
-        let position_ladders = match position {
-            PositionFactor::Mix(m) => m.ladder_flags(),
-            PositionFactor::LogK1 { .. } => Vec::new(),
+/// The expanded product of a [`TotalDelay`].
+#[derive(Debug, Clone)]
+struct Expansion {
+    /// `None` for the K = 1 logarithmic position, which has none.
+    product: Option<ErlangMix>,
+    /// Whether building `product` nudged a colliding pole: the expansion
+    /// is then of a slightly different law, an error its running bound
+    /// does not see, and the rule never takes it.
+    nudged: bool,
+}
+
+impl Expansion {
+    fn of(upstream: &ErlangMix, burst_wait: &ErlangMix, position: &PositionFactor) -> Self {
+        let PositionFactor::Mix(position) = position else {
+            return Self {
+                product: None,
+                nudged: false,
+            };
         };
+        let partial = upstream.product(burst_wait);
+        let nudged = burst_wait.collides_with(upstream) || position.collides_with(&partial);
         Self {
-            burst_bank,
-            ladders: [
-                upstream.ladder_flags(),
-                burst.ladder_flags(),
-                position_ladders,
-            ],
+            product: Some(partial.product(position)),
+            nudged,
         }
     }
 }
@@ -214,9 +219,18 @@ impl FactorLayout {
 /// Points on the Euler contour of [`TotalDelay::tail_numeric`]'s order.
 const CONTOUR_POINTS: usize = 2 * DEFAULT_EULER_M + 1;
 
-/// Expansion coefficients above this L1 norm lose too many of f64's ~16
-/// digits to cancellation for a trustworthy 1e-5 tail.
-const CONDITION_LIMIT: f64 = 1e6;
+/// The largest running error bound ([`ErlangMix::tail_with_bound`]) at
+/// which a tail is taken from the eq.-(35) expansion; above it the tail
+/// is inverted numerically. The `accuracy_map` study chose it: on its
+/// grid (K = 1…30, ρ_d = 0.05…0.95, T ∈ {40, 60} ms, P_S ∈ {75, 100,
+/// 125} B and three points near uplink saturation) every cell served
+/// from the expansion under this tolerance is at least as close to the
+/// oracle quantile as the numerical inversion, the largest error being
+/// 1.2e-9 relative against the inversion's 1e-7 to 1e-6. At 1e-10 one
+/// cell (K = 9, T = 40 ms, P_S = 75 B, ρ_d = 0.2, bound 5.8e-11) lands
+/// on rounding noise 2.7e-8 from the oracle, past the inversion's
+/// 1.8e-8.
+pub const EXPANSION_TOLERANCE: f64 = 1e-11;
 
 /// Absolute noise floor of the Abate–Whitt inversion backing the
 /// unexpanded-product tail (`tail_numeric` is documented ~1e-10-accurate;
@@ -243,67 +257,68 @@ fn log_position(position: &PositionDelay) -> Option<PositionFactor> {
     })
 }
 
-/// Exact lower bound on the coefficient L1 norm of the re-expanded
-/// product `D_u·W·P`, from the simple (multiplicity-1) burst-wait poles
-/// alone: Appendix A assigns pole `b_j` the coefficient
-/// `A_j·D_u(b_j)·P(b_j)`, each of which contributes its modulus to the
-/// L1 norm. Returns `+∞` (never NaN) when a burst pole sits on a pole of
-/// another factor — the expansion there is degenerate-by-collision, the
-/// worst conditioning of all.
-fn expansion_l1_lower_bound(up: &ErlangMix, burst: &ErlangMix, pos: &ErlangMix) -> f64 {
-    let mut bound = 0.0f64;
-    for b in burst.blocks() {
-        if b.coeffs.len() != 1 {
-            continue;
-        }
-        let coeff = b.coeffs[0] * up.eval(b.pole) * pos.eval(b.pole);
-        let term = coeff.abs();
-        if !term.is_finite() {
-            return f64::INFINITY;
-        }
-        bound += term;
-    }
-    bound
+/// Whether an expanded quantile solve's root is kept, given the
+/// expansion's tail and running error bound there
+/// ([`ErlangMix::tail_with_bound`]): the bound is within
+/// [`EXPANSION_TOLERANCE`] and the tail meets the target to 1e-3 of it.
+/// The second test rejects a "root" at a jump of the expanded tail (its
+/// terms underflowing to 0 past a stretch of rounding noise), where the
+/// bound on the near side can read 0.
+fn keeps_root((tail, bound): (f64, f64), target: f64) -> bool {
+    bound <= EXPANSION_TOLERANCE && (tail - target).abs() <= 1e-3 * target
 }
 
 impl TotalDelay {
     /// Assembles the model from already-built component mixes.
     pub fn from_mixes(upstream: ErlangMix, burst_wait: ErlangMix, position: ErlangMix) -> Self {
-        let product = upstream.product(&burst_wait).product(&position);
-        let well_conditioned =
-            product.coeff_l1() < CONDITION_LIMIT && (product.total_mass() - 1.0).abs() < 1e-6;
-        Self::assemble(
-            upstream,
-            burst_wait,
-            PositionFactor::Mix(position),
-            Some(product),
-            well_conditioned,
-        )
+        Self::assemble(upstream, burst_wait, PositionFactor::Mix(position))
     }
 
-    /// The one constructor every path ends in: lays the factors out for
-    /// the contour pass.
-    fn assemble(
-        upstream: ErlangMix,
-        burst_wait: ErlangMix,
-        position: PositionFactor,
-        product: Option<ErlangMix>,
-        well_conditioned: bool,
-    ) -> Self {
-        let layout = FactorLayout::of(&upstream, &burst_wait, &position);
+    /// The one constructor every path ends in.
+    fn assemble(upstream: ErlangMix, burst_wait: ErlangMix, position: PositionFactor) -> Self {
+        // The burst-wait pole nearest the position pole carries the
+        // largest Appendix-A coefficient a_j·D_u(b_j)·P(b_j) where the
+        // poles cluster (low load): the one term `bound_floor` reads.
+        let floor = match (&position, position.decay_bound()) {
+            (PositionFactor::Mix(_), Some(beta)) => burst_wait
+                .blocks()
+                .filter(|b| b.coeffs.len() == 1)
+                .min_by(|a, b| {
+                    (a.pole - beta)
+                        .norm_sqr()
+                        .total_cmp(&(b.pole - beta).norm_sqr())
+                })
+                .map_or((0.0, 0.0), |b| {
+                    let c = b.coeffs[0] * upstream.eval(b.pole) * position.eval(b.pole);
+                    (b.pole.re, f64::EPSILON * c.abs())
+                }),
+            _ => (0.0, 0.0),
+        };
         Self {
             upstream,
             burst_wait,
             position,
-            product,
-            well_conditioned,
-            layout,
+            expansion: OnceLock::new(),
+            floor,
+            burst_bank: OnceLock::new(),
         }
     }
 
-    /// The model without an expansion, on numerical inversion throughout.
-    fn unexpanded(upstream: ErlangMix, burst_wait: ErlangMix, position: PositionFactor) -> Self {
-        Self::assemble(upstream, burst_wait, position, None, false)
+    /// The expansion, built on first use.
+    fn built(&self) -> &Expansion {
+        self.expansion
+            .get_or_init(|| Expansion::of(&self.upstream, &self.burst_wait, &self.position))
+    }
+
+    /// A lower bound on the expansion's running error bound at `x`
+    /// ([`ErlangMix::tail_with_bound`]) that needs no expansion: the
+    /// bound's term `ε·|c|·e^{-Re b·x}` for the burst-wait pole `b`
+    /// nearest the position pole, whose product coefficient is exactly
+    /// `c = a_b·D_u(b)·P(b)` (Appendix A, multiplicity 1). Where it
+    /// exceeds [`EXPANSION_TOLERANCE`] the rule inverts, unbuilt.
+    fn bound_floor(&self, x: f64) -> f64 {
+        let (decay, scale) = self.floor;
+        scale * (-decay * x).exp()
     }
 
     /// Assembles the paper's model from the upstream M/G/1 (eq. 14
@@ -323,7 +338,7 @@ impl TotalDelay {
             None => ErlangMix::unit(),
         };
         if let Some(log) = log_position(position) {
-            return Ok(Self::unexpanded(up, downstream.to_mix(), log));
+            return Ok(Self::assemble(up, downstream.to_mix(), log));
         }
         Ok(Self::from_mixes(
             up,
@@ -332,50 +347,32 @@ impl TotalDelay {
         ))
     }
 
-    /// [`TotalDelay::new`], except that the eq.-(35) re-expansion is
-    /// *skipped* when a cheap lower bound already proves it would be
-    /// discarded as ill-conditioned.
-    ///
-    /// The re-expanded coefficient at a simple burst-wait pole `b_j` is
-    /// exactly `A_j · D_u(b_j) · P(b_j)` (Appendix A with multiplicity 1),
-    /// so `Σ_j |A_j·D_u(b_j)·P(b_j)|` is a lower bound on the product's
-    /// coefficient L1 norm. When that bound is already ≥ the condition
-    /// limit, [`TotalDelay::tail`] and the quantile methods would route
-    /// to numerical inversion anyway — building (then ignoring) the
-    /// O(K²) expansion is pure waste on a sweep's cold path.
-    ///
-    /// Every probability-facing method behaves identically to a model
-    /// from [`TotalDelay::new`]; only the diagnostic accessors differ on
-    /// skipped cells ([`TotalDelay::product`] returns `None`,
-    /// [`TotalDelay::tail_expanded`] panics). The batch engine uses this;
-    /// the bit-exact configurations keep [`TotalDelay::new`].
-    pub fn new_deferring_ill_conditioned(
-        upstream: Option<&Mg1>,
-        downstream: &DEk1,
-        position: &PositionDelay,
-    ) -> Result<Self, QueueError> {
-        let up = match upstream {
-            Some(q) => q.paper_mix()?,
-            None => ErlangMix::unit(),
-        };
-        if let Some(log) = log_position(position) {
-            return Ok(Self::unexpanded(up, downstream.to_mix(), log));
-        }
-        let burst = downstream.to_mix();
-        let pos = position.to_mix()?;
-        if expansion_l1_lower_bound(&up, &burst, &pos) >= CONDITION_LIMIT {
-            EXPANSIONS_SKIPPED.incr();
-            return Ok(Self::unexpanded(up, burst, PositionFactor::Mix(pos)));
-        }
-        Ok(Self::from_mixes(up, burst, pos))
+    /// Whether [`TotalDelay::tail`] takes its value at `x` from the
+    /// eq.-(35) expansion: the expansion exists (K > 1 or a spot
+    /// position), was built without nudging a colliding pole, and its
+    /// running error bound at `x` is at most
+    /// [`EXPANSION_TOLERANCE`]. Everywhere else the tail is inverted
+    /// numerically. Evaluated at a quantile, this is the method the
+    /// quantile solve used there.
+    pub fn expands_at(&self, x: f64) -> bool {
+        self.expanded_tail(x).is_some()
     }
 
-    /// Whether the eq.-(35) expansion exists and is numerically
-    /// trustworthy; when `false`, [`TotalDelay::tail`] and
-    /// [`TotalDelay::quantile`] use numerical inversion of the unexpanded
-    /// product instead.
-    pub fn expansion_well_conditioned(&self) -> bool {
-        self.well_conditioned
+    /// The expansion's tail at `x` where the rule takes it (see
+    /// [`TotalDelay::expands_at`]).
+    fn expanded_tail(&self, x: f64) -> Option<f64> {
+        if self.bound_floor(x) > EXPANSION_TOLERANCE {
+            return None;
+        }
+        let (t, bound) = self.expansion()?.tail_with_bound(x);
+        (bound <= EXPANSION_TOLERANCE).then_some(t)
+    }
+
+    /// The expanded product where the rule may read it: it exists and
+    /// no pole was nudged to build it.
+    fn expansion(&self) -> Option<&ErlangMix> {
+        let built = self.built();
+        built.product.as_ref().filter(|_| !built.nudged)
     }
 
     /// The upstream factor `D_u(s)`.
@@ -393,10 +390,11 @@ impl TotalDelay {
         &self.position
     }
 
-    /// The expanded product of eq. (35) (`None` for the K = 1 logarithmic
-    /// case, which has no rational expansion).
+    /// The expanded product of eq. (35), whatever its conditioning
+    /// (`None` for the K = 1 logarithmic case, which has no rational
+    /// expansion).
     pub fn product(&self) -> Option<&ErlangMix> {
-        self.product.as_ref()
+        self.built().product.as_ref()
     }
 
     /// Mean total delay — computed as the sum of the three component
@@ -407,9 +405,22 @@ impl TotalDelay {
         self.upstream.mean() + self.burst_wait.mean() + self.position.mean()
     }
 
+    /// The burst wait's [`SimplePoleBank`], laid out on first use: a
+    /// burst wait of ≥ 4 simple poles (the D/E_K/1 shape) runs on the
+    /// bank; smaller or multiplicity-carrying mixes stay blockwise.
+    fn burst_bank(&self) -> Option<&SimplePoleBank> {
+        self.burst_bank
+            .get_or_init(|| {
+                let burst = &self.burst_wait;
+                (burst.poles().len() >= 4 && burst.all_simple())
+                    .then(|| SimplePoleBank::new(burst.constant, burst.poles(), burst.coeffs()))
+            })
+            .as_ref()
+    }
+
     /// The unexpanded product MGF.
     fn eval_factors(&self, s: Complex64) -> Complex64 {
-        let burst = match &self.layout.burst_bank {
+        let burst = match self.burst_bank() {
             Some(bank) => bank.eval(s),
             None => self.burst_wait.eval(s),
         };
@@ -421,34 +432,35 @@ impl TotalDelay {
     /// all points, then the three are multiplied point by point in
     /// `eval_factors`' order.
     fn eval_factors_many(&self, zs: &[Complex64], out: &mut [Complex64]) {
-        let [up_ladders, burst_ladders, pos_ladders] = &self.layout.ladders;
-        self.upstream.eval_many(up_ladders, zs, out);
+        self.upstream.eval_many(zs, out);
         let mut factor = [Complex64::ZERO; CONTOUR_POINTS];
         let factor = &mut factor[..zs.len()];
-        match &self.layout.burst_bank {
+        match self.burst_bank() {
             Some(bank) => bank.eval_many(zs, factor),
-            None => self.burst_wait.eval_many(burst_ladders, zs, factor),
+            None => self.burst_wait.eval_many(zs, factor),
         }
         for (o, &w) in out.iter_mut().zip(factor.iter()) {
             *o *= w;
         }
-        self.position.eval_many(pos_ladders, zs, factor);
+        self.position.eval_many(zs, factor);
         for (o, &p) in out.iter_mut().zip(factor.iter()) {
             *o *= p;
         }
     }
 
-    /// Tail `P(total > x)`: closed-form expansion when well-conditioned,
-    /// numerical inversion of the unexpanded product otherwise. Finite in
-    /// `[0, 1]` for all `x ≥ 0`.
+    /// Tail `P(total > x)`: the closed-form expansion where its error
+    /// bound at `x` allows ([`TotalDelay::expands_at`]), numerical
+    /// inversion of the unexpanded product otherwise. Finite in `[0, 1]`
+    /// for all `x ≥ 0`.
     pub fn tail(&self, x: f64) -> f64 {
-        if self.well_conditioned {
-            self.product
-                .as_ref()
-                // lint:allow(unwrap): the constructor sets `well_conditioned` only after building `product`
-                .expect("well-conditioned implies product")
-                .tail(x)
-        } else if exact_zero(x) {
+        self.expanded_tail(x)
+            .unwrap_or_else(|| self.tail_inverted(x))
+    }
+
+    /// The tail without the expansion: exact at `x = 0`, the clamped
+    /// numerical inversion elsewhere.
+    fn tail_inverted(&self, x: f64) -> f64 {
+        if exact_zero(x) {
             // P(total > 0) ≥ P(position > 0) = 1 (position is a.s.
             // positive for every supported law).
             1.0 - self.upstream.constant
@@ -462,25 +474,15 @@ impl TotalDelay {
         }
     }
 
-    /// Whether [`TotalDelay::tail`] has digits at the level `target`: the
-    /// expansion always does, the numerical inversion only down to its
-    /// ~1e-9 noise floor. Where it does not, the quantile methods report
-    /// a [`QueueError::SolveFailure`] (or NaN) rather than a crossing of
+    /// Whether [`TotalDelay::tail`] at `x` has digits at the level
+    /// `target`: the expansion does wherever the rule takes it, the
+    /// numerical inversion only down to its ~1e-9 noise floor. Where it
+    /// does not, the quantile methods report a
+    /// [`QueueError::SolveFailure`] (or NaN) rather than a crossing of
     /// noise, and a caller comparing the tail with `target` must treat
     /// the comparison as failed the same way.
-    pub fn resolves_tail(&self, target: f64) -> bool {
-        self.well_conditioned || target >= NUMERIC_TAIL_FLOOR
-    }
-
-    /// Tail from the eq.-(35) expansion regardless of conditioning —
-    /// exposed for studying exactly where the closed form degrades.
-    /// Panics for the K = 1 case, which has no expansion.
-    pub fn tail_expanded(&self, x: f64) -> f64 {
-        self.product
-            .as_ref()
-            // lint:allow(unwrap): the K = 1 panic is the documented contract of this diagnostic entry point
-            .expect("tail_expanded: no rational expansion exists (K = 1 uniform position)")
-            .tail(x)
+    pub fn resolves_tail(&self, x: f64, target: f64) -> bool {
+        target >= NUMERIC_TAIL_FLOOR || self.expands_at(x)
     }
 
     /// Tail by numerical Laplace inversion of the *unexpanded* product —
@@ -502,9 +504,10 @@ impl TotalDelay {
         )
     }
 
-    /// Method 1 (the paper's): p-quantile from the full expansion (with
-    /// the numerical-inversion fallback when the expansion is
-    /// ill-conditioned or absent). Panics unless `p ∈ (0, 1)`; NaN if the
+    /// Method 1 (the paper's): p-quantile from the full expansion, kept
+    /// where the expansion's error bound at that root allows, and solved
+    /// again on the numerical inversion where it does not (or where no
+    /// expansion exists). Panics unless `p ∈ (0, 1)`; NaN if the
     /// bracketed solve fails to converge.
     pub fn quantile(&self, p: f64) -> f64 {
         self.quantile_with_hint(p, None)
@@ -521,17 +524,12 @@ impl TotalDelay {
         self.try_quantile_with_hint(p, hint).unwrap_or(f64::NAN)
     }
 
-    /// Fallible form of [`TotalDelay::quantile`]: same value on success,
-    /// explicit [`QueueError::SolveFailure`] where the infallible form
-    /// returns NaN. Panics unless `p ∈ (0, 1)`.
-    pub fn try_quantile(&self, p: f64) -> Result<f64, QueueError> {
-        self.try_quantile_with_hint(p, None)
-    }
-
-    /// Fallible p-quantile with an optional warm-start hint.
+    /// Fallible p-quantile with an optional warm-start hint; `hint: None`
+    /// is the cold [`TotalDelay::quantile`].
     ///
-    /// On the numeric-inversion regime (ill-conditioned or K = 1 models)
-    /// the solve runs on `tail_numeric(x).clamp(0, 1)`, whose clamp used
+    /// The expansion's quantile is solved first and kept where
+    /// [`TotalDelay::expands_at`] holds at it. Otherwise (an expansion
+    /// too ill-conditioned there, or K = 1) the solve runs on `tail_numeric(x).clamp(0, 1)`, whose clamp used
     /// to *hide* failure modes: a target below the inversion's noise
     /// floor, or a doubling search that never crosses the target, both
     /// previously handed the Brent solve a non-monotone noise curve and
@@ -541,19 +539,65 @@ impl TotalDelay {
     /// `p ∈ (0, 1)`; the returned value is finite and non-negative.
     pub fn try_quantile_with_hint(&self, p: f64, hint: Option<f64>) -> Result<f64, QueueError> {
         assert!(p > 0.0 && p < 1.0, "quantile: p must lie in (0,1), got {p}");
-        if self.well_conditioned {
-            // lint:allow(unwrap): the constructor sets `well_conditioned` only after building `product`
-            let q = self.product.as_ref().unwrap().quantile_with_hint(p, hint);
-            return if q.is_finite() {
-                Ok(q)
-            } else {
-                Err(QueueError::SolveFailure {
-                    what: "expanded-product quantile solve",
-                })
-            };
+        if let Some(prod) = self.expansion() {
+            let q = prod.quantile_with_hint(p, hint);
+            if q.is_finite() && keeps_root(prod.tail_with_bound(q), 1.0 - p) {
+                QUANTILES_EXPANDED.incr();
+                return Ok(q);
+            }
         }
+        let q = self.try_quantile_inverted(p, hint)?;
+        Ok(self.settle(q, 1.0 - p))
+    }
+
+    /// The quantile for an inverted root `q`: the expansion's root beside
+    /// it where the rule takes the expansion at `q` (an expanded solve
+    /// can miss it when the expansion is rounding noise far below the
+    /// quantile yet accurate near it), `q` itself otherwise. Counts the
+    /// method used.
+    fn settle(&self, q: f64, target: f64) -> f64 {
+        match self.expanded_root_near(q, target) {
+            Some(r) => {
+                QUANTILES_EXPANDED.incr();
+                r
+            }
+            None => {
+                QUANTILES_INVERTED.incr();
+                q
+            }
+        }
+    }
+
+    /// The expansion's root in a bracket grown from `q` in steps of
+    /// 1e-6·q, where [`keeps_root`] holds at `q` and at that root.
+    fn expanded_root_near(&self, q: f64, target: f64) -> Option<f64> {
+        if self.bound_floor(q) > EXPANSION_TOLERANCE {
+            return None;
+        }
+        let prod = self.expansion()?;
+        if !(q > 0.0 && keeps_root(prod.tail_with_bound(q), target)) {
+            return None;
+        }
+        let f = |x: f64| prod.tail(x) - target;
+        let (mut lo, mut hi) = (q, q);
+        let mut step = 1e-6 * q;
+        while f(lo) <= 0.0 && lo > 0.0 {
+            lo = (lo - step).max(0.0);
+            step *= 2.0;
+        }
+        step = 1e-6 * q;
+        while f(hi) > 0.0 && hi < 2.0 * q {
+            hi += step;
+            step *= 2.0;
+        }
+        let root = fpsping_num::roots::brent(f, lo, hi, 1e-12, 100).ok()?.root;
+        keeps_root(prod.tail_with_bound(root), target).then_some(root)
+    }
+
+    /// The p-quantile of the numerically inverted tail.
+    fn try_quantile_inverted(&self, p: f64, hint: Option<f64>) -> Result<f64, QueueError> {
         let target = 1.0 - p;
-        if !self.resolves_tail(target) {
+        if target < NUMERIC_TAIL_FLOOR {
             // The clamped numeric tail has no digits at this depth; any
             // bracket the search found would be a zero-crossing of
             // inversion noise, not of the distribution.
@@ -562,12 +606,13 @@ impl TotalDelay {
                 what: "quantile target below the numeric inversion's noise floor",
             });
         }
-        if self.tail(0.0) <= target {
+        if self.tail_inverted(0.0) <= target {
             return Ok(0.0);
         }
         let scale = self.mean().abs().max(1e-9);
-        let hi = crate::erlang_mix::canonical_bracket(|x| self.tail(x) <= target, scale, hint);
-        if self.tail(hi) > target {
+        let hi =
+            crate::erlang_mix::canonical_bracket(|x| self.tail_inverted(x) <= target, scale, hint);
+        if self.tail_inverted(hi) > target {
             // The doubling search gave up at its cap without ever crossing
             // the target — previously this handed Brent an unbracketed
             // interval and returned garbage.
@@ -577,7 +622,7 @@ impl TotalDelay {
             });
         }
         fpsping_num::roots::brent(
-            |x| self.tail(x.max(1e-15)) - target,
+            |x| self.tail_inverted(x.max(1e-15)) - target,
             0.0,
             hi,
             1e-10 * scale,
@@ -596,12 +641,12 @@ impl TotalDelay {
     /// takes over: seeded from `hint` (a neighboring sweep cell, seconds)
     /// or the exponential-with-matched-mean guess, with the second point
     /// one asymptotic-decay-rate step away, it typically converges in
-    /// about four tail evaluations against the exact path's ~17. On the
-    /// numerical-inversion regime every evaluation is a 2m+1-point
-    /// Laplace inversion ([`TotalDelay::tail_numeric`]), so the secant
-    /// saves about three quarters of such a cell's inversions;
-    /// well-conditioned cells run the same secant on the cheap expansion
-    /// tail.
+    /// about four tail evaluations against the exact path's ~17. The
+    /// secant runs on the cheap expansion tail first, and its root is
+    /// kept where [`TotalDelay::expands_at`] holds there (the exact
+    /// path's rule). Elsewhere every evaluation is a 2m+1-point Laplace
+    /// inversion ([`TotalDelay::tail_numeric`]), so the secant saves
+    /// about three quarters of such a cell's inversions.
     ///
     /// The secant terminates at step width `QUANTILE_FAST_ATOL`
     /// (2e-8 s = 2e-5 ms), several times under the engine's documented
@@ -615,8 +660,15 @@ impl TotalDelay {
             "quantile_fast: p must lie in (0,1), got {p}"
         );
         FAST_QUANTILES.incr();
+        if matches!(self.position, PositionFactor::LogK1 { .. }) {
+            // No expansion (K = 1): every evaluation is an inversion, and
+            // at multi-second quantiles the secant's stop lands up to
+            // 1e-3 ms from the exact solve's root on inversion noise, past
+            // the batch tolerance. The exact solve serves these cells.
+            return self.quantile_with_hint(p, hint);
+        }
         let target = 1.0 - p;
-        if self.tail(0.0) <= target {
+        if self.tail_inverted(0.0) <= target {
             return 0.0;
         }
         let scale = self.mean().abs().max(1e-9);
@@ -626,15 +678,42 @@ impl TotalDelay {
             // memoryless, an upper-ish start otherwise — either way one
             // slope step away from the linear regime.
             .unwrap_or_else(|| scale * (1.0 / target).ln());
-        let solved = match (self.well_conditioned, &self.product) {
-            (true, Some(prod)) => self.quantile_log_secant(|x| prod.tail(x), target, seed),
-            // Below the inversion noise floor the secant would chase
-            // sign-noise; route straight to the (also-rejecting) fallback.
-            _ if !self.resolves_tail(target) => None,
-            _ => self.quantile_log_secant(|x| self.tail_numeric(x.max(1e-15)), target, seed),
-        };
-        if let Some(x) = solved {
+        // The expansion's root, kept by the exact path's rule read at the
+        // last evaluation (within `QUANTILE_FAST_ATOL` of the root). The
+        // secant evaluates near the root (from a neighbor's quantile or
+        // one slope step), where the bound varies by a small factor, so a
+        // bound 100× over the tolerance stops it at once: the root would
+        // be rejected anyway.
+        let first = seed.max(QUANTILE_FAST_ATOL);
+        let screened = self.bound_floor(first) > 100.0 * EXPANSION_TOLERANCE;
+        let expanded = (!screened)
+            .then(|| self.expansion())
+            .flatten()
+            .and_then(|prod| {
+                let last = Cell::new((f64::NAN, f64::INFINITY));
+                let tail = |x: f64| {
+                    let (t, bound) = prod.tail_with_bound(x);
+                    last.set((t, bound));
+                    if bound <= 100.0 * EXPANSION_TOLERANCE {
+                        t
+                    } else {
+                        f64::NAN
+                    }
+                };
+                self.quantile_log_secant(tail, target, seed)
+                    .filter(|_| keeps_root(last.get(), target))
+            });
+        if let Some(x) = expanded {
+            QUANTILES_EXPANDED.incr();
             return x;
+        }
+        // Below the inversion noise floor the secant would chase
+        // sign-noise; route straight to the (also-rejecting) fallback.
+        let inverted = (target >= NUMERIC_TAIL_FLOOR)
+            .then(|| self.quantile_log_secant(|x| self.tail_numeric(x.max(1e-15)), target, seed))
+            .flatten();
+        if let Some(x) = inverted {
+            return self.settle(x, target);
         }
         FAST_FALLBACKS.incr();
         self.quantile_with_hint(p, hint)
@@ -671,7 +750,8 @@ impl TotalDelay {
         const MAX_EVALS: usize = 40;
         let ln_target = target.ln();
         let mut evals = 0usize;
-        let f = |x: f64| -> Option<f64> {
+        // `(f, clamped)`: the log residual, and whether the tail read ≤ 0.
+        let f = |x: f64| -> Option<(f64, bool)> {
             FAST_TAIL_EVALS.incr();
             let t = tail(x);
             if !t.is_finite() {
@@ -679,27 +759,29 @@ impl TotalDelay {
             }
             // Clamp before the log: beyond the inversion's noise floor the
             // tail can dip ≤ 0, which simply reads as "far past the root".
-            Some(t.max(1e-300).ln() - ln_target)
+            Some((t.max(1e-300).ln() - ln_target, t <= 0.0))
         };
         // f is decreasing: f(lo) > 0 ≥ f(hi). The caller's atom check
         // guarantees f(0+) > 0.
         let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
         let mut x0 = seed.max(QUANTILE_FAST_ATOL);
         evals += 1;
-        let mut f0 = f(x0)?;
+        let (mut f0, mut clamped0) = f(x0)?;
         // Second point: one step along the asymptotic log-slope −r lands
         // it near the root (exact if the tail were already in its
         // single-exponential regime), so the first secant is interpolation
         // rather than a blind 5% probe.
         let mut x1 = match self.decay_rate().filter(|r| *r > 0.0) {
-            Some(r) if (f0 / r).abs() > QUANTILE_FAST_ATOL => (x0 + f0 / r).max(0.25 * x0),
+            Some(r) if !clamped0 && (f0 / r).abs() > QUANTILE_FAST_ATOL => {
+                (x0 + f0 / r).max(0.25 * x0)
+            }
             _ => x0 * 1.05 + QUANTILE_FAST_ATOL,
         };
         if exact_eq(x1, x0) {
             x1 = x0 * 1.05 + QUANTILE_FAST_ATOL;
         }
         evals += 1;
-        let mut f1 = f(x1)?;
+        let (mut f1, mut clamped1) = f(x1)?;
         loop {
             for (x, fx) in [(x0, f0), (x1, f1)] {
                 if fx > 0.0 {
@@ -712,7 +794,9 @@ impl TotalDelay {
                 return None;
             }
             let denom = f1 - f0;
-            let mut next = if exact_zero(denom) {
+            // A clamped point bounds the bracket but has no slope: a
+            // secant through it takes a tiny step that reads as converged.
+            let mut next = if clamped0 || clamped1 || exact_zero(denom) {
                 f64::NAN
             } else {
                 x1 - f1 * (x1 - x0) / denom
@@ -730,9 +814,9 @@ impl TotalDelay {
                 return Some(next);
             }
             evals += 1;
-            let fnext = f(next)?;
-            (x0, f0) = (x1, f1);
-            (x1, f1) = (next, fnext);
+            let (fnext, clamped_next) = f(next)?;
+            (x0, f0, clamped0) = (x1, f1, clamped1);
+            (x1, f1, clamped1) = (next, fnext, clamped_next);
         }
     }
 
@@ -741,7 +825,7 @@ impl TotalDelay {
     /// dominant pole is not too small"). Only meaningful when the
     /// expansion exists and is well-conditioned.
     pub fn quantile_dominant_pole(&self, p: f64) -> f64 {
-        match &self.product {
+        match self.product() {
             Some(prod) => prod.quantile_dominant_pole(p),
             None => f64::NAN,
         }
@@ -889,7 +973,7 @@ mod tests {
         // When the expansion is well-conditioned, the expanded product's
         // own mean must agree with the sum of the component means.
         let m = paper_like_model();
-        assert!(m.expansion_well_conditioned());
+        assert!(m.expands_at(m.quantile(0.99999)));
         let sum = m.upstream().mean() + m.burst_wait().mean() + m.position().mean();
         assert!((m.product().unwrap().mean() - sum).abs() < 1e-8 * sum);
         assert!((m.mean() - sum).abs() < 1e-12);
@@ -925,7 +1009,7 @@ mod tests {
         let dek1 = DEk1::new(k, mean_service, t).unwrap();
         let pos = PositionDelay::uniform(k, k as f64 / mean_service).unwrap();
         let m = TotalDelay::new(None, &dek1, &pos).unwrap();
-        assert!(m.expansion_well_conditioned());
+        assert!(m.expands_at(m.quantile(0.99999)));
         let direct = dek1.to_mix().product(&pos.to_mix().unwrap());
         for &x in &[0.001, 0.01, 0.03] {
             assert!((m.tail(x) - direct.tail(x)).abs() < 1e-9, "x={x}");
@@ -935,17 +1019,20 @@ mod tests {
     #[test]
     fn ill_conditioned_expansion_falls_back_to_numeric() {
         // Low load, K = 9: the D/E_K/1 poles collapse onto β and the
-        // eq.-(35) expansion blows up; the auto tail must stay a valid
-        // probability and match the position-delay tail (which dominates
-        // at low load).
+        // eq.-(35) expansion blows up; at every tested x its running
+        // error bound is far over the tolerance, so the auto tail is the
+        // inversion's. It must stay a valid probability and match the
+        // position-delay tail (which dominates at low load).
         let t = 0.06;
         let k = 9u32;
         let rho = 0.05;
         let dek1 = DEk1::new(k, rho * t, t).unwrap();
         let pos = PositionDelay::uniform(k, k as f64 / (rho * t)).unwrap();
         let m = TotalDelay::new(None, &dek1, &pos).unwrap();
-        assert!(!m.expansion_well_conditioned());
         for &x in &[0.001, 0.004, 0.008] {
+            let (_, bound) = m.product().unwrap().tail_with_bound(x);
+            assert!(bound > EXPANSION_TOLERANCE, "x={x}: bound {bound:e}");
+            assert!(!m.expands_at(x));
             let t_auto = m.tail(x);
             let t_pos = pos.tail(x);
             assert!((0.0..=1.0).contains(&t_auto));
@@ -958,8 +1045,9 @@ mod tests {
 
     #[test]
     fn noise_floor_quantile_is_an_error_not_clamped_garbage() {
-        // Ill-conditioned model: every tail/quantile runs on the clamped
-        // numerical inversion, whose absolute accuracy is ~1e-10. A target
+        // Ill-conditioned model: the expansion's error bound rules it out
+        // at both quantiles below, so every tail/quantile runs on the
+        // clamped numerical inversion, whose absolute accuracy is ~1e-10. A target
         // of 1e-12 sits below that floor; the clamp used to hide the
         // resulting non-monotone noise from the bracket search, and the
         // Brent solve would return whichever noise zero-crossing it hit —
@@ -970,10 +1058,9 @@ mod tests {
         let dek1 = DEk1::new(k, rho * t, t).unwrap();
         let pos = PositionDelay::uniform(k, k as f64 / (rho * t)).unwrap();
         let m = TotalDelay::new(None, &dek1, &pos).unwrap();
-        assert!(!m.expansion_well_conditioned());
         let p = 1.0 - 1e-12;
         assert!(matches!(
-            m.try_quantile(p),
+            m.try_quantile_with_hint(p, None),
             Err(QueueError::SolveFailure { .. })
         ));
         // The infallible forms surface the failure as NaN, never a number.
@@ -981,8 +1068,9 @@ mod tests {
         assert!(m.quantile_fast(p, None).is_nan());
         // Targets above the floor still solve, and the fallible and
         // infallible paths agree exactly.
-        let q = m.try_quantile(0.99999).unwrap();
+        let q = m.try_quantile_with_hint(0.99999, None).unwrap();
         assert!(q.is_finite() && q > 0.0);
+        assert!(!m.expands_at(q));
         assert_eq!(q, m.quantile(0.99999));
     }
 
@@ -1039,12 +1127,8 @@ mod tests {
                 for position in [Position::Uniform, Position::Spot(0.6)] {
                     let pos = PositionDelay::new(k, beta, position).unwrap();
                     for upstream in [None, Some(&up)] {
-                        let models = [
-                            TotalDelay::new(upstream, &dek1, &pos).unwrap(),
-                            TotalDelay::new_deferring_ill_conditioned(upstream, &dek1, &pos)
-                                .unwrap(),
-                        ];
-                        for m in &models {
+                        {
+                            let m = &TotalDelay::new(upstream, &dek1, &pos).unwrap();
                             let q = m.quantile(0.99999);
                             let q = if q > 0.0 { q } else { m.mean() };
                             for f in [0.3, 1.0, 3.0] {
@@ -1067,7 +1151,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(checked, 30 * 4 * 2 * 2 * 2 * 3);
+        assert_eq!(checked, 30 * 4 * 2 * 2 * 3);
     }
 
     // ---- K = 1 (eq. 33, logarithmic position transform) ----
@@ -1082,7 +1166,7 @@ mod tests {
     fn k1_model_builds_without_expansion() {
         let m = k1_model(0.5, 0.06);
         assert!(m.product().is_none());
-        assert!(!m.expansion_well_conditioned());
+        assert!(!m.expands_at(0.01));
         assert!(matches!(m.position(), PositionFactor::LogK1 { .. }));
     }
 

@@ -37,6 +37,11 @@ pub struct PoleBlock<'a> {
     pub pole: Complex64,
     /// `coeffs[m-1]` multiplies the Erlang term of multiplicity `m`.
     pub coeffs: &'a [Complex64],
+    /// The magnitude companion of each coefficient: the coefficient
+    /// recomputed with every operation of its Appendix-A construction
+    /// taken in absolute value (`|c|` for a coefficient given as input).
+    /// `ε` times it bounds the rounding error the coefficient carries.
+    pub magnitudes: &'a [f64],
 }
 
 impl PoleBlock<'_> {
@@ -48,6 +53,25 @@ impl PoleBlock<'_> {
         } else {
             self.term_sum(base)
         }
+    }
+
+    /// [`PoleBlock::eval`] and the magnitude companion of its value,
+    /// `Σ_m Ã_m·|λ/(λ-s)|^m` (moduli as `|re| + |im|`).
+    fn eval_with_magnitude(&self, s: Complex64) -> (Complex64, f64) {
+        let base = self.base(s);
+        let value = if self.closes(base, self.is_ladder()) {
+            self.geometric_sum(base, base.powi(self.coeffs.len() as i32))
+        } else {
+            self.term_sum(base)
+        };
+        let base_mag = l1(base);
+        let mut pw = 1.0;
+        let mut magnitude = 0.0;
+        for &mag in self.magnitudes {
+            pw *= base_mag;
+            magnitude += mag * pw;
+        }
+        (value, magnitude)
     }
 
     /// Whether this block is an equal-coefficient ladder of at least six
@@ -170,20 +194,33 @@ impl PoleBlock<'_> {
     /// the block tail) is bit-identical to the scratch evaluation the
     /// quantile solvers relied on before.
     pub fn tail(&self, x: f64) -> Complex64 {
+        self.tail_with_magnitude(x).0
+    }
+
+    /// [`PoleBlock::tail`] and the magnitude of its terms,
+    /// `Σ_m Ã_m·|P(m)·e^{-λx}|` with `Ã_m` the coefficients' magnitude
+    /// companions (each modulus taken as `|re| + |im|`, an upper bound
+    /// within √2): the sum whose `ε`-multiple bounds the rounding error
+    /// of the tail, the coefficients' own included (a running error
+    /// bound in Higham's sense). Costs one modulus, one multiply and one
+    /// add per term.
+    pub fn tail_with_magnitude(&self, x: f64) -> (Complex64, f64) {
         let lx = self.pole * x;
         let decay = (-lx).exp();
         let mut acc = Complex64::ZERO;
+        let mut magnitude = 0.0;
         // P(1) = 1; P(m+1) = P(m) + term_m with term_m = (λx)^m/m!.
         let mut term = Complex64::ONE;
         let mut psum = Complex64::ONE;
-        for (i, &c) in self.coeffs.iter().enumerate() {
+        for (i, (&c, &mag)) in self.coeffs.iter().zip(self.magnitudes).enumerate() {
             if i > 0 {
                 term *= lx / i as f64;
                 psum += term;
             }
             acc += c * psum;
+            magnitude += mag * l1(psum);
         }
-        acc * decay
+        (acc * decay, magnitude * l1(decay))
     }
 
     /// Contribution to the mean: `Σ_m A_m · m/λ` (Erlang(m, λ) mean).
@@ -223,6 +260,16 @@ pub struct ErlangMix {
     ends: Vec<usize>,
     /// Every pole's coefficients, pole after pole, multiplicity 1 first.
     coeffs: Vec<Complex64>,
+    /// The magnitude companion of each coefficient (see
+    /// [`PoleBlock::magnitudes`]).
+    magnitudes: Vec<f64>,
+}
+
+/// `|re| + |im|`: the modulus within a factor √2, from above, without a
+/// square root.
+#[inline]
+fn l1(z: Complex64) -> f64 {
+    z.re.abs() + z.im.abs()
 }
 
 /// Relative tolerance under which two poles are considered colliding in
@@ -286,6 +333,7 @@ impl ErlangMix {
             poles: Vec::with_capacity(poles),
             ends: Vec::with_capacity(poles),
             coeffs: Vec::with_capacity(coeffs),
+            magnitudes: Vec::with_capacity(coeffs),
         }
     }
 
@@ -293,6 +341,7 @@ impl ErlangMix {
     /// the pole must differ from every pole already present.
     pub fn with_pole(mut self, pole: Complex64, coeffs: &[Complex64]) -> Self {
         self.coeffs.extend_from_slice(coeffs);
+        self.magnitudes.extend(coeffs.iter().map(|&c| l1(c)));
         self.push_pole(pole);
         self
     }
@@ -318,6 +367,7 @@ impl ErlangMix {
             poles: poles.to_vec(),
             ends: (1..=poles.len()).collect(),
             coeffs: weights.to_vec(),
+            magnitudes: weights.iter().map(|&w| l1(w)).collect(),
         }
     }
 
@@ -328,6 +378,7 @@ impl ErlangMix {
             constant,
             poles: vec![Complex64::from_real(pole)],
             ends: vec![coeffs.len()],
+            magnitudes: coeffs.iter().map(|c| c.abs()).collect(),
             coeffs: coeffs.into_iter().map(Complex64::from_real).collect(),
         }
     }
@@ -339,6 +390,7 @@ impl ErlangMix {
             PoleBlock {
                 pole,
                 coeffs: &self.coeffs[start..self.ends[i]],
+                magnitudes: &self.magnitudes[start..self.ends[i]],
             }
         })
     }
@@ -362,7 +414,8 @@ impl ErlangMix {
 
     /// The paper's eq. (14) shape: `(1-ρ) + ρ·γ/(γ-s)`.
     pub fn exponential_with_atom(atom: f64, weight: f64, rate: f64) -> Self {
-        Self::single_real_pole(atom, rate, vec![weight])
+        assert!(rate > 0.0, "exponential_with_atom: rate must be positive");
+        Self::atom(atom).with_pole(Complex64::from_real(rate), &[Complex64::from_real(weight)])
     }
 
     /// Evaluates the MGF at complex `s`.
@@ -374,27 +427,15 @@ impl ErlangMix {
         acc
     }
 
-    /// Per-block [`PoleBlock::is_ladder`] flags, for
-    /// [`ErlangMix::eval_many`].
-    pub(crate) fn ladder_flags(&self) -> Vec<bool> {
-        self.blocks().map(|b| b.is_ladder()).collect()
-    }
-
     /// Evaluates the MGF at every point: `out[k] = self.eval(zs[k])`, bit
     /// for bit, pole-major (each block updates every point before the
-    /// next block). `ladders` is [`ErlangMix::ladder_flags`], computed
-    /// once per mix rather than once per point. Panics if `zs` and `out`
-    /// disagree in length.
-    pub(crate) fn eval_many(&self, ladders: &[bool], zs: &[Complex64], out: &mut [Complex64]) {
+    /// next block, its [`PoleBlock::is_ladder`] test made once rather
+    /// than once per point). Panics if `zs` and `out` disagree in length.
+    pub(crate) fn eval_many(&self, zs: &[Complex64], out: &mut [Complex64]) {
         assert_eq!(zs.len(), out.len(), "eval_many: one output per point");
-        assert_eq!(
-            ladders.len(),
-            self.poles.len(),
-            "eval_many: one flag per block"
-        );
         out.fill(Complex64::from_real(self.constant));
-        for (b, &ladder) in self.blocks().zip(ladders) {
-            b.add_eval_many(ladder, zs, out);
+        for b in self.blocks() {
+            b.add_eval_many(b.is_ladder(), zs, out);
         }
     }
 
@@ -415,11 +456,29 @@ impl ErlangMix {
     /// Tail distribution function `P(X > x)` for `x ≥ 0`, by term-by-term
     /// inversion (real part of the complex block sum). Panics if `x < 0`;
     /// finite for finite coefficients (cancellation, not overflow, is the
-    /// failure mode — see [`ErlangMix::coeff_l1`]).
+    /// failure mode — see [`ErlangMix::tail_with_bound`]).
     pub fn tail(&self, x: f64) -> f64 {
-        assert!(x >= 0.0, "tail: x must be non-negative");
+        assert!(x >= 0.0 || x.is_nan(), "tail: x must be non-negative");
         let t: Complex64 = self.blocks().map(|b| b.tail(x)).sum();
         t.re
+    }
+
+    /// [`ErlangMix::tail`] and its running error bound
+    /// `ε·Σ|A_{λ,m}·P(m)·e^{-λx}|` over every term (see
+    /// [`PoleBlock::tail_with_magnitude`]): the tail's rounding error for
+    /// these coefficients. Where the terms cancel (clustered poles) the
+    /// bound grows with them; it does not cover the error the
+    /// coefficients carry from their own construction. Panics if `x < 0`.
+    pub fn tail_with_bound(&self, x: f64) -> (f64, f64) {
+        assert!(x >= 0.0 || x.is_nan(), "tail: x must be non-negative");
+        let mut t = Complex64::ZERO;
+        let mut magnitude = 0.0;
+        for b in self.blocks() {
+            let (bt, bm) = b.tail_with_magnitude(x);
+            t += bt;
+            magnitude += bm;
+        }
+        (t.re, f64::EPSILON * magnitude)
     }
 
     /// Mean of the distribution: `Σ_blocks Σ_m A_m m/λ` (real part).
@@ -439,26 +498,18 @@ impl ErlangMix {
     /// L1 norm of the expansion coefficients, `|c| + Σ|A_{λ,m}|`.
     ///
     /// A probability law has mass 1, so an L1 norm far above 1 means the
-    /// expansion relies on massive cancellation between terms — the
-    /// intrinsic ill-conditioning of the partial-fraction form when poles
-    /// cluster (D/E_K/1 poles approach the position pole β as ρ_d → 0).
-    /// Roughly, tail values carry an absolute error of `coeff_l1 · ε_f64`;
-    /// callers needing 1e-5 tails should distrust expansions with
-    /// `coeff_l1 ≳ 1e7` and fall back to numerical inversion of the
-    /// unexpanded factors. Always finite and non-negative for finite
-    /// coefficients.
+    /// expansion relies on cancellation between terms — the intrinsic
+    /// ill-conditioning of the partial-fraction form when poles cluster
+    /// (D/E_K/1 poles approach the position pole β as ρ_d → 0). A global
+    /// figure: how much of it a tail at `x` actually loses is what
+    /// [`ErlangMix::tail_with_bound`] measures. Always finite and
+    /// non-negative for finite coefficients.
     pub fn coeff_l1(&self) -> f64 {
         self.constant.abs()
             + self
                 .blocks()
                 .map(|b| b.coeffs.iter().map(|c| c.abs()).sum::<f64>())
                 .sum::<f64>()
-    }
-
-    /// `P(X > 0) = 1 - constant` for a proper law (also `tail(0)`);
-    /// finite, in `[0, 1]` up to round-off.
-    pub fn prob_positive(&self) -> f64 {
-        self.tail(0.0)
     }
 
     /// The decay rate of the slowest (dominant) pole: `min Re λ`.
@@ -522,6 +573,12 @@ impl ErlangMix {
             .max(self.mean().abs())
             .max(1e-12);
         let hi = canonical_bracket(|x| self.tail(x) <= target, scale, hint);
+        let tail_hi = self.tail(hi);
+        if tail_hi.is_nan() || tail_hi > target {
+            // The search gave up without crossing the target (a tail of
+            // rounding noise, or NaN): there is no bracket to solve on.
+            return f64::NAN;
+        }
         let f = |x: f64| self.tail(x) - target;
         fpsping_num::roots::brent(f, 0.0, hi, 1e-12 * scale.max(1.0), 300)
             .map(|r| r.root)
@@ -627,29 +684,45 @@ impl ErlangMix {
             .blocks()
             .chain(other.blocks())
             .map(|b| b.coeffs.len())
-            .max();
-        let mut g_terms = Vec::with_capacity(longest.unwrap_or(0));
+            .max()
+            .unwrap_or(0);
+        let mut stack = ([Complex64::ZERO; SCRATCH_ON_STACK], [0.0; SCRATCH_ON_STACK]);
+        let mut heap = (Vec::new(), Vec::new());
+        let mut scratch = if longest <= SCRATCH_ON_STACK {
+            Scratch {
+                g_terms: &mut stack.0,
+                g_mags: &mut stack.1,
+            }
+        } else {
+            heap.0.resize(longest, Complex64::ZERO);
+            heap.1.resize(longest, 0.0);
+            Scratch {
+                g_terms: &mut heap.0,
+                g_mags: &mut heap.1,
+            }
+        };
         // New coefficients at each pole of `self`: convolve with the
         // derivatives of the full `other` factor (analytic there).
         for b in self.blocks() {
-            out.push_convolved(b, other, &mut g_terms);
+            out.push_convolved(b, other, &mut scratch);
         }
         for b in other.blocks() {
-            out.push_convolved(b, self, &mut g_terms);
+            out.push_convolved(b, self, &mut scratch);
         }
         out
     }
 
     /// Whether a pole of `self` lies within the collision tolerance of a
     /// pole of `reference`.
-    fn collides_with(&self, reference: &ErlangMix) -> bool {
+    pub(crate) fn collides_with(&self, reference: &ErlangMix) -> bool {
         self.poles
             .iter()
             .any(|&p| reference.poles.iter().any(|&r| Self::collide(p, r)))
     }
 
+    /// `|p − r| < POLE_COLLISION_RTOL·max(|p|, |r|)`, compared in squares.
     fn collide(p: Complex64, r: Complex64) -> bool {
-        (p - r).abs() < POLE_COLLISION_RTOL * p.abs().max(r.abs())
+        (p - r).norm_sqr() < POLE_COLLISION_RTOL.powi(2) * p.norm_sqr().max(r.norm_sqr())
     }
 
     /// Returns a copy of `self` whose poles have been nudged away from any
@@ -668,53 +741,112 @@ impl ErlangMix {
 
     /// Appends the pole block of `F·G` at a pole of `F` (eq. 43):
     /// `B_k = Σ_{m=k}^{M} A_m · (-λ)^{m-k} · G^{(m-k)}(λ)/(m-k)!`, with
-    /// `other` = G. `g_terms` is scratch space.
+    /// `other` = G, and each `B_k`'s magnitude companion: the same sums
+    /// over the companions of `A_m` and of G's coefficients, with every
+    /// factor in modulus.
     fn push_convolved(
         &mut self,
         block: PoleBlock<'_>,
         other: &ErlangMix,
-        g_terms: &mut Vec<Complex64>,
+        scratch: &mut Scratch<'_>,
     ) {
         let lam = block.pole;
         let m_max = block.coeffs.len();
+        if m_max == 1 {
+            // A simple pole needs only g_0 = G(λ): the MGF of `other` at
+            // λ, each ladder summed in closed form.
+            let mut g0 = Complex64::from_real(other.constant);
+            let mut g0_mag = other.constant.abs();
+            for b in other.blocks() {
+                let (value, magnitude) = b.eval_with_magnitude(lam);
+                g0 += value;
+                g0_mag += magnitude;
+            }
+            self.coeffs.push(block.coeffs[0] * g0);
+            self.magnitudes.push(block.magnitudes[0] * g0_mag);
+            self.push_pole(lam);
+            return;
+        }
         // g_terms[l] = G^{(l)}(λ)/l! · (-λ)^l for l = 0..M-1, accumulated in
         // one incremental pass per pole of G: the term of multiplicity m
         // contributes A_m·(p·u)^m·C(m+l-1, l)·(-λ·u)^l to g_l, with
         // u = 1/(p-λ) — so powers and binomials update in O(1) per step
         // instead of the O(log) `powi` + divide per (m, l) pair of the naive
-        // derivative formula.
-        g_terms.clear();
-        g_terms.resize(m_max, Complex64::ZERO);
-        if let Some(g0) = g_terms.first_mut() {
+        // derivative formula. `g_mags` carries each g_l's companion.
+        let g_terms = &mut scratch.g_terms[..m_max];
+        let g_mags = &mut scratch.g_mags[..m_max];
+        g_terms.fill(Complex64::ZERO);
+        g_mags.fill(0.0);
+        if let (Some(g0), Some(g0_mag)) = (g_terms.first_mut(), g_mags.first_mut()) {
             *g0 = Complex64::from_real(other.constant);
+            *g0_mag = other.constant.abs();
         }
         for b in other.blocks() {
             let u = (b.pole - lam).inv();
             let pu = b.pole * u;
             let v = -lam * u;
+            let (pu_mag, v_mag) = (l1(pu), l1(v));
             let mut pm = Complex64::ONE;
-            for (i, &a) in b.coeffs.iter().enumerate() {
+            let mut pm_mag = 1.0;
+            for (i, (&a, &a_mag)) in b.coeffs.iter().zip(b.magnitudes).enumerate() {
                 let m = i + 1;
                 pm *= pu;
+                pm_mag *= pu_mag;
                 let apm = a * pm;
-                let mut binom = 1.0; // C(m+l-1, l) at l = 0
-                let mut vp = Complex64::ONE;
-                for (l, g) in g_terms.iter_mut().enumerate() {
+                let apm_mag = a_mag * pm_mag;
+                let (Some((g0, rest)), Some((g0_mag, rest_mags))) =
+                    (g_terms.split_first_mut(), g_mags.split_first_mut())
+                else {
+                    continue;
+                };
+                // The l = 0 term is `apm` itself (binomial 1, power 1).
+                *g0 += apm;
+                *g0_mag += apm_mag;
+                let mut vp = v;
+                let mut vp_mag = v_mag;
+                if m == 1 {
+                    // C(l, l) = 1 for every l: no binomial to carry.
+                    for (g, g_mag) in rest.iter_mut().zip(rest_mags.iter_mut()) {
+                        *g += apm * vp;
+                        *g_mag += apm_mag * vp_mag;
+                        vp *= v;
+                        vp_mag *= v_mag;
+                    }
+                    continue;
+                }
+                let mut binom = m as f64; // C(m+l-1, l) at l = 1
+                for (l, (g, g_mag)) in rest.iter_mut().zip(rest_mags.iter_mut()).enumerate() {
                     *g += apm * binom * vp;
-                    binom = binom * (m + l) as f64 / (l + 1) as f64;
+                    *g_mag += apm_mag * binom * vp_mag;
+                    binom = binom * (m + l + 1) as f64 / (l + 2) as f64;
                     vp *= v;
+                    vp_mag *= v_mag;
                 }
             }
         }
         for k in 1..=m_max {
             let mut acc = Complex64::ZERO;
+            let mut acc_mag = 0.0;
             for m in k..=m_max {
                 acc += block.coeffs[m - 1] * g_terms[m - k];
+                acc_mag += block.magnitudes[m - 1] * g_mags[m - k];
             }
             self.coeffs.push(acc);
+            self.magnitudes.push(acc_mag);
         }
         self.push_pole(lam);
     }
+}
+
+/// Multiplicities whose scratch rows [`ErlangMix::product`] keeps on the
+/// stack; longer blocks (K > 65 positions) take one heap row each.
+const SCRATCH_ON_STACK: usize = 64;
+
+/// The scratch rows of [`ErlangMix::product`], at least as long as its
+/// longest block.
+struct Scratch<'a> {
+    g_terms: &'a mut [Complex64],
+    g_mags: &'a mut [f64],
 }
 
 /// Golden-section minimization of a unimodal-ish function on `(a, b)`;
@@ -983,9 +1115,8 @@ mod tests {
             })
             .collect();
         for (name, mix) in [("ladder", &ladder), ("spot", &spot), ("two", &two)] {
-            let ladders = mix.ladder_flags();
             let mut out = vec![Complex64::new(f64::NAN, f64::NAN); zs.len()];
-            mix.eval_many(&ladders, &zs, &mut out);
+            mix.eval_many(&zs, &mut out);
             for (i, (&z, &got)) in zs.iter().zip(&out).enumerate() {
                 let want = mix.eval(z);
                 assert_eq!(
@@ -995,9 +1126,10 @@ mod tests {
                 );
             }
         }
-        assert_eq!(ladder.ladder_flags(), vec![true]);
-        assert_eq!(spot.ladder_flags(), vec![false]);
-        assert_eq!(two.ladder_flags(), vec![false, true]);
+        let ladders = |m: &ErlangMix| m.blocks().map(|b| b.is_ladder()).collect::<Vec<_>>();
+        assert_eq!(ladders(&ladder), vec![true]);
+        assert_eq!(ladders(&spot), vec![false]);
+        assert_eq!(ladders(&two), vec![false, true]);
     }
 
     #[test]

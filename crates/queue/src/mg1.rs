@@ -469,7 +469,7 @@ mod tests {
         let mix = q.paper_mix().unwrap();
         assert!((mix.total_mass() - 1.0).abs() < 1e-12);
         assert!((mix.constant - 0.6).abs() < 1e-12);
-        assert!((mix.prob_positive() - 0.4).abs() < 1e-12);
+        assert!((mix.tail(0.0) - 0.4).abs() < 1e-12);
         assert_eq!(mix.blocks().len(), 1);
     }
 

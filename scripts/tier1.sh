@@ -80,13 +80,22 @@ assert warm > cold, \
 # counters are still exported (schema stability) but must read zero.
 assert counters.get("lockdep.checks", -1) == 0, \
     "lockdep active in a release build: checks=%r" % counters.get("lockdep.checks")
-print("tier-1: metrics smoke OK (%d counters; zeta warm/cold = %d/%d)"
-      % (len(counters), warm, cold))
+# The tail rule serves most of the paper's sweep from the eq.-(35)
+# expansion: its quantile solves must outnumber the inverted ones.
+expanded = counters.get("queue.combine.quantile.expanded", 0)
+inverted = counters.get("queue.combine.quantile.inverted", 0)
+assert expanded > inverted, \
+    "expansion not serving: quantile expanded=%d <= inverted=%d" % (expanded, inverted)
+print("tier-1: metrics smoke OK (%d counters; zeta warm/cold = %d/%d; "
+      "quantiles expanded/inverted = %d/%d, %.0f%% expanded)"
+      % (len(counters), warm, cold, expanded, inverted,
+         100.0 * expanded / (expanded + inverted)))
 PY
 else
     grep -q '"schema": "fpsping-obs/1"' "$METRICS_TMP"
     grep -q '"num\.roots\.' "$METRICS_TMP"
     grep -q '"queue\.dek1\.zeta\.warm_solves"' "$METRICS_TMP"
+    grep -q '"queue\.combine\.quantile\.expanded"' "$METRICS_TMP"
     echo "tier-1: metrics smoke OK (grep fallback)"
 fi
 
