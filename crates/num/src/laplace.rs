@@ -176,6 +176,42 @@ pub fn tail_from_mgf_many(
     )
 }
 
+/// [`tail_from_mgf_many`] and the density at `t`, from one evaluation of
+/// the MGF over the contour: the density's transform is
+/// `E[e^{-sX}; X > 0] = M(−s) − atom`, with `atom = P(X = 0)`, so its
+/// inversion reuses the MGF values the tail's took. Returns
+/// `(tail, density)`; the tail has [`tail_from_mgf_many`]'s bits. Same
+/// panics as [`tail_from_mgf`]; each value is accurate to about 1e-10
+/// absolute.
+pub fn tail_and_density_from_mgf_many(
+    mgf_many: impl FnOnce(&[Complex64], &mut [Complex64]),
+    atom: f64,
+    t: f64,
+    m: usize,
+) -> (f64, f64) {
+    let mut stack = [Complex64::ZERO; CONTOUR_ON_STACK];
+    let mut heap = Vec::new();
+    let mgf = scratch(&mut stack, &mut heap, 2 * m + 1);
+    let tail = tail_from_mgf_many(
+        |args, values| {
+            mgf_many(args, values);
+            mgf.copy_from_slice(values);
+        },
+        t,
+        m,
+    );
+    let density = invert_on_contour(
+        |_, values| {
+            for (v, &w) in values.iter_mut().zip(mgf.iter()) {
+                *v = w - atom;
+            }
+        },
+        t,
+        m,
+    );
+    (tail, density)
+}
+
 #[cfg(test)]
 #[allow(clippy::unnecessary_cast)] // literal-typing casts keep test formulas readable
 mod tests {
@@ -193,6 +229,31 @@ mod tests {
             );
             let expect = (-lambda * t).exp() * lambda;
             assert!((got - expect).abs() < 1e-9, "t={t}: {got} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn tail_and_density_share_one_contour() {
+        // 0.3 atom + 0.7·Exp(2): tail 0.7·e^{-2t}, density 1.4·e^{-2t}.
+        let mgf = |s: Complex64| Complex64::from_real(0.3) + Complex64::from_real(1.4) / (2.0 - s);
+        for &t in &[0.1, 0.7, 3.0] {
+            let (tail, density) = tail_and_density_from_mgf_many(
+                |zs, out| {
+                    for (o, &z) in out.iter_mut().zip(zs) {
+                        *o = mgf(z);
+                    }
+                },
+                0.3,
+                t,
+                DEFAULT_EULER_M,
+            );
+            assert_eq!(
+                tail.to_bits(),
+                tail_from_mgf(mgf, t, DEFAULT_EULER_M).to_bits()
+            );
+            let e = (-2.0 * t).exp();
+            assert!((tail - 0.7 * e).abs() < 1e-9, "t={t}: tail {tail}");
+            assert!((density - 1.4 * e).abs() < 1e-8, "t={t}: density {density}");
         }
     }
 

@@ -37,11 +37,10 @@ use crate::mg1::Mg1;
 use crate::position::{Position, PositionDelay};
 use crate::QueueError;
 use fpsping_num::batch::SimplePoleBank;
-use fpsping_num::cmp::{exact_eq, exact_zero};
-use fpsping_num::laplace::{tail_from_mgf_many, DEFAULT_EULER_M};
+use fpsping_num::cmp::exact_zero;
+use fpsping_num::laplace::{tail_and_density_from_mgf_many, tail_from_mgf_many, DEFAULT_EULER_M};
 use fpsping_num::Complex64;
 use fpsping_obs::Counter;
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 static CHERNOFF_EXPANSIONS: Counter = Counter::new("queue.combine.chernoff.bracket_expansions");
@@ -240,8 +239,8 @@ pub const EXPANSION_TOLERANCE: f64 = 1e-11;
 /// of the distribution. Targets under the floor are rejected outright.
 const NUMERIC_TAIL_FLOOR: f64 = 1e-9;
 
-/// Convergence width (seconds) of [`TotalDelay::quantile_fast`]'s secant
-/// solve: 2e-8 s = 2e-5 ms. Together with the ~8e-6 ms warm-root
+/// Convergence width (seconds) of [`TotalDelay::quantile_fast`]'s
+/// searches: 2e-8 s = 2e-5 ms. Together with the ~8e-6 ms warm-root
 /// deviation this keeps the batch path's worst case ~3× under the
 /// engine's documented 1e-4 ms tolerance while saving roughly one tail
 /// evaluation per cell over a tighter setting.
@@ -257,15 +256,83 @@ fn log_position(position: &PositionDelay) -> Option<PositionFactor> {
     })
 }
 
+/// A running error bound at which [`TotalDelay::quantile_fast`] stops its
+/// expanded solve: 100× the tolerance. The solve evaluates near the root
+/// (from a neighbor's quantile or one Newton step), where the bound
+/// varies by a small factor, so the root it would reach is rejected
+/// anyway.
+const ABORT_BOUND: f64 = 100.0 * EXPANSION_TOLERANCE;
+
+/// [`TotalDelay::quantile_fast`]'s search: safeguarded Newton on
+/// `ln T(x) − ln target` from `x`, where `eval(x)` gives the tail `T`
+/// and its slope `T'` (minus the density), or `None` to give up. From a
+/// neighbor's quantile it converges in about two evaluations. It keeps
+/// the sign bracket it finds and bisects where a step leaves it or the
+/// tail reads ≤ 0 (inversion noise past the root: no slope there), and
+/// stops at a step of `QUANTILE_FAST_ATOL`, or at a short Newton step
+/// whose quadratic error estimate is under half that. `None` when
+/// `eval` gives up or after 40 evaluations.
+fn log_newton(
+    mut eval: impl FnMut(f64) -> Option<(f64, f64)>,
+    target: f64,
+    mut x: f64,
+) -> Option<f64> {
+    const MAX_EVALS: usize = 40;
+    let ln_target = target.ln();
+    let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+    // The previous Newton point and its slope, for the curvature.
+    let mut prev: Option<(f64, f64)> = None;
+    for _ in 0..MAX_EVALS {
+        FAST_TAIL_EVALS.incr();
+        let (tail, slope) = eval(x)?;
+        if !(tail.is_finite() && slope.is_finite()) {
+            return None;
+        }
+        let g = tail.max(1e-300).ln() - ln_target;
+        if g > 0.0 {
+            lo = x;
+        } else {
+            hi = x;
+        }
+        let dg = slope / tail;
+        let mut next = x - g / dg;
+        let newton = tail > 0.0 && dg < 0.0 && next > lo && next < hi;
+        if !newton {
+            next = if hi.is_finite() {
+                0.5 * (lo + hi)
+            } else {
+                2.0 * x
+            };
+        }
+        let step = (next - x).abs();
+        if step <= QUANTILE_FAST_ATOL {
+            return Some(next);
+        }
+        // A short Newton step lands within `|g''/(2g')|·step²` of the
+        // root: where that, with the curvature from the previous point,
+        // is under half the width, the step is taken unevaluated.
+        if let Some((x_prev, dg_prev)) = prev.filter(|_| newton && step <= 1e-3 * x) {
+            let curvature = (dg - dg_prev) / (x - x_prev);
+            if (curvature / dg).abs() * step * step <= QUANTILE_FAST_ATOL {
+                return Some(next);
+            }
+        }
+        prev = newton.then_some((x, dg));
+        x = next;
+    }
+    None
+}
+
 /// Whether an expanded quantile solve's root is kept, given the
-/// expansion's tail and running error bound there
-/// ([`ErlangMix::tail_with_bound`]): the bound is within
-/// [`EXPANSION_TOLERANCE`] and the tail meets the target to 1e-3 of it.
-/// The second test rejects a "root" at a jump of the expanded tail (its
-/// terms underflowing to 0 past a stretch of rounding noise), where the
-/// bound on the near side can read 0.
+/// expansion's tail and running error bound there (or at the solve's
+/// last evaluation, one short step away): the bound is within
+/// [`EXPANSION_TOLERANCE`] and the tail meets the target to 5 %. The
+/// second test rejects a "root" at a jump of the expanded tail (its
+/// terms underflowing to 0 past a stretch of rounding noise), which
+/// misses the target by ~100 % and where the bound on the near side can
+/// read 0.
 fn keeps_root((tail, bound): (f64, f64), target: f64) -> bool {
-    bound <= EXPANSION_TOLERANCE && (tail - target).abs() <= 1e-3 * target
+    bound <= EXPANSION_TOLERANCE && (tail - target).abs() <= 0.05 * target
 }
 
 impl TotalDelay {
@@ -461,17 +528,21 @@ impl TotalDelay {
     /// numerical inversion elsewhere.
     fn tail_inverted(&self, x: f64) -> f64 {
         if exact_zero(x) {
-            // P(total > 0) ≥ P(position > 0) = 1 (position is a.s.
-            // positive for every supported law).
-            1.0 - self.upstream.constant
-                * self.burst_wait.constant
-                * match &self.position {
-                    PositionFactor::Mix(m) => m.constant,
-                    PositionFactor::LogK1 { .. } => 0.0,
-                }
+            1.0 - self.atom()
         } else {
             self.tail_numeric(x).clamp(0.0, 1.0)
         }
+    }
+
+    /// `P(total = 0)`: the product of the factors' atoms at zero (0 for
+    /// the logarithmic position, which is a.s. positive).
+    fn atom(&self) -> f64 {
+        self.upstream.constant
+            * self.burst_wait.constant
+            * match &self.position {
+                PositionFactor::Mix(m) => m.constant,
+                PositionFactor::LogK1 { .. } => 0.0,
+            }
     }
 
     /// Whether [`TotalDelay::tail`] at `x` has digits at the level
@@ -499,6 +570,17 @@ impl TotalDelay {
         assert!(x > 0.0, "tail_numeric: x must be positive");
         tail_from_mgf_many(
             |zs, out| self.eval_factors_many(zs, out),
+            x,
+            DEFAULT_EULER_M,
+        )
+    }
+
+    /// [`TotalDelay::tail_numeric`] and the density at `x` from the same
+    /// contour pass (the density inverts the MGF less its atom at 0).
+    fn tail_and_density_numeric(&self, x: f64) -> (f64, f64) {
+        tail_and_density_from_mgf_many(
+            |zs, out| self.eval_factors_many(zs, out),
+            self.atom(),
             x,
             DEFAULT_EULER_M,
         )
@@ -636,19 +718,21 @@ impl TotalDelay {
 
     /// Tolerance-relaxed quantile for the batch engine's sweep path.
     ///
-    /// Replaces the bracketed Brent solve with a safeguarded secant on
-    /// `ln tail(x)`, which is near-linear once the dominant exponential
-    /// takes over: seeded from `hint` (a neighboring sweep cell, seconds)
-    /// or the exponential-with-matched-mean guess, with the second point
-    /// one asymptotic-decay-rate step away, it typically converges in
-    /// about four tail evaluations against the exact path's ~17. The
-    /// secant runs on the cheap expansion tail first, and its root is
-    /// kept where [`TotalDelay::expands_at`] holds there (the exact
-    /// path's rule). Elsewhere every evaluation is a 2m+1-point Laplace
-    /// inversion ([`TotalDelay::tail_numeric`]), so the secant saves
-    /// about three quarters of such a cell's inversions.
+    /// Replaces the bracketed Brent solve with a safeguarded Newton search
+    /// on `ln tail(x)`, which is near-linear once the dominant
+    /// exponential takes over, seeded from `hint` (a neighboring sweep
+    /// cell, seconds) or the exponential-with-matched-mean guess: about
+    /// three tail evaluations against the exact path's ~17. It runs on
+    /// the expansion first (the slope comes with each tail) and keeps its
+    /// root where the exact path's rule holds there (the error bound at
+    /// the last evaluation within the tolerance, the tail on target).
+    /// Elsewhere it runs on the 2m+1-point Laplace inversion, whose
+    /// contour also yields the density
+    /// ([`fpsping_num::laplace::tail_and_density_from_mgf_many`]),
+    /// saving most of such a cell's inversions; K = 1 takes the exact
+    /// path.
     ///
-    /// The secant terminates at step width `QUANTILE_FAST_ATOL`
+    /// The search stops at step width `QUANTILE_FAST_ATOL`
     /// (2e-8 s = 2e-5 ms), several times under the engine's documented
     /// batch tolerance; any breakdown (non-finite tail, eval budget
     /// exhausted) falls back to the exact
@@ -662,7 +746,7 @@ impl TotalDelay {
         FAST_QUANTILES.incr();
         if matches!(self.position, PositionFactor::LogK1 { .. }) {
             // No expansion (K = 1): every evaluation is an inversion, and
-            // at multi-second quantiles the secant's stop lands up to
+            // at multi-second quantiles the fast search's stop lands up to
             // 1e-3 ms from the exact solve's root on inversion noise, past
             // the batch tolerance. The exact solve serves these cells.
             return self.quantile_with_hint(p, hint);
@@ -675,149 +759,44 @@ impl TotalDelay {
         let seed = hint
             .filter(|h| h.is_finite() && *h > 0.0)
             // Exponential with the model's mean: exact if the total were
-            // memoryless, an upper-ish start otherwise — either way one
-            // slope step away from the linear regime.
+            // memoryless, an upper-ish start otherwise.
             .unwrap_or_else(|| scale * (1.0 / target).ln());
-        // The expansion's root, kept by the exact path's rule read at the
-        // last evaluation (within `QUANTILE_FAST_ATOL` of the root). The
-        // secant evaluates near the root (from a neighbor's quantile or
-        // one slope step), where the bound varies by a small factor, so a
-        // bound 100× over the tolerance stops it at once: the root would
-        // be rejected anyway.
         let first = seed.max(QUANTILE_FAST_ATOL);
-        let screened = self.bound_floor(first) > 100.0 * EXPANSION_TOLERANCE;
-        let expanded = (!screened)
-            .then(|| self.expansion())
-            .flatten()
-            .and_then(|prod| {
-                let last = Cell::new((f64::NAN, f64::INFINITY));
-                let tail = |x: f64| {
-                    let (t, bound) = prod.tail_with_bound(x);
-                    last.set((t, bound));
-                    if bound <= 100.0 * EXPANSION_TOLERANCE {
-                        t
-                    } else {
-                        f64::NAN
-                    }
+        let expanded = if self.bound_floor(first) > ABORT_BOUND {
+            None
+        } else {
+            self.expansion().and_then(|prod| {
+                // The root is kept by the exact path's rule read at the
+                // last evaluation, within `QUANTILE_FAST_ATOL` of it.
+                let mut last = (f64::NAN, f64::INFINITY);
+                let eval = |x: f64| {
+                    let (tail, slope, bound) = prod.tail_slope_bound(x);
+                    last = (tail, bound);
+                    (tail > 0.0 && bound <= ABORT_BOUND).then_some((tail, slope))
                 };
-                self.quantile_log_secant(tail, target, seed)
-                    .filter(|_| keeps_root(last.get(), target))
-            });
+                log_newton(eval, target, first).filter(|_| keeps_root(last, target))
+            })
+        };
         if let Some(x) = expanded {
             QUANTILES_EXPANDED.incr();
             return x;
         }
-        // Below the inversion noise floor the secant would chase
+        // Below the inversion noise floor the search would chase
         // sign-noise; route straight to the (also-rejecting) fallback.
         let inverted = (target >= NUMERIC_TAIL_FLOOR)
-            .then(|| self.quantile_log_secant(|x| self.tail_numeric(x.max(1e-15)), target, seed))
+            .then(|| {
+                let eval = |x: f64| {
+                    let (tail, density) = self.tail_and_density_numeric(x.max(1e-15));
+                    Some((tail, -density))
+                };
+                log_newton(eval, target, first)
+            })
             .flatten();
         if let Some(x) = inverted {
             return self.settle(x, target);
         }
         FAST_FALLBACKS.incr();
         self.quantile_with_hint(p, hint)
-    }
-
-    /// The total's asymptotic decay rate: the tail behaves like
-    /// `e^{-r·x}` with `r` the smallest decay bound among the three
-    /// factors (the product is analytic on `Re s < r`). `None` when no
-    /// factor reports one.
-    fn decay_rate(&self) -> Option<f64> {
-        let r = [
-            self.upstream.dominant_decay(),
-            self.burst_wait.dominant_decay(),
-            self.position.decay_bound(),
-        ]
-        .into_iter()
-        .flatten()
-        .fold(f64::INFINITY, f64::min);
-        r.is_finite().then_some(r)
-    }
-
-    /// Safeguarded secant on `ln tail(x) − ln target`, the workhorse of
-    /// [`TotalDelay::quantile_fast`]. Maintains the sign bracket
-    /// discovered along the way; a secant step that leaves it (or a
-    /// degenerate secant) bisects instead, so progress never stalls on
-    /// inversion noise. `None` on any non-finite tail value or when the
-    /// evaluation budget runs out — the caller falls back to Brent.
-    fn quantile_log_secant(
-        &self,
-        tail: impl Fn(f64) -> f64,
-        target: f64,
-        seed: f64,
-    ) -> Option<f64> {
-        const MAX_EVALS: usize = 40;
-        let ln_target = target.ln();
-        let mut evals = 0usize;
-        // `(f, clamped)`: the log residual, and whether the tail read ≤ 0.
-        let f = |x: f64| -> Option<(f64, bool)> {
-            FAST_TAIL_EVALS.incr();
-            let t = tail(x);
-            if !t.is_finite() {
-                return None;
-            }
-            // Clamp before the log: beyond the inversion's noise floor the
-            // tail can dip ≤ 0, which simply reads as "far past the root".
-            Some((t.max(1e-300).ln() - ln_target, t <= 0.0))
-        };
-        // f is decreasing: f(lo) > 0 ≥ f(hi). The caller's atom check
-        // guarantees f(0+) > 0.
-        let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
-        let mut x0 = seed.max(QUANTILE_FAST_ATOL);
-        evals += 1;
-        let (mut f0, mut clamped0) = f(x0)?;
-        // Second point: one step along the asymptotic log-slope −r lands
-        // it near the root (exact if the tail were already in its
-        // single-exponential regime), so the first secant is interpolation
-        // rather than a blind 5% probe.
-        let mut x1 = match self.decay_rate().filter(|r| *r > 0.0) {
-            Some(r) if !clamped0 && (f0 / r).abs() > QUANTILE_FAST_ATOL => {
-                (x0 + f0 / r).max(0.25 * x0)
-            }
-            _ => x0 * 1.05 + QUANTILE_FAST_ATOL,
-        };
-        if exact_eq(x1, x0) {
-            x1 = x0 * 1.05 + QUANTILE_FAST_ATOL;
-        }
-        evals += 1;
-        let (mut f1, mut clamped1) = f(x1)?;
-        loop {
-            for (x, fx) in [(x0, f0), (x1, f1)] {
-                if fx > 0.0 {
-                    lo = lo.max(x);
-                } else {
-                    hi = hi.min(x);
-                }
-            }
-            if evals >= MAX_EVALS {
-                return None;
-            }
-            let denom = f1 - f0;
-            // A clamped point bounds the bracket but has no slope: a
-            // secant through it takes a tiny step that reads as converged.
-            let mut next = if clamped0 || clamped1 || exact_zero(denom) {
-                f64::NAN
-            } else {
-                x1 - f1 * (x1 - x0) / denom
-            };
-            if !next.is_finite() || next <= lo || next >= hi {
-                // Left the known bracket or degenerated: bisect when both
-                // ends are known, otherwise push outward geometrically.
-                next = if hi.is_finite() {
-                    0.5 * (lo + hi)
-                } else {
-                    x0.max(x1) * 2.0
-                };
-            }
-            if (next - x1).abs() <= QUANTILE_FAST_ATOL {
-                return Some(next);
-            }
-            evals += 1;
-            let (fnext, clamped_next) = f(next)?;
-            (x0, f0, clamped0) = (x1, f1, clamped1);
-            (x1, f1, clamped1) = (next, fnext, clamped_next);
-        }
     }
 
     /// Method 2: p-quantile keeping only the dominant pole of eq. (35)
@@ -1041,6 +1020,29 @@ mod tests {
                 "x={x}: auto {t_auto:e} vs position {t_pos:e}"
             );
         }
+    }
+
+    #[test]
+    fn nudged_expansion_is_never_taken() {
+        // K = 2 at ρ_d = 0.05: a D/E_2/1 pole lies within 1e-7 of β, the
+        // product nudges it apart, and the expansion is then of a
+        // slightly different law — with an L1 norm near 1 and a tiny
+        // running bound, neither of which sees it.
+        let t = 0.04;
+        let k = 2u32;
+        let rho = 0.05;
+        let dek1 = DEk1::new(k, rho * t, t).unwrap();
+        let pos = PositionDelay::uniform(k, k as f64 / (rho * t)).unwrap();
+        let m = TotalDelay::new(None, &dek1, &pos).unwrap();
+        let prod = m.product().unwrap();
+        assert!(prod.coeff_l1() < 10.0);
+        let q = m.quantile(0.99999);
+        assert!(prod.tail_with_bound(q).1 < EXPANSION_TOLERANCE);
+        assert!(!m.expands_at(q));
+        // The nudged expansion's quantile is off; the served one is the
+        // inversion's root.
+        assert!((prod.quantile(0.99999) / q - 1.0).abs() > 1e-7);
+        assert!((m.tail_numeric(q) - 1e-5).abs() < 1e-10);
     }
 
     #[test]

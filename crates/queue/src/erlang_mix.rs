@@ -59,18 +59,26 @@ impl PoleBlock<'_> {
     /// `Σ_m Ã_m·|λ/(λ-s)|^m` (moduli as `|re| + |im|`).
     fn eval_with_magnitude(&self, s: Complex64) -> (Complex64, f64) {
         let base = self.base(s);
-        let value = if self.closes(base, self.is_ladder()) {
-            self.geometric_sum(base, base.powi(self.coeffs.len() as i32))
+        let ladder = self.is_ladder();
+        let n = self.coeffs.len() as i32;
+        let value = if self.closes(base, ladder) {
+            self.geometric_sum(base, base.powi(n))
         } else {
             self.term_sum(base)
         };
-        let base_mag = l1(base);
-        let mut pw = 1.0;
-        let mut magnitude = 0.0;
-        for &mag in self.magnitudes {
-            pw *= base_mag;
-            magnitude += mag * pw;
-        }
+        let r = l1(base);
+        let magnitude = if ladder && (r - 1.0).abs() > 0.2 {
+            // Equal companions: the real geometric sum in closed form.
+            self.magnitudes[0] * r * (r.powi(n) - 1.0) / (r - 1.0)
+        } else {
+            let mut pw = 1.0;
+            let mut sum = 0.0;
+            for &mag in self.magnitudes {
+                pw *= r;
+                sum += mag * pw;
+            }
+            sum
+        };
         (value, magnitude)
     }
 
@@ -194,20 +202,24 @@ impl PoleBlock<'_> {
     /// the block tail) is bit-identical to the scratch evaluation the
     /// quantile solvers relied on before.
     pub fn tail(&self, x: f64) -> Complex64 {
-        self.tail_with_magnitude(x).0
+        self.tail_terms(x).0
     }
 
-    /// [`PoleBlock::tail`] and the magnitude of its terms,
-    /// `Σ_m Ã_m·|P(m)·e^{-λx}|` with `Ã_m` the coefficients' magnitude
-    /// companions (each modulus taken as `|re| + |im|`, an upper bound
-    /// within √2): the sum whose `ε`-multiple bounds the rounding error
-    /// of the tail, the coefficients' own included (a running error
-    /// bound in Higham's sense). Costs one modulus, one multiply and one
-    /// add per term.
-    pub fn tail_with_magnitude(&self, x: f64) -> (Complex64, f64) {
+    /// [`PoleBlock::tail`], its derivative in `x`, and the magnitude of
+    /// its terms `Σ_m Ã_m·|P(m)·e^{-λx}|` with `Ã_m` the coefficients'
+    /// magnitude companions (each modulus taken as `|re| + |im|`, an
+    /// upper bound within √2): the sum whose `ε`-multiple bounds the
+    /// rounding error of the tail, the coefficients' own included (a
+    /// running error bound in Higham's sense). The derivative is
+    /// `-λ·e^{-λx}·Σ_m A_m·(λx)^{m-1}/(m-1)!`, since
+    /// `d/dx[e^{-λx}·P(m)] = -λ·e^{-λx}·(λx)^{m-1}/(m-1)!`. Each costs
+    /// one multiply and one add per term.
+    #[inline]
+    pub fn tail_terms(&self, x: f64) -> (Complex64, Complex64, f64) {
         let lx = self.pole * x;
         let decay = (-lx).exp();
         let mut acc = Complex64::ZERO;
+        let mut slope = Complex64::ZERO;
         let mut magnitude = 0.0;
         // P(1) = 1; P(m+1) = P(m) + term_m with term_m = (λx)^m/m!.
         let mut term = Complex64::ONE;
@@ -218,9 +230,14 @@ impl PoleBlock<'_> {
                 psum += term;
             }
             acc += c * psum;
+            slope += c * term;
             magnitude += mag * l1(psum);
         }
-        (acc * decay, magnitude * l1(decay))
+        (
+            acc * decay,
+            -self.pole * slope * decay,
+            magnitude * l1(decay),
+        )
     }
 
     /// Contribution to the mean: `Σ_m A_m · m/λ` (Erlang(m, λ) mean).
@@ -464,21 +481,30 @@ impl ErlangMix {
     }
 
     /// [`ErlangMix::tail`] and its running error bound
-    /// `ε·Σ|A_{λ,m}·P(m)·e^{-λx}|` over every term (see
-    /// [`PoleBlock::tail_with_magnitude`]): the tail's rounding error for
-    /// these coefficients. Where the terms cancel (clustered poles) the
-    /// bound grows with them; it does not cover the error the
-    /// coefficients carry from their own construction. Panics if `x < 0`.
+    /// `ε·Σ Ã_{λ,m}·|P(m)·e^{-λx}|` over every term, `Ã` the magnitude
+    /// companions (see [`PoleBlock::tail_terms`]): a bound on the
+    /// tail's rounding error, the coefficients' own included. Where the
+    /// terms cancel (clustered poles) the bound grows with them. Panics
+    /// if `x < 0`.
     pub fn tail_with_bound(&self, x: f64) -> (f64, f64) {
+        let (tail, _, bound) = self.tail_slope_bound(x);
+        (tail, bound)
+    }
+
+    /// [`ErlangMix::tail_with_bound`] with the tail's derivative in `x`
+    /// (minus the density) between them. Panics if `x < 0`.
+    pub(crate) fn tail_slope_bound(&self, x: f64) -> (f64, f64, f64) {
         assert!(x >= 0.0 || x.is_nan(), "tail: x must be non-negative");
         let mut t = Complex64::ZERO;
+        let mut slope = Complex64::ZERO;
         let mut magnitude = 0.0;
         for b in self.blocks() {
-            let (bt, bm) = b.tail_with_magnitude(x);
+            let (bt, bs, bm) = b.tail_terms(x);
             t += bt;
+            slope += bs;
             magnitude += bm;
         }
-        (t.re, f64::EPSILON * magnitude)
+        (t.re, slope.re, f64::EPSILON * magnitude)
     }
 
     /// Mean of the distribution: `Σ_blocks Σ_m A_m m/λ` (real part).
@@ -781,7 +807,34 @@ impl ErlangMix {
             *g0 = Complex64::from_real(other.constant);
             *g0_mag = other.constant.abs();
         }
-        for b in other.blocks() {
+        let mut blocks = other.blocks().peekable();
+        while let Some(b) = blocks.next() {
+            if let Some(b2) = blocks.next_if(|n| b.coeffs.len() == 1 && n.coeffs.len() == 1) {
+                // Two simple poles in lockstep: two independent power
+                // chains, each g_l still taking b's term before b2's.
+                let (apm1, apm1_mag, v1, v1_mag) = simple_term(b, lam);
+                let (apm2, apm2_mag, v2, v2_mag) = simple_term(b2, lam);
+                if let (Some((g0, rest)), Some((g0_mag, rest_mags))) =
+                    (g_terms.split_first_mut(), g_mags.split_first_mut())
+                {
+                    *g0 += apm1;
+                    *g0_mag += apm1_mag;
+                    *g0 += apm2;
+                    *g0_mag += apm2_mag;
+                    let (mut vp1, mut vp1_mag, mut vp2, mut vp2_mag) = (v1, v1_mag, v2, v2_mag);
+                    for (g, g_mag) in rest.iter_mut().zip(rest_mags.iter_mut()) {
+                        *g += apm1 * vp1;
+                        *g_mag += apm1_mag * vp1_mag;
+                        *g += apm2 * vp2;
+                        *g_mag += apm2_mag * vp2_mag;
+                        vp1 *= v1;
+                        vp1_mag *= v1_mag;
+                        vp2 *= v2;
+                        vp2_mag *= v2_mag;
+                    }
+                }
+                continue;
+            }
             let u = (b.pole - lam).inv();
             let pu = b.pole * u;
             let v = -lam * u;
@@ -836,6 +889,17 @@ impl ErlangMix {
         }
         self.push_pole(lam);
     }
+}
+
+/// A simple pole's term in [`ErlangMix::push_convolved`]'s `g` rows at
+/// λ: `(a·p·u, its companion, -λ·u, its modulus)` with `u = 1/(p − λ)`.
+#[inline]
+fn simple_term(b: PoleBlock<'_>, lam: Complex64) -> (Complex64, f64, Complex64, f64) {
+    let u = (b.pole - lam).inv();
+    let pu = b.pole * u;
+    let v = -lam * u;
+    let apm = b.coeffs[0] * (Complex64::ONE * pu);
+    (apm, b.magnitudes[0] * (1.0 * l1(pu)), v, l1(v))
 }
 
 /// Multiplicities whose scratch rows [`ErlangMix::product`] keeps on the
@@ -1077,6 +1141,44 @@ mod tests {
         assert!((full - dom).abs() / full < 1e-10);
         // At x = 0 the dominant tail misses the fast pole's mass.
         assert!(m.tail_dominant_pole(0.0) < m.tail(0.0));
+    }
+
+    #[test]
+    fn tail_slope_and_bound_come_with_the_tail() {
+        // Erlang(3, 2) ⊗ (0.4 + 0.6·Exp(1)): multiplicity and an atom.
+        let m = erl(3, 2.0).product(&expo(0.6, 1.0));
+        for &x in &[0.2, 1.0, 3.0, 7.0] {
+            let (t, slope, bound) = m.tail_slope_bound(x);
+            assert_eq!(t.to_bits(), m.tail(x).to_bits(), "x={x}");
+            assert_eq!((t, bound), m.tail_with_bound(x));
+            let h = 1e-6;
+            let fd = (m.tail(x + h) - m.tail(x - h)) / (2.0 * h);
+            assert!((slope - fd).abs() < 1e-7, "x={x}: {slope} vs {fd}");
+            // Well-conditioned: the bound is a few ulps of the terms.
+            assert!(bound > 0.0 && bound < 1e-14, "x={x}: bound {bound:e}");
+        }
+    }
+
+    #[test]
+    fn magnitude_companions_grow_where_terms_cancel() {
+        // Two factors with nearly equal poles: the product's coefficients
+        // are huge and cancel, and the companions record it. Input
+        // coefficients' companions are their moduli.
+        let a = erl(1, 1.0);
+        let b = erl(2, 1.0 + 1e-4);
+        for blk in a.blocks() {
+            assert_eq!(blk.magnitudes, &[1.0]);
+        }
+        let p = a.product(&b);
+        let total: f64 = p.blocks().flat_map(|b| b.magnitudes.iter()).sum();
+        assert!(total > 1e7, "companions {total:e}");
+        let (t, bound) = p.tail_with_bound(0.5);
+        let numeric = tail_from_mgf(|s| a.eval(s) * b.eval(s), 0.5, DEFAULT_EULER_M);
+        assert!(
+            (t - numeric).abs() <= bound + 1e-9,
+            "{t} vs {numeric}, bound {bound:e}"
+        );
+        assert!(bound > 1e-10, "bound {bound:e}");
     }
 
     #[test]
