@@ -47,16 +47,12 @@ pub struct PoleBlock<'a> {
 impl PoleBlock<'_> {
     /// Evaluates this block's contribution to the MGF at `s`.
     pub fn eval(&self, s: Complex64) -> Complex64 {
-        let base = self.base(s);
-        if self.closes(base, self.is_ladder()) {
-            self.geometric_sum(base, base.powi(self.coeffs.len() as i32))
-        } else {
-            self.term_sum(base)
-        }
+        self.eval_with_magnitude(s).0
     }
 
     /// [`PoleBlock::eval`] and the magnitude companion of its value,
     /// `Σ_m Ã_m·|λ/(λ-s)|^m` (moduli as `|re| + |im|`).
+    #[inline]
     fn eval_with_magnitude(&self, s: Complex64) -> (Complex64, f64) {
         let base = self.base(s);
         let ladder = self.is_ladder();
@@ -373,7 +369,7 @@ impl ErlangMix {
     /// `constant + Σ_j weights[j]·poles[j]/(poles[j] − s)`: simple poles
     /// only, each with one coefficient (the D/E_K/1 burst wait's shape).
     /// Panics if the slices disagree in length.
-    pub fn simple_poles(constant: f64, poles: &[Complex64], weights: &[Complex64]) -> Self {
+    pub(crate) fn simple_poles(constant: f64, poles: &[Complex64], weights: &[Complex64]) -> Self {
         assert_eq!(
             poles.len(),
             weights.len(),
@@ -413,18 +409,18 @@ impl ErlangMix {
     }
 
     /// The pole locations, one per block.
-    pub fn poles(&self) -> &[Complex64] {
+    pub(crate) fn poles(&self) -> &[Complex64] {
         &self.poles
     }
 
     /// Every block's coefficients, flat, in block order: exactly one
     /// per pole when all poles are simple.
-    pub fn coeffs(&self) -> &[Complex64] {
+    pub(crate) fn coeffs(&self) -> &[Complex64] {
         &self.coeffs
     }
 
     /// Whether every pole has multiplicity one.
-    pub fn all_simple(&self) -> bool {
+    pub(crate) fn all_simple(&self) -> bool {
         self.coeffs.len() == self.poles.len()
             && self.ends.iter().enumerate().all(|(i, &e)| e == i + 1)
     }
