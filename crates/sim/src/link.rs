@@ -1,5 +1,6 @@
-//! A store-and-forward output link: one server (the line) plus a queue
-//! under a configurable discipline.
+//! Store-and-forward output links: a [`Link`], one server (the line)
+//! plus a queue under a configurable discipline, and a `FifoLine`, a
+//! first-in first-out line that needs no queue.
 
 use crate::packet::Packet;
 use crate::scheduler::{Discipline, Scheduler, SchedulerKind};
@@ -108,10 +109,69 @@ impl Link {
     }
 }
 
+/// A FIFO line whose departures are fixed on arrival. Its service
+/// times are known when a packet arrives, so Lindley's recursion,
+/// `start = max(arrival, busy_until)`, gives each packet's service start
+/// at once: the line needs no queue and no completion event.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct FifoLine {
+    busy_until: SimTime,
+    /// Busy time of the services that start by the horizon passed to
+    /// [`FifoLine::serve`], as [`Link`] counts the services it starts.
+    pub(crate) busy_time: SimTime,
+    /// Departures by that horizon: the completions a [`Link`] would have
+    /// scheduled as events within it.
+    pub(crate) departures: u64,
+}
+
+impl FifoLine {
+    /// Serves a packet that arrives at `arrival` and needs `service` on
+    /// the line, and returns when its service starts.
+    #[inline]
+    pub(crate) fn serve(
+        &mut self,
+        arrival: SimTime,
+        service: SimTime,
+        horizon: SimTime,
+    ) -> SimTime {
+        let start = arrival.max(self.busy_until);
+        self.busy_until = start + service;
+        if start <= horizon {
+            self.busy_time += service;
+        }
+        if self.busy_until <= horizon {
+            self.departures += 1;
+        }
+        start
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::TrafficClass;
+
+    #[test]
+    fn fifo_line_follows_lindley_within_its_horizon() {
+        // 1 ms and 2 ms services at 1 Mbit/s: a packet that finds the
+        // line busy starts when it frees, one that finds it idle at once.
+        let horizon = SimTime::from_millis(3.5);
+        let mut line = FifoLine::default();
+        let starts: Vec<f64> = [(0.0, 125.0), (0.5, 250.0), (4.0, 125.0), (4.2, 125.0)]
+            .iter()
+            .map(|&(at, bytes)| {
+                let service = SimTime::serialization(bytes, 1e6);
+                line.serve(SimTime::from_millis(at), service, horizon)
+                    .as_millis()
+            })
+            .collect();
+        assert_eq!(starts, [0.0, 1.0, 4.0, 5.0]);
+        // Busy time counts the two services that start by 3.5 ms, as a
+        // `Link` counts the services it starts; departures the two that
+        // end by then (at 1 and 3 ms).
+        assert_eq!(line.busy_time, SimTime::from_millis(3.0));
+        assert_eq!(line.departures, 2);
+    }
 
     #[test]
     fn idle_link_serves_immediately() {

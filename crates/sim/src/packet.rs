@@ -51,8 +51,11 @@ pub struct Packet {
     /// Position of the packet within its burst (0-based; upstream packets
     /// use 0).
     pub burst_position: u32,
-    /// When the packet was enqueued at its *current* hop (set by the
-    /// network on each offer; used to measure per-hop queueing waits).
+    /// When the packet was enqueued at its *current* hop, set by the
+    /// network: upstream, its arrival at the aggregation node, from
+    /// which the aggregation wait is measured; downstream, its downlink
+    /// service start, or its downlink departure once jitter holds it,
+    /// which orders a captured trace's records at one instant.
     pub enqueued: SimTime,
 }
 

@@ -6,7 +6,6 @@
 //! with random per-packet sizes.
 
 use fpsping_dist::Distribution;
-use rand::RngCore;
 
 /// Client-to-server (upstream) traffic of one player (§2.3.1).
 #[derive(Debug)]
@@ -31,14 +30,6 @@ impl ClientModel {
     /// Mean upstream bit rate of one client (bit/s).
     pub fn mean_bitrate_bps(&self) -> f64 {
         self.mean_packet_size() * 8.0 / (self.mean_inter_arrival_ms() / 1000.0)
-    }
-
-    /// Draws the next `(inter_arrival_ms, size_bytes)` pair.
-    pub fn next_packet(&self, rng: &mut dyn RngCore) -> (f64, f64) {
-        (
-            self.inter_arrival_ms.sample(rng).max(0.0),
-            self.packet_size.sample(rng).max(1.0),
-        )
     }
 }
 
@@ -69,15 +60,6 @@ impl ServerModel {
     pub fn mean_bitrate_bps(&self, n_clients: usize) -> f64 {
         n_clients as f64 * self.mean_packet_size() * 8.0 / (self.mean_burst_interval_ms() / 1000.0)
     }
-
-    /// Draws the next burst: `(inter_arrival_ms, per-client packet sizes)`.
-    pub fn next_burst(&self, rng: &mut dyn RngCore, n_clients: usize) -> (f64, Vec<f64>) {
-        let iat = self.burst_inter_arrival_ms.sample(rng).max(0.0);
-        let sizes = (0..n_clients)
-            .map(|_| self.packet_size.sample(rng).max(1.0))
-            .collect();
-        (iat, sizes)
-    }
 }
 
 /// A complete per-game traffic model (both directions) with provenance.
@@ -105,8 +87,6 @@ impl GameModel {
 mod tests {
     use super::*;
     use fpsping_dist::Deterministic;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn det_model() -> GameModel {
         GameModel {
@@ -147,31 +127,5 @@ mod tests {
         let c = 5_000_000.0;
         let expect = 8.0 * n as f64 * 125.0 / (0.040 * c);
         assert!((m.downstream_load(n, c) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn burst_has_one_packet_per_client() {
-        let m = det_model();
-        let mut rng = StdRng::seed_from_u64(1);
-        let (iat, sizes) = m.server.next_burst(&mut rng, 12);
-        assert_eq!(iat, 40.0);
-        assert_eq!(sizes.len(), 12);
-        assert!(sizes.iter().all(|&s| s == 125.0));
-    }
-
-    #[test]
-    fn packet_draws_are_clamped_positive() {
-        // A pathological size model with negative support must still yield
-        // positive packets.
-        let m = ClientModel {
-            packet_size: Box::new(fpsping_dist::Normal::new(2.0, 10.0)),
-            inter_arrival_ms: Box::new(fpsping_dist::Normal::new(1.0, 5.0)),
-        };
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..1000 {
-            let (iat, size) = m.next_packet(&mut rng);
-            assert!(iat >= 0.0);
-            assert!(size >= 1.0);
-        }
     }
 }
