@@ -325,45 +325,6 @@ fn newton_impl(
     })
 }
 
-/// Expand a bracket to the right until `f` changes sign, then solve with
-/// Brent. Starts from `[a, a + step]`, doubling `step` up to `max_expand`
-/// times. Used for dominant-pole searches where only a lower bound (0) is
-/// known a priori.
-pub fn brent_expand_right(
-    mut f: impl FnMut(f64) -> f64,
-    a: f64,
-    initial_step: f64,
-    tol: f64,
-    max_expand: usize,
-    max_iter: usize,
-) -> Result<RootResult, RootError> {
-    let fa = f(a);
-    let mut step = initial_step;
-    let mut lo = a;
-    let mut flo = fa;
-    for _ in 0..max_expand {
-        let hi = lo + step;
-        let fhi = f(hi);
-        if exact_zero(flo) {
-            return Ok(RootResult {
-                root: lo,
-                residual: 0.0,
-                iterations: 0,
-            });
-        }
-        if flo * fhi <= 0.0 {
-            return brent(f, lo, hi, tol, max_iter);
-        }
-        lo = hi;
-        flo = fhi;
-        step *= 2.0;
-    }
-    Err(RootError::NoConvergence {
-        best: lo,
-        residual: flo.abs(),
-    })
-}
-
 /// Result of a complex fixed-point iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplexFixedPoint {
@@ -481,13 +442,6 @@ mod tests {
             60,
         );
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn expand_right_locates_far_root() {
-        // Root at x = 1000, start at 0 with step 1.
-        let r = brent_expand_right(|x| x - 1000.0, 0.0, 1.0, 1e-10, 60, 200).unwrap();
-        assert!((r.root - 1000.0).abs() < 1e-7);
     }
 
     #[test]

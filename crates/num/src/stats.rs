@@ -146,28 +146,15 @@ impl Ecdf {
     pub fn sorted(&self) -> &[f64] {
         &self.sorted
     }
-
-    /// Evaluates the TDF on a uniform grid — the series plotted in
-    /// Figure 1. Returns `(x, tdf(x))` pairs.
-    pub fn tdf_series(&self, x_min: f64, x_max: f64, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "need at least two grid points");
-        (0..points)
-            .map(|i| {
-                let x = x_min + (x_max - x_min) * i as f64 / (points - 1) as f64;
-                (x, self.tdf(x))
-            })
-            .collect()
-    }
 }
 
-/// A fixed-width histogram on `[lo, hi)` with out-of-range counters.
+/// A fixed-width histogram on `[lo, hi)`. Out-of-range observations
+/// fall in no bin but count toward [`Histogram::count`].
 #[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
     bins: Vec<u64>,
-    below: u64,
-    above: u64,
     count: u64,
 }
 
@@ -180,8 +167,6 @@ impl Histogram {
             lo,
             hi,
             bins: vec![0; bins],
-            below: 0,
-            above: 0,
             count: 0,
         }
     }
@@ -189,11 +174,7 @@ impl Histogram {
     /// Records one observation.
     pub fn record(&mut self, x: f64) {
         self.count += 1;
-        if x < self.lo {
-            self.below += 1;
-        } else if x >= self.hi {
-            self.above += 1;
-        } else {
+        if x >= self.lo && x < self.hi {
             let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
             let idx = idx.min(self.bins.len() - 1);
             self.bins[idx] += 1;
@@ -203,11 +184,6 @@ impl Histogram {
     /// Total observations recorded (including out-of-range).
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Observations below `lo` / at-or-above `hi`.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.below, self.above)
     }
 
     /// Bin width; finite and positive (`hi > lo` is enforced at
@@ -460,10 +436,9 @@ mod tests {
     #[test]
     fn ecdf_tdf_series_is_monotone_nonincreasing() {
         let e = Ecdf::new((1..=100).map(|i| i as f64).collect());
-        let series = e.tdf_series(0.0, 120.0, 25);
-        assert_eq!(series.len(), 25);
+        let series: Vec<f64> = (0..25).map(|i| e.tdf(5.0 * i as f64)).collect();
         for w in series.windows(2) {
-            assert!(w[1].1 <= w[0].1 + 1e-15);
+            assert!(w[1] <= w[0] + 1e-15);
         }
     }
 
@@ -476,7 +451,6 @@ mod tests {
         h.record(-1.0);
         h.record(10.0);
         assert_eq!(h.count(), 102);
-        assert_eq!(h.out_of_range(), (1, 1));
         let d = h.density();
         // Uniform density over in-range samples ≈ 10/102 per unit.
         for &(_, p) in &d {

@@ -110,11 +110,6 @@ impl Stopwatch {
     pub fn elapsed_micros(&self) -> u64 {
         u64::try_from(self.0.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
-
-    /// Seconds elapsed since [`Stopwatch::start`], as `f64`.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
 }
 
 /// Emits `message` to stderr at most once per `key` (process-wide), and
@@ -162,7 +157,6 @@ mod tests {
         let b = sw.elapsed_micros();
         assert!(b >= a);
         assert!(b >= 1_000, "2 ms sleep must register: {b} µs");
-        assert!(sw.elapsed_secs() > 0.0);
     }
 
     #[test]

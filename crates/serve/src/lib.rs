@@ -16,7 +16,7 @@
 //!
 //! Instrumented with `fpsping_obs`: `serve.requests`, `serve.requests.bad`,
 //! `serve.batches`, `serve.batch.size`, `serve.latency_us`,
-//! `serve.conns.{accepted,rejected,oversized,read_retries}`. Cache
+//! `serve.conns.{accepted,rejected,oversized,read_retries,write_timeouts}`. Cache
 //! totals are the engine's own `engine.cache.*` counters.
 //!
 //! ```no_run
@@ -42,6 +42,7 @@ mod tests {
     use super::{ServeConfig, Server};
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
+    use std::time::Duration;
 
     fn start_test_server(bit_exact: bool, cache_entries: usize) -> Server {
         Server::start(ServeConfig {
@@ -166,7 +167,6 @@ mod tests {
         stream.read_exact(&mut buf).expect("read");
         let resp = decode_response(&buf).expect("frame");
         assert_eq!((resp.id, resp.status), (99, STATUS_OK));
-        assert!(server.is_shutdown());
         server.join();
     }
 
@@ -504,13 +504,108 @@ mod tests {
         ]);
     }
 
+    /// Sends one rtt request down a fresh connection and asserts that it
+    /// is answered within `wait`.
+    fn assert_fresh_connection_answered(server: &Server, id: u64, wait: Duration) {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(wait)).expect("read timeout");
+        stream
+            .write_all(&encode_request(&Request::rtt(id, 9, 40.0, 0.4)))
+            .expect("write");
+        let mut frame = [0u8; RESP_FRAME_LEN];
+        stream
+            .read_exact(&mut frame)
+            .expect("a fresh connection must be answered by the one worker");
+        let resp = decode_response(&frame).expect("frame");
+        assert_eq!((resp.id, resp.status), (id, STATUS_OK));
+    }
+
+    #[test]
+    fn peer_that_never_reads_is_cut_off_by_the_write_deadline() {
+        // One worker. A flooder pipelines requests and never reads its
+        // answers, so the socket buffers fill and the worker's response
+        // write stops making progress. The write deadline must close that
+        // connection, so a second connection is answered and shutdown
+        // completes.
+        let timeouts_before = counter("serve.conns.write_timeouts");
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            request_timeout_ms: 100,
+            ..ServeConfig::default()
+        })
+        .expect("bind 127.0.0.1:0");
+        let mut flood = TcpStream::connect(server.local_addr()).expect("connect");
+        // At worst the flooder's own writes stall once the server stops
+        // reading; this bound ends its thread.
+        flood
+            .set_write_timeout(Some(Duration::from_secs(20)))
+            .expect("write timeout");
+        let block: Vec<u8> = (0..1024)
+            .flat_map(|id| encode_request(&Request::rtt(id, 9, 40.0, 0.4)))
+            .collect();
+        let flooder = std::thread::spawn(move || {
+            // Ends when the server closes the connection (or the bound).
+            while flood.write_all(&block).is_ok() {}
+        });
+        assert_fresh_connection_answered(&server, 7, Duration::from_secs(20));
+        // A stuck worker would keep `join` blocked forever.
+        server.request_shutdown();
+        let (joined_tx, joined_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.join();
+            let _ = joined_tx.send(());
+        });
+        joined_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown and join must finish within the bound");
+        flooder.join().expect("flooder thread");
+        if cfg!(not(feature = "obs-off")) {
+            assert!(counter("serve.conns.write_timeouts") > timeouts_before);
+        }
+    }
+
+    #[test]
+    fn half_closed_peer_gets_every_answer() {
+        // The client sends a pipelined burst and then shuts down its write
+        // half. Every request must still be answered, in order, with its
+        // id, and the one worker must then serve a fresh connection.
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind 127.0.0.1:0");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("read timeout");
+        const N: u64 = 3000;
+        let burst: Vec<u8> = (0..N)
+            .flat_map(|id| encode_request(&Request::rtt(id, 2 + (id % 3) as u32, 40.0, 0.4)))
+            .collect();
+        stream.write_all(&burst).expect("write burst");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut answers = Vec::new();
+        stream
+            .read_to_end(&mut answers)
+            .expect("read until the server closes");
+        assert_eq!(answers.len(), N as usize * RESP_FRAME_LEN);
+        for (id, frame) in (0..N).zip(answers.chunks(RESP_FRAME_LEN)) {
+            let resp = decode_response(frame).expect("frame");
+            assert_eq!((resp.id, resp.status), (id, STATUS_OK));
+        }
+        assert_fresh_connection_answered(&server, N, Duration::from_secs(20));
+        shutdown_and_join(server);
+    }
+
     #[test]
     fn oversized_ndjson_line_closes_only_that_connection() {
         let oversized_before = counter("serve.conns.oversized");
         let server = start_test_server(false, 1024);
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("read timeout");
         // 70 KiB of one NDJSON "line" that never ends. The server may
         // close (and reset) the socket before the whole burst is sent.

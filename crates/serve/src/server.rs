@@ -42,7 +42,10 @@
 //! size). The batch's first dimension solve always runs, however late,
 //! so every batch makes progress on a loaded host; a later dimension
 //! solve past the deadline answers `STATUS_TIMEOUT` rather than
-//! stalling the connection. A `shutdown` request (or
+//! stalling the connection. The same deadline bounds each response
+//! write: a peer that stops reading its answers is disconnected once a
+//! write makes no progress for that long (`serve.conns.write_timeouts`),
+//! so it cannot pin a worker, or with it shutdown. A `shutdown` request (or
 //! [`Server::request_shutdown`]) flips a process-wide flag: in-flight
 //! batches finish and are answered, the accept loop stops, workers
 //! drain, and [`Server::join`] returns.
@@ -70,6 +73,7 @@ static CONNS_OVERSIZED: Counter = Counter::new("serve.conns.oversized");
 static LATENCY_US: Histogram = Histogram::new("serve.latency_us");
 static BATCH_SIZE: Histogram = Histogram::new("serve.batch.size");
 static READ_RETRIES: Counter = Counter::new("serve.conns.read_retries");
+static WRITE_TIMEOUTS: Counter = Counter::new("serve.conns.write_timeouts");
 
 /// Bytes per socket read, and the longest partial NDJSON line a
 /// connection may buffer: a peer that sends more than this without a
@@ -95,7 +99,8 @@ pub struct ServeConfig {
     /// continuation warm-starting, documented-tolerance accurate
     /// (`BATCH_RTT_TOLERANCE_MS`) and several times faster on misses.
     pub bit_exact: bool,
-    /// Service deadline per read batch, in milliseconds.
+    /// Service deadline per read batch, in milliseconds; also how long a
+    /// response write may make no progress before its connection closes.
     pub request_timeout_ms: u64,
     /// Accepted connections waiting for a worker before new ones are
     /// dropped.
@@ -242,11 +247,6 @@ impl Server {
         self.shared.shutdown.store(true, Ordering::Relaxed);
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Relaxed)
-    }
-
     /// Blocks until the server has shut down and every thread has
     /// drained (in-flight batches are answered first).
     pub fn join(self) {
@@ -300,6 +300,10 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     // The read timeout doubles as the shutdown poll interval.
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
+    // A peer that stops reading must not pin the worker: a response write
+    // that makes no progress for one service deadline closes the
+    // connection (a zero timeout is refused by the OS, hence the floor).
+    stream.set_write_timeout(Some(Duration::from_millis(shared.timeout_ms.max(1))))?;
     let mut pending: Vec<u8> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut out: Vec<u8> = Vec::new();
@@ -327,7 +331,14 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
         pending.drain(..consumed);
         if !requests.is_empty() {
             let stop = handle_batch(shared, &requests, mode, &mut out);
-            stream.write_all(&out)?;
+            match stream.write_all(&out) {
+                Ok(()) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    WRITE_TIMEOUTS.incr();
+                    return Ok(());
+                }
+                Err(e) => return Err(e),
+            }
             out.clear();
             if stop {
                 return Ok(());

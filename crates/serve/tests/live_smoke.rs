@@ -1,0 +1,242 @@
+//! Live smoke of the `fpsping-serve` process, built with the same
+//! profile as this test.
+//!
+//! One connection sends a hot-spot burst of 200 000 pipelined requests
+//! over 64 cells, takes a short ping-pong latency sample, reads the cache
+//! hit rate from the stats op, sends one malformed frame of each kind
+//! (unknown op, K = 0, K above the cap, NaN tick) and then the `shutdown`
+//! op. The process must exit by itself, and its `--metrics-out` snapshot
+//! is read back by counter name.
+//!
+//! A debug run checks the lock witness on the live serve path
+//! (`lockdep.checks` > 0, fewer than 0.25 checks per request). A release
+//! run (`cargo test --release -p fpsping-serve --test live_smoke`) checks
+//! a 10 k q/s live floor and that the witness is compiled out.
+//!
+//! The test never hangs: every socket read and write is bounded, and
+//! the process is killed when it outlives its deadline or the test
+//! fails.
+
+use fpsping::MAX_ERLANG_ORDER;
+use fpsping_serve::protocol::{
+    decode_response, encode_request, Request, REQ_FRAME_LEN, RESP_FRAME_LEN, STATUS_BAD_REQUEST,
+    STATUS_OK, STAT_HITS, STAT_MISSES,
+};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+
+const REQUESTS: usize = 200_000;
+/// Requests per pipelined write (40 KiB of frames).
+const BLOCK: usize = 1024;
+const HOT_CELLS: usize = 64;
+const LATENCY_SAMPLES: usize = 1000;
+/// Bound on the listen line and on every socket read and write.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long the process may take to exit by itself after `shutdown`.
+const EXIT_DEADLINE: Duration = Duration::from_secs(10);
+
+/// The server process, killed on drop so that a failed assertion never
+/// leaves it running.
+struct Process(Child);
+
+impl Drop for Process {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Sends `frames` as one write and returns the responses.
+fn pipeline(conn: &mut TcpStream, frames: &[u8]) -> Vec<u8> {
+    conn.write_all(frames).expect("write requests");
+    let mut responses = vec![0u8; frames.len() / REQ_FRAME_LEN * RESP_FRAME_LEN];
+    conn.read_exact(&mut responses).expect("read responses");
+    responses
+}
+
+/// One binary statistic from the server.
+fn stat(conn: &mut TcpStream, selector: u8) -> f64 {
+    let resp = pipeline(conn, &encode_request(&Request::stats(0, selector)));
+    decode_response(&resp).expect("frame").value
+}
+
+/// The `"counters"` object of an `fpsping-obs/1` snapshot, by name.
+fn counters(snapshot: &str) -> Vec<(String, u64)> {
+    let body = snapshot
+        .split_once("\"counters\": {")
+        .and_then(|(_, rest)| rest.split_once('}'))
+        .expect("snapshot has a counters object")
+        .0;
+    body.split(',')
+        .filter(|pair| !pair.trim().is_empty())
+        .map(|pair| {
+            let (name, value) = pair.split_once(':').expect("name: value");
+            let value = value.trim().parse().expect("integer counter");
+            (name.trim().trim_matches('"').to_string(), value)
+        })
+        .collect()
+}
+
+#[test]
+fn live_server_smoke() {
+    let metrics_path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("live_smoke-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&metrics_path);
+    let mut server = Process(
+        Command::new(env!("CARGO_BIN_EXE_fpsping-serve"))
+            .args(["--addr", "127.0.0.1:0", "--workers", "2"])
+            .args(["--cache-entries", "16384", "--metrics-out"])
+            .arg(&metrics_path)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn fpsping-serve"),
+    );
+    let stdout = server.0.stdout.take().expect("piped stdout");
+    let (line_tx, line_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut line = String::new();
+        let _ = BufReader::new(stdout).read_line(&mut line);
+        let _ = line_tx.send(line);
+    });
+    let line = line_rx
+        .recv_timeout(IO_TIMEOUT)
+        .expect("fpsping-serve never printed its listen address");
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"));
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_nodelay(true).expect("nodelay");
+    conn.set_read_timeout(Some(IO_TIMEOUT))
+        .expect("read timeout");
+    conn.set_write_timeout(Some(IO_TIMEOUT))
+        .expect("write timeout");
+
+    let hits_before = stat(&mut conn, STAT_HITS);
+    let misses_before = stat(&mut conn, STAT_MISSES);
+    // 8 K values × 8 loads, visited in a fixed stride so every block
+    // spans the whole hot set.
+    let cells: Vec<[u8; REQ_FRAME_LEN]> = (0..HOT_CELLS)
+        .map(|c| {
+            let k = 2 + 2 * (c % 8) as u32;
+            let load = 0.1 + 0.1 * (c / 8) as f64;
+            encode_request(&Request::rtt(c as u64, k, 40.0, load))
+        })
+        .collect();
+    let mut block = Vec::with_capacity(BLOCK * REQ_FRAME_LEN);
+    let mut answered_ok = 0;
+    let clock = Instant::now();
+    for start in (0..REQUESTS).step_by(BLOCK) {
+        block.clear();
+        for i in start..REQUESTS.min(start + BLOCK) {
+            block.extend_from_slice(&cells[i * 37 % HOT_CELLS]);
+        }
+        let responses = pipeline(&mut conn, &block);
+        answered_ok += responses
+            .chunks_exact(RESP_FRAME_LEN)
+            .filter(|r| r[20] == STATUS_OK)
+            .count();
+    }
+    let qps = REQUESTS as f64 / clock.elapsed().as_secs_f64();
+    assert_eq!(answered_ok, REQUESTS, "every hot-spot request answers OK");
+
+    let mut latency_us: Vec<f64> = (0..LATENCY_SAMPLES)
+        .map(|i| {
+            let t = Instant::now();
+            pipeline(&mut conn, &cells[i % HOT_CELLS]);
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    latency_us.sort_by(f64::total_cmp);
+    let p99_us = latency_us[(LATENCY_SAMPLES - 1) * 99 / 100];
+    let hits = stat(&mut conn, STAT_HITS) - hits_before;
+    let misses = stat(&mut conn, STAT_MISSES) - misses_before;
+    let hit_rate = hits / (hits + misses);
+
+    // One malformed frame of each kind, ids 1 to 4; each must come back
+    // `bad request` with its own id.
+    let mut unknown_op = encode_request(&Request::rtt(1, 9, 40.0, 0.4));
+    unknown_op[36] = 0xff;
+    let malformed = [
+        unknown_op,
+        encode_request(&Request::rtt(2, 0, 40.0, 0.4)),
+        encode_request(&Request::rtt(3, MAX_ERLANG_ORDER + 1, 40.0, 0.4)),
+        encode_request(&Request::rtt(4, 9, f64::NAN, 0.4)),
+    ];
+    let refused = pipeline(&mut conn, &malformed.concat())
+        .chunks_exact(RESP_FRAME_LEN)
+        .zip(1u64..)
+        .filter(|&(frame, id)| {
+            decode_response(frame).is_ok_and(|r| r.id == id && r.status == STATUS_BAD_REQUEST)
+        })
+        .count();
+
+    // The server answers the shutdown op, then exits by itself.
+    let _ = conn.write_all(&encode_request(&Request::shutdown(u64::MAX)));
+    let _ = conn.read(&mut [0u8; RESP_FRAME_LEN]);
+    let exit_clock = Instant::now();
+    let status = loop {
+        if let Some(status) = server.0.try_wait().expect("poll the server") {
+            break status;
+        }
+        assert!(
+            exit_clock.elapsed() < EXIT_DEADLINE,
+            "fpsping-serve still running {EXIT_DEADLINE:?} after the shutdown op"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "fpsping-serve exited with {status}");
+    println!(
+        "live smoke: {qps:.0} q/s, p99 {p99_us:.1} us, hit rate {hit_rate:.4}, \
+         {refused}/4 malformed frames refused"
+    );
+    assert_eq!(refused, 4, "malformed frames refused with their own id");
+    assert!(hit_rate >= 0.5, "64 hot cells: hit rate {hit_rate:.3}");
+    assert!(p99_us > 0.0, "p99 {p99_us} us");
+    if !cfg!(debug_assertions) {
+        // A weak live floor: perfbench's serve workloads carry the real
+        // figures; this only catches a server that is limping.
+        assert!(qps >= 10_000.0, "live {qps:.0} q/s below the 10 k floor");
+    }
+
+    let snapshot = std::fs::read_to_string(&metrics_path).expect("read --metrics-out");
+    let _ = std::fs::remove_file(&metrics_path);
+    if cfg!(feature = "obs-off") {
+        return;
+    }
+    let counters = counters(&snapshot);
+    let counter = |name: &str| counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+    let requests = counter("serve.requests").unwrap_or(0);
+    assert!(requests > 0, "no serve.requests");
+    // The four malformed frames are the only bad requests.
+    assert_eq!(counter("serve.requests.bad"), Some(4));
+    assert!(counter("engine.cache.rtt.hits").unwrap_or(0) > 0);
+    let mirrored: Vec<&str> = counters
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .filter(|n| n.starts_with("serve.cache."))
+        .collect();
+    assert!(
+        mirrored.is_empty(),
+        "serve re-exports engine cache counters: {mirrored:?}"
+    );
+    let checks = counter("lockdep.checks");
+    if cfg!(debug_assertions) {
+        let checks = checks.unwrap_or(0);
+        assert!(checks > 0, "no supervised lock acquisitions");
+        // A burst's memo probes take each touched shard's lock once, not
+        // once per request: 0.039 checks per request measured on a 2-core
+        // Xeon VM; a per-key probe took about one per request (1.02).
+        let per_request = checks as f64 / requests as f64;
+        println!("live smoke: {checks} lockdep checks, {per_request:.3} per request");
+        assert!(
+            per_request < 0.25,
+            "serve hot path not batched: {per_request:.3} lockdep checks per request"
+        );
+    } else {
+        assert_eq!(checks, Some(0), "lockdep active in a release build");
+    }
+}

@@ -23,6 +23,9 @@ cargo test --release -q -p fpsping-sim --test golden_parity
 cargo test --release -q -p fpsping-sim --lib network::tests::network_matches_the_per_hop_oracle
 cargo test --release -q -p fpsping-sim --test calendar_props
 cargo test --release -q -p fpsping-sim --lib time::
+# The live serve smoke in release: the 10 k q/s floor and the lock
+# witness compiled out (`cargo test` above ran its debug form).
+cargo test --release -q -p fpsping-serve --test live_smoke
 cargo fmt --all --check
 # Rustdoc must be warning-free, so a doc link to a deleted or private
 # item (or an unescaped citation like [23]) fails the gate.
@@ -36,7 +39,7 @@ if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy -q --all-targets \
         -p fpsping -p fpsping-num -p fpsping-dist -p fpsping-traffic \
         -p fpsping-queue -p fpsping-sim -p fpsping-bench -p fpsping-obs \
-        -p fpsping-serve -p fpsping-loadgen -p xtask \
+        -p fpsping-serve -p xtask \
         -- -D warnings
 else
     echo "tier-1: clippy not installed; domain lint stands in:"
@@ -227,150 +230,26 @@ else
     echo "tier-1: estimator smoke OK (grep fallback)"
 fi
 
-# Serve smoke: boot the query server on an ephemeral port, replay a
-# bounded loadgen burst against it, and require real live throughput, a
-# warm cache, the eviction-parity gate at exactly zero, and a clean
-# shutdown (the smoke's final frame is the shutdown op; the server
-# process must exit on its own).
-SERVE_LOG="$TIER1_TMP/serve-log"
-SERVE_SMOKE="$TIER1_TMP/serve-smoke.json"
-./target/release/fpsping-serve --addr 127.0.0.1:0 --workers 2 \
-    --cache-entries 16384 > "$SERVE_LOG" &
-SERVE_PID=$!
-SERVE_ADDR=""
-for _ in $(seq 1 100); do
-    SERVE_ADDR="$(sed -n 's/^listening on //p' "$SERVE_LOG")"
-    [ -n "$SERVE_ADDR" ] && break
-    sleep 0.05
-done
-if [ -z "$SERVE_ADDR" ]; then
-    echo "tier-1: fpsping-serve never reported its listen address"
-    kill "$SERVE_PID" 2>/dev/null || true
-    exit 1
-fi
-./target/release/fpsping-loadgen --addr "$SERVE_ADDR" > "$SERVE_SMOKE"
-for _ in $(seq 1 100); do
-    kill -0 "$SERVE_PID" 2>/dev/null || break
-    sleep 0.1
-done
-if kill -0 "$SERVE_PID" 2>/dev/null; then
-    echo "tier-1: fpsping-serve did not shut down after the shutdown op"
-    kill "$SERVE_PID" 2>/dev/null || true
-    exit 1
-fi
-wait "$SERVE_PID" 2>/dev/null || true
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$SERVE_SMOKE" <<'PY'
-import json, sys
-s = json.load(open(sys.argv[1]))
-assert s["workload"] == "smoke", s
-assert s["parity_max_abs_delta"] == 0.0, s["parity_max_abs_delta"]
-assert s["clean_shutdown"] is True, s
-# Weak live floor — perfbench's serve workloads carry the real figures;
-# this only catches a server that is limping (debug build, busy-wait, ...).
-assert s["qps"] >= 10_000, "live smoke QPS %.0f below the 10k floor" % s["qps"]
-assert s["cache_hit_rate"] >= 0.5, \
-    "64-hot-cell smoke should be cache-dominated: hit rate %.3f" % s["cache_hit_rate"]
-assert s["p99_us"] > 0, s
-# The smoke ends with one malformed frame of each kind (unknown op, K = 0,
-# K above the cap, NaN tick); each must come back `bad request` with its
-# own id. An exact count: host noise cannot move it.
-assert s["bad_requests_refused"] == 4, \
-    "malformed frames refused with their id: %r of 4" % s["bad_requests_refused"]
-print("tier-1: serve smoke OK (%.0f qps live, p99 %.1f us, hit rate %.3f, "
-      "4/4 malformed frames refused)"
-      % (s["qps"], s["p99_us"], s["cache_hit_rate"]))
-PY
-else
-    grep -q '"workload": "smoke"' "$SERVE_SMOKE"
-    grep -q '"clean_shutdown": true' "$SERVE_SMOKE"
-    grep -q '"bad_requests_refused": 4,' "$SERVE_SMOKE"
-    echo "tier-1: serve smoke OK (grep fallback)"
-fi
-
 # Lockdep smoke: debug builds carry the fpsping_obs witness for the
 # one lock rule — never hold two guards — (asserted compiled-out in
-# release by the metrics smoke above). Both hot paths must complete
-# under it: the serve accept → batch → respond cycle and the N=10⁴
-# scale simulation. Any nested acquisition panics the process, so a
-# clean exit IS the assertion; debug throughput gets no floor.
-cargo build -q -p fpsping -p fpsping-serve -p fpsping-loadgen
-LOCKDEP_LOG="$TIER1_TMP/lockdep-log"
-LOCKDEP_SMOKE="$TIER1_TMP/lockdep-smoke.json"
-LOCKDEP_SERVE_METRICS="$TIER1_TMP/lockdep-serve-metrics.json"
+# release by the metrics smoke above). The serve accept → batch →
+# respond cycle runs under it in `cargo test`'s live smoke
+# (crates/serve/tests/live_smoke.rs); here the N=10⁴ scale simulation
+# must complete under it. Any nested acquisition panics the process, so
+# a clean exit IS the assertion; debug throughput gets no floor.
+cargo build -q -p fpsping
 LOCKDEP_METRICS="$TIER1_TMP/lockdep-metrics.json"
-./target/debug/fpsping-serve --addr 127.0.0.1:0 --workers 2 \
-    --cache-entries 16384 --metrics-out "$LOCKDEP_SERVE_METRICS" > "$LOCKDEP_LOG" &
-LOCKDEP_PID=$!
-LOCKDEP_ADDR=""
-for _ in $(seq 1 100); do
-    LOCKDEP_ADDR="$(sed -n 's/^listening on //p' "$LOCKDEP_LOG")"
-    [ -n "$LOCKDEP_ADDR" ] && break
-    sleep 0.05
-done
-if [ -z "$LOCKDEP_ADDR" ]; then
-    echo "tier-1: debug fpsping-serve never reported its listen address"
-    kill "$LOCKDEP_PID" 2>/dev/null || true
-    exit 1
-fi
-./target/debug/fpsping-loadgen --addr "$LOCKDEP_ADDR" > "$LOCKDEP_SMOKE"
-for _ in $(seq 1 100); do
-    kill -0 "$LOCKDEP_PID" 2>/dev/null || break
-    sleep 0.1
-done
-if kill -0 "$LOCKDEP_PID" 2>/dev/null; then
-    echo "tier-1: debug fpsping-serve did not shut down (lockdep smoke)"
-    kill "$LOCKDEP_PID" 2>/dev/null || true
-    exit 1
-fi
-wait "$LOCKDEP_PID" 2>/dev/null || true
-grep -q '"clean_shutdown": true' "$LOCKDEP_SMOKE" || {
-    echo "tier-1: lockdep serve smoke did not shut down cleanly"
-    exit 1
-}
 ./target/debug/fpsping-cli sim --scale-n 10000 --shards 2 --sim-seconds 2 \
     --metrics-out "$LOCKDEP_METRICS" > /dev/null
 if command -v python3 >/dev/null 2>&1; then
-    python3 - "$LOCKDEP_SERVE_METRICS" "$LOCKDEP_METRICS" <<'PY'
+    python3 - "$LOCKDEP_METRICS" <<'PY'
 import json, sys
-serve = json.load(open(sys.argv[1]))["counters"]
-sim = json.load(open(sys.argv[2]))["counters"]
-serve_checks = serve.get("lockdep.checks", 0)
-sim_checks = sim.get("lockdep.checks", 0)
-assert serve_checks > 0, "debug serve recorded no supervised lock acquisitions"
+sim_checks = json.load(open(sys.argv[1]))["counters"].get("lockdep.checks", 0)
 assert sim_checks > 0, "debug sim recorded no supervised lock acquisitions"
-assert serve.get("engine.cache.rtt.hits", 0) > 0, \
-    "debug serve smoke recorded no engine.cache.rtt.hits"
-# The served hot path stays batched: a burst's memo probes take each
-# touched shard's lock once (SharedCache::get_many), not once per
-# request. Measured 0.054 checks per request on this smoke (2-core Xeon
-# VM); one lock per request (the per-key probe) measured 1.02. The 0.25
-# ceiling leaves 4.6x headroom for read-burst sizes and stays 4x under
-# the unbatched path.
-serve_requests = serve.get("serve.requests", 0)
-assert serve_requests > 0, "debug serve smoke recorded no serve.requests"
-per_request = serve_checks / serve_requests
-assert per_request < 0.25, \
-    "serve hot path not batched: %.3f lockdep checks per request (ceiling 0.25)" \
-    % per_request
-# The smoke's four malformed frames are its only bad requests, and each
-# must be counted once.
-bad = serve.get("serve.requests.bad", 0)
-assert bad == 4, "serve.requests.bad = %r after the smoke's 4 malformed frames" % bad
-mirrored = sorted(k for k in serve if k.startswith("serve.cache."))
-assert not mirrored, "serve re-exports engine cache counters: %s" % mirrored
-print("tier-1: lockdep smoke OK (serve + N=1e4 sim clean; "
-      "%d serve checks, %.3f per request, %d sim checks)"
-      % (serve_checks, per_request, sim_checks))
+print("tier-1: lockdep smoke OK (N=1e4 sim clean; %d checks)" % sim_checks)
 PY
 else
-    grep -q '"lockdep\.checks"' "$LOCKDEP_SERVE_METRICS"
     grep -q '"lockdep\.checks"' "$LOCKDEP_METRICS"
-    grep -Eq '"serve\.requests\.bad": 4,?$' "$LOCKDEP_SERVE_METRICS"
-    if grep -q '"serve\.cache\.' "$LOCKDEP_SERVE_METRICS"; then
-        echo "tier-1: serve re-exports engine cache counters"
-        exit 1
-    fi
     echo "tier-1: lockdep smoke OK (grep fallback)"
 fi
 

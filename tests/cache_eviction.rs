@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
+use fpsping::cache::DEFAULT_SHARDS;
 use fpsping::engine::{Engine, EngineConfig};
 use fpsping::{Scenario, SharedCache};
 use proptest::prelude::*;
@@ -174,6 +175,20 @@ proptest! {
                     prop_assert_eq!(ca.map(f64::to_bits), cb.map(f64::to_bits));
                 }
             }
+        }
+        // The parity above holds vacuously if nothing was evicted. Each
+        // memo map holds at most its budget rounded up to whole shards,
+        // so a grid with more distinct cells than that must have churned.
+        let mut distinct_ks = ks.clone();
+        distinct_ks.sort_unstable();
+        distinct_ks.dedup();
+        let slots = SharedCache::<u8, u8>::new(DEFAULT_SHARDS, cache_entries).capacity();
+        if distinct_ks.len() * n_loads > slots {
+            prop_assert!(
+                bounded.cache_stats().evictions() > 0,
+                "{} cells through {slots} slots evicted nothing",
+                distinct_ks.len() * n_loads
+            );
         }
     }
 }
