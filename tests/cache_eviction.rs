@@ -11,7 +11,8 @@
 //!   bounded cache answers at all, and the accounting invariant
 //!   `first_inserts - evictions == len <= capacity` holds after every op;
 //! * an engine-level proptest: a bounded bit-exact engine reproduces the
-//!   unbounded surface bit-for-bit across randomized grids and budgets;
+//!   unbounded surface bit-for-bit across randomized grids and budgets,
+//!   plus a fixed 180-cell grid through 64 entries;
 //! * a multi-thread hammer: racing writers over overlapping key ranges
 //!   never publish a wrong value (no lost updates) and never exceed the
 //!   occupancy bound;
@@ -191,6 +192,45 @@ proptest! {
             );
         }
     }
+}
+
+/// The fixed-grid form of the engine claim: a 64-entry bit-exact engine
+/// over a 180-cell grid (constant eviction) reproduces the unbounded
+/// surface to the last bit, also on a second pass that re-solves what
+/// the first evicted.
+#[test]
+fn eviction_parity_holds_bit_exactly() {
+    let base = Scenario::paper_default();
+    let ks = [2u32, 9, 20];
+    let loads: Vec<f64> = (0..60).map(|i| 0.05 + 0.9 * i as f64 / 60.0).collect();
+    let bounded = Engine::new(EngineConfig {
+        jobs: 1,
+        cache_entries: 64,
+        ..EngineConfig::bit_exact()
+    });
+    let unbounded = Engine::new(EngineConfig {
+        jobs: 1,
+        ..EngineConfig::bit_exact()
+    });
+    for pass in 0..2 {
+        let a = bounded.rtt_surface(&base, &ks, &loads);
+        let b = unbounded.rtt_surface(&base, &ks, &loads);
+        for (ki, (ra, rb)) in a.iter().zip(&b).enumerate() {
+            for (li, (ca, cb)) in ra.iter().zip(rb).enumerate() {
+                assert_eq!(
+                    ca.map(f64::to_bits),
+                    cb.map(f64::to_bits),
+                    "pass {pass}, K = {}, load = {}",
+                    ks[ki],
+                    loads[li]
+                );
+            }
+        }
+    }
+    assert!(
+        bounded.cache_stats().evictions() > 0,
+        "64 entries over a 180-cell grid must have evicted"
+    );
 }
 
 /// Racing `get_or_insert` over overlapping key ranges on a tiny cache:
