@@ -232,9 +232,68 @@ fn nelder_mead_2d(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpsping_num::stats::Histogram;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A fixed-width histogram on `[lo, hi)`. Out-of-range observations
+    /// fall in no bin but count toward the total.
+    struct Histogram {
+        lo: f64,
+        hi: f64,
+        bins: Vec<u64>,
+        count: u64,
+    }
+
+    impl Histogram {
+        /// `bins` equal-width bins covering `[lo, hi)`.
+        fn new(lo: f64, hi: f64, bins: usize) -> Self {
+            assert!(hi > lo && bins >= 1, "Histogram: need hi > lo and a bin");
+            Self {
+                lo,
+                hi,
+                bins: vec![0; bins],
+                count: 0,
+            }
+        }
+
+        fn record(&mut self, x: f64) {
+            self.count += 1;
+            if x >= self.lo && x < self.hi {
+                let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
+                let idx = idx.min(self.bins.len() - 1);
+                self.bins[idx] += 1;
+            }
+        }
+
+        /// Normalized density estimate `(bin_center, p̂df)` — the
+        /// histogram Färber least-squares-fits the extreme distribution
+        /// against.
+        fn density(&self) -> Vec<(f64, f64)> {
+            let w = (self.hi - self.lo) / self.bins.len() as f64;
+            let norm = self.count as f64 * w;
+            self.bins
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (self.lo + (i as f64 + 0.5) * w, c as f64 / norm))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn histogram_counts_and_density() {
+        let mut h = Histogram::new(0.0, 10.0, 10);
+        for i in 0..100 {
+            h.record(i as f64 / 10.0); // 0.0 .. 9.9 uniform
+        }
+        h.record(-1.0);
+        h.record(10.0);
+        assert_eq!(h.count, 102);
+        let d = h.density();
+        // Uniform density over in-range samples ≈ 10/102 per unit.
+        for &(_, p) in &d {
+            assert!((p - 10.0 / 102.0).abs() < 1e-12);
+        }
+    }
 
     #[test]
     fn cov_to_order_paper_values() {

@@ -1,6 +1,6 @@
 //! Descriptive statistics: means, variances, coefficients of variation,
-//! quantiles, empirical CDFs / tail distribution functions, histograms and
-//! streaming (Welford) estimators.
+//! quantiles, empirical CDFs / tail distribution functions and streaming
+//! (Welford) estimators.
 //!
 //! These are the estimators behind §2.2 of the paper (Table 3: mean and CoV
 //! of packet sizes, burst inter-arrival times and burst sizes of the Unreal
@@ -145,67 +145,6 @@ impl Ecdf {
     /// The sorted sample.
     pub fn sorted(&self) -> &[f64] {
         &self.sorted
-    }
-}
-
-/// A fixed-width histogram on `[lo, hi)`. Out-of-range observations
-/// fall in no bin but count toward [`Histogram::count`].
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins covering `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo, "Histogram: hi must exceed lo");
-        assert!(bins >= 1, "Histogram: need at least one bin");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x >= self.lo && x < self.hi {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total observations recorded (including out-of-range).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bin width; finite and positive (`hi > lo` is enforced at
-    /// construction).
-    pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.bins.len() as f64
-    }
-
-    /// Iterator of `(bin_center, count)`.
-    pub fn centers(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let w = self.bin_width();
-        self.bins
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + (i as f64 + 0.5) * w, c))
-    }
-
-    /// Normalized density estimate `(bin_center, p̂df)` — the histogram
-    /// Färber least-squares-fits the extreme distribution against.
-    pub fn density(&self) -> Vec<(f64, f64)> {
-        let norm = self.count as f64 * self.bin_width();
-        self.centers().map(|(x, c)| (x, c as f64 / norm)).collect()
     }
 }
 
@@ -439,22 +378,6 @@ mod tests {
         let series: Vec<f64> = (0..25).map(|i| e.tdf(5.0 * i as f64)).collect();
         for w in series.windows(2) {
             assert!(w[1] <= w[0] + 1e-15);
-        }
-    }
-
-    #[test]
-    fn histogram_counts_and_density() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0); // 0.0 .. 9.9 uniform
-        }
-        h.record(-1.0);
-        h.record(10.0);
-        assert_eq!(h.count(), 102);
-        let d = h.density();
-        // Uniform density over in-range samples ≈ 10/102 per unit.
-        for &(_, p) in &d {
-            assert!((p - 10.0 / 102.0).abs() < 1e-12);
         }
     }
 

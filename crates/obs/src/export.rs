@@ -75,11 +75,6 @@ pub fn snapshot() -> Snapshot {
         .iter()
         .map(|c| (c.name().to_string(), c.get()))
         .collect();
-    // The lockdep witness counts with a plain atomic (a counter must not
-    // re-enter the registry locks from inside the witness), so its
-    // coverage figure is injected here instead of self-registering. Zero
-    // means the witness is compiled out (release or obs-off).
-    counters.push(("lockdep.checks".to_string(), crate::lockdep::checks()));
     counters.sort();
     let mut gauges: Vec<(String, u64)> = lock(&reg.gauges)
         .iter()

@@ -38,15 +38,14 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Duration;
 
 pub mod export;
-pub mod lockdep;
 pub mod metrics;
 pub mod span;
 
 pub use export::{snapshot, write_json, HistogramSnapshot, Snapshot, SpanSnapshot};
-pub use lockdep::{lock, TrackedGuard};
 pub use metrics::{Counter, Gauge, Histogram, HistogramTimer};
 pub use span::{span, SpanGuard};
 
@@ -64,7 +63,11 @@ pub(crate) struct SpanStat {
 /// The process-global metric registry. Metric primitives push themselves
 /// in on first record; spans and warnings aggregate here directly. Like
 /// every lock in the workspace, each registry lock is taken with no other
-/// guard held and holds none itself (see [`lockdep`]).
+/// guard held and holds none itself. Recording a metric, closing a span,
+/// [`warn_once`] and [`snapshot`] all take a registry lock, so none of
+/// them may run while a caller holds a guard: `cargo xtask lint` rule
+/// L10 flags those calls inside a guard section like any other
+/// acquisition.
 pub(crate) struct Registry {
     pub counters: Mutex<Vec<&'static metrics::Counter>>,
     pub gauges: Mutex<Vec<&'static metrics::Gauge>>,
@@ -85,6 +88,36 @@ pub(crate) fn registry() -> &'static Registry {
         warn_keys: Mutex::new(BTreeSet::new()),
         warnings: Mutex::new(Vec::new()),
     })
+}
+
+/// Acquires a mutex, recovering the contents if a panicking thread
+/// poisoned it.
+///
+/// This is the workspace's one audited acquisition site: the metric
+/// registry, the engine's solver caches and the serve layer all route
+/// through it (`cargo xtask lint` rule L12). The poison recovery is sound
+/// **only** for structures that are never left half-mutated across a
+/// panic point: every guarded structure here only ever holds
+/// fully-constructed entries (pushes, single-map inserts, field stores),
+/// so the data stays valid after any panic. Callers adopting this helper
+/// inherit that contract — do not hold the guard across fallible
+/// multi-step mutations.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Blocks on `cv` with `guard`'s lock released for at most `dur`, then
+/// reacquires it: [`Condvar::wait_timeout`] with [`lock`]'s poison
+/// recovery. Returns the guard and whether the wait timed out.
+pub fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    dur: Duration,
+) -> (MutexGuard<'a, T>, bool) {
+    let (guard, res) = cv
+        .wait_timeout(guard, dur)
+        .unwrap_or_else(PoisonError::into_inner);
+    (guard, res.timed_out())
 }
 
 /// A monotonic stopwatch for *control flow* (deadlines, timeout budgets)
@@ -157,6 +190,16 @@ mod tests {
         let b = sw.elapsed_micros();
         assert!(b >= a);
         assert!(b >= 1_000, "2 ms sleep must register: {b} µs");
+    }
+
+    #[test]
+    fn wait_timeout_times_out_and_returns_the_guard() {
+        let (m, cv) = (Mutex::new(41u32), Condvar::new());
+        let (mut g, timed_out) = wait_timeout(&cv, lock(&m), Duration::from_millis(1));
+        assert!(timed_out);
+        *g += 1;
+        drop(g);
+        assert_eq!(*lock(&m), 42);
     }
 
     #[test]

@@ -192,34 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn serving_traffic_holds_one_lock_at_a_time() {
-        // A full accept → batch → respond cycle under the lockdep
-        // witness: every acquisition on the worker, accept and cache paths
-        // is checked, and taking a guard while another is held would
-        // panic the worker, so the response never arrives.
-        let checks_before = fpsping_obs::lockdep::checks();
-        let server = start_test_server(false, 1024);
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        stream
-            .write_all(&encode_request(&Request::rtt(0, 9, 40.0, 0.4)))
-            .expect("write");
-        let mut buf = [0u8; RESP_FRAME_LEN];
-        stream.read_exact(&mut buf).expect("read");
-        let resp = decode_response(&buf).expect("frame");
-        assert_eq!((resp.id, resp.status), (0, STATUS_OK));
-        shutdown_and_join(server);
-        let checks_after = fpsping_obs::lockdep::checks();
-        if fpsping_obs::lockdep::enabled() {
-            assert!(
-                checks_after > checks_before,
-                "serving must run under the witness: {checks_before} -> {checks_after}"
-            );
-        } else {
-            assert_eq!(checks_after, 0);
-        }
-    }
-
-    #[test]
     fn malformed_requests_answer_bad_request_in_lockstep() {
         let bad_before = counter("serve.requests.bad");
         let server = start_test_server(false, 1024);

@@ -56,7 +56,7 @@ use crate::protocol::{
 };
 use fpsping::engine::{Engine, EngineConfig};
 use fpsping::{Scenario, SharedCache};
-use fpsping_obs::{lock, Counter, Histogram, Stopwatch};
+use fpsping_obs::{lock, wait_timeout, Counter, Histogram, Stopwatch};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -160,8 +160,7 @@ impl ConnQueue {
             if shutdown.load(Ordering::Relaxed) {
                 return None;
             }
-            let (guard, _) = q.wait_timeout(&self.cv, Duration::from_millis(50));
-            q = guard;
+            q = wait_timeout(&self.cv, q, Duration::from_millis(50)).0;
         }
     }
 }

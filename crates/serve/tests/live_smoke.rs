@@ -8,10 +8,10 @@
 //! op. The process must exit by itself, and its `--metrics-out` snapshot
 //! is read back by counter name.
 //!
-//! A debug run checks the lock witness on the live serve path
-//! (`lockdep.checks` > 0, fewer than 0.25 checks per request). A release
-//! run (`cargo test --release -p fpsping-serve --test live_smoke`) checks
-//! a 10 k q/s live floor and that the witness is compiled out.
+//! Every run checks that the server batches the pipelined burst: at
+//! least 20 requests per `serve.batches` batch in the snapshot. A
+//! release run (`cargo test --release -p fpsping-serve --test live_smoke`)
+//! also checks a 10 k q/s live floor.
 //!
 //! The test never hangs: every socket read and write is bounded, and
 //! the process is killed when it outlives its deadline or the test
@@ -223,20 +223,16 @@ fn live_server_smoke() {
         mirrored.is_empty(),
         "serve re-exports engine cache counters: {mirrored:?}"
     );
-    let checks = counter("lockdep.checks");
-    if cfg!(debug_assertions) {
-        let checks = checks.unwrap_or(0);
-        assert!(checks > 0, "no supervised lock acquisitions");
-        // A burst's memo probes take each touched shard's lock once, not
-        // once per request: 0.039 checks per request measured on a 2-core
-        // Xeon VM; a per-key probe took about one per request (1.02).
-        let per_request = checks as f64 / requests as f64;
-        println!("live smoke: {checks} lockdep checks, {per_request:.3} per request");
-        assert!(
-            per_request < 0.25,
-            "serve hot path not batched: {per_request:.3} lockdep checks per request"
-        );
-    } else {
-        assert_eq!(checks, Some(0), "lockdep active in a release build");
-    }
+    // Each 1 024-request block arrives in a few socket reads, and the
+    // frames each read completes are one batch; the 1 000 ping-pong
+    // samples are one request per batch. Debug and release runs on a
+    // 2-core Xeon VM served 201 009 requests in 1 202 batches (167 per
+    // batch); a server that handled one frame per batch would read 1.
+    let batches = counter("serve.batches").unwrap_or(0);
+    let per_batch = requests as f64 / batches.max(1) as f64;
+    println!("live smoke: {requests} requests in {batches} batches, {per_batch:.1} per batch");
+    assert!(
+        per_batch >= 20.0,
+        "serve hot path not batched: {per_batch:.1} requests per batch"
+    );
 }

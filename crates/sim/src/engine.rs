@@ -56,28 +56,6 @@ impl Default for SimEngineConfig {
     }
 }
 
-impl SimEngineConfig {
-    /// A config with the given replication count (jobs = 1, seed 0).
-    pub fn with_reps(reps: usize) -> Self {
-        Self {
-            reps,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the worker-thread count (`0` = all cores).
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn master_seed(mut self, seed: u64) -> Self {
-        self.master_seed = seed;
-        self
-    }
-}
-
 /// The seed of replication `rep` under `master_seed`: element `rep` of
 /// the SplitMix64 output sequence started at the master seed.
 ///
@@ -460,7 +438,11 @@ mod tests {
     fn single_rep_matches_direct_run() {
         // reps=1 through the engine must reproduce a direct run with the
         // derived seed, bit for bit.
-        let engine = SimEngine::new(SimEngineConfig::with_reps(1).master_seed(99));
+        let engine = SimEngine::new(SimEngineConfig {
+            reps: 1,
+            jobs: 1,
+            master_seed: 99,
+        });
         let merged = engine.run(tiny_cfg);
         let mut direct_cfg = tiny_cfg(0);
         direct_cfg.seed = replication_seed(99, 0);
@@ -480,8 +462,16 @@ mod tests {
 
     #[test]
     fn jobs_do_not_change_the_merged_report() {
-        let serial = SimEngine::new(SimEngineConfig::with_reps(5).master_seed(7).jobs(1));
-        let parallel = SimEngine::new(SimEngineConfig::with_reps(5).master_seed(7).jobs(4));
+        let serial = SimEngine::new(SimEngineConfig {
+            reps: 5,
+            jobs: 1,
+            master_seed: 7,
+        });
+        let parallel = SimEngine::new(SimEngineConfig {
+            reps: 5,
+            jobs: 4,
+            master_seed: 7,
+        });
         let a = serial.run(tiny_cfg);
         let b = parallel.run(tiny_cfg);
         assert_eq!(a.events, b.events);
@@ -506,8 +496,18 @@ mod tests {
 
     #[test]
     fn confidence_intervals_shrink_with_more_reps() {
-        let few = SimEngine::new(SimEngineConfig::with_reps(2).master_seed(5)).run(tiny_cfg);
-        let many = SimEngine::new(SimEngineConfig::with_reps(8).master_seed(5)).run(tiny_cfg);
+        let few = SimEngine::new(SimEngineConfig {
+            reps: 2,
+            jobs: 1,
+            master_seed: 5,
+        })
+        .run(tiny_cfg);
+        let many = SimEngine::new(SimEngineConfig {
+            reps: 8,
+            jobs: 1,
+            master_seed: 5,
+        })
+        .run(tiny_cfg);
         let hw_few = few.ping_rtt.mean_ci95_s.expect("R=2 has a CI");
         let hw_many = many.ping_rtt.mean_ci95_s.expect("R=8 has a CI");
         assert!(hw_few > 0.0);
@@ -525,7 +525,11 @@ mod tests {
 
     #[test]
     fn streaming_mode_merges_and_bounds_memory() {
-        let engine = SimEngine::new(SimEngineConfig::with_reps(3).master_seed(11));
+        let engine = SimEngine::new(SimEngineConfig {
+            reps: 3,
+            jobs: 1,
+            master_seed: 11,
+        });
         let s = engine.run(streaming_cfg);
         let e = engine.run(tiny_cfg);
         assert_eq!(s.ping_rtt.count, e.ping_rtt.count);
@@ -553,7 +557,11 @@ mod tests {
         };
         let (streamed, exact) = (direct(true), direct(false));
         assert_ne!(streamed, exact, "the two modes must be distinguishable");
-        let engine = SimEngine::new(SimEngineConfig::with_reps(1).master_seed(99));
+        let engine = SimEngine::new(SimEngineConfig {
+            reps: 1,
+            jobs: 1,
+            master_seed: 99,
+        });
         assert_eq!(
             engine.run(streaming_cfg).per_rep[0].ping_rtt.quantiles,
             streamed

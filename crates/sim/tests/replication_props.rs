@@ -26,11 +26,11 @@ proptest! {
     #[test]
     fn merged_report_is_invariant_to_jobs(master in 0u64..u64::MAX, reps in 1usize..6) {
         let serial = SimEngine::new(
-            SimEngineConfig::with_reps(reps).master_seed(master).jobs(1),
+            SimEngineConfig { reps, jobs: 1, master_seed: master },
         )
         .run(|_| tiny_cfg());
         let parallel = SimEngine::new(
-            SimEngineConfig::with_reps(reps).master_seed(master).jobs(4),
+            SimEngineConfig { reps, jobs: 4, master_seed: master },
         )
         .run(|_| tiny_cfg());
 

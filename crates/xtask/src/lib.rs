@@ -16,15 +16,14 @@
 //! | L07  | `std::process::exit` outside `src/bin` |
 //! | L08  | direct `std::time::Instant` in library crates outside `crates/obs` |
 //! | L09  | `.push(…)` onto a growable buffer in `crates/sim` library code without a documented size bound (pending-event queues exempt) |
-//! | L10  | a lock acquired, bound or temporary, while a bound guard section is open |
+//! | L10  | a lock acquired, bound or temporary, or an `fpsping_obs` registry call (metric record, `span(`, `warn_once(`, `snapshot(`), while a bound guard section is open |
 //! | L11  | a lock guard held across a `fpsping_num`/`fpsping_queue` solver call or blocking I/O (`read`/`write`/`accept`) |
 //! | L12  | raw `.lock()`, ad-hoc poison recovery or any `RwLock` outside the audited `fpsping_obs::lock` helper |
 //!
 //! Every rule is a pure function of one file, so the workspace run is one
 //! pass of [`rules::check_file`] over each file. L10–L12 walk the file
-//! with a guard-section tracker (see [`locks`]); L10 is the static half
-//! of the workspace's one lock rule — never hold two guards — whose
-//! runtime half is the `fpsping_obs::lockdep` witness.
+//! with a guard-section tracker (see [`locks`]); L10 is the only
+//! enforcement of the workspace's one lock rule — never hold two guards.
 //!
 //! A finding is silenced only inline, with
 //! `// lint:allow(<slug>): <non-empty reason>` on the same or preceding

@@ -2,21 +2,27 @@
 //! L10 / L11 / L12.
 //!
 //! The workspace keeps one lock rule: no lock guard is acquired while
-//! another is held (the runtime witness `fpsping_obs::lockdep` enforces
-//! the same rule in debug builds). Like L01–L09, these rules are a pure
-//! function of one file: [`check_locks`] walks it with a lightweight
-//! block tracker on top of the comment/string-aware lexer. A `let`-bound
-//! guard opens a **section** that stays open until its enclosing block
-//! closes (or an explicit `drop(guard)`); a guard that is a temporary
-//! (`lock(&m).field`, `m.lock()?.len()`) never opens a section — it is
-//! dropped at the end of its statement, which is exactly the blind spot
-//! a naive span tracker gets wrong. Findings name each lock by its
+//! another is held, and L10 is its only enforcement. Like L01–L09, these
+//! rules are a pure function of one file: [`check_locks`] walks it with a
+//! lightweight block tracker on top of the comment/string-aware lexer. A
+//! `let`-bound guard opens a **section** that stays open until its
+//! enclosing block closes (or an explicit `drop(guard)`); a guard that is
+//! a temporary (`lock(&m).field`, `m.lock()?.len()`) never opens a
+//! section — it is dropped at the end of its statement, which is exactly
+//! the blind spot a naive span tracker gets wrong. Findings name each lock by its
 //! receiver as written (`self.q`).
 //!
 //! Inside an open section:
 //!
 //! * any other acquisition, bound or temporary, is a second guard under
 //!   the first (**L10**);
+//! * so is a call that takes an `fpsping_obs` registry lock (**L10**,
+//!   the registry route): a metric record (a metric registers itself on
+//!   first record), a `span(` (its drop aggregates into the span map),
+//!   `warn_once(` or `snapshot(`. That is the one nesting through a call
+//!   the workspace ever had (a counter registering itself under serve's
+//!   stats guard). An acquisition reached through any other call is not
+//!   seen;
 //! * a call into the `fpsping_num`/`fpsping_queue` solver entry points
 //!   or blocking I/O (`read`/`write`/`accept`/`flush`) is the
 //!   lock-convoy smell that corrupts serve's tail latency (**L11**).
@@ -24,8 +30,8 @@
 //! **L12** is positional: a raw `.lock()`, ad-hoc
 //! `PoisonError::into_inner` recovery or any `RwLock` anywhere outside
 //! `crates/obs` — every acquisition must route through the audited
-//! `fpsping_obs::lock` helper (which takes a `Mutex`) so poison recovery
-//! and the lockdep witness cover it.
+//! `fpsping_obs::lock` helper (which takes a `Mutex`) so its poison
+//! recovery covers it and L10 sees it.
 
 use crate::classify::FileClass;
 use crate::lexer::LexedLine;
@@ -52,6 +58,22 @@ const IO_NEEDLES: &[&str] = &[
     ".read_exact(",
     ".read_to_end(",
     ".flush(",
+];
+
+/// Calls that take an `fpsping_obs` registry lock (L10): recording a
+/// counter, gauge or histogram (each registers itself on first record),
+/// opening a span (its drop takes the span map), `warn_once` and
+/// `snapshot`. Needles without a leading `.` match only free calls.
+const REGISTRY_NEEDLES: &[&str] = &[
+    ".incr(",
+    ".add(",
+    ".set(",
+    ".set_max(",
+    ".record(",
+    ".start_timer(",
+    "span(",
+    "warn_once(",
+    "snapshot(",
 ];
 
 /// One acquisition site on a line.
@@ -117,8 +139,8 @@ pub fn check_locks(
                     rule: Rule::L12,
                     message: format!(
                         "raw `.lock()` on `{}` — route through the audited \
-                         `fpsping_obs::lock` helper so poison recovery and the lockdep \
-                         witness cover it (or waive with `// lint:allow(raw_lock): <reason>`)",
+                         `fpsping_obs::lock` helper so its poison recovery covers it and \
+                         L10 sees it (or waive with `// lint:allow(raw_lock): <reason>`)",
                         a.lock
                     ),
                 });
@@ -174,17 +196,23 @@ pub fn check_locks(
                     });
                 }
             }
-            while let Some(&(_, needle)) = needle_it.next_if(|&&(p, _)| p == col) {
+            while let Some(&(_, needle, rule)) = needle_it.next_if(|&&(p, ..)| p == col) {
                 if let Some(s) = sections.last() {
+                    let why = if rule == Rule::L10 {
+                        "this call takes an `fpsping_obs` registry lock, a second guard \
+                         under the first; make the call after the guard drops (or waive with \
+                         `// lint:allow(lock_order): <reason>`)"
+                    } else {
+                        "a solver call or blocking I/O under a lock is the convoy that \
+                         corrupts p99; drop the guard first (or waive with \
+                         `// lint:allow(lock_held): <reason>`)"
+                    };
                     out.push(Finding {
                         file: rel_path.into(),
                         line: lineno,
-                        rule: Rule::L11,
+                        rule,
                         message: format!(
-                            "`{needle}` while holding `{}` (guard `{}` since line {}) — a \
-                             solver call or blocking I/O under a lock is the convoy that \
-                             corrupts p99; drop the guard first (or waive with \
-                             `// lint:allow(lock_held): <reason>`)",
+                            "`{needle}` while holding `{}` (guard `{}` since line {}) — {why}",
                             s.lock, s.name, s.open_line
                         ),
                     });
@@ -341,18 +369,32 @@ fn binding_of(code: &str, acq_start: usize, close: usize) -> Option<String> {
     is_ident(pat).then(|| pat.to_string())
 }
 
-/// `(column, needle)` for every held-call needle on the line.
-fn find_held_call_needles(code: &str) -> Vec<(usize, &'static str)> {
+/// `(column, needle, rule)` for every call on the line that must not run
+/// under a held guard: L10 for the registry route, L11 for solver calls
+/// and blocking I/O.
+fn find_held_call_needles(code: &str) -> Vec<(usize, &'static str, Rule)> {
     let mut out = Vec::new();
-    for &needle in SOLVER_NEEDLES.iter().chain(IO_NEEDLES) {
+    let tagged = REGISTRY_NEEDLES.iter().map(|n| (n, Rule::L10)).chain(
+        SOLVER_NEEDLES
+            .iter()
+            .chain(IO_NEEDLES)
+            .map(|n| (n, Rule::L11)),
+    );
+    for (&needle, rule) in tagged {
         let mut start = 0;
         while let Some(p) = code[start..].find(needle) {
             let abs = start + p;
             start = abs + needle.len();
-            out.push((abs, needle));
+            // `span(` must not match `x.span(` or `lock_span(`.
+            let prev = code[..abs].chars().next_back();
+            if needle.starts_with('.')
+                || !prev.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+            {
+                out.push((abs, needle, rule));
+            }
         }
     }
-    out.sort_by_key(|&(c, _)| c);
+    out.sort_by_key(|&(c, ..)| c);
     out
 }
 
@@ -455,6 +497,48 @@ mod tests {
         let f = run("crates/serve/src/x.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("self-deadlock"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn l10_flags_registry_calls_under_a_bound_guard() {
+        // The registry route: each call takes an `fpsping_obs` registry
+        // lock, so under a bound guard it is a second guard.
+        let f = run(
+            "crates/serve/src/x.rs",
+            "fn f(s: &S) {\nlet g = lock(&s.a); HITS.incr();\n}\n",
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), (Rule::L10, 2));
+        assert!(f[0].message.contains("registry lock"), "{}", f[0].message);
+        for call in [
+            "HITS.add(2);",
+            "DEPTH.set(1);",
+            "DEPTH.set_max(1);",
+            "LATENCY.record(3);",
+            "let _t = LATENCY.start_timer();",
+            "let _s = span(\"x\");",
+            "let _s = fpsping_obs::span(\"x\");",
+            "warn_once(\"k\", \"m\");",
+            "let snap = crate::snapshot();",
+        ] {
+            let src = format!("fn f(s: &S) {{\nlet g = lock(&s.a);\n{call}\n}}\n");
+            let f = run("crates/obs/src/x.rs", &src);
+            assert_eq!(f.len(), 1, "{call}: {f:?}");
+            assert_eq!((f[0].rule, f[0].line), (Rule::L10, 3), "{call}");
+        }
+    }
+
+    #[test]
+    fn registry_calls_after_a_temporary_guard_or_lookalikes_are_clean() {
+        let src = "fn f(s: &S, m: &Mutex<Vec<u32>>, x: u32) {\n\
+                   lock(&m).push(x); HITS.incr();\n\
+                   let g = lock(&s.a);\n\
+                   let w = tok.span(); balanced_paren_span(w); lock_snapshot(w);\n\
+                   drop(g);\n\
+                   let _s = span(\"after\");\n\
+                   }\n";
+        let f = run("crates/serve/src/x.rs", src);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -138,6 +138,8 @@ fn l10_fixture_flags_unordered_nesting() {
     // file that could bless it.
     let out = lint_fixture("l10_lock_order.rs", "crates/serve/src/fixture.rs");
     assert_finding(&out, "L10", "crates/serve/src/fixture.rs", 10);
+    // The registry route: a counter record under the held guard.
+    assert_finding(&out, "L10", "crates/serve/src/fixture.rs", 20);
 }
 
 #[test]

@@ -278,45 +278,6 @@ fn hammer_no_lost_updates_and_bounded_occupancy() {
     assert_eq!(resident, cache.len());
 }
 
-/// The same hammer, run as an explicit lockdep exercise: every shard
-/// acquisition is a supervised check, so the witness's `checks` counter
-/// must grow by at least one per operation, and the whole race must
-/// complete without a lockdep panic (a shard guard is never held while
-/// another lock is taken, so a panic here would mean the witness itself
-/// is broken). In release or `obs-off` builds the witness is compiled
-/// out and the test reduces to a no-op guard check.
-#[test]
-fn hammer_under_lockdep_is_clean_and_counted() {
-    if !fpsping_obs::lockdep::enabled() {
-        assert_eq!(fpsping_obs::lockdep::checks(), 0);
-        return;
-    }
-    const THREADS: usize = 8;
-    const OPS: usize = 5_000;
-    const KEYSPACE: u64 = 128;
-    let checks_before = fpsping_obs::lockdep::checks();
-    let cache: Arc<SharedCache<u64, u64>> = Arc::new(SharedCache::new(4, 32));
-    thread::scope(|scope| {
-        for t in 0..THREADS {
-            let cache = Arc::clone(&cache);
-            scope.spawn(move || {
-                let mut x = 0xdead_u64.wrapping_add(t as u64);
-                for _ in 0..OPS {
-                    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    let key = value_of(x) % KEYSPACE;
-                    assert_eq!(cache.get_or_insert(key, value_of(key)), value_of(key));
-                }
-            });
-        }
-    });
-    check_accounting(&cache);
-    let checks_after = fpsping_obs::lockdep::checks();
-    assert!(
-        checks_after - checks_before >= (THREADS * OPS) as u64,
-        "every shard acquisition must be supervised: {checks_before} -> {checks_after}"
-    );
-}
-
 /// A single-shard, capacity-one cache is the nastiest corner: every
 /// distinct insert evicts the previous entry, and the accounting must
 /// stay exact through thousands of churn cycles.
