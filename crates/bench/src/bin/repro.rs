@@ -26,6 +26,7 @@ use fpsping_num::laplace::euler_inversion;
 use fpsping_num::roots::brent;
 use fpsping_num::stats::{cov, mean, Ecdf};
 use fpsping_num::Complex64;
+use fpsping_queue::erlang_mix::invert_tail;
 use fpsping_queue::mg1::mdd1;
 use fpsping_queue::nddd1::NDdd1;
 use fpsping_queue::{DEk1, ErlangMix, Mg1, Position, PositionDelay, TotalDelay};
@@ -771,23 +772,13 @@ fn l1_rule_quantile(t: &TotalDelay, p: f64) -> f64 {
     inverted_quantile(t, p)
 }
 
-/// `TotalDelay::quantile`'s numerical-inversion solve: the canonical
-/// doubling bracket from the mean and Brent to 1e-10 of it on the
-/// clamped default-order inversion.
+/// `TotalDelay::quantile`'s numerical-inversion solve: [`invert_tail`]
+/// from the mean, to 1e-10 of it, on the clamped default-order
+/// inversion.
 fn inverted_quantile(t: &TotalDelay, p: f64) -> f64 {
-    let target = 1.0 - p;
     let scale = t.mean().abs().max(1e-9);
-    let tail = |x: f64| t.tail_numeric(x).clamp(0.0, 1.0);
-    let mut hi = scale;
-    for _ in 0..200 {
-        if tail(hi) <= target {
-            break;
-        }
-        hi *= 2.0;
-    }
-    brent(|x| tail(x.max(1e-15)) - target, 0.0, hi, 1e-10 * scale, 300)
-        .map(|r| r.root)
-        .unwrap_or(f64::NAN)
+    let tail = |x: f64| t.tail_numeric(x.max(1e-15)).clamp(0.0, 1.0);
+    invert_tail(tail, 1.0 - p, scale, None, 1e-10 * scale).unwrap_or(f64::NAN)
 }
 
 /// Where the eq.-(35) expansion is accurate, measured: every cell of the

@@ -36,11 +36,6 @@ pub fn erlang_order_from_cov(cov: f64) -> u32 {
     (1.0 / (cov * cov)).round().max(1.0) as u32
 }
 
-/// Moment-matched Erlang: order from the CoV, rate from the mean.
-pub fn fit_erlang_moments(mean: f64, cov: f64) -> Erlang {
-    Erlang::with_mean(erlang_order_from_cov(cov), mean)
-}
-
 /// Result of the log-TDF least-squares Erlang order scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ErlangTailFit {
@@ -301,13 +296,6 @@ mod tests {
         assert_eq!(erlang_order_from_cov(1.0), 1);
         assert_eq!(erlang_order_from_cov(0.5), 4);
         assert_eq!(erlang_order_from_cov(10.0), 1); // clamped
-    }
-
-    #[test]
-    fn moment_fit_reproduces_mean_and_cov() {
-        let e = fit_erlang_moments(1852.0, 0.19);
-        assert_eq!(e.order(), 28);
-        assert!((e.mean() - 1852.0).abs() < 1e-9);
     }
 
     #[test]

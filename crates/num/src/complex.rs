@@ -144,14 +144,6 @@ impl Complex64 {
         acc
     }
 
-    /// Principal complex power `z^w = exp(w · ln z)`.
-    pub fn powc(self, w: Self) -> Self {
-        if self == Self::ZERO {
-            return Self::ZERO;
-        }
-        (w * self.ln()).exp()
-    }
-
     /// Returns true if both parts are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -335,17 +327,6 @@ mod tests {
             acc *= z;
         }
         assert!(close(z.powi(-3), z.powi(3).inv(), 1e-12));
-    }
-
-    #[test]
-    fn powc_matches_real_pow() {
-        let z = Complex64::from_real(2.5);
-        let w = Complex64::from_real(1.7);
-        assert!(close(
-            z.powc(w),
-            Complex64::from_real(2.5f64.powf(1.7)),
-            1e-12
-        ));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! * The dominant pole γ of the M/G/1 waiting-time MGF (eq. (14)) and every
 //!   quantile inversion are one-dimensional real root problems — solved with
-//!   [`brent`] on a bracket (with [`bisection`] as a deliberately simple
-//!   fallback and [`newton`] where the derivative is cheap).
+//!   [`brent`] on a bracket ([`bisection`] is the deliberately simple
+//!   oracle Brent is property-tested against).
 //! * The D/E_K/1 poles ζ_k of eq. (26) are found with
 //!   [`complex_fixed_point`], iterating `z ← f(z)` from `z = 0` exactly as
 //!   Appendix C proves convergent.
@@ -19,8 +19,6 @@ static BISECTION_ITERS: Counter = Counter::new("num.roots.bisection.iterations")
 static BRENT_CALLS: Counter = Counter::new("num.roots.brent.calls");
 static BRENT_ITERS: Counter = Counter::new("num.roots.brent.iterations");
 static BRENT_ITER_HIST: Histogram = Histogram::new("num.roots.brent.iterations");
-static NEWTON_CALLS: Counter = Counter::new("num.roots.newton.calls");
-static NEWTON_ITERS: Counter = Counter::new("num.roots.newton.iterations");
 static FIXED_POINT_CALLS: Counter = Counter::new("num.roots.fixed_point.calls");
 static FIXED_POINT_ITERS: Counter = Counter::new("num.roots.fixed_point.iterations");
 
@@ -264,67 +262,6 @@ fn brent_impl(
     })
 }
 
-/// Newton–Raphson with a fallback bracket check.
-///
-/// `f` returns `(value, derivative)`. Diverging steps abort with
-/// [`RootError::NoConvergence`]; callers should then fall back to a
-/// bracketed method.
-pub fn newton(
-    f: impl FnMut(f64) -> (f64, f64),
-    x0: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<RootResult, RootError> {
-    let r = newton_impl(f, x0, tol, max_iter);
-    record_solve(&NEWTON_CALLS, &NEWTON_ITERS, None, &r, max_iter);
-    r
-}
-
-fn newton_impl(
-    mut f: impl FnMut(f64) -> (f64, f64),
-    x0: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<RootResult, RootError> {
-    let mut x = x0;
-    for i in 0..max_iter {
-        let (v, dv) = f(x);
-        if exact_zero(v) {
-            return Ok(RootResult {
-                root: x,
-                residual: 0.0,
-                iterations: i,
-            });
-        }
-        if exact_zero(dv) || !dv.is_finite() {
-            return Err(RootError::NoConvergence {
-                best: x,
-                residual: v.abs(),
-            });
-        }
-        let step = v / dv;
-        x -= step;
-        if !x.is_finite() {
-            return Err(RootError::NoConvergence {
-                best: x0,
-                residual: v.abs(),
-            });
-        }
-        if step.abs() < tol {
-            return Ok(RootResult {
-                root: finite("newton: root", x),
-                residual: f(x).0.abs(),
-                iterations: i + 1,
-            });
-        }
-    }
-    let (v, _) = f(x);
-    Err(RootError::NoConvergence {
-        best: x,
-        residual: v.abs(),
-    })
-}
-
 /// Result of a complex fixed-point iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplexFixedPoint {
@@ -417,31 +354,6 @@ mod tests {
     fn brent_accepts_endpoint_roots() {
         let r = brent(|x| x, 0.0, 1.0, 1e-14, 100).unwrap();
         assert_eq!(r.root, 0.0);
-    }
-
-    #[test]
-    fn newton_quadratic_convergence() {
-        let r = newton(|x| (x * x - 2.0, 2.0 * x), 1.0, 1e-14, 50).unwrap();
-        assert!((r.root - std::f64::consts::SQRT_2).abs() < 1e-14);
-        assert!(r.iterations <= 7);
-    }
-
-    #[test]
-    fn newton_reports_divergence() {
-        // f(x) = x^(1/3) has Newton diverging from any x≠0 (overshoots, sign flips,
-        // magnitude doubles) — must not loop forever.
-        let res = newton(
-            |x: f64| {
-                (
-                    x.signum() * x.abs().powf(1.0 / 3.0),
-                    x.abs().powf(-2.0 / 3.0) / 3.0,
-                )
-            },
-            1.0,
-            1e-14,
-            60,
-        );
-        assert!(res.is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   carry the case numerically.
 
 use crate::dek1::DEk1;
-use crate::erlang_mix::ErlangMix;
+use crate::erlang_mix::{golden_min, invert_tail, ErlangMix};
 use crate::mg1::Mg1;
 use crate::position::{Position, PositionDelay};
 use crate::QueueError;
@@ -43,8 +43,6 @@ use fpsping_num::Complex64;
 use fpsping_obs::Counter;
 use std::sync::OnceLock;
 
-static CHERNOFF_EXPANSIONS: Counter = Counter::new("queue.combine.chernoff.bracket_expansions");
-static POSITION_EXPANSIONS: Counter = Counter::new("queue.combine.position.bracket_expansions");
 static FAST_QUANTILES: Counter = Counter::new("queue.combine.quantile_fast.calls");
 static FAST_TAIL_EVALS: Counter = Counter::new("queue.combine.quantile_fast.tail_evals");
 static FAST_FALLBACKS: Counter = Counter::new("queue.combine.quantile_fast.fallbacks");
@@ -149,16 +147,7 @@ impl PositionFactor {
                 }
             }
             PositionFactor::LogK1 { beta } => {
-                let target = 1.0 - p;
-                let mut hi = 1.0 / beta;
-                let mut n = 0;
-                while self.tail(hi) > target && n < 200 {
-                    hi *= 2.0;
-                    n += 1;
-                    POSITION_EXPANSIONS.incr();
-                }
-                fpsping_num::roots::brent(|x| self.tail(x) - target, 0.0, hi, 1e-14 / beta, 300)
-                    .map(|r| r.root)
+                invert_tail(|x| self.tail(x), 1.0 - p, 1.0 / beta, None, 1e-14 / beta)
                     .unwrap_or(f64::NAN)
             }
         }
@@ -692,28 +681,14 @@ impl TotalDelay {
             return Ok(0.0);
         }
         let scale = self.mean().abs().max(1e-9);
-        let hi =
-            crate::erlang_mix::canonical_bracket(|x| self.tail_inverted(x) <= target, scale, hint);
-        if self.tail_inverted(hi) > target {
-            // The doubling search gave up at its cap without ever crossing
-            // the target — previously this handed Brent an unbracketed
-            // interval and returned garbage.
-            QUANTILE_BRACKET_FAILURES.incr();
-            return Err(QueueError::SolveFailure {
-                what: "quantile bracket search never crossed the target",
-            });
-        }
-        fpsping_num::roots::brent(
-            |x| self.tail_inverted(x.max(1e-15)) - target,
-            0.0,
-            hi,
+        invert_tail(
+            |x| self.tail_inverted(x.max(1e-15)),
+            target,
+            scale,
+            hint,
             1e-10 * scale,
-            300,
         )
-        .map(|r| r.root)
-        .map_err(|_| QueueError::SolveFailure {
-            what: "total-delay quantile Brent solve",
-        })
+        .inspect_err(|_| QUANTILE_BRACKET_FAILURES.incr())
     }
 
     /// Tolerance-relaxed quantile for the batch engine's sweep path.
@@ -830,28 +805,7 @@ impl TotalDelay {
             let v = self.eval_factors(Complex64::from_real(s));
             (-s * x).exp() * v.re
         };
-        // Golden-section over s.
-        const INV_PHI: f64 = 0.618_033_988_749_894_8;
-        let (mut a, mut b) = (0.0, s_max);
-        let mut c = b - INV_PHI * (b - a);
-        let mut d = a + INV_PHI * (b - a);
-        let (mut fc, mut fd) = (obj(c), obj(d));
-        for _ in 0..200 {
-            if fc < fd {
-                b = d;
-                d = c;
-                fd = fc;
-                c = b - INV_PHI * (b - a);
-                fc = obj(c);
-            } else {
-                a = c;
-                c = d;
-                fc = fd;
-                d = a + INV_PHI * (b - a);
-                fd = obj(d);
-            }
-        }
-        obj(0.5 * (a + b)).min(1.0)
+        golden_min(obj, 0.0, s_max, 0.0, 200).1.min(1.0)
     }
 
     /// Method 3: p-quantile from the Chernoff bound of eq. (36). Panics
@@ -863,21 +817,13 @@ impl TotalDelay {
             return 0.0;
         }
         let scale = self.mean().abs().max(1e-9);
-        let mut hi = scale;
-        let mut expansions = 0;
-        while self.tail_chernoff(hi) > target && expansions < 200 {
-            hi *= 2.0;
-            expansions += 1;
-            CHERNOFF_EXPANSIONS.incr();
-        }
-        fpsping_num::roots::brent(
-            |x| self.tail_chernoff(x) - target,
-            0.0,
-            hi,
+        invert_tail(
+            |x| self.tail_chernoff(x),
+            target,
+            scale,
+            None,
             1e-10 * scale,
-            300,
         )
-        .map(|r| r.root)
         .unwrap_or(f64::NAN)
     }
 

@@ -21,6 +21,7 @@
 //! which is exactly how the paper obtains the tail of the total queueing
 //! delay from eq. (35).
 
+use crate::QueueError;
 use fpsping_num::poly::rising_factorial;
 use fpsping_num::Complex64;
 use fpsping_obs::Counter;
@@ -289,38 +290,101 @@ fn l1(z: Complex64) -> f64 {
 /// [`ErlangMix::product`]; the second pole is nudged by this amount.
 const POLE_COLLISION_RTOL: f64 = 1e-7;
 
-/// Finds the canonical quantile bracket `scale·2ⁿ` with `n ∈ [0, 200]`
-/// minimal such that `done(scale·2ⁿ)` holds (or `n = 200` if none does —
-/// the same give-up point as a cold doubling search).
+/// Inverts a decreasing tail: the root of `tail(x) = target` that Brent
+/// (to `tol`, at most 300 iterations) finds on the canonical bracket
+/// `[0, scale·2ⁿ]`, `n ∈ [0, 200]` minimal with
+/// `tail(scale·2ⁿ) ≤ target`. Every quantile method of the crate solves
+/// through it; the caller answers `tail(0) ≤ target` (quantile 0)
+/// before calling.
 ///
 /// A valid `hint` (a nearby quantile) only changes *where the search
 /// starts*: the walk down/up still lands on the minimal satisfying `n`,
 /// so hinted and cold callers obtain the exact same bracket — and
-/// therefore bit-identical roots from any deterministic solve run on it.
-/// Doubling a finite positive float is exact, so `scale·2ⁿ` is the same
-/// value however it is reached.
-pub(crate) fn canonical_bracket(done: impl Fn(f64) -> bool, scale: f64, hint: Option<f64>) -> f64 {
+/// therefore bit-identical roots. Doubling a finite positive float is
+/// exact, so `scale·2ⁿ` is the same value however it is reached.
+///
+/// A tail that is still above `target` (or NaN) at `scale·2²⁰⁰` has no
+/// bracket to solve on — rounding noise, not a distribution — and is
+/// refused, as is a Brent solve that does not converge.
+pub fn invert_tail(
+    tail: impl Fn(f64) -> f64,
+    target: f64,
+    scale: f64,
+    hint: Option<f64>,
+    tol: f64,
+) -> Result<f64, QueueError> {
     const MAX_DOUBLINGS: i32 = 200;
     BRACKET_SEARCHES.incr();
     let at = |n: i32| scale * 2f64.powi(n);
+    let done = |n: i32| tail(at(n)) <= target;
     let mut n = match hint {
         Some(h) if h.is_finite() && h > 0.0 => {
             ((h / scale).log2().ceil()).clamp(0.0, MAX_DOUBLINGS as f64) as i32
         }
         _ => 0,
     };
-    if done(at(n)) {
-        while n > 0 && done(at(n - 1)) {
+    if done(n) {
+        while n > 0 && done(n - 1) {
             n -= 1;
             BRACKET_STEPS.incr();
         }
     } else {
-        while n < MAX_DOUBLINGS && !done(at(n)) {
+        loop {
+            if n == MAX_DOUBLINGS {
+                return Err(QueueError::SolveFailure {
+                    what: "quantile bracket search never crossed the target",
+                });
+            }
             n += 1;
             BRACKET_STEPS.incr();
+            if done(n) {
+                break;
+            }
         }
     }
-    at(n)
+    fpsping_num::roots::brent(|x| tail(x) - target, 0.0, at(n), tol, 300)
+        .map(|r| r.root)
+        .map_err(|_| QueueError::SolveFailure {
+            what: "quantile Brent solve",
+        })
+}
+
+/// Golden-section minimization of a unimodal-ish function on `(a, b)`:
+/// `iters` steps, or fewer once the interval is below `tol` relative to
+/// its ends (`tol = 0` runs them all); returns `(argmin, min)` at the
+/// midpoint of the last interval.
+pub(crate) fn golden_min(
+    f: impl Fn(f64) -> f64,
+    a: f64,
+    b: f64,
+    tol: f64,
+    iters: usize,
+) -> (f64, f64) {
+    const INV_PHI: f64 = 0.618_033_988_749_894_8;
+    let (mut a, mut b) = (a, b);
+    let mut c = b - INV_PHI * (b - a);
+    let mut d = a + INV_PHI * (b - a);
+    let (mut fc, mut fd) = (f(c), f(d));
+    for _ in 0..iters {
+        if (b - a).abs() < tol * (a.abs() + b.abs()).max(1.0) {
+            break;
+        }
+        if fc < fd {
+            b = d;
+            d = c;
+            fd = fc;
+            c = b - INV_PHI * (b - a);
+            fc = f(c);
+        } else {
+            a = c;
+            c = d;
+            fc = fd;
+            d = a + INV_PHI * (b - a);
+            fd = f(d);
+        }
+    }
+    let x = 0.5 * (a + b);
+    (x, f(x))
 }
 
 impl ErlangMix {
@@ -562,7 +626,7 @@ impl ErlangMix {
     }
 
     /// The p-quantile of the delay: smallest `x ≥ 0` with
-    /// `P(X > x) ≤ 1 - p`. Solved by bisection on the closed-form tail.
+    /// `P(X > x) ≤ 1 - p`. Solved by [`invert_tail`] on the closed-form tail.
     ///
     /// For the paper's headline number use `p = 0.99999` (the 99.999 %
     /// quantile of §4). Panics unless `p ∈ (0, 1)`; NaN if the bracketed
@@ -594,43 +658,34 @@ impl ErlangMix {
             .unwrap_or(1.0)
             .max(self.mean().abs())
             .max(1e-12);
-        let hi = canonical_bracket(|x| self.tail(x) <= target, scale, hint);
-        let tail_hi = self.tail(hi);
-        if tail_hi.is_nan() || tail_hi > target {
-            // The search gave up without crossing the target (a tail of
-            // rounding noise, or NaN): there is no bracket to solve on.
-            return f64::NAN;
-        }
-        let f = |x: f64| self.tail(x) - target;
-        fpsping_num::roots::brent(f, 0.0, hi, 1e-12 * scale.max(1.0), 300)
-            .map(|r| r.root)
-            .unwrap_or(f64::NAN)
+        invert_tail(
+            |x| self.tail(x),
+            target,
+            scale,
+            hint,
+            1e-12 * scale.max(1.0),
+        )
+        .unwrap_or(f64::NAN)
     }
 
     /// Quantile via the dominant-pole tail (§3.3's shortcut).
     pub fn quantile_dominant_pole(&self, p: f64) -> f64 {
         assert!(p > 0.0 && p < 1.0, "quantile: p must lie in (0,1), got {p}");
         let target = 1.0 - p;
-        if self.poles.is_empty() || self.tail_dominant_pole(0.0) <= target {
+        let Some(dom) = self.dominant_decay() else {
+            return 0.0;
+        };
+        if self.tail_dominant_pole(0.0) <= target {
             return 0.0;
         }
-        // lint:allow(unwrap): the empty-blocks case returned 0.0 just above
-        let scale = 1.0 / self.dominant_decay().unwrap();
-        let mut hi = scale;
-        for _ in 0..200 {
-            if self.tail_dominant_pole(hi) <= target {
-                break;
-            }
-            hi *= 2.0;
-        }
-        fpsping_num::roots::brent(
-            |x| self.tail_dominant_pole(x) - target,
-            0.0,
-            hi,
+        let scale = 1.0 / dom;
+        invert_tail(
+            |x| self.tail_dominant_pole(x),
+            target,
+            scale,
+            None,
             1e-12 * scale.max(1.0),
-            300,
         )
-        .map(|r| r.root)
         .unwrap_or(f64::NAN)
     }
 
@@ -646,8 +701,7 @@ impl ErlangMix {
             let v = self.eval(Complex64::from_real(s));
             (-s * x).exp() * v.re
         };
-        // Golden-section search on (0, s_max).
-        golden_min(obj, 0.0, s_max, 1e-12).1
+        golden_min(obj, 0.0, s_max, 1e-12, 200).1
     }
 
     /// Quantile via the Chernoff tail. Panics unless `p ∈ (0, 1)`; NaN if
@@ -655,26 +709,17 @@ impl ErlangMix {
     pub fn quantile_chernoff(&self, p: f64) -> f64 {
         assert!(p > 0.0 && p < 1.0, "quantile: p must lie in (0,1), got {p}");
         let target = 1.0 - p;
-        if self.poles.is_empty() {
+        let Some(dom) = self.dominant_decay() else {
             return 0.0;
-        }
-        // lint:allow(unwrap): the empty-blocks case returned 0.0 just above
-        let scale = 1.0 / self.dominant_decay().unwrap();
-        let mut hi = scale;
-        for _ in 0..200 {
-            if self.tail_chernoff(hi) <= target {
-                break;
-            }
-            hi *= 2.0;
-        }
-        fpsping_num::roots::brent(
-            |x| self.tail_chernoff(x) - target,
-            0.0,
-            hi,
+        };
+        let scale = 1.0 / dom;
+        invert_tail(
+            |x| self.tail_chernoff(x),
+            target,
+            scale,
+            None,
             1e-12 * scale.max(1.0),
-            300,
         )
-        .map(|r| r.root)
         .unwrap_or(f64::NAN)
     }
 
@@ -907,36 +952,6 @@ const SCRATCH_ON_STACK: usize = 64;
 struct Scratch<'a> {
     g_terms: &'a mut [Complex64],
     g_mags: &'a mut [f64],
-}
-
-/// Golden-section minimization of a unimodal-ish function on `(a, b)`;
-/// returns `(argmin, min)`.
-fn golden_min(f: impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> (f64, f64) {
-    const INV_PHI: f64 = 0.618_033_988_749_894_8;
-    let (mut a, mut b) = (a, b);
-    let mut c = b - INV_PHI * (b - a);
-    let mut d = a + INV_PHI * (b - a);
-    let (mut fc, mut fd) = (f(c), f(d));
-    for _ in 0..200 {
-        if (b - a).abs() < tol * (a.abs() + b.abs()).max(1.0) {
-            break;
-        }
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - INV_PHI * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + INV_PHI * (b - a);
-            fd = f(d);
-        }
-    }
-    let x = 0.5 * (a + b);
-    (x, f(x))
 }
 
 #[cfg(test)]
@@ -1232,8 +1247,63 @@ mod tests {
 
     #[test]
     fn golden_min_finds_parabola_vertex() {
-        let (x, v) = golden_min(|x| (x - 2.0) * (x - 2.0) + 1.0, 0.0, 10.0, 1e-12);
+        let (x, v) = golden_min(|x| (x - 2.0) * (x - 2.0) + 1.0, 0.0, 10.0, 1e-12, 200);
         assert!((x - 2.0).abs() < 1e-6);
         assert!((v - 1.0).abs() < 1e-10);
+    }
+
+    /// Runs [`invert_tail`] on the Erlang-2 tail `(1 + x)·e^{-x}` and
+    /// returns the root with the bracket Brent solved on: Brent's first
+    /// two evaluations are at 0 (which the bracket search never visits)
+    /// and at the bracket's end.
+    fn erlang2_root(target: f64, hint: Option<f64>) -> (f64, f64) {
+        let seen = std::cell::RefCell::new(Vec::new());
+        let tail = |x: f64| {
+            seen.borrow_mut().push(x);
+            (1.0 + x) * (-x).exp()
+        };
+        let root = invert_tail(tail, target, 0.3, hint, 1e-12).unwrap();
+        let seen = seen.into_inner();
+        let start = seen.iter().position(|&x| x == 0.0).unwrap();
+        (root, seen[start + 1])
+    }
+
+    #[test]
+    fn hinted_inversion_lands_on_the_cold_bracket_and_root() {
+        let target = 1e-5;
+        let (cold, bracket) = erlang2_root(target, None);
+        assert!(((1.0 + cold) * (-cold).exp() - target).abs() < 1e-15);
+        assert!(bracket > cold && bracket / 2.0 <= cold, "minimal bracket");
+        let hints = [
+            1e-3 * cold,
+            0.5 * cold,
+            cold,
+            bracket,
+            2.0 * cold,
+            1e3 * cold,
+            f64::NAN,
+            f64::INFINITY,
+            -cold,
+            0.0,
+        ];
+        for hint in hints {
+            let (root, b) = erlang2_root(target, Some(hint));
+            assert_eq!(b.to_bits(), bracket.to_bits(), "hint {hint}: bracket");
+            assert_eq!(root.to_bits(), cold.to_bits(), "hint {hint}: root");
+        }
+    }
+
+    #[test]
+    fn tail_that_never_crosses_the_target_is_refused() {
+        let never = Err(QueueError::SolveFailure {
+            what: "quantile bracket search never crossed the target",
+        });
+        assert_eq!(invert_tail(|_| 1e-3, 1e-5, 1.0, None, 1e-12), never);
+        assert_eq!(
+            invert_tail(|_| f64::NAN, 1e-5, 1.0, Some(8.0), 1e-12),
+            never
+        );
+        // A hint past the 2²⁰⁰ cap starts the search at the cap.
+        assert_eq!(invert_tail(|_| 1e-3, 1e-5, 1.0, Some(1e300), 1e-12), never);
     }
 }

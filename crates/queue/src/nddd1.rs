@@ -20,6 +20,7 @@
 //! phase-randomized simulation and against each other (the limit ordering
 //! of eq. 11).
 
+use crate::erlang_mix::golden_min;
 use crate::QueueError;
 use fpsping_num::special::binomial_tail_ge;
 
@@ -190,7 +191,6 @@ impl NDdd1 {
 /// maximum value. Robust to `-∞` plateaus at the domain edges.
 fn grid_golden_max(f: impl Fn(f64) -> f64, a: f64, b: f64) -> f64 {
     const GRID: usize = 256;
-    const INV_PHI: f64 = 0.618_033_988_749_894_8;
     let step = (b - a) / GRID as f64;
     let mut best_i = 0usize;
     let mut best_v = f64::NEG_INFINITY;
@@ -218,26 +218,8 @@ fn grid_golden_max(f: impl Fn(f64) -> f64, a: f64, b: f64) -> f64 {
     } else {
         (best_i - 1, best_i + 1)
     };
-    let (mut lo, mut hi) = (a + lo_i as f64 * step, (a + hi_i as f64 * step).min(b));
-    let mut c = hi - INV_PHI * (hi - lo);
-    let mut d = lo + INV_PHI * (hi - lo);
-    let (mut fc, mut fd) = (f(c), f(d));
-    for _ in 0..120 {
-        if fc > fd {
-            hi = d;
-            d = c;
-            fd = fc;
-            c = hi - INV_PHI * (hi - lo);
-            fc = f(c);
-        } else {
-            lo = c;
-            c = d;
-            fc = fd;
-            d = lo + INV_PHI * (hi - lo);
-            fd = f(d);
-        }
-    }
-    f(0.5 * (lo + hi)).max(best_v)
+    let (lo, hi) = (a + lo_i as f64 * step, (a + hi_i as f64 * step).min(b));
+    (-golden_min(|x| -f(x), lo, hi, 0.0, 120).1).max(best_v)
 }
 
 #[cfg(test)]

@@ -15,7 +15,8 @@ pub enum TraceIoError {
         /// 1-based line number.
         line: usize,
     },
-    /// A numeric field failed to parse.
+    /// A numeric field failed to parse, or parsed to a value outside its
+    /// domain: a non-finite time, a negative or non-finite size.
     BadNumber {
         /// 1-based line number.
         line: usize,
@@ -40,7 +41,7 @@ impl std::fmt::Display for TraceIoError {
                 write!(f, "line {line}: expected 4 comma-separated fields")
             }
             TraceIoError::BadNumber { line, field } => {
-                write!(f, "line {line}: cannot parse number `{field}`")
+                write!(f, "line {line}: invalid number `{field}`")
             }
             TraceIoError::BadDirection { line, field } => {
                 write!(
@@ -84,14 +85,17 @@ pub fn trace_from_csv(text: &str) -> Result<Trace, TraceIoError> {
         if fields.len() != 4 {
             return Err(TraceIoError::BadFieldCount { line: line_no });
         }
-        let num = |s: &str| -> Result<f64, TraceIoError> {
-            s.parse::<f64>().map_err(|_| TraceIoError::BadNumber {
-                line: line_no,
-                field: s.to_string(),
-            })
+        let num = |s: &str, valid: fn(f64) -> bool| -> Result<f64, TraceIoError> {
+            s.parse::<f64>()
+                .ok()
+                .filter(|&v| valid(v))
+                .ok_or_else(|| TraceIoError::BadNumber {
+                    line: line_no,
+                    field: s.to_string(),
+                })
         };
-        let time_ms = num(fields[0])?;
-        let size_bytes = num(fields[1])?;
+        let time_ms = num(fields[0], f64::is_finite)?;
+        let size_bytes = num(fields[1], |v| v.is_finite() && v >= 0.0)?;
         let direction = match fields[2] {
             "up" => Direction::ClientToServer,
             "down" => Direction::ServerToClient,
@@ -183,6 +187,29 @@ mod tests {
             trace_from_csv("1.0,2.0,sideways,0\n"),
             Err(TraceIoError::BadDirection { line: 1, .. })
         ));
+    }
+
+    /// `f64` parsing accepts `NaN` and `inf`: a NaN time used to panic in
+    /// `Trace::from_records`, an infinite one gave a NaN duration, and a
+    /// negative or infinite size went through.
+    #[test]
+    fn non_finite_times_and_bad_sizes_are_refused_with_their_line() {
+        for (row, field) in [
+            ("NaN,100.0,up,0", "NaN"),
+            ("inf,100.0,up,0", "inf"),
+            ("1.0,-5.0,up,0", "-5.0"),
+            ("1.0,inf,down,0", "inf"),
+        ] {
+            let csv = format!("time_ms,size_bytes,direction,flow\n0.5,80.0,up,0\n{row}\n");
+            assert_eq!(
+                trace_from_csv(&csv).err(),
+                Some(TraceIoError::BadNumber {
+                    line: 3,
+                    field: field.to_string()
+                }),
+                "{row}"
+            );
+        }
     }
 
     #[test]
