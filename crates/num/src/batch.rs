@@ -208,7 +208,8 @@ pub fn complex_newton_lockstep(
 ///
 /// The D/E_K/1 burst-wait factor is exactly this shape (K simple poles,
 /// one weight each), and the numerical tail inversion evaluates it at
-/// ~40 contour points per tail. Iterating K separate heap-allocated pole
+/// ~40 contour points per tail. The bank keeps one term per pole: a
+/// conjugate pair is two terms. Iterating K separate heap-allocated pole
 /// blocks serializes one Smith/branchless reciprocal per pole; the flat
 /// `f64` arrays here let the compiler keep the whole sum in vector
 /// registers, including the per-pole division.
@@ -227,30 +228,25 @@ pub struct SimplePoleBank {
 }
 
 impl SimplePoleBank {
-    /// Builds a bank from parallel pole/weight slices (plus an additive
-    /// constant — the atom at zero for an MGF). Panics if the slices
-    /// disagree in length.
-    pub fn new(constant: f64, poles: &[Complex64], weights: &[Complex64]) -> Self {
-        assert_eq!(
-            poles.len(),
-            weights.len(),
-            "SimplePoleBank: poles and weights must pair up"
-        );
-        let mut bank = Self {
+    /// An empty bank (the sum is `constant`, the atom at zero for an
+    /// MGF) with room for `poles` terms.
+    pub fn with_capacity(constant: f64, poles: usize) -> Self {
+        Self {
             constant,
-            p_re: Vec::with_capacity(poles.len()),
-            p_im: Vec::with_capacity(poles.len()),
-            wp_re: Vec::with_capacity(poles.len()),
-            wp_im: Vec::with_capacity(poles.len()),
-        };
-        for (&p, &w) in poles.iter().zip(weights) {
-            let wp = w * p;
-            bank.p_re.push(p.re);
-            bank.p_im.push(p.im);
-            bank.wp_re.push(wp.re);
-            bank.wp_im.push(wp.im);
+            p_re: Vec::with_capacity(poles),
+            p_im: Vec::with_capacity(poles),
+            wp_re: Vec::with_capacity(poles),
+            wp_im: Vec::with_capacity(poles),
         }
-        bank
+    }
+
+    /// Adds the term `weight·pole/(pole − s)` after the others.
+    pub fn push(&mut self, pole: Complex64, weight: Complex64) {
+        let wp = weight * pole;
+        self.p_re.push(pole.re);
+        self.p_im.push(pole.im);
+        self.wp_re.push(wp.re);
+        self.wp_im.push(wp.im);
     }
 
     /// Number of poles in the bank.
@@ -438,6 +434,15 @@ mod tests {
         );
     }
 
+    /// A bank of the given terms, in order.
+    fn bank_of(constant: f64, poles: &[Complex64], weights: &[Complex64]) -> SimplePoleBank {
+        let mut bank = SimplePoleBank::with_capacity(constant, poles.len());
+        for (&p, &w) in poles.iter().zip(weights) {
+            bank.push(p, w);
+        }
+        bank
+    }
+
     #[test]
     fn pole_bank_matches_blockwise_sum() {
         let poles = [
@@ -452,7 +457,7 @@ mod tests {
             Complex64::new(0.1, 0.2),
             Complex64::new(0.05, 0.0),
         ];
-        let bank = SimplePoleBank::new(0.3, &poles, &weights);
+        let bank = bank_of(0.3, &poles, &weights);
         assert_eq!(bank.len(), 4);
         assert!(!bank.is_empty());
         for &s in &[
@@ -488,7 +493,7 @@ mod tests {
             let weights: Vec<Complex64> = (0..k)
                 .map(|j| Complex64::new(0.07 / (j + 1) as f64, 0.01 * j as f64 - 0.02))
                 .collect();
-            let bank = SimplePoleBank::new(0.4, &poles, &weights);
+            let bank = bank_of(0.4, &poles, &weights);
             for n in [0usize, 1, 37, 150] {
                 let zs: Vec<Complex64> = (0..n)
                     .map(|i| -Complex64::new(13.8, std::f64::consts::PI * i as f64) * 50.0)
@@ -509,7 +514,7 @@ mod tests {
 
     #[test]
     fn empty_pole_bank_is_its_constant() {
-        let bank = SimplePoleBank::new(0.75, &[], &[]);
+        let bank = SimplePoleBank::with_capacity(0.75, 0);
         assert!(bank.is_empty());
         assert_eq!(
             bank.eval(Complex64::new(1.0, -2.0)),

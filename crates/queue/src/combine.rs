@@ -214,10 +214,11 @@ const CONTOUR_POINTS: usize = 2 * DEFAULT_EULER_M + 1;
 /// 125} B and three points near uplink saturation) every cell served
 /// from the expansion under this tolerance is at least as close to the
 /// oracle quantile as the numerical inversion, the largest error being
-/// 1.2e-9 relative against the inversion's 1e-7 to 1e-6. At 1e-10 one
-/// cell (K = 9, T = 40 ms, P_S = 75 B, ρ_d = 0.2, bound 5.8e-11) lands
-/// on rounding noise 2.7e-8 from the oracle, past the inversion's
-/// 1.8e-8.
+/// 1.3e-9 relative against the inversion's 1e-7 to 1e-6. At 1e-10 the
+/// six K = 9, ρ_d = 0.2 cells (bound 5.8e-11) are served on rounding
+/// noise 0.7e-8 to 2.0e-8 from the oracle, the inversion's own noise
+/// level (3.3e-8 to 1.3e-7 there), so which of the two is closer at such
+/// a cell is chance.
 pub const EXPANSION_TOLERANCE: f64 = 1e-11;
 
 /// Absolute noise floor of the Abate–Whitt inversion backing the
@@ -463,13 +464,24 @@ impl TotalDelay {
 
     /// The burst wait's [`SimplePoleBank`], laid out on first use: a
     /// burst wait of ≥ 4 simple poles (the D/E_K/1 shape) runs on the
-    /// bank; smaller or multiplicity-carrying mixes stay blockwise.
+    /// bank, each conjugate pair as its two members; smaller or
+    /// multiplicity-carrying mixes stay blockwise.
     fn burst_bank(&self) -> Option<&SimplePoleBank> {
         self.burst_bank
             .get_or_init(|| {
                 let burst = &self.burst_wait;
-                (burst.poles().len() >= 4 && burst.all_simple())
-                    .then(|| SimplePoleBank::new(burst.constant, burst.poles(), burst.coeffs()))
+                let simple = burst.blocks().all(|b| b.coeffs.len() == 1);
+                let poles = burst.blocks().map(|b| b.members() as usize).sum();
+                (simple && poles >= 4).then(|| {
+                    let mut bank = SimplePoleBank::with_capacity(burst.constant, poles);
+                    for b in burst.blocks() {
+                        bank.push(b.pole, b.coeffs[0]);
+                        if b.pair {
+                            bank.push(b.pole.conj(), b.coeffs[0].conj());
+                        }
+                    }
+                    bank
+                })
             })
             .as_ref()
     }

@@ -25,6 +25,14 @@
 //! aⱼ = ζⱼ^K · Π_{k≠j} (1-ζ_k)/(ζⱼ-ζ_k).
 //! ```
 //!
+//! The burst wait is a real law. With the branches numbered from 0 (phase
+//! `2πj/K`), branch `K-j`'s equation is the conjugate of branch `j`'s, and
+//! so are its root and weight. Only the ⌊K/2⌋+1 branches `j = 0..=⌊K/2⌋`
+//! are solved, checked and weighed; the rest are set to the exact
+//! conjugates of their partners, bit for bit. Branch 0, and branch K/2
+//! when K is even (phase π), are their own partners: they are iterated on
+//! the real line, so their roots and weights are exactly real.
+//!
 //! For K = 1 this collapses to the classical D/M/1 solution
 //! `P(W > x) = σ·e^{-μ(1-σ)x}` (Kleinrock \[15\]), which the tests verify.
 
@@ -67,7 +75,6 @@ const WARM_RESIDUAL_TOL: f64 = 1e-10;
 pub struct DEk1 {
     k: u32,
     beta: f64,
-    t: f64,
     rho: f64,
     zetas: Vec<Complex64>,
     alphas: Vec<Complex64>,
@@ -118,7 +125,7 @@ impl DekSolution {
     ///
     /// Falls back to the cold path, transparently, when `prev` is absent,
     /// has a different order, or when any warm-polished root fails the
-    /// validity gates (finite, `Re ζ < 1`, `|ζ| < 1`, branch residual
+    /// validity gates (finite, `Re ζ < 1`, `|ζ| < ρ`, branch residual
     /// ≤ 1e-10) — so the result is always a valid solution, warm or not.
     ///
     /// Warm-started roots are *not* bit-identical to cold ones: Newton
@@ -210,7 +217,7 @@ impl DEk1 {
         }
         let rho = mean_service / t;
         let solution = DekSolution::solve(k, rho)?;
-        Ok(Self::rescale(&solution, mean_service, t))
+        Ok(Self::rescale(&solution, mean_service))
     }
 
     /// Rebuilds the queue from a cached dimensionless [`DekSolution`] and
@@ -242,19 +249,19 @@ impl DEk1 {
                 value: rho,
             });
         }
-        Ok(Self::rescale(solution, mean_service, t))
+        Ok(Self::rescale(solution, mean_service))
     }
 
     /// Shared reconstruction path: attaches the time scale to the
     /// dimensionless roots. Both `new` and `from_solution` funnel through
     /// here, which is what makes cached rebuilds bit-identical.
-    fn rescale(solution: &DekSolution, mean_service: f64, t: f64) -> Self {
+    fn rescale(solution: &DekSolution, mean_service: f64) -> Self {
         let beta = solution.k as f64 / mean_service;
-        let alphas: Vec<Complex64> = solution.zetas.iter().map(|&z| (1.0 - z) * beta).collect();
+        let mut alphas: Vec<Complex64> = solution.zetas.iter().map(|&z| (1.0 - z) * beta).collect();
+        mirror(&mut alphas);
         Self {
             k: solution.k,
             beta,
-            t,
             rho: solution.rho,
             zetas: solution.zetas.clone(),
             alphas,
@@ -279,7 +286,7 @@ impl DEk1 {
     }
 
     /// The branch roots ζⱼ of eq. (26), `j = 1..K` (ζ₁ real, the rest in
-    /// conjugate pairs).
+    /// conjugate pairs: `zetas()[K-j]` is exactly `zetas()[j].conj()`).
     pub fn zetas(&self) -> &[Complex64] {
         &self.zetas
     }
@@ -294,18 +301,23 @@ impl DEk1 {
         &self.weights
     }
 
+    /// `Σⱼ Re f(aⱼ, αⱼ)` over all K branches, each solved branch standing
+    /// for its conjugate partner too (`Re f` of a conjugate pair is twice
+    /// that of either member, for every `f` used here).
+    fn sum_branches(&self, f: impl Fn(Complex64, Complex64) -> f64) -> f64 {
+        let n = solved_branches(self.k);
+        (0..n)
+            .map(|j| {
+                let members = if is_pair(self.k, j) { 2.0 } else { 1.0 };
+                members * f(self.weights[j], self.alphas[j])
+            })
+            .sum()
+    }
+
     /// Probability that a burst has to wait at all, `P(W > 0) = Σⱼ aⱼ`.
     /// Finite in `[0, 1]` up to solver round-off.
     pub fn prob_wait(&self) -> f64 {
-        finite(
-            "DEk1::prob_wait",
-            self.weights.iter().copied().sum::<Complex64>().re,
-        )
-    }
-
-    /// Waiting-time MGF `W(s)` of eq. (18).
-    pub fn wait_mgf(&self, s: Complex64) -> Complex64 {
-        self.to_mix().eval(s)
+        finite("DEk1::prob_wait", self.sum_branches(|a, _| a.re))
     }
 
     /// Tail `P(W > x)` of the burst waiting time, eq. (18) inverted:
@@ -313,21 +325,19 @@ impl DEk1 {
     /// states (Re αⱼ > 0, so every term decays).
     pub fn wait_tail(&self, x: f64) -> f64 {
         assert!(x >= 0.0, "wait_tail: x must be non-negative");
-        let mut acc = Complex64::ZERO;
-        for (a, alpha) in self.weights.iter().zip(&self.alphas) {
-            acc += *a * (-*alpha * x).exp();
-        }
-        finite("DEk1::wait_tail", acc.re)
+        finite(
+            "DEk1::wait_tail",
+            self.sum_branches(|a, alpha| (a * (-alpha * x).exp()).re),
+        )
     }
 
     /// Mean burst waiting time `Re Σ aⱼ/αⱼ`; finite for all valid states
     /// (every αⱼ is nonzero).
     pub fn mean_wait(&self) -> f64 {
-        let mut acc = Complex64::ZERO;
-        for (a, alpha) in self.weights.iter().zip(&self.alphas) {
-            acc += *a / *alpha;
-        }
-        finite("DEk1::mean_wait", acc.re)
+        finite(
+            "DEk1::mean_wait",
+            self.sum_branches(|a, alpha| (a / alpha).re),
+        )
     }
 
     /// p-quantile of the burst waiting time. Panics unless `p ∈ (0, 1)`;
@@ -337,29 +347,51 @@ impl DEk1 {
     }
 
     /// The waiting-time law as an [`ErlangMix`] (constant `1 - Σaⱼ` plus K
-    /// simple poles) — the form consumed by the eq. (35) product.
+    /// simple poles) — the form consumed by the eq. (35) product. One
+    /// block per solved branch: the real poles stand alone, every other
+    /// block for a conjugate pair.
     pub fn to_mix(&self) -> ErlangMix {
-        ErlangMix::simple_poles(1.0 - self.prob_wait(), &self.alphas, &self.weights)
+        let n = solved_branches(self.k);
+        ErlangMix::simple_poles(
+            1.0 - self.prob_wait(),
+            (0..n).map(|j| (self.alphas[j], self.weights[j], is_pair(self.k, j))),
+        )
     }
+}
 
-    /// Residual of the pole-defining equation (54),
-    /// `(1 - s/β)^K - e^{-sT}`, at pole index `j` — exposed for
-    /// validation/tests. Panics if `j` is out of range; finite and
-    /// near-zero for solved states.
-    pub fn pole_residual(&self, j: usize) -> f64 {
-        let s = self.alphas[j];
-        let lhs = (Complex64::ONE - s / self.beta).powi(self.k as i32);
-        let rhs = (-s * self.t).exp();
-        (lhs - rhs).abs()
+/// The branches solved: `j = 0..=⌊K/2⌋`. Every other branch `K-j` is
+/// the conjugate of branch `j`.
+fn solved_branches(k: u32) -> usize {
+    k as usize / 2 + 1
+}
+
+/// Whether solved branch `j` stands for a conjugate pair (itself and
+/// branch `K-j`): every branch but the real ones, 0 and (K even) K/2.
+fn is_pair(k: u32, j: usize) -> bool {
+    j != 0 && 2 * j != k as usize
+}
+
+/// Sets every unsolved branch to its partner's conjugate:
+/// `v[K-j] = conj(v[j])` for `1 ≤ j < K/2`, bit for bit.
+fn mirror(v: &mut [Complex64]) {
+    let k = v.len();
+    for j in 1..k.div_ceil(2) {
+        v[k - j] = v[j].conj();
     }
 }
 
 /// The branch-`j` fixed-point map of eq. (26):
-/// `z ↦ exp((z-1)/ρ + 2πi·j/K)` (0-based `j`).
+/// `z ↦ exp((z-1)/ρ + 2πi·j/K)` (0-based `j`). At phase π (`2j = K`)
+/// the rotation is `-1` exactly, so that branch, like branch 0, maps
+/// real points to real points.
 #[inline]
 fn branch_map(k: u32, rho: f64, j: usize, z: Complex64) -> Complex64 {
+    let w = (z - 1.0) / rho;
+    if 2 * j == k as usize {
+        return -w.exp();
+    }
     let phase = 2.0 * std::f64::consts::PI * j as f64 / k as f64;
-    ((z - 1.0) / rho + Complex64::new(0.0, phase)).exp()
+    (w + Complex64::new(0.0, phase)).exp()
 }
 
 /// `(g, g')` for the Newton polish on branch `j`: `g(z) = z - map(z)`,
@@ -370,32 +402,35 @@ fn branch_newton(k: u32, rho: f64, j: usize, z: Complex64) -> (Complex64, Comple
     (z - m, Complex64::ONE - m / rho)
 }
 
-/// Solves the K branch equations (26) by Appendix C's fixed-point
+/// Solves the branch equations (26) by Appendix C's fixed-point
 /// iteration from `z = 0`, then polishes each root with complex Newton on
-/// `g(z) = z - exp((z-1)/ρ + iφ)`. All K branches run in lockstep through
-/// the batch kernels; per branch the iterate sequence — and therefore the
-/// result, to the last bit — is identical to the historical one-root-at-a-
-/// time loop.
+/// `g(z) = z - exp((z-1)/ρ + iφ)`. The ⌊K/2⌋+1 solved branches run in
+/// lockstep through the batch kernels; per branch the iterate sequence —
+/// and therefore the result, to the last bit — is identical to a
+/// one-root-at-a-time loop. The other branches are their conjugates.
 fn solve_zetas(k: u32, rho: f64) -> Result<Vec<Complex64>, QueueError> {
     ZETA_SOLVES.incr();
     ZETA_COLD_SOLVES.incr();
     let mut zetas = vec![Complex64::ZERO; k as usize];
+    let solved = &mut zetas[..solved_branches(k)];
     // Fixed point to modest precision (contraction factor |ζ|/ρ can
     // approach 1 near saturation)...
-    complex_fixed_point_lockstep(|j, z| branch_map(k, rho, j, z), &mut zetas, 1e-8, 2_000_000)
-        .ok_or(QueueError::SolveFailure {
+    complex_fixed_point_lockstep(|j, z| branch_map(k, rho, j, z), solved, 1e-8, 2_000_000).ok_or(
+        QueueError::SolveFailure {
             what: "fixed-point iteration for ζ did not converge",
-        })?;
+        },
+    )?;
     // ...then Newton to machine precision.
     let polish = complex_newton_lockstep(
         |j, z| branch_newton(k, rho, j, z),
-        &mut zetas,
+        solved,
         50,
         1e-15,
         1e-300,
     );
     ZETA_POLISH_STEPS.add(polish.steps);
-    validate_zetas(&zetas)?;
+    validate_zetas(solved)?;
+    mirror(&mut zetas);
     Ok(zetas)
 }
 
@@ -418,20 +453,24 @@ fn solve_zetas(k: u32, rho: f64) -> Result<Vec<Complex64>, QueueError> {
 ///   polish above the basin boundary — see the
 ///   `continuation_never_reaches_the_trivial_root` test.
 ///
-/// Returns `None` if any branch fails a gate; callers fall back to the
-/// cold path.
+/// Only the solved branches are polished and gated; a conjugate passes
+/// every gate exactly when its partner does (the gates read `|ζ|`,
+/// `Re ζ` and the residual's modulus, which conjugation keeps). Returns
+/// `None` if any branch fails a gate; callers fall back to the cold
+/// path.
 fn solve_zetas_warm(k: u32, rho: f64, seeds: &[Complex64]) -> Option<Vec<Complex64>> {
     debug_assert_eq!(seeds.len(), k as usize);
     let mut zetas = seeds.to_vec();
+    let solved = &mut zetas[..solved_branches(k)];
     let polish = complex_newton_lockstep(
         |j, z| branch_newton(k, rho, j, z),
-        &mut zetas,
+        solved,
         50,
         1e-15,
         1e-300,
     );
     ZETA_WARM_STEPS.add(polish.steps);
-    for (j, &z) in zetas.iter().enumerate() {
+    for (j, &z) in solved.iter().enumerate() {
         if !z.is_finite() || z.re >= 1.0 || z.norm_sqr() >= rho * rho {
             return None;
         }
@@ -439,6 +478,7 @@ fn solve_zetas_warm(k: u32, rho: f64, seeds: &[Complex64]) -> Option<Vec<Complex
             return None;
         }
     }
+    mirror(&mut zetas);
     Some(zetas)
 }
 
@@ -457,32 +497,46 @@ fn validate_zetas(zetas: &[Complex64]) -> Result<(), QueueError> {
 }
 
 /// Closed-form weights of eq. (27): `aⱼ = ζⱼ^K Π_{k≠j}(1-ζ_k)/(ζⱼ-ζ_k)`
-/// (the Lagrange/Vandermonde solution derived in Appendix D).
+/// (the Lagrange/Vandermonde solution derived in Appendix D), for the
+/// solved branches; the others are their partners' conjugates, and the
+/// real branches' weights are real. A conjugate pair `(ζ_i, ζ̄_i)` enters
+/// the product as one factor, `|1-ζ_i|²/((ζⱼ-ζ_i)(ζⱼ-ζ̄_i))`.
 fn solve_weights(zetas: &[Complex64]) -> Vec<Complex64> {
     let k = zetas.len();
-    let mut weights = Vec::with_capacity(k);
-    for j in 0..k {
+    let k_u32 = k as u32;
+    let solved = solved_branches(k_u32);
+    let mut weights = vec![Complex64::ZERO; k];
+    for (j, w) in weights.iter_mut().enumerate().take(solved) {
         let zj = zetas[j];
         // At vanishing load the roots underflow to 0 and the Lagrange
         // ratios become 0/0; the true weight magnitude is ≤ |ζ| there, so
         // report an exact 0 instead of NaN.
         if zj.abs() < 1e-60 {
-            weights.push(Complex64::ZERO);
             continue;
         }
         let mut a = zj.powi(k as i32);
-        for (i, &zi) in zetas.iter().enumerate() {
-            if i == j {
-                continue;
+        for (i, &zi) in zetas.iter().enumerate().take(solved) {
+            if !is_pair(k_u32, i) {
+                if i != j {
+                    a *= (Complex64::ONE - zi) / (zj - zi);
+                }
+            } else if i == j {
+                // Only the partner ζ̄ⱼ is another branch.
+                a *= (Complex64::ONE - zj.conj()) / (zj - zj.conj());
+            } else {
+                let num = (Complex64::ONE - zi).norm_sqr();
+                a *= ((zj - zi) * (zj - zi.conj())).inv() * num;
             }
-            a *= (Complex64::ONE - zi) / (zj - zi);
         }
-        weights.push(if a.is_finite() {
-            finite_c("solve_weights: Lagrange weight", a)
-        } else {
-            Complex64::ZERO
-        });
+        if !is_pair(k_u32, j) {
+            // Its own conjugate: the imaginary part is rounding noise.
+            a = Complex64::from_real(a.re);
+        }
+        if a.is_finite() {
+            *w = finite_c("solve_weights: Lagrange weight", a);
+        }
     }
+    mirror(&mut weights);
     weights
 }
 
@@ -490,6 +544,16 @@ fn solve_weights(zetas: &[Complex64]) -> Vec<Complex64> {
 #[allow(clippy::unnecessary_cast)]
 mod tests {
     use super::*;
+
+    /// Residual of the pole-defining equation (54),
+    /// `(1 - s/β)^K - e^{-sT}`, at pole index `j` of a queue with burst
+    /// interval `t`.
+    fn pole_residual(q: &DEk1, t: f64, j: usize) -> f64 {
+        let s = q.alphas()[j];
+        let lhs = (Complex64::ONE - s / q.beta()).powi(q.order() as i32);
+        let rhs = (-s * t).exp();
+        (lhs - rhs).abs()
+    }
 
     /// Brute-force simulation of the Lindley recursion (15) for
     /// ground-truth tails.
@@ -543,10 +607,10 @@ mod tests {
         for &(k, rho) in &[(2u32, 0.3), (9, 0.5), (20, 0.8), (20, 0.05)] {
             let q = DEk1::new(k, rho * 0.04, 0.04).unwrap();
             for j in 0..k as usize {
+                let residual = pole_residual(&q, 0.04, j);
                 assert!(
-                    q.pole_residual(j) < 1e-9,
-                    "K={k} ρ={rho} pole {j}: residual {}",
-                    q.pole_residual(j)
+                    residual < 1e-9,
+                    "K={k} ρ={rho} pole {j}: residual {residual}"
                 );
                 assert!(q.alphas()[j].re > 0.0, "pole must decay");
                 assert!(q.zetas()[j].abs() < 1.0, "|ζ| < 1 per Appendix C");
@@ -588,7 +652,7 @@ mod tests {
     fn mgf_is_one_at_zero_and_mass_is_valid() {
         for &(k, rho) in &[(2u32, 0.2), (9, 0.6), (20, 0.9)] {
             let q = DEk1::new(k, rho * 0.06, 0.06).unwrap();
-            let w0 = q.wait_mgf(Complex64::ZERO);
+            let w0 = q.to_mix().eval(Complex64::ZERO);
             assert!(
                 (w0 - Complex64::ONE).abs() < 1e-9,
                 "K={k} ρ={rho}: W(0)={w0}"
@@ -736,7 +800,7 @@ mod tests {
             q.mean_wait()
         );
         for j in 0..k as usize {
-            assert!(q.pole_residual(j) < 1e-8);
+            assert!(pole_residual(&q, t, j) < 1e-8);
         }
     }
 

@@ -20,8 +20,15 @@
 //!
 //! which is exactly how the paper obtains the tail of the total queueing
 //! delay from eq. (35).
+//!
+//! Every law here is real, so complex poles come in conjugate pairs with
+//! conjugate coefficients. A mix stores one block per pair (see
+//! [`PoleBlock::pair`]) and adds the partner's share where it sums: twice
+//! the real part of a tail, a mean or a real-point value, `conj(b(s̄))`
+//! at a complex `s`.
 
 use crate::QueueError;
+use fpsping_num::cmp::exact_zero;
 use fpsping_num::poly::rising_factorial;
 use fpsping_num::Complex64;
 use fpsping_obs::Counter;
@@ -32,10 +39,19 @@ static BRACKET_STEPS: Counter = Counter::new("queue.quantile.bracket.steps");
 /// One pole of an [`ErlangMix`] together with the coefficients of all its
 /// multiplicities: `Σ_{m=1}^{M} coeffs[m-1] · (pole/(pole-s))^m`. A view
 /// into the mix's flat storage (see [`ErlangMix::blocks`]).
+///
+/// A block with [`PoleBlock::pair`] set stands for a conjugate pair: the
+/// stored member and its mirror, whose pole and coefficients are the
+/// conjugates (and whose magnitude companions are the same). The block's
+/// own methods evaluate the stored member only; the mix adds the
+/// mirror's share.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoleBlock<'a> {
     /// The pole location λ; `Re λ > 0` for a proper (decaying) term.
     pub pole: Complex64,
+    /// Whether the block also stands for its conjugate mirror (the pole
+    /// is then off the real axis); a block with a real pole stands alone.
+    pub pair: bool,
     /// `coeffs[m-1]` multiplies the Erlang term of multiplicity `m`.
     pub coeffs: &'a [Complex64],
     /// The magnitude companion of each coefficient: the coefficient
@@ -46,7 +62,19 @@ pub struct PoleBlock<'a> {
 }
 
 impl PoleBlock<'_> {
-    /// Evaluates this block's contribution to the MGF at `s`.
+    /// How many poles the block stands for: 2 for a pair, 1 otherwise
+    /// (always finite). A real quantity the stored member contributes
+    /// (the real part of its tail, slope or mean) is that many times the
+    /// block's.
+    pub fn members(&self) -> f64 {
+        if self.pair {
+            2.0
+        } else {
+            1.0
+        }
+    }
+
+    /// Evaluates the stored member's contribution to the MGF at `s`.
     pub fn eval(&self, s: Complex64) -> Complex64 {
         self.eval_with_magnitude(s).0
     }
@@ -129,22 +157,24 @@ impl PoleBlock<'_> {
     }
 
     /// Adds this block's value at every point to `acc`: `acc[k] +=
-    /// self.eval(zs[k])`, bit for bit. `ladder` must equal
-    /// [`PoleBlock::is_ladder`].
+    /// self.eval(zs[k])`, bit for bit, or with `mirror` set the mirror
+    /// member's, `acc[k] += self.eval(zs[k].conj()).conj()`. `ladder`
+    /// must equal [`PoleBlock::is_ladder`].
     ///
     /// The points are first split by how [`PoleBlock::eval`] sums them;
     /// each group then runs one step across all its points at a time
     /// (the powers of the closed form, each coefficient of the
     /// term-by-term sum), so the dependent multiply chains of different
     /// points overlap instead of running back to back.
-    fn add_eval_many(&self, ladder: bool, zs: &[Complex64], acc: &mut [Complex64]) {
+    fn add_eval_many(&self, ladder: bool, mirror: bool, zs: &[Complex64], acc: &mut [Complex64]) {
         const LANES: usize = 64;
+        let member = |v: Complex64| if mirror { v.conj() } else { v };
         for (zc, ac) in zs.chunks(LANES).zip(acc.chunks_mut(LANES)) {
             // Each group's bases, and the lanes they came from.
             let (mut closed, mut closed_lane, mut nc) = ([Complex64::ZERO; LANES], [0; LANES], 0);
             let (mut open, mut open_lane, mut no) = ([Complex64::ZERO; LANES], [0; LANES], 0);
             for (l, &z) in zc.iter().enumerate() {
-                let base = self.base(z);
+                let base = self.base(member(z));
                 if self.closes(base, ladder) {
                     (closed[nc], closed_lane[nc]) = (base, l);
                     nc += 1;
@@ -158,7 +188,7 @@ impl PoleBlock<'_> {
                 *p = b.powi(self.coeffs.len() as i32);
             }
             for ((&l, &b), &bn) in closed_lane[..nc].iter().zip(&closed[..nc]).zip(&pow[..nc]) {
-                ac[l] += self.geometric_sum(b, bn);
+                ac[l] += member(self.geometric_sum(b, bn));
             }
             let mut sum = [Complex64::ZERO; LANES];
             let mut pw = [Complex64::ONE; LANES];
@@ -169,12 +199,12 @@ impl PoleBlock<'_> {
                 }
             }
             for (&l, &v) in open_lane[..no].iter().zip(&sum[..no]) {
-                ac[l] += v;
+                ac[l] += member(v);
             }
         }
     }
 
-    /// The l-th derivative (w.r.t. `s`) of this block at `s`.
+    /// The l-th derivative (w.r.t. `s`) of the stored member at `s`.
     ///
     /// Uses `d^l/ds^l (λ/(λ-s))^m = λ^m (m)_l (λ-s)^{-(m+l)}` with `(m)_l`
     /// the rising factorial.
@@ -189,8 +219,8 @@ impl PoleBlock<'_> {
         acc
     }
 
-    /// This block's contribution to the tail `P(X > x)` (complex; the mix
-    /// sums blocks and takes the real part).
+    /// The stored member's contribution to the tail `P(X > x)` (complex;
+    /// the mix takes [`PoleBlock::members`] times its real part).
     ///
     /// The partial exponential sums `P(m) = Σ_{t<m} (λx)^t/t!` for
     /// `m = 1..M` share their prefixes, so one incremental pass computes
@@ -237,7 +267,8 @@ impl PoleBlock<'_> {
         )
     }
 
-    /// Contribution to the mean: `Σ_m A_m · m/λ` (Erlang(m, λ) mean).
+    /// The stored member's contribution to the mean: `Σ_m A_m · m/λ`
+    /// (Erlang(m, λ) mean).
     pub fn mean(&self) -> Complex64 {
         let mut acc = Complex64::ZERO;
         for (i, &c) in self.coeffs.iter().enumerate() {
@@ -268,15 +299,25 @@ impl PoleBlock<'_> {
 pub struct ErlangMix {
     /// Mass of the atom at zero (`P(X = 0)` for a proper delay law).
     pub constant: f64,
-    /// The pole locations, pairwise distinct.
+    /// The pole locations, pairwise distinct, one per block (a pair's
+    /// stored member).
     poles: Vec<Complex64>,
-    /// `ends[i]` is one past pole `i`'s last coefficient in `coeffs`.
-    ends: Vec<usize>,
+    /// Where each block's coefficients end, and whether it is a pair.
+    ends: Vec<BlockEnd>,
     /// Every pole's coefficients, pole after pole, multiplicity 1 first.
     coeffs: Vec<Complex64>,
     /// The magnitude companion of each coefficient (see
     /// [`PoleBlock::magnitudes`]).
     magnitudes: Vec<f64>,
+}
+
+/// The end of a block in an [`ErlangMix`]'s flat buffers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BlockEnd {
+    /// One past the block's last coefficient in `coeffs`.
+    end: usize,
+    /// Whether the block stands for a conjugate pair ([`PoleBlock::pair`]).
+    pair: bool,
 }
 
 /// `|re| + |im|`: the modulus within a factor √2, from above, without a
@@ -415,37 +456,45 @@ impl ErlangMix {
     }
 
     /// This mix plus one more pole block `Σ_m coeffs[m-1]·(pole/(pole-s))^m`;
-    /// the pole must differ from every pole already present.
+    /// a pole off the real axis stands for the conjugate pair (the mirror
+    /// `Σ_m conj(coeffs[m-1])·(λ̄/(λ̄-s))^m` is implied, see
+    /// [`PoleBlock::pair`]). The pole must differ from every pole already
+    /// present, and from their mirrors.
     pub fn with_pole(mut self, pole: Complex64, coeffs: &[Complex64]) -> Self {
         self.coeffs.extend_from_slice(coeffs);
         self.magnitudes.extend(coeffs.iter().map(|&c| l1(c)));
-        self.push_pole(pole);
+        self.push_pole(pole, !exact_zero(pole.im));
         self
     }
 
     /// Closes a block: `pole` owns the coefficients pushed since the
-    /// previous block.
-    fn push_pole(&mut self, pole: Complex64) {
+    /// previous block, with its mirror if `pair`.
+    fn push_pole(&mut self, pole: Complex64, pair: bool) {
         self.poles.push(pole);
-        self.ends.push(self.coeffs.len());
+        self.ends.push(BlockEnd {
+            end: self.coeffs.len(),
+            pair,
+        });
     }
 
-    /// `constant + Σ_j weights[j]·poles[j]/(poles[j] − s)`: simple poles
-    /// only, each with one coefficient (the D/E_K/1 burst wait's shape).
-    /// Panics if the slices disagree in length.
-    pub(crate) fn simple_poles(constant: f64, poles: &[Complex64], weights: &[Complex64]) -> Self {
-        assert_eq!(
-            poles.len(),
-            weights.len(),
-            "simple_poles: one weight per pole"
-        );
-        Self {
-            constant,
-            poles: poles.to_vec(),
-            ends: (1..=poles.len()).collect(),
-            coeffs: weights.to_vec(),
-            magnitudes: weights.iter().map(|&w| l1(w)).collect(),
+    /// `constant + Σ_j weight_j·pole_j/(pole_j − s)` over `(pole, weight,
+    /// pair)` terms: simple poles only, each with one coefficient and its
+    /// mirror where `pair` is set (the D/E_K/1 burst wait's shape). The
+    /// caller says which terms are pairs; a term that is not must have a
+    /// real pole.
+    pub(crate) fn simple_poles(
+        constant: f64,
+        terms: impl ExactSizeIterator<Item = (Complex64, Complex64, bool)>,
+    ) -> Self {
+        let n = terms.len();
+        let mut mix = Self::with_capacity(constant, n, n);
+        for (pole, weight, pair) in terms {
+            debug_assert!(pair || exact_zero(pole.im), "a lone pole must be real");
+            mix.coeffs.push(weight);
+            mix.magnitudes.push(l1(weight));
+            mix.push_pole(pole, pair);
         }
+        mix
     }
 
     /// A single real-pole mix `c + Σ_m A_m (λ/(λ-s))^m`.
@@ -454,39 +503,40 @@ impl ErlangMix {
         Self {
             constant,
             poles: vec![Complex64::from_real(pole)],
-            ends: vec![coeffs.len()],
+            ends: vec![BlockEnd {
+                end: coeffs.len(),
+                pair: false,
+            }],
             magnitudes: coeffs.iter().map(|c| c.abs()).collect(),
             coeffs: coeffs.into_iter().map(Complex64::from_real).collect(),
         }
     }
 
-    /// The pole blocks in order; poles are pairwise distinct.
+    /// The pole blocks in order, one per real pole or conjugate pair;
+    /// poles are pairwise distinct.
     pub fn blocks(&self) -> impl ExactSizeIterator<Item = PoleBlock<'_>> + Clone + '_ {
         self.poles.iter().enumerate().map(move |(i, &pole)| {
-            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            let start = if i == 0 { 0 } else { self.ends[i - 1].end };
+            let BlockEnd { end, pair } = self.ends[i];
             PoleBlock {
                 pole,
-                coeffs: &self.coeffs[start..self.ends[i]],
-                magnitudes: &self.magnitudes[start..self.ends[i]],
+                pair,
+                coeffs: &self.coeffs[start..end],
+                magnitudes: &self.magnitudes[start..end],
             }
         })
     }
 
-    /// The pole locations, one per block.
+    /// The stored pole locations, one per block.
     pub(crate) fn poles(&self) -> &[Complex64] {
         &self.poles
     }
 
-    /// Every block's coefficients, flat, in block order: exactly one
-    /// per pole when all poles are simple.
-    pub(crate) fn coeffs(&self) -> &[Complex64] {
-        &self.coeffs
-    }
-
-    /// Whether every pole has multiplicity one.
-    pub(crate) fn all_simple(&self) -> bool {
-        self.coeffs.len() == self.poles.len()
-            && self.ends.iter().enumerate().all(|(i, &e)| e == i + 1)
+    /// Every pole the blocks stand for, a pair's mirror after its stored
+    /// member: the pole set a collision test must see.
+    fn pole_members(&self) -> impl Iterator<Item = Complex64> + '_ {
+        self.blocks()
+            .flat_map(|b| std::iter::once(b.pole).chain(b.pair.then(|| b.pole.conj())))
     }
 
     /// The paper's eq. (14) shape: `(1-ρ) + ρ·γ/(γ-s)`.
@@ -495,11 +545,15 @@ impl ErlangMix {
         Self::atom(atom).with_pole(Complex64::from_real(rate), &[Complex64::from_real(weight)])
     }
 
-    /// Evaluates the MGF at complex `s`.
+    /// Evaluates the MGF at complex `s`: each block's stored member at
+    /// `s`, then a pair's mirror, `conj(b(s̄))`.
     pub fn eval(&self, s: Complex64) -> Complex64 {
         let mut acc = Complex64::from_real(self.constant);
         for b in self.blocks() {
             acc += b.eval(s);
+            if b.pair {
+                acc += b.eval(s.conj()).conj();
+            }
         }
         acc
     }
@@ -512,7 +566,11 @@ impl ErlangMix {
         assert_eq!(zs.len(), out.len(), "eval_many: one output per point");
         out.fill(Complex64::from_real(self.constant));
         for b in self.blocks() {
-            b.add_eval_many(b.is_ladder(), zs, out);
+            let ladder = b.is_ladder();
+            b.add_eval_many(ladder, false, zs, out);
+            if b.pair {
+                b.add_eval_many(ladder, true, zs, out);
+            }
         }
     }
 
@@ -526,18 +584,27 @@ impl ErlangMix {
         };
         for b in self.blocks() {
             acc += b.derivative(s, l);
+            if b.pair {
+                acc += b.derivative(s.conj(), l).conj();
+            }
         }
         acc
     }
 
+    /// `Σ_blocks members·Re f(block)`: a real quantity summed over every
+    /// pole, each pair's mirror adding the stored member's real part
+    /// again.
+    fn sum_re(&self, f: impl Fn(&PoleBlock<'_>) -> Complex64) -> f64 {
+        self.blocks().map(|b| b.members() * f(&b).re).sum()
+    }
+
     /// Tail distribution function `P(X > x)` for `x ≥ 0`, by term-by-term
-    /// inversion (real part of the complex block sum). Panics if `x < 0`;
+    /// inversion (the real part of the block sum). Panics if `x < 0`;
     /// finite for finite coefficients (cancellation, not overflow, is the
     /// failure mode — see [`ErlangMix::tail_with_bound`]).
     pub fn tail(&self, x: f64) -> f64 {
         assert!(x >= 0.0 || x.is_nan(), "tail: x must be non-negative");
-        let t: Complex64 = self.blocks().map(|b| b.tail(x)).sum();
-        t.re
+        self.sum_re(|b| b.tail(x))
     }
 
     /// [`ErlangMix::tail`] and its running error bound
@@ -555,23 +622,23 @@ impl ErlangMix {
     /// (minus the density) between them. Panics if `x < 0`.
     pub(crate) fn tail_slope_bound(&self, x: f64) -> (f64, f64, f64) {
         assert!(x >= 0.0 || x.is_nan(), "tail: x must be non-negative");
-        let mut t = Complex64::ZERO;
-        let mut slope = Complex64::ZERO;
+        let mut t = 0.0;
+        let mut slope = 0.0;
         let mut magnitude = 0.0;
         for b in self.blocks() {
             let (bt, bs, bm) = b.tail_terms(x);
-            t += bt;
-            slope += bs;
-            magnitude += bm;
+            let members = b.members();
+            t += members * bt.re;
+            slope += members * bs.re;
+            magnitude += members * bm;
         }
-        (t.re, slope.re, f64::EPSILON * magnitude)
+        (t, slope, f64::EPSILON * magnitude)
     }
 
     /// Mean of the distribution: `Σ_blocks Σ_m A_m m/λ` (real part).
     /// Finite whenever every block coefficient is finite.
     pub fn mean(&self) -> f64 {
-        let m: Complex64 = self.blocks().map(|b| b.mean()).sum();
-        m.re
+        self.sum_re(|b| b.mean())
     }
 
     /// Total mass `M(0) = constant + Σ A` — must be 1 for a probability
@@ -594,7 +661,7 @@ impl ErlangMix {
         self.constant.abs()
             + self
                 .blocks()
-                .map(|b| b.coeffs.iter().map(|c| c.abs()).sum::<f64>())
+                .map(|b| b.members() * b.coeffs.iter().map(|c| c.abs()).sum::<f64>())
                 .sum::<f64>()
     }
 
@@ -608,21 +675,19 @@ impl ErlangMix {
             .min_by(|a, b| a.total_cmp(b))
     }
 
-    /// Tail using *only* the dominant pole block (plus its complex
-    /// conjugate partner, which lives in the same real-part sum) — the
-    /// "method of the dominant pole" of §3.3.
+    /// Tail using *only* the dominant pole block (with its mirror, if
+    /// it is a conjugate pair) — the "method of the dominant pole" of
+    /// §3.3.
     pub fn tail_dominant_pole(&self, x: f64) -> f64 {
         let Some(dom) = self.dominant_decay() else {
             return 0.0;
         };
         // Include every block whose decay is within 0.1% of the dominant
-        // one (conjugate pairs and genuine ties).
-        let t: Complex64 = self
-            .blocks()
+        // one (genuine ties).
+        self.blocks()
             .filter(|b| b.pole.re <= dom * (1.0 + 1e-3) + 1e-300)
-            .map(|b| b.tail(x))
-            .sum();
-        t.re
+            .map(|b| b.members() * b.tail(x).re)
+            .sum()
     }
 
     /// The p-quantile of the delay: smallest `x ≥ 0` with
@@ -732,8 +797,11 @@ impl ErlangMix {
     /// well-conditioned when an upstream pole happens to graze a
     /// downstream one.
     ///
-    /// Allocates the result's buffers and one scratch row, whatever the
-    /// number of poles; `other` is copied only when a pole collides.
+    /// One block per real pole or conjugate pair of either factor: a
+    /// pair's mirror block is the conjugate of the stored one, because
+    /// the product of real laws is real. Allocates the result's buffers
+    /// and one scratch row, whatever the number of poles; `other` is
+    /// copied only when a pole collides.
     pub fn product(&self, other: &ErlangMix) -> ErlangMix {
         let nudged;
         let other = if other.collides_with(self) {
@@ -780,11 +848,12 @@ impl ErlangMix {
     }
 
     /// Whether a pole of `self` lies within the collision tolerance of a
-    /// pole of `reference`.
+    /// pole of `reference`, mirrors included (a mirror is as far from a
+    /// pole as its stored member is from that pole's conjugate).
     pub(crate) fn collides_with(&self, reference: &ErlangMix) -> bool {
         self.poles
             .iter()
-            .any(|&p| reference.poles.iter().any(|&r| Self::collide(p, r)))
+            .any(|&p| reference.pole_members().any(|r| Self::collide(p, r)))
     }
 
     /// `|p − r| < POLE_COLLISION_RTOL·max(|p|, |r|)`, compared in squares.
@@ -797,7 +866,7 @@ impl ErlangMix {
     fn nudged_away_from(&self, reference: &ErlangMix) -> ErlangMix {
         let mut out = self.clone();
         for p in &mut out.poles {
-            for &r in &reference.poles {
+            for r in reference.pole_members() {
                 if Self::collide(*p, r) {
                     *p = *p * (1.0 + 16.0 * POLE_COLLISION_RTOL);
                 }
@@ -810,7 +879,11 @@ impl ErlangMix {
     /// `B_k = Σ_{m=k}^{M} A_m · (-λ)^{m-k} · G^{(m-k)}(λ)/(m-k)!`, with
     /// `other` = G, and each `B_k`'s magnitude companion: the same sums
     /// over the companions of `A_m` and of G's coefficients, with every
-    /// factor in modulus.
+    /// factor in modulus. The block is a pair if `block` is.
+    ///
+    /// Both members of each pair of G enter `G(λ)` and its derivatives.
+    /// At a real λ (a block that is not a pair) their terms are
+    /// conjugate, so the pair adds twice its stored member's real part.
     fn push_convolved(
         &mut self,
         block: PoleBlock<'_>,
@@ -818,6 +891,7 @@ impl ErlangMix {
         scratch: &mut Scratch<'_>,
     ) {
         let lam = block.pole;
+        let at_real = !block.pair;
         let m_max = block.coeffs.len();
         if m_max == 1 {
             // A simple pole needs only g_0 = G(λ): the MGF of `other` at
@@ -826,12 +900,22 @@ impl ErlangMix {
             let mut g0_mag = other.constant.abs();
             for b in other.blocks() {
                 let (value, magnitude) = b.eval_with_magnitude(lam);
-                g0 += value;
-                g0_mag += magnitude;
+                if !b.pair {
+                    g0 += value;
+                    g0_mag += magnitude;
+                } else if at_real {
+                    g0 += Complex64::from_real(2.0 * value.re);
+                    g0_mag += 2.0 * magnitude;
+                } else {
+                    let (mirror, mirror_mag) = b.eval_with_magnitude(lam.conj());
+                    g0 += value;
+                    g0 += mirror.conj();
+                    g0_mag += magnitude + mirror_mag;
+                }
             }
             self.coeffs.push(block.coeffs[0] * g0);
             self.magnitudes.push(block.magnitudes[0] * g0_mag);
-            self.push_pole(lam);
+            self.push_pole(lam, block.pair);
             return;
         }
         // g_terms[l] = G^{(l)}(λ)/l! · (-λ)^l for l = 0..M-1, accumulated in
@@ -848,74 +932,33 @@ impl ErlangMix {
             *g0 = Complex64::from_real(other.constant);
             *g0_mag = other.constant.abs();
         }
+        // The members each pole of G adds: itself; at a complex λ a
+        // pair's mirror too, and at a real λ a pair once, doubled.
+        let twice = |b: &PoleBlock<'_>| b.pair && at_real;
+        let has_mirror = |b: &PoleBlock<'_>| b.pair && !at_real;
         let mut blocks = other.blocks().peekable();
         while let Some(b) = blocks.next() {
-            if let Some(b2) = blocks.next_if(|n| b.coeffs.len() == 1 && n.coeffs.len() == 1) {
-                // Two simple poles in lockstep: two independent power
-                // chains, each g_l still taking b's term before b2's.
-                let (apm1, apm1_mag, v1, v1_mag) = simple_term(b, lam);
-                let (apm2, apm2_mag, v2, v2_mag) = simple_term(b2, lam);
-                if let (Some((g0, rest)), Some((g0_mag, rest_mags))) =
-                    (g_terms.split_first_mut(), g_mags.split_first_mut())
-                {
-                    *g0 += apm1;
-                    *g0_mag += apm1_mag;
-                    *g0 += apm2;
-                    *g0_mag += apm2_mag;
-                    let (mut vp1, mut vp1_mag, mut vp2, mut vp2_mag) = (v1, v1_mag, v2, v2_mag);
-                    for (g, g_mag) in rest.iter_mut().zip(rest_mags.iter_mut()) {
-                        *g += apm1 * vp1;
-                        *g_mag += apm1_mag * vp1_mag;
-                        *g += apm2 * vp2;
-                        *g_mag += apm2_mag * vp2_mag;
-                        vp1 *= v1;
-                        vp1_mag *= v1_mag;
-                        vp2 *= v2;
-                        vp2_mag *= v2_mag;
-                    }
+            if b.coeffs.len() == 1 {
+                // Two simple members in lockstep: two independent power
+                // chains, each g_l taking the first's term before the
+                // second's.
+                let first = SimpleChain::of(b, lam, twice(&b), false);
+                let second = if has_mirror(&b) {
+                    Some(SimpleChain::of(b, lam, false, true))
+                } else {
+                    blocks
+                        .next_if(|n| n.coeffs.len() == 1 && !has_mirror(n))
+                        .map(|n| SimpleChain::of(n, lam, twice(&n), false))
+                };
+                match second {
+                    Some(second) => add_chains(g_terms, g_mags, [first, second]),
+                    None => add_chains(g_terms, g_mags, [first]),
                 }
                 continue;
             }
-            let u = (b.pole - lam).inv();
-            let pu = b.pole * u;
-            let v = -lam * u;
-            let (pu_mag, v_mag) = (l1(pu), l1(v));
-            let mut pm = Complex64::ONE;
-            let mut pm_mag = 1.0;
-            for (i, (&a, &a_mag)) in b.coeffs.iter().zip(b.magnitudes).enumerate() {
-                let m = i + 1;
-                pm *= pu;
-                pm_mag *= pu_mag;
-                let apm = a * pm;
-                let apm_mag = a_mag * pm_mag;
-                let (Some((g0, rest)), Some((g0_mag, rest_mags))) =
-                    (g_terms.split_first_mut(), g_mags.split_first_mut())
-                else {
-                    continue;
-                };
-                // The l = 0 term is `apm` itself (binomial 1, power 1).
-                *g0 += apm;
-                *g0_mag += apm_mag;
-                let mut vp = v;
-                let mut vp_mag = v_mag;
-                if m == 1 {
-                    // C(l, l) = 1 for every l: no binomial to carry.
-                    for (g, g_mag) in rest.iter_mut().zip(rest_mags.iter_mut()) {
-                        *g += apm * vp;
-                        *g_mag += apm_mag * vp_mag;
-                        vp *= v;
-                        vp_mag *= v_mag;
-                    }
-                    continue;
-                }
-                let mut binom = m as f64; // C(m+l-1, l) at l = 1
-                for (l, (g, g_mag)) in rest.iter_mut().zip(rest_mags.iter_mut()).enumerate() {
-                    *g += apm * binom * vp;
-                    *g_mag += apm_mag * binom * vp_mag;
-                    binom = binom * (m + l + 1) as f64 / (l + 2) as f64;
-                    vp *= v;
-                    vp_mag *= v_mag;
-                }
+            add_block_rows(g_terms, g_mags, b, lam, false, twice(&b));
+            if has_mirror(&b) {
+                add_block_rows(g_terms, g_mags, b, lam, true, false);
             }
         }
         for k in 1..=m_max {
@@ -928,19 +971,133 @@ impl ErlangMix {
             self.coeffs.push(acc);
             self.magnitudes.push(acc_mag);
         }
-        self.push_pole(lam);
+        self.push_pole(lam, block.pair);
     }
 }
 
-/// A simple pole's term in [`ErlangMix::push_convolved`]'s `g` rows at
-/// λ: `(a·p·u, its companion, -λ·u, its modulus)` with `u = 1/(p − λ)`.
+/// A term as it enters the `g` rows: `t` itself, or with `twice_real`
+/// only its real part (`t` then carries a pair's doubled coefficient, so
+/// `Re t` is the sum of the stored member's term and its mirror's).
 #[inline]
-fn simple_term(b: PoleBlock<'_>, lam: Complex64) -> (Complex64, f64, Complex64, f64) {
-    let u = (b.pole - lam).inv();
-    let pu = b.pole * u;
+fn fold(t: Complex64, twice_real: bool) -> Complex64 {
+    if twice_real {
+        Complex64::from_real(t.re)
+    } else {
+        t
+    }
+}
+
+/// One simple member's terms in [`ErlangMix::push_convolved`]'s `g` rows
+/// at λ: `a·p·u·v^l` for `l = 0, 1, …` with `u = 1/(p − λ)` and
+/// `v = -λ·u`. A chain that stands for a conjugate pair at a real λ
+/// carries `2·a` and adds only real parts.
+#[derive(Clone, Copy)]
+struct SimpleChain {
+    /// `a·p·u` (doubled for a pair): the `l = 0` term.
+    apm: Complex64,
+    /// Its magnitude companion.
+    apm_mag: f64,
+    /// The ratio `v` of consecutive terms.
+    v: Complex64,
+    /// `|v|` as `|re| + |im|`.
+    v_mag: f64,
+    /// Whether the chain adds `2·Re` of a pair's terms.
+    twice_real: bool,
+}
+
+impl SimpleChain {
+    /// The chain of block `b`'s stored member, or with `mirror` its
+    /// mirror's; `twice_real` doubles it and keeps real parts.
+    #[inline]
+    fn of(b: PoleBlock<'_>, lam: Complex64, twice_real: bool, mirror: bool) -> Self {
+        let (p, a) = if mirror {
+            (b.pole.conj(), b.coeffs[0].conj())
+        } else {
+            (b.pole, b.coeffs[0])
+        };
+        let scale = if twice_real { 2.0 } else { 1.0 };
+        let u = (p - lam).inv();
+        let pu = p * u;
+        let v = -lam * u;
+        Self {
+            apm: a * pu * scale,
+            apm_mag: b.magnitudes[0] * l1(pu) * scale,
+            v,
+            v_mag: l1(v),
+            twice_real,
+        }
+    }
+}
+
+/// Adds every chain's terms to the `g` rows, chain after chain within
+/// each row.
+#[inline]
+fn add_chains<const N: usize>(g: &mut [Complex64], g_mags: &mut [f64], chains: [SimpleChain; N]) {
+    let (Some((g0, rest)), Some((g0_mag, rest_mags))) =
+        (g.split_first_mut(), g_mags.split_first_mut())
+    else {
+        return;
+    };
+    for c in &chains {
+        *g0 += fold(c.apm, c.twice_real);
+        *g0_mag += c.apm_mag;
+    }
+    let mut vp = chains.map(|c| (c.v, c.v_mag));
+    for (g, g_mag) in rest.iter_mut().zip(rest_mags.iter_mut()) {
+        for (c, (p, p_mag)) in chains.iter().zip(vp.iter_mut()) {
+            *g += fold(c.apm * *p, c.twice_real);
+            *g_mag += c.apm_mag * *p_mag;
+            *p *= c.v;
+            *p_mag *= c.v_mag;
+        }
+    }
+}
+
+/// Adds the terms of block `b` (any multiplicity) to the `g` rows at λ:
+/// its stored member's, or with `mirror` its mirror's; `twice_real`
+/// adds twice their real parts.
+fn add_block_rows(
+    g_terms: &mut [Complex64],
+    g_mags: &mut [f64],
+    b: PoleBlock<'_>,
+    lam: Complex64,
+    mirror: bool,
+    twice_real: bool,
+) {
+    let pole = if mirror { b.pole.conj() } else { b.pole };
+    let scale = if twice_real { 2.0 } else { 1.0 };
+    let u = (pole - lam).inv();
+    let pu = pole * u;
     let v = -lam * u;
-    let apm = b.coeffs[0] * (Complex64::ONE * pu);
-    (apm, b.magnitudes[0] * (1.0 * l1(pu)), v, l1(v))
+    let (pu_mag, v_mag) = (l1(pu), l1(v));
+    let mut pm = Complex64::ONE;
+    let mut pm_mag = 1.0;
+    for (i, (&a, &a_mag)) in b.coeffs.iter().zip(b.magnitudes).enumerate() {
+        let m = i + 1;
+        let a = if mirror { a.conj() } else { a };
+        pm *= pu;
+        pm_mag *= pu_mag;
+        let apm = a * pm * scale;
+        let apm_mag = a_mag * pm_mag * scale;
+        let (Some((g0, rest)), Some((g0_mag, rest_mags))) =
+            (g_terms.split_first_mut(), g_mags.split_first_mut())
+        else {
+            continue;
+        };
+        // The l = 0 term is `apm` itself (binomial 1, power 1).
+        *g0 += fold(apm, twice_real);
+        *g0_mag += apm_mag;
+        let mut vp = v;
+        let mut vp_mag = v_mag;
+        let mut binom = m as f64; // C(m+l-1, l) at l = 1
+        for (l, (g, g_mag)) in rest.iter_mut().zip(rest_mags.iter_mut()).enumerate() {
+            *g += fold(apm * binom * vp, twice_real);
+            *g_mag += apm_mag * binom * vp_mag;
+            binom = binom * (m + l + 1) as f64 / (l + 2) as f64;
+            vp *= v;
+            vp_mag *= v_mag;
+        }
+    }
 }
 
 /// Multiplicities whose scratch rows [`ErlangMix::product`] keeps on the
@@ -1107,22 +1264,30 @@ mod tests {
 
     #[test]
     fn complex_conjugate_pair_gives_real_tail() {
-        // A conjugate pole pair with conjugate coefficients must produce a
-        // real, valid tail.
+        // A complex pole stands for itself and its mirror: the tail, mean
+        // and MGF are those of both members with conjugate coefficients.
         let pole = Complex64::new(1.0, 0.7);
         let coef = Complex64::new(0.2, -0.1);
-        let m = ErlangMix::atom(0.6)
-            .with_pole(pole, &[coef])
-            .with_pole(pole.conj(), &[coef.conj()]);
-        assert!((m.total_mass() - 1.0).abs() < 0.2); // mass ≈ 1 by design
+        let m = ErlangMix::atom(0.6).with_pole(pole, &[coef]);
+        let blocks: Vec<_> = m.blocks().collect();
+        assert_eq!(blocks.len(), 1);
+        assert!(blocks[0].pair && blocks[0].members() == 2.0);
+        let both = |f: &dyn Fn(Complex64, Complex64) -> Complex64| {
+            f(pole, coef) + f(pole.conj(), coef.conj())
+        };
+        assert!((m.total_mass() - 1.0).abs() < 1e-15);
         for &x in &[0.0, 0.5, 2.0, 5.0] {
-            let t = m.tail(x);
-            assert!(t.is_finite());
-            // Imaginary parts cancel inside `tail` by construction; check
-            // the complex sum directly.
-            let c: Complex64 = m.blocks().map(|b| b.tail(x)).sum();
-            assert!(c.im.abs() < 1e-13, "x={x}: im={}", c.im);
+            let want = both(&|p, c| c * (-p * x).exp());
+            assert!(want.im.abs() < 1e-16);
+            assert!((m.tail(x) - want.re).abs() < 1e-15, "x={x}");
         }
+        assert!((m.mean() - both(&|p, c| c / p).re).abs() < 1e-15);
+        let s = Complex64::new(-0.4, 2.5);
+        let want = Complex64::from_real(0.6) + both(&|p, c| c * p / (p - s));
+        assert!((m.eval(s) - want).abs() < 1e-15, "{} vs {want}", m.eval(s));
+        // A real pole stands alone.
+        let real = expo(0.3, 2.0);
+        assert!(real.blocks().all(|b| !b.pair && b.members() == 1.0));
     }
 
     #[test]
@@ -1305,5 +1470,278 @@ mod tests {
         );
         // A hint past the 2²⁰⁰ cap starts the search at the cap.
         assert_eq!(invert_tail(|_| 1e-3, 1e-5, 1.0, Some(1e300), 1e-12), never);
+    }
+}
+
+/// The folded mix against an unfolded reference: every pole of a pair
+/// written out as its own term, the Appendix-A product by the naive
+/// derivative formula of eq. (43), and the tail, slope, error bound and
+/// MGF summed term by term. The folded [`ErlangMix::product`],
+/// [`ErlangMix::tail_slope_bound`] and [`ErlangMix::eval_many`] must
+/// agree with it to a few ulps of their terms.
+#[cfg(test)]
+mod unfolded_oracle {
+    use super::*;
+    use crate::dek1::DEk1;
+    use crate::position::PositionDelay;
+
+    /// One explicit pole: location, coefficients by multiplicity, and
+    /// their magnitude companions.
+    type Term = (Complex64, Vec<Complex64>, Vec<f64>);
+
+    /// A mix with every pole explicit.
+    struct Unfolded {
+        constant: f64,
+        terms: Vec<Term>,
+    }
+
+    fn unfold(m: &ErlangMix) -> Unfolded {
+        let mut terms = Vec::new();
+        for b in m.blocks() {
+            terms.push((b.pole, b.coeffs.to_vec(), b.magnitudes.to_vec()));
+            if b.pair {
+                let mirror = b.coeffs.iter().map(|c| c.conj()).collect();
+                terms.push((b.pole.conj(), mirror, b.magnitudes.to_vec()));
+            }
+        }
+        Unfolded {
+            constant: m.constant,
+            terms,
+        }
+    }
+
+    /// `n!` as a float.
+    fn factorial(n: usize) -> f64 {
+        (1..=n).map(|i| i as f64).product()
+    }
+
+    impl Unfolded {
+        fn eval(&self, s: Complex64) -> Complex64 {
+            let mut acc = Complex64::from_real(self.constant);
+            for (p, coeffs, _) in &self.terms {
+                for (i, &c) in coeffs.iter().enumerate() {
+                    acc += c * (*p / (*p - s)).powi(i as i32 + 1);
+                }
+            }
+            acc
+        }
+
+        /// `G^{(l)}(s)/l!`, from `d^l/ds^l (p/(p-s))^m =
+        /// p^m·(m)_l·(p-s)^{-(m+l)}`.
+        fn taylor(&self, s: Complex64, l: usize) -> Complex64 {
+            let mut acc = if l == 0 {
+                Complex64::from_real(self.constant)
+            } else {
+                Complex64::ZERO
+            };
+            for (p, coeffs, _) in &self.terms {
+                for (i, &c) in coeffs.iter().enumerate() {
+                    let m = i + 1;
+                    acc += c * p.powi(m as i32) * rising_factorial(m as u32, l as u32)
+                        / factorial(l)
+                        / (*p - s).powi((m + l) as i32);
+                }
+            }
+            acc
+        }
+
+        /// Eq. (43) at every pole of each factor.
+        fn product(&self, other: &Unfolded) -> Unfolded {
+            let mut terms = Vec::new();
+            for (f, g) in [(self, other), (other, self)] {
+                for (lam, a, _) in &f.terms {
+                    let m_max = a.len();
+                    let coeffs = (1..=m_max)
+                        .map(|k| {
+                            (k..=m_max)
+                                .map(|m| {
+                                    a[m - 1] * (-*lam).powi((m - k) as i32) * g.taylor(*lam, m - k)
+                                })
+                                .sum()
+                        })
+                        .collect();
+                    terms.push((*lam, coeffs, Vec::new()));
+                }
+            }
+            Unfolded {
+                constant: self.constant * other.constant,
+                terms,
+            }
+        }
+
+        /// `(tail, slope, ε·Σ Ã·|P(m)|·|e^{-λx}|)`, term by term.
+        fn tail_slope_bound(&self, x: f64) -> (f64, f64, f64) {
+            let (mut tail, mut slope, mut bound) = (Complex64::ZERO, Complex64::ZERO, 0.0);
+            for (p, coeffs, mags) in &self.terms {
+                let decay = (-*p * x).exp();
+                for (i, &c) in coeffs.iter().enumerate() {
+                    let psum: Complex64 = (0..=i)
+                        .map(|t| (*p * x).powi(t as i32) / factorial(t))
+                        .sum();
+                    tail += c * psum * decay;
+                    slope += -*p * c * (*p * x).powi(i as i32) / factorial(i) * decay;
+                    if let Some(&mag) = mags.get(i) {
+                        bound += mag * l1(psum) * l1(decay);
+                    }
+                }
+            }
+            (tail.re, slope.re, f64::EPSILON * bound)
+        }
+    }
+
+    /// The factors: an upstream exponential, the D/E_K/1 burst wait, the
+    /// uniform position ladder and an Erlang spot at β, and two laws
+    /// with conjugate pairs of multiplicity 2 and 3 (a pair meeting a
+    /// pair at a complex pole, and a real ladder at a real one).
+    fn factors(k: u32) -> Vec<(&'static str, ErlangMix)> {
+        let (t, rho) = (0.04, 0.6);
+        let beta = k as f64 / (rho * t);
+        let burst = DEk1::new(k, rho * t, t).unwrap().to_mix();
+        let position = PositionDelay::uniform(k, beta).unwrap().to_mix().unwrap();
+        let mut spot = vec![0.0; k as usize];
+        spot[k as usize - 1] = 1.0;
+        let c = |re, im| Complex64::new(re, im);
+        vec![
+            (
+                "upstream",
+                ErlangMix::exponential_with_atom(0.68, 0.32, 2500.0),
+            ),
+            ("burst", burst),
+            ("position", position),
+            ("spot", ErlangMix::single_real_pole(0.0, beta * 1.37, spot)),
+            (
+                "pair2",
+                ErlangMix::atom(0.5).with_pole(c(90.0, 30.0), &[c(0.1, 0.05), c(0.15, -0.02)]),
+            ),
+            (
+                "pair3",
+                ErlangMix::atom(0.4).with_pole(
+                    c(120.0, -50.0),
+                    &[c(0.1, 0.0), c(0.05, 0.05), c(0.1, -0.03)],
+                ),
+            ),
+        ]
+    }
+
+    /// The products the oracle checks: the paper's eq.-35 chain and
+    /// every mix of pair kinds.
+    fn products(k: u32) -> Vec<(String, ErlangMix, ErlangMix)> {
+        let f = factors(k);
+        let get = |name: &str| f.iter().find(|(n, _)| *n == name).unwrap().1.clone();
+        let partial = get("upstream").product(&get("burst"));
+        let mut out = vec![("partial".to_string(), get("upstream"), get("burst"))];
+        for (a, b) in [
+            ("burst", "pair2"),
+            ("pair2", "pair3"),
+            ("position", "pair3"),
+            ("spot", "burst"),
+            ("burst", "position"),
+        ] {
+            out.push((format!("{a}·{b}"), get(a), get(b)));
+        }
+        out.push(("partial·position".to_string(), partial, get("position")));
+        out
+    }
+
+    /// Folded and unfolded products agree coefficient by coefficient,
+    /// within a few ulps of each coefficient's magnitude companion.
+    #[test]
+    fn product_matches_the_unfolded_convolution() {
+        for k in [2u32, 3, 4, 5, 9, 20] {
+            for (name, a, b) in products(k) {
+                let folded = unfold(&a.product(&b));
+                let oracle = unfold(&a).product(&unfold(&b));
+                assert_eq!(folded.terms.len(), oracle.terms.len(), "K={k} {name}");
+                assert_eq!(folded.constant.to_bits(), oracle.constant.to_bits());
+                for (i, ((pf, cf, mf), (po, co, _))) in
+                    folded.terms.iter().zip(&oracle.terms).enumerate()
+                {
+                    assert_eq!(
+                        (pf.re.to_bits(), pf.im.to_bits()),
+                        (po.re.to_bits(), po.im.to_bits()),
+                        "K={k} {name} pole {i}"
+                    );
+                    for (m, ((&x, &y), &mag)) in cf.iter().zip(co).zip(mf).enumerate() {
+                        assert!(
+                            (x - y).abs() <= 64.0 * f64::EPSILON * mag,
+                            "K={k} {name} pole {i} multiplicity {}: {x} vs {y} (companion {mag:e})",
+                            m + 1
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The folded tail, slope and bound add each pair's stored member
+    /// twice: they equal the term-by-term sums over both members.
+    #[test]
+    fn tail_slope_bound_matches_the_unfolded_sum() {
+        for k in [2u32, 3, 4, 5, 9, 20] {
+            for (name, a, b) in products(k) {
+                let mix = a.product(&b);
+                let oracle = unfold(&mix);
+                let scale = 1.0 / mix.dominant_decay().unwrap();
+                for f in [0.05, 0.5, 2.0, 8.0] {
+                    let x = f * scale;
+                    let (t, s, bound) = mix.tail_slope_bound(x);
+                    let (to, so, bo) = oracle.tail_slope_bound(x);
+                    assert!(
+                        (t - to).abs() <= 8.0 * bo,
+                        "K={k} {name} x={x:e}: tail {t:e} vs {to:e} (bound {bo:e})"
+                    );
+                    let slope_scale = bo * mix.blocks().map(|b| b.pole.abs()).fold(0.0, f64::max);
+                    assert!(
+                        (s - so).abs() <= 64.0 * slope_scale,
+                        "K={k} {name} x={x:e}: slope {s:e} vs {so:e}"
+                    );
+                    assert!(
+                        (bound - bo).abs() <= 1e-12 * bo,
+                        "K={k} {name} x={x:e}: bound {bound:e} vs {bo:e}"
+                    );
+                    assert_eq!(t.to_bits(), mix.tail(x).to_bits());
+                }
+            }
+        }
+    }
+
+    /// `eval_many` at Euler-contour-shaped points (and `eval`, which it
+    /// matches bit for bit) adds `b(s) + conj(b(s̄))` per pair: it equals
+    /// the unfolded MGF within a few ulps of its terms.
+    #[test]
+    fn eval_many_matches_the_unfolded_mgf() {
+        for k in [2u32, 3, 4, 5, 9, 20] {
+            for (name, mix) in factors(k) {
+                let oracle = unfold(&mix);
+                let decay = mix.dominant_decay().unwrap();
+                let zs: Vec<Complex64> = (0..41)
+                    .map(|i| Complex64::new(-0.3 * decay, 0.25 * decay * (i as f64 - 20.0)))
+                    .collect();
+                let mut out = vec![Complex64::ZERO; zs.len()];
+                mix.eval_many(&zs, &mut out);
+                for (&z, &got) in zs.iter().zip(&out) {
+                    let want = oracle.eval(z);
+                    let scale: f64 = mix.constant.abs()
+                        + oracle
+                            .terms
+                            .iter()
+                            .flat_map(|(p, c, _)| {
+                                c.iter().enumerate().map(move |(i, c)| {
+                                    c.abs() * (*p / (*p - z)).abs().powi(i as i32 + 1)
+                                })
+                            })
+                            .sum::<f64>();
+                    assert!(
+                        (got - want).abs() <= 64.0 * f64::EPSILON * scale,
+                        "K={k} {name} s={z}: {got} vs {want}"
+                    );
+                    let single = mix.eval(z);
+                    assert_eq!(
+                        (got.re.to_bits(), got.im.to_bits()),
+                        (single.re.to_bits(), single.im.to_bits())
+                    );
+                }
+            }
+        }
     }
 }

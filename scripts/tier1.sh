@@ -23,6 +23,12 @@ cargo test --release -q -p fpsping-sim --test golden_parity
 cargo test --release -q -p fpsping-sim --lib network::tests::network_matches_the_per_hop_oracle
 cargo test --release -q -p fpsping-sim --test calendar_props
 cargo test --release -q -p fpsping-sim --lib time::
+# The D/E_K/1 conjugate fold: mirrored roots and weights bit-exact, the
+# folded expansion against its unfolded oracle, and warm roots within
+# 1e-12 of cold ones, in the optimized float code the benchmark runs.
+cargo test --release -q -p fpsping-queue --test conjugate_pairs
+cargo test --release -q -p fpsping-queue --lib erlang_mix::unfolded_oracle
+cargo test --release -q -p fpsping-queue --test warm_zeta_props
 # The live serve smoke in release: the 10 k q/s floor (`cargo test`
 # above ran its debug form).
 cargo test --release -q -p fpsping-serve --test live_smoke
@@ -257,6 +263,22 @@ else
     fi
     echo "tier-1: dimensioning gate OK (grep fallback; $DIM_INVERSIONS inversions)"
 fi
+
+# The committed metrics example must carry the counters a fresh run of
+# its command records, so a counter added, renamed or retired since it
+# was generated fails here. Values are not compared.
+EXAMPLE_METRICS="$TIER1_TMP/example-metrics.json"
+./target/release/fpsping-cli dimension --budget-ms 50 --k 9 \
+    --metrics-out "$EXAMPLE_METRICS" > /dev/null
+counter_names() {
+    sed -n '/"counters": {/,/}/s/^ *"\([^"]*\)": .*/\1/p' "$1"
+}
+if ! diff <(counter_names results/metrics_example.json) <(counter_names "$EXAMPLE_METRICS"); then
+    echo "tier-1: results/metrics_example.json counters differ from a fresh run; regenerate it:"
+    echo "  fpsping-cli dimension --budget-ms 50 --k 9 --metrics-out results/metrics_example.json"
+    exit 1
+fi
+echo "tier-1: metrics example OK ($(counter_names results/metrics_example.json | wc -l) counters)"
 
 # The obs-off escape hatch must keep building everywhere it is wired:
 # fpsping-bench and fpsping-serve sit at the top of the two dependency

@@ -16,11 +16,15 @@ proptest! {
     fn dek1_invariants(k in 1u32..=25, rho in 0.02f64..0.95, t in 0.005f64..0.2) {
         let q = DEk1::new(k, rho * t, t).unwrap();
         for j in 0..k as usize {
-            prop_assert!(q.pole_residual(j) < 1e-7, "pole {j} residual {}", q.pole_residual(j));
+            // Residual of the pole-defining equation (54),
+            // (1 - s/β)^K - e^{-sT}, at pole j.
+            let s = q.alphas()[j];
+            let residual = ((Complex64::ONE - s / q.beta()).powi(k as i32) - (-s * t).exp()).abs();
+            prop_assert!(residual < 1e-7, "pole {j} residual {residual}");
             prop_assert!(q.zetas()[j].abs() < 1.0 + 1e-12);
             prop_assert!(q.alphas()[j].re > 0.0);
         }
-        let w0 = q.wait_mgf(Complex64::ZERO);
+        let w0 = q.to_mix().eval(Complex64::ZERO);
         prop_assert!((w0 - Complex64::ONE).abs() < 1e-7, "W(0) = {w0}");
         let pw = q.prob_wait();
         prop_assert!((-1e-9..1.0).contains(&pw), "P(wait) = {pw}");

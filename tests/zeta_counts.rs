@@ -4,7 +4,8 @@
 //! this pins the batch engine's continuation to the work it does: six
 //! cold solves, the other 48 cells warm-started from a neighbour, and a
 //! Newton polish an order of magnitude shorter than the serial
-//! reference's.
+//! reference's. Both solve only the ⌊K/2⌋+1 branches that are not
+//! conjugates of others.
 //!
 //! `fpsping_obs` counters are process-global, so this binary holds one
 //! test and nothing else runs beside it. Under `obs-off` the counters
@@ -62,7 +63,7 @@ fn paper_surface_zeta_work_is_exact() {
             cold_solves: 54,
             warm_solves: 0,
             warm_fallbacks: 0,
-            polish_steps: 1_094,
+            polish_steps: 639,
             warm_newton_steps: 0,
         }
     );
@@ -79,8 +80,8 @@ fn paper_surface_zeta_work_is_exact() {
                 cold_solves: 6,
                 warm_solves: 48,
                 warm_fallbacks: 0,
-                polish_steps: 96,
-                warm_newton_steps: 1_999,
+                polish_steps: 57,
+                warm_newton_steps: 1_172,
             },
             "fresh batch engine, run {run}"
         );
