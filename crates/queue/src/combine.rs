@@ -21,8 +21,8 @@
 //! numerical inversion of the unexpanded factor product instead:
 //!
 //! * **ill-conditioned evaluations** — at low downstream load (or high K)
-//!   the D/E_K/1 poles collapse onto the position pole β and the eq.-(35)
-//!   coefficients explode while cancelling. Each tail evaluation (and
+//!   the D/E_K/1 poles cluster next to the position pole β and the
+//!   eq.-(35) coefficients explode while cancelling. Each tail evaluation (and
 //!   each quantile, at its root) reads the expansion's running error
 //!   bound at its `x` and inverts where that bound exceeds
 //!   [`EXPANSION_TOLERANCE`],
@@ -32,12 +32,12 @@
 //!   carry the case numerically.
 
 use crate::dek1::DEk1;
-use crate::erlang_mix::{golden_min, invert_tail, ErlangMix};
+use crate::erlang_mix::{golden_min, invert_tail, l1, ErlangMix};
 use crate::mg1::Mg1;
 use crate::position::{Position, PositionDelay};
 use crate::QueueError;
 use fpsping_num::batch::SimplePoleBank;
-use fpsping_num::cmp::exact_zero;
+use fpsping_num::cmp::{exact_eq, exact_zero};
 use fpsping_num::laplace::{tail_and_density_from_mgf_many, tail_from_mgf_many, DEFAULT_EULER_M};
 use fpsping_num::Complex64;
 use fpsping_obs::Counter;
@@ -161,13 +161,15 @@ pub struct TotalDelay {
     upstream: ErlangMix,
     burst_wait: ErlangMix,
     position: PositionFactor,
-    /// The eq.-(35) expansion, built at its first use: a cell whose
-    /// [`TotalDelay::bound_floor`] already rules it out never builds it.
-    expansion: OnceLock<Expansion>,
-    /// `(Re b, ε·|c|)` of the burst-wait pole `b` nearest the position
-    /// pole and its coefficient `c` in the product; see
-    /// [`TotalDelay::bound_floor`].
-    floor: (f64, f64),
+    /// The eq.-(35) expansion; `None` for the K = 1 logarithmic
+    /// position, which has none, and where [`closed_form`] refuses the
+    /// cell.
+    product: Option<ErlangMix>,
+    /// Whether building `product` nudged a colliding pole (the generic
+    /// product of [`TotalDelay::from_mixes`] only): the expansion is then
+    /// of a slightly different law, an error its running bound does not
+    /// see, and the rule never takes it.
+    nudged: bool,
     /// Flat SoA view of the burst wait when all its poles are simple —
     /// the hot operand of the numerical tail inversion (K reciprocals
     /// per contour point). `None` when a pole has multiplicity > 1 or
@@ -176,32 +178,81 @@ pub struct TotalDelay {
     burst_bank: OnceLock<Option<SimplePoleBank>>,
 }
 
-/// The expanded product of a [`TotalDelay`].
-#[derive(Debug, Clone)]
-struct Expansion {
-    /// `None` for the K = 1 logarithmic position, which has none.
-    product: Option<ErlangMix>,
-    /// Whether building `product` nudged a colliding pole: the expansion
-    /// is then of a slightly different law, an error its running bound
-    /// does not see, and the rule never takes it.
-    nudged: bool,
+/// The rounding error of a [`closed_form`] coefficient relative to its
+/// value computed with every factor in modulus, in units of ε: at most
+/// `5K + 20 + 6K·|z|` for the coefficient read at `z` (`ζ_j` at a burst
+/// pole, `1 − γ/β` at an upstream pole; `|z|` as `|re| + |im|`). DESIGN.md
+/// §5 counts the roundings: `4.2K + 5` for eq. (27)'s Lagrange factor,
+/// `7 + 6K·|z|` for the position polynomial, 5 for the upstream factor
+/// and 2.3 for the two products; the upstream pole's product form costs
+/// less. Finite for finite `z`.
+fn closed_form_roundings(k: f64, z: Complex64) -> f64 {
+    5.0 * k + 20.0 + 6.0 * k * l1(z)
 }
 
-impl Expansion {
-    fn of(upstream: &ErlangMix, burst_wait: &ErlangMix, position: &PositionFactor) -> Self {
-        let PositionFactor::Mix(position) = position else {
-            return Self {
-                product: None,
-                nudged: false,
+/// The eq.-(35) expansion in closed form, for a position law at the
+/// burst rate β of `downstream` ([`PositionDelay::at_burst_rate`]) and an
+/// upstream of simple real poles (eq. 14's shape).
+///
+/// The burst wait's transform is `W(s) = Π_j (1−ζ_j)(β−s)/(α_j−s)`
+/// (eqs. 25–27), so its K-fold zero at β cancels every pole of the
+/// position law: `W(s)·P(s) = G(1 − s/β)·Π_j α_j/(α_j−s)`, with `G` the
+/// position's polynomial of degree < K. In partial fractions that is
+/// `Σ_j c_j·α_j/(α_j−s)` with `c_j = L_j·G(ζ_j)` (`1 − α_j/β = ζ_j`; `L_j`
+/// eq. (27)'s Lagrange factor, never `a_j·P(α_j)`, whose `β − α_j` loses
+/// the digits of a small ζ_j). An upstream pole γ of weight `b` adds the
+/// block `b·W(γ)·P(γ)`, taken in that product form, and scales every
+/// `c_j` by `D_u(α_j)`. One block per upstream pole and per solved burst
+/// branch, a conjugate pair as one; no block at β.
+///
+/// `None` (the cell inverts) where a burst pole lies within
+/// `POLE_COLLISION_RTOL` (1e-7 relative) of an upstream pole, where the
+/// root set underflows or coincides (no normal `ζ_j^K` or weight to read
+/// `L_j` from, see `DEk1::lagrange`) or where a coefficient is not
+/// finite.
+fn closed_form(
+    upstream: &ErlangMix,
+    downstream: &DEk1,
+    position: &PositionDelay,
+) -> Option<ErlangMix> {
+    debug_assert!(upstream.blocks().all(|b| !b.pair && b.coeffs.len() == 1));
+    let beta = downstream.beta();
+    let k = f64::from(downstream.order());
+    let blocks = upstream.blocks().len() + downstream.branches().len();
+    let mut out = ErlangMix::with_capacity(0.0, blocks, blocks);
+    for u in upstream.blocks() {
+        let gamma = u.pole.re;
+        // b·Π_j α_j/(α_j − γ), a pair as |α_j|²/|α_j − γ|².
+        let mut wp = u.coeffs[0].re;
+        for (_, alpha, pair) in downstream.branches() {
+            if ErlangMix::collide(alpha, u.pole) {
+                return None;
+            }
+            let d = alpha - gamma;
+            wp *= if pair {
+                alpha.norm_sqr() / d.norm_sqr()
+            } else {
+                alpha.re / d.re
             };
-        };
-        let partial = upstream.product(burst_wait);
-        let nudged = burst_wait.collides_with(upstream) || position.collides_with(&partial);
-        Self {
-            product: Some(partial.product(position)),
-            nudged,
         }
+        let q = Complex64::from_real((beta - gamma) / beta);
+        let (g, g_mag) = position.numerator(q);
+        let magnitude = closed_form_roundings(k, q) * wp.abs() * g_mag;
+        out.push_simple(u.pole, Complex64::from_real(wp * g.re), magnitude, false);
     }
+    for (j, (zeta, alpha, pair)) in downstream.branches().enumerate() {
+        let lagrange = downstream.lagrange(j)?;
+        let (g, g_mag) = position.numerator(zeta);
+        let (d, d_mag) = upstream.eval_with_magnitude(alpha);
+        let c = lagrange * g * d;
+        let c = if pair { c } else { Complex64::from_real(c.re) };
+        let magnitude = closed_form_roundings(k, zeta) * l1(lagrange) * g_mag * d_mag;
+        if !(c.is_finite() && magnitude.is_finite()) {
+            return None;
+        }
+        out.push_simple(alpha, c, magnitude, pair);
+    }
+    Some(out)
 }
 
 /// Points on the Euler contour of [`TotalDelay::tail_numeric`]'s order.
@@ -211,10 +262,10 @@ const CONTOUR_POINTS: usize = 2 * DEFAULT_EULER_M + 1;
 /// which a tail is taken from the eq.-(35) expansion; above it the tail
 /// is inverted numerically. The `accuracy_map` study chose it: on its
 /// grid (K = 1…30, ρ_d = 0.05…0.95, T ∈ {40, 60} ms, P_S ∈ {75, 100,
-/// 125} B and three points near uplink saturation) every cell served
-/// from the expansion under this tolerance is at least as close to the
-/// oracle quantile as the numerical inversion, the largest error being
-/// 1.3e-9 relative against the inversion's 1e-7 to 1e-6. At 1e-10 the
+/// 125} B and three points near uplink saturation) the cells served
+/// from the expansion under this tolerance are within 2.5e-9 relative of
+/// the oracle quantile against the inversion's 1e-7 to 1e-6; one of them
+/// (K = 28) reads 1.9e-11 further off than a lucky inversion. At 1e-10 the
 /// six K = 9, ρ_d = 0.2 cells (bound 5.8e-11) are served on rounding
 /// noise 0.7e-8 to 2.0e-8 from the oracle, the inversion's own noise
 /// level (3.3e-8 to 1.3e-7 there), so which of the two is closer at such
@@ -326,56 +377,38 @@ fn keeps_root((tail, bound): (f64, f64), target: f64) -> bool {
 }
 
 impl TotalDelay {
-    /// Assembles the model from already-built component mixes.
+    /// Assembles the model from already-built component mixes, expanded
+    /// by two Appendix-A products. A colliding pole is nudged there, and
+    /// the tail rule then never reads that expansion.
     pub fn from_mixes(upstream: ErlangMix, burst_wait: ErlangMix, position: ErlangMix) -> Self {
-        Self::assemble(upstream, burst_wait, PositionFactor::Mix(position))
+        let partial = upstream.product(&burst_wait);
+        let nudged = burst_wait.collides_with(&upstream) || position.collides_with(&partial);
+        let product = partial.product(&position);
+        Self::assemble(
+            upstream,
+            burst_wait,
+            PositionFactor::Mix(position),
+            Some(product),
+            nudged,
+        )
     }
 
     /// The one constructor every path ends in.
-    fn assemble(upstream: ErlangMix, burst_wait: ErlangMix, position: PositionFactor) -> Self {
-        // The burst-wait pole nearest the position pole carries the
-        // largest Appendix-A coefficient a_j·D_u(b_j)·P(b_j) where the
-        // poles cluster (low load): the one term `bound_floor` reads.
-        let floor = match (&position, position.decay_bound()) {
-            (PositionFactor::Mix(_), Some(beta)) => burst_wait
-                .blocks()
-                .filter(|b| b.coeffs.len() == 1)
-                .min_by(|a, b| {
-                    (a.pole - beta)
-                        .norm_sqr()
-                        .total_cmp(&(b.pole - beta).norm_sqr())
-                })
-                .map_or((0.0, 0.0), |b| {
-                    let c = b.coeffs[0] * upstream.eval(b.pole) * position.eval(b.pole);
-                    (b.pole.re, f64::EPSILON * c.abs())
-                }),
-            _ => (0.0, 0.0),
-        };
+    fn assemble(
+        upstream: ErlangMix,
+        burst_wait: ErlangMix,
+        position: PositionFactor,
+        product: Option<ErlangMix>,
+        nudged: bool,
+    ) -> Self {
         Self {
             upstream,
             burst_wait,
             position,
-            expansion: OnceLock::new(),
-            floor,
+            product,
+            nudged,
             burst_bank: OnceLock::new(),
         }
-    }
-
-    /// The expansion, built on first use.
-    fn built(&self) -> &Expansion {
-        self.expansion
-            .get_or_init(|| Expansion::of(&self.upstream, &self.burst_wait, &self.position))
-    }
-
-    /// A lower bound on the expansion's running error bound at `x`
-    /// ([`ErlangMix::tail_with_bound`]) that needs no expansion: the
-    /// bound's term `ε·|c|·e^{-Re b·x}` for the burst-wait pole `b`
-    /// nearest the position pole, whose product coefficient is exactly
-    /// `c = a_b·D_u(b)·P(b)` (Appendix A, multiplicity 1). Where it
-    /// exceeds [`EXPANSION_TOLERANCE`] the rule inverts, unbuilt.
-    fn bound_floor(&self, x: f64) -> f64 {
-        let (decay, scale) = self.floor;
-        scale * (-decay * x).exp()
     }
 
     /// Assembles the paper's model from the upstream M/G/1 (eq. 14
@@ -384,7 +417,9 @@ impl TotalDelay {
     /// Pass `upstream = None` when the uplink is negligible (the paper
     /// notes `D_up` is negligible whenever `ρ_u ≪ ρ_d`). The K = 1
     /// uniform-position case is accepted and handled numerically via
-    /// eq. (33).
+    /// eq. (33). A position law at the burst rate (uniform, or the last
+    /// spot θ = 1) is expanded in closed form, which has no pole at β
+    /// (DESIGN.md §5); any other spot as in [`TotalDelay::from_mixes`].
     pub fn new(
         upstream: Option<&Mg1>,
         downstream: &DEk1,
@@ -394,20 +429,31 @@ impl TotalDelay {
             Some(q) => q.paper_mix()?,
             None => ErlangMix::unit(),
         };
+        let burst_wait = downstream.to_mix();
         if let Some(log) = log_position(position) {
-            return Ok(Self::assemble(up, downstream.to_mix(), log));
+            return Ok(Self::assemble(up, burst_wait, log, None, false));
         }
-        Ok(Self::from_mixes(
+        let mix = position.to_mix()?;
+        let at_burst_rate = position.at_burst_rate()
+            && position.order() == downstream.order()
+            && exact_eq(position.beta(), downstream.beta());
+        if !at_burst_rate {
+            return Ok(Self::from_mixes(up, burst_wait, mix));
+        }
+        let product = closed_form(&up, downstream, position);
+        Ok(Self::assemble(
             up,
-            downstream.to_mix(),
-            position.to_mix()?,
+            burst_wait,
+            PositionFactor::Mix(mix),
+            product,
+            false,
         ))
     }
 
     /// Whether [`TotalDelay::tail`] takes its value at `x` from the
     /// eq.-(35) expansion: the expansion exists (K > 1 or a spot
-    /// position), was built without nudging a colliding pole, and its
-    /// running error bound at `x` is at most
+    /// position, and no refused collision), was built without nudging a
+    /// colliding pole, and its running error bound at `x` is at most
     /// [`EXPANSION_TOLERANCE`]. Everywhere else the tail is inverted
     /// numerically. Evaluated at a quantile, this is the method the
     /// quantile solve used there.
@@ -418,9 +464,6 @@ impl TotalDelay {
     /// The expansion's tail at `x` where the rule takes it (see
     /// [`TotalDelay::expands_at`]).
     fn expanded_tail(&self, x: f64) -> Option<f64> {
-        if self.bound_floor(x) > EXPANSION_TOLERANCE {
-            return None;
-        }
         let (t, bound) = self.expansion()?.tail_with_bound(x);
         (bound <= EXPANSION_TOLERANCE).then_some(t)
     }
@@ -428,8 +471,7 @@ impl TotalDelay {
     /// The expanded product where the rule may read it: it exists and
     /// no pole was nudged to build it.
     fn expansion(&self) -> Option<&ErlangMix> {
-        let built = self.built();
-        built.product.as_ref().filter(|_| !built.nudged)
+        self.product.as_ref().filter(|_| !self.nudged)
     }
 
     /// The upstream factor `D_u(s)`.
@@ -449,9 +491,10 @@ impl TotalDelay {
 
     /// The expanded product of eq. (35), whatever its conditioning
     /// (`None` for the K = 1 logarithmic case, which has no rational
-    /// expansion).
+    /// expansion, and where the closed form refuses a cell: a burst pole
+    /// on the upstream pole, or an underflowed root set).
     pub fn product(&self) -> Option<&ErlangMix> {
-        self.built().product.as_ref()
+        self.product.as_ref()
     }
 
     /// Mean total delay — computed as the sum of the three component
@@ -623,7 +666,7 @@ impl TotalDelay {
     pub fn try_quantile_with_hint(&self, p: f64, hint: Option<f64>) -> Result<f64, QueueError> {
         assert!(p > 0.0 && p < 1.0, "quantile: p must lie in (0,1), got {p}");
         if let Some(prod) = self.expansion() {
-            let q = prod.quantile_with_hint(p, hint);
+            let q = self.expanded_quantile(prod, 1.0 - p, hint);
             if q.is_finite() && keeps_root(prod.tail_with_bound(q), 1.0 - p) {
                 QUANTILES_EXPANDED.incr();
                 return Ok(q);
@@ -631,6 +674,29 @@ impl TotalDelay {
         }
         let q = self.try_quantile_inverted(p, hint)?;
         Ok(self.settle(q, 1.0 - p))
+    }
+
+    /// The root of the expansion's tail at `target` (0 where the tail at
+    /// 0 is already there, NaN if the solve fails): [`invert_tail`] with
+    /// the bracket scaled by the slowest decay or the model's mean,
+    /// whichever is longer, and Brent to 1e-12 of it. The mean is the sum
+    /// of the component means ([`TotalDelay::mean`]); the expansion's own
+    /// would sum its cancelling coefficients, as rounding noise far off
+    /// the true scale. The tail is clamped to `[0, 1]`: read where its
+    /// terms cancel it can be noise of any size, past what Brent's
+    /// interpolation can take, and [`keeps_root`] refuses a root there
+    /// anyway.
+    fn expanded_quantile(&self, prod: &ErlangMix, target: f64, hint: Option<f64>) -> f64 {
+        let tail = |x: f64| prod.tail(x).clamp(0.0, 1.0);
+        if tail(0.0) <= target {
+            return 0.0;
+        }
+        let scale = prod
+            .dominant_decay()
+            .map_or(1.0, |d| 1.0 / d)
+            .max(self.mean())
+            .max(1e-12);
+        invert_tail(tail, target, scale, hint, 1e-12 * scale.max(1.0)).unwrap_or(f64::NAN)
     }
 
     /// The quantile for an inverted root `q`: the expansion's root beside
@@ -654,9 +720,6 @@ impl TotalDelay {
     /// The expansion's root in a bracket grown from `q` in steps of
     /// 1e-6·q, where [`keeps_root`] holds at `q` and at that root.
     fn expanded_root_near(&self, q: f64, target: f64) -> Option<f64> {
-        if self.bound_floor(q) > EXPANSION_TOLERANCE {
-            return None;
-        }
         let prod = self.expansion()?;
         if !(q > 0.0 && keeps_root(prod.tail_with_bound(q), target)) {
             return None;
@@ -749,21 +812,17 @@ impl TotalDelay {
             // memoryless, an upper-ish start otherwise.
             .unwrap_or_else(|| scale * (1.0 / target).ln());
         let first = seed.max(QUANTILE_FAST_ATOL);
-        let expanded = if self.bound_floor(first) > ABORT_BOUND {
-            None
-        } else {
-            self.expansion().and_then(|prod| {
-                // The root is kept by the exact path's rule read at the
-                // last evaluation, within `QUANTILE_FAST_ATOL` of it.
-                let mut last = (f64::NAN, f64::INFINITY);
-                let eval = |x: f64| {
-                    let (tail, slope, bound) = prod.tail_slope_bound(x);
-                    last = (tail, bound);
-                    (tail > 0.0 && bound <= ABORT_BOUND).then_some((tail, slope))
-                };
-                log_newton(eval, target, first).filter(|_| keeps_root(last, target))
-            })
-        };
+        let expanded = self.expansion().and_then(|prod| {
+            // The root is kept by the exact path's rule read at the last
+            // evaluation, within `QUANTILE_FAST_ATOL` of it.
+            let mut last = (f64::NAN, f64::INFINITY);
+            let eval = |x: f64| {
+                let (tail, slope, bound) = prod.tail_slope_bound(x);
+                last = (tail, bound);
+                (tail > 0.0 && bound <= ABORT_BOUND).then_some((tail, slope))
+            };
+            log_newton(eval, target, first).filter(|_| keeps_root(last, target))
+        });
         if let Some(x) = expanded {
             QUANTILES_EXPANDED.incr();
             return x;
@@ -982,16 +1041,17 @@ mod tests {
 
     #[test]
     fn nudged_expansion_is_never_taken() {
-        // K = 2 at ρ_d = 0.05: a D/E_2/1 pole lies within 1e-7 of β, the
-        // product nudges it apart, and the expansion is then of a
-        // slightly different law — with an L1 norm near 1 and a tiny
-        // running bound, neither of which sees it.
+        // K = 2 at ρ_d = 0.05: a D/E_2/1 pole lies within 1e-7 of β. The
+        // generic product of `from_mixes` nudges it apart, and its
+        // expansion is then of a slightly different law, with an L1 norm
+        // near 1 and a tiny running bound, neither of which sees it. The
+        // paper's closed form has no block at β, so nothing collides.
         let t = 0.04;
         let k = 2u32;
         let rho = 0.05;
         let dek1 = DEk1::new(k, rho * t, t).unwrap();
         let pos = PositionDelay::uniform(k, k as f64 / (rho * t)).unwrap();
-        let m = TotalDelay::new(None, &dek1, &pos).unwrap();
+        let m = TotalDelay::from_mixes(ErlangMix::unit(), dek1.to_mix(), pos.to_mix().unwrap());
         let prod = m.product().unwrap();
         assert!(prod.coeff_l1() < 10.0);
         let q = m.quantile(0.99999);
@@ -1001,6 +1061,11 @@ mod tests {
         // inversion's root.
         assert!((prod.quantile(0.99999) / q - 1.0).abs() > 1e-7);
         assert!((m.tail_numeric(q) - 1e-5).abs() < 1e-10);
+        // The same law through `new` expands, on the inversion's root.
+        let paper = TotalDelay::new(None, &dek1, &pos).unwrap();
+        let q_paper = paper.quantile(0.99999);
+        assert!(paper.expands_at(q_paper));
+        assert!((q_paper / q - 1.0).abs() < 1e-7, "{q_paper} vs {q}");
     }
 
     #[test]

@@ -320,6 +320,29 @@ impl DEk1 {
         finite("DEk1::prob_wait", self.sum_branches(|a, _| a.re))
     }
 
+    /// The solved branches `j = 0..=⌊K/2⌋` as `(ζⱼ, αⱼ, pair)`, `pair`
+    /// telling whether the branch stands for its conjugate partner too.
+    pub(crate) fn branches(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (Complex64, Complex64, bool)> + '_ {
+        (0..solved_branches(self.k))
+            .map(move |j| (self.zetas[j], self.alphas[j], is_pair(self.k, j)))
+    }
+
+    /// The Lagrange factor of eq. (27) at solved branch `j`,
+    /// `Lⱼ = Π_{k≠j}(1-ζ_k)/(ζⱼ-ζ_k)`, as `aⱼ/ζⱼ^K`: the weight was formed
+    /// as that product started from this same `ζⱼ^K`, so the quotient
+    /// carries only the product's own rounding, and no `β − αⱼ`. `None`
+    /// where `ζⱼ^K` or the weight is not a normal number (a root set that
+    /// underflows, or coinciding roots, whose weight is 0). Panics
+    /// unless `j ≤ ⌊K/2⌋`.
+    pub(crate) fn lagrange(&self, j: usize) -> Option<Complex64> {
+        let zk = self.zetas[j].powi(self.k as i32);
+        let a = self.weights[j];
+        let normal = |z: Complex64| z.re.abs() + z.im.abs() >= f64::MIN_POSITIVE;
+        (normal(zk) && normal(a)).then(|| a / zk)
+    }
+
     /// Tail `P(W > x)` of the burst waiting time, eq. (18) inverted:
     /// `Re Σⱼ aⱼ e^{-αⱼx}`. Panics if `x < 0`; finite for all valid
     /// states (Re αⱼ > 0, so every term decays).
@@ -874,6 +897,30 @@ mod tests {
             DekSolution::solve_warm(9, 1.0, Some(&prev)),
             Err(QueueError::UnstableLoad { .. })
         ));
+    }
+
+    #[test]
+    fn lagrange_factor_is_the_weight_over_the_root_power() {
+        // Lⱼ = aⱼ/ζⱼ^K against the product over every other root,
+        // unfolded, wherever the quotient is defined; up to K = 128.
+        for k in (2..=128u32).step_by(7) {
+            for rho in [0.05, 0.2, 0.5, 0.8, 0.95] {
+                let q = DEk1::new(k, rho * 0.04, 0.04).unwrap();
+                let z = q.zetas();
+                for j in 0..solved_branches(k) {
+                    let Some(l) = q.lagrange(j) else {
+                        continue;
+                    };
+                    let want = (0..k as usize)
+                        .filter(|&i| i != j)
+                        .fold(Complex64::ONE, |acc, i| acc * (1.0 - z[i]) / (z[j] - z[i]));
+                    assert!(
+                        (l - want).abs() <= 1e-12 * want.abs(),
+                        "K={k} rho={rho} j={j}: {l} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -323,7 +323,7 @@ struct BlockEnd {
 /// `|re| + |im|`: the modulus within a factor √2, from above, without a
 /// square root.
 #[inline]
-fn l1(z: Complex64) -> f64 {
+pub(crate) fn l1(z: Complex64) -> f64 {
     z.re.abs() + z.im.abs()
 }
 
@@ -445,7 +445,7 @@ impl ErlangMix {
 
     /// An empty mix with room for `poles` poles and `coeffs`
     /// coefficients, so that pushing them allocates nothing more.
-    fn with_capacity(constant: f64, poles: usize, coeffs: usize) -> Self {
+    pub(crate) fn with_capacity(constant: f64, poles: usize, coeffs: usize) -> Self {
         Self {
             constant,
             poles: Vec::with_capacity(poles),
@@ -489,12 +489,25 @@ impl ErlangMix {
         let n = terms.len();
         let mut mix = Self::with_capacity(constant, n, n);
         for (pole, weight, pair) in terms {
-            debug_assert!(pair || exact_zero(pole.im), "a lone pole must be real");
-            mix.coeffs.push(weight);
-            mix.magnitudes.push(l1(weight));
-            mix.push_pole(pole, pair);
+            mix.push_simple(pole, weight, l1(weight), pair);
         }
         mix
+    }
+
+    /// Appends the simple-pole block `weight·pole/(pole − s)` with the
+    /// given magnitude companion, standing for its mirror too where
+    /// `pair` is set (a block that is not a pair must have a real pole).
+    pub(crate) fn push_simple(
+        &mut self,
+        pole: Complex64,
+        weight: Complex64,
+        magnitude: f64,
+        pair: bool,
+    ) {
+        debug_assert!(pair || exact_zero(pole.im), "a lone pole must be real");
+        self.coeffs.push(weight);
+        self.magnitudes.push(magnitude);
+        self.push_pole(pole, pair);
     }
 
     /// A single real-pole mix `c + Σ_m A_m (λ/(λ-s))^m`.
@@ -556,6 +569,32 @@ impl ErlangMix {
             }
         }
         acc
+    }
+
+    /// The MGF at `s` with its magnitude companion, each block's value and
+    /// companion summed as in [`ErlangMix::eval`]; at a real `s` a pair
+    /// adds twice its stored member's real part (its mirror's value is
+    /// the conjugate there).
+    pub(crate) fn eval_with_magnitude(&self, s: Complex64) -> (Complex64, f64) {
+        let at_real = exact_zero(s.im);
+        let mut value = Complex64::from_real(self.constant);
+        let mut magnitude = self.constant.abs();
+        for b in self.blocks() {
+            let (v, m) = b.eval_with_magnitude(s);
+            if !b.pair {
+                value += v;
+                magnitude += m;
+            } else if at_real {
+                value += Complex64::from_real(2.0 * v.re);
+                magnitude += 2.0 * m;
+            } else {
+                let (mirror, mirror_mag) = b.eval_with_magnitude(s.conj());
+                value += v;
+                value += mirror.conj();
+                magnitude += m + mirror_mag;
+            }
+        }
+        (value, magnitude)
     }
 
     /// Evaluates the MGF at every point: `out[k] = self.eval(zs[k])`, bit
@@ -792,10 +831,11 @@ impl ErlangMix {
     /// same family via the Appendix-A convolution.
     ///
     /// Nearly colliding poles (relative distance below `1e-7`) in `other`
-    /// are nudged apart by that relative amount first; the paper assumes
-    /// distinct poles (it verifies αⱼ ≠ β) and the nudge keeps the result
-    /// well-conditioned when an upstream pole happens to graze a
-    /// downstream one.
+    /// are nudged apart by 1.6e-6 relative first, so the result is the
+    /// expansion of a slightly different law
+    /// ([`crate::TotalDelay::from_mixes`] refuses such an expansion). The
+    /// paper's own model never comes here: its expansion has a closed
+    /// form (see [`crate::TotalDelay::new`]).
     ///
     /// One block per real pole or conjugate pair of either factor: a
     /// pair's mirror block is the conjugate of the stored one, because
@@ -857,7 +897,7 @@ impl ErlangMix {
     }
 
     /// `|p − r| < POLE_COLLISION_RTOL·max(|p|, |r|)`, compared in squares.
-    fn collide(p: Complex64, r: Complex64) -> bool {
+    pub(crate) fn collide(p: Complex64, r: Complex64) -> bool {
         (p - r).norm_sqr() < POLE_COLLISION_RTOL.powi(2) * p.norm_sqr().max(r.norm_sqr())
     }
 
@@ -896,26 +936,13 @@ impl ErlangMix {
         if m_max == 1 {
             // A simple pole needs only g_0 = G(λ): the MGF of `other` at
             // λ, each ladder summed in closed form.
-            let mut g0 = Complex64::from_real(other.constant);
-            let mut g0_mag = other.constant.abs();
-            for b in other.blocks() {
-                let (value, magnitude) = b.eval_with_magnitude(lam);
-                if !b.pair {
-                    g0 += value;
-                    g0_mag += magnitude;
-                } else if at_real {
-                    g0 += Complex64::from_real(2.0 * value.re);
-                    g0_mag += 2.0 * magnitude;
-                } else {
-                    let (mirror, mirror_mag) = b.eval_with_magnitude(lam.conj());
-                    g0 += value;
-                    g0 += mirror.conj();
-                    g0_mag += magnitude + mirror_mag;
-                }
-            }
-            self.coeffs.push(block.coeffs[0] * g0);
-            self.magnitudes.push(block.magnitudes[0] * g0_mag);
-            self.push_pole(lam, block.pair);
+            let (g0, g0_mag) = other.eval_with_magnitude(lam);
+            self.push_simple(
+                lam,
+                block.coeffs[0] * g0,
+                block.magnitudes[0] * g0_mag,
+                block.pair,
+            );
             return;
         }
         // g_terms[l] = G^{(l)}(λ)/l! · (-λ)^l for l = 0..M-1, accumulated in

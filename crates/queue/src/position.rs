@@ -20,9 +20,10 @@
 
 use crate::erlang_mix::ErlangMix;
 use crate::QueueError;
-use fpsping_num::cmp::exact_zero;
+use fpsping_num::cmp::{exact_eq, exact_zero};
 use fpsping_num::quad::gauss_legendre_composite;
 use fpsping_num::special::gamma_q;
+use fpsping_num::Complex64;
 
 /// Where the tagged packet sits inside its burst.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,6 +112,56 @@ impl PositionDelay {
             Position::Uniform => self.k as f64 / (2.0 * self.beta),
             Position::Spot(theta) => theta * self.k as f64 / self.beta,
         }
+    }
+
+    /// Whether every Erlang term of the law has the burst rate β: the
+    /// uniform position for K > 1 and the last spot, θ = 1. Then
+    /// `P(s) = Σ_m p_m·(β/(β−s))^m = G(1 − s/β)·(β/(β−s))^K` with the
+    /// polynomial `G(z) = Σ_m p_m·z^{K−m}` of
+    /// [`PositionDelay::numerator`], and the K-fold zero of the burst
+    /// wait's transform at β cancels every pole of it.
+    pub(crate) fn at_burst_rate(&self) -> bool {
+        match self.position {
+            Position::Uniform => self.k > 1,
+            Position::Spot(theta) => exact_eq(theta, 1.0),
+        }
+    }
+
+    /// `G(z) = Σ_m p_m·z^{K−m}` for a law [at the burst
+    /// rate](PositionDelay::at_burst_rate), with its magnitude companion
+    /// `Σ_m p_m·|z|^{K−m}` (moduli as `|re| + |im|`): `1` for the last
+    /// spot, `(K−1)⁻¹·Σ_{n=1}^{K−1} zⁿ` for the uniform position (eq. 34),
+    /// a geometric sum taken in closed form where `|1 − z| > 0.2` and term
+    /// by term nearer 1. Finite for finite `z`.
+    pub(crate) fn numerator(&self, z: Complex64) -> (Complex64, f64) {
+        debug_assert!(self.at_burst_rate(), "numerator: law not at the burst rate");
+        if !matches!(self.position, Position::Uniform) {
+            return (Complex64::ONE, 1.0);
+        }
+        let n = self.k as i32 - 1;
+        let w = 1.0 / n as f64;
+        let value = if (Complex64::ONE - z).norm_sqr() > 0.04 {
+            z * (Complex64::ONE - z.powi(n)) / (Complex64::ONE - z)
+        } else {
+            let (mut acc, mut pw) = (Complex64::ZERO, Complex64::ONE);
+            for _ in 0..n {
+                pw *= z;
+                acc += pw;
+            }
+            acc
+        };
+        let r = z.re.abs() + z.im.abs();
+        let magnitude = if (r - 1.0).abs() > 0.2 {
+            r * (r.powi(n) - 1.0) / (r - 1.0)
+        } else {
+            let (mut acc, mut pw) = (0.0, 1.0);
+            for _ in 0..n {
+                pw *= r;
+                acc += pw;
+            }
+            acc
+        };
+        (value * w, magnitude * w)
     }
 
     /// The delay law as an [`ErlangMix`] for the eq. (35) product.

@@ -1,11 +1,10 @@
 //! The eq.-(35) build allocates a fixed number of times, whatever K is.
 //!
 //! A counting global allocator tallies the allocations the calling
-//! thread makes in `TotalDelay::new` (the three `to_mix` conversions)
-//! and in the first `product()` call, which builds the expansion (the
-//! two Appendix-A products), from prebuilt components. The count must
-//! not grow with the number of poles: one `Vec` per pole or per product
-//! term would make it grow by K.
+//! thread makes in `TotalDelay::new` from prebuilt components: the three
+//! `to_mix` conversions and the closed-form expansion, one mix. The
+//! count must not grow with the number of poles: one `Vec` per pole or
+//! per expansion term would make it grow by K.
 
 use fpsping_queue::mg1::mdd1;
 use fpsping_queue::{DEk1, PositionDelay, TotalDelay};
@@ -42,13 +41,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// At most this many allocations per build: 5 mixes (three factors, two
-/// products) of 4 flat buffers each and the position law's temporary
-/// coefficient list.
-const MAX_ALLOCATIONS: u64 = 21;
+/// At most this many allocations per build: 4 mixes (three factors and
+/// the expansion) of 4 flat buffers each and the position law's
+/// temporary coefficient list. Two Appendix-A products took 21.
+const MAX_ALLOCATIONS: u64 = 17;
 
-/// Allocations made by one `TotalDelay::new` and the expansion build on
-/// the paper's scenario at order `k` (T = 40 ms, ρ_d = 0.5, upstream
+/// Allocations made by one `TotalDelay::new`, which builds the
+/// expansion, on the paper's scenario at order `k` (T = 40 ms, ρ_d = 0.5, upstream
 /// M/D/1 of 80 B on 5 Mb/s).
 fn build_allocations(k: u32) -> u64 {
     let t = 0.04;

@@ -88,11 +88,12 @@ assert warm > 0, "batch engine sweep recorded no queue.dek1.zeta.warm_solves"
 assert warm > cold, \
     "continuation not engaging: warm_solves=%d <= cold_solves=%d" % (warm, cold)
 # The tail rule serves most of the paper's sweep from the eq.-(35)
-# expansion: its quantile solves must outnumber the inverted ones.
+# expansion: at least 7/9 (78 %) of its quantile solves, the share it
+# had when the expansion was last re-anchored (14 of 18).
 expanded = counters.get("queue.combine.quantile.expanded", 0)
 inverted = counters.get("queue.combine.quantile.inverted", 0)
-assert expanded > inverted, \
-    "expansion not serving: quantile expanded=%d <= inverted=%d" % (expanded, inverted)
+assert 9 * expanded >= 7 * (expanded + inverted) > 0, \
+    "expansion not serving: quantile expanded=%d, inverted=%d" % (expanded, inverted)
 print("tier-1: metrics smoke OK (%d counters; zeta warm/cold = %d/%d; "
       "quantiles expanded/inverted = %d/%d, %.0f%% expanded)"
       % (len(counters), warm, cold, expanded, inverted,
