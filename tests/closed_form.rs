@@ -10,7 +10,7 @@ use fpsping::engine::BATCH_RTT_TOLERANCE_MS;
 use fpsping::{Engine, EngineConfig, RttModel, Scenario};
 use fpsping_num::Complex64;
 use fpsping_queue::mg1::mdd1;
-use fpsping_queue::{DEk1, PositionDelay, TotalDelay};
+use fpsping_queue::{DEk1, Position, PositionDelay, TotalDelay};
 
 /// The stochastic 99.999 % quantiles (seconds) of
 /// `Scenario::paper_default()` at `(K, ρ_d, T ms)`, computed outside this
@@ -110,11 +110,14 @@ fn wait_transform_is_the_product_over_its_poles() {
     }
 }
 
+/// Both laws at the burst rate: the uniform position and the last spot.
+const AT_BURST_RATE: [Position; 2] = [Position::Uniform, Position::Spot(1.0)];
+
 /// The paper's model at `(K, ρ_d, T)` with an upstream M/D/1 of 80 B on
-/// 5 Mb/s, and its three mixes.
-fn model(k: u32, rho: f64, t: f64) -> (TotalDelay, DEk1, PositionDelay) {
+/// 5 Mb/s and the given position law, and its three mixes.
+fn model(k: u32, rho: f64, t: f64, position: Position) -> (TotalDelay, DEk1, PositionDelay) {
     let dek1 = DEk1::new(k, rho * t, t).unwrap();
-    let pos = PositionDelay::uniform(k, k as f64 / (rho * t)).unwrap();
+    let pos = PositionDelay::new(k, k as f64 / (rho * t), position).unwrap();
     let tau = 80.0 * 8.0 / 5_000_000.0;
     let up = mdd1(rho * 80.0 / 125.0 / tau, tau).unwrap();
     let m = TotalDelay::new(Some(&up), &dek1, &pos).unwrap();
@@ -125,23 +128,26 @@ fn model(k: u32, rho: f64, t: f64) -> (TotalDelay, DEk1, PositionDelay) {
 fn closed_form_has_no_block_at_the_position_pole() {
     for k in 2..=30u32 {
         for rho in [0.2, 0.5, 0.8] {
-            let (m, dek1, _) = model(k, rho, 0.04);
-            let prod = m.product().unwrap();
-            assert_eq!(prod.blocks().len(), k as usize / 2 + 2, "K={k} rho={rho}");
-            assert!(prod.blocks().all(|b| b.coeffs.len() == 1));
-            assert!(
-                prod.blocks().all(|b| b.pole.re != dek1.beta()),
-                "K={k} rho={rho}: a block at β"
-            );
-            assert_eq!(prod.constant, 0.0);
-            // Unit mass, to the coefficients' rounding: ε times their
-            // magnitude companions.
-            let companions: f64 = prod.blocks().map(|b| b.members() * b.magnitudes[0]).sum();
-            let mass = prod.total_mass();
-            assert!(
-                (mass - 1.0).abs() <= 1e-12 + f64::EPSILON * companions,
-                "K={k} rho={rho}: mass {mass}"
-            );
+            for position in AT_BURST_RATE {
+                let cell = format!("K={k} rho={rho} {position:?}");
+                let (m, dek1, _) = model(k, rho, 0.04, position);
+                let prod = m.product().unwrap();
+                assert_eq!(prod.blocks().len(), k as usize / 2 + 2, "{cell}");
+                assert!(prod.blocks().all(|b| b.coeffs.len() == 1));
+                assert!(
+                    prod.blocks().all(|b| b.pole.re != dek1.beta()),
+                    "{cell}: a block at β"
+                );
+                assert_eq!(prod.constant, 0.0);
+                // Unit mass, to the coefficients' rounding: ε times their
+                // magnitude companions.
+                let companions: f64 = prod.blocks().map(|b| b.members() * b.magnitudes[0]).sum();
+                let mass = prod.total_mass();
+                assert!(
+                    (mass - 1.0).abs() <= 1e-12 + f64::EPSILON * companions,
+                    "{cell}: mass {mass}"
+                );
+            }
         }
     }
 }
@@ -156,8 +162,11 @@ fn closed_form_has_no_block_at_the_position_pole() {
 fn closed_form_tail_matches_the_appendix_a_product() {
     for k in 2..=30u32 {
         for rho in [0.5, 0.6, 0.7, 0.8, 0.9] {
-            for t in [0.04, 0.06] {
-                let (m, dek1, pos) = model(k, rho, t);
+            for (t, position) in [0.04, 0.06]
+                .into_iter()
+                .flat_map(|t| AT_BURST_RATE.map(|p| (t, p)))
+            {
+                let (m, dek1, pos) = model(k, rho, t, position);
                 let closed = m.product().unwrap();
                 let generic = m
                     .upstream()
@@ -166,15 +175,16 @@ fn closed_form_tail_matches_the_appendix_a_product() {
                 let (lo, hi) = (m.quantile(0.99), m.quantile(0.99999));
                 for i in 0..=8 {
                     let x = lo + (hi - lo) * i as f64 / 8.0;
+                    let cell = format!("K={k} rho={rho} T={t} {position:?} x={x}");
                     let ((a, bound_a), (b, bound_b)) =
                         (closed.tail_with_bound(x), generic.tail_with_bound(x));
                     assert!(
                         (a - b).abs() <= 1e-12 * b + bound_a + bound_b,
-                        "K={k} rho={rho} T={t} x={x}: closed {a:e} vs product {b:e}"
+                        "{cell}: closed {a:e} vs product {b:e}"
                     );
                     if k <= 10 {
-                        assert!(bound_a.max(bound_b) <= 1e-11 * b);
-                        assert!((a - b).abs() <= 1e-12 * b, "K={k} rho={rho} T={t} x={x}");
+                        assert!(bound_a.max(bound_b) <= 1e-11 * b, "{cell}");
+                        assert!((a - b).abs() <= 1e-12 * b, "{cell}");
                     }
                 }
             }
