@@ -666,7 +666,7 @@ impl TotalDelay {
     pub fn try_quantile_with_hint(&self, p: f64, hint: Option<f64>) -> Result<f64, QueueError> {
         assert!(p > 0.0 && p < 1.0, "quantile: p must lie in (0,1), got {p}");
         if let Some(prod) = self.expansion() {
-            let q = self.expanded_quantile(prod, 1.0 - p, hint);
+            let q = prod.quantile_scaled(p, hint, self.mean());
             if q.is_finite() && keeps_root(prod.tail_with_bound(q), 1.0 - p) {
                 QUANTILES_EXPANDED.incr();
                 return Ok(q);
@@ -674,29 +674,6 @@ impl TotalDelay {
         }
         let q = self.try_quantile_inverted(p, hint)?;
         Ok(self.settle(q, 1.0 - p))
-    }
-
-    /// The root of the expansion's tail at `target` (0 where the tail at
-    /// 0 is already there, NaN if the solve fails): [`invert_tail`] with
-    /// the bracket scaled by the slowest decay or the model's mean,
-    /// whichever is longer, and Brent to 1e-12 of it. The mean is the sum
-    /// of the component means ([`TotalDelay::mean`]); the expansion's own
-    /// would sum its cancelling coefficients, as rounding noise far off
-    /// the true scale. The tail is clamped to `[0, 1]`: read where its
-    /// terms cancel it can be noise of any size, past what Brent's
-    /// interpolation can take, and [`keeps_root`] refuses a root there
-    /// anyway.
-    fn expanded_quantile(&self, prod: &ErlangMix, target: f64, hint: Option<f64>) -> f64 {
-        let tail = |x: f64| prod.tail(x).clamp(0.0, 1.0);
-        if tail(0.0) <= target {
-            return 0.0;
-        }
-        let scale = prod
-            .dominant_decay()
-            .map_or(1.0, |d| 1.0 / d)
-            .max(self.mean())
-            .max(1e-12);
-        invert_tail(tail, target, scale, hint, 1e-12 * scale.max(1.0)).unwrap_or(f64::NAN)
     }
 
     /// The quantile for an inverted root `q`: the expansion's root beside
@@ -847,12 +824,18 @@ impl TotalDelay {
 
     /// Method 2: p-quantile keeping only the dominant pole of eq. (35)
     /// ("a good approximation as long as the residue associated with the
-    /// dominant pole is not too small"). Only meaningful when the
-    /// expansion exists and is well-conditioned.
+    /// dominant pole is not too small"). Only meaningful where the
+    /// expansion is well-conditioned: NaN unless the tail rule takes the
+    /// expansion at the result ([`TotalDelay::expands_at`]). Where the
+    /// coefficients cancel, the dominant one alone is of any size.
     pub fn quantile_dominant_pole(&self, p: f64) -> f64 {
-        match self.product() {
-            Some(prod) => prod.quantile_dominant_pole(p),
-            None => f64::NAN,
+        let q = self
+            .expansion()
+            .map_or(f64::NAN, |prod| prod.quantile_dominant_pole(p));
+        if self.expands_at(q) {
+            q
+        } else {
+            f64::NAN
         }
     }
 
@@ -994,6 +977,24 @@ mod tests {
         assert!(q3 >= q1 - 1e-9);
         // Sum-of-quantiles over-estimates for independent sums.
         assert!(q4 >= q1 - 1e-9);
+    }
+
+    #[test]
+    fn dominant_pole_is_nan_where_the_coefficients_cancel() {
+        // At ρ_d = 0.05 the closed form's coefficients cancel: its
+        // dominant block alone read 0.39 ms and 0 at K = 20 and 25, and
+        // tails near 1e240 at K = 30, past what Brent can interpolate.
+        let t = 0.04;
+        let rho = 0.05;
+        let tau = 80.0 * 8.0 / 5_000_000.0;
+        let up = mdd1(rho * 80.0 / 125.0 / tau, tau).unwrap();
+        for k in [20u32, 25, 30] {
+            let dek1 = DEk1::new(k, rho * t, t).unwrap();
+            let pos = PositionDelay::uniform(k, k as f64 / (rho * t)).unwrap();
+            let m = TotalDelay::new(Some(&up), &dek1, &pos).unwrap();
+            let q = m.quantile_dominant_pole(0.99999);
+            assert!(q.is_nan(), "K={k}: {q}");
+        }
     }
 
     #[test]

@@ -751,25 +751,33 @@ impl ErlangMix {
     /// Panics unless `p ∈ (0, 1)`; NaN if the bracketed solve fails to
     /// converge.
     pub fn quantile_with_hint(&self, p: f64, hint: Option<f64>) -> f64 {
+        self.quantile_scaled(p, hint, self.mean().abs())
+    }
+
+    /// [`ErlangMix::quantile_with_hint`] with the bracket scaled by the
+    /// slowest decay or `mean`, whichever is longer, and Brent to 1e-12
+    /// of it. A law whose coefficients cancel (the closed-form eq.-35
+    /// expansion) passes the mean of its factors: its own would sum the
+    /// cancelling coefficients, as rounding noise far off the true scale.
+    /// The tail is clamped to `[0, 1]` (no bit changes where it is in
+    /// range): read where its terms cancel it can be noise of any size,
+    /// past what Brent's interpolation can take.
+    ///
+    /// Panics unless `p ∈ (0, 1)`; NaN if the bracketed solve fails to
+    /// converge.
+    pub fn quantile_scaled(&self, p: f64, hint: Option<f64>, mean: f64) -> f64 {
         assert!(p > 0.0 && p < 1.0, "quantile: p must lie in (0,1), got {p}");
         let target = 1.0 - p;
-        if self.tail(0.0) <= target {
+        let tail = |x: f64| self.tail(x).clamp(0.0, 1.0);
+        if tail(0.0) <= target {
             return 0.0;
         }
         let scale = self
             .dominant_decay()
-            .map(|d| 1.0 / d)
-            .unwrap_or(1.0)
-            .max(self.mean().abs())
+            .map_or(1.0, |d| 1.0 / d)
+            .max(mean)
             .max(1e-12);
-        invert_tail(
-            |x| self.tail(x),
-            target,
-            scale,
-            hint,
-            1e-12 * scale.max(1.0),
-        )
-        .unwrap_or(f64::NAN)
+        invert_tail(tail, target, scale, hint, 1e-12 * scale.max(1.0)).unwrap_or(f64::NAN)
     }
 
     /// Quantile via the dominant-pole tail (§3.3's shortcut).
@@ -783,8 +791,10 @@ impl ErlangMix {
             return 0.0;
         }
         let scale = 1.0 / dom;
+        // Clamped as in `quantile_scaled`: a dominant block whose
+        // coefficient cancels against the others reads any size alone.
         invert_tail(
-            |x| self.tail_dominant_pole(x),
+            |x| self.tail_dominant_pole(x).clamp(0.0, 1.0),
             target,
             scale,
             None,

@@ -152,12 +152,14 @@ fn closed_form_has_no_block_at_the_position_pole() {
     }
 }
 
-/// Where both expansions are accurate (ρ_d ≥ 0.5 and running error
-/// bounds below 1e-11 of the tail: K ≤ 10 here) the closed form's tail
-/// equals the Appendix-A product's to 1e-12 relative. Where their
-/// coefficients cancel (K ≥ 11 at ρ_d = 0.5) the two differ by no more
-/// than the sum of their bounds, and the closed form's bound is the
-/// smaller by up to three decades.
+/// Where both expansions are accurate (ρ_d ≥ 0.5 and both running error
+/// bounds within 1e-11 of the tail: every cell at K ≤ 10, most at high
+/// load above) the closed form's tail equals the Appendix-A product's to
+/// 1e-12 relative. Where the product's coefficients cancel, its bound
+/// can exceed the tail itself, so the closed form is checked against the
+/// numerical inversion instead: within 1e-9 absolute (its documented
+/// ~1e-10 accuracy with a decade of headroom, as `NUMERIC_TAIL_FLOOR`)
+/// plus its own bound, which is the smaller of the two bounds there.
 #[test]
 fn closed_form_tail_matches_the_appendix_a_product() {
     for k in 2..=30u32 {
@@ -178,13 +180,19 @@ fn closed_form_tail_matches_the_appendix_a_product() {
                     let cell = format!("K={k} rho={rho} T={t} {position:?} x={x}");
                     let ((a, bound_a), (b, bound_b)) =
                         (closed.tail_with_bound(x), generic.tail_with_bound(x));
-                    assert!(
-                        (a - b).abs() <= 1e-12 * b + bound_a + bound_b,
-                        "{cell}: closed {a:e} vs product {b:e}"
-                    );
-                    if k <= 10 {
-                        assert!(bound_a.max(bound_b) <= 1e-11 * b, "{cell}");
-                        assert!((a - b).abs() <= 1e-12 * b, "{cell}");
+                    if bound_a.max(bound_b) <= 1e-11 * b {
+                        assert!(
+                            (a - b).abs() <= 1e-12 * b,
+                            "{cell}: closed {a:e} vs product {b:e}"
+                        );
+                    } else {
+                        assert!(k > 10, "{cell}: bounds {bound_a:e}, {bound_b:e}");
+                        assert!(bound_a <= bound_b, "{cell}: {bound_a:e} vs {bound_b:e}");
+                        let n = m.tail_numeric(x);
+                        assert!(
+                            (a - n).abs() <= 1e-9 + bound_a,
+                            "{cell}: closed {a:e} vs inverted {n:e}"
+                        );
                     }
                 }
             }
