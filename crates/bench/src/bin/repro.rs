@@ -29,7 +29,7 @@ use fpsping_num::Complex64;
 use fpsping_queue::erlang_mix::invert_tail;
 use fpsping_queue::mg1::mdd1;
 use fpsping_queue::nddd1::NDdd1;
-use fpsping_queue::{DEk1, ErlangMix, Mg1, Position, PositionDelay, TotalDelay};
+use fpsping_queue::{DEk1, Mg1, Position, PositionDelay, TotalDelay};
 use fpsping_sim::network::BackgroundConfig;
 use fpsping_sim::scheduler::Discipline;
 use fpsping_sim::{
@@ -1125,15 +1125,10 @@ fn position_ablation() -> Vec<Table> {
             let beta = k as f64 / (rho * t);
             let q_for = |position: Position| -> f64 {
                 let pos = PositionDelay::new(k, beta, position).unwrap();
-                let td =
-                    TotalDelay::from_mixes(ErlangMix::unit(), dek1.to_mix(), pos.to_mix().unwrap());
-                td.quantile(0.99999) * 1e3
-            };
-            let uniform = {
-                let pos = PositionDelay::uniform(k, beta).unwrap();
                 let td = TotalDelay::new(None, &dek1, &pos).unwrap();
                 td.quantile(0.99999) * 1e3
             };
+            let uniform = q_for(Position::Uniform);
             let [mid, last, first] = [0.5, 1.0, 1e-6].map(|theta| q_for(Position::Spot(theta)));
             format!("{rho},{uniform:.4},{mid:.4},{last:.4},{first:.4}")
         })

@@ -40,8 +40,9 @@ proptest! {
     fn extreme_quantile_roundtrip(a in -100.0f64..500.0, b in 0.1f64..100.0, p in 0.001f64..0.999) {
         let d = Extreme::new(a, b);
         prop_assert!((d.cdf(d.quantile(p)) - p).abs() < 1e-9);
-        // Moment matching round-trips.
-        let refit = Extreme::from_moments(d.mean(), d.std_dev());
+        // Moment matching round-trips: b = σ√6/π, a = μ − γ_E·b.
+        let b_fit = d.std_dev() * 6.0f64.sqrt() / std::f64::consts::PI;
+        let refit = Extreme::new(d.mean() - fpsping_num::EULER_GAMMA * b_fit, b_fit);
         prop_assert!((refit.location() - a).abs() < 1e-6 * b.max(1.0));
         prop_assert!((refit.scale() - b).abs() < 1e-6 * b.max(1.0));
     }

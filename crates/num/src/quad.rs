@@ -1,52 +1,8 @@
-//! Numerical quadrature: adaptive Simpson and fixed-order Gauss–Legendre.
+//! Numerical quadrature: fixed-order Gauss–Legendre.
 //!
 //! Used for the uniform packet-position MGF integral of eq. (30) when the
 //! position distribution is not one of the two closed-form cases, and for
 //! distribution moments that lack closed forms (e.g. empirical mixtures).
-
-/// Adaptive Simpson quadrature of `f` on `[a, b]` to absolute tolerance
-/// `tol`. Finite whenever `f` is finite on `[a, b]`; a NaN/∞ from the
-/// integrand propagates into the result.
-pub fn adaptive_simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> f64 {
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    let whole = simpson_rule(a, b, fa, fm, fb);
-    simpson_recurse(&f, a, b, fa, fm, fb, whole, tol, 50)
-}
-
-fn simpson_rule(a: f64, b: f64, fa: f64, fm: f64, fb: f64) -> f64 {
-    (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simpson_recurse(
-    f: &impl Fn(f64) -> f64,
-    a: f64,
-    b: f64,
-    fa: f64,
-    fm: f64,
-    fb: f64,
-    whole: f64,
-    tol: f64,
-    depth: u32,
-) -> f64 {
-    let m = 0.5 * (a + b);
-    let lm = 0.5 * (a + m);
-    let rm = 0.5 * (m + b);
-    let flm = f(lm);
-    let frm = f(rm);
-    let left = simpson_rule(a, m, fa, flm, fm);
-    let right = simpson_rule(m, b, fm, frm, fb);
-    let delta = left + right - whole;
-    if depth == 0 || delta.abs() <= 15.0 * tol {
-        left + right + delta / 15.0
-    } else {
-        simpson_recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + simpson_recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-    }
-}
 
 /// 20-point Gauss–Legendre nodes/weights on [-1, 1] (positive half; the
 /// rule is symmetric).
@@ -109,6 +65,50 @@ pub fn gauss_legendre_composite(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize
 #[allow(clippy::unnecessary_cast)] // literal-typing casts keep test formulas readable
 mod tests {
     use super::*;
+
+    /// Adaptive Simpson quadrature of `f` on `[a, b]` to absolute tolerance
+    /// `tol`. Finite whenever `f` is finite on `[a, b]`; a NaN/∞ from the
+    /// integrand propagates into the result.
+    fn adaptive_simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> f64 {
+        let fa = f(a);
+        let fb = f(b);
+        let m = 0.5 * (a + b);
+        let fm = f(m);
+        let whole = simpson_rule(a, b, fa, fm, fb);
+        simpson_recurse(&f, a, b, fa, fm, fb, whole, tol, 50)
+    }
+
+    fn simpson_rule(a: f64, b: f64, fa: f64, fm: f64, fb: f64) -> f64 {
+        (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn simpson_recurse(
+        f: &impl Fn(f64) -> f64,
+        a: f64,
+        b: f64,
+        fa: f64,
+        fm: f64,
+        fb: f64,
+        whole: f64,
+        tol: f64,
+        depth: u32,
+    ) -> f64 {
+        let m = 0.5 * (a + b);
+        let lm = 0.5 * (a + m);
+        let rm = 0.5 * (m + b);
+        let flm = f(lm);
+        let frm = f(rm);
+        let left = simpson_rule(a, m, fa, flm, fm);
+        let right = simpson_rule(m, b, fm, frm, fb);
+        let delta = left + right - whole;
+        if depth == 0 || delta.abs() <= 15.0 * tol {
+            left + right + delta / 15.0
+        } else {
+            simpson_recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
+                + simpson_recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
+        }
+    }
 
     #[test]
     fn simpson_polynomial_exact() {

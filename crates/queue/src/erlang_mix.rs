@@ -12,7 +12,9 @@
 //! complex-pole) Erlang terms. Appendix A shows this family is closed
 //! under products: re-expanding `F·G` in partial fractions turns each
 //! pole's coefficients into a discrete convolution with the derivatives of
-//! the *other* factor (eq. 43). The inversion is then term-by-term,
+//! the *other* factor (eq. 43). The paper's own product, eq. (35), has
+//! a closed form that [`crate::TotalDelay::new`] builds directly. The
+//! inversion is then term-by-term,
 //!
 //! ```text
 //! P(X > x) = Re Σ A_{λ,m} · e^{-λx} · Σ_{i<m} (λx)^i / i! ,
@@ -55,9 +57,10 @@ pub struct PoleBlock<'a> {
     /// `coeffs[m-1]` multiplies the Erlang term of multiplicity `m`.
     pub coeffs: &'a [Complex64],
     /// The magnitude companion of each coefficient: the coefficient
-    /// recomputed with every operation of its Appendix-A construction
-    /// taken in absolute value (`|c|` for a coefficient given as input).
-    /// `ε` times it bounds the rounding error the coefficient carries.
+    /// recomputed with every operation of its closed-form construction
+    /// taken in absolute value, times a count of the roundings it commits
+    /// (`|c|` for a coefficient given as input). `ε` times it bounds the
+    /// rounding error the coefficient carries.
     pub magnitudes: &'a [f64],
 }
 
@@ -288,12 +291,12 @@ impl PoleBlock<'_> {
 ///
 /// // (1-ρ) + ρ·γ/(γ-s): the paper's eq.-14 upstream approximation.
 /// let up = ErlangMix::exponential_with_atom(0.6, 0.4, 2000.0);
-/// // An Erlang(3, 500) component:
+/// assert!((up.total_mass() - 1.0).abs() < 1e-15);
+/// // P(X > x) = ρ·e^{-γx}, inverted term by term:
+/// assert!((up.tail(1e-3) - 0.4 * (-2.0f64).exp()).abs() < 1e-15);
+/// // An Erlang(3, 500) component has a later 99.999 % quantile:
 /// let pos = ErlangMix::single_real_pole(0.0, 500.0, vec![0.0, 0.0, 1.0]);
-/// // Appendix-A product — still a valid probability law:
-/// let total = up.product(&pos);
-/// assert!((total.total_mass() - 1.0).abs() < 1e-10);
-/// assert!(total.quantile(0.99999) > pos.quantile(0.99999));
+/// assert!(pos.quantile(0.99999) > up.quantile(0.99999));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ErlangMix {
@@ -327,8 +330,9 @@ pub(crate) fn l1(z: Complex64) -> f64 {
     z.re.abs() + z.im.abs()
 }
 
-/// Relative tolerance under which two poles are considered colliding in
-/// [`ErlangMix::product`]; the second pole is nudged by this amount.
+/// Relative tolerance under which two poles collide
+/// ([`ErlangMix::collide`]): the eq.-(35) expansion refuses a cell with
+/// such a pair, and the cell inverts.
 const POLE_COLLISION_RTOL: f64 = 1e-7;
 
 /// Inverts a decreasing tail: the root of `tail(x) = target` that Brent
@@ -510,6 +514,16 @@ impl ErlangMix {
         self.push_pole(pole, pair);
     }
 
+    /// Appends the block `Σ_m coeffs[m-1]·(pole/(pole − s))^m` of a real
+    /// pole, each coefficient given with its magnitude companion.
+    pub(crate) fn push_real_block(&mut self, pole: f64, coeffs: impl Iterator<Item = (f64, f64)>) {
+        for (c, magnitude) in coeffs {
+            self.coeffs.push(Complex64::from_real(c));
+            self.magnitudes.push(magnitude);
+        }
+        self.push_pole(Complex64::from_real(pole), false);
+    }
+
     /// A single real-pole mix `c + Σ_m A_m (λ/(λ-s))^m`.
     pub fn single_real_pole(constant: f64, pole: f64, coeffs: Vec<f64>) -> Self {
         assert!(pole > 0.0, "single_real_pole: pole must be positive");
@@ -543,13 +557,6 @@ impl ErlangMix {
     /// The stored pole locations, one per block.
     pub(crate) fn poles(&self) -> &[Complex64] {
         &self.poles
-    }
-
-    /// Every pole the blocks stand for, a pair's mirror after its stored
-    /// member: the pole set a collision test must see.
-    fn pole_members(&self) -> impl Iterator<Item = Complex64> + '_ {
-        self.blocks()
-            .flat_map(|b| std::iter::once(b.pole).chain(b.pair.then(|| b.pole.conj())))
     }
 
     /// The paper's eq. (14) shape: `(1-ρ) + ρ·γ/(γ-s)`.
@@ -837,320 +844,22 @@ impl ErlangMix {
         .unwrap_or(f64::NAN)
     }
 
-    /// Product of two mixes with disjoint pole sets, re-expanded into the
-    /// same family via the Appendix-A convolution.
-    ///
-    /// Nearly colliding poles (relative distance below `1e-7`) in `other`
-    /// are nudged apart by 1.6e-6 relative first, so the result is the
-    /// expansion of a slightly different law
-    /// ([`crate::TotalDelay::from_mixes`] refuses such an expansion). The
-    /// paper's own model never comes here: its expansion has a closed
-    /// form (see [`crate::TotalDelay::new`]).
-    ///
-    /// One block per real pole or conjugate pair of either factor: a
-    /// pair's mirror block is the conjugate of the stored one, because
-    /// the product of real laws is real. Allocates the result's buffers
-    /// and one scratch row, whatever the number of poles; `other` is
-    /// copied only when a pole collides.
-    pub fn product(&self, other: &ErlangMix) -> ErlangMix {
-        let nudged;
-        let other = if other.collides_with(self) {
-            nudged = other.nudged_away_from(self);
-            &nudged
-        } else {
-            other
-        };
-        let mut out = ErlangMix::with_capacity(
-            self.constant * other.constant,
-            self.poles.len() + other.poles.len(),
-            self.coeffs.len() + other.coeffs.len(),
-        );
-        let longest = self
-            .blocks()
-            .chain(other.blocks())
-            .map(|b| b.coeffs.len())
-            .max()
-            .unwrap_or(0);
-        let mut stack = ([Complex64::ZERO; SCRATCH_ON_STACK], [0.0; SCRATCH_ON_STACK]);
-        let mut heap = (Vec::new(), Vec::new());
-        let mut scratch = if longest <= SCRATCH_ON_STACK {
-            Scratch {
-                g_terms: &mut stack.0,
-                g_mags: &mut stack.1,
-            }
-        } else {
-            heap.0.resize(longest, Complex64::ZERO);
-            heap.1.resize(longest, 0.0);
-            Scratch {
-                g_terms: &mut heap.0,
-                g_mags: &mut heap.1,
-            }
-        };
-        // New coefficients at each pole of `self`: convolve with the
-        // derivatives of the full `other` factor (analytic there).
-        for b in self.blocks() {
-            out.push_convolved(b, other, &mut scratch);
-        }
-        for b in other.blocks() {
-            out.push_convolved(b, self, &mut scratch);
-        }
-        out
-    }
-
-    /// Whether a pole of `self` lies within the collision tolerance of a
-    /// pole of `reference`, mirrors included (a mirror is as far from a
-    /// pole as its stored member is from that pole's conjugate).
-    pub(crate) fn collides_with(&self, reference: &ErlangMix) -> bool {
-        self.poles
-            .iter()
-            .any(|&p| reference.pole_members().any(|r| Self::collide(p, r)))
-    }
-
-    /// `|p − r| < POLE_COLLISION_RTOL·max(|p|, |r|)`, compared in squares.
+    /// Whether two poles collide: `|p − r| < POLE_COLLISION_RTOL·max(|p|,
+    /// |r|)`, compared in squares.
     pub(crate) fn collide(p: Complex64, r: Complex64) -> bool {
         (p - r).norm_sqr() < POLE_COLLISION_RTOL.powi(2) * p.norm_sqr().max(r.norm_sqr())
     }
-
-    /// Returns a copy of `self` whose poles have been nudged away from any
-    /// pole of `reference` they nearly coincide with.
-    fn nudged_away_from(&self, reference: &ErlangMix) -> ErlangMix {
-        let mut out = self.clone();
-        for p in &mut out.poles {
-            for r in reference.pole_members() {
-                if Self::collide(*p, r) {
-                    *p = *p * (1.0 + 16.0 * POLE_COLLISION_RTOL);
-                }
-            }
-        }
-        out
-    }
-
-    /// Appends the pole block of `F·G` at a pole of `F` (eq. 43):
-    /// `B_k = Σ_{m=k}^{M} A_m · (-λ)^{m-k} · G^{(m-k)}(λ)/(m-k)!`, with
-    /// `other` = G, and each `B_k`'s magnitude companion: the same sums
-    /// over the companions of `A_m` and of G's coefficients, with every
-    /// factor in modulus. The block is a pair if `block` is.
-    ///
-    /// Both members of each pair of G enter `G(λ)` and its derivatives.
-    /// At a real λ (a block that is not a pair) their terms are
-    /// conjugate, so the pair adds twice its stored member's real part.
-    fn push_convolved(
-        &mut self,
-        block: PoleBlock<'_>,
-        other: &ErlangMix,
-        scratch: &mut Scratch<'_>,
-    ) {
-        let lam = block.pole;
-        let at_real = !block.pair;
-        let m_max = block.coeffs.len();
-        if m_max == 1 {
-            // A simple pole needs only g_0 = G(λ): the MGF of `other` at
-            // λ, each ladder summed in closed form.
-            let (g0, g0_mag) = other.eval_with_magnitude(lam);
-            self.push_simple(
-                lam,
-                block.coeffs[0] * g0,
-                block.magnitudes[0] * g0_mag,
-                block.pair,
-            );
-            return;
-        }
-        // g_terms[l] = G^{(l)}(λ)/l! · (-λ)^l for l = 0..M-1, accumulated in
-        // one incremental pass per pole of G: the term of multiplicity m
-        // contributes A_m·(p·u)^m·C(m+l-1, l)·(-λ·u)^l to g_l, with
-        // u = 1/(p-λ) — so powers and binomials update in O(1) per step
-        // instead of the O(log) `powi` + divide per (m, l) pair of the naive
-        // derivative formula. `g_mags` carries each g_l's companion.
-        let g_terms = &mut scratch.g_terms[..m_max];
-        let g_mags = &mut scratch.g_mags[..m_max];
-        g_terms.fill(Complex64::ZERO);
-        g_mags.fill(0.0);
-        if let (Some(g0), Some(g0_mag)) = (g_terms.first_mut(), g_mags.first_mut()) {
-            *g0 = Complex64::from_real(other.constant);
-            *g0_mag = other.constant.abs();
-        }
-        // The members each pole of G adds: itself; at a complex λ a
-        // pair's mirror too, and at a real λ a pair once, doubled.
-        let twice = |b: &PoleBlock<'_>| b.pair && at_real;
-        let has_mirror = |b: &PoleBlock<'_>| b.pair && !at_real;
-        let mut blocks = other.blocks().peekable();
-        while let Some(b) = blocks.next() {
-            if b.coeffs.len() == 1 {
-                // Two simple members in lockstep: two independent power
-                // chains, each g_l taking the first's term before the
-                // second's.
-                let first = SimpleChain::of(b, lam, twice(&b), false);
-                let second = if has_mirror(&b) {
-                    Some(SimpleChain::of(b, lam, false, true))
-                } else {
-                    blocks
-                        .next_if(|n| n.coeffs.len() == 1 && !has_mirror(n))
-                        .map(|n| SimpleChain::of(n, lam, twice(&n), false))
-                };
-                match second {
-                    Some(second) => add_chains(g_terms, g_mags, [first, second]),
-                    None => add_chains(g_terms, g_mags, [first]),
-                }
-                continue;
-            }
-            add_block_rows(g_terms, g_mags, b, lam, false, twice(&b));
-            if has_mirror(&b) {
-                add_block_rows(g_terms, g_mags, b, lam, true, false);
-            }
-        }
-        for k in 1..=m_max {
-            let mut acc = Complex64::ZERO;
-            let mut acc_mag = 0.0;
-            for m in k..=m_max {
-                acc += block.coeffs[m - 1] * g_terms[m - k];
-                acc_mag += block.magnitudes[m - 1] * g_mags[m - k];
-            }
-            self.coeffs.push(acc);
-            self.magnitudes.push(acc_mag);
-        }
-        self.push_pole(lam, block.pair);
-    }
 }
 
-/// A term as it enters the `g` rows: `t` itself, or with `twice_real`
-/// only its real part (`t` then carries a pair's doubled coefficient, so
-/// `Re t` is the sum of the stored member's term and its mirror's).
-#[inline]
-fn fold(t: Complex64, twice_real: bool) -> Complex64 {
-    if twice_real {
-        Complex64::from_real(t.re)
-    } else {
-        t
-    }
-}
-
-/// One simple member's terms in [`ErlangMix::push_convolved`]'s `g` rows
-/// at λ: `a·p·u·v^l` for `l = 0, 1, …` with `u = 1/(p − λ)` and
-/// `v = -λ·u`. A chain that stands for a conjugate pair at a real λ
-/// carries `2·a` and adds only real parts.
-#[derive(Clone, Copy)]
-struct SimpleChain {
-    /// `a·p·u` (doubled for a pair): the `l = 0` term.
-    apm: Complex64,
-    /// Its magnitude companion.
-    apm_mag: f64,
-    /// The ratio `v` of consecutive terms.
-    v: Complex64,
-    /// `|v|` as `|re| + |im|`.
-    v_mag: f64,
-    /// Whether the chain adds `2·Re` of a pair's terms.
-    twice_real: bool,
-}
-
-impl SimpleChain {
-    /// The chain of block `b`'s stored member, or with `mirror` its
-    /// mirror's; `twice_real` doubles it and keeps real parts.
-    #[inline]
-    fn of(b: PoleBlock<'_>, lam: Complex64, twice_real: bool, mirror: bool) -> Self {
-        let (p, a) = if mirror {
-            (b.pole.conj(), b.coeffs[0].conj())
-        } else {
-            (b.pole, b.coeffs[0])
-        };
-        let scale = if twice_real { 2.0 } else { 1.0 };
-        let u = (p - lam).inv();
-        let pu = p * u;
-        let v = -lam * u;
-        Self {
-            apm: a * pu * scale,
-            apm_mag: b.magnitudes[0] * l1(pu) * scale,
-            v,
-            v_mag: l1(v),
-            twice_real,
-        }
-    }
-}
-
-/// Adds every chain's terms to the `g` rows, chain after chain within
-/// each row.
-#[inline]
-fn add_chains<const N: usize>(g: &mut [Complex64], g_mags: &mut [f64], chains: [SimpleChain; N]) {
-    let (Some((g0, rest)), Some((g0_mag, rest_mags))) =
-        (g.split_first_mut(), g_mags.split_first_mut())
-    else {
-        return;
-    };
-    for c in &chains {
-        *g0 += fold(c.apm, c.twice_real);
-        *g0_mag += c.apm_mag;
-    }
-    let mut vp = chains.map(|c| (c.v, c.v_mag));
-    for (g, g_mag) in rest.iter_mut().zip(rest_mags.iter_mut()) {
-        for (c, (p, p_mag)) in chains.iter().zip(vp.iter_mut()) {
-            *g += fold(c.apm * *p, c.twice_real);
-            *g_mag += c.apm_mag * *p_mag;
-            *p *= c.v;
-            *p_mag *= c.v_mag;
-        }
-    }
-}
-
-/// Adds the terms of block `b` (any multiplicity) to the `g` rows at λ:
-/// its stored member's, or with `mirror` its mirror's; `twice_real`
-/// adds twice their real parts.
-fn add_block_rows(
-    g_terms: &mut [Complex64],
-    g_mags: &mut [f64],
-    b: PoleBlock<'_>,
-    lam: Complex64,
-    mirror: bool,
-    twice_real: bool,
-) {
-    let pole = if mirror { b.pole.conj() } else { b.pole };
-    let scale = if twice_real { 2.0 } else { 1.0 };
-    let u = (pole - lam).inv();
-    let pu = pole * u;
-    let v = -lam * u;
-    let (pu_mag, v_mag) = (l1(pu), l1(v));
-    let mut pm = Complex64::ONE;
-    let mut pm_mag = 1.0;
-    for (i, (&a, &a_mag)) in b.coeffs.iter().zip(b.magnitudes).enumerate() {
-        let m = i + 1;
-        let a = if mirror { a.conj() } else { a };
-        pm *= pu;
-        pm_mag *= pu_mag;
-        let apm = a * pm * scale;
-        let apm_mag = a_mag * pm_mag * scale;
-        let (Some((g0, rest)), Some((g0_mag, rest_mags))) =
-            (g_terms.split_first_mut(), g_mags.split_first_mut())
-        else {
-            continue;
-        };
-        // The l = 0 term is `apm` itself (binomial 1, power 1).
-        *g0 += fold(apm, twice_real);
-        *g0_mag += apm_mag;
-        let mut vp = v;
-        let mut vp_mag = v_mag;
-        let mut binom = m as f64; // C(m+l-1, l) at l = 1
-        for (l, (g, g_mag)) in rest.iter_mut().zip(rest_mags.iter_mut()).enumerate() {
-            *g += fold(apm * binom * vp, twice_real);
-            *g_mag += apm_mag * binom * vp_mag;
-            binom = binom * (m + l + 1) as f64 / (l + 2) as f64;
-            vp *= v;
-            vp_mag *= v_mag;
-        }
-    }
-}
-
-/// Multiplicities whose scratch rows [`ErlangMix::product`] keeps on the
-/// stack; longer blocks (K > 65 positions) take one heap row each.
-const SCRATCH_ON_STACK: usize = 64;
-
-/// The scratch rows of [`ErlangMix::product`], at least as long as its
-/// longest block.
-struct Scratch<'a> {
-    g_terms: &'a mut [Complex64],
-    g_mags: &'a mut [f64],
-}
+/// The plain Appendix-A product the tests check expansions against.
+#[cfg(test)]
+#[path = "../../../tests/support/eq43.rs"]
+pub(crate) mod eq43;
 
 #[cfg(test)]
 #[allow(clippy::unnecessary_cast)]
 mod tests {
+    use super::eq43::product;
     use super::*;
     use fpsping_num::laplace::{tail_from_mgf, DEFAULT_EULER_M};
 
@@ -1212,7 +921,7 @@ mod tests {
         // 2e^{-x} - e^{-2x} (hypoexponential).
         let x = erl(1, 1.0);
         let y = erl(1, 2.0);
-        let p = x.product(&y);
+        let p = product(&x, &y);
         assert!((p.total_mass() - 1.0).abs() < 1e-12);
         for &t in &[0.2, 1.0, 3.0, 8.0] {
             let expect = 2.0 * (-t as f64).exp() - (-2.0 * t as f64).exp();
@@ -1230,7 +939,7 @@ mod tests {
         // (0.4 + 0.6·Exp(1)) ⊗ (0.5 + 0.5·Exp(3)).
         let a = expo(0.6, 1.0);
         let b = expo(0.5, 3.0);
-        let p = a.product(&b);
+        let p = product(&a, &b);
         assert!((p.constant - 0.2).abs() < 1e-14);
         assert!((p.total_mass() - 1.0).abs() < 1e-12);
         // Mean adds: 0.6·1 + 0.5/3.
@@ -1254,7 +963,7 @@ mod tests {
             .with_pole(Complex64::from_real(1.0), &[Complex64::from_real(0.3)])
             .with_pole(Complex64::from_real(2.5), &[Complex64::from_real(0.2)]);
         let pos = ErlangMix::single_real_pole(0.0, 3.0, vec![0.5, 0.5]);
-        let total = up.product(&wait).product(&pos);
+        let total = product(&product(&up, &wait), &pos);
         assert!((total.total_mass() - 1.0).abs() < 1e-10);
         let mgf = |s: Complex64| total.eval(s);
         for &t in &[0.1, 0.5, 1.5, 4.0] {
@@ -1273,7 +982,7 @@ mod tests {
         // exercises multiplicity > 1 convolution.
         let a = erl(3, 2.0);
         let b = erl(1, 1.0);
-        let p = a.product(&b);
+        let p = product(&a, &b);
         let mgf = |s: Complex64| p.eval(s);
         for &t in &[0.3, 1.0, 2.5, 6.0] {
             let numeric = tail_from_mgf(mgf, t, DEFAULT_EULER_M);
@@ -1281,22 +990,6 @@ mod tests {
         }
         // Mean adds.
         assert!((p.mean() - (1.5 + 1.0)).abs() < 1e-11);
-    }
-
-    #[test]
-    fn product_nudges_colliding_poles() {
-        let a = erl(1, 1.0);
-        let b = erl(1, 1.0); // identical pole — would be singular
-        let p = a.product(&b);
-        // Exact answer is Erlang(2,1): tail e^{-x}(1+x).
-        for &t in &[0.5, 2.0, 5.0] {
-            let expect = (-t as f64).exp() * (1.0 + t);
-            assert!(
-                (p.tail(t) - expect).abs() < 1e-4,
-                "t={t}: {} vs {expect}",
-                p.tail(t)
-            );
-        }
     }
 
     #[test]
@@ -1329,7 +1022,7 @@ mod tests {
 
     #[test]
     fn chernoff_upper_bounds_exact_tail() {
-        let m = expo(0.5, 1.0).product(&erl(2, 3.0));
+        let m = product(&expo(0.5, 1.0), &erl(2, 3.0));
         for &x in &[0.5, 1.0, 3.0, 6.0] {
             let exact = m.tail(x);
             let chern = m.tail_chernoff(x);
@@ -1359,7 +1052,7 @@ mod tests {
     #[test]
     fn tail_slope_and_bound_come_with_the_tail() {
         // Erlang(3, 2) ⊗ (0.4 + 0.6·Exp(1)): multiplicity and an atom.
-        let m = erl(3, 2.0).product(&expo(0.6, 1.0));
+        let m = product(&erl(3, 2.0), &expo(0.6, 1.0));
         for &x in &[0.2, 1.0, 3.0, 7.0] {
             let (t, slope, bound) = m.tail_slope_bound(x);
             assert_eq!(t.to_bits(), m.tail(x).to_bits(), "x={x}");
@@ -1382,7 +1075,7 @@ mod tests {
         for blk in a.blocks() {
             assert_eq!(blk.magnitudes, &[1.0]);
         }
-        let p = a.product(&b);
+        let p = product(&a, &b);
         let total: f64 = p.blocks().flat_map(|b| b.magnitudes.iter()).sum();
         assert!(total > 1e7, "companions {total:e}");
         let (t, bound) = p.tail_with_bound(0.5);
@@ -1396,7 +1089,7 @@ mod tests {
 
     #[test]
     fn derivative_matches_finite_difference() {
-        let m = expo(0.7, 2.0).product(&erl(2, 5.0));
+        let m = product(&expo(0.7, 2.0), &erl(2, 5.0));
         let s = Complex64::from_real(-0.3);
         let h = 1e-5;
         for l in 1..4u32 {
@@ -1513,11 +1206,12 @@ mod tests {
 /// The folded mix against an unfolded reference: every pole of a pair
 /// written out as its own term, the Appendix-A product by the naive
 /// derivative formula of eq. (43), and the tail, slope, error bound and
-/// MGF summed term by term. The folded [`ErlangMix::product`],
+/// MGF summed term by term. The folded test product (`eq43`),
 /// [`ErlangMix::tail_slope_bound`] and [`ErlangMix::eval_many`] must
 /// agree with it to a few ulps of their terms.
 #[cfg(test)]
 mod unfolded_oracle {
+    use super::eq43::product;
     use super::*;
     use crate::dek1::DEk1;
     use crate::position::PositionDelay;
@@ -1564,40 +1258,44 @@ mod unfolded_oracle {
         }
 
         /// `G^{(l)}(s)/l!`, from `d^l/ds^l (p/(p-s))^m =
-        /// p^m·(m)_l·(p-s)^{-(m+l)}`.
-        fn taylor(&self, s: Complex64, l: usize) -> Complex64 {
+        /// p^m·(m)_l·(p-s)^{-(m+l)}`, and the same sum in moduli.
+        fn taylor(&self, s: Complex64, l: usize) -> (Complex64, f64) {
             let mut acc = if l == 0 {
                 Complex64::from_real(self.constant)
             } else {
                 Complex64::ZERO
             };
+            let mut mag = if l == 0 { self.constant.abs() } else { 0.0 };
             for (p, coeffs, _) in &self.terms {
                 for (i, &c) in coeffs.iter().enumerate() {
                     let m = i + 1;
-                    acc += c * p.powi(m as i32) * rising_factorial(m as u32, l as u32)
+                    let t = c * p.powi(m as i32) * rising_factorial(m as u32, l as u32)
                         / factorial(l)
                         / (*p - s).powi((m + l) as i32);
+                    acc += t;
+                    mag += t.abs();
                 }
             }
-            acc
+            (acc, mag)
         }
 
-        /// Eq. (43) at every pole of each factor.
+        /// Eq. (43) at every pole of each factor, each coefficient with
+        /// the modulus sum of its terms.
         fn product(&self, other: &Unfolded) -> Unfolded {
             let mut terms = Vec::new();
             for (f, g) in [(self, other), (other, self)] {
                 for (lam, a, _) in &f.terms {
                     let m_max = a.len();
-                    let coeffs = (1..=m_max)
+                    let (coeffs, mags) = (1..=m_max)
                         .map(|k| {
-                            (k..=m_max)
-                                .map(|m| {
-                                    a[m - 1] * (-*lam).powi((m - k) as i32) * g.taylor(*lam, m - k)
-                                })
-                                .sum()
+                            (k..=m_max).fold((Complex64::ZERO, 0.0), |(acc, mag), m| {
+                                let (g_l, g_mag) = g.taylor(*lam, m - k);
+                                let scale = a[m - 1] * (-*lam).powi((m - k) as i32);
+                                (acc + scale * g_l, mag + scale.abs() * g_mag)
+                            })
                         })
-                        .collect();
-                    terms.push((*lam, coeffs, Vec::new()));
+                        .unzip();
+                    terms.push((*lam, coeffs, mags));
                 }
             }
             Unfolded {
@@ -1665,7 +1363,7 @@ mod unfolded_oracle {
     fn products(k: u32) -> Vec<(String, ErlangMix, ErlangMix)> {
         let f = factors(k);
         let get = |name: &str| f.iter().find(|(n, _)| *n == name).unwrap().1.clone();
-        let partial = get("upstream").product(&get("burst"));
+        let partial = product(&get("upstream"), &get("burst"));
         let mut out = vec![("partial".to_string(), get("upstream"), get("burst"))];
         for (a, b) in [
             ("burst", "pair2"),
@@ -1681,16 +1379,16 @@ mod unfolded_oracle {
     }
 
     /// Folded and unfolded products agree coefficient by coefficient,
-    /// within a few ulps of each coefficient's magnitude companion.
+    /// within a few ulps of the modulus sum of each coefficient's terms.
     #[test]
     fn product_matches_the_unfolded_convolution() {
         for k in [2u32, 3, 4, 5, 9, 20] {
             for (name, a, b) in products(k) {
-                let folded = unfold(&a.product(&b));
+                let folded = unfold(&product(&a, &b));
                 let oracle = unfold(&a).product(&unfold(&b));
                 assert_eq!(folded.terms.len(), oracle.terms.len(), "K={k} {name}");
                 assert_eq!(folded.constant.to_bits(), oracle.constant.to_bits());
-                for (i, ((pf, cf, mf), (po, co, _))) in
+                for (i, ((pf, cf, _), (po, co, mo))) in
                     folded.terms.iter().zip(&oracle.terms).enumerate()
                 {
                     assert_eq!(
@@ -1698,7 +1396,7 @@ mod unfolded_oracle {
                         (po.re.to_bits(), po.im.to_bits()),
                         "K={k} {name} pole {i}"
                     );
-                    for (m, ((&x, &y), &mag)) in cf.iter().zip(co).zip(mf).enumerate() {
+                    for (m, ((&x, &y), &mag)) in cf.iter().zip(co).zip(mo).enumerate() {
                         assert!(
                             (x - y).abs() <= 64.0 * f64::EPSILON * mag,
                             "K={k} {name} pole {i} multiplicity {}: {x} vs {y} (companion {mag:e})",
@@ -1716,7 +1414,7 @@ mod unfolded_oracle {
     fn tail_slope_bound_matches_the_unfolded_sum() {
         for k in [2u32, 3, 4, 5, 9, 20] {
             for (name, a, b) in products(k) {
-                let mix = a.product(&b);
+                let mix = product(&a, &b);
                 let oracle = unfold(&mix);
                 let scale = 1.0 / mix.dominant_decay().unwrap();
                 for f in [0.05, 0.5, 2.0, 8.0] {

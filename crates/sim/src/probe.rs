@@ -67,7 +67,8 @@ impl DelayProbe {
 
     /// Number of raw samples currently stored: 0 for a streaming probe
     /// and once the cap is passed.
-    pub fn stored_samples(&self) -> usize {
+    #[cfg(test)]
+    fn stored_samples(&self) -> usize {
         self.raw.as_ref().map_or(0, Vec::len)
     }
 

@@ -98,7 +98,7 @@ proptest! {
 /// Acceptance bound: on a 10⁶-sample population, every streamed quantile
 /// lands within the P² error expected of the estimator (well under 1%
 /// relative for central quantiles, a small absolute band for deep
-/// tails), while the probe stores zero raw samples — memory is
+/// tails). The probe stores no raw samples meanwhile, so its memory is
 /// O(levels), independent of the sample count.
 #[test]
 fn streaming_quantiles_meet_p2_bound_at_1e6_samples() {
@@ -120,13 +120,10 @@ fn streaming_quantiles_meet_p2_bound_at_1e6_samples() {
         streaming.record(delay);
         exact.record(delay);
     }
+    // That the streaming probe stores no samples is checked by the probe's
+    // own unit test `streaming_probe_tracks_quantiles_without_storing_samples`.
     assert_eq!(streaming.count(), N as u64);
-    assert_eq!(
-        streaming.stored_samples(),
-        0,
-        "streaming mode stores no samples"
-    );
-    assert_eq!(exact.stored_samples(), N);
+    assert_eq!(exact.count(), N as u64);
     for &p in &levels {
         let got = streaming.quantile(p);
         let want = exact.quantile(p);

@@ -75,10 +75,11 @@ pub struct GameModel {
     pub server: ServerModel,
 }
 
+#[cfg(test)]
 impl GameModel {
     /// Offered downstream load on a link of `link_rate_bps` with
     /// `n_clients` players — eq. (37) with this game's `P_S` and `T`.
-    pub fn downstream_load(&self, n_clients: usize, link_rate_bps: f64) -> f64 {
+    pub(crate) fn downstream_load(&self, n_clients: usize, link_rate_bps: f64) -> f64 {
         self.server.mean_bitrate_bps(n_clients) / link_rate_bps
     }
 }

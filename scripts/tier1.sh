@@ -24,11 +24,14 @@ cargo test --release -q -p fpsping-sim --lib network::tests::network_matches_the
 cargo test --release -q -p fpsping-sim --test calendar_props
 cargo test --release -q -p fpsping-sim --lib time::
 # The D/E_K/1 conjugate fold: mirrored roots and weights bit-exact, the
-# folded expansion against its unfolded oracle, and warm roots within
-# 1e-12 of cold ones, in the optimized float code the benchmark runs.
+# folded mix against its unfolded oracle, and warm roots within 1e-12 of
+# cold ones, in the optimized float code the benchmark runs. The eq.-(35)
+# closed forms (at the burst rate and for a spot θ < 1) against their
+# 60-digit quantiles and the test-side eq.-(43) product, in release too.
 cargo test --release -q -p fpsping-queue --test conjugate_pairs
 cargo test --release -q -p fpsping-queue --lib erlang_mix::unfolded_oracle
 cargo test --release -q -p fpsping-queue --test warm_zeta_props
+cargo test --release -q -p fpsping --test closed_form
 # The live serve smoke in release: the 10 k q/s floor (`cargo test`
 # above ran its debug form).
 cargo test --release -q -p fpsping-serve --test live_smoke

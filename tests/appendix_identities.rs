@@ -9,6 +9,10 @@ use fpsping_num::Complex64;
 use fpsping_queue::{DEk1, ErlangMix};
 use proptest::prelude::*;
 
+#[path = "support/eq43.rs"]
+mod eq43;
+use eq43::product;
+
 /// Residual of the pole-defining equation (54), `(1 - s/β)^K - e^{-sT}`,
 /// at pole index `j` of a queue with burst interval `t`.
 fn pole_residual(q: &DEk1, t: f64, j: usize) -> f64 {
@@ -41,7 +45,7 @@ fn lindley_fixed_point_identity() {
         (20, 0.85, 0.05),
     ] {
         let q = DEk1::new(k, rho * t, t).unwrap();
-        let v = q.to_mix().product(&erlang_service_mix(k, q.beta()));
+        let v = product(&q.to_mix(), &erlang_service_mix(k, q.beta()));
         for i in 1..=10 {
             let x = i as f64 * t / 8.0;
             let lhs = q.wait_tail(x);
@@ -158,7 +162,7 @@ proptest! {
         let mut c2 = vec![0.0; m2];
         c2[m2 - 1] = 1.0 - atom2;
         let g = ErlangMix::single_real_pole(atom2, pole1 * pole_ratio, c2);
-        let h = f.product(&g);
+        let h = product(&f, &g);
         // Mass preserved.
         prop_assert!((h.total_mass() - 1.0).abs() < 1e-9);
         // MGF equality at a random point left of both poles.
