@@ -1,12 +1,13 @@
-//! The evaluation engine: parallel, cached, warm-started grid workloads.
+//! The evaluation engine: parallel, cached grid workloads.
 //!
 //! Every figure and dimensioning run in this repository is a grid of RTT
 //! quantile evaluations — (load × K) surfaces, load sweeps per scenario
 //! family, bisection probes along the load axis. Each cell repeats three
 //! expensive solves:
 //!
-//! 1. the D/E_K/1 branch roots (Appendix C fixed point + Newton), which
-//!    depend only on `(K, ρ_d)` — not on the time scale `T`;
+//! 1. the D/E_K/1 branch roots (eq. 26 in closed form, a Lambert W per
+//!    branch), which depend only on `(K, ρ_d)` — not on the time scale
+//!    `T`;
 //! 2. the upstream M/D/1 dominant pole (Brent), which depends only on
 //!    `(λ, τ)` — shared by every K at the same load;
 //! 3. the quantile bracket search, whose answer moves smoothly along any
@@ -23,22 +24,20 @@
 //! accelerate finding the same canonical bracket the cold search would
 //! use — neither changes a single output bit.
 //!
-//! On top of that, [`EngineConfig::batch`] (default on) adds *continuation
-//! warm-starting of the root solves themselves*: along each contiguous
-//! run of loads, a cell's K branch roots are Newton-polished from the
-//! neighboring cell's converged roots ([`DekSolution::solve_warm`])
-//! instead of re-running the Appendix C fixed point from `z = 0`. This is
-//! the one knob that trades bit-parity for speed: warm-started roots
-//! agree with cold ones to ~1e-15 relative but not to the last ulp, and
-//! the Appendix A partial-fraction re-expansion (condition number up to
-//! 1e6 by construction) amplifies those last-ulp differences into RTT
-//! quantile deviations of order 1e-5 ms. The documented tolerance is
-//! [`BATCH_RTT_TOLERANCE_MS`] = **1e-4 ms** (observed max ~8e-6 ms on
-//! the paper surface; see `engine_parity`).
-//! Continuation runs are fixed-size blocks of the load axis — independent
-//! of `jobs` — so results never depend on the worker count, and setting
-//! `batch: false` ([`EngineConfig::bit_exact`]) restores exact bit-parity
-//! with [`Engine::serial`].
+//! On top of that, [`EngineConfig::batch`] (default on) selects the
+//! tolerance-relaxed quantile search ([`RttModel::rtt_quantile_ms_fast`])
+//! instead of the bit-exact bracketed one. This is the one knob that
+//! trades bit-parity for speed: the fast search stops once its bracket
+//! is within its tolerance, so its answer can differ from the exact
+//! solve's in the last digits. The documented bound is
+//! [`BATCH_RTT_TOLERANCE_MS`] = **1e-4 ms** (see `engine_parity`). The
+//! D/E_K/1 roots are the same in every configuration: each is solved in
+//! closed form from its own start ([`DekSolution::solve`]), so a batch
+//! engine's roots equal the serial reference's bit for bit. Each fast
+//! search starts from its neighbour's quantile along fixed-size runs of
+//! cells, independent of `jobs`, so results never depend on the worker
+//! count; setting `batch: false` ([`EngineConfig::bit_exact`]) restores
+//! exact bit-parity with [`Engine::serial`].
 
 use crate::cache::SharedCache;
 use crate::dimensioning::DimensioningResult;
@@ -66,16 +65,15 @@ static RTT_MISSES: Counter = Counter::new("engine.cache.rtt.misses");
 static RTT_ENTRIES: Gauge = Gauge::new("engine.cache.rtt.entries");
 static RTT_EVICTIONS: Counter = Counter::new("engine.cache.rtt.evictions");
 
-/// Documented accuracy bound for batch (continuation-warm-started) sweeps
-/// versus [`Engine::serial`], in milliseconds of RTT quantile.
+/// Documented accuracy bound for batch sweeps versus [`Engine::serial`],
+/// in milliseconds of RTT quantile.
 ///
-/// Warm-started ζ roots agree with cold ones to ~1e-15 relative; the
-/// partial-fraction re-expansion of eq. (35) (condition number allowed up
-/// to 1e6) amplifies that to quantile deviations observed up to ~8e-6 ms
-/// on the paper surface. This constant is the acceptance bound used by
-/// the parity tests and the sweep benchmark — an order of magnitude of
-/// headroom over the observed maximum, and six orders below the paper's
-/// reporting precision.
+/// It covers the batch quantile search alone
+/// ([`RttModel::rtt_quantile_ms_fast`]), which stops within its own
+/// tolerance of the root the exact bracketed solve finds; the models it
+/// searches are the serial reference's, bit for bit. This constant is
+/// the acceptance bound used by the parity tests and the sweep
+/// benchmark — six orders below the paper's reporting precision.
 pub const BATCH_RTT_TOLERANCE_MS: f64 = 1e-4;
 
 /// Tuning knobs for an [`Engine`]. Every engine built from a config
@@ -85,12 +83,12 @@ pub const BATCH_RTT_TOLERANCE_MS: f64 = 1e-4;
 pub struct EngineConfig {
     /// Worker threads for grid fan-out (1 = run on the caller's thread).
     pub jobs: usize,
-    /// Continuation warm-starting of the D/E_K/1 root solves: along each
-    /// contiguous run of loads, seed a cell's K roots from the previous
-    /// cell's converged roots and polish with Newton only. ~1e-15
-    /// relative agreement with cold roots, RTT quantiles within
-    /// [`BATCH_RTT_TOLERANCE_MS`] of the serial path (documented
-    /// tolerance) — set `false` for exact bit-parity.
+    /// The tolerance-relaxed quantile search
+    /// ([`RttModel::rtt_quantile_ms_fast`]), hinted along fixed runs of
+    /// cells: RTT quantiles within [`BATCH_RTT_TOLERANCE_MS`] of the
+    /// serial path (documented tolerance) — set `false` for exact
+    /// bit-parity. It selects nothing else: the models, roots included,
+    /// are the same either way.
     pub batch: bool,
     /// Entry budget for **each** of the three solver caches (D/E_K/1
     /// solutions, M/D/1 poles, whole-cell RTT memos); `0` (the default)
@@ -103,7 +101,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default configuration with continuation warm-starts disabled:
+    /// The default configuration with the fast quantile search disabled:
     /// parallel, cached, bracket-warm-started — and bit-identical to
     /// [`Engine::serial`], cell for cell.
     pub fn bit_exact() -> Self {
@@ -335,34 +333,6 @@ impl SolverCache {
         Ok(self.dek.get_or_insert(key, sol))
     }
 
-    /// Like [`SolverCache::dek_solution`], but on a miss the solve is
-    /// continuation warm-started from `seed` — a solution for the same
-    /// Erlang order at a neighboring load — via
-    /// [`DekSolution::solve_warm`] (which falls back to the cold path when
-    /// the seed is absent, mismatched, or fails validation).
-    ///
-    /// Warm-solved entries are within ~1e-15 relative of their cold
-    /// counterparts, not bit-identical; callers that need the exact
-    /// serial bits use [`SolverCache::dek_solution`]. If two threads race
-    /// the same key with different seeds, the first insert wins — the
-    /// engine's sweep sharding gives each worker a disjoint set of keys,
-    /// so within one sweep the cache content is deterministic.
-    pub fn dek_solution_warm(
-        &self,
-        k: u32,
-        rho: f64,
-        seed: Option<&Arc<DekSolution>>,
-    ) -> Result<Arc<DekSolution>, QueueError> {
-        let key = (k, rho.to_bits());
-        if let Some(sol) = self.dek.get(&key) {
-            self.dek_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(sol);
-        }
-        self.dek_misses.fetch_add(1, Ordering::Relaxed);
-        let sol = Arc::new(DekSolution::solve_warm(k, rho, seed.map(Arc::as_ref))?);
-        Ok(self.dek.get_or_insert(key, sol))
-    }
-
     /// The M/D/1 dominant pole γ for arrival rate `lambda` and packet
     /// serialization time `tau`, cached by `(λ bits, τ bits)`.
     pub fn mdd1_pole(&self, lambda: f64, tau: f64) -> Result<f64, QueueError> {
@@ -435,7 +405,7 @@ impl Drop for FlushOnDrop<'_> {
 }
 
 /// Splits `0..len` into at most `parts` contiguous ranges of near-equal
-/// size (used to hand warm-start runs to workers).
+/// size (used to hand bracket-hint runs to workers).
 fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
@@ -447,20 +417,20 @@ fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Continuation block length along the load axis. Each block pays one
-/// cold fixed-point solve and warm-starts the rest, so larger blocks
-/// amortize better; 16 keeps the paper's 18-point grid at two blocks
-/// (still parallelizable) while making the warm fraction ≥ 15/16 on
-/// longer axes.
+/// Length of the runs along which the batch quantile search passes its
+/// hint: 16 keeps the paper's 18-point grid at two runs (still
+/// parallelizable).
 const CONTINUATION_BLOCK: usize = 16;
 
 /// Splits `0..len` into fixed [`CONTINUATION_BLOCK`]-sized contiguous
-/// runs. Unlike [`chunk_ranges`] this is *independent of the worker
-/// count*: a run is both the unit of work handed to `par_map` and the
-/// continuation chain along which D/E_K/1 roots warm-start, so tying it
-/// to `jobs` would make sweep results depend on the machine's core count.
-/// With fixed blocks, adjacent-ρ cells always land on the same shard and
-/// a sweep's bits are a function of its inputs only.
+/// runs: the batch quantile search's hint chains. Unlike [`chunk_ranges`]
+/// this is *independent of the worker count*. A run is both the unit of
+/// work handed to `par_map` and the chain along which each fast search
+/// starts from its neighbour's quantile; the fast search stops where its
+/// seed leads it (within [`BATCH_RTT_TOLERANCE_MS`], not on a canonical
+/// bracket), so tying runs to `jobs` would make sweep results depend on
+/// the machine's core count. With fixed runs a sweep's bits are a
+/// function of its inputs only.
 fn continuation_runs(len: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
@@ -493,8 +463,8 @@ impl Engine {
         }
     }
 
-    /// The serial reference: one thread, no memo, no bracket hints, no
-    /// continuation — each cell is solved cold by [`RttModel::build`]
+    /// The serial reference: one thread, no memo, no bracket hints — each
+    /// cell is solved by [`RttModel::build`]
     /// and inverted by [`RttModel::rtt_quantile_ms`]. Its
     /// [`Engine::max_load`] runs the same tail-decided bisection as every
     /// engine, on models from [`RttModel::build`], and solves the
@@ -525,9 +495,7 @@ impl Engine {
     /// Builds the RTT model for one scenario, sourcing the D/E_K/1
     /// solution and the upstream pole from the cache (the serial
     /// reference has none and calls [`RttModel::build`]). The result is
-    /// bit-identical to [`RttModel::build`] — this entry point never
-    /// continuation-warm-starts the root solve (that happens only inside
-    /// sweep runs, where a neighboring solution exists).
+    /// bit-identical to [`RttModel::build`].
     pub fn build_model(&self, scenario: &Scenario) -> Result<RttModel, QueueError> {
         if self.reference {
             return RttModel::build(scenario);
@@ -535,20 +503,12 @@ impl Engine {
         // Cold path (a model assembly dwarfs the flush), and the only
         // cache-touching entry point single-cell callers go through.
         let _flush = FlushOnDrop(&self.cache);
-        self.assemble(scenario, None).map(|(model, _)| model)
+        self.assemble(scenario)
     }
 
-    /// Model assembly with an optional continuation seed: the D/E_K/1
-    /// roots warm-start from `seed` (the previous cell of the sweep run)
-    /// when batch mode is on. Returns the model together with the
-    /// solution it used, so sweep runs can chain it into the next cell.
-    /// With `seed: None` (or `batch: false`) the solve is cold and the
-    /// model is bit-identical to [`RttModel::build`].
-    fn assemble(
-        &self,
-        scenario: &Scenario,
-        seed: Option<&Arc<DekSolution>>,
-    ) -> Result<(RttModel, Arc<DekSolution>), QueueError> {
+    /// Model assembly from the cached D/E_K/1 solution and upstream pole;
+    /// bit-identical to [`RttModel::build`].
+    fn assemble(&self, scenario: &Scenario) -> Result<RttModel, QueueError> {
         scenario.validate()?;
         let t_s = scenario.t_ms / 1e3;
         let mean_service = scenario.mean_burst_service_s();
@@ -561,10 +521,7 @@ impl Engine {
         }
         let rho = mean_service / t_s;
         let k = scenario.erlang_order;
-        let solution = match seed {
-            Some(_) if self.config.batch => self.cache.dek_solution_warm(k, rho, seed)?,
-            _ => self.cache.dek_solution(k, rho)?,
-        };
+        let solution = self.cache.dek_solution(k, rho)?;
         let downstream = DEk1::from_solution(&solution, mean_service, t_s)?;
         let beta = scenario.erlang_order as f64 / mean_service;
         let position = PositionDelay::uniform(scenario.erlang_order, beta)?;
@@ -580,8 +537,7 @@ impl Engine {
         } else {
             None
         };
-        let model = RttModel::from_parts(scenario.clone(), downstream, position, upstream)?;
-        Ok((model, solution))
+        RttModel::from_parts(scenario.clone(), downstream, position, upstream)
     }
 
     /// The cell quantile through the regime-appropriate root-finder:
@@ -605,24 +561,17 @@ impl Engine {
     /// for infeasible scenarios.
     ///
     /// `key` is the cell's memo key; `None` only on the serial
-    /// reference, which solves the cell cold and ignores `hint` and
-    /// `chain`. A cell already evaluated by this engine is served from
+    /// reference, which solves the cell cold and ignores `hint`. A cell
+    /// already evaluated by this engine is served from
     /// the whole-cell memo without re-assembling the model or
     /// re-inverting the quantile — the exact stored bits come back, so
     /// repeated grids (the common shape of bisection paths and
     /// re-plotted figures) cost a hash lookup per cell.
-    /// `chain` is the continuation state of the enclosing sweep run: the
-    /// D/E_K/1 solution of the nearest previously solved cell, used to
-    /// warm-start this cell's roots (batch mode only) and replaced by
-    /// this cell's solution on success. Memo hits leave it untouched —
-    /// the next miss then seeds from a slightly more distant neighbor,
-    /// which the warm solver's validation gates absorb.
     fn cell(
         &self,
         scenario: &Scenario,
         key: Option<ScenarioKey>,
         hint: Option<f64>,
-        chain: &mut Option<Arc<DekSolution>>,
     ) -> Option<f64> {
         let Some(key) = key else {
             return RttModel::build(scenario).ok().map(|m| m.rtt_quantile_ms());
@@ -631,10 +580,7 @@ impl Engine {
             self.cache.rtt_hits.fetch_add(1, Ordering::Relaxed);
             return Some(v);
         }
-        let (m, sol) = self.assemble(scenario, chain.as_ref()).ok()?;
-        if self.config.batch {
-            *chain = Some(sol);
-        }
+        let m = self.assemble(scenario).ok()?;
         let v = self.quantile_ms(&m, hint);
         self.cache.rtt_misses.fetch_add(1, Ordering::Relaxed);
         self.cache.rtt.get_or_insert(key, v);
@@ -642,9 +588,9 @@ impl Engine {
     }
 
     /// How a sweep's load axis is cut into contiguous runs. Batch mode
-    /// uses fixed-size continuation blocks (worker-count independent, so
-    /// warm-started results are a function of the grid alone); otherwise
-    /// one run per worker, as the bit-exact configurations always did.
+    /// uses fixed-size hint chains (worker-count independent, so fast
+    /// searches are a function of the grid alone); otherwise one run per
+    /// worker, as the bit-exact configurations always did.
     fn sweep_runs(&self, len: usize, parts: usize) -> Vec<Range<usize>> {
         if self.config.batch {
             continuation_runs(len)
@@ -656,10 +602,9 @@ impl Engine {
     /// The scenario's RTT quantile across the given downlink loads — the
     /// series of Figures 3 and 4 — with the load (ρ_u) and gamer count
     /// (eq. 37) of each point. The load axis is cut into contiguous runs;
-    /// each run warm-starts its quantile brackets *and* (batch mode) its
-    /// D/E_K/1 root solves along its cells. Equal to [`Engine::serial`]
-    /// cell for cell with `batch: false`; within the documented
-    /// [`BATCH_RTT_TOLERANCE_MS`] tolerance otherwise.
+    /// each run warm-starts its quantile brackets along its cells. Equal
+    /// to [`Engine::serial`] cell for cell with `batch: false`; within the
+    /// documented [`BATCH_RTT_TOLERANCE_MS`] tolerance otherwise.
     pub fn rtt_vs_load(&self, base: &Scenario, loads: &[f64]) -> Vec<LoadPoint> {
         let _span = fpsping_obs::span("engine.rtt_vs_load");
         let _flush = FlushOnDrop(&self.cache);
@@ -667,14 +612,13 @@ impl Engine {
         let runs = self.sweep_runs(loads.len(), self.config.jobs);
         par_map(runs.len(), self.config.jobs, |r| {
             let mut hint = None;
-            let mut chain = None;
             runs[r]
                 .clone()
                 .map(|i| {
                     let rho = loads[i];
                     let s = base.clone().with_load(rho);
                     let key = family.map(|f| ScenarioKey::of(f, &s));
-                    let rtt_ms = self.cell(&s, key, hint, &mut chain);
+                    let rtt_ms = self.cell(&s, key, hint);
                     hint = rtt_ms.or(hint);
                     LoadPoint {
                         rho_d: rho,
@@ -700,16 +644,13 @@ impl Engine {
     ///    straight to its output slot (one `rtt_hits` increment per
     ///    batch). A scenario's family is interned only when it differs
     ///    from the previous scenario's, so a batch of one family (the
-    ///    common shape) interns once. No sort, no continuation run.
+    ///    common shape) interns once. No sort, no hint run.
     /// 2. **Misses only.** The remaining indices are *sorted* by
     ///    `(K, T, ρ_d)` so that cells sharing an Erlang order run
     ///    consecutively in load order — the exact shape the sweep
     ///    machinery exploits: quantile brackets warm-start from the
-    ///    neighboring miss, and (batch mode) the D/E_K/1 root solves
-    ///    continuation-chain along each run ([`DekSolution::solve_warm`]
-    ///    falls back cold whenever a chain crosses a K boundary). Each
-    ///    miss probes the memo again, so a cell repeated inside the
-    ///    batch is solved once and then hits.
+    ///    neighboring miss. Each miss probes the memo again, so a cell
+    ///    repeated inside the batch is solved once and then hits.
     ///
     /// Results land in input order, so callers never see the
     /// permutation. Values match [`Engine::build_model`] +
@@ -813,11 +754,10 @@ impl Engine {
         let runs = self.sweep_runs(misses.len(), self.config.jobs);
         let results = par_map(runs.len(), self.config.jobs, |r| {
             let mut hint = None;
-            let mut chain = None;
             misses[runs[r].clone()]
                 .iter()
                 .map(|(i, s)| {
-                    let v = self.cell(s, keys.map(|k| k[*i]), hint, &mut chain);
+                    let v = self.cell(s, keys.map(|k| k[*i]), hint);
                     hint = v.or(hint);
                     v
                 })
@@ -834,9 +774,7 @@ impl Engine {
     /// The full (K × load) RTT surface: rows are loads, columns are
     /// Erlang orders, infeasible cells are `None`. Work is fanned out as
     /// (K column × load run) tasks; each task walks its loads in order,
-    /// warm-starting the quantile bracket and (batch mode) the root
-    /// solves from the previous cell — continuation never crosses K
-    /// columns, since roots continue only within a fixed Erlang order.
+    /// warm-starting the quantile bracket from the previous cell.
     /// Equal to [`Engine::serial`] cell for cell with `batch: false`;
     /// within the documented [`BATCH_RTT_TOLERANCE_MS`] tolerance
     /// otherwise.
@@ -844,8 +782,8 @@ impl Engine {
         let _span = fpsping_obs::span("engine.rtt_surface");
         let _flush = FlushOnDrop(&self.cache);
         // Split the load axis only as far as needed to keep all workers
-        // busy across the K columns (batch mode: fixed continuation
-        // blocks instead, so shard shape never depends on `jobs`).
+        // busy across the K columns (batch mode: fixed hint chains
+        // instead, so shard shape never depends on `jobs`).
         let load_runs = self.sweep_runs(loads.len(), self.config.jobs.div_ceil(ks.len().max(1)));
         let tasks: Vec<(usize, Range<usize>)> = (0..ks.len())
             .flat_map(|ki| load_runs.iter().map(move |r| (ki, r.clone())))
@@ -855,12 +793,11 @@ impl Engine {
             let (ki, run) = &tasks[t];
             let k = ks[*ki];
             let mut hint = None;
-            let mut chain = None;
             run.clone()
                 .map(|li| {
                     let s = base.clone().with_load(loads[li]).with_erlang_order(k);
                     let key = family.map(|f| ScenarioKey::of(f, &s));
-                    let v = self.cell(&s, key, hint, &mut chain);
+                    let v = self.cell(&s, key, hint);
                     hint = v.or(hint);
                     v
                 })
@@ -1049,7 +986,7 @@ mod tests {
 
     #[test]
     fn engine_sweep_matches_serial_sweep_bitwise() {
-        // `bit_exact()` turns continuation off; everything else (cache,
+        // `bit_exact()` turns the fast search off; everything else (cache,
         // bracket warm starts, threads) must still be bit-transparent.
         let base = Scenario::paper_default();
         let loads = paper_load_grid();
@@ -1075,9 +1012,7 @@ mod tests {
     #[test]
     fn batch_sweep_matches_serial_within_documented_tolerance() {
         // The default (batch) config trades bit-parity for the documented
-        // BATCH_RTT_TOLERANCE_MS bound — and must actually warm-start
-        // (more dek solves than continuation blocks would be a regression
-        // the counters catch in the bench; here we check values only).
+        // BATCH_RTT_TOLERANCE_MS bound on its quantile search.
         let base = Scenario::paper_default();
         let loads = paper_load_grid();
         let serial = Engine::serial().rtt_vs_load(&base, &loads);
@@ -1097,7 +1032,7 @@ mod tests {
 
     #[test]
     fn batch_sweep_is_independent_of_worker_count() {
-        // Continuation runs are fixed blocks of the load axis, so the
+        // Hint runs are fixed blocks of the load axis, so the
         // exact bits of a batch sweep must not depend on `jobs`.
         let base = Scenario::paper_default();
         let loads = paper_load_grid();
@@ -1136,7 +1071,7 @@ mod tests {
         }
         assert!(fast[2][0].is_none(), "rho=0.95 saturates the P_S=75 uplink");
         assert!(fast[0][0].is_some());
-        // Batch config: the same feasibility pattern (continuation must
+        // Batch config: the same feasibility pattern (the fast search must
         // not turn an infeasible cell feasible or vice versa), values
         // within the documented tolerance.
         let batch = Engine::new(EngineConfig::with_jobs(3)).rtt_surface(&base, &ks, &loads);

@@ -1,207 +1,11 @@
-//! Lockstep batch kernels for families of complex root solves.
+//! Structure-of-arrays kernels for sums that are evaluated many times.
 //!
-//! The D/E_K/1 branch equations (eq. 26) are K independent fixed-point
-//! problems that differ only in a per-branch phase. Solving them one at a
-//! time interleaves control flow with transcendental evaluation; solving
-//! them *in lockstep* — one state array, one sweep loop, a shrinking
-//! active set — keeps the whole root vector cache-resident and gives the
-//! compiler a straight-line inner loop. The kernels here are the
-//! substrate for both the cold batch solve and the continuation
-//! warm-start path (`DekSolution::solve_warm`).
-//!
-//! Bit-parity contract: for a given root index `j`, the iterate sequence
-//! produced by these kernels is *identical* to running the scalar
-//! [`crate::roots::complex_fixed_point`] / Newton loop on that root alone
-//! with the same seed and tolerances — roots never interact, the lockstep
-//! only reorders *which* root advances next. Callers that previously
-//! looped roots sequentially can switch to the batch kernels without
-//! changing a single output bit.
-//!
-//! State is held structure-of-arrays style: real parts, imaginary parts,
-//! and the active mask live in separate flat arrays so the convergence
-//! bookkeeping vectorizes even though the transcendental map itself stays
-//! scalar per root.
+//! [`SimplePoleBank`] holds a family of weighted simple poles as flat
+//! real and imaginary arrays, so one sum over all poles runs as a
+//! straight-line loop the compiler can vectorize, and
+//! [`SimplePoleBank::eval_many`] runs it across a block of points at once.
 
 use crate::Complex64;
-use fpsping_obs::Counter;
-
-static FP_BATCH_CALLS: Counter = Counter::new("num.batch.fixed_point.calls");
-static FP_BATCH_ITERS: Counter = Counter::new("num.batch.fixed_point.iterations");
-static NEWTON_BATCH_CALLS: Counter = Counter::new("num.batch.newton.calls");
-static NEWTON_BATCH_STEPS: Counter = Counter::new("num.batch.newton.steps");
-
-/// Outcome of a lockstep fixed-point batch solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockstepFixedPoint {
-    /// Total iterations summed over all roots.
-    pub iterations: u64,
-    /// Sweeps used — the iteration count of the slowest root.
-    pub sweeps: u64,
-}
-
-/// Outcome of a lockstep Newton batch polish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockstepNewton {
-    /// Total Newton steps summed over all roots (each loop entry counts,
-    /// matching the scalar polish loop's accounting).
-    pub steps: u64,
-}
-
-/// Structure-of-arrays iteration state for a batch of complex roots.
-///
-/// `re`/`im` hold the current iterates; `active` flags roots still
-/// iterating; `iters` counts per-root iterations. Kept private to the
-/// kernels — callers see plain `&mut [Complex64]` slices.
-struct BatchState {
-    re: Vec<f64>,
-    im: Vec<f64>,
-    active: Vec<bool>,
-    iters: Vec<u64>,
-}
-
-impl BatchState {
-    fn seed(roots: &[Complex64]) -> Self {
-        Self {
-            re: roots.iter().map(|z| z.re).collect(),
-            im: roots.iter().map(|z| z.im).collect(),
-            active: vec![true; roots.len()],
-            iters: vec![0; roots.len()],
-        }
-    }
-
-    fn get(&self, j: usize) -> Complex64 {
-        Complex64::new(self.re[j], self.im[j])
-    }
-
-    fn set(&mut self, j: usize, z: Complex64) {
-        self.re[j] = z.re;
-        self.im[j] = z.im;
-    }
-
-    fn any_active(&self) -> bool {
-        self.active.iter().any(|&a| a)
-    }
-
-    fn write_back(&self, roots: &mut [Complex64]) {
-        for (j, z) in roots.iter_mut().enumerate() {
-            *z = self.get(j);
-        }
-    }
-}
-
-/// Iterates every root of a batch through its own fixed-point map
-/// `z ← f(j, z)` in lockstep until each root's update magnitude drops
-/// below `tol`.
-///
-/// `roots` carries the per-root seeds in and the converged points out.
-/// Per root the iterate sequence is bit-identical to the scalar
-/// [`crate::roots::complex_fixed_point`] with the same seed/`tol`/
-/// `max_iter`, so batching is a pure reordering — no numeric drift.
-///
-/// Returns `None` (leaving `roots` at the last iterates, which may be
-/// partially converged) if any root maps to a non-finite value or fails
-/// to converge within `max_iter` iterations; inputs containing NaN/inf
-/// propagate to that same failure path rather than panicking. Domain:
-/// `tol` must be positive for termination to be meaningful.
-pub fn complex_fixed_point_lockstep(
-    f: impl Fn(usize, Complex64) -> Complex64,
-    roots: &mut [Complex64],
-    tol: f64,
-    max_iter: usize,
-) -> Option<LockstepFixedPoint> {
-    FP_BATCH_CALLS.incr();
-    let mut st = BatchState::seed(roots);
-    let mut failed = false;
-    for _sweep in 0..max_iter {
-        if !st.any_active() {
-            break;
-        }
-        for j in 0..st.re.len() {
-            if !st.active[j] {
-                continue;
-            }
-            let z = st.get(j);
-            let next = f(j, z);
-            st.iters[j] += 1;
-            if !next.is_finite() {
-                st.active[j] = false;
-                failed = true;
-                st.set(j, next);
-                continue;
-            }
-            // Squared-norm test (one hypot per iteration is measurable at
-            // sweep scale); matches the scalar solver's check exactly.
-            let delta2 = (next - z).norm_sqr();
-            st.set(j, next);
-            if delta2 < tol * tol {
-                st.active[j] = false;
-            }
-        }
-    }
-    st.write_back(roots);
-    let total: u64 = st.iters.iter().sum();
-    FP_BATCH_ITERS.add(total);
-    if failed || st.any_active() {
-        return None;
-    }
-    Some(LockstepFixedPoint {
-        iterations: total,
-        sweeps: st.iters.iter().copied().max().unwrap_or(0),
-    })
-}
-
-/// Polishes every root of a batch with complex Newton in lockstep.
-///
-/// `fdf(j, z)` returns `(g(z), g'(z))` for root `j`. Stopping rules per
-/// root mirror the scalar polish loop exactly: freeze when
-/// `|g'| < min_deriv` (before stepping) or when the applied step
-/// satisfies `|step| < rel_tol · max(|z|, 1)`; otherwise stop after
-/// `max_steps` loop entries. Each loop entry counts one step, converged
-/// or not, matching the scalar loop's obs accounting.
-///
-/// Never panics; non-finite iterates simply stop improving and are left
-/// for the caller's validation pass (finiteness / half-plane / residual
-/// checks). Domain: `rel_tol` and `min_deriv` should be positive;
-/// returns the total step count, always finite.
-pub fn complex_newton_lockstep(
-    fdf: impl Fn(usize, Complex64) -> (Complex64, Complex64),
-    roots: &mut [Complex64],
-    max_steps: usize,
-    rel_tol: f64,
-    min_deriv: f64,
-) -> LockstepNewton {
-    NEWTON_BATCH_CALLS.incr();
-    let mut st = BatchState::seed(roots);
-    let mut steps = 0u64;
-    for _sweep in 0..max_steps {
-        if !st.any_active() {
-            break;
-        }
-        for j in 0..st.re.len() {
-            if !st.active[j] {
-                continue;
-            }
-            steps += 1;
-            let z = st.get(j);
-            let (g, dg) = fdf(j, z);
-            // Squared-norm guards: `<=` keeps an exactly-zero derivative
-            // frozen even when `min_deriv²` underflows to 0.
-            if dg.norm_sqr() <= min_deriv * min_deriv {
-                st.active[j] = false;
-                continue;
-            }
-            let step = g / dg;
-            let next = z - step;
-            st.set(j, next);
-            if step.norm_sqr() < rel_tol * rel_tol * next.norm_sqr().max(1.0) {
-                st.active[j] = false;
-            }
-        }
-    }
-    st.write_back(roots);
-    NEWTON_BATCH_STEPS.add(steps);
-    LockstepNewton { steps }
-}
 
 /// A structure-of-arrays bank of weighted simple poles, evaluating
 /// `c + Σ_j w_j · p_j/(p_j − s)` in one flat pass.
@@ -323,116 +127,6 @@ impl SimplePoleBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::roots::complex_fixed_point;
-
-    /// The D/E_K/1-shaped map family used by the queue crate.
-    fn branch_map(rho: f64, k: u32, j: usize, z: Complex64) -> Complex64 {
-        let phase = 2.0 * std::f64::consts::PI * j as f64 / k as f64;
-        ((z - 1.0) / rho + Complex64::new(0.0, phase)).exp()
-    }
-
-    #[test]
-    fn lockstep_fixed_point_is_bit_identical_to_scalar() {
-        for &(k, rho) in &[(1u32, 0.3), (5, 0.6), (12, 0.9), (20, 0.05)] {
-            let mut batch = vec![Complex64::ZERO; k as usize];
-            let r = complex_fixed_point_lockstep(
-                |j, z| branch_map(rho, k, j, z),
-                &mut batch,
-                1e-8,
-                2_000_000,
-            )
-            .expect("batch must converge");
-            assert!(r.sweeps > 0 && r.iterations >= r.sweeps);
-            for (j, &zb) in batch.iter().enumerate() {
-                let scalar = complex_fixed_point(
-                    |z| branch_map(rho, k, j, z),
-                    Complex64::ZERO,
-                    1e-8,
-                    2_000_000,
-                )
-                .expect("scalar must converge");
-                assert_eq!(
-                    (zb.re.to_bits(), zb.im.to_bits()),
-                    (scalar.point.re.to_bits(), scalar.point.im.to_bits()),
-                    "K={k} rho={rho} branch {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_newton_is_bit_identical_to_scalar_loop() {
-        let (k, rho) = (9u32, 0.6);
-        // Seed both paths with the same fixed-point output.
-        let mut batch = vec![Complex64::ZERO; k as usize];
-        complex_fixed_point_lockstep(|j, z| branch_map(rho, k, j, z), &mut batch, 1e-8, 2_000_000)
-            .unwrap();
-        let seeds = batch.clone();
-        let res = complex_newton_lockstep(
-            |j, z| {
-                let m = branch_map(rho, k, j, z);
-                (z - m, Complex64::ONE - m / rho)
-            },
-            &mut batch,
-            50,
-            1e-15,
-            1e-300,
-        );
-        assert!(res.steps >= k as u64, "every root takes at least one step");
-        for (j, (&seed, &polished)) in seeds.iter().zip(&batch).enumerate() {
-            // Scalar reference: the exact loop from the queue solver.
-            let mut z = seed;
-            for _ in 0..50 {
-                let m = branch_map(rho, k, j, z);
-                let g = z - m;
-                let dg = Complex64::ONE - m / rho;
-                if dg.norm_sqr() <= 1e-300 * 1e-300 {
-                    break;
-                }
-                let step = g / dg;
-                z -= step;
-                if step.norm_sqr() < 1e-15 * 1e-15 * z.norm_sqr().max(1.0) {
-                    break;
-                }
-            }
-            assert_eq!(
-                (polished.re.to_bits(), polished.im.to_bits()),
-                (z.re.to_bits(), z.im.to_bits()),
-                "branch {j}"
-            );
-        }
-    }
-
-    #[test]
-    fn fixed_point_reports_divergence_as_none() {
-        // z ← 2z + 1 diverges from any seed except the repelling point -1.
-        let mut roots = vec![Complex64::ZERO; 3];
-        let r = complex_fixed_point_lockstep(|_, z| z * 2.0 + 1.0, &mut roots, 1e-12, 64);
-        assert!(r.is_none());
-    }
-
-    #[test]
-    fn fixed_point_flags_non_finite_maps() {
-        let mut roots = vec![Complex64::ONE; 2];
-        let r = complex_fixed_point_lockstep(
-            |j, z| {
-                if j == 1 {
-                    Complex64::new(f64::NAN, 0.0)
-                } else {
-                    z * 0.5
-                }
-            },
-            &mut roots,
-            1e-12,
-            1000,
-        );
-        assert!(r.is_none());
-        assert!(roots[0].is_finite(), "healthy root still iterated");
-        assert!(
-            !roots[1].is_finite(),
-            "poisoned root surfaces as non-finite"
-        );
-    }
 
     /// A bank of the given terms, in order.
     fn bank_of(constant: f64, poles: &[Complex64], weights: &[Complex64]) -> SimplePoleBank {
@@ -520,23 +214,5 @@ mod tests {
             bank.eval(Complex64::new(1.0, -2.0)),
             Complex64::from_real(0.75)
         );
-    }
-
-    #[test]
-    fn newton_converges_quadratically_from_close_seeds() {
-        // g(z) = z² - c per root; root = sqrt(c).
-        let cs = [Complex64::new(2.0, 0.0), Complex64::new(0.0, 1.0)];
-        let mut roots = vec![Complex64::new(1.5, 0.1), Complex64::new(0.7, 0.8)];
-        let res = complex_newton_lockstep(
-            |j, z| (z * z - cs[j], z * 2.0),
-            &mut roots,
-            50,
-            1e-15,
-            1e-300,
-        );
-        assert!(res.steps < 20, "close seeds converge fast: {}", res.steps);
-        for (j, (&z, &c)) in roots.iter().zip(&cs).enumerate() {
-            assert!((z * z - c).abs() < 1e-12, "root {j}: {z}");
-        }
     }
 }

@@ -11,16 +11,13 @@
 //!   eqs. (25)–(26) live in the complex plane),
 //! * [`special`] — log-gamma, regularized incomplete gamma (Erlang CDFs) and
 //!   incomplete beta (binomial tails for the N·D/D/1 analysis of §3.1),
-//! * [`roots`] — bracketed real solvers (bisection / Brent / Newton) for
-//!   dominant poles and quantiles, plus the complex fixed-point iteration
-//!   the paper prescribes for eq. (26),
-//! * [`batch`] — lockstep structure-of-arrays kernels that iterate a whole
-//!   family of complex roots (all K branches of eq. (26)) through one
-//!   fixed-point/Newton sweep loop, bit-identical per root to the scalar
-//!   solvers,
+//! * [`roots`] — bracketed real solvers (bisection / Brent) for dominant
+//!   poles and quantiles,
+//! * [`batch`] — a structure-of-arrays bank of weighted simple poles,
+//!   evaluated across a block of points in one vectorizable pass,
 //! * [`poly`] — rising factorials and truncated exponential series for the
 //!   Erlang-mix algebra,
-//! * [`quad`] — adaptive Simpson and Gauss–Legendre quadrature,
+//! * [`quad`] — Gauss–Legendre quadrature,
 //! * [`laplace`] — Abate–Whitt Euler numerical Laplace inversion, used as an
 //!   independent cross-check of the closed-form tail inversion of eq. (35),
 //! * [`stats`] — descriptive statistics (mean / variance / CoV, quantiles,

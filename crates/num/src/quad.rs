@@ -66,71 +66,6 @@ pub fn gauss_legendre_composite(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize
 mod tests {
     use super::*;
 
-    /// Adaptive Simpson quadrature of `f` on `[a, b]` to absolute tolerance
-    /// `tol`. Finite whenever `f` is finite on `[a, b]`; a NaN/∞ from the
-    /// integrand propagates into the result.
-    fn adaptive_simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> f64 {
-        let fa = f(a);
-        let fb = f(b);
-        let m = 0.5 * (a + b);
-        let fm = f(m);
-        let whole = simpson_rule(a, b, fa, fm, fb);
-        simpson_recurse(&f, a, b, fa, fm, fb, whole, tol, 50)
-    }
-
-    fn simpson_rule(a: f64, b: f64, fa: f64, fm: f64, fb: f64) -> f64 {
-        (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn simpson_recurse(
-        f: &impl Fn(f64) -> f64,
-        a: f64,
-        b: f64,
-        fa: f64,
-        fm: f64,
-        fb: f64,
-        whole: f64,
-        tol: f64,
-        depth: u32,
-    ) -> f64 {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        let left = simpson_rule(a, m, fa, flm, fm);
-        let right = simpson_rule(m, b, fm, frm, fb);
-        let delta = left + right - whole;
-        if depth == 0 || delta.abs() <= 15.0 * tol {
-            left + right + delta / 15.0
-        } else {
-            simpson_recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + simpson_recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-        }
-    }
-
-    #[test]
-    fn simpson_polynomial_exact() {
-        // ∫₀¹ x³ dx = 1/4 (Simpson with Richardson is exact for cubics).
-        let v = adaptive_simpson(|x| x * x * x, 0.0, 1.0, 1e-12);
-        assert!((v - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simpson_transcendental() {
-        // ∫₀^π sin x dx = 2.
-        let v = adaptive_simpson(f64::sin, 0.0, std::f64::consts::PI, 1e-12);
-        assert!((v - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn simpson_handles_peaked_integrand() {
-        // ∫_{-5}^{5} e^{-x²} dx ≈ √π (tails beyond ±5 are < 1e-11).
-        let v = adaptive_simpson(|x| (-x * x as f64).exp(), -5.0, 5.0, 1e-12);
-        assert!((v - std::f64::consts::PI.sqrt()).abs() < 1e-9);
-    }
-
     #[test]
     fn gauss_legendre_high_degree_polynomial() {
         // ∫₀¹ x^20 dx = 1/21; GL20 integrates degree ≤ 39 exactly.

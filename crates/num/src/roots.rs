@@ -1,16 +1,12 @@
-//! Root finding: bracketed real solvers and the complex fixed-point
-//! iteration prescribed by Appendix C of the paper.
+//! Root finding: bracketed real solvers.
 //!
-//! * The dominant pole γ of the M/G/1 waiting-time MGF (eq. (14)) and every
-//!   quantile inversion are one-dimensional real root problems — solved with
-//!   [`brent`] on a bracket ([`bisection`] is the deliberately simple
-//!   oracle Brent is property-tested against).
-//! * The D/E_K/1 poles ζ_k of eq. (26) are found with
-//!   [`complex_fixed_point`], iterating `z ← f(z)` from `z = 0` exactly as
-//!   Appendix C proves convergent.
+//! The dominant pole γ of the M/G/1 waiting-time MGF (eq. (14)) and every
+//! quantile inversion are one-dimensional real root problems — solved with
+//! [`brent`] on a bracket ([`bisection`] is the deliberately simple oracle
+//! Brent is property-tested against). The D/E_K/1 poles of eq. (26) are
+//! solved in closed form in `fpsping_queue::dek1`.
 
 use crate::cmp::exact_zero;
-use crate::complex::Complex64;
 use crate::finite_guard::{finite, not_nan};
 use fpsping_obs::{Counter, Histogram};
 
@@ -19,8 +15,6 @@ static BISECTION_ITERS: Counter = Counter::new("num.roots.bisection.iterations")
 static BRENT_CALLS: Counter = Counter::new("num.roots.brent.calls");
 static BRENT_ITERS: Counter = Counter::new("num.roots.brent.iterations");
 static BRENT_ITER_HIST: Histogram = Histogram::new("num.roots.brent.iterations");
-static FIXED_POINT_CALLS: Counter = Counter::new("num.roots.fixed_point.calls");
-static FIXED_POINT_ITERS: Counter = Counter::new("num.roots.fixed_point.iterations");
 
 /// Folds one real-root solve into the obs counters: a failed convergence
 /// consumed the whole budget, a missing bracket consumed (essentially)
@@ -262,63 +256,6 @@ fn brent_impl(
     })
 }
 
-/// Result of a complex fixed-point iteration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComplexFixedPoint {
-    /// The fixed point.
-    pub point: Complex64,
-    /// Final update magnitude `|z_{n+1} - z_n|`.
-    pub residual: f64,
-    /// Iterations consumed.
-    pub iterations: usize,
-}
-
-/// Iterates `z ← f(z)` from `z0` until `|Δz| < tol`.
-///
-/// Appendix C of the paper proves that iterating eq. (26) from `z = 0`
-/// converges to the unique root with `Re z < 1` for every branch `k`; this
-/// routine is that iteration. Returns `None` if the budget is exhausted or
-/// the iterate leaves the finite plane.
-pub fn complex_fixed_point(
-    f: impl FnMut(Complex64) -> Complex64,
-    z0: Complex64,
-    tol: f64,
-    max_iter: usize,
-) -> Option<ComplexFixedPoint> {
-    let r = complex_fixed_point_impl(f, z0, tol, max_iter);
-    FIXED_POINT_CALLS.incr();
-    FIXED_POINT_ITERS.add(r.map_or(max_iter as u64, |c| c.iterations as u64));
-    r
-}
-
-fn complex_fixed_point_impl(
-    mut f: impl FnMut(Complex64) -> Complex64,
-    z0: Complex64,
-    tol: f64,
-    max_iter: usize,
-) -> Option<ComplexFixedPoint> {
-    let mut z = z0;
-    for i in 0..max_iter {
-        let next = f(z);
-        if !next.is_finite() {
-            return None;
-        }
-        // Squared-norm test, mirrored exactly by the lockstep batch kernel
-        // (`fpsping_num::batch`) so batched and scalar solves keep their
-        // bit-parity contract.
-        let delta2 = (next - z).norm_sqr();
-        z = next;
-        if delta2 < tol * tol {
-            return Some(ComplexFixedPoint {
-                point: z,
-                residual: delta2.sqrt(),
-                iterations: i + 1,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 #[allow(clippy::unnecessary_cast)] // literal-typing casts keep test formulas readable
 mod tests {
@@ -354,41 +291,5 @@ mod tests {
     fn brent_accepts_endpoint_roots() {
         let r = brent(|x| x, 0.0, 1.0, 1e-14, 100).unwrap();
         assert_eq!(r.root, 0.0);
-    }
-
-    #[test]
-    fn fixed_point_dm1_root() {
-        // D/M/1 at load ρ: σ = exp((σ-1)/ρ). For ρ = 0.5 the root solves
-        // σ = e^{2(σ-1)}; verify fixed-point result satisfies the equation.
-        let rho = 0.5;
-        let f = |z: Complex64| ((z - 1.0) / rho).exp();
-        let r = complex_fixed_point(f, Complex64::ZERO, 1e-14, 10_000).unwrap();
-        let back = f(r.point);
-        assert!((back - r.point).abs() < 1e-12);
-        assert!(r.point.im.abs() < 1e-12, "k=1 branch is real");
-        assert!(r.point.re > 0.0 && r.point.re < 1.0);
-    }
-
-    #[test]
-    fn fixed_point_complex_branch_stays_in_unit_disk() {
-        // Branch k=2 of K=4 at ρ_d = 0.7 (paper eq. 26).
-        let rho = 0.7;
-        let k = 2usize;
-        let kk = 4usize;
-        let phase = Complex64::new(0.0, 2.0 * std::f64::consts::PI * (k - 1) as f64 / kk as f64);
-        let f = |z: Complex64| (((z - 1.0) / rho) + phase).exp();
-        let r = complex_fixed_point(f, Complex64::ZERO, 1e-14, 100_000).unwrap();
-        assert!(
-            r.point.abs() < 1.0,
-            "|ζ| < 1 per Appendix C, got {}",
-            r.point.abs()
-        );
-        assert!((f(r.point) - r.point).abs() < 1e-12);
-        assert!(r.point.im.abs() > 1e-6, "non-principal branch is complex");
-    }
-
-    #[test]
-    fn fixed_point_detects_divergence() {
-        assert!(complex_fixed_point(|z| z * 2.0 + 1.0, Complex64::ONE, 1e-12, 100).is_none());
     }
 }

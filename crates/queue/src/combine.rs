@@ -399,10 +399,11 @@ pub const EXPANSION_TOLERANCE: f64 = 1e-11;
 const NUMERIC_TAIL_FLOOR: f64 = 1e-9;
 
 /// Convergence width (seconds) of [`TotalDelay::quantile_fast`]'s
-/// searches: 2e-8 s = 2e-5 ms. Together with the ~8e-6 ms warm-root
-/// deviation this keeps the batch path's worst case ~3× under the
-/// engine's documented 1e-4 ms tolerance while saving roughly one tail
-/// evaluation per cell over a tighter setting.
+/// searches: 2e-8 s = 2e-5 ms, several times under the engine's
+/// documented 1e-4 ms batch tolerance (the batch path's only deviation
+/// from the exact one: its models are the serial path's, bit for bit),
+/// while saving roughly one tail evaluation per cell over a tighter
+/// setting.
 const QUANTILE_FAST_ATOL: f64 = 2e-8;
 
 /// The K = 1 uniform position as the logarithmic factor of eq. (33);
@@ -853,8 +854,11 @@ impl TotalDelay {
     ///
     /// The search stops at step width `QUANTILE_FAST_ATOL`
     /// (2e-8 s = 2e-5 ms), several times under the engine's documented
-    /// batch tolerance; any breakdown (non-finite tail, eval budget
-    /// exhausted) falls back to the exact
+    /// batch tolerance. It stops where its seed leads it, not on a
+    /// canonical bracket, so its last bits depend on `hint`: the engine
+    /// passes hints along fixed runs of cells, which keeps a sweep's
+    /// results independent of its worker count. Any breakdown
+    /// (non-finite tail, eval budget exhausted) falls back to the exact
     /// [`TotalDelay::quantile_with_hint`] path. Panics unless
     /// `p ∈ (0, 1)`; NaN only if the fallback itself fails to converge.
     pub fn quantile_fast(&self, p: f64, hint: Option<f64>) -> f64 {

@@ -16,10 +16,8 @@
 //! z = exp((z-1)/ρ_d + 2πi(j-1)/K),        ρ_d = b̄/T,
 //! ```
 //!
-//! found by the fixed-point iteration from `z = 0` that Appendix C proves
-//! convergent (here polished by a complex Newton step for full double
-//! precision), and weights (eq. 27, the Vandermonde/Lagrange closed form
-//! derived in Appendix D)
+//! and weights (eq. 27, the Vandermonde/Lagrange closed form derived in
+//! Appendix D)
 //!
 //! ```text
 //! aⱼ = ζⱼ^K · Π_{k≠j} (1-ζ_k)/(ζⱼ-ζ_k).
@@ -33,29 +31,42 @@
 //! when K is even (phase π), are their own partners: they are iterated on
 //! the real line, so their roots and weights are exactly real.
 //!
+//! Appendix C finds each root by the fixed-point iteration from `z = 0`,
+//! whose contraction `|ζ|/ρ` approaches 1 near saturation. Here each root
+//! is solved in closed form instead: substituting `z = -ρ·w` turns branch
+//! `j`'s equation into `w·e^w = x_j`, so
+//!
+//! ```text
+//! ζⱼ = -ρ·W₀(xⱼ),        xⱼ = -(ωⱼ/ρ)·e^{-1/ρ},   ωⱼ = e^{2πij/K},
+//! ```
+//!
+//! the principal Lambert W (Corless, Gonnet, Hare, Jeffrey and Knuth,
+//! Adv. Comput. Math. 5, 1996). `|xⱼ| < 1/e` for ρ < 1, so `|W₀| < 1` and
+//! `|ζⱼ| < ρ`: this is the root Appendix C's iteration converges to. The
+//! solve starts from Corless's series for W₀ and runs Halley's method on
+//! eq. (26)'s own residual in `z` (not in `w`, where `e·x + 1` cancels as
+//! ρ → 1), then closes with one Newton step. Over K = 1…128 and loads up
+//! to 0.9999 every root takes at most four steps, so a cell needs no seed
+//! from a neighbouring load.
+//!
 //! For K = 1 this collapses to the classical D/M/1 solution
 //! `P(W > x) = σ·e^{-μ(1-σ)x}` (Kleinrock \[15\]), which the tests verify.
 
 use crate::erlang_mix::ErlangMix;
 use crate::QueueError;
-use fpsping_num::batch::{complex_fixed_point_lockstep, complex_newton_lockstep};
 use fpsping_num::cmp::exact_zero;
 use fpsping_num::finite_guard::{finite, finite_c};
 use fpsping_num::Complex64;
 use fpsping_obs::Counter;
 
 static ZETA_SOLVES: Counter = Counter::new("queue.dek1.zeta.solves");
+/// Steps per solved branch: the Halley steps and the closing Newton step.
 static ZETA_POLISH_STEPS: Counter = Counter::new("queue.dek1.zeta.newton_polish_steps");
-static ZETA_COLD_SOLVES: Counter = Counter::new("queue.dek1.zeta.cold_solves");
-static ZETA_WARM_SOLVES: Counter = Counter::new("queue.dek1.zeta.warm_solves");
-static ZETA_WARM_STEPS: Counter = Counter::new("queue.dek1.zeta.warm_newton_steps");
-static ZETA_WARM_FALLBACKS: Counter = Counter::new("queue.dek1.zeta.warm_fallbacks");
 
-/// Residual tolerance `|z - map(z)|` for accepting a continuation
-/// warm-started root. Cold solves land around 1e-15; anything above this
-/// means the Newton polish wandered and the cell falls back to the cold
-/// fixed-point path.
-const WARM_RESIDUAL_TOL: f64 = 1e-10;
+/// A branch whose Halley iteration has not stopped after this many steps
+/// fails the solve. Every root of K = 1…128 at loads up to 0.9999 stops
+/// within four.
+const MAX_ROOT_STEPS: u64 = 32;
 
 /// Solved D/E_K/1 queue: burst inter-arrival `T`, Erlang(K, β) service.
 ///
@@ -84,8 +95,8 @@ pub struct DEk1 {
 /// The *dimensionless* part of a D/E_K/1 solve: the branch roots ζⱼ and
 /// weights aⱼ of eqs. (26)–(27) depend only on `(K, ρ_d)`, not on the
 /// time scale `T`. Solving once per `(K, ρ_d)` and rescaling through
-/// [`DEk1::from_solution`] lets sweep engines share the expensive
-/// fixed-point/Newton work across cells — the reconstruction uses the
+/// [`DEk1::from_solution`] lets sweep engines share the root and weight
+/// work across cells — the reconstruction uses the
 /// exact same floating-point operations as [`DEk1::new`], so a cached
 /// rebuild is bit-identical to a fresh solve.
 #[derive(Debug, Clone)]
@@ -118,58 +129,13 @@ impl DekSolution {
         })
     }
 
-    /// Continuation solve: like [`DekSolution::solve`], but seeds the K
-    /// roots from `prev` — a solution for the *same Erlang order* at a
-    /// neighboring load — and polishes with Newton only, skipping the
-    /// (expensive) fixed-point stage.
-    ///
-    /// Falls back to the cold path, transparently, when `prev` is absent,
-    /// has a different order, or when any warm-polished root fails the
-    /// validity gates (finite, `Re ζ < 1`, `|ζ| < ρ`, branch residual
-    /// ≤ 1e-10) — so the result is always a valid solution, warm or not.
-    ///
-    /// Warm-started roots are *not* bit-identical to cold ones: Newton
-    /// from a neighboring seed lands within ~1e-15 relative of the cold
-    /// root but may differ in the last ulps. The engine's batch sweep
-    /// bounds the resulting RTT-quantile deviation by its documented
-    /// `BATCH_RTT_TOLERANCE_MS` (1e-4 ms; observed warm-root contribution
-    /// is ~1e-9 ms). Callers that need bit-exact reproduction of the
-    /// serial path must use [`DekSolution::solve`].
-    pub fn solve_warm(k: u32, rho: f64, prev: Option<&DekSolution>) -> Result<Self, QueueError> {
-        if k < 1 {
-            return Err(QueueError::InvalidParameter {
-                name: "k",
-                value: k as f64,
-            });
-        }
-        if !(0.0..1.0).contains(&rho) || exact_zero(rho) {
-            return Err(QueueError::UnstableLoad { rho });
-        }
-        if let Some(p) = prev {
-            if p.k == k {
-                if let Some(zetas) = solve_zetas_warm(k, rho, &p.zetas) {
-                    ZETA_SOLVES.incr();
-                    ZETA_WARM_SOLVES.incr();
-                    let weights = solve_weights(&zetas);
-                    return Ok(Self {
-                        k,
-                        rho,
-                        zetas,
-                        weights,
-                    });
-                }
-                ZETA_WARM_FALLBACKS.incr();
-                // Cold fallback below re-counts the solve.
-            }
-        }
-        let zetas = solve_zetas(k, rho)?;
-        let weights = solve_weights(&zetas);
-        Ok(Self {
-            k,
-            rho,
-            zetas,
-            weights,
-        })
+    /// A name for [`DekSolution::solve`] that ignores `prev`, kept for
+    /// callers that chain solutions along a load axis. Every root is
+    /// solved in closed form from its own start, so a neighbour's roots
+    /// have nothing left to offer, and the result is `solve`'s, bit for
+    /// bit.
+    pub fn solve_warm(k: u32, rho: f64, _prev: Option<&DekSolution>) -> Result<Self, QueueError> {
+        Self::solve(k, rho)
     }
 
     /// Erlang order K.
@@ -183,8 +149,7 @@ impl DekSolution {
         self.rho
     }
 
-    /// The solved branch roots ζⱼ (read-only view, for continuation
-    /// seeding and diagnostics).
+    /// The solved branch roots ζⱼ (read-only view, for diagnostics).
     pub fn zetas(&self) -> &[Complex64] {
         &self.zetas
     }
@@ -403,120 +368,95 @@ fn mirror(v: &mut [Complex64]) {
     }
 }
 
-/// The branch-`j` fixed-point map of eq. (26):
-/// `z ↦ exp((z-1)/ρ + 2πi·j/K)` (0-based `j`). At phase π (`2j = K`)
-/// the rotation is `-1` exactly, so that branch, like branch 0, maps
-/// real points to real points.
+/// The branch-`j` map of eq. (26): `z ↦ exp((z-1)/ρ + 2πi·j/K)`
+/// (0-based `j`). At phase π (`2j = K`) the rotation is `-1` exactly, so
+/// that branch, like branch 0, maps real points to real points.
 #[inline]
 fn branch_map(k: u32, rho: f64, j: usize, z: Complex64) -> Complex64 {
     let w = (z - 1.0) / rho;
     if 2 * j == k as usize {
         return -w.exp();
     }
-    let phase = 2.0 * std::f64::consts::PI * j as f64 / k as f64;
-    (w + Complex64::new(0.0, phase)).exp()
+    (w + Complex64::new(0.0, phase(k, j))).exp()
 }
 
-/// `(g, g')` for the Newton polish on branch `j`: `g(z) = z - map(z)`,
-/// `g'(z) = 1 - map(z)/ρ`.
+/// Branch `j`'s phase `2π·j/K`.
 #[inline]
-fn branch_newton(k: u32, rho: f64, j: usize, z: Complex64) -> (Complex64, Complex64) {
-    let m = branch_map(k, rho, j, z);
-    (z - m, Complex64::ONE - m / rho)
+fn phase(k: u32, j: usize) -> f64 {
+    2.0 * std::f64::consts::PI * j as f64 / k as f64
 }
 
-/// Solves the branch equations (26) by Appendix C's fixed-point
-/// iteration from `z = 0`, then polishes each root with complex Newton on
-/// `g(z) = z - exp((z-1)/ρ + iφ)`. The ⌊K/2⌋+1 solved branches run in
-/// lockstep through the batch kernels; per branch the iterate sequence —
-/// and therefore the result, to the last bit — is identical to a
-/// one-root-at-a-time loop. The other branches are their conjugates.
+/// Solves eq. (26) on the ⌊K/2⌋+1 solved branches in closed form
+/// ([`solve_branch`]) and sets the others to their conjugates. A branch
+/// whose iteration does not stop, or whose root is not finite, not in
+/// `Re z < 1` or not inside `|z| < ρ` (where Appendix C's root lies),
+/// fails the solve.
 fn solve_zetas(k: u32, rho: f64) -> Result<Vec<Complex64>, QueueError> {
     ZETA_SOLVES.incr();
-    ZETA_COLD_SOLVES.incr();
     let mut zetas = vec![Complex64::ZERO; k as usize];
-    let solved = &mut zetas[..solved_branches(k)];
-    // Fixed point to modest precision (contraction factor |ζ|/ρ can
-    // approach 1 near saturation)...
-    complex_fixed_point_lockstep(|j, z| branch_map(k, rho, j, z), solved, 1e-8, 2_000_000).ok_or(
-        QueueError::SolveFailure {
-            what: "fixed-point iteration for ζ did not converge",
-        },
-    )?;
-    // ...then Newton to machine precision.
-    let polish = complex_newton_lockstep(
-        |j, z| branch_newton(k, rho, j, z),
-        solved,
-        50,
-        1e-15,
-        1e-300,
-    );
-    ZETA_POLISH_STEPS.add(polish.steps);
-    validate_zetas(solved)?;
+    // |x_j| = e^{-1/ρ}/ρ on every branch.
+    let x_abs = (-1.0 / rho).exp() / rho;
+    let mut steps = 0;
+    for (j, zeta) in zetas.iter_mut().enumerate().take(solved_branches(k)) {
+        let (z, n) = solve_branch(k, rho, j, x_abs).ok_or(QueueError::SolveFailure {
+            what: "Halley iteration for ζ did not converge",
+        })?;
+        steps += n;
+        if !z.is_finite() || z.re >= 1.0 || z.norm_sqr() >= rho * rho {
+            return Err(QueueError::SolveFailure {
+                what: "ζ root left the disk |z| < ρ",
+            });
+        }
+        *zeta = z;
+    }
+    ZETA_POLISH_STEPS.add(steps);
     mirror(&mut zetas);
     Ok(zetas)
 }
 
-/// Continuation solve: polishes `seeds` (the converged roots of a
-/// *neighboring* load) with Newton only, skipping the fixed-point stage.
+/// Branch `j`'s root `ζⱼ = -ρ·W₀(xⱼ)`, `xⱼ = -(ωⱼ/ρ)·e^{-1/ρ}`, given
+/// `x_abs = |xⱼ|`, with the number of steps it took; `None` if the
+/// iteration does not stop within [`MAX_ROOT_STEPS`].
 ///
-/// Every accepted root must pass the same validity gates as a cold solve
-/// plus two checks that together rule out landing on a wrong root:
-///
-/// * **residual** `|z - map_j(z)| ≤ 1e-10` — each branch solves a
-///   differently-phased equation, so a converged iterate satisfies its
-///   *own* branch's equation or none;
-/// * **modulus** `|ζ| < ρ` — branch `j`'s *attracting* fixed point (the
-///   queueing root Appendix C's iteration converges to) has map
-///   derivative `ζ/ρ` of modulus < 1, i.e. `|ζ| < ρ`. The trivial
-///   repelling root `z = 1` of the branch-0 equation has residual 0 and
-///   `Re z < 1` in floats (`0.999…9`), so the residual and half-plane
-///   gates alone would accept it; only the modulus gate excludes it.
-///   Newton genuinely reaches it when a downward load step starts the
-///   polish above the basin boundary — see the
-///   `continuation_never_reaches_the_trivial_root` test.
-///
-/// Only the solved branches are polished and gated; a conjugate passes
-/// every gate exactly when its partner does (the gates read `|ζ|`,
-/// `Re ζ` and the residual's modulus, which conjugation keeps). Returns
-/// `None` if any branch fails a gate; callers fall back to the cold
-/// path.
-fn solve_zetas_warm(k: u32, rho: f64, seeds: &[Complex64]) -> Option<Vec<Complex64>> {
-    debug_assert_eq!(seeds.len(), k as usize);
-    let mut zetas = seeds.to_vec();
-    let solved = &mut zetas[..solved_branches(k)];
-    let polish = complex_newton_lockstep(
-        |j, z| branch_newton(k, rho, j, z),
-        solved,
-        50,
-        1e-15,
-        1e-300,
-    );
-    ZETA_WARM_STEPS.add(polish.steps);
-    for (j, &z) in solved.iter().enumerate() {
-        if !z.is_finite() || z.re >= 1.0 || z.norm_sqr() >= rho * rho {
-            return None;
-        }
-        if (z - branch_map(k, rho, j, z)).abs() > WARM_RESIDUAL_TOL {
-            return None;
+/// The start is Corless's series for W₀: the branch-point series in
+/// `p = √(2(e·x + 1))` where `|e·x + 1| < 0.3`, otherwise the Taylor
+/// series at 0. Halley's method then runs on the native residual
+/// `g(z) = z − branch_map(z)`, with `g′ = 1 − m/ρ` and `g″ = −m/ρ²`
+/// (`m = branch_map(z)`), until a step falls below `1e-6·|z|`; one Newton
+/// step closes it. The last step's rounding sets the root's accuracy
+/// (DESIGN.md §5). The real branches (0, and K/2 for even K) start real
+/// and stay real.
+fn solve_branch(k: u32, rho: f64, j: usize, x_abs: f64) -> Option<(Complex64, u64)> {
+    let x = if j == 0 {
+        Complex64::from_real(-x_abs)
+    } else if 2 * j == k as usize {
+        Complex64::from_real(x_abs)
+    } else {
+        -Complex64::from_polar(x_abs, phase(k, j))
+    };
+    let branch_point = x * std::f64::consts::E + 1.0;
+    let w = if branch_point.abs() < 0.3 {
+        let p = (branch_point * 2.0).sqrt();
+        p * (p * (p * (11.0 / 72.0) - 1.0 / 3.0) + 1.0) - 1.0
+    } else {
+        x * (x * (x * (x * (-8.0 / 3.0) + 1.5) - 1.0) + 1.0)
+    };
+    let mut z = w * -rho;
+    let curvature = 0.5 / (rho * rho);
+    for step in 1..=MAX_ROOT_STEPS {
+        let m = branch_map(k, rho, j, z);
+        let g = z - m;
+        let dg = Complex64::ONE - m / rho;
+        // Halley: g·g′/(g′² − g·g″/2).
+        let dz = g * dg / (dg * dg + g * m * curvature);
+        z -= dz;
+        if dz.norm_sqr() <= 1e-12 * z.norm_sqr() {
+            let m = branch_map(k, rho, j, z);
+            z -= (z - m) / (Complex64::ONE - m / rho);
+            return Some((z, step + 1));
         }
     }
-    mirror(&mut zetas);
-    Some(zetas)
-}
-
-/// Shared validity gate for cold-solved roots: finite and inside the
-/// `Re z < 1` half-plane, per Appendix C.
-fn validate_zetas(zetas: &[Complex64]) -> Result<(), QueueError> {
-    for &z in zetas {
-        if !z.is_finite() || z.re >= 1.0 {
-            return Err(QueueError::SolveFailure {
-                what: "ζ root left the Re z < 1 half-plane",
-            });
-        }
-        finite_c("solve_zetas: polished root", z);
-    }
-    Ok(())
+    None
 }
 
 /// Closed-form weights of eq. (27): `aⱼ = ζⱼ^K Π_{k≠j}(1-ζ_k)/(ζⱼ-ζ_k)`
@@ -827,20 +767,23 @@ mod tests {
         }
     }
 
+    fn assert_same_bits(a: &DekSolution, b: &DekSolution, what: &str) {
+        for (za, zb) in a.zetas().iter().zip(b.zetas()) {
+            assert_eq!(za.re.to_bits(), zb.re.to_bits(), "{what}: {za} vs {zb}");
+            assert_eq!(za.im.to_bits(), zb.im.to_bits(), "{what}: {za} vs {zb}");
+        }
+    }
+
     #[test]
     fn warm_solve_matches_cold_within_tolerance() {
+        // `solve_warm` is `solve`: along a load chain, bit for bit.
         let k = 9u32;
         let mut prev: Option<DekSolution> = None;
         for i in 1..=18 {
             let rho = 0.05 * i as f64;
             let cold = DekSolution::solve(k, rho).unwrap();
             let warm = DekSolution::solve_warm(k, rho, prev.as_ref()).unwrap();
-            for (&zc, &zw) in cold.zetas().iter().zip(warm.zetas()) {
-                assert!(
-                    (zc - zw).abs() <= 1e-12 * (1.0 + zc.abs()),
-                    "rho={rho}: cold {zc} vs warm {zw}"
-                );
-            }
+            assert_same_bits(&cold, &warm, &format!("rho={rho}"));
             prev = Some(warm);
         }
     }
@@ -849,10 +792,7 @@ mod tests {
     fn warm_solve_without_prev_is_bit_identical_to_cold() {
         let cold = DekSolution::solve(20, 0.7).unwrap();
         let warm = DekSolution::solve_warm(20, 0.7, None).unwrap();
-        for (zc, zw) in cold.zetas().iter().zip(warm.zetas()) {
-            assert_eq!(zc.re.to_bits(), zw.re.to_bits());
-            assert_eq!(zc.im.to_bits(), zw.im.to_bits());
-        }
+        assert_same_bits(&cold, &warm, "K=20 rho=0.7");
     }
 
     #[test]
@@ -860,32 +800,25 @@ mod tests {
         let prev = DekSolution::solve(9, 0.5).unwrap();
         let cold = DekSolution::solve(20, 0.5).unwrap();
         let warm = DekSolution::solve_warm(20, 0.5, Some(&prev)).unwrap();
-        for (zc, zw) in cold.zetas().iter().zip(warm.zetas()) {
-            assert_eq!(zc.re.to_bits(), zw.re.to_bits(), "fallback must be cold");
-            assert_eq!(zc.im.to_bits(), zw.im.to_bits());
-        }
+        assert_same_bits(&cold, &warm, "K=20 seeded from K=9");
     }
 
     #[test]
     fn continuation_never_reaches_the_trivial_root() {
-        // A downward load step whose seed sits above the Newton basin
-        // boundary of branch 0: the polish converges to the trivial
-        // repelling root z = 1, which has residual ~1e-16 and
-        // `Re z = 0.999…9 < 1` — the residual and half-plane gates accept
-        // it. The modulus gate (|ζ| < ρ holds for every attracting root)
-        // must reject the warm result and fall back to cold.
+        // Branch 0's equation also has the repelling root z = 1 (residual
+        // 0, and `Re z = 0.999…9 < 1` in floats); a Newton polish from a
+        // K = 2, ρ = 0.9662 root lands on it at ρ = 0.8802. The closed
+        // form starts on W₀'s side of the branch point and must stay in
+        // |ζ| < ρ, seed or none.
         let k = 2u32;
         let prev = DekSolution::solve(k, 0.9662).unwrap();
         let warm = DekSolution::solve_warm(k, 0.8802, Some(&prev)).unwrap();
         let cold = DekSolution::solve(k, 0.8802).unwrap();
-        for (zw, zc) in warm.zetas().iter().zip(cold.zetas()) {
+        assert_same_bits(&cold, &warm, "K=2 rho=0.8802");
+        for z in cold.zetas() {
             assert!(
-                zw.abs() < 0.8802,
-                "warm root {zw:?} is not an attracting fixed point"
-            );
-            assert!(
-                (*zw - *zc).abs() <= 1e-12 * (1.0 + zc.abs()),
-                "warm {zw:?} vs cold {zc:?}"
+                z.abs() < 0.8802,
+                "root {z:?} is not an attracting fixed point"
             );
         }
     }
@@ -897,6 +830,57 @@ mod tests {
             DekSolution::solve_warm(9, 1.0, Some(&prev)),
             Err(QueueError::UnstableLoad { .. })
         ));
+    }
+
+    /// `c` of the root error bound `c·ε·(1 + 1/ρ)/|1 − ζ/ρ|` (relative),
+    /// derived in DESIGN.md §5 from the rounding of the closing Newton
+    /// step plus the table's own rounding to double: `(13 + 4π)/4`.
+    const ROOT_ERROR_C: f64 = (13.0 + 4.0 * std::f64::consts::PI) / 4.0;
+
+    #[test]
+    fn roots_match_the_pinned_lambert_w_table() {
+        // ζⱼ = -ρ·W₀(xⱼ) at 50 digits (scripts/zeta_roots.py), on every
+        // solved branch of K ∈ {1, 2, 3, 9, 20, 30, 64, 128} at
+        // ρ ∈ {1e-3, …, 0.9999}. Each root is within its derived bound,
+        // leaves a residual of the same order, lies in |ζ| < ρ and takes
+        // at most four steps, the closing Newton step included.
+        const TABLE: &str = include_str!("../tests/data/zeta_roots.csv");
+        let eps = f64::EPSILON;
+        let mut rows = 0;
+        let mut solution: Option<DekSolution> = None;
+        for line in TABLE.lines().skip(1) {
+            let f: Vec<&str> = line.split(',').collect();
+            let k: u32 = f[0].parse().unwrap();
+            let rho: f64 = f[1].parse().unwrap();
+            let j: usize = f[2].parse().unwrap();
+            let want = Complex64::new(f[3].parse().unwrap(), f[4].parse().unwrap());
+            if solution.as_ref().map(|s| (s.order(), s.load())) != Some((k, rho)) {
+                solution = Some(DekSolution::solve(k, rho).unwrap());
+            }
+            let z = solution.as_ref().unwrap().zetas()[j];
+            let (alone, steps) = solve_branch(k, rho, j, (-1.0 / rho).exp() / rho).unwrap();
+            assert_eq!(
+                (alone.re.to_bits(), alone.im.to_bits()),
+                (z.re.to_bits(), z.im.to_bits())
+            );
+            let at = format!("K={k} rho={rho} j={j}");
+            assert!(steps <= 4, "{at}: {steps} steps");
+            assert!(z.norm_sqr() < rho * rho, "{at}: |ζ| = {}", z.abs());
+            let scale = ROOT_ERROR_C * eps * (1.0 + 1.0 / rho);
+            let bound = scale / (1.0 - want / rho).abs() * want.abs();
+            let err = (z - want).abs();
+            assert!(
+                err <= bound,
+                "{at}: {z} vs {want}, error {err:e} > {bound:e}"
+            );
+            let residual = (z - branch_map(k, rho, j, z)).abs();
+            assert!(
+                residual <= 2.0 * scale * want.abs(),
+                "{at}: residual {residual:e}"
+            );
+            rows += 1;
+        }
+        assert_eq!(rows, 9 * (1 + 2 + 2 + 5 + 11 + 16 + 33 + 65));
     }
 
     #[test]

@@ -763,7 +763,8 @@ impl ErlangMix {
 
     /// [`ErlangMix::quantile_with_hint`] with the bracket scaled by the
     /// slowest decay or `mean`, whichever is longer, and Brent to 1e-12
-    /// of it. A law whose coefficients cancel (the closed-form eq.-35
+    /// of that scale (relative, so a quantile of nanoseconds is solved as
+    /// finely as one of seconds). A law whose coefficients cancel (the closed-form eq.-35
     /// expansion) passes the mean of its factors: its own would sum the
     /// cancelling coefficients, as rounding noise far off the true scale.
     /// The tail is clamped to `[0, 1]` (no bit changes where it is in
@@ -784,7 +785,7 @@ impl ErlangMix {
             .map_or(1.0, |d| 1.0 / d)
             .max(mean)
             .max(1e-12);
-        invert_tail(tail, target, scale, hint, 1e-12 * scale.max(1.0)).unwrap_or(f64::NAN)
+        invert_tail(tail, target, scale, hint, 1e-12 * scale).unwrap_or(f64::NAN)
     }
 
     /// Quantile via the dominant-pole tail (§3.3's shortcut).
@@ -805,7 +806,7 @@ impl ErlangMix {
             target,
             scale,
             None,
-            1e-12 * scale.max(1.0),
+            1e-12 * scale,
         )
         .unwrap_or(f64::NAN)
     }
@@ -913,6 +914,25 @@ mod tests {
         // Atom large enough that the 50% quantile is 0.
         let m2 = expo(0.3, 1.0);
         assert_eq!(m2.quantile(0.7), 0.0);
+    }
+
+    #[test]
+    fn fast_law_quantile_is_solved_relative_to_its_scale() {
+        // An exponential of rate 1e8: its 99.999 % quantile is
+        // -ln(1 - p)/1e8 ≈ ln(1e5)/1e8 ≈ 1.15e-7 s. Both solves stop
+        // within 1e-12 of the scale 1/rate, so within 1e-20 s here; an
+        // absolute stop at 1e-12 s left them 2.9e-11 relative
+        // (3.3e-18 s) off.
+        let (rate, p) = (1e8, 0.99999f64);
+        let m = ErlangMix::exponential_with_atom(0.0, 1.0, rate);
+        let want = -(1.0 - p).ln() / rate;
+        for q in [m.quantile(p), m.quantile_dominant_pole(p)] {
+            assert!(
+                (q - want).abs() <= 1e-12 / rate,
+                "{q:e} vs {want:e}: {:e} relative",
+                (q - want).abs() / want
+            );
+        }
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!   Pollaczek–Khinchine transform and mean, the dominant pole γ, and the
 //!   paper's two-term approximation `D_u(s) ≈ (1-ρ) + ρ·γ/(γ-s)` (eq. 14).
 //! * [`dek1`] — the downstream D/E_K/1 queue: the K complex poles of
-//!   eq. (26) via Appendix C's fixed-point iteration, the closed-form
-//!   weights of eq. (27), and the resulting burst waiting-time law.
+//!   eq. (26) in closed form (a principal Lambert W per branch), the
+//!   closed-form weights of eq. (27), and the resulting burst waiting-time
+//!   law.
 //! * [`position`] — the within-burst packet position delay (eqs. 30–34),
 //!   uniform position and fixed-spot variants.
 //! * [`combine`] — the product model and the paper's three quantile

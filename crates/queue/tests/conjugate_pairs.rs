@@ -1,6 +1,7 @@
 //! The D/E_K/1 solve's conjugate fold: only branches `j = 0..=⌊K/2⌋` are
 //! solved, and every other branch `K-j` is the exact conjugate of branch
-//! `j`. Over K = 1…30, for cold solves and for warm (continuation) solves:
+//! `j`. Over K = 1…30, for `solve` and for `solve_warm` (a name for
+//! `solve` that ignores its seed) along load walks:
 //!
 //! * roots, weights and poles of branch `K-j` are `conj` of branch `j`'s,
 //!   bit for bit;
@@ -76,7 +77,7 @@ fn cold_solves_pair_every_branch_with_its_exact_conjugate() {
 #[test]
 fn warm_solves_pair_every_branch_with_its_exact_conjugate() {
     for k in 1..=30u32 {
-        // Upward and downward continuation walks.
+        // Upward and downward walks, each solve seeded from the last.
         for loads in [LOADS.to_vec(), LOADS.iter().rev().copied().collect()] {
             let mut prev: Option<DekSolution> = None;
             for &rho in &loads {

@@ -15,8 +15,7 @@
 //!   shard by shard under one lock each. A `Scenario` is built only for
 //!   a miss;
 //! * only the misses are sorted, so same-`K` cells run consecutively in
-//!   load order, quantile brackets warm-start from their neighbors, and
-//!   the D/E_K/1 root solves continuation-chain along each run;
+//!   load order and quantile brackets warm-start from their neighbors;
 //! * binary responses are encoded in place into the connection's write
 //!   buffer, and go back for the whole burst in one `write_all`.
 //!
@@ -94,10 +93,10 @@ pub struct ServeConfig {
     /// (`0` = unbounded); see [`EngineConfig::cache_entries`].
     pub cache_entries: usize,
     /// Run the engine bit-exactly (`batch: false`): every answer matches
-    /// the serial reference path to the last bit, at the cost of cold
-    /// root solves on every cache miss. The default (`false`) enables
-    /// continuation warm-starting, documented-tolerance accurate
-    /// (`BATCH_RTT_TOLERANCE_MS`) and several times faster on misses.
+    /// the serial reference path to the last bit, at the cost of the
+    /// exact bracketed quantile solve on every cache miss. The default
+    /// (`false`) runs the fast quantile search, documented-tolerance
+    /// accurate (`BATCH_RTT_TOLERANCE_MS`).
     pub bit_exact: bool,
     /// Service deadline per read batch, in milliseconds; also how long a
     /// response write may make no progress before its connection closes.

@@ -24,13 +24,14 @@ cargo test --release -q -p fpsping-sim --lib network::tests::network_matches_the
 cargo test --release -q -p fpsping-sim --test calendar_props
 cargo test --release -q -p fpsping-sim --lib time::
 # The D/E_K/1 conjugate fold: mirrored roots and weights bit-exact, the
-# folded mix against its unfolded oracle, and warm roots within 1e-12 of
-# cold ones, in the optimized float code the benchmark runs. The eq.-(35)
-# closed forms (at the burst rate and for a spot θ < 1) against their
+# folded mix against its unfolded oracle, and the closed-form roots
+# against the pinned 50-digit Lambert-W table (derived error bound, at
+# most four steps a root), in the optimized float code the benchmark
+# runs. The eq.-(35) closed forms (at the burst rate and for a spot θ < 1) against their
 # 60-digit quantiles and the test-side eq.-(43) product, in release too.
 cargo test --release -q -p fpsping-queue --test conjugate_pairs
 cargo test --release -q -p fpsping-queue --lib erlang_mix::unfolded_oracle
-cargo test --release -q -p fpsping-queue --test warm_zeta_props
+cargo test --release -q -p fpsping-queue --lib dek1::tests::roots_match_the_pinned_lambert_w_table
 cargo test --release -q -p fpsping --test closed_form
 # The live serve smoke in release: the 10 k q/s floor (`cargo test`
 # above ran its debug form).
@@ -71,10 +72,8 @@ if [ "$REPRO_STATUS" -ne 0 ] || [ -s "$REPRO_ERR" ]; then
 fi
 
 # Metrics smoke: the observability layer must produce parseable JSON with
-# live solver counters from a real (tiny) sweep run. The CLI sweep runs
-# the batch engine config, so the continuation ζ solver must show up:
-# warm solves outnumbering cold solves is the live form of the reduced
-# per-cell Newton-polish ratio the batch path exists to deliver.
+# live solver counters from a real (tiny) sweep run, the closed-form ζ
+# solver's among them: its solves and its Halley/Newton steps.
 METRICS_TMP="$TIER1_TMP/metrics.json"
 ./target/release/fpsping-cli sweep --metrics-out "$METRICS_TMP" >/dev/null
 if command -v python3 >/dev/null 2>&1; then
@@ -85,11 +84,10 @@ assert snap["schema"] == "fpsping-obs/1", snap.get("schema")
 counters = snap["counters"]
 assert any(k.startswith("num.roots.") and v > 0 for k, v in counters.items()), \
     "no live num.roots.* counter in metrics JSON"
-warm = counters.get("queue.dek1.zeta.warm_solves", 0)
-cold = counters.get("queue.dek1.zeta.cold_solves", 0)
-assert warm > 0, "batch engine sweep recorded no queue.dek1.zeta.warm_solves"
-assert warm > cold, \
-    "continuation not engaging: warm_solves=%d <= cold_solves=%d" % (warm, cold)
+solves = counters.get("queue.dek1.zeta.solves", 0)
+steps = counters.get("queue.dek1.zeta.newton_polish_steps", 0)
+assert solves > 0, "sweep recorded no queue.dek1.zeta.solves"
+assert steps > 0, "sweep recorded no queue.dek1.zeta.newton_polish_steps"
 # The tail rule serves most of the paper's sweep from the eq.-(35)
 # expansion: at least 7/9 (78 %) of its quantile solves, the share it
 # had when the expansion was last re-anchored (14 of 18).
@@ -97,15 +95,15 @@ expanded = counters.get("queue.combine.quantile.expanded", 0)
 inverted = counters.get("queue.combine.quantile.inverted", 0)
 assert 9 * expanded >= 7 * (expanded + inverted) > 0, \
     "expansion not serving: quantile expanded=%d, inverted=%d" % (expanded, inverted)
-print("tier-1: metrics smoke OK (%d counters; zeta warm/cold = %d/%d; "
+print("tier-1: metrics smoke OK (%d counters; zeta solves/steps = %d/%d; "
       "quantiles expanded/inverted = %d/%d, %.0f%% expanded)"
-      % (len(counters), warm, cold, expanded, inverted,
+      % (len(counters), solves, steps, expanded, inverted,
          100.0 * expanded / (expanded + inverted)))
 PY
 else
     grep -q '"schema": "fpsping-obs/1"' "$METRICS_TMP"
     grep -q '"num\.roots\.' "$METRICS_TMP"
-    grep -q '"queue\.dek1\.zeta\.warm_solves"' "$METRICS_TMP"
+    grep -q '"queue\.dek1\.zeta\.solves"' "$METRICS_TMP"
     grep -q '"queue\.combine\.quantile\.expanded"' "$METRICS_TMP"
     echo "tier-1: metrics smoke OK (grep fallback)"
 fi

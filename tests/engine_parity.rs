@@ -5,17 +5,19 @@
 //!   is *bit-identical* to the serial reference `Engine::serial()` — not
 //!   merely close. Caching reuses exact solved objects and the bracket
 //!   warm start only accelerates finding the same canonical bracket.
-//! * **Batch** (the default): continuation warm-starts the D/E_K/1 roots
-//!   from the neighboring cell, which lands within ~1e-15 relative of the
-//!   cold roots but not on the same bits; the documented end-to-end bound
-//!   is [`fpsping::engine::BATCH_RTT_TOLERANCE_MS`] on every RTT cell
-//!   (and batch results must still be independent of the worker count).
+//! * **Batch** (the default): the tolerance-relaxed quantile search stops
+//!   within its own tolerance instead of on the canonical bracket; the
+//!   documented end-to-end bound is
+//!   [`fpsping::engine::BATCH_RTT_TOLERANCE_MS`] on every RTT cell (and
+//!   batch results must still be independent of the worker count). The
+//!   models it searches, D/E_K/1 roots included, are the serial
+//!   reference's bit for bit.
 
 use fpsping::engine::{CacheStats, Engine, EngineConfig, SolverCache, BATCH_RTT_TOLERANCE_MS};
 use fpsping::sweep::paper_load_grid;
 use fpsping::{RttModel, Scenario};
 use fpsping_dist::Deterministic;
-use fpsping_queue::{DEk1, Mg1};
+use fpsping_queue::{DEk1, DekSolution, Mg1};
 use proptest::prelude::*;
 
 /// The model's own answer for one cell: cold solve, cold quantile.
@@ -145,7 +147,7 @@ fn parallel_surface_matches_serial_cell_for_cell() {
 
 #[test]
 fn batch_surface_matches_serial_within_documented_tolerance() {
-    // The default (continuation warm-started) engine: every cell within
+    // The default (fast quantile search) engine: every cell within
     // BATCH_RTT_TOLERANCE_MS of the serial reference, same feasibility
     // pattern, and the second pass still served entirely from the memo.
     let base = Scenario::paper_default();
@@ -181,6 +183,46 @@ fn batch_surface_matches_serial_within_documented_tolerance() {
 }
 
 #[test]
+fn batch_roots_equal_the_serial_solve_bit_for_bit() {
+    // The batch engine's D/E_K/1 solutions on the paper surface are
+    // `DekSolution::solve`'s: roots and weights, bit for bit. The models
+    // are rebuilt through the engine after the surface, so every one of
+    // them reads a solution the surface's batch run cached.
+    let base = Scenario::paper_default();
+    let ks = [2u32, 9, 20];
+    let loads = paper_load_grid();
+    let engine = Engine::new(EngineConfig::with_jobs(2));
+    engine.rtt_surface(&base, &ks, &loads);
+    let solved = engine.cache_stats().dek_misses;
+    assert_eq!(solved as usize, ks.len() * loads.len());
+    for &k in &ks {
+        for &rho in &loads {
+            let s = base.clone().with_load(rho).with_erlang_order(k);
+            let q = engine.build_model(&s).unwrap().downstream().clone();
+            let sol = DekSolution::solve(k, q.load()).unwrap();
+            let serial = DEk1::from_solution(&sol, s.mean_burst_service_s(), s.t_ms / 1e3).unwrap();
+            for (what, got, want) in [
+                ("ζ", q.zetas(), sol.zetas()),
+                ("a", q.weights(), serial.weights()),
+            ] {
+                for (j, (g, w)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(
+                        (g.re.to_bits(), g.im.to_bits()),
+                        (w.re.to_bits(), w.im.to_bits()),
+                        "K={k} rho={rho} {what}[{j}]"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(
+        engine.cache_stats().dek_misses,
+        solved,
+        "rebuilds hit the cache"
+    );
+}
+
+#[test]
 fn parallel_sweep_matches_serial_for_every_job_count() {
     let base = Scenario::paper_default();
     let loads = paper_load_grid();
@@ -207,8 +249,8 @@ fn parallel_sweep_matches_serial_for_every_job_count() {
 #[test]
 fn batch_sweep_bits_do_not_depend_on_job_count() {
     // Batch results relax serial parity, but they must still be a pure
-    // function of the grid: continuation runs are fixed blocks of the
-    // load axis, never per-worker chunks.
+    // function of the grid: the fast search's hint runs are fixed blocks
+    // of the load axis, never per-worker chunks.
     let base = Scenario::paper_default();
     let loads = paper_load_grid();
     let reference = Engine::new(EngineConfig::with_jobs(1)).rtt_vs_load(&base, &loads);
@@ -277,8 +319,8 @@ fn bounded_cache_surface_is_bit_identical_under_eviction() {
 
 #[test]
 fn bounded_batch_surface_stays_within_documented_tolerance() {
-    // Same bound, default (continuation warm-started) config: eviction
-    // may change *which* neighbor seeds a warm solve, so values can move
+    // Same bound, default (fast quantile search) config: eviction may
+    // change *which* neighbor hints a fast search, so values can move
     // within the documented tolerance — but never beyond it, and the
     // feasibility pattern is untouchable.
     let base = Scenario::paper_default();
