@@ -29,7 +29,7 @@ use fpsping_num::Complex64;
 use fpsping_queue::erlang_mix::invert_tail;
 use fpsping_queue::mg1::mdd1;
 use fpsping_queue::nddd1::NDdd1;
-use fpsping_queue::{DEk1, Mg1, Position, PositionDelay, TotalDelay};
+use fpsping_queue::{DEk1, Mg1, Position, PositionDelay, TailMethod, TotalDelay};
 use fpsping_sim::network::BackgroundConfig;
 use fpsping_sim::scheduler::Discipline;
 use fpsping_sim::{
@@ -40,6 +40,9 @@ use fpsping_traffic::games::{counter_strike, counter_strike_measured as meas, ha
 use fpsping_traffic::{GameModel, LanPartyConfig, TraceStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "repro/reference.rs"]
+mod reference;
 use std::process::ExitCode;
 
 /// One entry of the study table.
@@ -680,7 +683,7 @@ fn quantile_methods() -> Vec<Table> {
             let dom = t.quantile_dominant_pole(p) * 1e3;
             let chern = t.quantile_chernoff(p) * 1e3;
             let soq = t.quantile_sum_of_quantiles(p) * 1e3;
-            let cond = t.expands_at(q);
+            let cond = t.method_at(q) == TailMethod::PartialFractions;
             rows.push(format!(
                 "{k},{rho},{full:.4},{dom:.4},{chern:.4},{soq:.4},{cond}"
             ));
@@ -758,6 +761,43 @@ fn tail_root(tail: impl Fn(f64) -> f64, target: f64, guess: f64) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
+/// The 99.999 % quantile from the double-double copy of the closed forms
+/// (`repro/reference.rs`): the divided difference's root where its running
+/// bound there is within 1e-14 of the target, else the partial
+/// fractions' where theirs is, with the form's letter (`D`, `P`). `None`
+/// for K = 1 and where neither bound reaches 1e-14; the map then takes
+/// the tilted oracle. `guess` is a quantile within a factor 4.
+fn reference_quantile(m: &RttModel, p: f64, guess: f64) -> Option<(f64, char)> {
+    let down = m.downstream();
+    let k = down.order() as usize;
+    if k < 2 {
+        return None;
+    }
+    let up = m.total().upstream();
+    let cell = reference::Cell {
+        k,
+        beta: down.beta(),
+        rho: down.load(),
+        zetas: down.zetas(),
+        upstream: up
+            .blocks()
+            .next()
+            .map(|b| (up.constant, b.coeffs[0].re, b.pole.re)),
+    };
+    let target = 1.0 - p;
+    let resolved = |root: Option<(f64, f64)>| {
+        root.filter(|&(_, bound)| bound <= 1e-14 * target)
+            .map(|(q, _)| q)
+    };
+    if let Some(q) = reference::DividedDifference::new(&cell)
+        .and_then(|dd| resolved(reference::quantile(&dd, target, 4.0 * guess)))
+    {
+        return Some((q, 'D'));
+    }
+    let pf = reference::PartialFractions::new(&cell);
+    resolved(reference::quantile(&pf, target, 4.0 * guess)).map(|q| (q, 'P'))
+}
+
 /// The quantile the L1 rule this study replaced served: the model's
 /// expansion's when its coefficient L1 norm was under 1e6 and its mass
 /// within 1e-6 of 1, by the exact path's expanded solve (so equal bit
@@ -783,16 +823,20 @@ fn inverted_quantile(t: &TotalDelay, p: f64) -> f64 {
     invert_tail(tail, 1.0 - p, scale, None, 1e-10 * scale).unwrap_or(f64::NAN)
 }
 
-/// Where the eq.-(35) expansion is accurate, measured: every cell of the
-/// grid K = 1…30 × ρ_d = 0.05…0.95 × T ∈ {40, 60} ms × P_S ∈ {75, 100,
-/// 125} B with a stable uplink, plus ρ_u ∈ {0.98, 0.99, 0.995} at
-/// P_S = 75 B (near uplink saturation). Per cell: the expansion's
-/// coefficient L1 norm, its running error bound at the served 99.999 %
-/// quantile, the method the tail rule picks there (`E` expansion, `I`
-/// inversion), the oracle quantile ([`oracle_tail`]) and the relative
-/// errors against it of the served, expanded (the expanded tail's root
-/// next to the oracle's), inverted and L1-rule quantiles. The summary gives, per K, the expansion's share and the
-/// largest error of each.
+/// Where the eq.-(35) closed forms are accurate, measured: every cell of
+/// the grid K = 1…30 × ρ_d = 0.05…0.95 × T ∈ {40, 60} ms × P_S ∈ {75,
+/// 100, 125} B with a stable uplink, plus ρ_u ∈ {0.98, 0.99, 0.995} at
+/// P_S = 75 B (near uplink saturation). Per cell: the partial fractions'
+/// coefficient L1 norm, their running error bound at the served
+/// 99.999 % quantile, the method the tail rule picks there (`E` partial
+/// fractions, `D` divided difference, `I` inversion), the reference
+/// quantile and its source (`D`/`P` the double-double divided difference
+/// or partial fractions of [`reference_quantile`], `T` the tilted
+/// [`oracle_tail`] where neither resolves it), and the relative errors
+/// against it of the served, expanded (the partial fractions' root next
+/// to the reference), inverted and L1-rule quantiles. The summary gives,
+/// per K, the partial fractions' and the divided difference's shares and
+/// the largest error of each quantile.
 fn accuracy_map() -> Vec<Table> {
     let p = 0.99999;
     let mut cells = Vec::new();
@@ -809,7 +853,7 @@ fn accuracy_map() -> Vec<Table> {
         }
     }
     let mut rows = Vec::new();
-    let mut per_k: Vec<[f64; 7]> = vec![[0.0; 7]; 31];
+    let mut per_k: Vec<[f64; 8]> = vec![[0.0; 8]; 31];
     for (k, t_ms, ps, rho) in cells {
         let s = Scenario::paper_default()
             .with_erlang_order(k)
@@ -821,9 +865,10 @@ fn accuracy_map() -> Vec<Table> {
         };
         let t = m.total();
         let served = t.quantile(p);
-        let expands = t.expands_at(served);
+        let method = t.method_at(served);
         let inverted = inverted_quantile(t, p);
-        let oracle = tail_root(|x| oracle_tail(t, x), 1.0 - p, inverted);
+        let (oracle, source) = reference_quantile(&m, p, served)
+            .unwrap_or_else(|| (tail_root(|x| oracle_tail(t, x), 1.0 - p, inverted), 'T'));
         let err = |q: f64| (q - oracle) / oracle;
         let (l1, bound, expanded) = match t.product() {
             Some(prod) => (
@@ -835,8 +880,12 @@ fn accuracy_map() -> Vec<Table> {
         };
         let l1_rule = l1_rule_quantile(t, p);
         rows.push(format!(
-            "{k},{t_ms},{ps},{rho:.4},{l1},{bound},{},{:.9},{:.1e},{expanded},{:.1e},{:.1e}",
-            if expands { "E" } else { "I" },
+            "{k},{t_ms},{ps},{rho:.4},{l1},{bound},{},{:.9},{source},{:.1e},{expanded},{:.1e},{:.1e}",
+            match method {
+                TailMethod::PartialFractions => "E",
+                TailMethod::DividedDifference => "D",
+                TailMethod::Inversion => "I",
+            },
             oracle * 1e3,
             err(served),
             err(inverted),
@@ -844,7 +893,8 @@ fn accuracy_map() -> Vec<Table> {
         ));
         let row = &mut per_k[k as usize];
         row[0] += 1.0;
-        row[1] += f64::from(u8::from(expands));
+        row[1] += f64::from(u8::from(method == TailMethod::PartialFractions));
+        row[7] += f64::from(u8::from(method == TailMethod::DividedDifference));
         row[2] += f64::from(u8::from(l1_rule.to_bits() != inverted.to_bits()));
         row[3] = row[3].max(err(served).abs());
         row[4] = row[4].max(err(l1_rule).abs());
@@ -859,9 +909,10 @@ fn accuracy_map() -> Vec<Table> {
         .skip(1)
         .map(|(k, r)| {
             format!(
-                "{k},{},{:.3},{:.3},{:.1e},{:.1e},{:.1e},{}",
+                "{k},{},{:.3},{:.3},{:.3},{:.1e},{:.1e},{:.1e},{}",
                 r[0],
                 r[1] / r[0],
+                r[7] / r[0],
                 r[2] / r[0],
                 r[3],
                 r[4],
@@ -873,12 +924,12 @@ fn accuracy_map() -> Vec<Table> {
     vec![
         Table::new(
             "accuracy_map.csv",
-            "k,t_ms,ps_bytes,rho_d,coeff_l1,bound_at_q,method,oracle_ms,served_rel_err,expanded_rel_err,inverted_rel_err,l1_rule_rel_err",
+            "k,t_ms,ps_bytes,rho_d,coeff_l1,bound_at_q,method,reference_ms,reference,served_rel_err,expanded_rel_err,inverted_rel_err,l1_rule_rel_err",
             rows,
         ),
         Table::new(
             "accuracy_map_summary.csv",
-            "k,cells,expanded_share,l1_rule_expanded_share,max_served_rel_err,max_l1_rule_rel_err,max_inverted_rel_err,cells_served_worse",
+            "k,cells,expanded_share,divided_share,l1_rule_expanded_share,max_served_rel_err,max_l1_rule_rel_err,max_inverted_rel_err,cells_served_worse",
             summary,
         ),
     ]
@@ -1256,6 +1307,29 @@ mod tests {
         };
         let problems = check(&studies);
         assert!(problems.is_empty(), "{}", problems.join("\n"));
+    }
+
+    /// The double-double reference against the 300-digit mpmath quantiles
+    /// of `scripts/closed_form_ref.py`: within 1e-13 relative at every
+    /// pinned cell.
+    #[test]
+    fn reference_matches_the_mpmath_pins() {
+        let pins = include_str!("../../../../tests/data/closed_form_ref.csv");
+        for line in pins.lines().skip(1) {
+            let f: Vec<f64> = line.split(',').map(|v| v.parse().unwrap()).collect();
+            let s = Scenario::paper_default()
+                .with_erlang_order(f[0] as u32)
+                .with_tick_ms(f[1])
+                .with_server_packet(f[2])
+                .with_load(f[3]);
+            let m = RttModel::build(&s).unwrap();
+            let (q, source) = reference_quantile(&m, 0.99999, f[4]).unwrap();
+            let err = (q - f[4]) / f[4];
+            assert!(
+                err.abs() <= 1e-13,
+                "{line}: {q} ({source}), relative error {err:e}"
+            );
+        }
     }
 
     #[test]

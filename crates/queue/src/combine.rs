@@ -20,22 +20,28 @@
 //! 4. [`TotalDelay::quantile_sum_of_quantiles`] — quantile of the sum ≈
 //!    sum of the per-component quantiles.
 //!
-//! Three regimes have no (usable) closed-form expansion and run on
-//! numerical inversion of the unexpanded factor product instead:
+//! Each tail evaluation (and each quantile, at its root) takes one of
+//! three forms by one rule, [`TotalDelay::method_at`]:
 //!
-//! * **ill-conditioned evaluations** — at low downstream load (or high K)
-//!   the D/E_K/1 poles cluster next to β and the eq.-(35) coefficients
-//!   explode while cancelling (for a spot, also as θ → 1). Each tail evaluation (and
-//!   each quantile, at its root) reads the expansion's running error
-//!   bound at its `x` and inverts where that bound exceeds
-//!   [`EXPANSION_TOLERANCE`],
-//! * **K = 1 with uniform position** — the position transform is the
-//!   *logarithmic* eq. (33), `P(s) = -(β/s)·ln(1-s/β)`, a branch point
-//!   rather than a pole; the paper stops at "we only consider K > 1", we
-//!   carry the case numerically,
-//! * **no expansion built** — a position law of another order or burst
-//!   rate than the burst wait's, colliding poles, an underflowed root set
-//!   or a coefficient that is not finite.
+//! 1. **the partial fractions of eq. (35)**, where their running error
+//!    bound at `x` is at most [`EXPANSION_TOLERANCE`]. At low downstream
+//!    load (or high K) the D/E_K/1 poles cluster next to β and the
+//!    coefficients explode while cancelling (for a spot, also as θ → 1),
+//!    and the bound rules them out;
+//! 2. **the divided difference over the burst roots**
+//!    ([`DividedDifference`]), where its running bound is within the
+//!    tolerance: the same tail for the uniform position and the last spot
+//!    θ = 1, exact to rounding where the poles cluster, built on first
+//!    use where the partial fractions fail;
+//! 3. **numerical inversion of the unexpanded factor product**
+//!    everywhere else: K = 1 with the uniform position (the
+//!    *logarithmic* eq. (33), `P(s) = -(β/s)·ln(1-s/β)`, a branch point
+//!    rather than a pole; the paper stops at "we only consider K > 1", we
+//!    carry the case numerically), a spot θ < 1 whose partial fractions
+//!    cancel, a position law of another order or burst rate than the
+//!    burst wait's, an upstream pole too near β for the divided
+//!    difference's series, colliding poles, an underflowed root set or a
+//!    coefficient that is not finite.
 
 use crate::dek1::DEk1;
 use crate::erlang_mix::{golden_min, invert_tail, l1, ErlangMix};
@@ -47,7 +53,7 @@ use fpsping_num::cmp::{exact_eq, exact_zero};
 use fpsping_num::laplace::{tail_and_density_from_mgf_many, tail_from_mgf_many, DEFAULT_EULER_M};
 use fpsping_num::Complex64;
 use fpsping_obs::Counter;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 static FAST_QUANTILES: Counter = Counter::new("queue.combine.quantile_fast.calls");
 static FAST_TAIL_EVALS: Counter = Counter::new("queue.combine.quantile_fast.tail_evals");
@@ -55,6 +61,20 @@ static FAST_FALLBACKS: Counter = Counter::new("queue.combine.quantile_fast.fallb
 static QUANTILE_BRACKET_FAILURES: Counter = Counter::new("queue.combine.quantile.bracket_failures");
 static QUANTILES_EXPANDED: Counter = Counter::new("queue.combine.quantile.expanded");
 static QUANTILES_INVERTED: Counter = Counter::new("queue.combine.quantile.inverted");
+static QUANTILES_DIVIDED: Counter = Counter::new("queue.combine.quantile.divided");
+
+/// The form a tail is taken from under the tail rule (see
+/// [`TotalDelay::method_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TailMethod {
+    /// The eq.-(35) partial fractions, [`TotalDelay::product`].
+    PartialFractions,
+    /// The divided difference over the burst roots,
+    /// [`TotalDelay::divided_difference`].
+    DividedDifference,
+    /// Numerical inversion of the unexpanded factor product.
+    Inversion,
+}
 
 /// The position-delay factor: either a proper Erlang mix (K > 1 uniform,
 /// or any fixed spot) or the K = 1 logarithmic transform of eq. (33).
@@ -171,6 +191,17 @@ pub struct TotalDelay {
     /// position, which has none, and where [`closed_form`] or
     /// [`closed_form_off_beta`] refuses the cell.
     product: Option<ErlangMix>,
+    /// The roots ζ_j of eq. (26), all K, for the divided difference.
+    zetas: Arc<[Complex64]>,
+    /// The position law where the divided difference applies (at the
+    /// burst wait's order and rate, every term at the burst rate).
+    divided_law: Option<PositionDelay>,
+    /// The divided-difference form, built at the first tail the partial
+    /// fractions cannot serve, so a model they serve never builds it.
+    divided: OnceLock<Option<DividedDifference>>,
+    /// The lowest tail target the numerical inversion resolves for this
+    /// position law ([`numeric_tail_floor`]).
+    numeric_floor: f64,
     /// Flat SoA view of the burst wait when all its poles are simple —
     /// the hot operand of the numerical tail inversion (K reciprocals
     /// per contour point). `None` when a pole has multiplicity > 1 or
@@ -223,7 +254,7 @@ fn closed_form(
     let mut out = ErlangMix::with_capacity(0.0, blocks, blocks);
     for u in upstream.blocks() {
         let gamma = u.pole.re;
-        let wp = upstream_weight(u.coeffs[0].re, u.pole, downstream)?;
+        let wp = upstream_weight(u.coeffs[0].re, u.pole, burst_poles(downstream))?;
         let q = Complex64::from_real((beta - gamma) / beta);
         let (g, g_mag) = position.numerator(q);
         let magnitude = closed_form_roundings(k, q) * wp.abs() * g_mag;
@@ -244,13 +275,22 @@ fn closed_form(
     Some(out)
 }
 
+/// The solved burst poles of `downstream` as `(α_j, pair)`.
+fn burst_poles(downstream: &DEk1) -> impl Iterator<Item = (Complex64, bool)> + '_ {
+    downstream.branches().map(|(_, alpha, pair)| (alpha, pair))
+}
+
 /// `b·Π_j α_j/(α_j − γ)` over the burst poles, a pair as
 /// `|α_j|²/|α_j − γ|²`: the upstream pole's block weight `b·W(γ)` in
 /// product form, without W's factor `((β − γ)/β)^K`. `None` where a
 /// burst pole lies within `POLE_COLLISION_RTOL` of γ.
-fn upstream_weight(b: f64, gamma: Complex64, downstream: &DEk1) -> Option<f64> {
+fn upstream_weight(
+    b: f64,
+    gamma: Complex64,
+    burst_poles: impl Iterator<Item = (Complex64, bool)>,
+) -> Option<f64> {
     let mut wp = b;
-    for (_, alpha, pair) in downstream.branches() {
+    for (alpha, pair) in burst_poles {
         if ErlangMix::collide(alpha, gamma) {
             return None;
         }
@@ -309,7 +349,7 @@ fn closed_form_off_beta(upstream: &ErlangMix, downstream: &DEk1, lambda: f64) ->
         if ErlangMix::collide(u.pole, lam) {
             return None;
         }
-        let wp = upstream_weight(u.coeffs[0].re, u.pole, downstream)?;
+        let wp = upstream_weight(u.coeffs[0].re, u.pole, burst_poles(downstream))?;
         let a = wp * ((beta - u.pole.re) / beta).powi(order as i32);
         poles.push((
             u.pole,
@@ -369,34 +409,334 @@ fn closed_form_off_beta(upstream: &ErlangMix, downstream: &DEk1, lambda: f64) ->
     Some(out)
 }
 
+/// The share of [`EXPANSION_TOLERANCE`] a [`DividedDifference`]'s series
+/// truncation may take at `x = 0`; it decays from there.
+const TRUNCATION_SHARE: f64 = 1e-2;
+
+/// The fractions θ of the H series' radius `1/r` at which
+/// [`DividedDifference::build`] reads Cauchy's bound `H_k ≤ H(θ/r)·(r/θ)^k`;
+/// it keeps the one that needs the fewest terms.
+const CAUCHY_FRACTIONS: [f64; 4] = [0.5, 0.75, 0.9, 0.97];
+
+/// The eq.-(35) tail as a divided difference over the burst roots, for a
+/// position law at the burst rate (the uniform position, the last spot
+/// θ = 1) and an upstream of at most one simple real pole γ: the form
+/// that stays exact where the burst poles cluster at β and the partial
+/// fractions of [`TotalDelay::product`] cancel (DESIGN.md §5; McCurdy,
+/// Ng and Parlett, Math. Comp. 43, 1984).
+///
+/// In `z = 1 − s/β` the burst poles sit at the roots ζ_j themselves, and
+/// the burst part of the tail is `Π_j(1−ζ_j)·e^{−βx}·ψ[ζ_1, …, ζ_K]`, the
+/// divided difference of `ψ(z) = e^{βxz}·φ(z)`,
+/// `φ(z) = G(z)·D_u(β(1−z))/(1−z)` with `G` the position law's numerator
+/// (`PositionDelay::numerator`). With `c_i` the Taylor coefficients of
+/// `φ` and `H_k` the complete homogeneous symmetric polynomials of the
+/// roots (real and ≥ 0), it is
+/// `Σ_n G_n·e^{−βx}(βx)^n/n!`, `G_n = Π_j(1−ζ_j)·Σ_i c_i·H_{n+i−K+1}`,
+/// summed over `n < K − 1 + M` for the `M` terms `H_0 … H_{M−1}`. The
+/// upstream pole adds its block `b·W(γ)·P(γ)·e^{−γx}` in product form,
+/// as the partial fractions take it. Each tail costs `O(K + M)`.
+///
+/// Its running bound adds the fold's rounding (each `G_n`'s companion in
+/// moduli, times a derived count) and the series' truncation, bounded by
+/// Cauchy's estimates on a circle inside the series' radius.
+#[derive(Debug, Clone)]
+pub struct DividedDifference {
+    /// The burst rate β.
+    beta: f64,
+    /// `Π_j(1−ζ_j)·G_n` with its rounding bound, `n = 0..K−1+M`.
+    terms: Vec<(f64, f64)>,
+    /// The upstream pole's block: `(γ, coefficient, rounding bound)`.
+    upstream: Option<(f64, f64, f64)>,
+    /// The truncation bound at `x = 0` and the rate `β(1 − s)` it decays
+    /// at.
+    truncation: (f64, f64),
+}
+
+impl DividedDifference {
+    /// Builds the form from the roots ζ_j of eq. (26) (all K, conjugate
+    /// partners at `K − j`), the burst rate β, a position law at the
+    /// burst rate, the upstream mix and the burst wait's poles. `None`
+    /// (the cell inverts) where the series radius `min(1, |γ/β − 1|)`
+    /// does not exceed the largest `|ζ_j|` by enough for Cauchy's
+    /// bound, where a burst pole collides with γ, or where a term is not
+    /// finite. The nodes are the solved ζ_j, not `1 − α_j/β`.
+    fn build(
+        zetas: &[Complex64],
+        beta: f64,
+        law: &PositionDelay,
+        upstream: &ErlangMix,
+        burst: &ErlangMix,
+    ) -> Option<Self> {
+        debug_assert!(upstream.blocks().all(|b| !b.pair && b.coeffs.len() == 1));
+        let k = zetas.len();
+        let kf = k as f64;
+        let nodes = || (0..=k / 2).map(move |j| (zetas[j], j != 0 && 2 * j != k));
+        // The largest |ζ_j| (ζ_0's, the roots being a series in ω_j with
+        // positive coefficients), rounded up.
+        let modulus = |z: Complex64| z.norm_sqr().sqrt();
+        let r = nodes()
+            .map(|(z, _)| modulus(z))
+            .fold(f64::MIN_POSITIVE, f64::max)
+            * (1.0 + 2.0 * f64::EPSILON);
+        let pole = upstream
+            .blocks()
+            .next()
+            .map(|b| (b.pole.re, b.coeffs[0].re));
+        // φ's Taylor series about 0 reaches its poles at z = 1 and, with
+        // an upstream pole, z = 1 − γ/β: D_u(β(1−z)) = c_u + B/(1 − νz)
+        // with B = bγ/(βd), ν = −1/d, d = γ/β − 1.
+        let (c_u, big_b, nu, radius) = match pole {
+            Some((gamma, b)) => {
+                let d = gamma / beta - 1.0;
+                (
+                    upstream.constant,
+                    b * gamma / (beta * d),
+                    -1.0 / d,
+                    d.abs().min(1.0),
+                )
+            }
+            None => (upstream.constant, 0.0, 0.0, 1.0),
+        };
+        if radius <= r {
+            return None;
+        }
+        // The Cauchy circle |z| = s of the truncation bound.
+        let s = (radius * kf / (kf + 1.0)).max(0.5 * (r + radius));
+        let phi_hat = law.numerator(Complex64::from_real(s)).1
+            * (c_u.abs() + big_b.abs() / (1.0 - s * nu.abs()))
+            / (1.0 - s);
+        let scale: f64 = nodes()
+            .map(|(z, pair)| {
+                let f = Complex64::ONE - z;
+                if pair {
+                    f.norm_sqr()
+                } else {
+                    f.re
+                }
+            })
+            .product();
+        // The truncation after M terms is at most
+        // lead·H(θ/r)·q^M/(1 − q), q = r/(θs), times e^{−β(1−s)x}.
+        let lead = scale * phi_hat * s.powi(1 - k as i32);
+        let max_terms = 2 * k + 48;
+        // 1/H(θ/r) for every θ, in one pass over the roots.
+        let mut inverse = [1.0; CAUCHY_FRACTIONS.len()];
+        for (z, pair) in nodes() {
+            for (inv, theta) in inverse.iter_mut().zip(CAUCHY_FRACTIONS) {
+                let f = Complex64::ONE - z * (theta / r);
+                *inv *= if pair { f.norm_sqr() } else { f.re };
+            }
+        }
+        let (mut m, mut truncation) = (max_terms, f64::INFINITY);
+        for (theta, inv) in CAUCHY_FRACTIONS.into_iter().zip(inverse) {
+            let q = r / (theta * s);
+            if q >= 1.0 {
+                continue;
+            }
+            let c = lead / inv * (1.0 + 3.0 * (kf + 2.0) * f64::EPSILON) / (1.0 - q);
+            let need = ((TRUNCATION_SHARE * EXPANSION_TOLERANCE / c).ln() / q.ln()).ceil();
+            let terms = if need.is_finite() {
+                need.clamp(1.0, max_terms as f64) as usize
+            } else {
+                max_terms
+            };
+            let bound = c * q.powi(terms as i32);
+            if terms < m || (terms == m && bound < truncation) {
+                (m, truncation) = (terms, bound);
+            }
+        }
+        if !truncation.is_finite() {
+            return None;
+        }
+        let len = k - 1 + m;
+        let mut work = vec![0.0; 2 * m + 4 * len];
+        let (h, rest) = work.split_at_mut(m);
+        let (h_hat, rest) = rest.split_at_mut(m);
+        let (c, rest) = rest.split_at_mut(len);
+        let (c_hat, rest) = rest.split_at_mut(len);
+        let (g, g_hat) = rest.split_at_mut(len);
+        // H_0 … H_{M−1}: one recurrence per real root, one real
+        // three-term recurrence per conjugate pair (the series times
+        // 1/(1 − 2Re(ζ)t + |ζ|²t²)), each beside its companion's: Ĥ,
+        // the same with every root in modulus (a pair's factor
+        // 1/(1 − |ζ|t)²), times 1/(1 − rt)² at the end, which bounds the
+        // recurrences' rounding.
+        (h[0], h_hat[0]) = (1.0, 1.0);
+        let step =
+            |h: &mut [f64], h_hat: &mut [f64], (a, b): (f64, f64), (a_hat, b_hat): (f64, f64)| {
+                for i in 1..h.len() {
+                    let (back, back_hat) = if i >= 2 {
+                        (h[i - 2], h_hat[i - 2])
+                    } else {
+                        (0.0, 0.0)
+                    };
+                    h[i] += a * h[i - 1] - b * back;
+                    h_hat[i] += a_hat * h_hat[i - 1] - b_hat * back_hat;
+                }
+            };
+        for (z, pair) in nodes() {
+            let rz = modulus(z);
+            if pair {
+                step(h, h_hat, (2.0 * z.re, z.norm_sqr()), (2.0 * rz, rz * rz));
+            } else {
+                step(h, h_hat, (z.re, 0.0), (rz, 0.0));
+            }
+        }
+        step(h, h_hat, (0.0, 0.0), (2.0 * r, r * r));
+        // c_i, i < K − 1 + M, and their moduli companions ĉ_i, stored
+        // from the last: the numerator's coefficients summed by
+        // 1/(1 − z) (uniform: min(i, K−1)/(K−1); the last spot: 1), then
+        // times D_u.
+        let uniform = matches!(law.position(), Position::Uniform);
+        let w = 1.0 / (kf - 1.0);
+        let (mut geo, mut geo_hat) = (0.0, 0.0);
+        for i in 0..len {
+            let a = if uniform {
+                i.min(k - 1) as f64 * w
+            } else {
+                1.0
+            };
+            geo = a + nu * geo;
+            geo_hat = a + nu.abs() * geo_hat;
+            c[len - 1 - i] = c_u * a + big_b * geo;
+            c_hat[len - 1 - i] = c_u.abs() * a + big_b.abs() * geo_hat;
+        }
+        // G_n += c_{j+K−1−n}·H_j, H_j by H_j, so that the sums over n
+        // run side by side over contiguous coefficients.
+        for j in 0..m {
+            let offset = m - 1 - j;
+            let top = (j + k).min(len);
+            let (cs, cs_hat) = (&c[offset..offset + top], &c_hat[offset..offset + top]);
+            for (((gn, gn_hat), &ci), &ci_hat) in g[..top]
+                .iter_mut()
+                .zip(g_hat[..top].iter_mut())
+                .zip(cs)
+                .zip(cs_hat)
+            {
+                *gn += ci * h[j];
+                *gn_hat += ci_hat * h_hat[j];
+            }
+        }
+        // DESIGN.md §5 counts the fold's roundings: 4K + 3M + 8 in ε.
+        let count = f64::EPSILON * (4.0 * kf + 3.0 * m as f64 + 8.0);
+        let terms: Vec<(f64, f64)> = g
+            .iter()
+            .zip(g_hat.iter())
+            .map(|(&gn, &gn_hat)| (scale * gn, count * scale * gn_hat))
+            .collect();
+        if !terms.iter().all(|t| t.0.is_finite() && t.1.is_finite()) {
+            return None;
+        }
+        let upstream = match pole {
+            Some((gamma, b)) => {
+                let poles = burst.blocks().map(|blk| (blk.pole, blk.pair));
+                let wp = upstream_weight(b, Complex64::from_real(gamma), poles)?;
+                let q = Complex64::from_real((beta - gamma) / beta);
+                let (g, g_mag) = law.numerator(q);
+                let bound = f64::EPSILON * closed_form_roundings(kf, q) * wp.abs() * g_mag;
+                Some((gamma, wp * g.re, bound))
+            }
+            None => None,
+        };
+        Some(Self {
+            beta,
+            terms,
+            upstream,
+            truncation: (truncation, beta * (1.0 - s)),
+        })
+    }
+
+    /// The tail `P(X > x)` and its running error bound (rounding and
+    /// truncation). Panics if `x < 0`.
+    pub fn tail_with_bound(&self, x: f64) -> (f64, f64) {
+        let (tail, _, bound) = self.tail_slope_bound(x);
+        (tail, bound)
+    }
+
+    /// The tail, its derivative in `x` and its running error bound: one
+    /// pass over the Poisson weights `e^{−βx}(βx)^n/n!`, whose derivative
+    /// is `β` times the previous weight less this one. Panics if `x < 0`.
+    fn tail_slope_bound(&self, x: f64) -> (f64, f64, f64) {
+        assert!(x >= 0.0 || x.is_nan(), "tail: x must be non-negative");
+        let bx = self.beta * x;
+        let (mut weight, mut previous) = ((-bx).exp(), 0.0);
+        let (mut tail, mut shifted, mut bound) = (0.0, 0.0, 0.0);
+        for (n, &(g, g_bound)) in self.terms.iter().enumerate() {
+            if n > 0 {
+                previous = weight;
+                weight *= bx / n as f64;
+            }
+            tail += g * weight;
+            shifted += g * previous;
+            bound += g_bound * weight;
+        }
+        let mut slope = self.beta * (shifted - tail);
+        let (truncation, rate) = self.truncation;
+        bound += truncation * (-rate * x).exp();
+        if let Some((gamma, c, c_bound)) = self.upstream {
+            let decay = (-gamma * x).exp();
+            tail += c * decay;
+            slope -= gamma * c * decay;
+            bound += c_bound * decay;
+        }
+        (tail, slope, bound)
+    }
+
+    /// The p-quantile of this form's tail, by [`invert_tail`] scaled by
+    /// `mean` (the model's, from its factors) to 1e-12 of that scale, as
+    /// [`ErlangMix::quantile_scaled`] solves the partial fractions'. NaN
+    /// if the bracketed solve fails.
+    fn quantile(&self, target: f64, hint: Option<f64>, mean: f64) -> f64 {
+        let tail = |x: f64| self.tail_with_bound(x).0.clamp(0.0, 1.0);
+        if tail(0.0) <= target {
+            return 0.0;
+        }
+        let scale = mean.abs().max(1e-12);
+        invert_tail(tail, target, scale, hint, 1e-12 * scale).unwrap_or(f64::NAN)
+    }
+}
+
 /// Points on the Euler contour of [`TotalDelay::tail_numeric`]'s order.
 const CONTOUR_POINTS: usize = 2 * DEFAULT_EULER_M + 1;
 
-/// The largest running error bound ([`ErlangMix::tail_with_bound`]) at
-/// which a tail is taken from the eq.-(35) expansion; above it the tail
-/// is inverted numerically. The `accuracy_map` study chose it: on its
-/// grid (K = 1…30, ρ_d = 0.05…0.95, T ∈ {40, 60} ms, P_S ∈ {75, 100,
-/// 125} B and three points near uplink saturation) the cells served
-/// from the expansion under this tolerance are within 2.5e-9 relative of
-/// the oracle quantile against the inversion's 1e-7 to 1e-6; one of them
-/// (K = 28) reads 1.9e-11 further off than a lucky inversion. At 1e-10 the
-/// six K = 9, ρ_d = 0.2 cells (bound 5.8e-11) are served on rounding
-/// noise 0.7e-8 to 2.0e-8 from the oracle, the inversion's own noise
-/// level (3.3e-8 to 1.3e-7 there), so which of the two is closer at such
-/// a cell is chance.
+/// The largest running error bound (absolute, on the tail) at which the
+/// tail rule takes a closed form: the partial fractions' bound
+/// ([`ErlangMix::tail_with_bound`]) first, then the divided difference's
+/// ([`DividedDifference::tail_with_bound`]); above both the tail is
+/// inverted numerically. The `accuracy_map` study chose it for the
+/// partial fractions when the inversion was their only alternative: at
+/// 1e-10 the six K = 9, ρ_d = 0.2 cells (bound 5.8e-11) were served on
+/// rounding noise 0.7e-8 to 2.0e-8 off, the inversion's own noise level.
+/// With the divided difference behind them, every K ≥ 2 cell of the map
+/// (K = 1…30, ρ_d = 0.05…0.95, T ∈ {40, 60} ms, P_S ∈ {75, 100, 125} B
+/// and three points near uplink saturation) is served from a closed
+/// form: the divided-difference cells within 5.3e-15 relative of the
+/// double-double reference quantile, the partial-fraction cells within
+/// 2.9e-9 (151 of them past 1e-12). At 1e-13 the partial-fraction cells
+/// are within 4.3e-11 (40 past 1e-12), but a cell of `serve_cold`'s
+/// domain then costs 5.4 µs against 4.3 µs at 1e-11 (EXPERIMENTS.md,
+/// "The divided difference where the poles cluster").
 pub const EXPANSION_TOLERANCE: f64 = 1e-11;
 
-/// Absolute noise floor of the Abate–Whitt inversion backing the
-/// unexpanded-product tail. For the paper's uniform position
-/// `tail_numeric` is within 2.6e-10 absolute at a 1e-5 tail, so the
-/// floor leaves a factor 3.8 of headroom there; for a spot position it
-/// measured up to 2.2e-8 at that tail, past the floor (see
-/// [`TotalDelay::tail_numeric`]). Below the floor, the clamped numeric
-/// tail is sign-noise — non-monotone, dipping through zero at
-/// pseudo-random `x` — and a bracketed quantile solve on it finds a
-/// crossing of *noise*, not of the distribution. Targets under the floor
-/// are rejected outright.
-const NUMERIC_TAIL_FLOOR: f64 = 1e-9;
+/// The absolute noise floor of the Abate–Whitt inversion backing the
+/// unexpanded-product tail, per position law: the largest
+/// `tail_numeric` error its doc states for the law, times the 3.8 of
+/// headroom the uniform floor has. For the paper's uniform position
+/// `tail_numeric` is within 2.6e-10 absolute at a 1e-5 tail: 1e-9. For
+/// the last spot θ = 1 it is within 9.4e-9: 3.6e-8. For a spot θ < 1 it
+/// is within 2.2e-8: 8.4e-8 (see [`TotalDelay::tail_numeric`]). Below
+/// the floor, the clamped numeric tail is sign-noise — non-monotone,
+/// dipping through zero at pseudo-random `x` — and a bracketed quantile
+/// solve on it finds a crossing of *noise*, not of the distribution.
+/// Targets under the floor are rejected outright.
+fn numeric_tail_floor(position: Position) -> f64 {
+    match position {
+        Position::Uniform => 1e-9,
+        Position::Spot(theta) if exact_eq(theta, 1.0) => 3.6e-8,
+        Position::Spot(_) => 8.4e-8,
+    }
+}
 
 /// Convergence width (seconds) of [`TotalDelay::quantile_fast`]'s
 /// searches: 2e-8 s = 2e-5 ms, several times under the engine's
@@ -483,6 +823,24 @@ fn log_newton(
     None
 }
 
+/// [`log_newton`] on a closed form's tail (`tail_slope_bound` gives the
+/// tail, its slope and its running bound), stopped where the bound
+/// passes [`ABORT_BOUND`]. The root is kept by the exact path's rule
+/// read at the last evaluation, within `QUANTILE_FAST_ATOL` of it.
+fn closed_newton(
+    tail_slope_bound: impl Fn(f64) -> (f64, f64, f64),
+    target: f64,
+    first: f64,
+) -> Option<f64> {
+    let mut last = (f64::NAN, f64::INFINITY);
+    let eval = |x: f64| {
+        let (tail, slope, bound) = tail_slope_bound(x);
+        last = (tail, bound);
+        (tail > 0.0 && bound <= ABORT_BOUND).then_some((tail, slope))
+    };
+    log_newton(eval, target, first).filter(|_| keeps_root(last, target))
+}
+
 /// Whether an expanded quantile solve's root is kept, given the
 /// expansion's tail and running error bound there (or at the solve's
 /// last evaluation, one short step away): the bound is within
@@ -493,6 +851,29 @@ fn log_newton(
 /// read 0.
 fn keeps_root((tail, bound): (f64, f64), target: f64) -> bool {
     bound <= EXPANSION_TOLERANCE && (tail - target).abs() <= 0.05 * target
+}
+
+/// The root of a closed form's tail (`tail_with_bound` gives it with
+/// its running bound) in a bracket grown from `q` in steps of 1e-6·q,
+/// where [`keeps_root`] holds at `q` and at that root.
+fn root_near(tail_with_bound: impl Fn(f64) -> (f64, f64), q: f64, target: f64) -> Option<f64> {
+    if !(q > 0.0 && keeps_root(tail_with_bound(q), target)) {
+        return None;
+    }
+    let f = |x: f64| tail_with_bound(x).0 - target;
+    let (mut lo, mut hi) = (q, q);
+    let mut step = 1e-6 * q;
+    while f(lo) <= 0.0 && lo > 0.0 {
+        lo = (lo - step).max(0.0);
+        step *= 2.0;
+    }
+    step = 1e-6 * q;
+    while f(hi) > 0.0 && hi < 2.0 * q {
+        hi += step;
+        step *= 2.0;
+    }
+    let root = fpsping_num::roots::brent(f, lo, hi, 1e-12, 100).ok()?.root;
+    keeps_root(tail_with_bound(root), target).then_some(root)
 }
 
 impl TotalDelay {
@@ -516,12 +897,12 @@ impl TotalDelay {
             Some(q) => q.paper_mix()?,
             None => ErlangMix::unit(),
         };
+        let same_burst =
+            position.order() == downstream.order() && exact_eq(position.beta(), downstream.beta());
         let (factor, product) = match log_position(position) {
             Some(log) => (log, None),
             None => {
                 let mix = position.to_mix()?;
-                let same_burst = position.order() == downstream.order()
-                    && exact_eq(position.beta(), downstream.beta());
                 let product = if !same_burst {
                     None
                 } else if position.at_burst_rate() {
@@ -538,25 +919,46 @@ impl TotalDelay {
             burst_wait: downstream.to_mix(),
             position: factor,
             product,
+            zetas: downstream.shared_zetas(),
+            divided_law: (same_burst && position.at_burst_rate()).then_some(*position),
+            divided: OnceLock::new(),
+            numeric_floor: numeric_tail_floor(position.position()),
             burst_bank: OnceLock::new(),
         })
     }
 
-    /// Whether [`TotalDelay::tail`] takes its value at `x` from the
-    /// eq.-(35) expansion: the expansion exists (K > 1 or a spot
-    /// position, and no refused collision) and its running error bound
-    /// at `x` is at most [`EXPANSION_TOLERANCE`]. Everywhere else the tail is inverted
-    /// numerically. Evaluated at a quantile, this is the method the
-    /// quantile solve used there.
+    /// Whether [`TotalDelay::tail`] takes its value at `x` from a closed
+    /// form, the partial fractions or the divided difference
+    /// ([`TotalDelay::method_at`]). Everywhere else the tail is inverted
+    /// numerically. Evaluated at a quantile, this is whether the
+    /// quantile solve used a closed form there.
     pub fn expands_at(&self, x: f64) -> bool {
-        self.expanded_tail(x).is_some()
+        self.closed_tail(x).is_some()
     }
 
-    /// The expansion's tail at `x` where the rule takes it (see
-    /// [`TotalDelay::expands_at`]).
-    fn expanded_tail(&self, x: f64) -> Option<f64> {
-        let (t, bound) = self.product()?.tail_with_bound(x);
-        (bound <= EXPANSION_TOLERANCE).then_some(t)
+    /// The tail rule's method at `x`: the eq.-(35) partial fractions
+    /// where they exist and their running error bound at `x` is at most
+    /// [`EXPANSION_TOLERANCE`]; else the divided difference where it
+    /// exists and its running bound is; else the numerical inversion.
+    /// Evaluated at a quantile, this is the method the quantile solve
+    /// used there, on the serial and the batch path alike.
+    pub fn method_at(&self, x: f64) -> TailMethod {
+        self.closed_tail(x)
+            .map_or(TailMethod::Inversion, |(_, method)| method)
+    }
+
+    /// The closed-form tail at `x` where the rule takes one, with its
+    /// method (see [`TotalDelay::method_at`]). The divided difference is
+    /// built only here, where the partial fractions fail.
+    fn closed_tail(&self, x: f64) -> Option<(f64, TailMethod)> {
+        if let Some(prod) = self.product() {
+            let (t, bound) = prod.tail_with_bound(x);
+            if bound <= EXPANSION_TOLERANCE {
+                return Some((t, TailMethod::PartialFractions));
+            }
+        }
+        let (t, bound) = self.divided_difference()?.tail_with_bound(x);
+        (bound <= EXPANSION_TOLERANCE).then_some((t, TailMethod::DividedDifference))
     }
 
     /// The upstream factor `D_u(s)`.
@@ -582,6 +984,26 @@ impl TotalDelay {
     /// finite).
     pub fn product(&self) -> Option<&ErlangMix> {
         self.product.as_ref()
+    }
+
+    /// The divided-difference form of the tail, built on first use
+    /// (`None` for a position law off the burst rate or of another order
+    /// than the burst wait's, and where [`DividedDifference`] refuses the
+    /// cell: an upstream pole too near β, a collision or a term that is
+    /// not finite).
+    pub fn divided_difference(&self) -> Option<&DividedDifference> {
+        self.divided
+            .get_or_init(|| {
+                let law = self.divided_law.as_ref()?;
+                DividedDifference::build(
+                    &self.zetas,
+                    law.beta(),
+                    law,
+                    &self.upstream,
+                    &self.burst_wait,
+                )
+            })
+            .as_ref()
     }
 
     /// Mean total delay — computed as the sum of the three component
@@ -651,8 +1073,8 @@ impl TotalDelay {
     /// inversion of the unexpanded product otherwise. Finite in `[0, 1]`
     /// for all `x ≥ 0`.
     pub fn tail(&self, x: f64) -> f64 {
-        self.expanded_tail(x)
-            .unwrap_or_else(|| self.tail_inverted(x))
+        self.closed_tail(x)
+            .map_or_else(|| self.tail_inverted(x), |(t, _)| t)
     }
 
     /// The tail without the expansion: exact at `x = 0`, the clamped
@@ -684,7 +1106,7 @@ impl TotalDelay {
     /// noise, and a caller comparing the tail with `target` must treat
     /// the comparison as failed the same way.
     pub fn resolves_tail(&self, x: f64, target: f64) -> bool {
-        target >= NUMERIC_TAIL_FLOOR || self.expands_at(x)
+        target >= self.numeric_floor || self.expands_at(x)
     }
 
     /// Tail by numerical Laplace inversion of the *unexpanded* product —
@@ -758,62 +1180,58 @@ impl TotalDelay {
     /// `p ∈ (0, 1)`; the returned value is finite and non-negative.
     pub fn try_quantile_with_hint(&self, p: f64, hint: Option<f64>) -> Result<f64, QueueError> {
         assert!(p > 0.0 && p < 1.0, "quantile: p must lie in (0,1), got {p}");
+        let target = 1.0 - p;
         if let Some(prod) = self.product() {
             let q = prod.quantile_scaled(p, hint, self.mean());
-            if q.is_finite() && keeps_root(prod.tail_with_bound(q), 1.0 - p) {
+            if q.is_finite() && keeps_root(prod.tail_with_bound(q), target) {
                 QUANTILES_EXPANDED.incr();
                 return Ok(q);
             }
         }
+        if let Some(dd) = self.divided_difference() {
+            let q = dd.quantile(target, hint, self.mean());
+            if q.is_finite() && keeps_root(dd.tail_with_bound(q), target) {
+                return Ok(self.settle(q, target, true));
+            }
+        }
         let q = self.try_quantile_inverted(p, hint)?;
-        Ok(self.settle(q, 1.0 - p))
+        Ok(self.settle(q, target, false))
     }
 
-    /// The quantile for an inverted root `q`: the expansion's root beside
-    /// it where the rule takes the expansion at `q` (an expanded solve
-    /// can miss it when the expansion is rounding noise far below the
-    /// quantile yet accurate near it), `q` itself otherwise. Counts the
+    /// The quantile for a root `q` solved on the divided difference
+    /// (`divided`, where [`keeps_root`] holds for it at `q`) or on the
+    /// inversion: the method the rule takes at `q`, as the root of that
+    /// method's tail beside `q` (a closed-form solve can miss it when
+    /// its tail is noise far below the quantile yet accurate near it),
+    /// `q` itself where that is the method it was solved on. Counts the
     /// method used.
-    fn settle(&self, q: f64, target: f64) -> f64 {
-        match self.expanded_root_near(q, target) {
-            Some(r) => {
-                QUANTILES_EXPANDED.incr();
-                r
-            }
-            None => {
-                QUANTILES_INVERTED.incr();
-                q
-            }
+    fn settle(&self, q: f64, target: f64, divided: bool) -> f64 {
+        if let Some(r) = self
+            .product()
+            .and_then(|prod| root_near(|x| prod.tail_with_bound(x), q, target))
+        {
+            QUANTILES_EXPANDED.incr();
+            return r;
         }
-    }
-
-    /// The expansion's root in a bracket grown from `q` in steps of
-    /// 1e-6·q, where [`keeps_root`] holds at `q` and at that root.
-    fn expanded_root_near(&self, q: f64, target: f64) -> Option<f64> {
-        let prod = self.product()?;
-        if !(q > 0.0 && keeps_root(prod.tail_with_bound(q), target)) {
-            return None;
+        if divided {
+            QUANTILES_DIVIDED.incr();
+            return q;
         }
-        let f = |x: f64| prod.tail(x) - target;
-        let (mut lo, mut hi) = (q, q);
-        let mut step = 1e-6 * q;
-        while f(lo) <= 0.0 && lo > 0.0 {
-            lo = (lo - step).max(0.0);
-            step *= 2.0;
+        if let Some(r) = self
+            .divided_difference()
+            .and_then(|dd| root_near(|x| dd.tail_with_bound(x), q, target))
+        {
+            QUANTILES_DIVIDED.incr();
+            return r;
         }
-        step = 1e-6 * q;
-        while f(hi) > 0.0 && hi < 2.0 * q {
-            hi += step;
-            step *= 2.0;
-        }
-        let root = fpsping_num::roots::brent(f, lo, hi, 1e-12, 100).ok()?.root;
-        keeps_root(prod.tail_with_bound(root), target).then_some(root)
+        QUANTILES_INVERTED.incr();
+        q
     }
 
     /// The p-quantile of the numerically inverted tail.
     fn try_quantile_inverted(&self, p: f64, hint: Option<f64>) -> Result<f64, QueueError> {
         let target = 1.0 - p;
-        if target < NUMERIC_TAIL_FLOOR {
+        if target < self.numeric_floor {
             // The clamped numeric tail has no digits at this depth; any
             // bracket the search found would be a zero-crossing of
             // inversion noise, not of the distribution.
@@ -885,24 +1303,22 @@ impl TotalDelay {
             // memoryless, an upper-ish start otherwise.
             .unwrap_or_else(|| scale * (1.0 / target).ln());
         let first = seed.max(QUANTILE_FAST_ATOL);
-        let expanded = self.product().and_then(|prod| {
-            // The root is kept by the exact path's rule read at the last
-            // evaluation, within `QUANTILE_FAST_ATOL` of it.
-            let mut last = (f64::NAN, f64::INFINITY);
-            let eval = |x: f64| {
-                let (tail, slope, bound) = prod.tail_slope_bound(x);
-                last = (tail, bound);
-                (tail > 0.0 && bound <= ABORT_BOUND).then_some((tail, slope))
-            };
-            log_newton(eval, target, first).filter(|_| keeps_root(last, target))
-        });
+        let expanded = self
+            .product()
+            .and_then(|prod| closed_newton(|x| prod.tail_slope_bound(x), target, first));
         if let Some(x) = expanded {
             QUANTILES_EXPANDED.incr();
             return x;
         }
+        let divided = self
+            .divided_difference()
+            .and_then(|dd| closed_newton(|x| dd.tail_slope_bound(x), target, first));
+        if let Some(x) = divided {
+            return self.settle(x, target, true);
+        }
         // Below the inversion noise floor the search would chase
         // sign-noise; route straight to the (also-rejecting) fallback.
-        let inverted = (target >= NUMERIC_TAIL_FLOOR)
+        let inverted = (target >= self.numeric_floor)
             .then(|| {
                 let eval = |x: f64| {
                     let (tail, density) = self.tail_and_density_numeric(x.max(1e-15));
@@ -912,7 +1328,7 @@ impl TotalDelay {
             })
             .flatten();
         if let Some(x) = inverted {
-            return self.settle(x, target);
+            return self.settle(x, target, false);
         }
         FAST_FALLBACKS.incr();
         self.quantile_with_hint(p, hint)
@@ -928,7 +1344,7 @@ impl TotalDelay {
         let q = self
             .product()
             .map_or(f64::NAN, |prod| prod.quantile_dominant_pole(p));
-        if self.expands_at(q) {
+        if self.method_at(q) == TailMethod::PartialFractions {
             q
         } else {
             f64::NAN
@@ -1111,12 +1527,14 @@ mod tests {
     }
 
     #[test]
-    fn ill_conditioned_expansion_falls_back_to_numeric() {
+    fn ill_conditioned_partial_fractions_fall_back_to_the_divided_difference() {
         // Low load, K = 9: the D/E_K/1 poles collapse onto β and the
-        // eq.-(35) expansion blows up; at every tested x its running
-        // error bound is far over the tolerance, so the auto tail is the
-        // inversion's. It must stay a valid probability and match the
-        // position-delay tail (which dominates at low load).
+        // eq.-(35) partial fractions blow up; at every tested x their
+        // running error bound is far over the tolerance, so the auto
+        // tail is the divided difference's, whose bound is within it. It
+        // must stay a valid probability, match the inversion to its
+        // error and the position-delay tail (which dominates at low
+        // load).
         let t = 0.06;
         let k = 9u32;
         let rho = 0.05;
@@ -1126,10 +1544,13 @@ mod tests {
         for &x in &[0.001, 0.004, 0.008] {
             let (_, bound) = m.product().unwrap().tail_with_bound(x);
             assert!(bound > EXPANSION_TOLERANCE, "x={x}: bound {bound:e}");
-            assert!(!m.expands_at(x));
-            let t_auto = m.tail(x);
+            assert_eq!(m.method_at(x), TailMethod::DividedDifference);
+            let (t_auto, dd_bound) = m.divided_difference().unwrap().tail_with_bound(x);
+            assert!(dd_bound <= 1e-14, "x={x}: bound {dd_bound:e}");
+            assert_eq!(t_auto.to_bits(), m.tail(x).to_bits());
             let t_pos = pos.tail(x);
             assert!((0.0..=1.0).contains(&t_auto));
+            assert!((t_auto - m.tail_numeric(x)).abs() < 5e-10, "x={x}");
             assert!(
                 (t_auto - t_pos).abs() < 1e-3 * t_pos.max(1e-9) + 1e-9,
                 "x={x}: auto {t_auto:e} vs position {t_pos:e}"
@@ -1139,19 +1560,14 @@ mod tests {
 
     #[test]
     fn noise_floor_quantile_is_an_error_not_clamped_garbage() {
-        // Ill-conditioned model: the expansion's error bound rules it out
-        // at both quantiles below, so every tail/quantile runs on the
-        // clamped numerical inversion, whose absolute error for this law
-        // measured under 5e-10. A target of 1e-12 sits below that; the clamp used to hide the
-        // resulting non-monotone noise from the bracket search, and the
-        // Brent solve would return whichever noise zero-crossing it hit —
-        // a finite, plausible-looking, meaningless quantile.
-        let t = 0.06;
-        let k = 9u32;
-        let rho = 0.05;
-        let dek1 = DEk1::new(k, rho * t, t).unwrap();
-        let pos = PositionDelay::uniform(k, k as f64 / (rho * t)).unwrap();
-        let m = TotalDelay::new(None, &dek1, &pos).unwrap();
+        // K = 1 at low load: no closed form, so every tail/quantile runs
+        // on the clamped numerical inversion, whose absolute error for
+        // this law measured under 5e-10. A target of 1e-12 sits below
+        // that; the clamp used to hide the resulting non-monotone noise
+        // from the bracket search, and the Brent solve would return
+        // whichever noise zero-crossing it hit — a finite,
+        // plausible-looking, meaningless quantile.
+        let m = k1_model(0.05, 0.06);
         let p = 1.0 - 1e-12;
         assert!(matches!(
             m.try_quantile_with_hint(p, None),
@@ -1272,6 +1688,32 @@ mod tests {
                 (0.5 * documented..=documented).contains(&err),
                 "K={k} rho={rho} {position:?}: error {err:e}"
             );
+        }
+    }
+
+    #[test]
+    fn numeric_floor_follows_the_position_law() {
+        // `tail_numeric` errs by up to 2.2e-8 at a 1e-5 tail for a spot
+        // θ < 1 (K = 30, ρ_d = 0.85): a target of 1e-8 is inversion
+        // noise there and is refused, where the uniform law's 1e-9 floor
+        // let it through.
+        let tau = 80.0 * 8.0 / 5_000_000.0;
+        let (k, rho, t) = (30, 0.85, 0.04);
+        let dek1 = DEk1::new(k, rho * t, t).unwrap();
+        let up = mdd1(rho * 80.0 / 125.0 / tau, tau).unwrap();
+        let pos = PositionDelay::new(k, dek1.beta(), Position::Spot(0.5)).unwrap();
+        let m = TotalDelay::new(Some(&up), &dek1, &pos).unwrap();
+        assert!(matches!(
+            m.try_quantile_inverted(1.0 - 1e-8, None),
+            Err(QueueError::SolveFailure { .. })
+        ));
+        assert!(m.try_quantile_inverted(1.0 - 1e-7, None).is_ok());
+        for (position, floor) in [
+            (Position::Uniform, 1e-9),
+            (Position::Spot(1.0), 3.6e-8),
+            (Position::Spot(0.5), 8.4e-8),
+        ] {
+            assert_eq!(numeric_tail_floor(position), floor);
         }
     }
 

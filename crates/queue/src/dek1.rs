@@ -58,6 +58,7 @@ use fpsping_num::cmp::exact_zero;
 use fpsping_num::finite_guard::{finite, finite_c};
 use fpsping_num::Complex64;
 use fpsping_obs::Counter;
+use std::sync::Arc;
 
 static ZETA_SOLVES: Counter = Counter::new("queue.dek1.zeta.solves");
 /// Steps per solved branch: the Halley steps and the closing Newton step.
@@ -87,7 +88,7 @@ pub struct DEk1 {
     k: u32,
     beta: f64,
     rho: f64,
-    zetas: Vec<Complex64>,
+    zetas: Arc<[Complex64]>,
     alphas: Vec<Complex64>,
     weights: Vec<Complex64>,
 }
@@ -103,7 +104,7 @@ pub struct DEk1 {
 pub struct DekSolution {
     k: u32,
     rho: f64,
-    zetas: Vec<Complex64>,
+    zetas: Arc<[Complex64]>,
     weights: Vec<Complex64>,
 }
 
@@ -124,7 +125,7 @@ impl DekSolution {
         Ok(Self {
             k,
             rho,
-            zetas,
+            zetas: zetas.into(),
             weights,
         })
     }
@@ -228,7 +229,7 @@ impl DEk1 {
             k: solution.k,
             beta,
             rho: solution.rho,
-            zetas: solution.zetas.clone(),
+            zetas: Arc::clone(&solution.zetas),
             alphas,
             weights: solution.weights.clone(),
         }
@@ -254,6 +255,13 @@ impl DEk1 {
     /// conjugate pairs: `zetas()[K-j]` is exactly `zetas()[j].conj()`).
     pub fn zetas(&self) -> &[Complex64] {
         &self.zetas
+    }
+
+    /// The branch roots ζⱼ as a shared handle, for a model that reads
+    /// them after this queue is gone (no copy: `DEk1` and its
+    /// [`DekSolution`] share one buffer).
+    pub(crate) fn shared_zetas(&self) -> Arc<[Complex64]> {
+        Arc::clone(&self.zetas)
     }
 
     /// The waiting-time poles αⱼ = β(1-ζⱼ) of eq. (25).

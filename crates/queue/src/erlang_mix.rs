@@ -337,10 +337,16 @@ const POLE_COLLISION_RTOL: f64 = 1e-7;
 
 /// Inverts a decreasing tail: the root of `tail(x) = target` that Brent
 /// (to `tol`, at most 300 iterations) finds on the canonical bracket
-/// `[0, scale·2ⁿ]`, `n ∈ [0, 200]` minimal with
-/// `tail(scale·2ⁿ) ≤ target`. Every quantile method of the crate solves
-/// through it; the caller answers `tail(0) ≤ target` (quantile 0)
-/// before calling.
+/// `[scale·2ⁿ⁻¹, scale·2ⁿ]`, `n ∈ [0, 200]` minimal with
+/// `tail(scale·2ⁿ) ≤ target` (from 0 when `n = 0`). Every quantile method
+/// of the crate solves through it; the caller answers `tail(0) ≤ target`
+/// (quantile 0) before calling.
+///
+/// The bracket starts where the tail is known to be above the target,
+/// not at 0: a tail that is rounding noise at small `x` (an expansion
+/// whose terms cancel there) can cross the target far below the
+/// quantile, and Brent on `[0, scale·2ⁿ]` may stop on that crossing.
+/// Where `tail(scale·2ⁿ⁻¹)` is not finite the bracket starts at 0.
 ///
 /// A valid `hint` (a nearby quantile) only changes *where the search
 /// starts*: the walk down/up still lands on the minimal satisfying `n`,
@@ -361,33 +367,43 @@ pub fn invert_tail(
     const MAX_DOUBLINGS: i32 = 200;
     BRACKET_SEARCHES.incr();
     let at = |n: i32| scale * 2f64.powi(n);
-    let done = |n: i32| tail(at(n)) <= target;
     let mut n = match hint {
         Some(h) if h.is_finite() && h > 0.0 => {
             ((h / scale).log2().ceil()).clamp(0.0, MAX_DOUBLINGS as f64) as i32
         }
         _ => 0,
     };
-    if done(n) {
-        while n > 0 && done(n - 1) {
+    // The tail at scale·2ⁿ⁻¹ once the search has read it there.
+    let mut below = None;
+    let mut value = tail(at(n));
+    if value <= target {
+        while n > 0 {
+            let previous = tail(at(n - 1));
+            if previous > target || previous.is_nan() {
+                below = Some(previous);
+                break;
+            }
             n -= 1;
             BRACKET_STEPS.incr();
         }
     } else {
-        loop {
+        while value > target || value.is_nan() {
             if n == MAX_DOUBLINGS {
                 return Err(QueueError::SolveFailure {
                     what: "quantile bracket search never crossed the target",
                 });
             }
+            below = Some(value);
             n += 1;
             BRACKET_STEPS.incr();
-            if done(n) {
-                break;
-            }
+            value = tail(at(n));
         }
     }
-    fpsping_num::roots::brent(|x| tail(x) - target, 0.0, at(n), tol, 300)
+    let lo = match below {
+        Some(v) if v.is_finite() => at(n - 1),
+        _ => 0.0,
+    };
+    fpsping_num::roots::brent(|x| tail(x) - target, lo, at(n), tol, 300)
         .map(|r| r.root)
         .map_err(|_| QueueError::SolveFailure {
             what: "quantile Brent solve",
@@ -1168,19 +1184,57 @@ mod tests {
     }
 
     /// Runs [`invert_tail`] on the Erlang-2 tail `(1 + x)·e^{-x}` and
-    /// returns the root with the bracket Brent solved on: Brent's first
-    /// two evaluations are at 0 (which the bracket search never visits)
-    /// and at the bracket's end.
+    /// returns the root with the end of the bracket Brent solved on:
+    /// Brent's first two evaluations are at the bracket's ends, which
+    /// the bracket search visited before, so the end is the first point
+    /// evaluated twice whose tail is at most the target.
     fn erlang2_root(target: f64, hint: Option<f64>) -> (f64, f64) {
+        let tail = |x: f64| (1.0 + x) * (-x).exp();
         let seen = std::cell::RefCell::new(Vec::new());
-        let tail = |x: f64| {
-            seen.borrow_mut().push(x);
-            (1.0 + x) * (-x).exp()
-        };
-        let root = invert_tail(tail, target, 0.3, hint, 1e-12).unwrap();
+        let root = invert_tail(
+            |x| {
+                seen.borrow_mut().push(x);
+                tail(x)
+            },
+            target,
+            0.3,
+            hint,
+            1e-12,
+        )
+        .unwrap();
         let seen = seen.into_inner();
-        let start = seen.iter().position(|&x| x == 0.0).unwrap();
-        (root, seen[start + 1])
+        let end = (1..seen.len())
+            .map(|i| seen[i])
+            .find(|&x| tail(x) <= target && seen.iter().filter(|&&y| y == x).count() > 1)
+            .unwrap();
+        (root, end)
+    }
+
+    #[test]
+    fn inversion_brackets_from_the_last_point_above_the_target() {
+        // A tail that is rounding noise below x = 6, as an expansion
+        // whose terms cancel there: it oscillates about 0 with an
+        // amplitude of 1.5 targets, reading just above the target at 0,
+        // 2 and 4, and past 6 it decays through the target at 11.5. The
+        // minimal bracket end is 2·2³ = 16 and the tail at 8 is above
+        // the target. Brent on [0, 16] steps from 0, where the tail is
+        // nearest the target, into the noise and stops on one of its
+        // crossings.
+        let target = 1e-5;
+        let tail = |x: f64| {
+            if x < 6.0 {
+                1.5 * target * (3.0 * x).cos()
+            } else {
+                target * (11.5 - x).exp()
+            }
+        };
+        assert!([0.0, 2.0, 4.0, 8.0].iter().all(|&x| tail(x) > target));
+        assert!(tail(16.0) <= target);
+        let root = invert_tail(tail, target, 2.0, None, 1e-13).unwrap();
+        assert!(
+            (root - 11.5).abs() < 1e-12,
+            "root {root} is a noise crossing, not the tail's at 11.5"
+        );
     }
 
     #[test]

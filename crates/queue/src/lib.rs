@@ -48,7 +48,7 @@ pub mod mg1;
 pub mod nddd1;
 pub mod position;
 
-pub use combine::{PositionFactor, TotalDelay};
+pub use combine::{DividedDifference, PositionFactor, TailMethod, TotalDelay};
 pub use dek1::{DEk1, DekSolution};
 pub use erlang_mix::ErlangMix;
 pub use mg1::Mg1;

@@ -5,15 +5,16 @@
 //! Brent solve); the batch path is `RttModel::from_parts_batch` +
 //! `rtt_quantile_ms_fast` (the log-secant), both cold and hinted from
 //! the previous cell of a load-sorted run, as the engine serves them.
-//! The method at a quantile is `TotalDelay::expands_at` there: whether
-//! the eq.-(35) expansion's error bound lets the tail rule take it. A
-//! batch-only shortcut that skipped the expansion where the serial path
-//! keeps it would show up here as a method mismatch.
+//! The method at a quantile is `TotalDelay::method_at` there: the
+//! eq.-(35) partial fractions where their error bound lets the tail rule
+//! take them, else the divided difference where its bound does, else the
+//! inversion. A batch-only shortcut that skipped a closed form where the
+//! serial path keeps it would show up here as a method mismatch.
 
 use fpsping::engine::BATCH_RTT_TOLERANCE_MS;
 use fpsping::{RttModel, Scenario};
 use fpsping_dist::Deterministic;
-use fpsping_queue::{DEk1, Mg1, PositionDelay};
+use fpsping_queue::{DEk1, Mg1, PositionDelay, TailMethod};
 
 /// The batch engine's model for `s`: components built the way its
 /// solver cache builds them, assembled by `from_parts_batch`.
@@ -29,21 +30,21 @@ fn batch_model(s: &Scenario) -> RttModel {
     RttModel::from_parts_batch(s.clone(), down, position, Some(up)).unwrap()
 }
 
-/// Whether the model's tail rule takes the expansion at an RTT of `ms`.
-fn expands(m: &RttModel, ms: f64) -> bool {
+/// The model's tail rule's method at an RTT of `ms`.
+fn method_at(m: &RttModel, ms: f64) -> TailMethod {
     m.total()
-        .expands_at(ms / 1e3 - m.scenario().deterministic_delay_s())
+        .method_at(ms / 1e3 - m.scenario().deterministic_delay_s())
 }
 
-/// Checks one load-sorted run of cells; returns how many expand.
-fn check_run(cells: &[Scenario]) -> usize {
+/// Checks one load-sorted run of cells; returns the cells the serial
+/// path inverts.
+fn check_run(cells: &[Scenario]) -> Vec<String> {
     let mut hint = None;
-    let mut expanded = 0;
+    let mut inverted = Vec::new();
     for s in cells {
         let serial = RttModel::build(s).unwrap();
         let want = serial.rtt_quantile_ms();
-        let method = expands(&serial, want);
-        expanded += usize::from(method);
+        let method = method_at(&serial, want);
         let batch = batch_model(s);
         for h in [None, hint] {
             let got = batch.rtt_quantile_ms_fast(h);
@@ -54,15 +55,18 @@ fn check_run(cells: &[Scenario]) -> usize {
                 s.server_packet_bytes,
                 s.downlink_load()
             );
-            assert_eq!(expands(&batch, got), method, "method differs: {cell}");
+            assert_eq!(method_at(&batch, got), method, "method differs: {cell}");
             assert!(
                 (got - want).abs() <= BATCH_RTT_TOLERANCE_MS,
                 "{cell}: batch {got} vs serial {want} ms"
             );
+            if h.is_none() && method == TailMethod::Inversion {
+                inverted.push(cell);
+            }
         }
         hint = Some(want);
     }
-    expanded
+    inverted
 }
 
 #[test]
@@ -70,8 +74,7 @@ fn batch_and_serial_decide_alike_on_the_serve_cold_domain() {
     // perfbench's cold stream: K = 2…20 at T = 40 ms, golden-ratio loads
     // in [0.05, 0.95).
     let mut x = 0.5f64;
-    let mut total = 0;
-    let mut expanded = 0;
+    let mut inverted = Vec::new();
     for k in 2..=20u32 {
         let mut loads: Vec<f64> = (0..24)
             .map(|_| {
@@ -89,14 +92,12 @@ fn batch_and_serial_decide_alike_on_the_serve_cold_domain() {
                     .with_load(rho)
             })
             .collect();
-        expanded += check_run(&cells);
-        total += cells.len();
+        inverted.extend(check_run(&cells));
     }
-    // The tail rule serves most of this domain from the expansion.
-    assert!(
-        expanded * 4 >= total * 3,
-        "{expanded} of {total} cells expand"
-    );
+    // The tail rule serves every cell of this domain from a closed form:
+    // the partial fractions at high load, the divided difference where
+    // they cancel.
+    assert!(inverted.is_empty(), "inverted: {inverted:?}");
 }
 
 #[test]
