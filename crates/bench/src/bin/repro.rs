@@ -468,8 +468,6 @@ fn figure3() -> Vec<Table> {
 /// stochastic parts, which the paper says is about 3/2.
 fn figure4() -> Vec<Table> {
     let loads = load_grid();
-    // The (K, ρ_d) solver cache is T-invariant: the T = 60 ms series
-    // rebuilds every D/E_K/1 from the T = 40 ms solves.
     let engine = Engine::new(EngineConfig::default());
     let [(p40, det40), (p60, det60)] = [40.0, 60.0].map(|t_ms| {
         let s = Scenario::paper_default()
@@ -501,8 +499,6 @@ fn figure4() -> Vec<Table> {
 /// largest downlink load and gamer count (eq. 37) for K = 2, 9, 20,
 /// beside the paper's ≈20/40/60 % and 40/80/120 gamers.
 fn dimensioning() -> Vec<Table> {
-    // One engine for the three K: the bisection probes share the
-    // upstream pole cache (λ depends on load, not K).
     let engine = Engine::new(EngineConfig::default());
     let rows = [(2u32, 0.20, 40u32), (9, 0.40, 80), (20, 0.60, 120)]
         .map(|(k, p_rho, p_n)| {

@@ -1,7 +1,7 @@
 //! `SharedCache`: an N-way sharded, capacity-bounded concurrent map.
 //!
-//! The engine's solver caches started life as three global
-//! `Mutex<HashMap>`s — correct, but with two scaling problems once the
+//! The engine's caches started life as global `Mutex<HashMap>`s —
+//! correct, but with two scaling problems once the
 //! solver became a long-running query service (`fpsping-serve`):
 //!
 //! 1. **One lock per cache.** Every cell evaluated by every worker

@@ -17,9 +17,9 @@
 //! tail and the solved quantile agree only to that noise.
 //!
 //! The free functions here are thin wrappers over a single-threaded
-//! cached engine, so every probe shares the solver cache. That changes
-//! no bit: the answer equals [`crate::engine::Engine::serial`]'s, the
-//! uncached reference.
+//! engine, whose memo serves the reported quantile if its cell comes
+//! back. That changes no bit: the answer equals
+//! [`crate::engine::Engine::serial`]'s, the uncached reference.
 
 use crate::engine::{Engine, EngineConfig};
 use crate::scenario::Scenario;

@@ -23,7 +23,7 @@
 //!   budget).
 //! * **How fast?** [`engine::Engine`] evaluates grid workloads (load
 //!   sweeps, K × load surfaces, dimensioning bisections) in parallel
-//!   with memoized solver state and warm-started quantile brackets —
+//!   with memoized cell answers and warm-started quantile brackets —
 //!   bit-identical to the serial reference path, several times faster.
 //!
 //! # Quickstart

@@ -55,9 +55,8 @@ impl RttModel {
         Self::from_parts(scenario.clone(), downstream, position, upstream)
     }
 
-    /// Assembles a model from pre-built components (used by the
-    /// [`crate::engine::Engine`], whose [`crate::engine::SolverCache`]
-    /// constructs the components from memoized solutions). The caller
+    /// Assembles a model from pre-built components (a stage-by-stage
+    /// build that solves each component on its own). The caller
     /// guarantees the components match the scenario; the combined eq.-35
     /// product is formed here exactly as in [`RttModel::build`].
     pub fn from_parts(

@@ -59,7 +59,8 @@ pub struct Scenario {
     /// negligible when `ρ_u ≪ ρ_d` but never drops it from the method).
     pub include_upstream: bool,
     /// Extra fixed delay (ms) for propagation + server processing, which
-    /// the paper folds into the deterministic part (0 in §4's numbers).
+    /// the paper folds into the deterministic part (0 in §4's numbers);
+    /// finite and non-negative.
     pub extra_fixed_ms: f64,
 }
 
@@ -212,6 +213,12 @@ impl Scenario {
                 });
             }
         }
+        if !(self.extra_fixed_ms.is_finite() && self.extra_fixed_ms >= 0.0) {
+            return Err(QueueError::InvalidParameter {
+                name: "extra_fixed_ms",
+                value: self.extra_fixed_ms,
+            });
+        }
         // Each access link must at least carry its own flow.
         let up_access = 8.0 * self.client_packet_bytes
             / (self.effective_client_interval_ms() / 1e3)
@@ -345,6 +352,37 @@ mod tests {
         let mut s = Scenario::paper_default();
         s.client_packet_bytes = 2_000.0;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validation_refuses_a_fixed_delay_that_is_not_a_delay() {
+        // A NaN or infinite extra would make the RTT NaN or infinite, and
+        // a negative one would shorten it below the serialization floor.
+        for extra in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let s = Scenario {
+                extra_fixed_ms: extra,
+                ..Scenario::paper_default()
+            };
+            assert!(
+                matches!(
+                    s.validate(),
+                    Err(QueueError::InvalidParameter {
+                        name: "extra_fixed_ms",
+                        ..
+                    })
+                ),
+                "extra_fixed_ms = {extra}"
+            );
+            assert!(crate::engine::Engine::default()
+                .rtt_batch(&[s])
+                .iter()
+                .all(Option::is_none));
+        }
+        let s = Scenario {
+            extra_fixed_ms: 20.0,
+            ..Scenario::paper_default()
+        };
+        assert!(s.validate().is_ok());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! ## Naming convention
 //!
 //! Metric names are dotted lower-case paths, `<crate>.<subsystem>.<what>`:
-//! `engine.cache.dek.hits`, `num.roots.brent.iterations`, `sim.events`.
+//! `engine.cache.rtt.hits`, `num.roots.brent.iterations`, `sim.events`.
 //! Names are `&'static str` by design — the registry never copies them.
 //!
 //! ## The `obs-off` feature
@@ -94,7 +94,7 @@ pub(crate) fn registry() -> &'static Registry {
 /// poisoned it.
 ///
 /// This is the workspace's one audited acquisition site: the metric
-/// registry, the engine's solver caches and the serve layer all route
+/// registry, the engine's RTT memo and the serve layer all route
 /// through it (`cargo xtask lint` rule L12). The poison recovery is sound
 /// **only** for structures that are never left half-mutated across a
 /// panic point: every guarded structure here only ever holds

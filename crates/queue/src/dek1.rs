@@ -95,11 +95,10 @@ pub struct DEk1 {
 
 /// The *dimensionless* part of a D/E_K/1 solve: the branch roots ζⱼ and
 /// weights aⱼ of eqs. (26)–(27) depend only on `(K, ρ_d)`, not on the
-/// time scale `T`. Solving once per `(K, ρ_d)` and rescaling through
-/// [`DEk1::from_solution`] lets sweep engines share the root and weight
-/// work across cells — the reconstruction uses the
-/// exact same floating-point operations as [`DEk1::new`], so a cached
-/// rebuild is bit-identical to a fresh solve.
+/// time scale `T`. [`DEk1::from_solution`] attaches a time scale to a
+/// solution with the exact same floating-point operations as
+/// [`DEk1::new`], so a stage-by-stage build (solve, then rescale) is
+/// bit-identical to a fresh solve.
 #[derive(Debug, Clone)]
 pub struct DekSolution {
     k: u32,
@@ -186,11 +185,11 @@ impl DEk1 {
         Ok(Self::rescale(&solution, mean_service))
     }
 
-    /// Rebuilds the queue from a cached dimensionless [`DekSolution`] and
-    /// the time scale `(mean_service, t)`. The solution must have been
-    /// solved at exactly `mean_service / t` (bit-for-bit, so cached and
-    /// fresh results agree to the last ulp); the Erlang order is taken
-    /// from the solution.
+    /// Rebuilds the queue from a dimensionless [`DekSolution`] and the
+    /// time scale `(mean_service, t)`. The solution must have been solved
+    /// at exactly `mean_service / t` (bit-for-bit, so the rebuild and a
+    /// fresh solve agree to the last ulp); the Erlang order is taken from
+    /// the solution.
     pub fn from_solution(
         solution: &DekSolution,
         mean_service: f64,
@@ -220,7 +219,7 @@ impl DEk1 {
 
     /// Shared reconstruction path: attaches the time scale to the
     /// dimensionless roots. Both `new` and `from_solution` funnel through
-    /// here, which is what makes cached rebuilds bit-identical.
+    /// here, which is what makes rebuilds bit-identical.
     fn rescale(solution: &DekSolution, mean_service: f64) -> Self {
         let beta = solution.k as f64 / mean_service;
         let mut alphas: Vec<Complex64> = solution.zetas.iter().map(|&z| (1.0 - z) * beta).collect();

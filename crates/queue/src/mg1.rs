@@ -8,7 +8,9 @@
 //! * the exact Pollaczek–Khinchine waiting-time transform (MGF convention
 //!   `W(s) = (1-ρ)s / (s + λ(1 - B(s)))`) and mean
 //!   `E[W] = λE[S²]/(2(1-ρ))`,
-//! * the **dominant pole** γ — the positive root of `λ(B(γ) - 1) = γ` —
+//! * the **dominant pole** γ — the positive root of `λ(B(γ) - 1) = γ`,
+//!   in closed form for deterministic service (a Lambert W₋₁, see
+//!   [`Mg1::dominant_pole`]) and by Brent otherwise —
 //!   and the paper's two-term approximation of eq. (14),
 //!   `D_u(s) ≈ (1-ρ) + ρ·γ/(γ-s)`, whose inverse is the exponential tail
 //!   `P(W > x) ≈ ρ·e^{-γx}`,
@@ -26,6 +28,7 @@ use fpsping_obs::Counter;
 use std::sync::OnceLock;
 
 static POLE_SOLVES: Counter = Counter::new("queue.mg1.pole.solves");
+static POLE_CLOSED_FORM_STEPS: Counter = Counter::new("queue.mg1.pole.closed_form_steps");
 static POLE_BRACKET_EXPANSIONS: Counter = Counter::new("queue.mg1.pole.bracket_expansions");
 static POLE_BRENT_ITERS: Counter = Counter::new("queue.mg1.pole.brent_iterations");
 static CDF_CLAMP_EXCURSIONS: Counter = Counter::new("queue.mg1.cdf_exact.clamp_excursions");
@@ -60,8 +63,7 @@ pub struct Mg1 {
     rho: f64,
     // The dominant pole γ depends only on (λ, service law); it is solved
     // lazily once and shared by every paper_mix()/wait_tail_approx() call
-    // on this queue. `with_dominant_pole` pre-seeds it from an external
-    // cache.
+    // on this queue. `with_dominant_pole` pre-seeds it.
     pole: OnceLock<f64>,
 }
 
@@ -94,11 +96,12 @@ impl Mg1 {
         })
     }
 
-    /// Builds an M/G/1 whose dominant pole γ is already known (e.g. from
-    /// a solver cache keyed on `(λ, packet mix)`), skipping the Brent
-    /// solve entirely. The caller is responsible for `gamma` being the
-    /// pole of exactly this `(lambda, service)` pair — it must have come
-    /// from [`Mg1::dominant_pole`] on an identically-parameterised queue.
+    /// Builds an M/G/1 whose dominant pole γ is already known, skipping
+    /// the pole solve (a stage-by-stage replay of the model build solves
+    /// the pole on its own and hands it in here). The caller is
+    /// responsible for `gamma` being the pole of exactly this
+    /// `(lambda, service)` pair — it must have come from
+    /// [`Mg1::dominant_pole`] on an identically-parameterised queue.
     pub fn with_dominant_pole(
         lambda: f64,
         service: Box<dyn Distribution>,
@@ -182,10 +185,16 @@ impl Mg1 {
     /// The dominant pole γ of the waiting-time transform: the unique
     /// positive root of `λ(B(γ) - 1) = γ`.
     ///
-    /// This is the decay rate in eq. (14). Fails only for pathological
-    /// service laws (e.g. heavy tails with no MGF on `s > 0`). The root
-    /// solve runs at most once per queue; repeated calls return the
-    /// memoized value.
+    /// This is the decay rate in eq. (14). A service law with zero
+    /// variance is a point mass at its mean τ, so the equation is
+    /// `λ(e^{γτ} − 1) = γ`: with `x = γτ` and `ρ = λτ`, `x = ρ·expm1(x)`,
+    /// whose positive root is `x = −ρ − W₋₁(−ρ·e^{−ρ})` (Corless et al.
+    /// 1996), solved in closed form (DESIGN.md §5). `mdd1`,
+    /// `Mg1::new(λ, Deterministic)` and the RTT model therefore carry
+    /// the same bits. Any other law is bracketed and solved by Brent.
+    /// Fails only for pathological service laws (e.g. heavy tails with
+    /// no MGF on `s > 0`). The root solve runs at most once per queue;
+    /// repeated calls return the memoized value.
     pub fn dominant_pole(&self) -> Result<f64, QueueError> {
         if let Some(&g) = self.pole.get() {
             return Ok(g);
@@ -197,6 +206,15 @@ impl Mg1 {
 
     fn solve_dominant_pole(&self) -> Result<f64, QueueError> {
         POLE_SOLVES.incr();
+        let mean = self.service.mean();
+        // lint:allow(float_eq): only a point mass has exactly zero variance
+        if self.service.variance() == 0.0 {
+            let (x, steps) = mdd1_pole(self.rho).ok_or(QueueError::SolveFailure {
+                what: "Halley iteration for the M/D/1 pole did not converge",
+            })?;
+            POLE_CLOSED_FORM_STEPS.add(steps);
+            return Ok(x / mean);
+        }
         let f = |s: f64| -> Option<f64> {
             let b = self.service.mgf(Complex64::from_real(s))?;
             let v = self.lambda * (b.re - 1.0) - s;
@@ -206,20 +224,15 @@ impl Mg1 {
         };
         // f(0) = 0, f'(0) = ρ-1 < 0; find s_hi with f(s_hi) > 0, treating a
         // non-existent MGF as +∞ (the pole of B itself bounds γ above).
-        let scale = 1.0 / self.service.mean();
+        let scale = 1.0 / mean;
         let mut lo = 0.0f64;
         let mut hi = scale * 0.5;
-        let f_hi;
         let mut expansions = 0;
         loop {
             match f(hi) {
-                Some(v) if v > 0.0 => {
-                    f_hi = v;
-                    break;
-                }
-                Some(v) => {
+                Some(v) if v > 0.0 => break,
+                Some(_) => {
                     lo = hi;
-                    let _ = v;
                     hi *= 2.0;
                 }
                 None => {
@@ -232,7 +245,7 @@ impl Mg1 {
                         let m = 0.5 * (a + b);
                         match f(m) {
                             Some(v) if v > 0.0 => {
-                                found = Some((m, v));
+                                found = Some(m);
                                 break;
                             }
                             Some(_) => a = m,
@@ -240,9 +253,8 @@ impl Mg1 {
                         }
                     }
                     match found {
-                        Some((m, v)) => {
+                        Some(m) => {
                             hi = m;
-                            f_hi = v;
                             break;
                         }
                         None => {
@@ -261,7 +273,6 @@ impl Mg1 {
                 });
             }
         }
-        let _ = f_hi;
         // Brent on [lo', hi] where lo' is slightly above 0 (f(0) = 0 is the
         // trivial root).
         let lo = (lo.max(1e-12 * scale)).min(hi * 0.5);
@@ -311,6 +322,49 @@ impl Mg1 {
             fpsping_num::laplace::DEFAULT_EULER_M,
         )
     }
+}
+
+/// Steps the closed-form M/D/1 pole solve may take before it gives up.
+const MAX_POLE_STEPS: u64 = 8;
+
+/// The M/D/1 pole in units of the service time, with the number of steps
+/// it took: the positive root of `f(x) = ρ·expm1(x) − x` for `ρ ∈ (0, 1)`,
+/// `x = −ρ − W₋₁(z)` with `z = −ρ·e^{−ρ}`; `None` if the iteration does
+/// not stop within [`MAX_POLE_STEPS`].
+///
+/// The start is Corless's series for W₋₁: the branch-point series in
+/// `p = −√(2(e·z + 1))` where `e·z + 1 = δ·e^δ − expm1(δ) < 0.3`
+/// (`δ = 1 − ρ`), otherwise the asymptotic series in `L₁ = ln(−z)`,
+/// `L₂ = ln(−L₁)`. Halley's method then runs on `f`, with
+/// `f′ = ρ·e^x − 1` and `f″ = ρ·e^x`, until a step falls below
+/// `1e-6·x`; one Newton step closes it. That step's rounding sets the
+/// root's accuracy, `2ε·(1 + 1/(1 − ρ))` relative (DESIGN.md §5).
+fn mdd1_pole(rho: f64) -> Option<(f64, u64)> {
+    let delta = 1.0 - rho;
+    let branch_point = delta * delta.exp() - delta.exp_m1();
+    let w = if branch_point < 0.3 {
+        let p = -(2.0 * branch_point).sqrt();
+        p * (p * (p * (11.0 / 72.0) - 1.0 / 3.0) + 1.0) - 1.0
+    } else {
+        let l1 = rho.ln() - rho;
+        let l2 = (-l1).ln();
+        l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
+    };
+    let mut x = -rho - w;
+    for step in 1..=MAX_POLE_STEPS {
+        let e = rho * x.exp_m1();
+        let f = e - x;
+        let df = e - delta;
+        // Halley: f·f′/(f′² − f·f″/2).
+        let dx = f * df / (df * df - 0.5 * f * (e + rho));
+        x -= dx;
+        if dx.abs() <= 1e-6 * x {
+            let e = rho * x.exp_m1();
+            x -= (e - x) / (e - delta);
+            return Some((x, step + 1));
+        }
+    }
+    None
 }
 
 /// Convenience: M/D/1 with packet service time `tau` seconds.
@@ -471,6 +525,46 @@ mod tests {
         assert!((mix.constant - 0.6).abs() < 1e-12);
         assert!((mix.tail(0.0) - 0.4).abs() < 1e-12);
         assert_eq!(mix.blocks().len(), 1);
+    }
+
+    /// The closed-form pole's error bound: `c·ε·(1 + 1/(1 − ρ))` relative
+    /// (DESIGN.md §5).
+    const POLE_ERROR_C: f64 = 2.0;
+
+    #[test]
+    fn mdd1_pole_matches_the_pinned_lambert_w_table() {
+        // x = −ρ − W₋₁(−ρ·e^{−ρ}) at 50 digits (scripts/mdd1_pole.py) on
+        // 501 loads from 1e-4 to 0.9999. Each root is within its derived
+        // bound and takes at most four steps, the closing Newton step
+        // included; an M/D/1 with τ = 1 carries it as its pole, bit for bit.
+        const TABLE: &str = include_str!("../tests/data/mdd1_poles.csv");
+        let mut rows = 0;
+        for line in TABLE.lines().skip(1) {
+            let (rho, want) = line.split_once(',').unwrap();
+            let (rho, want): (f64, f64) = (rho.parse().unwrap(), want.parse().unwrap());
+            let (x, steps) = mdd1_pole(rho).unwrap();
+            assert!(steps <= 4, "rho={rho}: {steps} steps");
+            let bound = POLE_ERROR_C * f64::EPSILON * (1.0 + 1.0 / (1.0 - rho)) * want;
+            let err = (x - want).abs();
+            assert!(
+                err <= bound,
+                "rho={rho}: {x} vs {want}, error {err:e} > {bound:e}"
+            );
+            let gamma = mdd1(rho, 1.0).unwrap().dominant_pole().unwrap();
+            assert_eq!(gamma.to_bits(), x.to_bits(), "rho={rho}");
+            rows += 1;
+        }
+        assert_eq!(rows, 501);
+    }
+
+    #[test]
+    fn erlang_service_pole_solves_through_brent() {
+        // Only a point mass takes the closed form; a law with spread is
+        // bracketed and solved by Brent.
+        let before = POLE_BRENT_ITERS.get();
+        let q = Mg1::new(50.0, Box::new(Erlang::new(4, 400.0))).unwrap();
+        q.dominant_pole().unwrap();
+        assert!(POLE_BRENT_ITERS.get() > before);
     }
 
     #[test]

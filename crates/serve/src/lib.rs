@@ -10,7 +10,7 @@
 //! 40/24-byte binary frames for throughput), read-burst batching into
 //! one [`fpsping::Engine::rtt_batch`] pass per TCP read, and graceful
 //! shutdown. Memory stays bounded under adversarial query streams
-//! because the engine's solver caches are capacity-bounded and evicting
+//! because the engine's RTT memo is capacity-bounded and evicting
 //! ([`fpsping::SharedCache`]) — an evicted cell re-solves to the
 //! identical bits, so eviction costs time, never correctness.
 //!

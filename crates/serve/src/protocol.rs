@@ -92,15 +92,15 @@ pub const STATUS_TIMEOUT: u8 = 3;
 pub const STAT_RSS_MIB: u8 = 0;
 /// `stat` selector: peak resident set size (VmHWM) in MiB.
 pub const STAT_RSS_PEAK_MIB: u8 = 1;
-/// `stat` selector: engine cache hit rate in `[0, 1]`.
+/// `stat` selector: hit rate of the engine's RTT memo in `[0, 1]`.
 pub const STAT_HIT_RATE: u8 = 2;
 /// `stat` selector: requests served so far.
 pub const STAT_REQUESTS: u8 = 3;
-/// `stat` selector: solver-cache evictions so far.
+/// `stat` selector: RTT-memo evictions so far.
 pub const STAT_EVICTIONS: u8 = 4;
-/// `stat` selector: solver-cache hits so far (all three caches).
+/// `stat` selector: RTT-memo hits so far.
 pub const STAT_HITS: u8 = 5;
-/// `stat` selector: solver-cache misses so far (all three caches).
+/// `stat` selector: RTT-memo misses so far.
 pub const STAT_MISSES: u8 = 6;
 
 /// A decoded request operation.

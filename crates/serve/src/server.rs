@@ -29,7 +29,7 @@
 //! `serve.conns.rejected`); each of `workers` threads pops one
 //! connection and serves it to completion. The worker count — not the
 //! client count — bounds concurrent engine load, and all workers share
-//! one engine, so every connection warms the same sharded solver caches.
+//! one engine, so every connection warms the same sharded RTT memo.
 //! Like every lock in the workspace, the queue's mutex is never held
 //! while another guard is taken.
 //!
@@ -89,8 +89,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads (each serves one connection at a time).
     pub workers: usize,
-    /// Entry budget for each of the engine's three solver caches
-    /// (`0` = unbounded); see [`EngineConfig::cache_entries`].
+    /// Entry budget of the engine's whole-cell RTT memo (`0` =
+    /// unbounded); see [`EngineConfig::cache_entries`].
     pub cache_entries: usize,
     /// Run the engine bit-exactly (`batch: false`): every answer matches
     /// the serial reference path to the last bit, at the cost of the
@@ -490,11 +490,11 @@ fn dimension(shared: &Shared, r: &Request, clock: &Stopwatch, solved: &mut bool)
 fn stats_response(shared: &Shared, r: &Request, mode: Mode, out: &mut Vec<u8>) -> Response {
     let cache = shared.engine.cache_stats();
     let requests = shared.requests.load(Ordering::Relaxed);
-    let lookups = cache.hits() + cache.misses();
+    let lookups = cache.rtt_hits + cache.rtt_misses;
     let hit_rate = if lookups == 0 {
         0.0
     } else {
-        cache.hits() as f64 / lookups as f64
+        cache.rtt_hits as f64 / lookups as f64
     };
     let rss = rss_mib().unwrap_or(f64::NAN);
     let rss_peak = rss_peak_mib().unwrap_or(f64::NAN);
@@ -505,9 +505,9 @@ fn stats_response(shared: &Shared, r: &Request, mode: Mode, out: &mut Vec<u8>) -
                 STAT_RSS_PEAK_MIB => rss_peak,
                 STAT_HIT_RATE => hit_rate,
                 STAT_REQUESTS => requests as f64,
-                STAT_EVICTIONS => cache.evictions() as f64,
-                protocol::STAT_HITS => cache.hits() as f64,
-                protocol::STAT_MISSES => cache.misses() as f64,
+                STAT_EVICTIONS => cache.rtt_evictions as f64,
+                protocol::STAT_HITS => cache.rtt_hits as f64,
+                protocol::STAT_MISSES => cache.rtt_misses as f64,
                 _ => return Response::err(r.id, STATUS_BAD_REQUEST),
             };
             Response::ok(r.id, value, 0)
@@ -518,10 +518,7 @@ fn stats_response(shared: &Shared, r: &Request, mode: Mode, out: &mut Vec<u8>) -
                     "{{\"id\":{},\"ok\":true,\"requests\":{requests},\"hits\":{},\"misses\":{},\
                      \"evictions\":{},\"hit_rate\":{hit_rate:.6},\"rss_mib\":{rss:.1},\
                      \"rss_peak_mib\":{rss_peak:.1}}}\n",
-                    r.id,
-                    cache.hits(),
-                    cache.misses(),
-                    cache.evictions(),
+                    r.id, cache.rtt_hits, cache.rtt_misses, cache.rtt_evictions,
                 )
                 .as_bytes(),
             );

@@ -27,13 +27,16 @@ cargo test --release -q -p fpsping-sim --lib time::
 # folded mix against its unfolded oracle, and the closed-form roots
 # against the pinned 50-digit Lambert-W table (derived error bound, at
 # most four steps a root), in the optimized float code the benchmark
-# runs. The eq.-(35) closed forms (at the burst rate and for a spot θ < 1) against their
+# runs; the closed-form M/D/1 pole against its pinned 50-digit
+# Lambert-W₋₁ table (scripts/mdd1_pole.py) the same way. The eq.-(35)
+# closed forms (at the burst rate and for a spot θ < 1) against their
 # 60-digit quantiles and the test-side eq.-(43) product, and the divided
 # difference against the 300-digit pins of scripts/closed_form_ref.py, in
 # release too.
 cargo test --release -q -p fpsping-queue --test conjugate_pairs
 cargo test --release -q -p fpsping-queue --lib erlang_mix::unfolded_oracle
 cargo test --release -q -p fpsping-queue --lib dek1::tests::roots_match_the_pinned_lambert_w_table
+cargo test --release -q -p fpsping-queue --lib mg1::tests::mdd1_pole_matches_the_pinned_lambert_w_table
 cargo test --release -q -p fpsping --test closed_form
 cargo test --release -q -p fpsping --test divided_difference
 # The live serve smoke in release: the 10 k q/s floor (`cargo test`
@@ -75,8 +78,10 @@ if [ "$REPRO_STATUS" -ne 0 ] || [ -s "$REPRO_ERR" ]; then
 fi
 
 # Metrics smoke: the observability layer must produce parseable JSON with
-# live solver counters from a real (tiny) sweep run, the closed-form ζ
-# solver's among them: its solves and its Halley/Newton steps.
+# live solver counters from a real (tiny) sweep run: the closed-form ζ
+# solver's solves and Halley/Newton steps, and the closed-form M/D/1
+# pole's solves and steps. The sweep calls no `num.roots` solver any
+# more (the pole's Brent was the last), so none of those is required.
 METRICS_TMP="$TIER1_TMP/metrics.json"
 ./target/release/fpsping-cli sweep --metrics-out "$METRICS_TMP" >/dev/null
 if command -v python3 >/dev/null 2>&1; then
@@ -85,8 +90,12 @@ import json, sys
 snap = json.load(open(sys.argv[1]))
 assert snap["schema"] == "fpsping-obs/1", snap.get("schema")
 counters = snap["counters"]
-assert any(k.startswith("num.roots.") and v > 0 for k, v in counters.items()), \
-    "no live num.roots.* counter in metrics JSON"
+pole_solves = counters.get("queue.mg1.pole.solves", 0)
+pole_steps = counters.get("queue.mg1.pole.closed_form_steps", 0)
+assert pole_solves > 0, "sweep recorded no queue.mg1.pole.solves"
+assert pole_steps >= pole_solves, \
+    "sweep's M/D/1 poles did not take the closed form: %d steps for %d solves" \
+    % (pole_steps, pole_solves)
 solves = counters.get("queue.dek1.zeta.solves", 0)
 steps = counters.get("queue.dek1.zeta.newton_polish_steps", 0)
 assert solves > 0, "sweep recorded no queue.dek1.zeta.solves"
@@ -111,7 +120,7 @@ print("tier-1: metrics smoke OK (%d counters; zeta solves/steps = %d/%d; "
 PY
 else
     grep -q '"schema": "fpsping-obs/1"' "$METRICS_TMP"
-    grep -q '"num\.roots\.' "$METRICS_TMP"
+    grep -q '"queue\.mg1\.pole\.closed_form_steps"' "$METRICS_TMP"
     grep -q '"queue\.dek1\.zeta\.solves"' "$METRICS_TMP"
     grep -q '"queue\.combine\.quantile\.expanded"' "$METRICS_TMP"
     grep -q '"queue\.combine\.quantile\.divided"' "$METRICS_TMP"

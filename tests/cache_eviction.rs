@@ -186,7 +186,7 @@ proptest! {
         let slots = SharedCache::<u8, u8>::new(DEFAULT_SHARDS, cache_entries).capacity();
         if distinct_ks.len() * n_loads > slots {
             prop_assert!(
-                bounded.cache_stats().evictions() > 0,
+                bounded.cache_stats().rtt_evictions > 0,
                 "{} cells through {slots} slots evicted nothing",
                 distinct_ks.len() * n_loads
             );
@@ -228,7 +228,7 @@ fn eviction_parity_holds_bit_exactly() {
         }
     }
     assert!(
-        bounded.cache_stats().evictions() > 0,
+        bounded.cache_stats().rtt_evictions > 0,
         "64 entries over a 180-cell grid must have evicted"
     );
 }

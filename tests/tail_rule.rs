@@ -16,8 +16,8 @@ use fpsping::{RttModel, Scenario};
 use fpsping_dist::Deterministic;
 use fpsping_queue::{DEk1, Mg1, PositionDelay, TailMethod};
 
-/// The batch engine's model for `s`: components built the way its
-/// solver cache builds them, assembled by `from_parts_batch`.
+/// The model for `s` built one stage at a time, assembled by
+/// `from_parts_batch`.
 fn batch_model(s: &Scenario) -> RttModel {
     let t_s = s.t_ms / 1e3;
     let mean_service = s.mean_burst_service_s();
